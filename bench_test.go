@@ -292,12 +292,9 @@ func BenchmarkEndToEndSearchIFP(b *testing.B) {
 // trajectory the way the paper compares CPU, PuM and flash on one
 // algorithm.
 // BenchmarkPrepareQuery measures client-side query preparation on the
-// standard engine-bench workload in both token representations. The
-// factored builder derives EncryptC0 once per chunk plus once per phase
-// (chunks+phases ring encryptions); the legacy builder additionally
-// expands residues×chunks token polynomials. Before the per-chunk
-// hoist, the legacy path re-ran EncryptC0 once per (residue, chunk) —
-// an R× larger encryption count that this benchmark keeps visible.
+// standard engine-bench workload: the token builder derives EncryptC0
+// once per chunk plus once per phase (chunks+phases ring encryptions),
+// not once per (residue, chunk).
 func BenchmarkPrepareQuery(b *testing.B) {
 	cfg := Config{Params: ParamsPaper(), AlignBits: 8, Mode: ModeSeededMatch}
 	client, err := NewClient(cfg, NewSeed("prep-bench"))
@@ -306,22 +303,12 @@ func BenchmarkPrepareQuery(b *testing.B) {
 	}
 	const dbBits = 4096 * 8
 	pattern := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	b.Run("factored", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.PrepareQuery(pattern, 32, dbBits); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.PrepareQuery(pattern, 32, dbBits); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.PrepareLegacyQuery(pattern, 32, dbBits); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkEngine(b *testing.B) {

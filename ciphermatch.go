@@ -60,9 +60,8 @@ type (
 	Server = core.Server
 	// Query is the encrypted query artifact: shift-variant patterns
 	// plus, in ModeSeededMatch, factored match tokens (a per-chunk
-	// DBTok plane and per-phase RHS comparands — R× smaller on the
-	// wire than the legacy per-(residue, chunk) token expansion, which
-	// Client.PrepareLegacyQuery still produces for old servers).
+	// DBTok plane and per-phase RHS comparands — chunks + phases
+	// polynomials on the wire, not one per residue per chunk).
 	Query = core.Query
 	// EncryptedDB is the packed, encrypted database.
 	EncryptedDB = core.EncryptedDB
@@ -170,10 +169,10 @@ func NewEngine(p Params, db *EncryptedDB, spec EngineSpec) (Engine, error) {
 // "pool:8" or "ssd/shards=4".
 func ParseEngineSpec(s string) (EngineSpec, error) { return engine.Parse(s) }
 
-// NewBatchQuery assembles queries into a batch, deduplicating pattern
-// ciphertexts shared between members (e.g. the same hot query issued by
-// several users of one data owner), so batch execution evaluates each
-// distinct pattern once per chunk.
+// NewBatchQuery assembles queries into a batch, deduplicating match
+// tokens shared between members (the DBTok plane of one data owner's
+// queries, the RHS of the same hot query issued by several users), so
+// batch execution streams each chunk once per distinct DBTok plane.
 func NewBatchQuery(queries ...*Query) *BatchQuery { return core.NewBatchQuery(queries...) }
 
 // SearchBatch executes every member of bq on e — through the engine's

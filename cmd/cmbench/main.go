@@ -158,7 +158,7 @@ func writeEngineBench(path, baseline string) error {
 		fmt.Printf("cold-load    %-16s %12.0f ns cold-load %10.0f ns warm-search  mmap=%v madvise=%v (%d-byte segment)\n",
 			c.Engine, c.ColdLoadNsPerOp, c.WarmSearchNsPerOp, c.Mapped, c.Advised, c.SegmentBytes)
 	}
-	fmt.Printf("query-bytes  factored %d legacy %d\n", report.QueryBytes, report.LegacyQueryBytes)
+	fmt.Printf("query-bytes  %d\n", report.QueryBytes)
 	if s := report.Storm; s != nil {
 		fmt.Printf("storm        %d conns %10.0f qps unbatched %10.0f qps coalesced (%+.1f%%) occupancy %.2f  %.1f streams/query (solo %d)\n",
 			s.Conns, s.BaselineQPS, s.QPS, s.SpeedupPct, s.BatchOccupancyMean,

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
-	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/ring"
 )
 
@@ -19,85 +17,35 @@ import (
 // parallelism inside the flash die.
 //
 // Members are fully independent: they may differ in length, alignment
-// and shift variants. Members that share a pattern ciphertext for a
-// phase (e.g. the same hot query issued by several users of one data
-// owner, whose pattern randomness is seed-derived and therefore
-// identical) additionally share its homomorphic sum per chunk once the
-// batch has been through DedupPatterns.
+// and shift variants. Members prepared by the same client against the
+// same database (token randomness is seed-derived and therefore
+// identical) share their DBTok plane — and, for the same hot query
+// issued by several users, their RHS comparands — once the batch has
+// been through DedupTokens.
 type BatchQuery struct {
 	// Queries are the member queries; results come back in this order.
 	Queries []*Query
 }
 
-// NewBatchQuery assembles a batch and canonicalises shared pattern
-// ciphertexts and match-token polynomials across members
-// (DedupPatterns, DedupTokens), so batch kernels evaluate each distinct
-// (pattern, token) combination once per chunk.
+// NewBatchQuery assembles a batch and canonicalises shared match-token
+// polynomials across members (DedupTokens), so batch kernels evaluate
+// each distinct (chunk comparand, RHS) combination once per chunk.
 func NewBatchQuery(queries ...*Query) *BatchQuery {
 	bq := &BatchQuery{Queries: queries}
-	bq.DedupPatterns()
 	bq.DedupTokens()
 	return bq
 }
 
-// DedupPatterns rewrites coefficient-identical pattern ciphertexts
-// across members to one shared *bfv.Ciphertext, and returns the number
-// of distinct pattern ciphertexts in the batch. Batch kernels key their
-// per-chunk sum reuse on pointer identity, and the wire encoder pools
-// patterns by content, so deduplication here makes both effective for
-// batches assembled in-process from separately prepared queries.
-func (bq *BatchQuery) DedupPatterns() int {
-	seen := make(map[string]*bfv.Ciphertext)
-	for _, q := range bq.Queries {
-		for psi, ct := range q.Patterns {
-			key := ciphertextKey(ct)
-			if shared, ok := seen[key]; ok {
-				q.Patterns[psi] = shared
-			} else {
-				seen[key] = ct
-			}
-		}
-	}
-	return len(seen)
-}
-
-// ciphertextKey is the content identity of a ciphertext: every
-// component length-prefixed, coefficients little-endian. Two ciphertexts
-// with equal keys decrypt identically and produce identical homomorphic
-// sums, so they are interchangeable for dedup.
-func ciphertextKey(ct *bfv.Ciphertext) string {
-	size := 0
-	for _, p := range ct.C {
-		size += 8 + len(p)*8
-	}
-	buf := make([]byte, 0, size)
-	var tmp [8]byte
-	for _, p := range ct.C {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(p)))
-		buf = append(buf, tmp[:]...)
-		for _, c := range p {
-			binary.LittleEndian.PutUint64(tmp[:], c)
-			buf = append(buf, tmp[:]...)
-		}
-	}
-	return string(buf)
-}
-
-// DedupTokens rewrites content-identical match-token polynomials
-// across members to one shared ring.Poly, and returns the number of
-// distinct token polynomials. It covers both representations: legacy
-// expanded Tokens, and the factored DBTok plane and RHS comparands —
-// queries prepared from the same client seed against the same database
-// share their entire DBTok plane, so after deduplication the batch
-// kernel recognises "same chunk comparand, same RHS" pairs by pointer
-// identity and streams each chunk once for the whole group. This is the
-// comparison half of the dedup that DedupPatterns provides for the
-// addition half.
+// DedupTokens rewrites content-identical match-token polynomials (DBTok
+// plane and RHS comparands) across members to one shared ring.Poly, and
+// returns the number of distinct token polynomials. Queries prepared
+// from the same client seed against the same database share their
+// entire DBTok plane, so after deduplication the batch kernel
+// recognises "same chunk comparand, same RHS" pairs by pointer identity
+// and streams each chunk once for the whole group.
 // Tokens are keyed by a 64-bit content hash with a full coefficient
 // compare only inside a hash bucket, so deduplication never copies the
-// token stream (a wire batch can carry members × residues × chunks
-// token polynomials; building string keys would double the decode
-// allocations).
+// token stream.
 func (bq *BatchQuery) DedupTokens() int {
 	buckets := make(map[uint64][]ring.Poly)
 	distinct := 0
@@ -113,11 +61,6 @@ func (bq *BatchQuery) DedupTokens() int {
 		return p
 	}
 	for _, q := range bq.Queries {
-		for _, toks := range q.Tokens {
-			for i, tok := range toks {
-				toks[i] = dedup(tok)
-			}
-		}
 		for i, tok := range q.DBTok {
 			q.DBTok[i] = dedup(tok)
 		}
@@ -236,43 +179,16 @@ func assembleBatchResults(bq *BatchQuery, bitmaps [][]*Bitset, memberStats []Sta
 	return out, total
 }
 
-// factorBatch normalises every batch member into the kernel-ready
-// factored form (FactorQuery) once per batched search, so chunk-range
-// jobs share the normalisation instead of redoing it. Native factored
-// members reference their (already deduplicated) RHS polynomials by
-// pointer; legacy members get *fresh* rows from the re-factoring, so
-// those are content-deduplicated here — identical legacy members (the
-// same hot query from several users) collapse back into one evaluation
-// class per (chunk comparand, RHS), keeping the kernel's word-OR
-// verdict propagation effective for old clients too.
+// factorBatch arranges every batch member into the kernel-ready form
+// (FactorQuery) once per batched search, so chunk-range jobs share the
+// arrangement instead of redoing it. Rows reference the members'
+// (already deduplicated) RHS polynomials by pointer.
 func factorBatch(r *ring.Ring, bq *BatchQuery, numChunks int) ([]*FactoredQuery, error) {
 	fqs := make([]*FactoredQuery, len(bq.Queries))
-	var buckets map[uint64][]ring.Poly
 	for mi, q := range bq.Queries {
 		fq, err := FactorQuery(r, q, numChunks)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch member %d: %w", mi, err)
-		}
-		if !q.Factored() {
-			if buckets == nil {
-				buckets = make(map[uint64][]ring.Poly)
-			}
-			for _, row := range fq.rows {
-				for i, p := range row {
-					h := polyHash(p)
-					shared := false
-					for _, cand := range buckets[h] {
-						if polysEqual(cand, p) {
-							row[i] = cand
-							shared = true
-							break
-						}
-					}
-					if !shared {
-						buckets[h] = append(buckets[h], p)
-					}
-				}
-			}
 		}
 		fqs[mi] = fq
 	}
@@ -366,7 +282,7 @@ func (s *batchScratch) class(dtok, rhs ring.Poly, words []uint64, pair, owner in
 // ciphertext chunk is walked once per batch instead of once per query.
 //
 // Pairs are grouped into evaluation classes by (chunk comparand, RHS)
-// pointer identity — after DedupPatterns/DedupTokens, members prepared
+// pointer identity — after DedupTokens, members prepared
 // by the same client against the same database share their whole DBTok
 // plane, so all their residues collapse into one comparand group. Each
 // group streams the chunk's first component through a single fused

@@ -9,9 +9,9 @@ import (
 // per 16-bit database window, 64 windows per word. It replaces the
 // 1-byte-per-window []bool representation, shrinking results 8× and
 // letting candidate generation scan a word (64 windows) per comparison.
-// The fused search kernels (ring.AddCmpBits and friends) write hit bits
-// directly into Words(), so the bitmap is also the kernel's only output
-// store.
+// The fused search kernels (ring.SubCmpMultiBits, ring.CmpEqScalarBits)
+// write hit bits directly into Words(), so the bitmap is also the
+// kernel's only output store.
 //
 // Concurrent writers are safe only on disjoint word ranges; the pool
 // engine aligns its chunk-range jobs so every 64-bit word belongs to

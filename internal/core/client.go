@@ -252,8 +252,8 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 
 // Query is the encrypted query artifact sent to the server (Algorithm 1,
 // lines 4-9): the negated, replicated query at every required shift
-// alignment, plus (in ModeSeededMatch) the match tokens in either the
-// factored (DBTok/RHS) or the legacy expanded (Tokens) representation.
+// alignment, plus (in ModeSeededMatch) the factored match tokens
+// (DBTok/RHS).
 type Query struct {
 	YBits     int
 	AlignBits int
@@ -265,24 +265,17 @@ type Query struct {
 	// Patterns maps phase psi -> encrypted negated replicated query
 	// pattern. The pattern for (variant s, chunk j) has phase
 	// psi = (16·n·j - s) mod y; variants share pattern ciphertexts with
-	// equal phase. Required by the client-decrypt path (Server.Search)
-	// and by legacy-token queries; factored queries carry them
-	// in-process for diagnostics but never ship them (the fused
-	// seeded-match kernels run entirely on DBTok/RHS).
+	// equal phase. Required by the client-decrypt path (Server.Search);
+	// seeded-match queries carry them in-process for diagnostics but
+	// never ship them (the fused kernels run entirely on DBTok/RHS).
 	Patterns map[int]*bfv.Ciphertext
-	// Tokens[s][j] is the expected hit value of the first result component
-	// for variant residue s and chunk j — the legacy expanded
-	// representation, R×NumChunks polynomials. Old clients still send
-	// it; the engines factor it server-side (FactorQuery) so even
-	// legacy queries get the residue-fused single-pass kernel.
-	Tokens map[int][]ring.Poly
-	// DBTok is the factored representation's per-chunk token plane:
+	// DBTok is the per-chunk token plane:
 	// DBTok[j] = EncryptC0(allOnes, dbChunkSource(j)) - M, residue-
 	// independent, where M is a client-seed-derived mask poly. Together
-	// with RHS it replaces the R×NumChunks legacy tokens with
-	// NumChunks + numPhases polynomials — the R× query shrink.
+	// with RHS it is the whole seeded-match query: NumChunks + numPhases
+	// polynomials.
 	DBTok []ring.Poly
-	// RHS maps phase psi -> the factored comparand
+	// RHS maps phase psi -> the comparand
 	// RHS[psi] = patC0(psi) - Patterns[psi].C[0] + M. A window of chunk
 	// j hits variant s iff (c0[i] - DBTok[j][i]) mod q == RHS[psi][i]
 	// with psi = PatternPhase(n, j, s, y). The mask M keeps the server
@@ -296,30 +289,22 @@ type Query struct {
 	HitsOnly bool
 }
 
-// Factored reports whether the query carries the factored token
-// representation (DBTok plane + per-phase RHS).
-func (q *Query) Factored() bool { return q.DBTok != nil }
-
-// HasTokens reports whether the query carries match tokens in either
-// representation, i.e. whether server-side index generation can run.
-func (q *Query) HasTokens() bool { return q.Tokens != nil || q.DBTok != nil }
+// HasTokens reports whether the query carries match tokens (DBTok plane
+// + per-phase RHS), i.e. whether server-side index generation can run.
+func (q *Query) HasTokens() bool { return q.DBTok != nil }
 
 // SizeBytes returns the total bytes the client ships to the server for
-// this query. Factored queries ship only the DBTok plane and the
-// per-phase RHS polynomials — the seeded-match kernels never touch
-// pattern ciphertexts, so they stay home; legacy queries ship pattern
-// ciphertexts plus the expanded match tokens.
+// this query. Seeded-match queries ship only the DBTok plane and the
+// per-phase RHS polynomials — the kernels never touch pattern
+// ciphertexts, so they stay home; client-decrypt queries ship their
+// pattern ciphertexts.
 func (q *Query) SizeBytes(p bfv.Params) int64 {
-	polyBytes := int64(p.N * p.QBytes())
-	if q.Factored() {
-		return int64(len(q.DBTok)+len(q.RHS)) * polyBytes
+	if q.HasTokens() {
+		return int64(len(q.DBTok)+len(q.RHS)) * int64(p.N*p.QBytes())
 	}
 	var total int64
 	for _, ct := range q.Patterns {
 		total += int64(ct.SizeBytes(p))
-	}
-	for _, toks := range q.Tokens {
-		total += int64(len(toks)) * polyBytes
 	}
 	return total
 }
@@ -413,31 +398,12 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	return q, nil
 }
 
-// PrepareLegacyQuery builds a query in the legacy expanded-token
-// representation (Tokens[s][j], R×NumChunks polynomials) — what pre-
-// factoring clients send on the wire. It detects exactly the same hits
-// as PrepareQuery's factored form (the engines factor it server-side),
-// and exists for wire compatibility tests and old-client simulation.
-func (c *Client) PrepareLegacyQuery(query []byte, queryBits, dbBitLen int) (*Query, error) {
-	q, err := c.PrepareQuery(query, queryBits, dbBitLen)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.Mode == ModeSeededMatch {
-		q.DBTok, q.RHS = nil, nil
-		if err := c.buildTokens(q); err != nil {
-			return nil, err
-		}
-	}
-	return q, nil
-}
-
-// encryptC0Calls counts EncryptC0 invocations of the token builders; the
-// client-prep tests use it to pin the R× reduction of the hoisted /
-// factored builders (one derivation per chunk, not per chunk per residue).
+// encryptC0Calls counts EncryptC0 invocations of the token builder; the
+// client-prep tests use it to pin one derivation per chunk plus one per
+// phase (not one per chunk per residue).
 var encryptC0Calls atomic.Int64
 
-// tokenPlaintexts encodes the two plaintexts every token builder needs:
+// tokenPlaintexts encodes the two plaintexts the token builder needs:
 // the all-ones hit value t-1 and zero (for the pattern-noise component).
 func (c *Client) tokenPlaintexts() (onesPT, zeroPT *bfv.Plaintext, err error) {
 	p := c.cfg.Params
@@ -456,11 +422,12 @@ func (c *Client) tokenPlaintexts() (onesPT, zeroPT *bfv.Plaintext, err error) {
 
 // tokenMask derives the client's token mask M: a uniform polynomial,
 // deterministic per client seed (not per query), that blinds both halves
-// of the factored representation. Sharing M across a client's queries is
-// what lets batch deduplication share one DBTok plane between members;
-// it leaks no more than the legacy representation already did, because
-// legacy tokens expose exactly the same cross-phase and cross-query
-// differences (see DESIGN.md §4.3).
+// of the token representation. Sharing M across a client's queries is
+// what lets batch deduplication share one DBTok plane between members.
+// M is one pad, so differences cancel it: RHS[p1]−RHS[p2] equals
+// Δ·(patPT[p2]−patPT[p1]), and DBTok[j1]−DBTok[j2] combined with the
+// stored chunks gives Δ·(m_j1−m_j2) — see DESIGN.md §4.3 for what the
+// server can and cannot learn.
 func (c *Client) tokenMask() ring.Poly {
 	m := c.ring.NewPoly()
 	c.ring.UniformPoly(c.src.Fork("query").Fork("token-mask"), m)
@@ -468,12 +435,12 @@ func (c *Client) tokenMask() ring.Poly {
 }
 
 // buildFactoredTokens computes the factored form of the "encrypted match
-// polynomial" of §4.2.2. The legacy token for (variant s, chunk j) is
-// dbC0[j] + patC0[psi(j,s)] with dbC0[j] = EncryptC0(t-1, dbSource(j))
+// polynomial" of §4.2.2. The expected hit value for (variant s, chunk j)
+// is dbC0[j] + patC0[psi(j,s)] with dbC0[j] = EncryptC0(t-1, dbSource(j))
 // and patC0[psi] = EncryptC0(0, patternSource(psi)) — a sum whose parts
 // depend only on the chunk and only on the phase. Shipping the parts
-// instead of the R×NumChunks sums shrinks the query by ~R× and lets the
-// server evaluate every residue in one pass over each chunk:
+// instead of the R×NumChunks sums keeps the query ~R× smaller and lets
+// the server evaluate every residue in one pass over each chunk:
 //
 //	(c0 + pattern.C0) == dbC0 + patC0   per (§4.2.2)
 //	⇔ (c0 - DBTok[j]) == RHS[psi]      with DBTok[j] = dbC0[j] - M,
@@ -501,48 +468,6 @@ func (c *Client) buildFactoredTokens(q *Query) error {
 		c.ring.Sub(rhs, pattern.C[0], rhs)
 		c.ring.Add(rhs, mask, rhs)
 		q.RHS[psi] = rhs
-	}
-	return nil
-}
-
-// buildTokens computes the legacy expanded tokens: for every (variant,
-// chunk) the exact first-component value the homomorphic addition
-// produces when a coefficient sums to the all-ones value t-1. The client
-// re-derives the ciphertext randomness of both operands from its seed
-// (via bfv's documented sampling order) without needing the database
-// plaintext. Both per-chunk and per-phase components are derived once
-// and summed per (variant, chunk) — EncryptC0 runs NumChunks+numPhases
-// times, not once per residue per chunk.
-func (c *Client) buildTokens(q *Query) error {
-	n := c.cfg.Params.N
-	onesPT, zeroPT, err := c.tokenPlaintexts()
-	if err != nil {
-		return err
-	}
-
-	// One derivation per chunk and per phase, summed below.
-	dbC0 := make([]ring.Poly, q.NumChunks)
-	for j := range dbC0 {
-		dbC0[j] = c.encryptor.EncryptC0(onesPT, c.dbChunkSource(j))
-		encryptC0Calls.Add(1)
-	}
-	patternC0 := make(map[int]ring.Poly, len(q.Patterns))
-	for psi := range q.Patterns {
-		patternC0[psi] = c.encryptor.EncryptC0(zeroPT, c.patternSource(psi))
-		encryptC0Calls.Add(1)
-	}
-
-	q.Tokens = make(map[int][]ring.Poly, len(q.Residues))
-	for _, s := range q.Residues {
-		toks := make([]ring.Poly, q.NumChunks)
-		for j := 0; j < q.NumChunks; j++ {
-			// Expected hit value: noise(db_j) + Δ(t-1) + noise(pattern).
-			psi := PatternPhase(n, j, s, q.YBits)
-			tok := c.ring.NewPoly()
-			c.ring.Add(dbC0[j], patternC0[psi], tok)
-			toks[j] = tok
-		}
-		q.Tokens[s] = toks
 	}
 	return nil
 }

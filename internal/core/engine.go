@@ -102,8 +102,8 @@ func NewEngine(params bfv.Params, db *EncryptedDB, spec EngineSpec) (Engine, err
 }
 
 // validateSearchQuery is the shared request validation of every engine:
-// shape agreement between query and database, plus the match tokens —
-// factored (DBTok/RHS) or legacy (Tokens) — that server-side index
+// shape agreement between query and database, plus the match tokens
+// (DBTok plane, one polynomial per chunk) that server-side index
 // generation needs.
 func validateSearchQuery(db *EncryptedDB, q *Query, needTokens bool) error {
 	if q.YBits < 1 {
@@ -117,23 +117,9 @@ func validateSearchQuery(db *EncryptedDB, q *Query, needTokens bool) error {
 		return fmt.Errorf("core: query prepared for %d-bit database, have %d bits",
 			q.DBBitLen, db.BitLen)
 	}
-	if !needTokens {
-		return nil
-	}
-	if q.Factored() {
-		if len(q.DBTok) != len(db.Chunks) {
-			return fmt.Errorf("core: query DBTok plane has %d chunks, database has %d",
-				len(q.DBTok), len(db.Chunks))
-		}
-		return nil
-	}
-	if q.Tokens == nil {
-		return errNoTokens
-	}
-	for _, res := range q.Residues {
-		if toks, ok := q.Tokens[res]; !ok || len(toks) != len(db.Chunks) {
-			return errBadTokens(res)
-		}
+	if needTokens && len(q.DBTok) != len(db.Chunks) {
+		return fmt.Errorf("core: query DBTok plane has %d chunks, database has %d (search requires ModeSeededMatch tokens)",
+			len(q.DBTok), len(db.Chunks))
 	}
 	return nil
 }

@@ -11,17 +11,11 @@ import (
 // occurs in the database, one RHS polynomial per shift variant. The
 // residue-fused kernels stream chunk j's first component and DBTok[j]
 // once and compare the difference against Row(phi_j) — all residues in
-// a single arena pass.
-//
-// Both query representations normalise to it: native factored queries
-// by phase lookup (pointer arrangement only), legacy expanded-token
-// queries by server-side re-factoring around a reference residue — so
-// old clients get the single-pass kernel too.
+// a single arena pass. Building it is pointer arrangement only (a phase
+// lookup per residue); no polynomial is copied or computed.
 type FactoredQuery struct {
 	// DBTok[j] is the chunk-dependent comparand subtracted from chunk
-	// j's first component. For native queries it is the client's masked
-	// plane; for re-factored legacy queries it is the reference
-	// residue's token row.
+	// j's first component: the client's masked plane.
 	DBTok []ring.Poly
 	// rows[phi][ri] is the comparand for residue index ri on chunks
 	// with ChunkPhi == phi. Keyed by map, not a y-sized array: y comes
@@ -43,53 +37,16 @@ func errMissingRHS(psi int) error {
 	return fmt.Errorf("core: query missing RHS for phase %d", psi)
 }
 
-// FactorQuery normalises q — in either token representation — into the
-// kernel-ready factored form for a database of numChunks chunks. The
-// query must already have passed validateSearchQuery. Factoring a
-// legacy query costs O(phases × residues) ring subtractions once per
-// search; the fused kernel then reads the ciphertext arena once instead
-// of once per residue.
+// FactorQuery arranges q into the kernel-ready form for a database of
+// numChunks chunks. The query must already have passed
+// validateSearchQuery.
 func FactorQuery(r *ring.Ring, q *Query, numChunks int) (*FactoredQuery, error) {
 	if len(q.Residues) == 0 {
 		return &FactoredQuery{}, nil
 	}
 	y := q.YBits
 	n := r.N()
-	fq := &FactoredQuery{rows: make(map[int][]ring.Poly)}
-
-	if q.Factored() {
-		fq.DBTok = q.DBTok
-		for j := 0; j < numChunks; j++ {
-			phi := ChunkPhi(n, j, y)
-			if fq.rows[phi] != nil {
-				continue
-			}
-			row := make([]ring.Poly, len(q.Residues))
-			for ri, s := range q.Residues {
-				psi := ((phi-s)%y + y) % y
-				rhs, ok := q.RHS[psi]
-				if !ok {
-					return nil, errMissingRHS(psi)
-				}
-				row[ri] = rhs
-			}
-			fq.rows[phi] = row
-		}
-		return fq, nil
-	}
-
-	// Legacy re-factoring around reference residue s0: with
-	// tok[s][j] = dbC0[j] + patC0[psi(j,s)], the hit condition
-	// c0 + b[psi(j,s)] == tok[s][j] rewrites against the s0 row as
-	//
-	//	c0 - tok[s0][j] == tok[s][j] - tok[s0][j] - b[psi(j,s)]
-	//
-	// whose right side depends only on (phi_j, s) — token differences
-	// cancel the chunk part — so one polynomial per (phase, residue)
-	// serves every chunk of that phase.
-	s0 := q.Residues[0]
-	base := q.Tokens[s0]
-	fq.DBTok = base
+	fq := &FactoredQuery{DBTok: q.DBTok, rows: make(map[int][]ring.Poly)}
 	for j := 0; j < numChunks; j++ {
 		phi := ChunkPhi(n, j, y)
 		if fq.rows[phi] != nil {
@@ -98,13 +55,10 @@ func FactorQuery(r *ring.Ring, q *Query, numChunks int) (*FactoredQuery, error) 
 		row := make([]ring.Poly, len(q.Residues))
 		for ri, s := range q.Residues {
 			psi := ((phi-s)%y + y) % y
-			pattern, ok := q.Patterns[psi]
+			rhs, ok := q.RHS[psi]
 			if !ok {
-				return nil, errMissingPhase(psi)
+				return nil, errMissingRHS(psi)
 			}
-			rhs := r.NewPoly()
-			r.Sub(q.Tokens[s][j], base[j], rhs)
-			r.Sub(rhs, pattern.C[0], rhs)
 			row[ri] = rhs
 		}
 		fq.rows[phi] = row

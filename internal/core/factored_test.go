@@ -8,9 +8,9 @@ import (
 )
 
 // factoredFixture builds a client in seeded-match mode, an encrypted
-// multi-chunk database with planted occurrences, and both query
-// representations for the same pattern.
-func factoredFixture(t *testing.T) (Config, *EncryptedDB, *Query, *Query) {
+// multi-chunk database with planted occurrences, and a query for the
+// planted pattern.
+func factoredFixture(t *testing.T) (Config, *EncryptedDB, *Query) {
 	t.Helper()
 	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
 	client, err := NewClient(cfg, rng.NewSourceFromString("factored"))
@@ -27,82 +27,40 @@ func factoredFixture(t *testing.T) (Config, *EncryptedDB, *Query, *Query) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fq, err := client.PrepareQuery(query, 24, 3072)
+	q, err := client.PrepareQuery(query, 24, 3072)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lq, err := client.PrepareLegacyQuery(query, 24, 3072)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fq.Factored() || lq.Factored() || lq.Tokens == nil {
-		t.Fatal("fixture representations mis-built")
-	}
-	return cfg, edb, fq, lq
-}
-
-// TestFactoredMatchesLegacyTokens: the factored and legacy
-// representations of one query must produce bit-identical results on
-// every CPU engine — the server-side re-factoring of legacy tokens is
-// exact, not approximate.
-func TestFactoredMatchesLegacyTokens(t *testing.T) {
-	cfg, edb, fq, lq := factoredFixture(t)
-	for _, spec := range []EngineSpec{
-		{Kind: EngineSerial},
-		{Kind: EnginePool, Workers: 3},
-		{Kind: EngineSerial, Shards: 2},
-		{Kind: EnginePool, Workers: 2, Shards: 3},
-	} {
-		eng, err := NewEngine(cfg.Params, edb, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.SearchAndIndex(fq)
-		if err != nil {
-			t.Fatalf("%s factored: %v", eng.Describe(), err)
-		}
-		want, err := eng.SearchAndIndex(lq)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", eng.Describe(), err)
-		}
-		if len(got.Candidates) == 0 {
-			t.Fatalf("%s: fixture found nothing", eng.Describe())
-		}
-		assertSameResult(t, eng.Describe()+" factored-vs-legacy", got, want)
-		if c, ok := eng.(interface{ Close() error }); ok {
-			_ = c.Close()
-		}
-	}
+	return cfg, edb, q
 }
 
 // TestSearchSingleArenaPass pins the acceptance invariant of the
 // residue-fused kernel: one search streams each chunk exactly once —
 // Stats.ChunkStreams == NumChunks — even though the query has multiple
-// shift variants, and regardless of the token representation.
+// shift variants.
 func TestSearchSingleArenaPass(t *testing.T) {
-	cfg, edb, fq, lq := factoredFixture(t)
-	if len(fq.Residues) < 2 {
-		t.Fatalf("fixture has %d residues; need >1 for the invariant to bite", len(fq.Residues))
+	cfg, edb, q := factoredFixture(t)
+	if len(q.Residues) < 2 {
+		t.Fatalf("fixture has %d residues; need >1 for the invariant to bite", len(q.Residues))
 	}
-	for _, q := range []*Query{fq, lq} {
-		eng := NewSerialEngine(cfg.Params, edb)
-		ir, err := eng.SearchAndIndex(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := int64(len(edb.Chunks)); ir.Stats.ChunkStreams != want {
-			t.Fatalf("factored=%v: ChunkStreams = %d, want %d (one arena pass)",
-				q.Factored(), ir.Stats.ChunkStreams, want)
-		}
-		if ir.Stats.HomAdds != len(edb.Chunks) {
-			t.Fatalf("factored=%v: HomAdds = %d, want %d (one ring op per chunk)",
-				q.Factored(), ir.Stats.HomAdds, len(edb.Chunks))
-		}
-		// CoeffCompares still covers every residue: fusing the passes
-		// does not skip comparisons.
-		if want := int64(len(q.Residues)) * int64(len(edb.Chunks)) * int64(cfg.Params.N); ir.Stats.CoeffCompares != want {
-			t.Fatalf("factored=%v: CoeffCompares = %d, want %d", q.Factored(), ir.Stats.CoeffCompares, want)
-		}
+	eng := NewSerialEngine(cfg.Params, edb)
+	ir, err := eng.SearchAndIndex(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ir.Candidates) == 0 {
+		t.Fatal("fixture found nothing")
+	}
+	if want := int64(len(edb.Chunks)); ir.Stats.ChunkStreams != want {
+		t.Fatalf("ChunkStreams = %d, want %d (one arena pass)", ir.Stats.ChunkStreams, want)
+	}
+	if ir.Stats.HomAdds != len(edb.Chunks) {
+		t.Fatalf("HomAdds = %d, want %d (one ring op per chunk)", ir.Stats.HomAdds, len(edb.Chunks))
+	}
+	// CoeffCompares still covers every residue: fusing the passes
+	// does not skip comparisons.
+	if want := int64(len(q.Residues)) * int64(len(edb.Chunks)) * int64(cfg.Params.N); ir.Stats.CoeffCompares != want {
+		t.Fatalf("CoeffCompares = %d, want %d", ir.Stats.CoeffCompares, want)
 	}
 }
 
@@ -153,46 +111,9 @@ func TestBatchSharedPlaneSingleArenaPass(t *testing.T) {
 	}
 }
 
-// TestFactorBatchDedupsLegacyRows: identical legacy members must come
-// out of batch factoring with pointer-shared RHS rows — the
-// re-factoring allocates fresh polynomials per member, and without
-// content dedup the kernel's duplicate-class word-OR propagation would
-// silently degrade to full re-comparison for old clients.
-func TestFactorBatchDedupsLegacyRows(t *testing.T) {
-	cfg, edb, _, lq := factoredFixture(t)
-	client, err := NewClient(cfg, rng.NewSourceFromString("factored"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lq2, err := client.PrepareLegacyQuery([]byte{0xAB, 0xCD, 0xEF}, 24, 3072)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bq := NewBatchQuery(lq, lq2)
-	fqs, err := factorBatch(cfg.Params.Ring(), bq, len(edb.Chunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &fqs[0].DBTok[0][0] != &fqs[1].DBTok[0][0] {
-		t.Fatal("legacy members' DBTok planes not shared after token dedup")
-	}
-	for phi, row := range fqs[0].rows {
-		other := fqs[1].rows[phi]
-		if len(other) != len(row) {
-			t.Fatalf("phase %d: row lengths differ", phi)
-		}
-		for ri := range row {
-			if &row[ri][0] != &other[ri][0] {
-				t.Fatalf("phase %d residue %d: refactored RHS not deduplicated across identical members", phi, ri)
-			}
-		}
-	}
-}
-
-// TestEncryptC0CallCounts proves the R× reduction in client-side token
-// derivation: both the factored builder and the hoisted legacy builder
-// run EncryptC0 once per chunk plus once per phase — NOT once per
-// (residue, chunk) as the pre-hoist legacy builder did.
+// TestEncryptC0CallCounts pins the client-side token derivation cost:
+// PrepareQuery runs EncryptC0 once per chunk plus once per phase — NOT
+// once per (residue, chunk).
 func TestEncryptC0CallCounts(t *testing.T) {
 	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
 	client, err := NewClient(cfg, rng.NewSourceFromString("c0-count"))
@@ -200,35 +121,17 @@ func TestEncryptC0CallCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	dbBits := 3 * cfg.Params.N * SegmentBits // 3 chunks
-	countCalls := func(f func()) int64 {
-		start := encryptC0Calls.Load()
-		f()
-		return encryptC0Calls.Load() - start
+	start := encryptC0Calls.Load()
+	q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE}, 24, dbBits)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var fq *Query
-	got := countCalls(func() {
-		if fq, err = client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE}, 24, dbBits); err != nil {
-			t.Fatal(err)
-		}
-	})
-	chunks, phases, residues := fq.NumChunks, int64(len(fq.RHS)), int64(len(fq.Residues))
-	want := int64(chunks) + phases
-	if got != want {
-		t.Fatalf("factored PrepareQuery ran EncryptC0 %d times, want chunks+phases = %d", got, want)
+	got := encryptC0Calls.Load() - start
+	chunks, phases, residues := int64(q.NumChunks), int64(len(q.RHS)), int64(len(q.Residues))
+	if want := chunks + phases; got != want {
+		t.Fatalf("PrepareQuery ran EncryptC0 %d times, want chunks+phases = %d", got, want)
 	}
-	if unhoisted := residues*int64(chunks) + phases; got >= unhoisted {
-		t.Fatalf("factored builder (%d calls) does not beat the per-residue derivation (%d)", got, unhoisted)
-	}
-
-	got = countCalls(func() {
-		if _, err = client.PrepareLegacyQuery([]byte{0xDE, 0xAD, 0xBE}, 24, dbBits); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// PrepareLegacyQuery builds the factored form first (PrepareQuery)
-	// and then the expanded tokens: two hoisted derivations.
-	if got != 2*want {
-		t.Fatalf("legacy PrepareQuery ran EncryptC0 %d times, want 2×(chunks+phases) = %d", got, 2*want)
+	if perResidue := residues*chunks + phases; got >= perResidue {
+		t.Fatalf("token builder (%d calls) does not beat the per-residue derivation (%d)", got, perResidue)
 	}
 }

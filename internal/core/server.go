@@ -1,22 +1,14 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/ring"
 )
 
-// Shared error constructors (used by every engine).
-var errNoTokens = errors.New("core: search requires match tokens (ModeSeededMatch)")
-
 func errMissingPhase(psi int) error {
 	return fmt.Errorf("core: query missing pattern phase %d", psi)
-}
-
-func errBadTokens(res int) error {
-	return fmt.Errorf("core: query tokens missing or mis-sized for residue %d", res)
 }
 
 // Stats accumulates the operation counts of a search; the performance model
@@ -37,8 +29,7 @@ type Stats struct {
 	// component was streamed from the ciphertext arena. A single-pass
 	// search streams each chunk once, so ChunkStreams == NumChunks per
 	// search regardless of the residue count — the arena-traffic
-	// invariant the factored representation buys (the legacy kernel
-	// streamed R× that).
+	// invariant the factored representation buys.
 	ChunkStreams int64
 }
 

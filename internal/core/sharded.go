@@ -84,12 +84,12 @@ func NewShardedEngine(params bfv.Params, db *EncryptedDB, numShards int, factory
 	return e, nil
 }
 
-// shardQuery rewrites a query for chunks [lo, hi): local chunk j stands
-// for global chunk lo+j, so every local pattern/RHS phase maps to the
-// global phase shifted by (16·n·lo) mod y, and the DBTok/token slices
-// narrow to the range. Polynomials and ciphertexts are shared, not
-// copied — which also keeps batch-level pointer dedup effective inside
-// every shard.
+// shardQuery rewrites a validated seeded-match query for chunks
+// [lo, hi): local chunk j stands for global chunk lo+j, so every local
+// RHS phase maps to the global phase shifted by (16·n·lo) mod y, and the
+// DBTok plane narrows to the range. Polynomials are shared, not copied —
+// which also keeps batch-level pointer dedup effective inside every
+// shard.
 func shardQuery(q *Query, n int, sh *engineShard) *Query {
 	y := q.YBits
 	shift := ChunkPhi(n, sh.lo, y)
@@ -99,39 +99,19 @@ func shardQuery(q *Query, n int, sh *engineShard) *Query {
 		DBBitLen:  sh.sub.BitLen,
 		NumChunks: sh.hi - sh.lo,
 		Residues:  q.Residues,
-		Patterns:  make(map[int]*bfv.Ciphertext),
+		DBTok:     q.DBTok[sh.lo:sh.hi],
+		RHS:       make(map[int]ring.Poly, len(q.RHS)),
 		HitsOnly:  true, // candidates are generated once over merged bitmaps
 	}
 	for _, res := range q.Residues {
 		for j := 0; j < sub.NumChunks; j++ {
 			psiLocal := PatternPhase(n, j, res, y)
-			if _, ok := sub.Patterns[psiLocal]; ok {
+			if _, ok := sub.RHS[psiLocal]; ok {
 				continue
 			}
-			if ct, ok := q.Patterns[(psiLocal+shift)%y]; ok {
-				sub.Patterns[psiLocal] = ct
+			if rhs, ok := q.RHS[(psiLocal+shift)%y]; ok {
+				sub.RHS[psiLocal] = rhs
 			}
-		}
-	}
-	if q.DBTok != nil {
-		sub.DBTok = q.DBTok[sh.lo:sh.hi]
-		sub.RHS = make(map[int]ring.Poly, len(q.RHS))
-		for _, res := range q.Residues {
-			for j := 0; j < sub.NumChunks; j++ {
-				psiLocal := PatternPhase(n, j, res, y)
-				if _, ok := sub.RHS[psiLocal]; ok {
-					continue
-				}
-				if rhs, ok := q.RHS[(psiLocal+shift)%y]; ok {
-					sub.RHS[psiLocal] = rhs
-				}
-			}
-		}
-	}
-	if q.Tokens != nil {
-		sub.Tokens = make(map[int][]ring.Poly, len(q.Tokens))
-		for res, toks := range q.Tokens {
-			sub.Tokens[res] = toks[sh.lo:sh.hi]
 		}
 	}
 	return sub
@@ -209,8 +189,8 @@ func (e *ShardedEngine) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, err
 			for mi, q := range bq.Queries {
 				subs[mi] = shardQuery(q, n, sh)
 			}
-			// No re-dedup: shardQuery reuses the members' pattern
-			// pointers, so shared patterns stay pointer-shared.
+			// No re-dedup: shardQuery reuses the members' polynomial
+			// pointers, so shared DBTok/RHS stay pointer-shared.
 			results[i].irs, results[i].err = SearchBatch(sh.engine, &BatchQuery{Queries: subs})
 		}(i, sh)
 	}

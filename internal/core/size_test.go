@@ -11,8 +11,7 @@ import (
 // client-decrypt queries ship one ciphertext per pattern phase;
 // seeded-match queries ship the factored tokens only — one polynomial
 // per chunk (DBTok) plus one per phase (RHS), pattern ciphertexts
-// staying home; legacy seeded queries ship patterns plus one token
-// polynomial per (variant, chunk).
+// staying home.
 func TestQuerySizeAccounting(t *testing.T) {
 	p := bfv.ParamsToy()
 	dbBits := 2048 // 2 toy chunks
@@ -38,18 +37,6 @@ func TestQuerySizeAccounting(t *testing.T) {
 	wantFactored := int64(len(q2.DBTok)+len(q2.RHS)) * polyBytes
 	if got := q2.SizeBytes(p); got != wantFactored {
 		t.Fatalf("SeededMatch query size = %d, want %d", got, wantFactored)
-	}
-
-	legacy, err := c2.PrepareLegacyQuery([]byte{0xAA, 0xBB}, 16, dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tokenBytes := int64(len(legacy.Residues)) * 2 /*chunks*/ * polyBytes
-	if got := legacy.SizeBytes(p); got != wantPatterns+tokenBytes {
-		t.Fatalf("legacy SeededMatch query size = %d, want %d", got, wantPatterns+tokenBytes)
-	}
-	if got := q2.SizeBytes(p); got >= legacy.SizeBytes(p) {
-		t.Fatalf("factored query (%d bytes) not smaller than legacy (%d bytes)", got, legacy.SizeBytes(p))
 	}
 }
 

@@ -130,10 +130,10 @@ func TestEngineConformance(t *testing.T) {
 // contract on every engine configuration: SearchAndIndexBatch (or the
 // sequential fallback SearchBatch dispatches to) returns bitmaps and
 // candidates identical to per-member SearchAndIndex calls on the same
-// engine. The batch mixes member lengths and includes a duplicate of
-// member 0 prepared separately, so pattern dedup across members is
-// exercised, and the serial engine must demonstrably save homomorphic
-// additions from it.
+// engine. The batch mixes member lengths (all members share one DBTok
+// plane) and includes a duplicate of member 0 prepared separately, so
+// token dedup across members is exercised, and the serial engine must
+// demonstrably save homomorphic additions from it.
 func TestEngineBatchConformance(t *testing.T) {
 	v := conformanceVectors[1] // chunk-boundary: multi-chunk database
 	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: v.align, Mode: core.ModeSeededMatch}
@@ -162,7 +162,7 @@ func TestEngineBatchConformance(t *testing.T) {
 	members := []*core.Query{
 		prepare(v.query, v.queryBits),
 		prepare([]byte{0x0F, 0xF0, 0x55, 0xAA}, 32),
-		prepare(v.query, v.queryBits), // duplicate content, separate ciphertexts
+		prepare(v.query, v.queryBits), // duplicate content, separately prepared
 	}
 	bq := core.NewBatchQuery(members...)
 
@@ -206,7 +206,7 @@ func TestEngineBatchConformance(t *testing.T) {
 		// Member 2 duplicates member 0, so batched CPU engines must do
 		// strictly less homomorphic work than the sequential runs.
 		if _, native := eng.(core.BatchSearcher); native && spec.Kind != core.EngineSSD && batchAdds >= seqAdds {
-			t.Fatalf("%s: batch did %d HomAdds, sequential %d — pattern dedup saved nothing", label, batchAdds, seqAdds)
+			t.Fatalf("%s: batch did %d HomAdds, sequential %d — token dedup saved nothing", label, batchAdds, seqAdds)
 		}
 		if closer, ok := eng.(interface{ Close() error }); ok {
 			if err := closer.Close(); err != nil {
@@ -218,7 +218,7 @@ func TestEngineBatchConformance(t *testing.T) {
 
 // TestEngineHitsMatchClientDecrypt proves the two index-generation
 // modes agree bit for bit with the fused kernels in place: every
-// engine's seeded-match bitmaps (ring.AddCmpBits against match tokens)
+// engine's seeded-match bitmaps (ring.SubCmpMultiBits against match tokens)
 // must equal the client-decrypt bitmaps (Server.Search result
 // ciphertexts decrypted and compared against t-1 by ExtractHits). This
 // pins the fused kernel to the cryptographic ground truth, not just to
@@ -272,118 +272,6 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 			if gbm == nil || !gbm.Equal(wbm) {
 				t.Fatalf("%s: residue %d bitmap differs from client-decrypt ExtractHits", label, res)
 			}
-		}
-		if closer, ok := eng.(interface{ Close() error }); ok {
-			if err := closer.Close(); err != nil {
-				t.Fatalf("%s: close: %v", label, err)
-			}
-		}
-	}
-}
-
-// TestEngineFactoredLegacyConformance is the representation-conformance
-// test: on every engine kind (all three substrates plus sharded
-// compositions), the factored query and the legacy expanded-token query
-// for the same pattern must return bit-identical IndexResults — single
-// searches and batches mixing both representations — and both must
-// match the client-decrypt cryptographic ground truth.
-func TestEngineFactoredLegacyConformance(t *testing.T) {
-	v := conformanceVectors[1] // chunk-boundary: multi-chunk database
-	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: v.align, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("fact-conf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, v.dbBytes)
-	rng.NewSourceFromString("fact-conf-data").Bytes(data)
-	for _, o := range v.plants {
-		for j := 0; j < v.queryBits; j++ {
-			mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
-		}
-	}
-	edb, err := client.EncryptDatabase(data, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fq, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lq, err := client.PrepareLegacyQuery(v.query, v.queryBits, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fq.Factored() || lq.Factored() {
-		t.Fatal("representations mis-built")
-	}
-	other, err := client.PrepareQuery([]byte{0x0F, 0xF0, 0x55, 0xAA}, 32, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Client-decrypt cryptographic ground truth for the shared pattern.
-	sr, err := core.NewServer(cfg.Params, edb).Search(fq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := client.ExtractHits(fq, sr)
-
-	sameHits := func(label string, got, want core.HitBitmaps) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d bitmaps != %d", label, len(got), len(want))
-		}
-		for res, wbm := range want {
-			if gbm := got[res]; gbm == nil || !gbm.Equal(wbm) {
-				t.Fatalf("%s: residue %d bitmap differs", label, res)
-			}
-		}
-	}
-
-	for _, spec := range conformanceSpecs {
-		eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		label := fmt.Sprintf("%s (%s)", spec, eng.Describe())
-		fir, err := eng.SearchAndIndex(fq)
-		if err != nil {
-			t.Fatalf("%s factored: %v", label, err)
-		}
-		lir, err := eng.SearchAndIndex(lq)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", label, err)
-		}
-		if len(fir.Candidates) == 0 {
-			t.Fatalf("%s: fixture found nothing", label)
-		}
-		if !intsEqual(fir.Candidates, lir.Candidates) {
-			t.Fatalf("%s: factored candidates %v != legacy %v", label, fir.Candidates, lir.Candidates)
-		}
-		if fir.Stats.HomAdds != lir.Stats.HomAdds {
-			t.Fatalf("%s: factored HomAdds %d != legacy %d (legacy must be re-factored, not run per residue)",
-				label, fir.Stats.HomAdds, lir.Stats.HomAdds)
-		}
-		sameHits(label+" factored-vs-legacy", fir.Hits, lir.Hits)
-		sameHits(label+" factored-vs-decrypt", fir.Hits, truth)
-
-		// Mixed batch: factored, legacy (same pattern), and a different
-		// factored member — batch results must equal per-member runs.
-		bq := core.NewBatchQuery(fq, lq, other)
-		irs, err := core.SearchBatch(eng, bq)
-		if err != nil {
-			t.Fatalf("%s batch: %v", label, err)
-		}
-		for mi, q := range []*core.Query{fq, lq, other} {
-			want, err := eng.SearchAndIndex(q)
-			if err != nil {
-				t.Fatalf("%s member %d: %v", label, mi, err)
-			}
-			if !intsEqual(irs[mi].Candidates, want.Candidates) {
-				t.Fatalf("%s member %d: batch candidates %v != sequential %v",
-					label, mi, irs[mi].Candidates, want.Candidates)
-			}
-			sameHits(fmt.Sprintf("%s batch member %d", label, mi), irs[mi].Hits, want.Hits)
 		}
 		if closer, ok := eng.(interface{ Close() error }); ok {
 			if err := closer.Close(); err != nil {

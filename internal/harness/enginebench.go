@@ -56,11 +56,8 @@ type EngineBenchReport struct {
 	// kernels themselves (see RunKernelBench).
 	Kernels []KernelBenchResult `json:"kernels,omitempty"`
 	// QueryBytes is the wire footprint of the fixture's seeded-match
-	// query (factored representation), and LegacyQueryBytes what the
-	// same query costs in the legacy expanded-token representation —
-	// the PR-over-PR trace of the communication-volume claim.
-	QueryBytes       int64 `json:"query_bytes,omitempty"`
-	LegacyQueryBytes int64 `json:"legacy_query_bytes,omitempty"`
+	// query — the PR-over-PR trace of the communication-volume claim.
+	QueryBytes int64 `json:"query_bytes,omitempty"`
 	// ColdLoads measures the durable segment store: per engine, the
 	// cold evicted-to-searchable load latency vs the warm search.
 	ColdLoads []ColdLoadResult `json:"cold_loads,omitempty"`
@@ -122,18 +119,6 @@ func newEngineBenchFixtureSized(dbBytes int) (core.Config, *core.EncryptedDB, *c
 	return cfg, db, q, nil
 }
 
-// NewEngineBenchLegacyQuery builds the standard fixture's query in the
-// legacy expanded-token representation (same client seed, same pattern),
-// for wire-size comparisons and legacy-path benchmarks.
-func NewEngineBenchLegacyQuery() (*core.Query, error) {
-	cfg := core.Config{Params: bfv.ParamsPaper(), AlignBits: 8, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("engine-bench"))
-	if err != nil {
-		return nil, err
-	}
-	return client.PrepareLegacyQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 4096*8)
-}
-
 // RunEngineBench measures SearchAndIndex throughput for every engine
 // spec on the standard workload, via testing.Benchmark, and returns one
 // result per spec.
@@ -150,13 +135,6 @@ func RunEngineBench(specs []string) (*EngineBenchReport, error) {
 		KernelPath: ring.ActiveKernel().String(),
 		AVX2:       ring.AVX2Supported(),
 	}
-	lq, err := NewEngineBenchLegacyQuery()
-	if err != nil {
-		// The legacy size is part of the tracked trajectory; a silent 0
-		// would hide a broken fixture.
-		return nil, fmt.Errorf("harness: legacy fixture query: %w", err)
-	}
-	report.LegacyQueryBytes = lq.SizeBytes(cfg.Params)
 	report.Engines, err = runEngineSpecs(cfg, db, q, specs)
 	if err != nil {
 		return nil, err
@@ -266,11 +244,7 @@ func (r *EngineBenchReport) WriteDelta(w io.Writer, old *EngineBenchReport) {
 	}
 	writeKernelDelta(w, r.Kernels, old.Kernels)
 	if old.QueryBytes > 0 || r.QueryBytes > 0 {
-		fmt.Fprintf(w, "  query bytes: old %d, new %d", old.QueryBytes, r.QueryBytes)
-		if r.LegacyQueryBytes > 0 {
-			fmt.Fprintf(w, " (legacy representation: %d)", r.LegacyQueryBytes)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  query bytes: old %d, new %d\n", old.QueryBytes, r.QueryBytes)
 	}
 	if s := r.Storm; s != nil {
 		fmt.Fprintf(w, "  storm (%d conns): %.0f qps unbatched -> %.0f qps coalesced (%+.1f%%), occupancy %.2f, %.1f streams/query (solo %d)",

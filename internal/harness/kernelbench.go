@@ -9,14 +9,14 @@ import (
 	"ciphermatch/internal/rng"
 )
 
-// KernelBenchResult is one (kernel, dispatch path, modulus class)
-// measurement on the standard kernel arena workload. CoeffsPerSec is
-// the figure of merit for the vectorized-kernel work — fused
-// compare-lanes retired per second — and ArenaGBPerSec the effective
-// streaming bandwidth over the two coefficient planes the kernel reads
-// per pass, comparable against the machine's memory bandwidth ceiling.
+// KernelBenchResult is one (dispatch path, modulus class) measurement
+// on the standard kernel arena workload. CoeffsPerSec is the figure of
+// merit for the vectorized-kernel work — fused compare-lanes retired
+// per second — and ArenaGBPerSec the effective streaming bandwidth over
+// the two coefficient planes the kernel reads per pass, comparable
+// against the machine's memory bandwidth ceiling.
 type KernelBenchResult struct {
-	Kernel        string  `json:"kernel"`  // "subcmp" or "addcmp"
+	Kernel        string  `json:"kernel"`  // "subcmp"
 	Path          string  `json:"path"`    // dispatch path: generic | unrolled | avx2
 	QClass        string  `json:"q_class"` // "pow2" or "generic"
 	R             int     `json:"r"`       // comparands per coefficient (subcmp fan-out)
@@ -47,11 +47,11 @@ var kernelBenchQ = map[string]uint64{
 	"generic": (1 << 40) + 15,
 }
 
-// RunKernelBench measures the fused compare kernels under every
+// RunKernelBench measures the fused compare kernel under every
 // dispatch path available on this machine, for both modulus classes,
 // on the standard kernel arena workload. Ordering is deterministic:
-// kernels × q-classes × paths, with the active path forced via
-// ring.SetKernel and restored before returning.
+// q-classes × paths, with the active path forced via ring.SetKernel
+// and restored before returning.
 func RunKernelBench() ([]KernelBenchResult, error) {
 	prev := ring.ActiveKernel()
 	defer ring.SetKernel(prev)
@@ -80,7 +80,6 @@ func RunKernelBench() ([]KernelBenchResult, error) {
 		for v := range subBits {
 			subBits[v] = make([]uint64, words)
 		}
-		addBits := make([]uint64, words)
 
 		for _, path := range ring.AvailableKernels() {
 			if err := ring.SetKernel(path); err != nil {
@@ -94,35 +93,26 @@ func RunKernelBench() ([]KernelBenchResult, error) {
 					}
 				}
 			})
-			results = append(results, newKernelBenchResult("subcmp", path, qClass, kernelBenchR, sub))
-			add := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for c := range chunks {
-						r.AddCmpBits(chunks[c], d, rhs[0], addBits, c*kernelBenchN)
-					}
-				}
-			})
-			results = append(results, newKernelBenchResult("addcmp", path, qClass, 1, add))
+			results = append(results, newKernelBenchResult(path, qClass, sub))
 		}
 	}
 	return results, nil
 }
 
-func newKernelBenchResult(kernel string, path ring.KernelPath, qClass string, R int, res testing.BenchmarkResult) KernelBenchResult {
+func newKernelBenchResult(path ring.KernelPath, qClass string, res testing.BenchmarkResult) KernelBenchResult {
 	nsPerOp := float64(res.T.Nanoseconds()) / float64(res.N)
 	out := KernelBenchResult{
-		Kernel:      kernel,
+		Kernel:      "subcmp",
 		Path:        path.String(),
 		QClass:      qClass,
-		R:           R,
+		R:           kernelBenchR,
 		Chunks:      kernelBenchChunks,
 		N:           kernelBenchN,
 		NsPerOp:     nsPerOp,
 		AllocsPerOp: res.AllocsPerOp(),
 	}
 	if nsPerOp > 0 {
-		coeffs := float64(kernelBenchChunks) * float64(kernelBenchN) * float64(R)
+		coeffs := float64(kernelBenchChunks) * float64(kernelBenchN) * float64(kernelBenchR)
 		out.CoeffsPerSec = coeffs / (nsPerOp / 1e9)
 		// Two coefficient planes (ciphertext + token) streamed per pass.
 		arenaBytes := float64(2 * kernelBenchChunks * kernelBenchN * 8)

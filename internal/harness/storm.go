@@ -381,10 +381,11 @@ func equalCandidates(a, b []int) bool {
 }
 
 // NewStormTenant builds one storm tenant from a seed: an encrypted
-// database of dbBytes with a known pattern planted, its factored and
-// legacy queries (so storms exercise both wire representations in the
-// same window), and serial-engine ground truth for both. Used by
-// cmstorm (against a live server) and the serving bench (in-process).
+// database of dbBytes (at least 84) with two known patterns planted,
+// one query per pattern (so a storm window mixes two distinct payloads
+// per tenant, sharing a DBTok plane but not their RHS), and
+// serial-engine ground truth for both. Used by cmstorm (against a live
+// server) and the serving bench (in-process).
 func NewStormTenant(p bfv.Params, name, seed string, dbBytes int) (*core.EncryptedDB, *StormTarget, error) {
 	cfg := core.Config{Params: p, AlignBits: 8, Mode: core.ModeSeededMatch}
 	client, err := core.NewClient(cfg, rng.NewSourceFromString("storm-"+seed+"-"+name))
@@ -393,25 +394,23 @@ func NewStormTenant(p bfv.Params, name, seed string, dbBytes int) (*core.Encrypt
 	}
 	data := make([]byte, dbBytes)
 	rng.NewSourceFromString("storm-data-" + seed + "-" + name).Bytes(data)
-	pat := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	for j := 0; j < 32; j++ {
-		mathutil.SetBit(data, 320+j, mathutil.GetBit(pat, j))
+	pats := [][]byte{{0xDE, 0xAD, 0xBE, 0xEF}, {0xFE, 0xED, 0xFA, 0xCE}}
+	for i, pat := range pats {
+		for j := 0; j < 32; j++ {
+			mathutil.SetBit(data, 320*(i+1)+j, mathutil.GetBit(pat, j))
+		}
 	}
 	db, err := client.EncryptDatabase(data, dbBytes*8)
 	if err != nil {
 		return nil, nil, err
 	}
-	q, err := client.PrepareQuery(pat, 32, dbBytes*8)
-	if err != nil {
-		return nil, nil, err
-	}
-	lq, err := client.PrepareLegacyQuery(pat, 32, dbBytes*8)
-	if err != nil {
-		return nil, nil, err
-	}
 	eng := core.NewSerialEngine(p, db)
 	tgt := &StormTarget{DB: name}
-	for _, query := range []*core.Query{q, lq} {
+	for _, pat := range pats {
+		query, err := client.PrepareQuery(pat, 32, dbBytes*8)
+		if err != nil {
+			return nil, nil, err
+		}
 		ir, err := eng.SearchAndIndex(query)
 		if err != nil {
 			return nil, nil, err

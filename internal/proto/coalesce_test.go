@@ -14,10 +14,9 @@ import (
 	"ciphermatch/internal/rng"
 )
 
-// coalesceFixture is one tenant with several prepared queries (factored
-// and legacy, two distinct patterns) and their serial-engine ground
-// truth, for checking that the coalescing path is bit-identical to
-// direct search.
+// coalesceFixture is one tenant with several prepared queries (two
+// distinct patterns) and their serial-engine ground truth, for checking
+// that the coalescing path is bit-identical to direct search.
 type coalesceFixture struct {
 	name    string
 	db      *core.EncryptedDB
@@ -69,16 +68,6 @@ func newCoalesceFixture(t *testing.T, p bfv.Params, name string) *coalesceFixtur
 		t.Fatal(err)
 	}
 	add("factored-B", qb)
-	la, err := client.PrepareLegacyQuery(patA, 32, dbBytes*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("legacy-A", la)
-	lb, err := client.PrepareLegacyQuery(patB, 32, dbBytes*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("legacy-B", lb)
 	return fx
 }
 
@@ -105,8 +94,8 @@ func statValue(t *testing.T, kvs []metrics.KV, name string) int64 {
 
 // TestCoalesceBitIdentical is the coalescing-correctness headline:
 // concurrent single queries routed through the server-side batcher —
-// mixed factored and legacy members, two databases, every query shape
-// repeated by several simulated users — must return exactly the direct
+// two databases, every query shape repeated by several simulated users
+// — must return exactly the direct
 // Store.Search candidates, and the run must actually coalesce (fewer
 // batches than queries, arena passes saved).
 func TestCoalesceBitIdentical(t *testing.T) {
@@ -136,12 +125,12 @@ func TestCoalesceBitIdentical(t *testing.T) {
 		}
 	}
 
-	// 2 databases × 4 query shapes × 3 users, all released together so
+	// 2 databases × 2 query shapes × 3 users, all released together so
 	// they land inside one batching window per database.
-	const users = 3
+	const users, shapes = 3, 2
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(fixtures)*4*users)
+	errCh := make(chan error, len(fixtures)*shapes*users)
 	for _, fx := range fixtures {
 		for qi := range fx.queries {
 			for u := 0; u < users; u++ {
@@ -184,7 +173,7 @@ func TestCoalesceBitIdentical(t *testing.T) {
 	}
 	queries := statValue(t, stats, "queries_total")
 	batches := statValue(t, stats, "batches_total")
-	wantQueries := int64(len(fixtures) * 4 * users)
+	wantQueries := int64(len(fixtures) * shapes * users)
 	if queries != wantQueries {
 		t.Fatalf("queries_total = %d, want %d", queries, wantQueries)
 	}
@@ -371,11 +360,11 @@ func TestCoalesceAdmissionControl(t *testing.T) {
 func TestCoalesceBatchErrorIsolation(t *testing.T) {
 	p := bfv.ParamsToy()
 	fx := newCoalesceFixture(t, p, "good")
-	// A legacy query claiming the wrong chunk count survives the wire
-	// (only factored queries cross-check NumChunks at decode) and fails
-	// engine validation inside the batch.
-	bad := *fx.queries[2] // legacy-A
-	bad.NumChunks++
+	// A query claiming the wrong database length survives the wire (the
+	// decoder cross-checks only NumChunks against the DBTok plane) and
+	// fails engine validation inside the batch.
+	bad := *fx.queries[0]
+	bad.DBBitLen += 8
 	srv, err := NewServerWithServing(p, core.EngineSpec{}, StoreOptions{}, CoalesceConfig{
 		Window:   300 * time.Millisecond,
 		MaxBatch: 3,

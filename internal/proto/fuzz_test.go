@@ -16,35 +16,45 @@ import (
 // Seeds are valid encodings plus truncations and bit flips of them, so
 // the corpus starts at the interesting boundaries.
 
-// fuzzSeedQuery builds a representative factored query under the toy
-// parameters.
+// fuzzSeedQuery builds a representative seeded-match query under the
+// toy parameters.
 func fuzzSeedQuery(tb testing.TB, p bfv.Params) *core.Query {
+	return fuzzSeedQueryFor(tb, p, []byte{0xAB, 0xCD, 0xEF})
+}
+
+func fuzzSeedQueryFor(tb testing.TB, p bfv.Params, pattern []byte) *core.Query {
 	tb.Helper()
 	client, err := core.NewClient(core.Config{Params: p, Mode: core.ModeSeededMatch}, rng.NewSourceFromString("fuzz-seed"))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	q, err := client.PrepareQuery([]byte{0xAB, 0xCD, 0xEF}, 24, 1280)
+	q, err := client.PrepareQuery(pattern, 8*len(pattern), 1280)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return q
 }
 
-// fuzzSeedLegacyQuery builds the same query in the legacy expanded-token
-// representation, so the fuzzers cover both wire formats.
-func fuzzSeedLegacyQuery(tb testing.TB, p bfv.Params) *core.Query {
-	tb.Helper()
-	client, err := core.NewClient(core.Config{Params: p, Mode: core.ModeSeededMatch}, rng.NewSourceFromString("fuzz-seed"))
-	if err != nil {
-		tb.Fatal(err)
+// unversionedQuery is a hand-built MsgQuery body in the retired
+// un-versioned layout (YBits first, no sentinel/version words); the
+// decoder must reject it at the first word. unversionedBatch is the
+// MsgBatchQuery counterpart (name, pattern-pool count, members).
+var (
+	unversionedQuery = []byte{
+		16, 0, 0, 0, // YBits
+		8, 0, 0, 0, // AlignBits
+		0, 5, 0, 0, // DBBitLen = 1280
+		2, 0, 0, 0, // NumChunks
+		1, 0, 0, 0, 0, 0, 0, 0, // one residue: 0
+		0, 0, 0, 0, // no pattern ciphertexts
+		0, 0, 0, 0, // no token rows
 	}
-	q, err := client.PrepareLegacyQuery([]byte{0xAB, 0xCD, 0xEF}, 24, 1280)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return q
-}
+	unversionedBatch = append([]byte{
+		1, 0, 0, 0, 'c', // name
+		0, 0, 0, 0, // empty pattern pool
+		1, 0, 0, 0, // one member
+	}, unversionedQuery...)
+)
 
 // fuzzSeedDB builds a small encrypted database under the toy parameters.
 func fuzzSeedDB(tb testing.TB, p bfv.Params) *core.EncryptedDB {
@@ -84,7 +94,7 @@ func addWireSeeds(f *testing.F, enc []byte) {
 func FuzzDecodeQuery(f *testing.F) {
 	p := bfv.ParamsToy()
 	addWireSeeds(f, EncodeQuery(fuzzSeedQuery(f, p), p))
-	addWireSeeds(f, EncodeQuery(fuzzSeedLegacyQuery(f, p), p))
+	addWireSeeds(f, unversionedQuery)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeQuery(data, p)
 		if err != nil {
@@ -156,13 +166,14 @@ func FuzzDecodeResult(f *testing.F) {
 func FuzzDecodeBatchQuery(f *testing.F) {
 	p := bfv.ParamsToy()
 	q := fuzzSeedQuery(f, p)
-	lq := fuzzSeedLegacyQuery(f, p)
 	bq := &core.BatchQuery{Queries: []*core.Query{q, q}}
 	addWireSeeds(f, EncodeNamedBatchQuery("corpus", bq, p))
-	// A mixed batch (factored + legacy member) and an all-legacy batch,
-	// so both layouts and the member token kinds are in the corpus.
-	addWireSeeds(f, EncodeNamedBatchQuery("corpus", &core.BatchQuery{Queries: []*core.Query{q, lq}}, p))
-	addWireSeeds(f, EncodeNamedBatchQuery("corpus", &core.BatchQuery{Queries: []*core.Query{lq, lq}}, p))
+	// Distinct members sharing one DBTok plane, and the retired
+	// un-versioned layout (rejected, but its truncations and bit flips
+	// start the corpus at the reject path's boundaries).
+	q2 := fuzzSeedQueryFor(f, p, []byte{0x01, 0x02, 0x03, 0x04})
+	addWireSeeds(f, EncodeNamedBatchQuery("corpus", &core.BatchQuery{Queries: []*core.Query{q, q2}}, p))
+	addWireSeeds(f, unversionedBatch)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, got, err := DecodeNamedBatchQuery(data, p)
 		if err != nil {

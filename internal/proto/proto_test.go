@@ -2,6 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"testing"
@@ -64,6 +67,16 @@ func TestDBRoundtrip(t *testing.T) {
 	}
 }
 
+// checkGoldenDigest pins an encoding to the SHA-256 recorded at the
+// commit before the un-versioned layouts were deleted: the surviving
+// encoders must keep emitting byte-identical v1 payloads.
+func checkGoldenDigest(t *testing.T, what string, enc []byte, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != want {
+		t.Fatalf("%s encoding changed: sha256 %s (%d bytes), golden %s", what, got, len(enc), want)
+	}
+}
+
 func TestQueryRoundtrip(t *testing.T) {
 	p := bfv.ParamsToy()
 	client, err := core.NewClient(core.Config{Params: p, Mode: core.ModeSeededMatch}, rng.NewSourceFromString("proto-q"))
@@ -74,9 +87,11 @@ func TestQueryRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Factored() {
-		t.Fatal("PrepareQuery did not produce a factored query")
+	if !q.HasTokens() {
+		t.Fatal("PrepareQuery did not produce match tokens")
 	}
+	checkGoldenDigest(t, "MsgQuery", EncodeNamedQuery("corpus", q, p),
+		"268e93557272a77af96295106d49639649163938e237e018a96c60e5bdca3d90")
 	back, err := DecodeQuery(EncodeQuery(q, p), p)
 	if err != nil {
 		t.Fatal(err)
@@ -101,48 +116,6 @@ func TestQueryRoundtrip(t *testing.T) {
 	for psi, rhs := range q.RHS {
 		if !r.Equal(back.RHS[psi], rhs) {
 			t.Fatalf("RHS %d corrupted", psi)
-		}
-	}
-}
-
-// TestLegacyQueryRoundtrip pins the pre-factoring encoding: legacy
-// expanded-token queries still encode and decode byte-for-byte as
-// before, so old clients keep working.
-func TestLegacyQueryRoundtrip(t *testing.T) {
-	p := bfv.ParamsToy()
-	client, err := core.NewClient(core.Config{Params: p, Mode: core.ModeSeededMatch}, rng.NewSourceFromString("proto-q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := client.PrepareLegacyQuery([]byte{0xAB, 0xCD, 0xEF}, 24, 1280)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeQuery(EncodeQuery(q, p), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.YBits != q.YBits || back.AlignBits != q.AlignBits ||
-		back.DBBitLen != q.DBBitLen || back.NumChunks != q.NumChunks {
-		t.Fatal("query metadata lost")
-	}
-	if len(back.Residues) != len(q.Residues) || len(back.Patterns) != len(q.Patterns) ||
-		len(back.Tokens) != len(q.Tokens) || back.Factored() {
-		t.Fatal("query structure lost")
-	}
-	r := p.Ring()
-	for psi, ct := range q.Patterns {
-		for c := range ct.C {
-			if !r.Equal(back.Patterns[psi].C[c], ct.C[c]) {
-				t.Fatalf("pattern %d corrupted", psi)
-			}
-		}
-	}
-	for res, toks := range q.Tokens {
-		for j := range toks {
-			if !r.Equal(back.Tokens[res][j], toks[j]) {
-				t.Fatalf("token %d/%d corrupted", res, j)
-			}
 		}
 	}
 }
@@ -219,7 +192,7 @@ func TestEncodeQueryDeterministic(t *testing.T) {
 }
 
 // TestBatchQueryRoundtrip: members survive the pooled batch encoding,
-// and members sharing pattern content come back sharing pool pointers.
+// and members sharing token content come back sharing pool pointers.
 func TestBatchQueryRoundtrip(t *testing.T) {
 	p := bfv.ParamsToy()
 	client, err := core.NewClient(core.Config{Params: p, Mode: core.ModeSeededMatch}, rng.NewSourceFromString("proto-batch"))
@@ -240,8 +213,10 @@ func TestBatchQueryRoundtrip(t *testing.T) {
 	}
 	bq := &core.BatchQuery{Queries: []*core.Query{q1, q2, q3}}
 	enc := EncodeNamedBatchQuery("corpus", bq, p)
+	checkGoldenDigest(t, "MsgBatchQuery", enc,
+		"fe64f059a1682df42c81784e0e855f3c10fce9ab63214184fc72cbf42df084ca")
 
-	// The pool must collapse q3's patterns into q1's: the batch encoding
+	// The pool must collapse q3's polynomials into q1's: the batch encoding
 	// must be well under the cost of shipping all three members whole.
 	single := len(EncodeNamedQuery("corpus", q1, p)) + len(EncodeNamedQuery("corpus", q2, p)) + len(EncodeNamedQuery("corpus", q3, p))
 	if len(enc) >= single {
@@ -306,10 +281,11 @@ func TestBatchQueryRoundtrip(t *testing.T) {
 }
 
 // TestFactoredWireRejectsHostileInput covers the structural checks of
-// the versioned factored encodings: unknown versions, DBTok planes that
-// disagree with the header chunk count, out-of-range pool references
-// and unknown member token kinds must all fail loudly — the fused
-// kernels size loops and bitset writes from these fields.
+// the query encodings: un-versioned payloads, unknown versions, DBTok
+// planes that disagree with the header chunk count, out-of-range pool
+// references, a non-empty pattern-ciphertext pool and non-factored
+// member token kinds must all fail loudly — the fused kernels size
+// loops and bitset writes from these fields.
 func TestFactoredWireRejectsHostileInput(t *testing.T) {
 	p := bfv.ParamsToy()
 	client, err := core.NewClient(core.Config{Params: p, Mode: core.ModeSeededMatch}, rng.NewSourceFromString("hostile"))
@@ -321,6 +297,15 @@ func TestFactoredWireRejectsHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := EncodeQuery(q, p)
+
+	// The retired un-versioned layouts are rejected at the first word —
+	// before any count in them can size an allocation.
+	if _, err := DecodeQuery(unversionedQuery, p); err == nil {
+		t.Fatal("un-versioned query accepted")
+	}
+	if _, _, err := DecodeNamedBatchQuery(unversionedBatch, p); err == nil {
+		t.Fatal("un-versioned batch accepted")
+	}
 
 	// Future version word (offset 4, right after the sentinel).
 	bad := bytes.Clone(enc)
@@ -360,6 +345,29 @@ func TestFactoredWireRejectsHostileInput(t *testing.T) {
 			t.Fatalf("batch truncation at %d accepted", cut)
 		}
 	}
+	// A pattern-ciphertext pool (the count word follows name, sentinel
+	// and version) is refused whatever its claimed size.
+	for _, nct := range []uint32{1, math.MaxInt32} {
+		mut := bytes.Clone(benc)
+		binary.LittleEndian.PutUint32(mut[4+len("h")+8:], nct)
+		if _, _, err := DecodeNamedBatchQuery(mut, p); err == nil {
+			t.Fatalf("batch with a %d-entry ciphertext pool accepted", nct)
+		}
+	}
+	// Member token kinds 0 (tokenless) and 1 (inline expanded tokens):
+	// the single member's kind word sits before its plane index, RHS
+	// count and the (psi, pool index) pairs that end the payload.
+	kindOff := len(benc) - 4*(3+2*len(q.RHS))
+	if benc[kindOff] != batchTokFactored {
+		t.Fatalf("test bug: byte %d is %d, not the member kind word", kindOff, benc[kindOff])
+	}
+	for _, kind := range []byte{0, 1} {
+		mut := bytes.Clone(benc)
+		mut[kindOff] = kind
+		if _, _, err := DecodeNamedBatchQuery(mut, p); err == nil {
+			t.Fatalf("batch member of kind %d accepted", kind)
+		}
+	}
 	// Corrupt every single byte position and require: decode either
 	// errors, or the re-encoded canonical form decodes again — no
 	// panics, no unchecked pool references, no version skew.
@@ -374,78 +382,6 @@ func TestFactoredWireRejectsHostileInput(t *testing.T) {
 			t.Fatalf("byte %d: mutated batch decoded but canonical re-encode failed: %v", i, err)
 		}
 	}
-}
-
-// TestLegacyWireSearchesIdentically is the old-client compatibility
-// proof at the wire level: a legacy-encoded query, decoded by the new
-// server, must search bit-identically to the factored query for the
-// same pattern.
-func TestLegacyWireSearchesIdentically(t *testing.T) {
-	p := bfv.ParamsToy()
-	cfg := core.Config{Params: p, AlignBits: 8, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("legacy-wire"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 192)
-	rng.NewSourceFromString("legacy-wire-data").Bytes(data)
-	pattern := []byte{0xFE, 0xED, 0xFA, 0xCE}
-	for j := 0; j < 32; j++ {
-		mathutil.SetBit(data, 200+j, mathutil.GetBit(pattern, j))
-	}
-	db, err := client.EncryptDatabase(data, 1536)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fq, err := client.PrepareQuery(pattern, 32, 1536)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lq, err := client.PrepareLegacyQuery(pattern, 32, 1536)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The legacy wire bytes decode to a legacy (unfactored) query…
-	decoded, err := DecodeQuery(EncodeQuery(lq, p), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Factored() {
-		t.Fatal("legacy encoding decoded as factored")
-	}
-	// …and the factored encoding is at least 2× smaller on the wire.
-	if lb, fb := len(EncodeQuery(lq, p)), len(EncodeQuery(fq, p)); fb*2 > lb {
-		t.Fatalf("factored encoding %d bytes, legacy %d — want ≥2× shrink", fb, lb)
-	}
-	srv := core.NewServer(p, db)
-	want, err := srv.SearchAndIndex(fq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := srv.SearchAndIndex(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Candidates) == 0 || !intsEqualProto(got.Candidates, want.Candidates) {
-		t.Fatalf("legacy wire query candidates %v != factored %v", got.Candidates, want.Candidates)
-	}
-	for res, wbm := range want.Hits {
-		if gbm := got.Hits[res]; gbm == nil || !gbm.Equal(wbm) {
-			t.Fatalf("residue %d: legacy wire bitmap differs from factored", res)
-		}
-	}
-}
-
-func intsEqualProto(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
@@ -532,9 +468,27 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("planted occurrence at 200 missing from %v", got)
 	}
 
-	// Searching without tokens (either representation) must be rejected
-	// client-side.
-	q.Tokens, q.DBTok, q.RHS = nil, nil, nil
+	// A payload in a retired un-versioned layout, or a truncated one,
+	// comes back as a typed MsgError and the connection stays usable.
+	for _, bad := range []struct {
+		msgType byte
+		payload []byte
+	}{
+		{MsgQuery, append([]byte{6, 0, 0, 0, 'c', 'o', 'r', 'p', 'u', 's'}, unversionedQuery...)},
+		{MsgBatchQuery, unversionedBatch},
+		{MsgQuery, EncodeNamedQuery("corpus", q, p)[:64]},
+	} {
+		reply, _, err := conn.roundTrip(bad.msgType, bad.payload)
+		if err != nil || reply != MsgError {
+			t.Fatalf("malformed type-%d payload: reply %d, err %v; want MsgError", bad.msgType, reply, err)
+		}
+	}
+	if again, err := conn.Search("corpus", q); err != nil || !equalInts(again, got) {
+		t.Fatalf("search after rejected payloads: %v, err %v; want %v", again, err, got)
+	}
+
+	// Searching without tokens must be rejected client-side.
+	q.DBTok, q.RHS = nil, nil
 	if _, err := conn.Search("corpus", q); err == nil {
 		t.Fatal("tokenless remote search accepted")
 	}
@@ -620,7 +574,7 @@ func TestBatchSearchOverTCP(t *testing.T) {
 	}
 
 	// A tokenless member must be rejected client-side.
-	queries[1].Tokens, queries[1].DBTok, queries[1].RHS = nil, nil, nil
+	queries[1].DBTok, queries[1].RHS = nil, nil
 	if _, err := conn.SearchBatch("corpus", queries); err == nil {
 		t.Fatal("tokenless batch member accepted")
 	}

@@ -257,14 +257,20 @@ func (s *Server) tenantHandlesFor(cache map[string]tenantHandles, name string) t
 //
 // Every MsgQuery gets a lifecycle trace: the Trace value is owned by
 // this handler and reused across requests (zero allocations per
-// record), stamped here for the read/encode-adjacent/write boundaries
-// and inside searchOne/the coalescer for the pipeline stages, then
-// sealed into the recorder's rings after the reply hits the socket.
+// record), stamped here for the read/write boundaries and inside
+// searchOne/the coalescer for the pipeline stages. The trace and the
+// tenant counters are published BEFORE the reply is written, so a
+// client that holds its reply always finds its own record in a dump or
+// a stats snapshot. The price is that a reply's socket-write time is
+// not known when its trace is sealed: it is carried onto the
+// connection's next trace (the write stage of record k is the write of
+// reply k-1 on the same connection).
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 	tr := &timedReader{r: conn}
 	var t trace.Trace
+	var carriedWrite int64 // previous traced reply's write time, not yet recorded
 	tenants := make(map[string]tenantHandles)
 	for {
 		if s.readTimeout > 0 {
@@ -287,15 +293,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			qt = &t
 		}
 		reply, body := s.answer(msgType, payload, qt)
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)) //nolint:errcheck // fails only with the conn
-		}
-		writeStart := time.Now()
-		werr := WriteMessage(conn, reply, body)
 		if traced {
-			end := time.Now()
-			t.Stamp(trace.StageWrite, int64(end.Sub(writeStart)))
-			t.TotalNS = int64(end.Sub(tr.first))
+			t.Stamp(trace.StageWrite, carriedWrite)
+			t.TotalNS = int64(time.Since(tr.first))
 			var h tenantHandles
 			if t.Tenant != "" {
 				h = s.tenantHandlesFor(tenants, t.Tenant)
@@ -312,8 +312,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			s.rec.Finish(&t, h.latency)
 		}
-		if werr != nil {
+		if s.writeTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)) //nolint:errcheck // fails only with the conn
+		}
+		writeStart := time.Now()
+		if err := WriteMessage(conn, reply, body); err != nil {
 			return
+		}
+		if traced {
+			carriedWrite = int64(time.Since(writeStart))
 		}
 	}
 }

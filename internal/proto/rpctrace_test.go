@@ -10,6 +10,33 @@ import (
 	"ciphermatch/internal/trace"
 )
 
+// tracingModes are the two serving paths every tracing test covers.
+var tracingModes = []struct {
+	name     string
+	coalesce bool
+}{{"direct", false}, {"coalesced", true}}
+
+// startTracingServer starts a server on the direct or the coalescing
+// path. A 1ns slow threshold routes every request into the slow ring
+// too, so both dump flavours can be asserted non-empty.
+func startTracingServer(t *testing.T, p bfv.Params, coalesce bool) (*Server, string) {
+	t.Helper()
+	srv := NewServerWithSpec(p, core.EngineSpec{})
+	if coalesce {
+		var err error
+		srv, err = NewServerWithServing(p, core.EngineSpec{}, StoreOptions{}, CoalesceConfig{
+			Window:   2 * time.Millisecond,
+			MaxBatch: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { srv.Close() })
+	srv.SetTracing(64, time.Nanosecond)
+	return srv, startServer(t, srv)
+}
+
 // TestTracingEndToEnd drives traced queries through a real socket on
 // both serving paths (direct and coalesced) and checks the full
 // observability loop: client trace IDs survive the wire, server-side
@@ -18,30 +45,10 @@ import (
 // results stay bit-identical to untraced ones.
 func TestTracingEndToEnd(t *testing.T) {
 	p := bfv.ParamsToy()
-	for _, mode := range []struct {
-		name     string
-		coalesce bool
-	}{{"direct", false}, {"coalesced", true}} {
+	for _, mode := range tracingModes {
 		t.Run(mode.name, func(t *testing.T) {
 			fx := newCoalesceFixture(t, p, "trace-"+mode.name)
-			var srv *Server
-			if mode.coalesce {
-				var err error
-				srv, err = NewServerWithServing(p, core.EngineSpec{}, StoreOptions{}, CoalesceConfig{
-					Window:   2 * time.Millisecond,
-					MaxBatch: 8,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				srv = NewServerWithSpec(p, core.EngineSpec{})
-			}
-			defer srv.Close()
-			// A 1ns slow threshold routes every request into the slow ring
-			// too, so both dump flavours can be asserted non-empty.
-			srv.SetTracing(64, time.Nanosecond)
-			addr := startServer(t, srv)
+			srv, addr := startTracingServer(t, p, mode.coalesce)
 
 			traced, err := Dial(addr, p)
 			if err != nil {
@@ -161,6 +168,57 @@ func TestTracingEndToEnd(t *testing.T) {
 			}
 			if len(dump) != 1 || dump[0].Flags&trace.FlagError == 0 {
 				t.Fatalf("newest trace should carry FlagError: %+v", dump)
+			}
+		})
+	}
+}
+
+// TestTracePublishedBeforeReply is the regression test of the
+// dump-after-reply race: once a client holds the reply to its query,
+// that query's trace, tenant counter and latency sample must already be
+// visible — to a dump over ANOTHER connection (its own connection
+// trivially serialises behind the handler) and to an in-process
+// snapshot. The handler used to publish after writing the reply, so
+// about one run in 180 of TestTracingEndToEnd lost a record.
+func TestTracePublishedBeforeReply(t *testing.T) {
+	p := bfv.ParamsToy()
+	for _, mode := range tracingModes {
+		t.Run(mode.name, func(t *testing.T) {
+			fx := newCoalesceFixture(t, p, "publish-"+mode.name)
+			srv, addr := startTracingServer(t, p, mode.coalesce)
+			searcher, err := Dial(addr, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer searcher.Close()
+			searcher.EnableTracing(uint64(0xCD) << 56)
+			if err := searcher.UploadDB(fx.name, core.EngineSpec{}, fx.db); err != nil {
+				t.Fatal(err)
+			}
+			observer, err := Dial(addr, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer observer.Close()
+
+			for i := 1; i <= 200; i++ {
+				id := searcher.NextTraceID()
+				if _, err := searcher.Search(fx.name, fx.queries[i%len(fx.queries)]); err != nil {
+					t.Fatal(err)
+				}
+				dump, err := observer.TraceDump(1, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(dump) != 1 || dump[0].ID != id {
+					t.Fatalf("query %d: newest trace after the reply is %+v, want ID %#x", i, dump, id)
+				}
+				kvs := srv.Metrics().Snapshot()
+				for _, name := range []string{`tenant_queries_total{db="` + fx.name + `"}`, "request_latency_ns_count"} {
+					if v := statValue(t, kvs, name); v != int64(i) {
+						t.Fatalf("query %d: %s = %d after the reply", i, name, v)
+					}
+				}
 			}
 		})
 	}

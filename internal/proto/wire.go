@@ -224,8 +224,8 @@ func (b *buffer) putPoly(p ring.Poly, qBytes int) {
 }
 
 // poly decodes a polynomial and enforces that it has exactly degree
-// coefficients: every polynomial on this wire (chunk and pattern
-// ciphertext components, match tokens) is a ring element of the
+// coefficients: every polynomial on this wire (chunk ciphertext
+// components, match tokens) is a ring element of the
 // session's parameter set, and the search kernels size their loops and
 // bitset writes from these lengths, so a peer must not be able to
 // smuggle in oversized polynomials.
@@ -266,23 +266,6 @@ func (b *buffer) putCiphertext(ct *bfv.Ciphertext, qBytes int) {
 	for _, p := range ct.C {
 		b.putPoly(p, qBytes)
 	}
-}
-
-func (b *buffer) ciphertext(qBytes, degree int) (*bfv.Ciphertext, error) {
-	n, err := b.int()
-	if err != nil {
-		return nil, err
-	}
-	if n < 1 || n > 3 {
-		return nil, fmt.Errorf("proto: ciphertext with %d components", n)
-	}
-	ct := &bfv.Ciphertext{C: make([]ring.Poly, n)}
-	for i := range ct.C {
-		if ct.C[i], err = b.poly(qBytes, degree); err != nil {
-			return nil, err
-		}
-	}
-	return ct, nil
 }
 
 // EncodeDB serialises an encrypted database.
@@ -358,58 +341,28 @@ func sortedKeys[V any](m map[int]V) []int {
 	return keys
 }
 
-// factoredSentinel marks the versioned factored encodings of MsgQuery
-// and MsgBatchQuery. It occupies the slot a legacy decoder reads as
-// YBits (query) or as the pattern-pool count (batch); both reject it —
-// YBits fails validation and the count check refuses ~2^32 — so a
-// pre-factoring server errors out cleanly instead of misparsing, while
-// legacy encodings (whose first word can never be the sentinel) still
-// decode everywhere.
+// factoredSentinel opens the versioned encodings of MsgQuery and
+// MsgBatchQuery. It occupies the slot the retired un-versioned layouts
+// used for YBits (query) or the pattern-pool count (batch), neither of
+// which can ever be 2^32-1, so a payload that does not start with it is
+// rejected outright instead of being misparsed.
 const factoredSentinel = ^uint32(0)
 
-// factoredWireVersion is the current version word of the factored
+// factoredWireVersion is the current version word of the query
 // encodings; unknown versions are rejected, so the format can evolve.
 const factoredWireVersion = 1
 
-// EncodeQuery serialises a query. Map-backed sections are emitted in
-// sorted key order, so the same query always encodes to the same bytes
-// — the property batch-level deduplication and any caching keyed on
-// encodings rely on.
-//
-// Factored queries use the versioned factored encoding: metadata, the
-// DBTok plane and the per-phase RHS polynomials. Pattern ciphertexts
-// are NOT shipped — seeded-match index generation runs entirely on
-// DBTok/RHS — which is where the ≥2× query-size reduction over the
-// legacy expanded-token encoding comes from (legacy ships patterns plus
-// residues×chunks token polynomials; factored ships chunks+phases
-// polynomials total). Legacy queries keep the original encoding, byte
-// for byte.
+// EncodeQuery serialises a seeded-match query: metadata, the DBTok
+// plane and the per-phase RHS polynomials. Pattern ciphertexts are NOT
+// shipped — seeded-match index generation runs entirely on DBTok/RHS.
+// Map-backed sections are emitted in sorted key order, so the same
+// query always encodes to the same bytes — the property batch-level
+// deduplication and any caching keyed on encodings rely on.
 func EncodeQuery(q *core.Query, p bfv.Params) []byte {
 	qb := p.QBytes()
-	if q.Factored() {
-		var b buffer
-		b.putUint32(factoredSentinel)
-		b.putInt(factoredWireVersion)
-		b.putInt(q.YBits)
-		b.putInt(q.AlignBits)
-		b.putInt(q.DBBitLen)
-		b.putInt(q.NumChunks)
-		b.putInt(len(q.Residues))
-		for _, r := range q.Residues {
-			b.putInt(r)
-		}
-		b.putInt(len(q.DBTok))
-		for _, tok := range q.DBTok {
-			b.putPoly(tok, qb)
-		}
-		b.putInt(len(q.RHS))
-		for _, psi := range sortedKeys(q.RHS) {
-			b.putInt(psi)
-			b.putPoly(q.RHS[psi], qb)
-		}
-		return b.data
-	}
 	var b buffer
+	b.putUint32(factoredSentinel)
+	b.putInt(factoredWireVersion)
 	b.putInt(q.YBits)
 	b.putInt(q.AlignBits)
 	b.putInt(q.DBBitLen)
@@ -418,27 +371,45 @@ func EncodeQuery(q *core.Query, p bfv.Params) []byte {
 	for _, r := range q.Residues {
 		b.putInt(r)
 	}
-	b.putInt(len(q.Patterns))
-	for _, psi := range sortedKeys(q.Patterns) {
-		b.putInt(psi)
-		b.putCiphertext(q.Patterns[psi], qb)
+	b.putInt(len(q.DBTok))
+	for _, tok := range q.DBTok {
+		b.putPoly(tok, qb)
 	}
-	b.putInt(len(q.Tokens))
-	for _, res := range sortedKeys(q.Tokens) {
-		toks := q.Tokens[res]
-		b.putInt(res)
-		b.putInt(len(toks))
-		for _, tok := range toks {
-			b.putPoly(tok, qb)
-		}
+	b.putInt(len(q.RHS))
+	for _, psi := range sortedKeys(q.RHS) {
+		b.putInt(psi)
+		b.putPoly(q.RHS[psi], qb)
 	}
 	return b.data
 }
 
-// decodeQueryHeader reads the metadata fields (after YBits) shared by
-// every query encoding — single and batch-member, legacy and factored.
+// decodeWireVersion reads the sentinel and version words that open
+// every query encoding.
+func decodeWireVersion(b *buffer) error {
+	first, err := b.uint32()
+	if err != nil {
+		return err
+	}
+	if first != factoredSentinel {
+		return fmt.Errorf("proto: un-versioned query encoding (first word %#x) is not supported", first)
+	}
+	version, err := b.int()
+	if err != nil {
+		return err
+	}
+	if version != factoredWireVersion {
+		return fmt.Errorf("proto: unsupported query encoding version %d", version)
+	}
+	return nil
+}
+
+// decodeQueryHeader reads the metadata fields shared by the single and
+// the batch-member query encodings.
 func decodeQueryHeader(b *buffer, q *core.Query) error {
 	var err error
+	if q.YBits, err = b.int(); err != nil {
+		return err
+	}
 	if q.AlignBits, err = b.int(); err != nil {
 		return err
 	}
@@ -461,117 +432,16 @@ func decodeQueryHeader(b *buffer, q *core.Query) error {
 	return nil
 }
 
-// decodeInlineTokens reads a legacy expanded-token section (residue,
-// poly-count, polynomials), shared by the single-query decoder and both
-// batch layouts. Returns nil when the section is empty.
-func decodeInlineTokens(b *buffer, qb, degree int) (map[int][]ring.Poly, error) {
-	ntok, err := b.count(8) // residue word + token-count word
-	if err != nil {
-		return nil, err
-	}
-	if ntok == 0 {
-		return nil, nil
-	}
-	tokens := make(map[int][]ring.Poly, ntok)
-	for i := 0; i < ntok; i++ {
-		res, err := b.int()
-		if err != nil {
-			return nil, err
-		}
-		cnt, err := b.count(4)
-		if err != nil {
-			return nil, err
-		}
-		toks := make([]ring.Poly, cnt)
-		for j := range toks {
-			if toks[j], err = b.poly(qb, degree); err != nil {
-				return nil, err
-			}
-		}
-		tokens[res] = toks
-	}
-	return tokens, nil
-}
-
-// decodePatternRefs reads a (psi, pool-index) pattern reference section
-// against a decoded ciphertext pool — the batch layouts' shared member
-// pattern decode, with the pool bound enforced.
-func decodePatternRefs(b *buffer, pool []*bfv.Ciphertext, member int) (map[int]*bfv.Ciphertext, error) {
-	npat, err := b.count(8) // psi word + pool-index word
-	if err != nil {
-		return nil, err
-	}
-	patterns := make(map[int]*bfv.Ciphertext, npat)
-	for i := 0; i < npat; i++ {
-		psi, err := b.int()
-		if err != nil {
-			return nil, err
-		}
-		idx, err := b.int()
-		if err != nil {
-			return nil, err
-		}
-		if idx < 0 || idx >= len(pool) {
-			return nil, fmt.Errorf("proto: batch member %d references pattern pool entry %d of %d", member, idx, len(pool))
-		}
-		patterns[psi] = pool[idx]
-	}
-	return patterns, nil
-}
-
-// DecodeQuery is the inverse of EncodeQuery: it accepts both the legacy
-// expanded-token encoding (old clients keep working unchanged) and the
-// versioned factored encoding.
+// DecodeQuery is the inverse of EncodeQuery. The DBTok plane must cover
+// exactly NumChunks chunks — the kernels index it per chunk — and every
+// polynomial is held to the ring degree, so a hostile peer cannot
+// smuggle mis-shaped comparands into the fused kernel.
 func DecodeQuery(data []byte, p bfv.Params) (*core.Query, error) {
-	b := buffer{data: data}
-	first, err := b.uint32()
-	if err != nil {
+	b := &buffer{data: data}
+	if err := decodeWireVersion(b); err != nil {
 		return nil, err
-	}
-	if first == factoredSentinel {
-		return decodeFactoredQuery(&b, p)
-	}
-	q := &core.Query{Patterns: map[int]*bfv.Ciphertext{}, YBits: int(first)}
-	if err := decodeQueryHeader(&b, q); err != nil {
-		return nil, err
-	}
-	qb := p.QBytes()
-	npat, err := b.count(8) // psi word + ciphertext header
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < npat; i++ {
-		psi, err := b.int()
-		if err != nil {
-			return nil, err
-		}
-		if q.Patterns[psi], err = b.ciphertext(qb, p.N); err != nil {
-			return nil, err
-		}
-	}
-	if q.Tokens, err = decodeInlineTokens(&b, qb, p.N); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// decodeFactoredQuery parses the versioned factored encoding after the
-// sentinel word. The DBTok plane must cover exactly NumChunks chunks —
-// the kernels index it per chunk — and every polynomial is held to the
-// ring degree, so a hostile peer cannot smuggle mis-shaped comparands
-// into the fused kernel.
-func decodeFactoredQuery(b *buffer, p bfv.Params) (*core.Query, error) {
-	version, err := b.int()
-	if err != nil {
-		return nil, err
-	}
-	if version != factoredWireVersion {
-		return nil, fmt.Errorf("proto: unsupported factored query version %d", version)
 	}
 	q := &core.Query{}
-	if q.YBits, err = b.int(); err != nil {
-		return nil, err
-	}
 	if err := decodeQueryHeader(b, q); err != nil {
 		return nil, err
 	}
@@ -581,7 +451,7 @@ func decodeFactoredQuery(b *buffer, p bfv.Params) (*core.Query, error) {
 		return nil, err
 	}
 	if ntok != q.NumChunks {
-		return nil, fmt.Errorf("proto: factored query DBTok plane has %d chunks, header says %d", ntok, q.NumChunks)
+		return nil, fmt.Errorf("proto: query DBTok plane has %d chunks, header says %d", ntok, q.NumChunks)
 	}
 	q.DBTok = make([]ring.Poly, ntok)
 	for j := range q.DBTok {

@@ -1,9 +1,9 @@
 package ring
 
 // This file is the kernel dispatch layer of ROADMAP item 1: the hot
-// compare kernels (SubCmpMultiBits, AddCmpBits, CmpEqScalarBits) exist
-// in three implementations behind one API, selected once at process
-// start and swappable at runtime for tests and benchmarks:
+// compare kernels (SubCmpMultiBits, CmpEqScalarBits) exist in three
+// implementations behind one API, selected once at process start and
+// swappable at runtime for tests and benchmarks:
 //
 //	generic   the committed portable baseline: word-at-a-time with
 //	          range loops — the reference every other path must match

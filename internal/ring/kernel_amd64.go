@@ -58,20 +58,6 @@ func diffPow2Block64AVX2(dst, a, d *uint64, mask uint64)
 //go:noescape
 func diffGenericBlock64AVX2(dst, a, d *uint64, q uint64)
 
-// sumPow2Block64AVX2 stores (a[k]+b[k]) & mask into dst[k] for k in
-// [0, 64).
-//
-//cm:hotpath
-//go:noescape
-func sumPow2Block64AVX2(dst, a, b *uint64, mask uint64)
-
-// sumGenericBlock64AVX2 stores (a[k]+b[k]) mod q into dst[k] for k in
-// [0, 64), same contract as diffGenericBlock64AVX2.
-//
-//cm:hotpath
-//go:noescape
-func sumGenericBlock64AVX2(dst, a, b *uint64, q uint64)
-
 // cmpEqBlock64AVX2 returns the packed equality word of two
 // 64-coefficient runs: bit k set iff x[k] == y[k].
 //
@@ -121,36 +107,6 @@ func (r *Ring) subCmpAVX2(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 		}
 	}
 	r.subCmpScalar(a, d, rhs, bits, base, i, n)
-}
-
-// addCmpAVX2 is AddCmpBits on the assembly primitives.
-//
-//cm:hotpath
-func (r *Ring) addCmpAVX2(a, b, tok Poly, bits []uint64, base int) {
-	n := len(a)
-	i := 0
-	if rem := base & 63; rem != 0 {
-		pro := 64 - rem
-		if pro > n {
-			pro = n
-		}
-		r.addCmpScalar(a, b, tok, bits, base, 0, pro)
-		i = pro
-	}
-	var sum [64]uint64
-	for ; i+64 <= n; i += 64 {
-		if r.qIsPow2 {
-			sumPow2Block64AVX2(&sum[0], &a[i], &b[i], r.mask)
-		} else {
-			sumGenericBlock64AVX2(&sum[0], &a[i], &b[i], r.q)
-		}
-		w := cmpEqBlock64AVX2(&sum[0], &tok[i])
-		//cm:allow ctbranch -- aggregated hit-word store elision keeps misses a pure read stream
-		if w != 0 {
-			bits[(base+i)>>6] |= w
-		}
-	}
-	r.addCmpScalar(a, b, tok, bits, base, i, n)
 }
 
 // cmpEqScalarAVX2 is CmpEqScalarBits on the assembly primitives.

@@ -10,7 +10,7 @@
 // caller.
 
 // GENCONSTS materialises the generic-q constants from the q argument
-// (byte offset 24 in both generic signatures): Y4 = q,
+// (byte offset 24 in the generic signature): Y4 = q,
 // Y5 = 0x8000000000000000, Y6 = (q-1) ^ 0x8000000000000000. Every
 // instruction is VEX-encoded on purpose — a legacy-SSE GPR→XMM MOVQ
 // here would mix SSE with dirty YMM upper state once per 64-coeff
@@ -44,11 +44,11 @@ TEXT ·kernelXGETBV0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// POW2GROUP computes one 4-lane group of dst[k] = (a[k] vop b[k]) & mask
+// POW2GROUP computes one 4-lane group of dst[k] = (a[k] - d[k]) & mask
 // with the mask broadcast in Y3. off is the byte offset of the group.
-#define POW2GROUP(vop, off) \
+#define POW2GROUP(off) \
 	VMOVDQU off(SI), Y0;     \
-	vop     off(DX), Y0, Y0; \
+	VPSUBQ  off(DX), Y0, Y0; \
 	VPAND   Y3, Y0, Y0;      \
 	VMOVDQU Y0, off(DI)
 
@@ -61,36 +61,15 @@ TEXT ·diffPow2Block64AVX2(SB), NOSPLIT, $0-32
 	MOVQ         $4, CX
 
 pow2diffloop:
-	POW2GROUP(VPSUBQ, 0)
-	POW2GROUP(VPSUBQ, 32)
-	POW2GROUP(VPSUBQ, 64)
-	POW2GROUP(VPSUBQ, 96)
+	POW2GROUP(0)
+	POW2GROUP(32)
+	POW2GROUP(64)
+	POW2GROUP(96)
 	ADDQ $128, SI
 	ADDQ $128, DX
 	ADDQ $128, DI
 	DECQ CX
 	JNZ  pow2diffloop
-	VZEROUPPER
-	RET
-
-// func sumPow2Block64AVX2(dst, a, b *uint64, mask uint64)
-TEXT ·sumPow2Block64AVX2(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         a+8(FP), SI
-	MOVQ         b+16(FP), DX
-	VPBROADCASTQ mask+24(FP), Y3
-	MOVQ         $4, CX
-
-pow2sumloop:
-	POW2GROUP(VPADDQ, 0)
-	POW2GROUP(VPADDQ, 32)
-	POW2GROUP(VPADDQ, 64)
-	POW2GROUP(VPADDQ, 96)
-	ADDQ $128, SI
-	ADDQ $128, DX
-	ADDQ $128, DI
-	DECQ CX
-	JNZ  pow2sumloop
 	VZEROUPPER
 	RET
 
@@ -114,14 +93,6 @@ pow2sumloop:
 	GENREDUCE;               \
 	VMOVDQU Y0, off(DI)
 
-// GENSUMGROUP computes dst[k] = (a[k] + b[k]) mod q for one 4-lane
-// group, same constants.
-#define GENSUMGROUP(off) \
-	VMOVDQU off(SI), Y0;     \
-	VPADDQ  off(DX), Y0, Y0; \
-	GENREDUCE;               \
-	VMOVDQU Y0, off(DI)
-
 // func diffGenericBlock64AVX2(dst, a, d *uint64, q uint64)
 TEXT ·diffGenericBlock64AVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
@@ -140,27 +111,6 @@ gendiffloop:
 	ADDQ $128, DI
 	DECQ CX
 	JNZ  gendiffloop
-	VZEROUPPER
-	RET
-
-// func sumGenericBlock64AVX2(dst, a, b *uint64, q uint64)
-TEXT ·sumGenericBlock64AVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	GENCONSTS
-	MOVQ $4, CX
-
-gensumloop:
-	GENSUMGROUP(0)
-	GENSUMGROUP(32)
-	GENSUMGROUP(64)
-	GENSUMGROUP(96)
-	ADDQ $128, SI
-	ADDQ $128, DX
-	ADDQ $128, DI
-	DECQ CX
-	JNZ  gensumloop
 	VZEROUPPER
 	RET
 

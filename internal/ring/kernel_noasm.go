@@ -16,11 +16,6 @@ func (r *Ring) subCmpAVX2(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 }
 
 //cm:hotpath
-func (r *Ring) addCmpAVX2(a, b, tok Poly, bits []uint64, base int) {
-	r.addCmpUnrolled(a, b, tok, bits, base)
-}
-
-//cm:hotpath
 func cmpEqScalarAVX2(a Poly, v uint64, bits []uint64, base int) {
 	cmpEqScalarUnrolled(a, v, bits, base)
 }

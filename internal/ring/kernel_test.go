@@ -92,8 +92,7 @@ func TestGodebugDisablesAVX2(t *testing.T) {
 // cross-path property test and the differential fuzzer.
 type kernelCase struct {
 	r    *Ring
-	a, d Poly   // subcmp operands (also addcmp a, b)
-	tok  Poly   // addcmp comparand
+	a, d Poly   // subcmp operands
 	rhs  []Poly // subcmp comparands
 	base int
 }
@@ -105,16 +104,8 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 	a, d := r.NewPoly(), r.NewPoly()
 	r.UniformPoly(src, a)
 	r.UniformPoly(src, d)
-	diff, sum := r.NewPoly(), r.NewPoly()
+	diff := r.NewPoly()
 	r.Sub(a, d, diff)
-	r.Add(a, d, sum)
-	tok := r.NewPoly()
-	r.UniformPoly(src, tok)
-	for i := range tok {
-		if src.Uniform(4) == 0 {
-			tok[i] = sum[i]
-		}
-	}
 	rhs := make([]Poly, R)
 	for v := range rhs {
 		rhs[v] = r.NewPoly()
@@ -125,10 +116,10 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 			}
 		}
 	}
-	return kernelCase{r: r, a: a, d: d, tok: tok, rhs: rhs, base: base}
+	return kernelCase{r: r, a: a, d: d, rhs: rhs, base: base}
 }
 
-// runAllKernels executes the three exported kernels under every
+// runAllKernels executes the two exported kernels under every
 // available dispatch path and fails the test unless each path's
 // bitsets are bit-identical to the generic baseline's.
 func runAllKernels(t testing.TB, tc kernelCase) {
@@ -136,7 +127,6 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 	words := (tc.base + tc.r.N() + 63) / 64
 	type result struct {
 		sub   [][]uint64
-		add   []uint64
 		cmpeq []uint64
 	}
 	results := make(map[KernelPath]result)
@@ -144,14 +134,12 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 		withKernel(t, p, func() {
 			res := result{
 				sub:   make([][]uint64, len(tc.rhs)),
-				add:   make([]uint64, words),
 				cmpeq: make([]uint64, words),
 			}
 			for v := range res.sub {
 				res.sub[v] = make([]uint64, words)
 			}
 			tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, res.sub, tc.base)
-			tc.r.AddCmpBits(tc.a, tc.d, tc.tok, res.add, tc.base)
 			CmpEqScalarBits(tc.a, tc.a[0], res.cmpeq, tc.base)
 			results[p] = res
 		})
@@ -170,12 +158,6 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 				}
 			}
 		}
-		for w := range ref.add {
-			if got.add[w] != ref.add[w] {
-				t.Fatalf("AddCmpBits path %s: word %d = %#x, generic %#x (n=%d q=%d base=%d)",
-					p, w, got.add[w], ref.add[w], tc.r.N(), tc.r.Q(), tc.base)
-			}
-		}
 		for w := range ref.cmpeq {
 			if got.cmpeq[w] != ref.cmpeq[w] {
 				t.Fatalf("CmpEqScalarBits path %s: word %d = %#x, generic %#x (n=%d q=%d base=%d)",
@@ -192,7 +174,7 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 // comparand counts bracketing the serving R.
 func TestKernelPathsBitIdentical(t *testing.T) {
 	src := rng.NewSourceFromString("kernel-paths")
-	for _, fam := range addCmpFamilies {
+	for _, fam := range kernelFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			for _, base := range []int{0, 37, 64, 64*5 + 63} {
 				for _, R := range []int{1, 4} {
@@ -223,7 +205,7 @@ var fuzzNs = []int{16, 64, 128, 1024}
 // FuzzKernelPaths is the differential fuzzer of the dispatch layer:
 // random modulus family, degree, base alignment, comparand count and
 // coefficient streams, asserting the generic, unrolled and (where
-// present) avx2 paths produce bit-identical hit bitsets for all three
+// present) avx2 paths produce bit-identical hit bitsets for both
 // kernels. A divergence here is a miscompare in a rewritten kernel —
 // exactly the bug class that must be impossible before a new path can
 // ship.

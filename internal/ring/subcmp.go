@@ -1,17 +1,17 @@
 package ring
 
 // This file implements the residue-fused compare kernel of the factored
-// match-token representation. With tokens factored as
-// Tokens[s][j] = DBTok[j] + RHS[psi(j,s)] the per-(chunk, residue) hit
-// condition (a + b) mod q == tok rewrites as
+// match-token representation. The expected hit value of (chunk j,
+// residue s) factors as DBTok[j] + RHS[psi(j,s)], so the hit condition
+// (a + b) mod q == tok of §4.2.2 rewrites as
 //
 //	(a[i] - DBTok[j][i]) mod q == RHS[psi][i]
 //
 // whose left side is residue-independent: one streaming pass over the
 // chunk's first component and its DBTok poly serves every shift variant
-// at once, with the R per-phase RHS polys staying cache-resident. The
-// legacy pipeline re-read the ciphertext arena once per residue; this
-// kernel is why a search now reads it once (see core's engine kernels).
+// at once, with the R per-phase RHS polys staying cache-resident — a
+// search reads the ciphertext arena once, not once per residue (see
+// core's engine kernels).
 //
 // The kernel exists in three dispatch paths (see kernel.go): the
 // generic word-at-a-time baseline, the unrolled multi-lane path below,

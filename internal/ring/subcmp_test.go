@@ -12,7 +12,7 @@ import (
 // polynomials, at aligned and unaligned base offsets, for both modulus
 // families, with 1..5 comparands per call.
 func TestSubCmpMultiBitsMatchesSubCompare(t *testing.T) {
-	for _, fam := range addCmpFamilies {
+	for _, fam := range kernelFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			r := MustNew(fam.n, fam.q)
 			src := rng.NewSourceFromString("subcmp-" + fam.name)
@@ -99,7 +99,7 @@ func TestSubCmpMultiBitsAccumulates(t *testing.T) {
 // so only correctness was covered — now the word body must also engage
 // mid-polynomial without setting or dropping a single bit.
 func TestSubCmpMultiBitsUnalignedBases(t *testing.T) {
-	for _, fam := range addCmpFamilies {
+	for _, fam := range kernelFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			r := MustNew(fam.n, fam.q)
 			src := rng.NewSourceFromString("subcmp-unaligned-" + fam.name)

@@ -20,8 +20,6 @@ import (
 // against the R cache-resident RHS rows. Only the hit index leaves the
 // drive.
 //
-// Legacy expanded-token queries are re-factored by the controller
-// (core.FactorQuery), so old clients get the single-pass schedule too.
 // The query must carry match tokens (core.ModeSeededMatch).
 func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	if s.numChunks == 0 {
@@ -34,24 +32,15 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 		return nil, fmt.Errorf("ssd: query prepared for %d chunks/%d bits, stored %d chunks/%d bits",
 			q.NumChunks, q.DBBitLen, s.numChunks, s.dbBitLen)
 	}
-	if q.Factored() {
-		if len(q.DBTok) != s.numChunks {
-			return nil, fmt.Errorf("ssd: query DBTok plane has %d chunks, stored %d", len(q.DBTok), s.numChunks)
-		}
-	} else {
-		for _, res := range q.Residues {
-			if toks, ok := q.Tokens[res]; !ok || len(toks) != s.numChunks {
-				return nil, fmt.Errorf("ssd: tokens missing or mis-sized for residue %d", res)
-			}
-		}
+	if len(q.DBTok) != s.numChunks {
+		return nil, fmt.Errorf("ssd: query DBTok plane has %d chunks, stored %d", len(q.DBTok), s.numChunks)
 	}
 	n := s.params.N
 	fq, err := core.FactorQuery(s.params.Ring(), q, s.numChunks)
 	if err != nil {
 		return nil, err
 	}
-	// What the client shipped for this query (factored: DBTok + RHS
-	// polynomials; legacy: pattern ciphertexts + expanded tokens).
+	// What the client shipped for this query (DBTok + RHS polynomials).
 	s.ctrl.HostBytesIn += q.SizeBytes(s.params)
 
 	ir := &core.IndexResult{Hits: make(core.HitBitmaps, len(q.Residues))}

@@ -53,7 +53,10 @@ const (
 	StageArena
 	// StageEncode is result encoding (candidates to wire bytes).
 	StageEncode
-	// StageWrite is the socket write of the reply frame.
+	// StageWrite is the socket write of a reply frame — of the previous
+	// reply on the same connection: a trace is published before its own
+	// reply is written (so a client holding a reply always finds its
+	// record), and the write time is carried onto the next trace.
 	StageWrite
 
 	// NumStages is the size of the per-trace stage array.
@@ -118,8 +121,8 @@ type Trace struct {
 	Start int64
 	// StageNS holds nanoseconds spent per stage, indexed by Stage.
 	StageNS [NumStages]int64
-	// TotalNS is the end-to-end request latency (read start to write
-	// end), stamped by Finish.
+	// TotalNS is the server-side request latency: first byte of the
+	// frame to the reply being ready for the socket.
 	TotalNS int64
 	// ChunkStreams and HomAdds are the arena work attributed to this
 	// request by the engine (a coalesced member gets its own share from
