@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"ciphermatch/internal/bfv"
@@ -522,37 +523,52 @@ const CandidateWireBytes = 4
 // bits: candidates agree with the query on every full window; up to 15 bits
 // on each side are unverified.
 //
-// The scan is word-level over the packed bitmaps (Bitset.AllSet checks 64
-// windows per comparison with an early exit on the first miss), and any
-// residue whose bitmap has no set bit at all is dropped up front — when
-// every residue is empty (the common case for a rare pattern) the offset
-// loop never runs at all.
+// The scan is hit-driven: it ORs the residues' bitmaps word by word (64
+// windows per step, zero words skipped) and, for each set bit w of the OR,
+// tests only the aligned offsets whose first full window is w, i.e.
+// o in (16(w-1), 16w]. That is exact, not a heuristic: an offset is a
+// candidate only if its residue's bitmap has every window of
+// FullWindows(o) = [w0, w1) set with w1 > w0, so in particular bit w0 is
+// set in that bitmap and therefore in the OR — the OR is a superset filter
+// in front of an unchanged predicate. Windows ascend and offsets ascend
+// within a window, so the output is in ascending order without a sort.
+// Cost is O(words·residues + set bits·16/alignBits) rather than
+// O(dbBits/alignBits); nothing is sized from yBits or alignBits, which
+// arrive off the wire. Non-positive yBits or alignBits yield nil.
 func Candidates(hits HitBitmaps, dbBits, yBits, alignBits int) []int {
-	// Residue-indexed bitmap table: one modulo + array load per offset
-	// instead of per-offset map lookups; empty bitmaps stay nil.
-	bmAt := make([]*Bitset, yBits)
-	live := 0
-	for res, bm := range hits {
-		if res >= 0 && res < yBits && !bm.None() {
-			bmAt[res] = bm
-			live++
-		}
-	}
-	if live == 0 {
+	if yBits < 1 || alignBits < 1 {
 		return nil
 	}
+	live := make([][]uint64, 0, len(hits))
+	numWords := 0
+	for res, bm := range hits {
+		if res >= 0 && res < yBits {
+			live = append(live, bm.words)
+			numWords = max(numWords, len(bm.words))
+		}
+	}
+	maxO := dbBits - yBits // last offset whose span fits the database
 	var out []int
-	for o := 0; o+yBits <= dbBits; o += alignBits {
-		bm := bmAt[o%yBits]
-		if bm == nil {
-			continue
+	for wi := 0; wi < numWords; wi++ {
+		var or uint64
+		for _, words := range live {
+			if wi < len(words) {
+				or |= words[wi]
+			}
 		}
-		w0, w1 := FullWindows(o, yBits)
-		if w1 == w0 {
-			continue // undetectable at this offset
-		}
-		if bm.AllSet(w0, w1) {
-			out = append(out, o)
+		for ; or != 0; or &= or - 1 {
+			w := wi<<6 + bits.TrailingZeros64(or)
+			hi := min(SegmentBits*w, maxO)
+			lo := max(SegmentBits*(w-1)+1, 0)
+			for o := (lo + alignBits - 1) / alignBits * alignBits; o <= hi; o += alignBits {
+				bm := hits[o%yBits]
+				if bm == nil {
+					continue
+				}
+				if w0, w1 := FullWindows(o, yBits); w1 > w0 && bm.AllSet(w0, w1) {
+					out = append(out, o)
+				}
+			}
 		}
 	}
 	return out

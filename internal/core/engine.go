@@ -109,6 +109,9 @@ func validateSearchQuery(db *EncryptedDB, q *Query, needTokens bool) error {
 	if q.YBits < 1 {
 		return fmt.Errorf("core: query has invalid length %d", q.YBits)
 	}
+	if q.AlignBits < 1 {
+		return fmt.Errorf("core: query has invalid alignment %d", q.AlignBits)
+	}
 	if q.NumChunks != len(db.Chunks) {
 		return fmt.Errorf("core: query prepared for %d chunks, database has %d",
 			q.NumChunks, len(db.Chunks))

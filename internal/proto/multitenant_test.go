@@ -3,9 +3,11 @@ package proto
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
@@ -289,5 +291,65 @@ func TestUploadEnvelopeRoundtrip(t *testing.T) {
 	}
 	if len(back) != 1 || back[0] != infos[0] {
 		t.Fatalf("listing roundtrip: %+v", back)
+	}
+}
+
+// TestZeroAlignBitsRejected: AlignBits travels in the query header and
+// candidate generation steps by it, so a zero must be refused before
+// any engine runs — the per-offset loop it once fed never advanced and
+// spun forever under the tenant's read lock. Every engine kind, single
+// and batched, must answer a well-matched query re-encoded with
+// AlignBits = 0 with a typed MsgError, and the same connection must
+// then serve the intact query correctly.
+func TestZeroAlignBitsRejected(t *testing.T) {
+	p := bfv.ParamsToy()
+	specs := []core.EngineSpec{
+		{Kind: core.EngineSerial},
+		{Kind: core.EnginePool, Workers: 2},
+		{Kind: core.EngineSerial, Shards: 2},
+		{Kind: core.EngineSSD},
+	}
+	srv := NewServer(p)
+	addr := startServer(t, srv)
+	conn, err := Dial(addr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The broken server never replies; fail instead of hanging.
+	conn.SetRetry(RetryPolicy{Max: 0, Timeout: 5 * time.Second})
+
+	for _, spec := range specs {
+		name := "align-" + spec.String()
+		tn := newTenant(t, p, name, spec, 320, 1504)
+		if err := conn.UploadDB(name, spec, tn.db); err != nil {
+			t.Fatalf("%s: upload: %v", name, err)
+		}
+		hostile := *tn.q
+		hostile.AlignBits = 0
+		requests := []struct {
+			what    string
+			msgType byte
+			payload []byte
+		}{
+			{"single", MsgQuery, EncodeNamedQuery(name, &hostile, p)},
+			{"batch", MsgBatchQuery, EncodeNamedBatchQuery(name, &core.BatchQuery{Queries: []*core.Query{tn.q, &hostile}}, p)},
+		}
+		for _, req := range requests {
+			reply, body, err := conn.roundTrip(req.msgType, req.payload)
+			if err != nil {
+				t.Fatalf("%s %s: no reply to AlignBits=0: %v", name, req.what, err)
+			}
+			if reply != MsgError || !strings.Contains(string(body), "alignment") {
+				t.Fatalf("%s %s: AlignBits=0 answered with type %d %q, want MsgError naming the alignment", name, req.what, reply, body)
+			}
+			got, err := conn.Search(name, tn.q)
+			if err != nil {
+				t.Fatalf("%s %s: search after rejection: %v", name, req.what, err)
+			}
+			if !slices.Equal(got, tn.expect) {
+				t.Fatal(errMismatch(name, got, tn.expect))
+			}
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"ciphermatch/internal/bfv"
@@ -213,13 +214,25 @@ func (b *buffer) count(minElemBytes int) (int, error) {
 	return n, nil
 }
 
-// putPoly appends a polynomial as qBytes-wide little-endian coefficients.
+// putPoly appends a polynomial as qBytes-wide little-endian
+// coefficients. The buffer grows once per polynomial and width 4
+// (ParamsPaper, the served parameter set) skips the byte-wise path; the
+// bytes emitted are the same either way.
 func (b *buffer) putPoly(p ring.Poly, qBytes int) {
 	b.putInt(len(p))
+	off := len(b.data)
+	b.data = slices.Grow(b.data, len(p)*qBytes)[:off+len(p)*qBytes]
+	dst := b.data[off:]
+	if qBytes == 4 {
+		for i, c := range p {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(c))
+		}
+		return
+	}
 	var tmp [8]byte
-	for _, c := range p {
+	for i, c := range p {
 		binary.LittleEndian.PutUint64(tmp[:], c)
-		b.data = append(b.data, tmp[:qBytes]...)
+		copy(dst[i*qBytes:], tmp[:qBytes])
 	}
 }
 
@@ -238,7 +251,9 @@ func (b *buffer) poly(qBytes, degree int) (ring.Poly, error) {
 }
 
 // polyInto decodes a polynomial into dst, whose length fixes the
-// expected coefficient count.
+// expected coefficient count. Once the count and payload bounds hold,
+// the coefficient bytes are sliced once and width 4 runs a straight
+// load loop (the same specialisation as putPoly).
 func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
 	n, err := b.count(qBytes)
 	if err != nil {
@@ -251,12 +266,19 @@ func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
 	if b.off+need > len(b.data) {
 		return errShortPayload
 	}
+	src := b.data[b.off : b.off+need]
+	b.off += need
+	if qBytes == 4 {
+		for i := range dst {
+			dst[i] = uint64(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+		return nil
+	}
 	var tmp [8]byte
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		clear(tmp[:])
-		copy(tmp[:qBytes], b.data[b.off:b.off+qBytes])
+		copy(tmp[:qBytes], src[i*qBytes:])
 		dst[i] = binary.LittleEndian.Uint64(tmp[:])
-		b.off += qBytes
 	}
 	return nil
 }

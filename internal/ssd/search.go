@@ -28,6 +28,9 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	if !q.HasTokens() {
 		return nil, fmt.Errorf("ssd: CM-search requires match tokens (core.ModeSeededMatch)")
 	}
+	if q.YBits < 1 || q.AlignBits < 1 {
+		return nil, fmt.Errorf("ssd: query has invalid length %d or alignment %d", q.YBits, q.AlignBits)
+	}
 	if q.NumChunks != s.numChunks || q.DBBitLen != s.dbBitLen {
 		return nil, fmt.Errorf("ssd: query prepared for %d chunks/%d bits, stored %d chunks/%d bits",
 			q.NumChunks, q.DBBitLen, s.numChunks, s.dbBitLen)
