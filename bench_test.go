@@ -357,9 +357,7 @@ func benchEngineSpec(b *testing.B, cfg core.Config, db *core.EncryptedDB, q *cor
 		ir.Release()
 	}
 	b.StopTimer()
-	if closer, ok := eng.(interface{ Close() error }); ok {
-		_ = closer.Close()
-	}
+	_ = eng.Close()
 }
 
 // BenchmarkRingKernels is the in-tree twin of harness.RunKernelBench:
@@ -420,7 +418,8 @@ func BenchmarkRingKernels(b *testing.B) {
 // levers both engage: one chunk walk amortised across the batch, and
 // pattern-ciphertext dedup collapsing repeated queries (seed-derived
 // pattern randomness makes equal queries byte-identical). The SSD kind
-// exercises the sequential fallback, so its pair is expected to tie.
+// runs members back to back on its controller, so its pair is expected
+// to tie.
 func BenchmarkEngineBatch(b *testing.B) {
 	cfg := Config{Params: ParamsPaper(), AlignBits: 8, Mode: ModeSeededMatch}
 	client, err := NewClient(cfg, NewSeed("engine-batch-bench"))
@@ -453,24 +452,19 @@ func BenchmarkEngineBatch(b *testing.B) {
 			}
 			return eng
 		}
-		closeEngine := func(eng Engine) {
-			if closer, ok := eng.(interface{ Close() error }); ok {
-				_ = closer.Close()
-			}
-		}
 		b.Run(specStr+"/batch-8", func(b *testing.B) {
 			eng := newEngine(b)
-			defer closeEngine(eng)
+			defer eng.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := SearchBatch(eng, bq); err != nil {
+				if _, err := eng.SearchAndIndexBatch(bq); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(specStr+"/sequential-8", func(b *testing.B) {
 			eng := newEngine(b)
-			defer closeEngine(eng)
+			defer eng.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {

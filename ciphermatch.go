@@ -79,19 +79,16 @@ type (
 	// database window, written directly by the fused search kernels.
 	Bitset = core.Bitset
 
-	// Engine is the backend-agnostic execution interface: the serial CPU
-	// path, the worker-pool path, chunk-range sharded compositions and
-	// the in-flash simulator all satisfy it and return identical results.
+	// Engine is the backend-agnostic execution interface: the CPU
+	// engine (serial or over a worker pool) and the in-flash simulator
+	// both satisfy it and return identical results.
 	Engine = core.Engine
 	// BatchQuery carries N independent queries against one database, so
 	// an engine can amortise a single pass over the encrypted chunks
-	// across all of them (see SearchBatch).
+	// across all of them (see Engine.SearchAndIndexBatch).
 	BatchQuery = core.BatchQuery
-	// BatchSearcher is the batched extension of Engine; every built-in
-	// engine satisfies it.
-	BatchSearcher = core.BatchSearcher
-	// EngineSpec selects and parameterises an engine
-	// ("kind[:workers][/shards=N]"; see ParseEngineSpec).
+	// EngineSpec selects and parameterises an engine ("kind[:workers]";
+	// see ParseEngineSpec).
 	EngineSpec = core.EngineSpec
 
 	// YasudaMatcher is the arithmetic baseline [27].
@@ -138,8 +135,7 @@ func NewClient(cfg Config, seed *Seed) (*Client, error) { return core.NewClient(
 const (
 	// EngineSerial executes searches on the calling goroutine.
 	EngineSerial = core.EngineSerial
-	// EnginePool fans (variant, chunk) batches across a persistent
-	// worker pool.
+	// EnginePool fans chunk ranges across a persistent worker pool.
 	EnginePool = core.EnginePool
 	// EngineSSD executes CM-search inside the simulated in-flash drive.
 	EngineSSD = core.EngineSSD
@@ -160,13 +156,13 @@ func NewServerWithEngine(cfg Config, db *EncryptedDB) (*Server, error) {
 }
 
 // NewEngine builds a standalone execution engine for an encrypted
-// database (serial, pool, ssd, each optionally chunk-range sharded).
+// database (serial, pool or ssd). Close it when done.
 func NewEngine(p Params, db *EncryptedDB, spec EngineSpec) (Engine, error) {
 	return engine.Build(p, db, spec)
 }
 
-// ParseEngineSpec reads "kind[:workers][/shards=N]", e.g. "serial",
-// "pool:8" or "ssd/shards=4".
+// ParseEngineSpec reads "kind[:workers]", e.g. "serial", "pool:8" or
+// "ssd".
 func ParseEngineSpec(s string) (EngineSpec, error) { return engine.Parse(s) }
 
 // NewBatchQuery assembles queries into a batch, deduplicating match
@@ -174,12 +170,6 @@ func ParseEngineSpec(s string) (EngineSpec, error) { return engine.Parse(s) }
 // queries, the RHS of the same hot query issued by several users), so
 // batch execution streams each chunk once per distinct DBTok plane.
 func NewBatchQuery(queries ...*Query) *BatchQuery { return core.NewBatchQuery(queries...) }
-
-// SearchBatch executes every member of bq on e — through the engine's
-// single-pass batch pipeline where it has one, sequentially otherwise —
-// and returns one IndexResult per member, identical to per-member
-// SearchAndIndex calls.
-func SearchBatch(e Engine, bq *BatchQuery) ([]*IndexResult, error) { return core.SearchBatch(e, bq) }
 
 // ReadPatternFile loads the batch-query file format the CLIs' -queryfile
 // flag accepts: one pattern per line, blank lines skipped, CRLF

@@ -43,7 +43,7 @@ func main() {
 	queryFile := flag.String("queryfile", "", "file of query patterns, one per line, submitted as one batched request")
 	align := flag.Int("align", 8, "occurrence alignment in bits")
 	seed := flag.String("seed", "cmclient-default-seed", "client key/randomness seed label")
-	engineSpec := flag.String("engine", "", "server-side engine for this database, kind[:workers][/shards=N] (empty = server default)")
+	engineSpec := flag.String("engine", "", "server-side engine for this database, kind[:workers] (empty = server default)")
 	list := flag.Bool("list", false, "list the server's databases and exit")
 	drop := flag.String("drop", "", "drop the named server-side database and exit")
 	noupload := flag.Bool("noupload", false,

@@ -30,7 +30,7 @@ func main() {
 	align := flag.Int("align", 8, "occurrence alignment in bits (8 = byte boundaries)")
 	seed := flag.String("seed", "cmsearch-default-seed", "client key/randomness seed label")
 	verify := flag.Bool("verify", true, "verify candidates against the plaintext")
-	engineSpec := flag.String("engine", "serial", "execution engine: kind[:workers][/shards=N], kind one of serial|pool|ssd")
+	engineSpec := flag.String("engine", "serial", "execution engine: kind[:workers], kind one of serial|pool|ssd")
 	flag.Parse()
 
 	// Exactly one query source: -query/-query-hex (single search) or

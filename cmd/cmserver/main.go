@@ -32,8 +32,8 @@
 //
 // Usage:
 //
-//	cmserver -addr :7448 -engine pool -workers 8
-//	cmserver -engine ssd/shards=4
+//	cmserver -addr :7448 -engine pool:8
+//	cmserver -engine ssd
 //	cmserver -datadir /var/lib/ciphermatch -membudget 4GiB
 //	cmserver -batchwindow 200us -maxbatch 16 -maxqueue 256 -metrics-addr :9448
 //	cmserver -datadir /var/lib/ciphermatch -scrub 1m -read-timeout 30s -write-timeout 30s
@@ -63,10 +63,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":7448", "listen address")
 	engineSpec := flag.String("engine", "serial",
-		"default engine for uploads that do not request one: kind[:workers][/shards=N], kind one of "+
+		"default engine for uploads that do not request one: kind[:workers] (pool without :workers = GOMAXPROCS), kind one of "+
 			strings.Join(engine.Kinds(), "|"))
-	workers := flag.Int("workers", 0, "default pool worker count (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "default chunk-range shard count (0/1 = unsharded)")
 	datadir := flag.String("datadir", "", "segment data directory; empty = memory-only (nothing survives restart)")
 	membudget := flag.String("membudget", "", "resident ciphertext-arena budget, e.g. 512MiB or 4GiB (requires -datadir; empty = unlimited)")
 	batchwindow := flag.Duration("batchwindow", 0, "max server-side coalescing delay, e.g. 200us (0 = coalescing off)")
@@ -85,12 +83,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cmserver:", err)
 		os.Exit(2)
-	}
-	if *workers > 0 {
-		spec.Workers = *workers
-	}
-	if *shards > 1 {
-		spec.Shards = *shards
 	}
 	budget, err := parseBytes(*membudget)
 	if err != nil {

@@ -35,3 +35,47 @@ func TestSearchChunkRangeZeroAllocs(t *testing.T) {
 		bm.Release()
 	}
 }
+
+// TestCPUEngineAllocs pins whole-search allocation counts on the toy
+// fixture, single and batch-of-two, at the values the separate serial
+// and pool engines had before they became one scheduler: one worker
+// runs inline (no goroutine handoff, no per-call pool state), and two
+// workers pay only for the shared call record and per-range stats.
+func TestCPUEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, inflating allocation counts")
+	}
+	cfg, edb, q, serial := engineFixture(t)
+	serial.Release()
+	bq := NewBatchQuery(q, q)
+	for _, c := range []struct {
+		workers         int
+		single, batched float64
+	}{
+		{1, 14, 32},
+		{2, 17, 37},
+	} {
+		eng := NewCPUEngine(cfg.Params, edb, c.workers)
+		single := testing.AllocsPerRun(50, func() {
+			ir, err := eng.SearchAndIndex(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ir.Release()
+		})
+		batched := testing.AllocsPerRun(50, func() {
+			irs, err := eng.SearchAndIndexBatch(bq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ir := range irs {
+				ir.Release()
+			}
+		})
+		eng.Close()
+		if single > c.single || batched > c.batched {
+			t.Errorf("workers=%d: %.1f allocs per search, %.1f per batch of 2; want <= %.0f, %.0f",
+				c.workers, single, batched, c.single, c.batched)
+		}
+	}
+}

@@ -103,49 +103,6 @@ func (bq *BatchQuery) validate(db *EncryptedDB) error {
 	return nil
 }
 
-// BatchSearcher is the batched extension of Engine: engines that can
-// amortise one database pass across many queries implement it natively
-// (serial, pool, sharded); SearchBatch falls back to sequential
-// SearchAndIndex calls for engines that cannot (a physical drive
-// serialises on its controller anyway).
-type BatchSearcher interface {
-	Engine
-	// SearchAndIndexBatch executes every member of bq and returns one
-	// IndexResult per member, in member order. Results are identical to
-	// N sequential SearchAndIndex calls.
-	SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error)
-}
-
-// SearchBatch dispatches bq to e's native batch implementation when it
-// has one, and otherwise runs the members sequentially. Either way the
-// results equal per-member SearchAndIndex calls in member order.
-//
-//cm:pooled
-func SearchBatch(e Engine, bq *BatchQuery) ([]*IndexResult, error) {
-	if bs, ok := e.(BatchSearcher); ok {
-		return bs.SearchAndIndexBatch(bq)
-	}
-	return SearchAndIndexBatchSequential(e, bq)
-}
-
-// SearchAndIndexBatchSequential is the generic loop fallback: one
-// SearchAndIndex call per member. Engines without a batched pass (the
-// in-flash simulator, whose controller serialises commands) use it to
-// satisfy BatchSearcher.
-//
-//cm:pooled
-func SearchAndIndexBatchSequential(e Engine, bq *BatchQuery) ([]*IndexResult, error) {
-	out := make([]*IndexResult, len(bq.Queries))
-	for i, q := range bq.Queries {
-		ir, err := e.SearchAndIndex(q)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch member %d: %w", i, err)
-		}
-		out[i] = ir
-	}
-	return out, nil
-}
-
 // newBatchBitmaps allocates the per-(member, variant) hit bitsets of a
 // batched search, each covering numWindows global windows.
 func newBatchBitmaps(bq *BatchQuery, numWindows int) [][]*Bitset {
@@ -160,8 +117,8 @@ func newBatchBitmaps(bq *BatchQuery, numWindows int) [][]*Bitset {
 }
 
 // assembleBatchResults converts kernel output into per-member
-// IndexResults (hit maps plus candidates unless the member is HitsOnly)
-// and returns the batch-total stats for the engine's cumulative counter.
+// IndexResults (hit maps plus candidates) and returns the batch-total
+// stats for the engine's cumulative counter.
 func assembleBatchResults(bq *BatchQuery, bitmaps [][]*Bitset, memberStats []Stats) ([]*IndexResult, Stats) {
 	var total Stats
 	out := make([]*IndexResult, len(bq.Queries))
@@ -170,9 +127,7 @@ func assembleBatchResults(bq *BatchQuery, bitmaps [][]*Bitset, memberStats []Sta
 		for vi, res := range q.Residues {
 			ir.Hits[res] = bitmaps[mi][vi]
 		}
-		if !q.HitsOnly {
-			ir.Candidates = Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
-		}
+		ir.Candidates = Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
 		total.add(ir.Stats)
 		out[mi] = ir
 	}

@@ -13,17 +13,17 @@ import (
 // write hit bits directly into Words(), so the bitmap is also the
 // kernel's only output store.
 //
-// Concurrent writers are safe only on disjoint word ranges; the pool
+// Concurrent writers are safe only on disjoint word ranges; the CPU
 // engine aligns its chunk-range jobs so every 64-bit word belongs to
-// exactly one job (see PoolEngine.batchSize).
+// exactly one job (see CPUEngine.batchSize).
 type Bitset struct {
 	words []uint64
 	n     int
 }
 
-// bitsetPool recycles the word storage of transient bitsets (per-shard
-// sub-results, released index results), so a server under steady
-// multi-user load stops allocating bitmap backing arrays entirely.
+// bitsetPool recycles the word storage of released index results, so a
+// server under steady multi-user load stops allocating bitmap backing
+// arrays entirely.
 var bitsetPool = sync.Pool{New: func() any { return &Bitset{} }}
 
 // NewBitset returns a zeroed bitset of n bits, reusing pooled storage
@@ -160,26 +160,4 @@ func (b *Bitset) NextSet(i int) int {
 		}
 	}
 	return -1
-}
-
-// OrAt ORs src into b starting at bit offset off: b[off+i] |= src[i].
-// The sharded engine merges per-shard bitmaps with it; chunk offsets
-// are word-aligned for every supported ring degree, so the common path
-// is a straight word-wise OR.
-func (b *Bitset) OrAt(src *Bitset, off int) {
-	if off < 0 || off+src.n > b.n {
-		panic("core: Bitset.OrAt out of range")
-	}
-	if off&63 == 0 {
-		w0 := off >> 6
-		for i, w := range src.words {
-			if w != 0 {
-				b.words[w0+i] |= w
-			}
-		}
-		return
-	}
-	for i := src.NextSet(0); i >= 0; i = src.NextSet(i + 1) {
-		b.Set(off + i)
-	}
 }

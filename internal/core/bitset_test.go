@@ -97,32 +97,6 @@ func TestBitsetNextSet(t *testing.T) {
 	}
 }
 
-func TestBitsetOrAt(t *testing.T) {
-	src := rng.NewSourceFromString("bitset-orat")
-	for _, off := range []int{0, 64, 128, 7, 93} { // aligned and unaligned
-		dst := NewBitset(512)
-		pre, preRef := randomBitset(t, src, 512)
-		dst.OrAt(pre, 0)
-		sub, subRef := randomBitset(t, src, 192)
-		dst.OrAt(sub, off)
-		for i := 0; i < 512; i++ {
-			want := preRef[i]
-			if i >= off && i < off+192 && subRef[i-off] {
-				want = true
-			}
-			if dst.Get(i) != want {
-				t.Fatalf("off=%d bit %d: got %v, want %v", off, i, dst.Get(i), want)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("OrAt out of range did not panic")
-		}
-	}()
-	NewBitset(64).OrAt(NewBitset(64), 1)
-}
-
 // TestBitsetPoolReuse checks that a released bitset comes back zeroed
 // regardless of its previous contents.
 func TestBitsetPoolReuse(t *testing.T) {

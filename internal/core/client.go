@@ -123,7 +123,7 @@ type EncryptedDB struct {
 // by a C1 plane. A seeded-match search touches only the C0 plane —
 // exactly half the ciphertext bytes — as one forward stream. Chunk
 // slices become views into the arena (full-capacity slicing keeps
-// appends impossible), so ShardDB sub-views stay contiguous too.
+// appends impossible).
 // Databases whose chunks are not uniform 2-component ciphertexts (e.g.
 // hostile wire input) are left as-is.
 func (db *EncryptedDB) Compact() {
@@ -283,11 +283,6 @@ type Query struct {
 	// from reading Δ·pattern off the pair (without it, RHS would equal
 	// -Δ·patternPT exactly); see DESIGN.md on the leakage profile.
 	RHS map[int]ring.Poly
-	// HitsOnly suppresses candidate generation in the engines, which
-	// then return hit bitmaps only. Set by ShardedEngine on per-shard
-	// sub-queries (candidates are generated once over the merged
-	// bitmaps); never serialized on the wire.
-	HitsOnly bool
 }
 
 // HasTokens reports whether the query carries match tokens (DBTok plane

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/rng"
@@ -32,7 +35,7 @@ func engineFixture(t *testing.T) (Config, *EncryptedDB, *Query, *IndexResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := NewSerialEngine(cfg.Params, edb).SearchAndIndex(q)
+	serial, err := NewCPUEngine(cfg.Params, edb, 1).SearchAndIndex(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +74,8 @@ func assertSameResult(t *testing.T, label string, got, want *IndexResult) {
 
 func TestPoolEngineMatchesSerial(t *testing.T) {
 	cfg, edb, q, serial := engineFixture(t)
-	for _, workers := range []int{1, 2, 4, 0} { // 0 = GOMAXPROCS
-		pool := NewPoolEngine(cfg.Params, edb, workers)
+	for _, workers := range []int{1, 2, 3, 4, 0} { // 0 = GOMAXPROCS
+		pool := NewCPUEngine(cfg.Params, edb, workers)
 		ir, err := pool.SearchAndIndex(q)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -84,37 +87,12 @@ func TestPoolEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestShardedEngineMatchesSerial(t *testing.T) {
-	cfg, edb, q, serial := engineFixture(t)
-	for _, spec := range []EngineSpec{
-		{Kind: EngineSerial, Shards: 2},
-		{Kind: EngineSerial, Shards: 3},
-		{Kind: EngineSerial, Shards: 16}, // clamped to the chunk count
-		{Kind: EnginePool, Workers: 2, Shards: 2},
-	} {
-		eng, err := NewEngine(cfg.Params, edb, spec)
-		if err != nil {
-			t.Fatalf("%v: %v", spec, err)
-		}
-		ir, err := eng.SearchAndIndex(q)
-		if err != nil {
-			t.Fatalf("%s: %v", eng.Describe(), err)
-		}
-		assertSameResult(t, eng.Describe(), ir, serial)
-		if c, ok := eng.(*ShardedEngine); ok {
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // TestPoolEngineConcurrentSearches drives one persistent pool from many
 // goroutines at once — the proto server's per-database concurrency —
 // and is the -race target for the worker pool.
 func TestPoolEngineConcurrentSearches(t *testing.T) {
 	cfg, edb, q, serial := engineFixture(t)
-	pool := NewPoolEngine(cfg.Params, edb, 4)
+	pool := NewCPUEngine(cfg.Params, edb, 4)
 	defer pool.Close() //nolint:errcheck
 	const callers = 8
 	var wg sync.WaitGroup
@@ -146,26 +124,36 @@ func TestEngineValidation(t *testing.T) {
 	edb, _ := client.EncryptDatabase(db, 1024)
 	q, _ := client.PrepareQuery([]byte{0x11, 0x22}, 16, 1024) // no tokens
 	for _, eng := range []Engine{
-		NewSerialEngine(cfg.Params, edb),
-		NewPoolEngine(cfg.Params, edb, 2),
+		NewCPUEngine(cfg.Params, edb, 1),
+		NewCPUEngine(cfg.Params, edb, 2),
 	} {
 		if _, err := eng.SearchAndIndex(q); err == nil {
 			t.Errorf("%s: accepted tokenless query", eng.Describe())
 		}
+		eng.Close()
 	}
 }
 
+// TestPoolEngineClosedRejectsSearches: for every worker count — inline
+// and pooled — Close is idempotent and any later search, single or
+// batched, fails.
 func TestPoolEngineClosedRejectsSearches(t *testing.T) {
 	cfg, edb, q, _ := engineFixture(t)
-	pool := NewPoolEngine(cfg.Params, edb, 2)
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := pool.SearchAndIndex(q); err == nil {
-		t.Fatal("closed pool accepted a search")
+	bq := NewBatchQuery(q, q)
+	for _, workers := range []int{1, 2, 4} {
+		eng := NewCPUEngine(cfg.Params, edb, workers)
+		for i := 0; i < 2; i++ { // idempotent
+			if err := eng.Close(); err != nil {
+				t.Fatalf("workers=%d: close %d: %v", workers, i, err)
+			}
+		}
+		if ir, err := eng.SearchAndIndex(q); err == nil {
+			ir.Release()
+			t.Fatalf("workers=%d: closed engine accepted a search", workers)
+		}
+		if _, err := eng.SearchAndIndexBatch(bq); err == nil {
+			t.Fatalf("workers=%d: closed engine accepted a batch", workers)
+		}
 	}
 }
 
@@ -196,7 +184,7 @@ func TestEncryptedDBArena(t *testing.T) {
 	if loose.Compacted() {
 		t.Fatal("cloned chunks must not report compacted")
 	}
-	ir, err := NewSerialEngine(cfg.Params, loose).SearchAndIndex(q)
+	ir, err := NewCPUEngine(cfg.Params, loose, 1).SearchAndIndex(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +213,126 @@ func TestNewEngineSpec(t *testing.T) {
 	if eng.Describe() != EngineSerial {
 		t.Errorf("zero spec built %q, want serial", eng.Describe())
 	}
-	if got := (EngineSpec{Kind: EnginePool, Workers: 8, Shards: 2}).String(); got != "pool:8/shards=2" {
+	if got := (EngineSpec{Kind: EnginePool, Workers: 8}).String(); got != "pool:8" {
 		t.Errorf("spec string = %q", got)
+	}
+}
+
+// settledGoroutines waits until the goroutine count stops changing —
+// earlier tests' workers may still be unwinding after their Close — and
+// returns it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// TestCPUEngineOneWorkerRunsInline pins the scheduler's two modes: with
+// one worker (the "serial" and "pool:1" specs) construction and a search
+// start no goroutine, while a four-worker pool's goroutines are gone
+// after Close. (Close semantics per worker count:
+// TestPoolEngineClosedRejectsSearches.)
+func TestCPUEngineOneWorkerRunsInline(t *testing.T) {
+	cfg, edb, q, serial := engineFixture(t)
+	defer serial.Release()
+	bq := NewBatchQuery(q, q)
+
+	for _, spec := range []EngineSpec{{Kind: EngineSerial}, {Kind: EnginePool, Workers: 1}} {
+		before := settledGoroutines()
+		eng, err := NewEngine(cfg.Params, edb, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ir, err := eng.SearchAndIndex(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, spec.String(), ir, serial)
+		ir.Release()
+		irs, err := eng.SearchAndIndexBatch(bq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ir := range irs {
+			ir.Release()
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%s: %d goroutines before, %d after construction and search", spec, before, after)
+		}
+		if got := eng.Describe(); got != EngineSerial {
+			t.Errorf("%s: Describe() = %q, want %q", spec, got, EngineSerial)
+		}
+	}
+
+	before := settledGoroutines()
+	pool := NewCPUEngine(cfg.Params, edb, 4)
+	if got := runtime.NumGoroutine(); got < before+4 {
+		t.Fatalf("pool:4 runs %d goroutines, want at least %d", got, before+4)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := settledGoroutines(); after != before {
+		t.Fatalf("pool:4: %d goroutines after Close, baseline %d", after, before)
+	}
+}
+
+// TestCPUEngineCloseDuringSearches interleaves Close with concurrent
+// single and batched searches: every search either completes with the
+// serial result or fails because the engine closed — none hangs or
+// panics on a closed queue. Run under -race it checks the scheduler's
+// enqueue/close synchronisation on both the inline and the pool path.
+func TestCPUEngineCloseDuringSearches(t *testing.T) {
+	cfg, edb, q, serial := engineFixture(t)
+	defer serial.Release()
+	bq := NewBatchQuery(q, q)
+	for _, workers := range []int{1, 4} {
+		eng := NewCPUEngine(cfg.Params, edb, workers)
+		const callers = 8
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(batch bool) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < 20; k++ {
+					var irs []*IndexResult
+					var err error
+					if batch {
+						irs, err = eng.SearchAndIndexBatch(bq)
+					} else {
+						var ir *IndexResult
+						ir, err = eng.SearchAndIndex(q)
+						irs = []*IndexResult{ir}
+					}
+					if errors.Is(err, errEngineClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("workers=%d: %v", workers, err)
+						return
+					}
+					for _, ir := range irs {
+						if !intsEqual(ir.Candidates, serial.Candidates) {
+							t.Errorf("workers=%d: candidates %v, serial %v", workers, ir.Candidates, serial.Candidates)
+						}
+						ir.Release()
+					}
+				}
+			}(i%2 == 1)
+		}
+		close(start)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
 }

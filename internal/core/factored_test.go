@@ -43,7 +43,7 @@ func TestSearchSingleArenaPass(t *testing.T) {
 	if len(q.Residues) < 2 {
 		t.Fatalf("fixture has %d residues; need >1 for the invariant to bite", len(q.Residues))
 	}
-	eng := NewSerialEngine(cfg.Params, edb)
+	eng := NewCPUEngine(cfg.Params, edb, 1)
 	ir, err := eng.SearchAndIndex(q)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestBatchSharedPlaneSingleArenaPass(t *testing.T) {
 			t.Fatalf("member %d DBTok not deduplicated", mi)
 		}
 	}
-	eng := NewSerialEngine(cfg.Params, edb)
+	eng := NewCPUEngine(cfg.Params, edb, 1)
 	irs, err := eng.SearchAndIndexBatch(bq)
 	if err != nil {
 		t.Fatal(err)

@@ -48,11 +48,11 @@ type Server struct {
 // NewServer creates a server over an encrypted database with the serial
 // CPU engine.
 func NewServer(params bfv.Params, db *EncryptedDB) *Server {
-	return NewServerWithEngine(params, db, NewSerialEngine(params, db))
+	return NewServerWithEngine(params, db, NewCPUEngine(params, db, 1))
 }
 
 // NewServerWithEngine creates a server whose SearchAndIndex executes on
-// the given engine (serial, pool, sharded, or the in-flash simulator).
+// the given engine (the CPU engine or the in-flash simulator).
 // The engine must have been built over the same database.
 func NewServerWithEngine(params bfv.Params, db *EncryptedDB, e Engine) *Server {
 	return &Server{params: params, ev: bfv.NewEvaluator(params), ring: params.Ring(), db: db, engine: e}
@@ -131,12 +131,11 @@ func (s *Server) SearchAndIndex(q *Query) (*IndexResult, error) {
 }
 
 // SearchAndIndexBatch runs every member of bq through the server's
-// engine in one batched pass where the engine supports it (sequentially
-// otherwise), returning one IndexResult per member in member order.
+// engine, returning one IndexResult per member in member order.
 //
 //cm:pooled
 func (s *Server) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error) {
-	return SearchBatch(s.engine, bq)
+	return s.engine.SearchAndIndexBatch(bq)
 }
 
 func (s *Server) checkQuery(q *Query) error {

@@ -32,16 +32,17 @@ var conformanceVectors = []conformanceVector{
 }
 
 // conformanceSpecs lists every engine configuration under test: the
-// three substrates of the paper (CPU serial, CPU parallel, in-flash)
-// plus their chunk-range sharded compositions.
+// CPU engine inline (serial, pool:1) and over pools of several sizes
+// (pool = GOMAXPROCS), and the in-flash simulator. On the 3-chunk
+// chunk-boundary vector pool:4 runs one chunk per job, so occurrences
+// spanning a job boundary are exercised.
 var conformanceSpecs = []core.EngineSpec{
 	{Kind: core.EngineSerial},
 	{Kind: core.EnginePool, Workers: 1},
+	{Kind: core.EnginePool, Workers: 2},
 	{Kind: core.EnginePool, Workers: 4},
-	{Kind: core.EngineSerial, Shards: 2},
-	{Kind: core.EnginePool, Workers: 2, Shards: 3},
+	{Kind: core.EnginePool},
 	{Kind: core.EngineSSD},
-	{Kind: core.EngineSSD, Shards: 2},
 }
 
 // TestEngineConformance proves the tentpole property: every engine
@@ -116,10 +117,8 @@ func TestEngineConformance(t *testing.T) {
 						}
 					}
 				}
-				if closer, ok := eng.(interface{ Close() error }); ok {
-					if err := closer.Close(); err != nil {
-						t.Fatalf("%s: close: %v", label, err)
-					}
+				if err := eng.Close(); err != nil {
+					t.Fatalf("%s: close: %v", label, err)
 				}
 			}
 		})
@@ -127,12 +126,11 @@ func TestEngineConformance(t *testing.T) {
 }
 
 // TestEngineBatchConformance proves the batch pipeline's correctness
-// contract on every engine configuration: SearchAndIndexBatch (or the
-// sequential fallback SearchBatch dispatches to) returns bitmaps and
-// candidates identical to per-member SearchAndIndex calls on the same
-// engine. The batch mixes member lengths (all members share one DBTok
+// contract on every engine configuration: SearchAndIndexBatch returns
+// bitmaps and candidates identical to per-member SearchAndIndex calls
+// on the same engine. The batch mixes member lengths (all members share one DBTok
 // plane) and includes a duplicate of member 0 prepared separately, so
-// token dedup across members is exercised, and the serial engine must
+// token dedup across members is exercised, and the CPU engine must
 // demonstrably save homomorphic additions from it.
 func TestEngineBatchConformance(t *testing.T) {
 	v := conformanceVectors[1] // chunk-boundary: multi-chunk database
@@ -172,7 +170,7 @@ func TestEngineBatchConformance(t *testing.T) {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		label := fmt.Sprintf("%s (%s)", spec, eng.Describe())
-		irs, err := core.SearchBatch(eng, bq)
+		irs, err := eng.SearchAndIndexBatch(bq)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", label, err)
 		}
@@ -203,15 +201,13 @@ func TestEngineBatchConformance(t *testing.T) {
 			batchAdds += got.Stats.HomAdds
 			seqAdds += want.Stats.HomAdds
 		}
-		// Member 2 duplicates member 0, so batched CPU engines must do
-		// strictly less homomorphic work than the sequential runs.
-		if _, native := eng.(core.BatchSearcher); native && spec.Kind != core.EngineSSD && batchAdds >= seqAdds {
+		// Member 2 duplicates member 0, so the CPU engine's batch pass
+		// must do strictly less homomorphic work than the sequential runs.
+		if spec.Kind != core.EngineSSD && batchAdds >= seqAdds {
 			t.Fatalf("%s: batch did %d HomAdds, sequential %d — token dedup saved nothing", label, batchAdds, seqAdds)
 		}
-		if closer, ok := eng.(interface{ Close() error }); ok {
-			if err := closer.Close(); err != nil {
-				t.Fatalf("%s: close: %v", label, err)
-			}
+		if err := eng.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
 		}
 	}
 }
@@ -273,10 +269,8 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 				t.Fatalf("%s: residue %d bitmap differs from client-decrypt ExtractHits", label, res)
 			}
 		}
-		if closer, ok := eng.(interface{ Close() error }); ok {
-			if err := closer.Close(); err != nil {
-				t.Fatalf("%s: close: %v", label, err)
-			}
+		if err := eng.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
 		}
 	}
 }
@@ -318,6 +312,9 @@ func TestEngineStatsAccumulate(t *testing.T) {
 		if got, want := eng.Stats().HomAdds, 2*ir.Stats.HomAdds; got != want {
 			t.Errorf("%s: cumulative HomAdds = %d, want %d", eng.Describe(), got, want)
 		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -332,13 +329,13 @@ func TestParse(t *testing.T) {
 		{"pool", core.EngineSpec{Kind: "pool"}, true},
 		{"pool:8", core.EngineSpec{Kind: "pool", Workers: 8}, true},
 		{"ssd", core.EngineSpec{Kind: "ssd"}, true},
-		{"ssd/shards=4", core.EngineSpec{Kind: "ssd", Shards: 4}, true},
-		{"pool:2/shards=3", core.EngineSpec{Kind: "pool", Workers: 2, Shards: 3}, true},
 		{"warp", core.EngineSpec{}, false},
 		{"serial:4", core.EngineSpec{}, false},
 		{"pool:x", core.EngineSpec{}, false},
-		{"pool/shards=0", core.EngineSpec{}, false},
-		{"pool/shard=2", core.EngineSpec{}, false},
+		{"pool:0", core.EngineSpec{}, false},
+		{"ssd:2", core.EngineSpec{}, false},
+		{"ssd/shards=4", core.EngineSpec{}, false},
+		{"pool:2/shards=3", core.EngineSpec{}, false},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -351,7 +348,7 @@ func TestParse(t *testing.T) {
 		}
 	}
 	// Round trip through the spec's String form.
-	for _, s := range []string{"serial", "pool:8", "ssd/shards=4", "pool:2/shards=3"} {
+	for _, s := range []string{"serial", "pool", "pool:8", "ssd"} {
 		spec, err := Parse(s)
 		if err != nil {
 			t.Fatal(err)

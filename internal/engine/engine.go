@@ -24,19 +24,12 @@ func Build(params bfv.Params, db *core.EncryptedDB, spec core.EngineSpec) (core.
 }
 
 // BuildWith is Build with an explicit drive configuration for the SSD
-// kind. With Shards > 1, each chunk-range shard gets its own engine of
-// the selected kind — for "ssd", one simulated drive per shard.
+// kind.
 func BuildWith(params bfv.Params, db *core.EncryptedDB, spec core.EngineSpec, driveCfg ssd.Config, kind ssd.TranspositionKind) (core.Engine, error) {
 	if spec.Kind != core.EngineSSD {
 		return core.NewEngine(params, db, spec)
 	}
-	factory := func(_ int, sub *core.EncryptedDB) (core.Engine, error) {
-		return ssd.NewEngineForDB(driveCfg, params, kind, sub)
-	}
-	if spec.Shards > 1 {
-		return core.NewShardedEngine(params, db, spec.Shards, factory)
-	}
-	return factory(0, db)
+	return ssd.NewEngineForDB(driveCfg, params, kind, db)
 }
 
 // Kinds lists the engine kinds Build accepts, for CLI usage strings.
@@ -44,26 +37,14 @@ func Kinds() []string {
 	return []string{core.EngineSerial, core.EnginePool, core.EngineSSD}
 }
 
-// Parse reads a spec of the form "kind[:workers][/shards=N]", e.g.
-// "serial", "pool:8", "ssd/shards=4". The empty string is the serial
-// engine. This is the inverse of core.EngineSpec.String.
+// Parse reads a spec of the form "kind[:workers]", e.g. "serial",
+// "pool" or "pool:8". The empty string is the serial engine. This is
+// the inverse of core.EngineSpec.String.
 func Parse(s string) (core.EngineSpec, error) {
 	var spec core.EngineSpec
 	rest := strings.TrimSpace(s)
 	if rest == "" {
 		return spec, nil
-	}
-	if base, shards, ok := strings.Cut(rest, "/"); ok {
-		val, found := strings.CutPrefix(shards, "shards=")
-		if !found {
-			return spec, fmt.Errorf("engine: bad spec %q: expected /shards=N", s)
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 1 {
-			return spec, fmt.Errorf("engine: bad shard count %q", val)
-		}
-		spec.Shards = n
-		rest = base
 	}
 	if kind, workers, ok := strings.Cut(rest, ":"); ok {
 		n, err := strconv.Atoi(workers)

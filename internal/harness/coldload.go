@@ -105,7 +105,7 @@ func RunColdLoadBench(specs []string) ([]ColdLoadResult, error) {
 			}
 		})
 		res.WarmSearchNsPerOp = float64(warm.T.Nanoseconds()) / float64(warm.N)
-		closeEngine(eng)
+		eng.Close()
 		seg.Close()
 
 		cold := testing.Benchmark(func(b *testing.B) {
@@ -114,7 +114,7 @@ func RunColdLoadBench(specs []string) ([]ColdLoadResult, error) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				closeEngine(eng)
+				eng.Close()
 				seg.Close()
 			}
 		})
@@ -122,10 +122,4 @@ func RunColdLoadBench(specs []string) ([]ColdLoadResult, error) {
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-func closeEngine(eng core.Engine) {
-	if c, ok := eng.(interface{ Close() error }); ok {
-		_ = c.Close()
-	}
 }

@@ -72,7 +72,7 @@ type EngineBenchReport struct {
 
 // DefaultEngineBenchSpecs mirrors the BenchmarkEngine sub-benchmarks.
 func DefaultEngineBenchSpecs() []string {
-	return []string{"serial", "pool", "ssd", "pool/shards=2"}
+	return []string{"serial", "pool", "ssd"}
 }
 
 // EngineBenchWorkload describes the standard fixture in the report.
@@ -195,9 +195,7 @@ func runEngineSpecs(cfg core.Config, db *core.EncryptedDB, q *core.Query, specs 
 			out.HomAddsPerSec = float64(warm.Stats.HomAdds) / (nsPerOp / 1e9)
 		}
 		results = append(results, out)
-		if closer, ok := eng.(interface{ Close() error }); ok {
-			_ = closer.Close()
-		}
+		_ = eng.Close()
 	}
 	return results, nil
 }

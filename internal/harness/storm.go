@@ -404,7 +404,7 @@ func NewStormTenant(p bfv.Params, name, seed string, dbBytes int) (*core.Encrypt
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := core.NewSerialEngine(p, db)
+	eng := core.NewCPUEngine(p, db, 1)
 	tgt := &StormTarget{DB: name}
 	for _, pat := range pats {
 		query, err := client.PrepareQuery(pat, 32, dbBytes*8)

@@ -35,7 +35,7 @@ func RunTraceOverheadBench() (*TraceOverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := core.NewSerialEngine(cfg.Params, db)
+	eng := core.NewCPUEngine(cfg.Params, db, 1)
 	search := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ir, err := eng.SearchAndIndex(q)

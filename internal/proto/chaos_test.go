@@ -455,8 +455,12 @@ type panicEngine struct{}
 func (panicEngine) SearchAndIndex(*core.Query) (*core.IndexResult, error) {
 	panic("chaos: injected engine panic")
 }
+func (panicEngine) SearchAndIndexBatch(*core.BatchQuery) ([]*core.IndexResult, error) {
+	panic("chaos: injected engine panic")
+}
 func (panicEngine) Stats() core.Stats { return core.Stats{} }
 func (panicEngine) Describe() string  { return "panic" }
+func (panicEngine) Close() error      { return nil }
 
 // plantPanicDB registers a database whose engine panics on every search.
 func plantPanicDB(st *Store, name string) {

@@ -45,7 +45,7 @@ func newCoalesceFixture(t *testing.T, p bfv.Params, name string) *coalesceFixtur
 	if fx.db, err = client.EncryptDatabase(data, dbBytes*8); err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewSerialEngine(p, fx.db)
+	eng := core.NewCPUEngine(p, fx.db, 1)
 	add := func(label string, q *core.Query) {
 		ir, err := eng.SearchAndIndex(q)
 		if err != nil {

@@ -46,7 +46,7 @@ func newTenant(t *testing.T, p bfv.Params, name string, spec core.EngineSpec, db
 	if tn.q, err = client.PrepareQuery(tn.query, 32, dbBytes*8); err != nil {
 		t.Fatal(err)
 	}
-	ir, err := core.NewSerialEngine(p, tn.db).SearchAndIndex(tn.q)
+	ir, err := core.NewCPUEngine(p, tn.db, 1).SearchAndIndex(tn.q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +194,11 @@ func TestStoreLifecycle(t *testing.T) {
 	if err := conn.UploadDB("docs", core.EngineSpec{Kind: core.EnginePool, Workers: 1 << 30}, tn.db); err == nil {
 		t.Fatal("absurd wire-supplied worker count accepted")
 	}
-	if err := conn.UploadDB("docs", core.EngineSpec{Kind: core.EngineSerial, Shards: 1 << 30}, tn.db); err == nil {
-		t.Fatal("absurd wire-supplied shard count accepted")
+	if err := conn.UploadDB("docs", core.EngineSpec{Kind: core.EnginePool, Workers: MaxUploadWorkers + 1}, tn.db); err == nil {
+		t.Fatal("worker count one over the limit accepted")
 	}
-	// Individually-legal workers and shards whose product is absurd.
-	if err := conn.UploadDB("docs", core.EngineSpec{Kind: core.EnginePool, Workers: 32, Shards: 64}, tn.db); err == nil {
-		t.Fatal("workers x shards product over the limit accepted")
+	if err := conn.UploadDB("docs", core.EngineSpec{Kind: core.EnginePool, Workers: -1}, tn.db); err == nil {
+		t.Fatal("negative wire-supplied worker count accepted")
 	}
 
 	if err := conn.UploadDB("docs", core.EngineSpec{}, tn.db); err != nil {
@@ -217,11 +216,11 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 
 	// Replacing a database swaps its engine atomically.
-	if err := conn.UploadDB("docs", core.EngineSpec{Kind: core.EngineSerial, Shards: 2}, tn.db); err != nil {
+	if err := conn.UploadDB("docs", core.EngineSpec{Kind: core.EnginePool, Workers: 3}, tn.db); err != nil {
 		t.Fatal(err)
 	}
 	infos, _ = conn.ListDBs()
-	if len(infos) != 1 || !strings.Contains(infos[0].Engine, "sharded") {
+	if len(infos) != 1 || infos[0].Engine != "pool(3 workers)" {
 		t.Fatalf("replacement engine not applied: %+v", infos)
 	}
 
@@ -269,7 +268,7 @@ func TestStoreCapacity(t *testing.T) {
 func TestUploadEnvelopeRoundtrip(t *testing.T) {
 	p := bfv.ParamsToy()
 	tn := newTenant(t, p, "env", core.EngineSpec{}, 64, 40)
-	spec := core.EngineSpec{Kind: core.EnginePool, Workers: 4, Shards: 2}
+	spec := core.EngineSpec{Kind: core.EnginePool, Workers: 4}
 	name, gotSpec, db, err := DecodeUploadDB(EncodeUploadDB("alpha", spec, tn.db, p), p)
 	if err != nil {
 		t.Fatal(err)
@@ -294,6 +293,57 @@ func TestUploadEnvelopeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestOldClientShardWordIgnored: the upload spec's third word once
+// carried a chunk-range shard count and is now reserved. An upload
+// built the old way — shard word 2, or an absurd 1<<30 — must be
+// accepted over a real socket with the word ignored (it sizes nothing),
+// and searches must return the serial engine's result.
+func TestOldClientShardWordIgnored(t *testing.T) {
+	p := bfv.ParamsToy()
+	tn := newTenant(t, p, "legacy", core.EngineSpec{}, 320, 1504)
+	srv := NewServer(p)
+	addr := startServer(t, srv)
+	conn, err := Dial(addr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, shards := range []int{2, 1 << 30} {
+		for _, kind := range []string{core.EngineSerial, core.EnginePool} {
+			name := fmt.Sprintf("legacy-%s-%d", kind, shards)
+			var b buffer
+			b.putString(name)
+			b.putString(kind)
+			b.putInt(0) // workers
+			b.putInt(shards)
+			b.data = append(b.data, EncodeDB(tn.db, p)...)
+			reply, body, err := conn.roundTrip(MsgUploadDB, b.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := expectAck(reply, body); err != nil {
+				t.Fatalf("%s: old-client upload refused: %v", name, err)
+			}
+			got, err := conn.Search(name, tn.q)
+			if err != nil {
+				t.Fatalf("%s: search: %v", name, err)
+			}
+			if !slices.Equal(got, tn.expect) {
+				t.Fatalf("%s: candidates %v, serial engine %v", name, got, tn.expect)
+			}
+		}
+	}
+	infos, err := conn.ListDBs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range infos {
+		if strings.HasPrefix(in.Name, "legacy-serial-") && in.Engine != core.EngineSerial {
+			t.Errorf("%s: engine %q, want %q", in.Name, in.Engine, core.EngineSerial)
+		}
+	}
+}
+
 // TestZeroAlignBitsRejected: AlignBits travels in the query header and
 // candidate generation steps by it, so a zero must be refused before
 // any engine runs — the per-offset loop it once fed never advanced and
@@ -306,7 +356,7 @@ func TestZeroAlignBitsRejected(t *testing.T) {
 	specs := []core.EngineSpec{
 		{Kind: core.EngineSerial},
 		{Kind: core.EnginePool, Workers: 2},
-		{Kind: core.EngineSerial, Shards: 2},
+		{Kind: core.EnginePool, Workers: 4},
 		{Kind: core.EngineSSD},
 	}
 	srv := NewServer(p)

@@ -88,7 +88,7 @@ func TestStoreRestartRecovery(t *testing.T) {
 	tenants := []*durableTenant{
 		newDurableTenant(t, p, "serial-db", core.EngineSpec{Kind: core.EngineSerial}, 192, 200),
 		newDurableTenant(t, p, "pool-db", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 256, 968),
-		newDurableTenant(t, p, "sharded-db", core.EngineSpec{Kind: core.EngineSerial, Shards: 2}, 320, 1504),
+		newDurableTenant(t, p, "pool2-db", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 320, 1504),
 		newDurableTenant(t, p, "ssd-db", core.EngineSpec{Kind: core.EngineSSD}, 192, 640),
 	}
 

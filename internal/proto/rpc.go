@@ -19,7 +19,7 @@ import (
 
 // Server is the network-facing CIPHERMATCH service: a multi-tenant
 // store of named encrypted databases, each behind its own execution
-// engine (serial, pool, sharded, or the in-flash simulator). It never
+// engine (serial, pool, or the in-flash simulator). It never
 // holds key material; in ModeSeededMatch it only learns the hit
 // patterns it returns. Connections are served concurrently and searches
 // only take per-database read locks, so tenants never serialise on each

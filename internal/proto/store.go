@@ -3,7 +3,6 @@ package proto
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -281,32 +280,20 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 	}
 	// Bound wire-supplied resources: the CLI path validates specs via
 	// engine.Parse, but a remote peer writes the spec fields directly and
-	// must not be able to request unbounded goroutines or shards. The
-	// worker bound applies to the product workers × shards (a pool per
-	// shard), counting the GOMAXPROCS default for unspecified workers.
-	if spec.Shards < 0 || spec.Shards > MaxUploadShards {
-		return fmt.Errorf("proto: shard count %d out of range [0, %d]", spec.Shards, MaxUploadShards)
-	}
+	// must not be able to request unbounded goroutines. The bound counts
+	// the GOMAXPROCS default for unspecified workers.
 	workers := spec.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := spec.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if spec.Workers < 0 || workers*shards > MaxUploadWorkers {
-		return fmt.Errorf("proto: %d workers x %d shards exceeds the server limit of %d total workers",
-			workers, shards, MaxUploadWorkers)
+	if spec.Workers < 0 || workers > MaxUploadWorkers {
+		return fmt.Errorf("proto: %d workers out of range [1, %d]", workers, MaxUploadWorkers)
 	}
 	if spec.Kind == "" {
-		workers, shards := spec.Workers, spec.Shards
+		workers := spec.Workers
 		spec = st.defaultSpec
 		if workers > 0 {
 			spec.Workers = workers
-		}
-		if shards > 0 {
-			spec.Shards = shards
 		}
 	}
 	edb.Compact() // contiguous arena: what the kernels stream and the segment writer bulk-copies
@@ -343,7 +330,7 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 	n := len(st.dbs)
 	st.mu.RUnlock()
 	if full {
-		st.closeEngine(eng)
+		_ = eng.Close()
 		return fmt.Errorf("proto: store holds %d databases (limit %d); drop one first", n, MaxStoredDBs)
 	}
 	if st.dir != nil {
@@ -363,7 +350,7 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 			// skew and existing tenants keep serving. On a full disk the
 			// store effectively degrades to read-only.
 			st.met.uploadsFailed.Inc()
-			st.closeEngine(eng)
+			_ = eng.Close()
 			return fmt.Errorf("proto: persisting %q: %w", name, err)
 		}
 		entry.persisted = true
@@ -384,12 +371,6 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 	return nil
 }
 
-func (st *Store) closeEngine(eng core.Engine) {
-	if c, ok := eng.(io.Closer); ok {
-		_ = c.Close()
-	}
-}
-
 // retire waits for in-flight searches, closes the engine, and releases
 // the arena (unmapping it when segment-backed). The entry is dead
 // afterwards.
@@ -404,7 +385,7 @@ func (st *Store) retire(d *hostedDB) {
 // mapping — and the accounting for it. Caller holds d.mu.
 func (st *Store) unloadLocked(d *hostedDB) {
 	if d.engine != nil {
-		st.closeEngine(d.engine)
+		_ = d.engine.Close()
 		d.engine = nil
 	}
 	d.db = nil
@@ -683,8 +664,8 @@ func (st *Store) Search(name string, q *core.Query) (*core.IndexResult, error) {
 }
 
 // SearchBatch runs a batch of queries against the named database under
-// its read lock, through the engine's batched pass where it has one.
-// Each member counts as one search in the listing stats.
+// its read lock, through the engine's batch entry point. Each member
+// counts as one search in the listing stats.
 //
 //cm:pooled
 func (st *Store) SearchBatch(name string, bq *core.BatchQuery) ([]*core.IndexResult, error) {
@@ -692,7 +673,7 @@ func (st *Store) SearchBatch(name string, bq *core.BatchQuery) ([]*core.IndexRes
 	err := st.withEngine(name, func(d *hostedDB, eng core.Engine) error {
 		d.searches.Add(int64(len(bq.Queries)))
 		var err error
-		irs, err = core.SearchBatch(eng, bq)
+		irs, err = eng.SearchAndIndexBatch(bq)
 		return err
 	})
 	return irs, err

@@ -82,14 +82,11 @@ var errShortPayload = fmt.Errorf("%w: payload short read", ErrConnTruncated)
 const MaxNameLen = 255
 
 // Bounds on what a remote upload may request: a forged spec must not
-// spawn unbounded goroutines or simulated drives server-side, and the
-// store must not grow without limit. MaxUploadWorkers bounds the
-// *total* worker count (workers × shards, with 0 workers counted as
-// GOMAXPROCS); MaxUploadShards bounds per-database engines (each SSD
-// shard is a full simulated drive); MaxStoredDBs bounds the namespace.
+// spawn unbounded goroutines server-side, and the store must not grow
+// without limit. MaxUploadWorkers bounds a database's worker count (0
+// workers counted as GOMAXPROCS); MaxStoredDBs bounds the namespace.
 const (
 	MaxUploadWorkers = 1024
-	MaxUploadShards  = 64
 	MaxStoredDBs     = 64
 )
 
@@ -500,18 +497,21 @@ func DecodeQuery(data []byte, p bfv.Params) (*core.Query, error) {
 
 // EncodeUploadDB frames a named database upload: the target name, the
 // requested engine spec (empty kind = server default), then the
-// database itself.
+// database itself. The spec's third word is reserved: it once carried
+// a chunk-range shard count, is written as 0, and is ignored on decode.
 func EncodeUploadDB(name string, spec core.EngineSpec, db *core.EncryptedDB, p bfv.Params) []byte {
 	var b buffer
 	b.putString(name)
 	b.putString(spec.Kind)
 	b.putInt(spec.Workers)
-	b.putInt(spec.Shards)
+	b.putInt(0) // reserved
 	b.data = append(b.data, EncodeDB(db, p)...)
 	return b.data
 }
 
-// DecodeUploadDB is the inverse of EncodeUploadDB.
+// DecodeUploadDB is the inverse of EncodeUploadDB. The reserved spec
+// word is read and discarded, so an older client's non-zero value never
+// sizes anything.
 func DecodeUploadDB(data []byte, p bfv.Params) (string, core.EngineSpec, *core.EncryptedDB, error) {
 	b := buffer{data: data}
 	var spec core.EngineSpec
@@ -525,7 +525,7 @@ func DecodeUploadDB(data []byte, p bfv.Params) (string, core.EngineSpec, *core.E
 	if spec.Workers, err = b.int(); err != nil {
 		return "", spec, nil, err
 	}
-	if spec.Shards, err = b.int(); err != nil {
+	if _, err = b.int(); err != nil { // reserved
 		return "", spec, nil, err
 	}
 	db, err := DecodeDB(data[b.off:], p)

@@ -76,7 +76,6 @@ type manifestEntry struct {
 	NumSegments int    `json:"num_segments"`
 	EngineKind  string `json:"engine_kind,omitempty"`
 	Workers     int    `json:"engine_workers,omitempty"`
-	Shards      int    `json:"engine_shards,omitempty"`
 }
 
 // OpenDir opens (creating if needed) a data directory: it scans every
@@ -233,7 +232,6 @@ func (d *Dir) writeManifest() error {
 			NumSegments: e.Meta.NumSegments,
 			EngineKind:  e.Meta.Spec.Kind,
 			Workers:     e.Meta.Spec.Workers,
-			Shards:      e.Meta.Spec.Shards,
 		})
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")

@@ -20,7 +20,7 @@
 //	    48     8  segment (16-bit coefficient) count
 //	    56     4  name length (<= 255)
 //	    60     4  engine workers
-//	    64     4  engine shards
+//	    64     4  reserved (was engine shards; written 0, ignored)
 //	    68    16  engine kind, NUL-padded
 //	    84    44  reserved (zero)
 //	   128     -  database name, zero-padded to an 8-byte multiple
@@ -147,7 +147,8 @@ func encodeHeader(m Meta) []byte {
 	binary.LittleEndian.PutUint64(buf[48:], uint64(m.NumSegments))
 	binary.LittleEndian.PutUint32(buf[56:], uint32(len(m.Name)))
 	binary.LittleEndian.PutUint32(buf[60:], uint32(m.Spec.Workers))
-	binary.LittleEndian.PutUint32(buf[64:], uint32(m.Spec.Shards))
+	// buf[64:68] stays zero: reserved. Segments written while it held a
+	// shard count still load, their header CRC covering the old bytes.
 	copy(buf[68:68+maxKindLen], m.Spec.Kind)
 	copy(buf[headerLen:], m.Name)
 	return buf
@@ -205,7 +206,6 @@ func decodeHeader(buf []byte) (Meta, int, error) {
 	m.Spec = core.EngineSpec{
 		Kind:    string(kind[:kindEnd]),
 		Workers: int(binary.LittleEndian.Uint32(buf[60:])),
-		Shards:  int(binary.LittleEndian.Uint32(buf[64:])),
 	}
 	return m, int(nameLen), nil
 }

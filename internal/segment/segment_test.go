@@ -1,7 +1,9 @@
 package segment
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,7 +55,7 @@ func writeFixture(tb testing.TB, dir, name string, dbBytes int, spec core.Engine
 
 func TestSegmentRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	spec := core.EngineSpec{Kind: core.EnginePool, Workers: 3, Shards: 2}
+	spec := core.EngineSpec{Kind: core.EnginePool, Workers: 3}
 	path, p, db := writeFixture(t, dir, "tenant/α", 160, spec)
 
 	s, err := Open(path, p.N, p.Q)
@@ -106,7 +108,7 @@ func TestSegmentSearchOverMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.NewSerialEngine(p, db).SearchAndIndex(q)
+	want, err := core.NewCPUEngine(p, db, 1).SearchAndIndex(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestSegmentSearchOverMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.NewSerialEngine(p, mdb).SearchAndIndex(q)
+	got, err := core.NewCPUEngine(p, mdb, 1).SearchAndIndex(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +137,53 @@ func TestSegmentSearchOverMapping(t *testing.T) {
 		if got.Candidates[i] != want.Candidates[i] {
 			t.Fatalf("segment-backed search found %v, heap %v", got.Candidates, want.Candidates)
 		}
+	}
+}
+
+// TestReservedShardWordIgnored: header offset 64 once held an engine
+// shard count. Writers now leave it zero; a segment written while it was
+// non-zero — its header CRC covering those bytes — must still load,
+// decoding to the spec's kind and workers alone.
+func TestReservedShardWordIgnored(t *testing.T) {
+	dir := t.TempDir()
+	spec := core.EngineSpec{Kind: core.EnginePool, Workers: 2}
+	path, p, db := writeFixture(t, dir, "legacy", 160, spec)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(raw[64:]); got != 0 {
+		t.Fatalf("reserved word written as %d, want 0", got)
+	}
+	// Rewrite it as an older writer would have, re-sealing the header
+	// CRC the footer stores.
+	binary.LittleEndian.PutUint32(raw[64:], 4)
+	planeOff := headerLen + pad8(len("legacy"))
+	crc := crc64.Checksum(raw[:planeOff], crcTable)
+	binary.LittleEndian.PutUint64(raw[len(raw)-footerLen+16:], crc)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	meta, err := ReadMeta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Spec != spec {
+		t.Fatalf("spec decoded as %+v, want %+v", meta.Spec, spec)
+	}
+	s, err := Open(path, p.N, p.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.DB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Chunks) != len(db.Chunks) || got.BitLen != db.BitLen {
+		t.Fatalf("legacy segment loaded %d chunks / %d bits, want %d / %d",
+			len(got.Chunks), got.BitLen, len(db.Chunks), db.BitLen)
 	}
 }
 

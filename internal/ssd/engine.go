@@ -12,8 +12,9 @@ import (
 // CM-search is drivable through the exact same API as the CPU engines —
 // the substrate interchangeability the paper argues for. A drive is one
 // physical device whose controller state (latches, stats) is mutated by
-// every command, so searches serialise on an internal mutex; scale-out
-// comes from putting one drive per shard under a core.ShardedEngine.
+// every command, so searches — batch members included — serialise on an
+// internal mutex. Multi-drive scale-out is modelled analytically
+// (internal/perfmodel, cmbench -exp), not by composing engines.
 type Engine struct {
 	drive *SSD
 
@@ -57,6 +58,36 @@ func (e *Engine) Drive() *SSD {
 func (e *Engine) SearchAndIndex(q *core.Query) (*core.IndexResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.searchLocked(q)
+}
+
+// SearchAndIndexBatch implements core.Engine: one drive executes one
+// command stream, so batch members run back to back under the drive
+// mutex exactly as separate searches would.
+//
+//cm:pooled
+func (e *Engine) SearchAndIndexBatch(bq *core.BatchQuery) ([]*core.IndexResult, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]*core.IndexResult, len(bq.Queries))
+	for i, q := range bq.Queries {
+		ir, err := e.searchLocked(q)
+		if err != nil {
+			for _, done := range out[:i] {
+				done.Release()
+			}
+			return nil, fmt.Errorf("ssd: batch member %d: %w", i, err)
+		}
+		out[i] = ir
+	}
+	return out, nil
+}
+
+// searchLocked runs one CM-search and folds its counts into the
+// cumulative stats; e.mu held.
+//
+//cm:pooled
+func (e *Engine) searchLocked(q *core.Query) (*core.IndexResult, error) {
 	ir, err := e.drive.CMSearch(q)
 	if err != nil {
 		return nil, err
@@ -67,19 +98,6 @@ func (e *Engine) SearchAndIndex(q *core.Query) (*core.IndexResult, error) {
 	e.cum.ChunkStreams += ir.Stats.ChunkStreams
 	return ir, nil
 }
-
-// SearchAndIndexBatch implements core.BatchSearcher via the generic
-// sequential fallback: one drive executes one command stream, so batch
-// members serialise on the controller exactly as separate searches
-// would. Batch-level parallelism across drives comes from sharding
-// (one drive per shard under core.ShardedEngine).
-//
-//cm:pooled
-func (e *Engine) SearchAndIndexBatch(bq *core.BatchQuery) ([]*core.IndexResult, error) {
-	return core.SearchAndIndexBatchSequential(e, bq)
-}
-
-var _ core.BatchSearcher = (*Engine)(nil)
 
 // Stats implements core.Engine.
 func (e *Engine) Stats() core.Stats {
@@ -96,3 +114,7 @@ func (e *Engine) Describe() string {
 	}
 	return fmt.Sprintf("ssd(%d planes, %s)", len(e.drive.planes), kind)
 }
+
+// Close implements core.Engine. A simulated drive holds no goroutines
+// or OS resources, so there is nothing to release.
+func (e *Engine) Close() error { return nil }

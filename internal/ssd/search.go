@@ -148,10 +148,8 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 		s.ctrl.IndexGenTime += s.cfg.IndexGenLatency
 		s.ctrl.IndexGenEnergy += s.cfg.Energy.IndexGenPerPage
 	}
-	if !q.HitsOnly {
-		ir.Candidates = core.Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
-		s.ctrl.HostBytesOut += int64(len(ir.Candidates) * core.CandidateWireBytes)
-	}
+	ir.Candidates = core.Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
+	s.ctrl.HostBytesOut += int64(len(ir.Candidates) * core.CandidateWireBytes)
 	ir.Stats.HomAdds = s.ctrl.HomAdds - startAdds
 	return ir, nil
 }
