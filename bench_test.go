@@ -285,12 +285,6 @@ func BenchmarkEndToEndSearchIFP(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine runs the standard fixed workload (4 KiB database,
-// 32-bit query, byte alignment, seeded-match mode — the same fixture
-// cmbench -json measures, see harness.NewEngineBenchFixture) through
-// every execution engine, so BENCH snapshots track the per-substrate
-// trajectory the way the paper compares CPU, PuM and flash on one
-// algorithm.
 // BenchmarkPrepareQuery measures client-side query preparation on the
 // standard engine-bench workload: the token builder derives EncryptC0
 // once per chunk plus once per phase (chunks+phases ring encryptions),
@@ -311,12 +305,19 @@ func BenchmarkPrepareQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkEngine runs the standard fixed workload (4 KiB database,
+// 32-bit query, byte alignment, seeded-match mode, see
+// harness.NewEngineBenchFixture) through every execution engine, the
+// way the paper compares CPU, PuM and flash on one algorithm. The
+// serving-scale numbers are bench/'s workloads; this is the in-process
+// per-search cost without wire or store.
 func BenchmarkEngine(b *testing.B) {
 	cfg, db, q, err := harness.NewEngineBenchFixture()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, specStr := range harness.DefaultEngineBenchSpecs() {
+	specs := []string{"serial", "pool", "ssd"}
+	for _, specStr := range specs {
 		b.Run(specStr, func(b *testing.B) {
 			benchEngineSpec(b, cfg, db, q, specStr)
 		})
@@ -328,7 +329,7 @@ func BenchmarkEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, specStr := range harness.DefaultEngineBenchSpecs() {
+	for _, specStr := range specs {
 		b.Run("large/"+specStr, func(b *testing.B) {
 			benchEngineSpec(b, lcfg, ldb, lq, specStr)
 		})
@@ -358,56 +359,6 @@ func benchEngineSpec(b *testing.B, cfg core.Config, db *core.EncryptedDB, q *cor
 	}
 	b.StopTimer()
 	_ = eng.Close()
-}
-
-// BenchmarkRingKernels is the in-tree twin of harness.RunKernelBench:
-// the fused compare kernels on the standard 64-chunk × n=1024 arena
-// workload under every dispatch path available on this machine,
-// reporting coefficients/sec. Force a path process-wide with
-// CM_KERNEL=generic|unrolled|avx2 instead when benchmarking engines.
-func BenchmarkRingKernels(b *testing.B) {
-	prev := ring.ActiveKernel()
-	defer ring.SetKernel(prev)
-	const chunks, n, R = 64, 1024, 4
-	for _, fam := range []struct {
-		name string
-		q    uint64
-	}{{"pow2", 1 << 32}, {"generic", (1 << 40) + 15}} {
-		r := ring.MustNew(n, fam.q)
-		src := rng.NewSourceFromString("ring-kernel-bench-" + fam.name)
-		planes := make([]ring.Poly, chunks)
-		for c := range planes {
-			planes[c] = r.NewPoly()
-			r.UniformPoly(src, planes[c])
-		}
-		d := r.NewPoly()
-		r.UniformPoly(src, d)
-		rhs := make([]ring.Poly, R)
-		for v := range rhs {
-			rhs[v] = r.NewPoly()
-			r.UniformPoly(src, rhs[v])
-		}
-		bits := make([][]uint64, R)
-		for v := range bits {
-			bits[v] = make([]uint64, (chunks*n+63)/64)
-		}
-		for _, path := range ring.AvailableKernels() {
-			b.Run(fam.name+"/"+path.String(), func(b *testing.B) {
-				if err := ring.SetKernel(path); err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(2 * chunks * n * 8)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for c := range planes {
-						r.SubCmpMultiBits(planes[c], d, rhs, bits, c*n)
-					}
-				}
-				coeffs := float64(chunks) * float64(n) * float64(R) * float64(b.N)
-				b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
-			})
-		}
-	}
 }
 
 // BenchmarkEngineBatch compares the batched multi-query pipeline

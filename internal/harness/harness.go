@@ -3,6 +3,12 @@
 // the same rows/series the paper reports with the paper's own values
 // printed alongside for comparison. cmd/cmbench runs them from the command
 // line; bench_test.go wraps them as Go benchmarks.
+//
+// Beside the experiments it holds the shared drivers the tools and
+// tests reuse: the storm client (cmstorm), the ring kernel
+// microbenchmark (cmbench -kernels), the engine-benchmark fixtures
+// (BenchmarkEngine) and the trace-overhead measurement. Measured
+// serving numbers come from the bench/ module.
 package harness
 
 import (

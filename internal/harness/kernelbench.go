@@ -16,16 +16,16 @@ import (
 // the two coefficient planes the kernel reads per pass, comparable
 // against the machine's memory bandwidth ceiling.
 type KernelBenchResult struct {
-	Kernel        string  `json:"kernel"`  // "subcmp"
-	Path          string  `json:"path"`    // dispatch path: generic | unrolled | avx2
-	QClass        string  `json:"q_class"` // "pow2" or "generic"
-	R             int     `json:"r"`       // comparands per coefficient (subcmp fan-out)
-	Chunks        int     `json:"chunks"`
-	N             int     `json:"n"`
-	NsPerOp       float64 `json:"ns_per_op"`
-	CoeffsPerSec  float64 `json:"coeffs_per_sec"`
-	ArenaGBPerSec float64 `json:"arena_gb_per_sec"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
+	Kernel        string // "subcmp"
+	Path          string // dispatch path: generic | unrolled | avx2
+	QClass        string // "pow2" or "generic"
+	R             int    // comparands per coefficient (subcmp fan-out)
+	Chunks        int
+	N             int
+	NsPerOp       float64
+	CoeffsPerSec  float64
+	ArenaGBPerSec float64
+	AllocsPerOp   int64
 }
 
 // Kernel arena workload: one op sweeps a 64-chunk × n=1024 arena — the
@@ -128,66 +128,5 @@ func WriteKernelBenchTable(w io.Writer, results []KernelBenchResult) {
 	for _, k := range results {
 		fmt.Fprintf(w, "  %-7s %-9s %-8s %2d %14.0f %15.3e %10.2f %7d\n",
 			k.Kernel, k.Path, k.QClass, k.R, k.NsPerOp, k.CoeffsPerSec, k.ArenaGBPerSec, k.AllocsPerOp)
-	}
-}
-
-// kernelBenchKey identifies a kernel measurement across reports.
-func (k KernelBenchResult) key() string {
-	return k.Kernel + "/" + k.Path + "/" + k.QClass
-}
-
-// bestSubcmpPow2 returns the fastest subcmp pow2 measurement, the
-// acceptance-tracked row (best path vs the committed generic baseline).
-func bestSubcmpPow2(results []KernelBenchResult) (best, generic *KernelBenchResult) {
-	for i := range results {
-		k := &results[i]
-		if k.Kernel != "subcmp" || k.QClass != "pow2" {
-			continue
-		}
-		if k.Path == ring.KernelGeneric.String() {
-			generic = k
-		}
-		if best == nil || k.CoeffsPerSec > best.CoeffsPerSec {
-			best = k
-		}
-	}
-	return best, generic
-}
-
-// writeKernelDelta prints the per-path kernel comparison against a
-// baseline report's kernels section (if either side has one), plus the
-// acceptance-tracked best-vs-generic speedup for subcmp pow2.
-func writeKernelDelta(w io.Writer, news, olds []KernelBenchResult) {
-	if len(news) == 0 {
-		return
-	}
-	byKey := make(map[string]KernelBenchResult, len(olds))
-	for _, k := range olds {
-		byKey[k.key()] = k
-	}
-	fmt.Fprintf(w, "  kernels (coeffs/s):\n")
-	fmt.Fprintf(w, "    %-7s %-9s %-8s %15s %15s %9s\n",
-		"kernel", "path", "q-class", "old", "new", "Δ")
-	for _, k := range news {
-		o, ok := byKey[k.key()]
-		if !ok {
-			fmt.Fprintf(w, "    %-7s %-9s %-8s %15s %15.3e %9s  (new path)\n",
-				k.Kernel, k.Path, k.QClass, "-", k.CoeffsPerSec, "-")
-			continue
-		}
-		delta := "~"
-		if o.CoeffsPerSec > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(k.CoeffsPerSec-o.CoeffsPerSec)/o.CoeffsPerSec)
-		}
-		fmt.Fprintf(w, "    %-7s %-9s %-8s %15.3e %15.3e %9s\n",
-			k.Kernel, k.Path, k.QClass, o.CoeffsPerSec, k.CoeffsPerSec, delta)
-	}
-	if best, generic := bestSubcmpPow2(news); best != nil && generic != nil && generic.CoeffsPerSec > 0 {
-		fmt.Fprintf(w, "    subcmp pow2 R=%d best path %s: %.2fx vs generic this run",
-			best.R, best.Path, best.CoeffsPerSec/generic.CoeffsPerSec)
-		if _, oldGen := bestSubcmpPow2(olds); oldGen != nil && oldGen.CoeffsPerSec > 0 {
-			fmt.Fprintf(w, ", %.2fx vs committed baseline generic", best.CoeffsPerSec/oldGen.CoeffsPerSec)
-		}
-		fmt.Fprintln(w)
 	}
 }

@@ -30,19 +30,30 @@ func TestRunKernelBenchShape(t *testing.T) {
 			len(results), wantRows, len(ring.AvailableKernels()))
 	}
 	seen := make(map[string]bool, len(results))
-	for _, k := range results {
-		if seen[k.key()] {
-			t.Fatalf("duplicate row %s", k.key())
+	var best, generic *KernelBenchResult // fastest and generic subcmp pow2 rows
+	for i := range results {
+		k := &results[i]
+		key := k.Kernel + "/" + k.Path + "/" + k.QClass
+		if seen[key] {
+			t.Fatalf("duplicate row %s", key)
 		}
-		seen[k.key()] = true
+		seen[key] = true
 		if k.CoeffsPerSec <= 0 || k.ArenaGBPerSec <= 0 || k.NsPerOp <= 0 {
-			t.Fatalf("degenerate row %+v", k)
+			t.Fatalf("degenerate row %+v", *k)
 		}
 		if k.AllocsPerOp != 0 {
-			t.Fatalf("%s allocates %d/op, want 0", k.key(), k.AllocsPerOp)
+			t.Fatalf("%s allocates %d/op, want 0", key, k.AllocsPerOp)
+		}
+		if k.Kernel != "subcmp" || k.QClass != "pow2" {
+			continue
+		}
+		if k.Path == ring.KernelGeneric.String() {
+			generic = k
+		}
+		if best == nil || k.CoeffsPerSec > best.CoeffsPerSec {
+			best = k
 		}
 	}
-	best, generic := bestSubcmpPow2(results)
 	if best == nil || generic == nil {
 		t.Fatal("missing subcmp pow2 rows")
 	}

@@ -1,12 +1,44 @@
 package harness
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"ciphermatch/internal/bfv"
+	"ciphermatch/internal/core"
 	"ciphermatch/internal/proto"
 )
+
+// stormServer starts an in-process server on a loopback port with the
+// tenant uploaded, and returns its address plus a shutdown func.
+func stormServer(p bfv.Params, db *core.EncryptedDB, name string, coalesce proto.CoalesceConfig) (string, func(), error) {
+	srv, err := proto.NewServerWithServing(p, core.EngineSpec{}, proto.StoreOptions{}, coalesce)
+	if err != nil {
+		return "", nil, err
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		return "", nil, err
+	}
+	go srv.Serve(l) //nolint:errcheck // returns when the listener closes
+	stop := func() {
+		l.Close()
+		srv.Close()
+	}
+	conn, err := proto.Dial(l.Addr().String(), p)
+	if err != nil {
+		stop()
+		return "", nil, err
+	}
+	defer conn.Close()
+	if err := conn.UploadDB(name, core.EngineSpec{}, db); err != nil {
+		stop()
+		return "", nil, err
+	}
+	return l.Addr().String(), stop, nil
+}
 
 // TestRunStormSmoke drives the shared storm driver against an
 // in-process coalescing server on toy parameters: every reply must

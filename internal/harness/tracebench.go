@@ -17,10 +17,10 @@ import (
 // ratio is the tax every query pays — the observability budget is that
 // it stays under 2%.
 type TraceOverheadResult struct {
-	SearchNsPerOp float64 `json:"search_ns_per_op"`
-	TraceNsPerOp  float64 `json:"trace_ns_per_op"`
-	TraceAllocs   int64   `json:"trace_allocs_per_op"`
-	OverheadPct   float64 `json:"overhead_pct"`
+	SearchNsPerOp float64
+	TraceNsPerOp  float64
+	TraceAllocs   int64
+	OverheadPct   float64
 }
 
 // RunTraceOverheadBench measures the serial search and the per-request

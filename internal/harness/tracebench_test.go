@@ -4,9 +4,9 @@ import "testing"
 
 // TestTraceOverheadBudget is the observability tax gate: the full
 // per-request trace record path must cost under 2% of one serial
-// hot-path search and allocate nothing. The measured ratio lands in
-// BENCH_results.json via cmbench -json; this test keeps it honest.
-// The denominator is the 64-chunk fixture's serial search, ≈ 85 µs —
+// hot-path search and allocate nothing. The served-path counterpart is
+// bench/'s bench.trace_overhead_pct; this test keeps the record path
+// itself honest. The denominator is the 64-chunk fixture's serial search, ≈ 85 µs —
 // just above its ≈ 77 µs kernel sweep — so the fixed ≈ 170–185 ns
 // record cost reads ≈ 0.2 %, a tenth of the budget.
 func TestTraceOverheadBudget(t *testing.T) {

@@ -4,9 +4,6 @@ package segment
 
 import "syscall"
 
-// adviseSupported reports whether madvise hints reach the kernel.
-const adviseSupported = true
-
 // adviseSequential tells the kernel the mapping will be read
 // front-to-back, so readahead can run maximally aggressive — exactly
 // the access pattern of the segment open's CRC verification pass and of

@@ -2,9 +2,7 @@
 
 package segment
 
-// adviseSupported reports whether madvise hints reach the kernel; on
-// platforms without a usable Madvise in syscall the hints are no-ops.
-const adviseSupported = false
+// On platforms without a usable Madvise in syscall the hints are no-ops.
 
 func adviseSequential(b []byte) {}
 

@@ -42,10 +42,6 @@ func (s *Segment) PlaneCRCs() [2]uint64 { return s.planeCRC }
 // Mapped reports whether the arena is a zero-copy file mapping.
 func (s *Segment) Mapped() bool { return s.mapping != nil }
 
-// Advised reports whether madvise hints reach the kernel for this
-// segment (a mapped arena on a platform with madvise).
-func (s *Segment) Advised() bool { return s.mapping != nil && adviseSupported }
-
 // AdviseWillNeed hints the kernel to fault the mapping in ahead of
 // imminent sequential reads. The durable store calls it when a cold
 // segment is loaded for a search, so flash reads overlap engine
