@@ -14,9 +14,10 @@
 //
 // With -batchwindow, concurrently arriving single queries against the
 // same database are coalesced server-side into one batched arena pass
-// (fires at -maxbatch queries or after an adaptive window capped at
-// -batchwindow, whichever first); -maxqueue bounds per-database pending
-// depth, rejecting excess load with a typed overload error. Serving
+// (a window closes at -maxbatch queries or -batchwindow after its first
+// query arrived, whichever first, and runs on that query's connection);
+// -maxqueue bounds per-database pending depth, rejecting excess load
+// with a typed overload error. Serving
 // metrics — QPS, batch occupancy, queue latency, coalesce rate, arena
 // passes saved — are always available over the wire (cmclient stats)
 // and, with -metrics-addr, over HTTP in Prometheus text format.

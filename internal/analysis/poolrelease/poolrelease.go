@@ -17,7 +17,7 @@
 //
 // One class of mid-path leak IS in scope: panic-isolation boundaries.
 // In a function that installs a deferred recover() (the server's
-// request and batch-executor panic isolation), a panic between a pooled
+// request and coalesced-batch panic isolation), a panic between a pooled
 // acquisition and its inline Release is swallowed — the process keeps
 // serving and the value never returns to its pool, turning every
 // recovered panic into steady-state garbage. Inside such a function an

@@ -21,13 +21,3 @@ var All = []*analysis.Analyzer{
 	poolrelease.Analyzer,
 	atomicfield.Analyzer,
 }
-
-// ByName returns the named analyzer, nil if unknown.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range All {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -139,18 +139,6 @@ func (p Params) QBytes() int {
 	return int((r.LogQ() + 7) / 8)
 }
 
-// TBytes returns the number of bytes per plaintext coefficient.
-func (p Params) TBytes() int {
-	bits := 0
-	for v := p.T - 1; v > 0; v >>= 1 {
-		bits++
-	}
-	if bits == 0 {
-		bits = 1
-	}
-	return (bits + 7) / 8
-}
-
 // PackedBitsPerCoeff returns how many database bits the CIPHERMATCH packing
 // scheme stores in one plaintext coefficient (log2 T for power-of-two T).
 func (p Params) PackedBitsPerCoeff() int {

@@ -142,15 +142,6 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // Max returns the largest observed sample (0 before any Observe).
 func (h *Histogram) Max() int64 { return h.max.Load() }
 
-// Mean returns the average observed sample, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) of the
 // observed samples: the upper edge of the bucket the quantile sample
 // falls in, clamped to the observed max. Returns 0 with no samples.

@@ -114,7 +114,7 @@ func TestSnapshotSortedAndFlattened(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("queries_total").Add(3)
-	r.Gauge("coalesce_window_ns").Set(150)
+	r.Gauge("queue_depth").Set(150)
 	r.Histogram("queue_wait_ns").Observe(42)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -123,7 +123,7 @@ func TestWritePrometheus(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE queries_total counter\nqueries_total 3\n",
-		"# TYPE coalesce_window_ns gauge\ncoalesce_window_ns 150\n",
+		"# TYPE queue_depth gauge\nqueue_depth 150\n",
 		"# TYPE queue_wait_ns histogram\n",
 		`queue_wait_ns_bucket{le="63"} 1`, // 42 has bitlen 6 → bucket [32,64)
 		`queue_wait_ns_bucket{le="+Inf"} 1`,

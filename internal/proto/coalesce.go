@@ -1,20 +1,18 @@
-// Server-side adaptive query coalescing. The batch kernel (core's
-// searchChunkRangeBatch) makes one pass over the ciphertext arena serve
-// a whole batch, but until now only the client could form a BatchQuery.
-// The Coalescer closes that gap for concurrent traffic: single MsgQuery
-// requests against the same database are held in a short per-database
-// batching window — fires at MaxBatch queries or after an adaptive
-// timeout, whichever first — merged into one internal core.BatchQuery,
-// run as one arena pass, and fanned back to their waiting connections.
-// At high QPS every arena pass is shared across the window's arrivals,
-// which is the paper's memory-traffic-is-the-bottleneck thesis applied
-// to request streams instead of residues.
+// Server-side query coalescing. The batch kernel makes one arena pass
+// serve a whole core.BatchQuery, but only a client can form one. The
+// Coalescer closes that gap for concurrent traffic: single MsgQuery
+// requests against one database are held in a short per-database
+// window — closed at MaxBatch queries or after Window, whichever first —
+// merged into one BatchQuery, run as one arena pass, and fanned back to
+// their connections: the paper's memory-traffic-is-the-bottleneck
+// thesis applied to request streams instead of residues.
 //
-// Around the window sits admission control: per-database pending-query
-// caps rejecting excess load with a typed wire error (MsgOverloaded)
-// instead of queueing unboundedly, a FIFO ready list that round-robins
-// batch execution fairly across databases, and a bounded executor pool
-// so a query storm cannot spawn unbounded goroutines.
+// A window has no goroutine of its own: the query that opens it leads
+// it, running the batch on its own connection goroutine. Admission
+// control caps each database's admitted but not yet executing queries,
+// rejecting excess load with a typed wire error (MsgOverloaded) instead
+// of queueing unboundedly, and GOMAXPROCS execution slots, granted in
+// arrival order, round-robin batches fairly across databases.
 package proto
 
 import (
@@ -41,31 +39,27 @@ const unknownTenantLabel = "_other"
 // MsgOverloaded; clients should back off and retry.
 var ErrOverloaded = errors.New("proto: server overloaded, retry later")
 
-// errShutdown fails queries stranded in a queue when the coalescer
-// closes; it surfaces as MsgOverloaded too (the retry advice holds).
+// errShutdown fails queries that arrive after the coalescer closed, or
+// whose window shuts after it closed; it surfaces as MsgOverloaded too
+// (the retry advice holds).
 var errShutdown = errors.New("proto: server shutting down")
 
 // CoalesceConfig tunes the server-side batching window and its
 // admission control. The zero value disables coalescing (every MsgQuery
 // runs as its own search, the pre-coalescing behaviour).
 type CoalesceConfig struct {
-	// Window is the maximum batching delay T: a pending batch never
-	// waits longer than this before executing. The actual wait adapts
-	// per database to the observed arrival rate (see adaptWindow) and
-	// only reaches Window under traffic dense enough to fill batches.
+	// Window is the batching delay T: a window closes this long after
+	// the query that opened it arrived, unless MaxBatch closes it first.
 	// Zero disables coalescing.
 	Window time.Duration
-	// MaxBatch fires a batch as soon as this many queries are pending
+	// MaxBatch closes a window as soon as it holds this many queries
 	// (the N in "N queries or T µs"). Defaults to 16.
 	MaxBatch int
-	// MaxQueue caps pending (not yet executing) queries per database;
+	// MaxQueue caps admitted, not yet executing queries per database;
 	// arrivals beyond it are rejected with ErrOverloaded. Defaults to
-	// 16× MaxBatch. May be set below MaxBatch: batches then fill only
-	// up to the queue cap and fire by timer.
+	// 16× MaxBatch. May be set below MaxBatch: windows then fill only
+	// up to the queue cap and close by timer.
 	MaxQueue int
-	// Executors bounds concurrent batch executions across all
-	// databases. Defaults to GOMAXPROCS.
-	Executors int
 }
 
 func (c CoalesceConfig) withDefaults() CoalesceConfig {
@@ -75,19 +69,16 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 16 * c.MaxBatch
 	}
-	if c.Executors <= 0 {
-		c.Executors = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
-// coalesceResult is what an executor hands back to a waiting request.
+// coalesceResult is what a window's leader hands back to a member.
 type coalesceResult struct {
 	candidates []int
 	err        error
 }
 
-// pendingQuery is one enqueued single query waiting for its batch. It
+// pendingQuery is one admitted single query waiting for its batch. It
 // carries the raw wire bytes, not a decoded query: decoding is deferred
 // to batch execution, where byte-identical members (a hot query
 // replayed by many connections — exactly the traffic that coalesces)
@@ -97,37 +88,36 @@ type pendingQuery struct {
 	enqueued time.Time
 	done     chan coalesceResult // buffered(1); exactly one send
 	// tr is the request's lifecycle trace (nil when untraced). The
-	// executor stamps decode/coalesce-wait/batch-form/arena and the
+	// leader stamps decode/coalesce-wait/batch-form/arena and the
 	// per-member arena attribution into it strictly before sending on
-	// done, and the connection handler reads it strictly after receiving
-	// — the channel is the synchronisation edge.
+	// done, and the member's connection handler reads it strictly after
+	// receiving — the channel is the synchronisation edge.
 	tr *trace.Trace
 }
 
-// dbQueue is the per-database batching state. pending accumulates until
-// the batch trigger (size or timer) pushes the queue onto the ready
-// list; an executor then takes up to MaxBatch entries in one swap.
+// window is one batch accepting arrivals. The arrival that brings it to
+// MaxBatch closes full, waking the leader early.
+type window struct {
+	members []*pendingQuery
+	full    chan struct{}
+}
+
+// dbQueue is the per-database coalescing state, guarded by
+// Coalescer.mu. It exists while the database has admitted queries that
+// are not yet executing.
 type dbQueue struct {
 	name string
 
 	// Per-tenant serving telemetry handles, resolved once when the queue
 	// is created (one labeled-family lookup per active tenant, not per
-	// query). depth tracks the live pending count; rejected counts
-	// admission rejections; occupancy observes batch sizes.
+	// query). depth tracks waiting; rejected counts admission
+	// rejections; occupancy observes batch sizes.
 	depth     *metrics.Gauge
 	rejected  *metrics.Counter
 	occupancy *metrics.Histogram
 
-	mu      sync.Mutex
-	pending []*pendingQuery
-	gen     uint64      // batch generation; stale timer fires no-op
-	timer   *time.Timer // armed while a batch is accumulating
-	dead    bool        // reaped from the queue map; lookups must retry
-
-	// Arrival-rate estimate: EWMA of inter-arrival time, feeding the
-	// adaptive window.
-	lastArrival time.Time
-	ewmaNs      float64
+	waiting int     // admitted, not yet executing; capped at MaxQueue
+	open    *window // the window accepting arrivals, nil when none is
 }
 
 // Coalescer merges concurrently arriving single queries into batched
@@ -137,263 +127,139 @@ type Coalescer struct {
 	params bfv.Params
 	cfg    CoalesceConfig
 	met    *serverMetrics
+	// slots bounds concurrent batch executions at GOMAXPROCS. Blocked
+	// leaders are granted slots in arrival order (a channel queues its
+	// blocked senders FIFO), which round-robins execution across
+	// databases.
+	slots chan struct{}
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queues map[string]*dbQueue
-	ready  []*dbQueue // FIFO: round-robin fairness across databases
 	closed bool
-	wg     sync.WaitGroup
 }
 
-// NewCoalescer builds a coalescer over a store and starts its executor
-// pool. Close must be called to stop the executors.
-func NewCoalescer(store *Store, params bfv.Params, cfg CoalesceConfig, met *serverMetrics) *Coalescer {
-	co := &Coalescer{
+// newCoalescer builds a coalescer over a store. It starts no goroutines:
+// every window runs on the goroutine of the query that opened it.
+func newCoalescer(store *Store, params bfv.Params, cfg CoalesceConfig, met *serverMetrics) *Coalescer {
+	return &Coalescer{
 		store:  store,
 		params: params,
 		cfg:    cfg.withDefaults(),
 		met:    met,
+		slots:  make(chan struct{}, runtime.GOMAXPROCS(0)),
 		queues: make(map[string]*dbQueue),
 	}
-	co.cond = sync.NewCond(&co.mu)
-	co.wg.Add(co.cfg.Executors)
-	for i := 0; i < co.cfg.Executors; i++ {
-		go co.runExecutor()
-	}
-	return co
 }
 
-// SearchRaw enqueues one still-encoded query for the named database and
+// search admits one still-encoded query for the named database and
 // blocks until its batch has executed, returning the query's own
 // candidates. Results are bit-identical to decoding and running
 // Store.Search directly (the batch kernels are conformance-pinned to
 // the sequential path). Rejects with ErrOverloaded when the database's
-// queue is at its depth cap.
-func (co *Coalescer) SearchRaw(name string, raw []byte) ([]int, error) {
-	return co.SearchRawTraced(name, raw, nil)
-}
-
-// SearchRawTraced is SearchRaw carrying the request's lifecycle trace
-// (nil disables tracing): admission is stamped here, and the executor
-// stamps the window wait, batch formation, the shared decode and the
-// arena pass into tr before the result is fanned back.
-func (co *Coalescer) SearchRawTraced(name string, raw []byte, tr *trace.Trace) ([]int, error) {
+// queue is at its depth cap. tr (nil disables tracing) gets admission
+// stamped here; the leader stamps the window wait, batch formation, the
+// shared decode and the arena pass before the result is fanned back.
+func (co *Coalescer) search(name string, raw []byte, tr *trace.Trace) ([]int, error) {
 	pq := &pendingQuery{raw: raw, enqueued: time.Now(), done: make(chan coalesceResult, 1), tr: tr}
-	err := co.enqueue(name, pq)
+	q, lead, err := co.admit(name, pq)
 	if tr != nil {
 		tr.Stamp(trace.StageAdmission, int64(time.Since(pq.enqueued)))
 	}
 	if err != nil {
 		return nil, err
 	}
+	if lead != nil {
+		co.lead(q, lead)
+	}
 	res := <-pq.done
 	return res.candidates, res.err
 }
 
-// enqueue appends pq to the database's pending batch, arming the
-// adaptive window timer when it opens a new batch and pushing the queue
-// ready when it fills one.
-func (co *Coalescer) enqueue(name string, pq *pendingQuery) error {
-	for {
-		co.mu.Lock()
-		if co.closed {
-			co.mu.Unlock()
-			return errShutdown
-		}
-		q, ok := co.queues[name]
-		if !ok {
-			// Label-cardinality guard: only names the store actually hosts
-			// (bounded by MaxStoredDBs) become label values; queries against
-			// arbitrary client-minted names share one "_other" child, so a
-			// hostile peer cannot grow the registry without bound.
-			label := name
-			if !co.store.Has(name) {
-				label = unknownTenantLabel
-			}
-			q = &dbQueue{
-				name:      name,
-				depth:     co.met.tenantDepth.With(label),
-				rejected:  co.met.tenantRejected.With(label),
-				occupancy: co.met.tenantOccupancy.With(label),
-			}
-			co.queues[name] = q
-		}
-		co.mu.Unlock()
-
-		q.mu.Lock()
-		if q.dead {
-			// Reaped between lookup and lock: retry against a fresh
-			// queue object.
-			q.mu.Unlock()
-			continue
-		}
-		if len(q.pending) >= co.cfg.MaxQueue {
-			q.mu.Unlock()
-			co.met.rejected.Inc()
-			q.rejected.Inc()
-			return ErrOverloaded
-		}
-		now := pq.enqueued
-		if !q.lastArrival.IsZero() {
-			dt := float64(now.Sub(q.lastArrival))
-			if q.ewmaNs == 0 {
-				q.ewmaNs = dt
-			} else {
-				q.ewmaNs = 0.8*q.ewmaNs + 0.2*dt
-			}
-		}
-		q.lastArrival = now
-		q.pending = append(q.pending, pq)
-		n := len(q.pending)
-		q.depth.Set(int64(n))
-		var window time.Duration
-		if n == 1 {
-			// First query of a new batch: open the window.
-			window = co.adaptWindow(q.ewmaNs)
-			gen := q.gen
-			q.timer = time.AfterFunc(window, func() { co.timerFire(q, gen) })
-		}
-		q.mu.Unlock()
-
-		if n == 1 {
-			co.met.window.Set(int64(window))
-		}
-		if n == co.cfg.MaxBatch {
-			co.pushReady(q)
-		}
-		return nil
-	}
-}
-
-// adaptWindow sizes the batching window for a newly opened batch from
-// the observed mean inter-arrival time (ewmaNs):
-//
-//   - no observations yet: the full configured window (nothing is known
-//     about this tenant's rate, so optimise for coalescing);
-//   - dense traffic — MaxBatch-1 more arrivals expected within the
-//     cap: wait just long enough to fill the batch, no longer;
-//   - medium traffic — at least one more arrival expected within the
-//     cap: wait for one coalescing partner;
-//   - sparse traffic — not even one arrival expected within the cap:
-//     waiting would tax every query's latency for no occupancy, so
-//     fire (almost) immediately.
-//
-// The result is that solo clients see near-direct latency while query
-// storms fill whole batches — the "T adapting to observed arrival
-// rate" half of the N-or-T trigger.
-func (co *Coalescer) adaptWindow(ewmaNs float64) time.Duration {
-	maxW := co.cfg.Window
-	minW := maxW / 64
-	if minW < time.Microsecond {
-		minW = time.Microsecond
-	}
-	if ewmaNs <= 0 {
-		return maxW
-	}
-	fill := time.Duration(ewmaNs * float64(co.cfg.MaxBatch-1))
-	one := time.Duration(ewmaNs)
-	switch {
-	case fill <= maxW:
-		if fill < minW {
-			return minW
-		}
-		return fill
-	case one <= maxW:
-		return one
-	default:
-		return minW
-	}
-}
-
-// timerFire is the window-timeout trigger. A stale generation means the
-// batch it was armed for already executed (size trigger or an earlier
-// pop); firing then would only push a spurious ready entry.
-func (co *Coalescer) timerFire(q *dbQueue, gen uint64) {
-	q.mu.Lock()
-	stale := q.gen != gen || len(q.pending) == 0
-	q.mu.Unlock()
-	if !stale {
-		co.pushReady(q)
-	}
-}
-
-// pushReady appends the queue to the FIFO ready list. Duplicate entries
-// are tolerated (an executor popping a drained queue is a no-op), which
-// keeps the trigger paths free of cross-lock coordination.
-func (co *Coalescer) pushReady(q *dbQueue) {
+// admit adds pq to the database's open window, opening one when none
+// is. It returns the window only when pq opened it: pq then leads it.
+func (co *Coalescer) admit(name string, pq *pendingQuery) (*dbQueue, *window, error) {
 	co.mu.Lock()
-	if !co.closed {
-		co.ready = append(co.ready, q)
-		co.cond.Signal()
+	defer co.mu.Unlock()
+	if co.closed {
+		return nil, nil, errShutdown
+	}
+	q, ok := co.queues[name]
+	if !ok {
+		// Label-cardinality guard: only names the store actually hosts
+		// (bounded by MaxStoredDBs) become label values; queries against
+		// arbitrary client-minted names share one "_other" child, so a
+		// hostile peer cannot grow the registry without bound.
+		label := name
+		if !co.store.Has(name) {
+			label = unknownTenantLabel
+		}
+		q = &dbQueue{
+			name:      name,
+			depth:     co.met.tenantDepth.With(label),
+			rejected:  co.met.tenantRejected.With(label),
+			occupancy: co.met.tenantOccupancy.With(label),
+		}
+		co.queues[name] = q
+	}
+	if q.waiting >= co.cfg.MaxQueue {
+		co.met.rejected.Inc()
+		q.rejected.Inc()
+		return nil, nil, ErrOverloaded
+	}
+	q.waiting++
+	q.depth.Set(int64(q.waiting))
+	var lead *window
+	if q.open == nil {
+		lead = &window{full: make(chan struct{})}
+		q.open = lead
+	}
+	w := q.open
+	w.members = append(w.members, pq)
+	if len(w.members) == co.cfg.MaxBatch {
+		close(w.full)
+		q.open = nil
+	}
+	return q, lead, nil
+}
+
+// lead runs a window on its leader's goroutine: wait until it fills or
+// Window elapses, close it to arrivals, take an execution slot, and run
+// the batch. Members count against MaxQueue until their slot is granted.
+func (co *Coalescer) lead(q *dbQueue, w *window) {
+	timer := time.NewTimer(co.cfg.Window)
+	select {
+	case <-w.full:
+	case <-timer.C:
+	}
+	timer.Stop()
+	co.mu.Lock()
+	if q.open == w {
+		q.open = nil
+	}
+	batch, closed := w.members, co.closed
+	co.mu.Unlock()
+
+	if !closed {
+		co.slots <- struct{}{}
+		defer func() { <-co.slots }()
+	}
+	co.mu.Lock()
+	q.waiting -= len(batch)
+	q.depth.Set(int64(q.waiting))
+	if q.waiting == 0 {
+		// Nothing admitted is left: drop the entry, bounding coalescer
+		// memory to the set of actively queried names.
+		delete(co.queues, q.name)
 	}
 	co.mu.Unlock()
-}
 
-// runExecutor is one worker of the bounded executor pool: pop the next
-// ready database (FIFO — fair round-robin across tenants), swap out up
-// to MaxBatch pending queries, run them as one batched arena pass, and
-// fan the per-member results back.
-func (co *Coalescer) runExecutor() {
-	defer co.wg.Done()
-	for {
-		co.mu.Lock()
-		for len(co.ready) == 0 && !co.closed {
-			co.cond.Wait()
+	if closed {
+		for _, pq := range batch {
+			pq.done <- coalesceResult{err: errShutdown}
 		}
-		if len(co.ready) == 0 && co.closed {
-			co.mu.Unlock()
-			return
-		}
-		q := co.ready[0]
-		co.ready = co.ready[1:]
-		co.mu.Unlock()
-
-		batch := co.takeBatch(q)
-		if len(batch) == 0 {
-			co.reapIfEmpty(q)
-			continue
-		}
-		co.executeSafe(q, batch)
-		co.reapIfEmpty(q)
+		return
 	}
-}
-
-// takeBatch claims up to MaxBatch pending queries. A remainder beyond
-// MaxBatch becomes the next batch: its window timer is re-armed (or the
-// queue re-pushed when it already fills a batch), so burst tails are
-// never stranded.
-func (co *Coalescer) takeBatch(q *dbQueue) []*pendingQuery {
-	var repush bool
-	q.mu.Lock()
-	var batch []*pendingQuery
-	if len(q.pending) <= co.cfg.MaxBatch {
-		batch = q.pending
-		q.pending = nil
-	} else {
-		batch = q.pending[:co.cfg.MaxBatch:co.cfg.MaxBatch]
-		rest := make([]*pendingQuery, len(q.pending)-co.cfg.MaxBatch)
-		copy(rest, q.pending[co.cfg.MaxBatch:])
-		q.pending = rest
-	}
-	q.gen++ // any armed timer is now stale
-	q.depth.Set(int64(len(q.pending)))
-	if q.timer != nil {
-		q.timer.Stop()
-		q.timer = nil
-	}
-	if len(q.pending) >= co.cfg.MaxBatch {
-		repush = true
-	} else if len(q.pending) > 0 {
-		window := co.adaptWindow(q.ewmaNs)
-		gen := q.gen
-		q.timer = time.AfterFunc(window, func() { co.timerFire(q, gen) })
-	}
-	q.mu.Unlock()
-	if repush {
-		co.pushReady(q)
-	}
-	return batch
+	co.executeSafe(q, batch)
 }
 
 // queryGroup is one set of byte-identical batch members: they decode to
@@ -420,21 +286,14 @@ func (g *queryGroup) fan(res coalesceResult) {
 // executeSafe runs one batch with panic isolation: a panic inside the
 // batch kernels or the store poisons only this window — every member
 // that has not been answered yet gets a typed server-fault error, the
-// executor survives, and the waiting connections are never stranded.
+// leader's connection keeps serving, and no member is ever stranded.
 func (co *Coalescer) executeSafe(q *dbQueue, batch []*pendingQuery) {
 	defer func() {
-		if r := recover(); r == nil {
-			return
-		} else {
+		if r := recover(); r != nil {
 			co.met.panics.Inc()
 			co.met.failed.Add(int64(len(batch)))
-			res := coalesceResult{err: fmt.Errorf("%w: recovered batch-executor panic: %v", ErrServerFault, r)}
-			for _, pq := range batch {
-				select {
-				case pq.done <- res:
-				default: // already answered before the panic
-				}
-			}
+			(&queryGroup{members: batch}).fan(coalesceResult{
+				err: fmt.Errorf("%w: recovered coalesced-batch panic: %v", ErrServerFault, r)})
 		}
 	}()
 	co.execute(q, batch)
@@ -460,6 +319,26 @@ func attributeArena(members []*pendingQuery, stats core.Stats) {
 			pq.tr.HomAdds = int64(stats.HomAdds)
 		}
 	}
+}
+
+// searchAlone runs one group as its own Store.Search and fans the
+// outcome to its members, returning the chunk streams it performed and
+// whether it succeeded.
+func (co *Coalescer) searchAlone(name string, g *queryGroup) (int64, bool) {
+	start := time.Now()
+	ir, err := co.store.Search(name, g.q)
+	stampMembers(g.members, trace.StageArena, int64(time.Since(start)))
+	if err != nil {
+		co.met.failed.Add(int64(len(g.members)))
+		g.fan(coalesceResult{err: err})
+		return 0, false
+	}
+	streamed := ir.Stats.ChunkStreams
+	attributeArena(g.members, ir.Stats)
+	candidates := ir.Candidates
+	ir.Release()
+	g.fan(coalesceResult{candidates: candidates})
+	return streamed, true
 }
 
 // execute runs one coalesced batch through the store's batched search
@@ -534,21 +413,10 @@ func (co *Coalescer) execute(q *dbQueue, batch []*pendingQuery) {
 	if len(live) == 1 {
 		// One distinct query (lone arrival, or a fully duplicate window):
 		// the batch path gains nothing, run it direct.
-		g := live[0]
-		arenaStart := time.Now()
-		ir, err := co.store.Search(name, g.q)
-		arenaNS := int64(time.Since(arenaStart))
-		stampMembers(g.members, trace.StageArena, arenaNS)
-		if err != nil {
-			co.met.failed.Add(int64(len(g.members)))
-			g.fan(coalesceResult{err: err})
+		var ok bool
+		if streamed, ok = co.searchAlone(name, live[0]); !ok {
 			return
 		}
-		streamed = ir.Stats.ChunkStreams
-		attributeArena(g.members, ir.Stats)
-		candidates := ir.Candidates
-		ir.Release()
-		g.fan(coalesceResult{candidates: candidates})
 	} else {
 		queries := make([]*core.Query, len(live))
 		for i, g := range live {
@@ -564,19 +432,8 @@ func (co *Coalescer) execute(q *dbQueue, batch []*pendingQuery) {
 			// members fail.
 			co.met.fallbacks.Inc()
 			for _, g := range live {
-				soloStart := time.Now()
-				ir, err := co.store.Search(name, g.q)
-				stampMembers(g.members, trace.StageArena, int64(time.Since(soloStart)))
-				if err != nil {
-					co.met.failed.Add(int64(len(g.members)))
-					g.fan(coalesceResult{err: err})
-					continue
-				}
-				co.met.chunkStreams.Add(ir.Stats.ChunkStreams)
-				attributeArena(g.members, ir.Stats)
-				candidates := ir.Candidates
-				ir.Release()
-				g.fan(coalesceResult{candidates: candidates})
+				solo, _ := co.searchAlone(name, g)
+				co.met.chunkStreams.Add(solo)
 			}
 			return
 		}
@@ -603,56 +460,13 @@ func (co *Coalescer) execute(q *dbQueue, batch []*pendingQuery) {
 	}
 }
 
-// reapIfEmpty deletes the queue from the map once it has no pending
-// work, bounding coalescer memory to the set of actively queried names.
-// Lock order is co.mu → q.mu everywhere this pairing is taken; enqueue
-// holding q.mu never takes co.mu.
-func (co *Coalescer) reapIfEmpty(q *dbQueue) {
-	co.mu.Lock()
-	q.mu.Lock()
-	if len(q.pending) == 0 && !q.dead {
-		q.dead = true
-		delete(co.queues, q.name)
-	}
-	q.mu.Unlock()
-	co.mu.Unlock()
-}
-
-// Close stops the executor pool (draining the ready list first) and
-// fails every query still stranded in a queue with a shutdown error.
+// Close rejects new arrivals; a window still open fails its members with
+// errShutdown when it closes. Server.Shutdown drains every connection —
+// leaders included — before calling Close, so it strands no query.
 func (co *Coalescer) Close() {
 	co.mu.Lock()
-	if co.closed {
-		co.mu.Unlock()
-		return
-	}
 	co.closed = true
-	co.cond.Broadcast()
 	co.mu.Unlock()
-	co.wg.Wait()
-
-	co.mu.Lock()
-	queues := make([]*dbQueue, 0, len(co.queues))
-	for _, q := range co.queues {
-		queues = append(queues, q)
-	}
-	co.queues = make(map[string]*dbQueue)
-	co.mu.Unlock()
-	for _, q := range queues {
-		q.mu.Lock()
-		pending := q.pending
-		q.pending = nil
-		q.depth.Set(0)
-		q.dead = true
-		if q.timer != nil {
-			q.timer.Stop()
-			q.timer = nil
-		}
-		q.mu.Unlock()
-		for _, pq := range pending {
-			pq.done <- coalesceResult{err: errShutdown}
-		}
-	}
 }
 
 // serverMetrics is the server's serving-metrics catalog: handles cached
@@ -674,11 +488,10 @@ type serverMetrics struct {
 	chunkStreams *metrics.Counter   // arena chunk streams actually performed
 	streamsSaved *metrics.Counter   // arena chunk streams avoided by coalescing
 	decodesSaved *metrics.Counter   // query decodes avoided by payload dedup
-	panics       *metrics.Counter   // handler/executor panics recovered
+	panics       *metrics.Counter   // handler/batch panics recovered
 	truncated    *metrics.Counter   // connections torn mid-message
 	occupancy    *metrics.Histogram // queries per coalesced batch
-	queueWait    *metrics.Histogram // ns from enqueue to batch execution
-	window       *metrics.Gauge     // last adaptive batching window, ns
+	queueWait    *metrics.Histogram // ns from admission to batch execution
 
 	// Per-tenant serving telemetry (label key "db"; values bounded by the
 	// store's MaxStoredDBs cap plus the shared "_other" child) and the
@@ -718,7 +531,6 @@ func newServerMetrics() *serverMetrics {
 		truncated:    reg.Counter("conns_truncated_total"),
 		occupancy:    reg.Histogram("batch_occupancy"),
 		queueWait:    reg.Histogram("queue_wait_ns"),
-		window:       reg.Gauge("coalesce_window_ns"),
 
 		tenantQueries:   reg.CounterVec("tenant_queries_total", "db"),
 		tenantErrors:    reg.CounterVec("tenant_errors_total", "db"),

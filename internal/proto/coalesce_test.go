@@ -3,6 +3,8 @@ package proto
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -353,6 +355,204 @@ func TestCoalesceAdmissionControl(t *testing.T) {
 	}
 }
 
+// gateEngine holds every single search at the gate until release is
+// closed, announcing each arrival on entered, then runs it on the
+// hosted engine it wraps.
+type gateEngine struct {
+	core.Engine
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateEngine) SearchAndIndex(q *core.Query) (*core.IndexResult, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Engine.SearchAndIndex(q)
+}
+
+// plantGate puts a gate in front of a hosted database's engine.
+func plantGate(st *Store, name string, g *gateEngine) {
+	st.mu.RLock()
+	d := st.dbs[name]
+	st.mu.RUnlock()
+	d.mu.Lock()
+	g.Engine, d.engine = d.engine, g
+	d.mu.Unlock()
+}
+
+// searchOutcome is one client search's reply.
+type searchOutcome struct {
+	got []int
+	err error
+}
+
+// recvOutcome receives one reply, failing the test if none arrives.
+func recvOutcome(t *testing.T, ch <-chan searchOutcome, what string) searchOutcome {
+	t.Helper()
+	select {
+	case o := <-ch:
+		return o
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		return searchOutcome{}
+	}
+}
+
+// TestCoalesceAdmissionWhileExecutorsBusy pins admission while every
+// execution slot is taken: with GOMAXPROCS single-query batches held
+// inside the engine, exactly MaxQueue further arrivals are admitted and
+// park, every other arrival is rejected at once with ErrOverloaded, the
+// rejection counter matches what clients saw, and the parked queries
+// complete once the slots free up.
+func TestCoalesceAdmissionWhileExecutorsBusy(t *testing.T) {
+	p := bfv.ParamsToy()
+	fx := newCoalesceFixture(t, p, "busy")
+	const maxQueue, extra = 2, 6
+	slots := runtime.GOMAXPROCS(0)
+	srv, err := NewServerWithServing(p, core.EngineSpec{}, StoreOptions{}, CoalesceConfig{
+		Window:   time.Second,
+		MaxBatch: 1, // every arrival is its own batch and wants its own slot
+		MaxQueue: maxQueue,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Store().Upload(fx.name, core.EngineSpec{}, fx.db); err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateEngine{entered: make(chan struct{}, slots+extra), release: make(chan struct{})}
+	plantGate(srv.Store(), fx.name, gate)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release() // never leave a failed run's searches parked
+	addr := startServer(t, srv)
+
+	search := func(out chan<- searchOutcome) {
+		conn, err := Dial(addr, p)
+		if err != nil {
+			out <- searchOutcome{err: err}
+			return
+		}
+		defer conn.Close()
+		got, err := conn.Search(fx.name, fx.queries[0])
+		out <- searchOutcome{got, err}
+	}
+	held := make(chan searchOutcome, slots)
+	for i := 0; i < slots; i++ {
+		go search(held)
+	}
+	for i := 0; i < slots; i++ {
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d slots taken", i, slots)
+		}
+	}
+
+	// Every slot is busy: rejections answer at once, the admitted park.
+	late := make(chan searchOutcome, extra)
+	for i := 0; i < extra; i++ {
+		go search(late)
+	}
+	for i := 0; i < extra-maxQueue; i++ {
+		if o := recvOutcome(t, late, "rejections while every slot is busy"); !errors.Is(o.err, ErrOverloaded) {
+			t.Fatalf("arrival %d with every slot busy: %v, want ErrOverloaded", i, o.err)
+		}
+	}
+	release()
+	for i := 0; i < slots+maxQueue; i++ {
+		ch, what := held, "a slot-holding search"
+		if i >= slots {
+			ch, what = late, "an admitted search"
+		}
+		o := recvOutcome(t, ch, what)
+		if o.err != nil {
+			t.Fatalf("%s failed: %v", what, o.err)
+		}
+		if !equalInts(o.got, fx.expect[0]) {
+			t.Fatalf("%s returned wrong candidates", what)
+		}
+	}
+	if got, _ := metrics.Lookup(srv.Metrics().Snapshot(), "queries_rejected_total"); got != extra-maxQueue {
+		t.Fatalf("queries_rejected_total = %d, clients saw %d", got, extra-maxQueue)
+	}
+}
+
+// waitGoroutines polls until the process is back at (or below) base
+// goroutines, failing at the deadline.
+func waitGoroutines(t *testing.T, when string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, baseline %d", when, n, base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCoalescerStartsNoGoroutines pins the leader-run window: enabling
+// coalescing starts no goroutines (each window runs on the connection
+// goroutine of the query that opened it), and after a coalesced burst
+// and Shutdown the process is back at its baseline.
+func TestCoalescerStartsNoGoroutines(t *testing.T) {
+	p := bfv.ParamsToy()
+	fx := newCoalesceFixture(t, p, "leader")
+	base := runtime.NumGoroutine()
+	const clients = 4
+	srv, err := NewServerWithServing(p, core.EngineSpec{}, StoreOptions{}, CoalesceConfig{
+		Window:   time.Second,
+		MaxBatch: clients,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, "after NewServerWithServing", base)
+	if err := srv.Store().Upload(fx.name, core.EngineSpec{}, fx.db); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck // returns when the listener closes
+
+	conns := make([]*Conn, clients)
+	for i := range conns {
+		if conns[i], err = Dial(l.Addr().String(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make(chan searchOutcome, clients)
+	for i, conn := range conns {
+		go func(conn *Conn, qi int) {
+			got, err := conn.Search(fx.name, fx.queries[qi])
+			if err == nil && !equalInts(got, fx.expect[qi]) {
+				err = fmt.Errorf("query %s: wrong candidates", fx.labels[qi])
+			}
+			out <- searchOutcome{err: err}
+		}(conn, i%len(fx.queries))
+	}
+	for i := 0; i < clients; i++ {
+		if o := recvOutcome(t, out, "the burst"); o.err != nil {
+			t.Fatal(o.err)
+		}
+	}
+	if got, _ := metrics.Lookup(srv.Metrics().Snapshot(), "coalesced_queries_total"); got == 0 {
+		t.Fatal("the burst did not coalesce")
+	}
+
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	for _, conn := range conns {
+		conn.Close()
+	}
+	waitGoroutines(t, "after Shutdown", base)
+}
+
 // TestCoalesceBatchErrorIsolation: a query prepared for the wrong
 // database geometry sharing a window with healthy queries must fail
 // alone — the batch-level validation error degrades to per-member
@@ -412,35 +612,6 @@ func TestCoalesceBatchErrorIsolation(t *testing.T) {
 	}
 	if results[2] != nil || !equalInts(candidates[2], fx.expect[1]) {
 		t.Errorf("healthy member 2 poisoned: err=%v", results[2])
-	}
-}
-
-// TestAdaptWindow pins the adaptive-window policy against its contract:
-// unknown rate waits the full window, dense traffic waits roughly the
-// batch fill time, medium traffic waits one inter-arrival, sparse
-// traffic fires (almost) immediately.
-func TestAdaptWindow(t *testing.T) {
-	co := &Coalescer{cfg: CoalesceConfig{Window: 1 * time.Millisecond, MaxBatch: 16}.withDefaults()}
-	maxW := co.cfg.Window
-	if got := co.adaptWindow(0); got != maxW {
-		t.Fatalf("unknown rate: window %v, want full %v", got, maxW)
-	}
-	// Dense: 10µs inter-arrival × 15 remaining slots = 150µs < 1ms cap.
-	if got := co.adaptWindow(float64(10 * time.Microsecond)); got != 150*time.Microsecond {
-		t.Fatalf("dense: window %v, want 150µs", got)
-	}
-	// Medium: 200µs inter-arrival — filling 16 would take 3ms (> cap),
-	// but one partner is worth waiting 200µs for.
-	if got := co.adaptWindow(float64(200 * time.Microsecond)); got != 200*time.Microsecond {
-		t.Fatalf("medium: window %v, want 200µs", got)
-	}
-	// Sparse: 10ms inter-arrival — no partner within the cap.
-	got := co.adaptWindow(float64(10 * time.Millisecond))
-	if got >= maxW/8 {
-		t.Fatalf("sparse: window %v, want near-immediate (< %v)", got, maxW/8)
-	}
-	if got <= 0 {
-		t.Fatalf("sparse: window %v must stay positive", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -393,6 +394,59 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	for _, cut := range []int{1, 7, len(enc) / 2, len(enc) - 1} {
 		if _, err := DecodeDB(enc[:cut], p); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestClientReplyErrors pins how client calls decode a reply that is not
+// their success type: MsgOverloaded wraps ErrOverloaded (read-only calls
+// included, once their retries are exhausted), MsgServerError wraps
+// ErrServerFault, MsgError carries the server's message, and anything
+// else is an unexpected reply type.
+func TestClientReplyErrors(t *testing.T) {
+	p := bfv.ParamsToy()
+	calls := map[string]func(*Conn) error{
+		"TraceDump":   func(c *Conn) error { _, err := c.TraceDump(1, false); return err },
+		"ServerStats": func(c *Conn) error { _, err := c.ServerStats(); return err },
+		"ListDBs":     func(c *Conn) error { _, err := c.ListDBs(); return err },
+		"DropDB":      func(c *Conn) error { return c.DropDB("x") },
+	}
+	replies := []struct {
+		reply byte
+		ok    func(error) bool
+	}{
+		{MsgOverloaded, func(err error) bool { return errors.Is(err, ErrOverloaded) }},
+		{MsgServerError, func(err error) bool { return errors.Is(err, ErrServerFault) }},
+		{MsgError, func(err error) bool { return err != nil && err.Error() == "proto: server error: nope" }},
+		{MsgResult, func(err error) bool {
+			return err != nil && err.Error() == fmt.Sprintf("proto: unexpected reply type %d", MsgResult)
+		}},
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for name, call := range calls {
+		for _, r := range replies {
+			go func() { // a fake server answering one request with r.reply
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				if _, _, err := ReadMessage(c); err == nil {
+					WriteMessage(c, r.reply, []byte("nope")) //nolint:errcheck // the client reports a lost reply
+				}
+			}()
+			conn, err := Dial(l.Addr().String(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := call(conn); !r.ok(err) {
+				t.Errorf("%s answered with reply type %d: %v", name, r.reply, err)
+			}
+			conn.Close()
 		}
 	}
 }

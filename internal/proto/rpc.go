@@ -73,20 +73,17 @@ func newBoundRecorder(met *serverMetrics, capacity int, slow time.Duration) *tra
 	return rec
 }
 
-// NewServerWithOptions creates a server over a durable store: uploads
-// write through to segment files under opts.DataDir, a restart recovers
-// every tenant from the directory, and opts.MemBudget bounds resident
-// arenas via LRU eviction.
-func NewServerWithOptions(params bfv.Params, defaultSpec core.EngineSpec, opts StoreOptions) (*Server, error) {
-	return NewServerWithServing(params, defaultSpec, opts, CoalesceConfig{})
-}
-
-// NewServerWithServing creates a server with both store durability and
-// the serving layer configured: a non-zero coalesce.Window enables
-// server-side adaptive query coalescing — concurrently arriving single
-// queries against one database merge into shared batched arena passes —
-// with its admission control (per-database queue caps, bounded
-// executors, MsgOverloaded backpressure).
+// NewServerWithServing creates a server over a store configured by opts
+// (uploads write through to segment files under opts.DataDir, a restart
+// recovers every tenant from the directory, opts.MemBudget bounds
+// resident arenas via LRU eviction) and with the serving layer
+// configured: a non-zero coalesce.Window enables server-side query
+// coalescing — concurrently arriving single queries against one
+// database merge into shared batched arena passes, each window closing
+// at coalesce.MaxBatch queries or after coalesce.Window — with its
+// admission control (per-database queue caps, GOMAXPROCS concurrent
+// batch executions, MsgOverloaded backpressure). Coalescing starts no
+// goroutines: each window runs on the connection that opened it.
 func NewServerWithServing(params bfv.Params, defaultSpec core.EngineSpec, opts StoreOptions, coalesce CoalesceConfig) (*Server, error) {
 	met := newServerMetrics()
 	if opts.Metrics == nil {
@@ -99,7 +96,7 @@ func NewServerWithServing(params bfv.Params, defaultSpec core.EngineSpec, opts S
 	s := &Server{params: params, store: store, met: met,
 		rec: newBoundRecorder(met, 0, 0), conns: make(map[net.Conn]struct{})}
 	if coalesce.Window > 0 {
-		s.co = NewCoalescer(store, params, coalesce, s.met)
+		s.co = newCoalescer(store, params, coalesce, s.met)
 	}
 	return s, nil
 }
@@ -346,7 +343,7 @@ func (s *Server) answer(msgType byte, payload []byte, t *trace.Trace) (reply byt
 		case errors.Is(err, ErrOverloaded) || errors.Is(err, errShutdown):
 			s.met.errorsByType.With("overloaded").Inc()
 			reply, body = MsgOverloaded, []byte(err.Error())
-		// Server-side faults (quarantined storage, recovered executor
+		// Server-side faults (quarantined storage, recovered batch
 		// panics) travel typed too: the request was fine, the server
 		// was not — retryable for read-only requests.
 		case errors.Is(err, ErrServerFault):
@@ -456,7 +453,7 @@ func (s *Server) handleMessage(msgType byte, payload []byte, t *trace.Trace) (by
 // return bit-identical candidates; the coalesced one defers the query
 // decode into the batching window (identical payloads decode once) and
 // shares arena passes with concurrent arrivals. Stage stamps land on t
-// either here (direct path) or inside the coalescer's executor.
+// either here (direct path) or by the leader of the query's window.
 func (s *Server) searchOne(payload []byte, t *trace.Trace) ([]int, error) {
 	if s.co != nil {
 		splitStart := time.Now()
@@ -466,7 +463,7 @@ func (s *Server) searchOne(payload []byte, t *trace.Trace) ([]int, error) {
 		}
 		t.Tenant = name
 		t.Stamp(trace.StageDecode, int64(time.Since(splitStart)))
-		return s.co.SearchRawTraced(name, raw, t)
+		return s.co.search(name, raw, t)
 	}
 	decodeStart := time.Now()
 	name, q, err := DecodeNamedQuery(payload, s.params)
@@ -573,16 +570,10 @@ func (c *Conn) TraceDump(max int, slowOnly bool) ([]trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch reply {
-	case MsgTraceDumpResult:
-		return DecodeTraceDumpResult(body)
-	case MsgServerError:
-		return nil, fmt.Errorf("proto: %s: %w", body, ErrServerFault)
-	case MsgError:
-		return nil, fmt.Errorf("proto: server error: %s", body)
-	default:
-		return nil, fmt.Errorf("proto: unexpected reply type %d", reply)
+	if reply != MsgTraceDumpResult {
+		return nil, replyError(reply, body)
 	}
+	return DecodeTraceDumpResult(body)
 }
 
 // Dial connects to a CIPHERMATCH server.
@@ -764,18 +755,10 @@ func (c *Conn) SearchPrepared(payload []byte) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch reply {
-	case MsgResult:
-		return DecodeResult(body)
-	case MsgOverloaded:
-		return nil, fmt.Errorf("proto: %s: %w", body, ErrOverloaded)
-	case MsgServerError:
-		return nil, fmt.Errorf("proto: %s: %w", body, ErrServerFault)
-	case MsgError:
-		return nil, fmt.Errorf("proto: server error: %s", body)
-	default:
-		return nil, fmt.Errorf("proto: unexpected reply type %d", reply)
+	if reply != MsgResult {
+		return nil, replyError(reply, body)
 	}
+	return DecodeResult(body)
 }
 
 // ServerStats fetches the server's serving-metrics snapshot: flat
@@ -787,16 +770,10 @@ func (c *Conn) ServerStats() ([]metrics.KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch reply {
-	case MsgStatsResult:
-		return DecodeStats(body)
-	case MsgServerError:
-		return nil, fmt.Errorf("proto: %s: %w", body, ErrServerFault)
-	case MsgError:
-		return nil, fmt.Errorf("proto: server error: %s", body)
-	default:
-		return nil, fmt.Errorf("proto: unexpected reply type %d", reply)
+	if reply != MsgStatsResult {
+		return nil, replyError(reply, body)
 	}
+	return DecodeStats(body)
 }
 
 // SearchBatch runs N independent searches against the named database in
@@ -820,25 +797,17 @@ func (c *Conn) SearchBatch(name string, queries []*core.Query) ([][]int, error) 
 	if err != nil {
 		return nil, err
 	}
-	switch reply {
-	case MsgBatchResult:
-		results, err := DecodeBatchResult(body)
-		if err != nil {
-			return nil, err
-		}
-		if len(results) != len(queries) {
-			return nil, fmt.Errorf("proto: server returned %d results for %d queries", len(results), len(queries))
-		}
-		return results, nil
-	case MsgOverloaded:
-		return nil, fmt.Errorf("proto: %s: %w", body, ErrOverloaded)
-	case MsgServerError:
-		return nil, fmt.Errorf("proto: %s: %w", body, ErrServerFault)
-	case MsgError:
-		return nil, fmt.Errorf("proto: server error: %s", body)
-	default:
-		return nil, fmt.Errorf("proto: unexpected reply type %d", reply)
+	if reply != MsgBatchResult {
+		return nil, replyError(reply, body)
 	}
+	results, err := DecodeBatchResult(body)
+	if err != nil {
+		return nil, err
+	}
+	if len(results) != len(queries) {
+		return nil, fmt.Errorf("proto: server returned %d results for %d queries", len(results), len(queries))
+	}
+	return results, nil
 }
 
 // ListDBs returns the server's database listing.
@@ -847,16 +816,10 @@ func (c *Conn) ListDBs() ([]DBInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch reply {
-	case MsgDBList:
-		return DecodeDBList(body)
-	case MsgServerError:
-		return nil, fmt.Errorf("proto: %s: %w", body, ErrServerFault)
-	case MsgError:
-		return nil, fmt.Errorf("proto: server error: %s", body)
-	default:
-		return nil, fmt.Errorf("proto: unexpected reply type %d", reply)
+	if reply != MsgDBList {
+		return nil, replyError(reply, body)
 	}
+	return DecodeDBList(body)
 }
 
 // DropDB removes the named database from the server.
@@ -869,9 +832,17 @@ func (c *Conn) DropDB(name string) error {
 }
 
 func expectAck(reply byte, body []byte) error {
-	switch reply {
-	case MsgAck:
+	if reply == MsgAck {
 		return nil
+	}
+	return replyError(reply, body)
+}
+
+// replyError decodes a reply that is not the request's success type:
+// overload and server faults wrap their typed sentinels (ErrOverloaded,
+// ErrServerFault), MsgError carries the server's message.
+func replyError(reply byte, body []byte) error {
+	switch reply {
 	case MsgOverloaded:
 		return fmt.Errorf("proto: %s: %w", body, ErrOverloaded)
 	case MsgServerError:

@@ -701,7 +701,6 @@ func (st *Store) Drop(name string) error {
 	return nil
 }
 
-// List describes every hosted database, sorted by name. It reads only
 // Has reports whether the store hosts a database under the name —
 // resident, cold, or quarantined. The telemetry layer uses it as its
 // label-cardinality guard: only hosted names (bounded by MaxStoredDBs)
@@ -713,6 +712,7 @@ func (st *Store) Has(name string) bool {
 	return ok
 }
 
+// List describes every hosted database, sorted by name. It reads only
 // registration metadata (persisted in the segment header and manifest),
 // never the arena, so cold databases list correctly without touching
 // disk.

@@ -150,15 +150,6 @@ func (r *Ring) reduce(x uint64) uint64 {
 	return x % r.q
 }
 
-// Reduce reduces every coefficient of a into [0, q) in place. Polynomials
-// produced by this package are always reduced; Reduce is for values built
-// coefficient-by-coefficient by callers.
-func (r *Ring) Reduce(a Poly) {
-	for i := range a {
-		a[i] = r.reduce(a[i])
-	}
-}
-
 // Add sets out = a + b.
 func (r *Ring) Add(a, b, out Poly) {
 	if r.qIsPow2 {

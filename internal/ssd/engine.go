@@ -45,13 +45,6 @@ func NewEngineForDB(cfg Config, params bfv.Params, kind TranspositionKind, db *c
 	return NewEngine(drive)
 }
 
-// Drive returns the underlying SSD (for latency/energy accounting).
-func (e *Engine) Drive() *SSD {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.drive
-}
-
 // SearchAndIndex implements core.Engine by dispatching CM-search.
 //
 //cm:pooled

@@ -81,14 +81,6 @@ func (r *Recorder) SlowThreshold() time.Duration {
 	return time.Duration(r.slowNS.Load())
 }
 
-// SetSlowThreshold adjusts the slow-capture threshold at runtime.
-func (r *Recorder) SetSlowThreshold(d time.Duration) {
-	if d <= 0 {
-		d = DefaultSlowThreshold
-	}
-	r.slowNS.Store(int64(d))
-}
-
 // NextID returns a fresh server-assigned trace ID for requests that
 // arrived without the client trace extension.
 func (r *Recorder) NextID() uint64 { return r.seq.Add(1) }

@@ -43,10 +43,11 @@ const (
 	// enqueue into the coalescing window (or rejection).
 	StageAdmission
 	// StageCoalesceWait is the time parked in the coalescing window,
-	// from enqueue to the executor claiming the batch.
+	// from admission until the window's leader starts executing the
+	// batch (window wait plus any wait for an execution slot).
 	StageCoalesceWait
-	// StageBatchForm is batch formation in the executor: payload dedup,
-	// group decode, and BatchQuery assembly.
+	// StageBatchForm is batch formation by the window's leader: payload
+	// dedup, group decode, and BatchQuery assembly.
 	StageBatchForm
 	// StageArena is the arena pass: the engine streaming the ciphertext
 	// arena and generating the match index.
