@@ -430,8 +430,11 @@ func BenchmarkEngineBatch(b *testing.B) {
 
 // --- ablation benchmarks (DESIGN.md §6) ---
 
-// BenchmarkAblationPolyMul compares the two negacyclic multiplication
-// algorithms at the paper's ring degree.
+// BenchmarkAblationPolyMul compares the negacyclic multiplication
+// algorithms at the paper's ring degree: schoolbook and Karatsuba at
+// q = 2^32, the exact auxiliary-prime NTT product Ring.Mul takes there when
+// one factor is ternary (encryption's public key × ephemeral), and the NTT
+// at a prime modulus.
 func BenchmarkAblationPolyMul(b *testing.B) {
 	r := ring.MustNew(1024, 1<<32)
 	src := rng.NewSourceFromString("polymul")
@@ -464,6 +467,13 @@ func BenchmarkAblationPolyMul(b *testing.B) {
 	b.Run("ntt-prime", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rp.MulNTT(xp, yp, outP)
+		}
+	})
+	u := r.NewPoly()
+	r.TernaryPoly(src, u)
+	b.Run("aux-ntt-ternary", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.Mul(x, u, out)
 		}
 	})
 }

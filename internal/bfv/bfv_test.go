@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -417,5 +418,128 @@ func TestMulRequiresDegreeOne(t *testing.T) {
 	}
 	if _, err := ev.Relinearize(ca, nil); err == nil {
 		t.Error("Relinearize accepted a degree-1 input")
+	}
+}
+
+// TestMulSmallMatchesSchoolbook checks the exact auxiliary-prime product
+// on every preset's ring against MulSchoolbook, for the shapes encryption,
+// decryption and key generation multiply: uniform × ternary (pk·u),
+// ternary × uniform (s·c1), all-q/2 × all-(−1) (the norm bound's worst
+// case) and zero × uniform. Presets whose bound n·(q/2) exceeds the
+// auxiliary prime's half must report the fallback and still agree.
+func TestMulSmallMatchesSchoolbook(t *testing.T) {
+	presets := []struct {
+		name     string
+		p        Params
+		fallback bool
+	}{
+		{"paper", ParamsPaper(), false},
+		{"toy", ParamsToy(), false},
+		{"n2048", ParamsN2048(), true},
+		{"oddq", ParamsOddQ(), false},
+		{"arith-baseline", ParamsArithBaseline(), false},
+		{"toymul", ParamsToyMul(), false},
+		{"ntt-arith", ParamsNTTArith(), false},
+		{"ntt-toy", ParamsNTTToy(), false},
+		{"boolean", ParamsBoolean(), true},
+	}
+	for _, pc := range presets {
+		t.Run(pc.name, func(t *testing.T) {
+			r := pc.p.Ring()
+			src := rng.NewSourceFromString("mulsmall-" + pc.name)
+			uniform, ternary := r.NewPoly(), r.NewPoly()
+			r.UniformPoly(src, uniform)
+			r.TernaryPoly(src, ternary)
+			half, minusOne := r.NewPoly(), r.NewPoly()
+			for i := range half {
+				half[i], minusOne[i] = r.Q()/2, r.Q()-1
+			}
+			for _, c := range []struct {
+				name string
+				a, b ring.Poly
+			}{
+				{"uniform×ternary", uniform, ternary},
+				{"ternary×uniform", ternary, uniform},
+				{"half×minus-one", half, minusOne},
+				{"zero×uniform", r.NewPoly(), uniform},
+			} {
+				want := r.NewPoly()
+				r.MulSchoolbook(c.a, c.b, want)
+				got := r.NewPoly()
+				exact := r.MulTransformed(r.NewOperand(c.a), r.Transform(c.b, r.NewPoly()), got)
+				if exact == pc.fallback {
+					t.Errorf("%s: exact arm taken = %v, want %v", c.name, exact, !pc.fallback)
+				}
+				if !r.Equal(got, want) {
+					t.Errorf("%s: MulTransformed != MulSchoolbook", c.name)
+				}
+				r.Mul(c.a, c.b, got)
+				if !r.Equal(got, want) {
+					t.Errorf("%s: Mul != MulSchoolbook", c.name)
+				}
+			}
+		})
+	}
+}
+
+// TestEncryptAllocs pins what an encryption allocates at ParamsPaper:
+// only its result (EncryptC0: the c0 polynomial; Encrypt: c0, c1, the
+// component slice and the Ciphertext). The randomness and the transform
+// of u live in the Encryptor's scratch pool.
+func TestEncryptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, inflating allocation counts")
+	}
+	p := ParamsPaper()
+	enc, encryptor, _, _, src := setup(t, p, "encrypt-allocs")
+	pt, err := enc.Encode(randomMessage(p, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"EncryptC0", 1, func() { encryptor.EncryptC0(pt, src) }},
+		{"Encrypt", 4, func() { encryptor.Encrypt(pt, src) }},
+	} {
+		if avg := testing.AllocsPerRun(50, c.f); avg > c.max {
+			t.Errorf("%s allocates %.1f times per call, want ≤ %.0f", c.name, avg, c.max)
+		}
+	}
+}
+
+// TestEncryptorConcurrent shares one Encryptor (its transformed public key
+// and scratch pool) between 8 goroutines; every ciphertext must equal the
+// one a lone caller gets from the same randomness.
+func TestEncryptorConcurrent(t *testing.T) {
+	p := ParamsToy()
+	enc, encryptor, _, _, src := setup(t, p, "concurrent")
+	pt, err := enc.Encode(randomMessage(p, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	got := make([]*Ciphertext, workers)
+	gotC0 := make([]ring.Poly, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got[g] = encryptor.Encrypt(pt, src.ForkIndexed("ct", g))
+				gotC0[g] = encryptor.EncryptC0(pt, src.ForkIndexed("ct", g))
+			}
+		}(g)
+	}
+	wg.Wait()
+	r := p.Ring()
+	for g := 0; g < workers; g++ {
+		want := encryptor.Encrypt(pt, src.ForkIndexed("ct", g))
+		if !r.Equal(got[g].C[0], want.C[0]) || !r.Equal(got[g].C[1], want.C[1]) || !r.Equal(gotC0[g], want.C[0]) {
+			t.Fatalf("goroutine %d: concurrent encryption differs from a lone one", g)
+		}
 	}
 }

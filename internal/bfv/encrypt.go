@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"fmt"
+	"sync"
 
 	"ciphermatch/internal/mathutil"
 	"ciphermatch/internal/ring"
@@ -80,16 +81,51 @@ func (e *Encoder) Decode(pt *Plaintext) []uint64 {
 	return out
 }
 
-// Encryptor encrypts plaintexts under a public key.
+// Encryptor encrypts plaintexts under a public key. It is safe for
+// concurrent use.
 type Encryptor struct {
 	params Params
 	ring   *ring.Ring
-	pk     *PublicKey
+	// p0 and p1 are the public key transformed once for exact products by
+	// the ternary ephemeral u (ring.Operand).
+	p0, p1 *ring.Operand
+	// scratch recycles the per-call polynomials (u, e0, e1 and u's
+	// transform), so an encryption allocates only what it returns.
+	scratch sync.Pool
+}
+
+// encScratch is one encryption's working set.
+type encScratch struct {
+	u, e0, e1, uHat ring.Poly
 }
 
 // NewEncryptor returns an Encryptor for pk.
 func NewEncryptor(p Params, pk *PublicKey) *Encryptor {
-	return &Encryptor{params: p, ring: p.Ring(), pk: pk}
+	r := p.Ring()
+	enc := &Encryptor{params: p, ring: r, p0: r.NewOperand(pk.P0), p1: r.NewOperand(pk.P1)}
+	enc.scratch.New = func() any {
+		return &encScratch{u: r.NewPoly(), e0: r.NewPoly(), e1: r.NewPoly(), uHat: r.NewPoly()}
+	}
+	return enc
+}
+
+// sample draws the encryption randomness in the contract order (u ternary,
+// e0 CBD, e1 CBD) into s and returns u transformed for the products by
+// the public key.
+func (enc *Encryptor) sample(s *encScratch, src *rng.Source) ring.Transformed {
+	r := enc.ring
+	r.TernaryPoly(src, s.u)
+	r.CBDPoly(src, enc.params.Eta, s.e0)
+	r.CBDPoly(src, enc.params.Eta, s.e1)
+	return r.Transform(s.u, s.uHat)
+}
+
+// fillC0 sets out = P0·u + e0 + Δ·m.
+func (enc *Encryptor) fillC0(pt *Plaintext, s *encScratch, u ring.Transformed, out ring.Poly) {
+	r := enc.ring
+	r.MulTransformed(enc.p0, u, out)
+	r.Add(out, s.e0, out)
+	r.MulScalarAdd(pt.Coeffs, enc.params.Delta(), out)
 }
 
 // Encrypt encrypts pt, drawing randomness from src in the fixed order
@@ -98,48 +134,27 @@ func NewEncryptor(p Params, pk *PublicKey) *Encryptor {
 // a forked source through this function.
 func (enc *Encryptor) Encrypt(pt *Plaintext, src *rng.Source) *Ciphertext {
 	r := enc.ring
-	u := r.NewPoly()
-	r.TernaryPoly(src, u)
-	e0 := r.NewPoly()
-	r.CBDPoly(src, enc.params.Eta, e0)
-	e1 := r.NewPoly()
-	r.CBDPoly(src, enc.params.Eta, e1)
-
-	c0 := r.NewPoly()
-	r.Mul(enc.pk.P0, u, c0)
-	r.Add(c0, e0, c0)
-	delta := enc.params.Delta()
-	scaled := r.NewPoly()
-	r.MulScalar(pt.Coeffs, delta, scaled)
-	r.Add(c0, scaled, c0)
-
-	c1 := r.NewPoly()
-	r.Mul(enc.pk.P1, u, c1)
-	r.Add(c1, e1, c1)
+	s := enc.scratch.Get().(*encScratch)
+	defer enc.scratch.Put(s)
+	u := enc.sample(s, src)
+	c0, c1 := r.NewPoly(), r.NewPoly()
+	enc.fillC0(pt, s, u, c0)
+	r.MulTransformed(enc.p1, u, c1)
+	r.Add(c1, s.e1, c1)
 	return &Ciphertext{C: []ring.Poly{c0, c1}}
 }
 
 // EncryptC0 computes only the first ciphertext component for pt with the
-// randomness stream src, consuming src exactly as Encrypt does. The seeded
-// match-token construction (internal/core) uses this to build the expected
-// hit value of a homomorphic addition without the second component.
+// randomness stream src, consuming src exactly as Encrypt does (e1 is
+// drawn and discarded to keep the stream aligned). The seeded match-token
+// construction (internal/core) uses this to build the expected hit value
+// of a homomorphic addition without the second component.
 func (enc *Encryptor) EncryptC0(pt *Plaintext, src *rng.Source) ring.Poly {
-	r := enc.ring
-	u := r.NewPoly()
-	r.TernaryPoly(src, u)
-	e0 := r.NewPoly()
-	r.CBDPoly(src, enc.params.Eta, e0)
-	e1 := r.NewPoly()
-	r.CBDPoly(src, enc.params.Eta, e1) // consumed to keep stream alignment
-	_ = e1
-
-	c0 := r.NewPoly()
-	r.Mul(enc.pk.P0, u, c0)
-	r.Add(c0, e0, c0)
-	delta := enc.params.Delta()
-	scaled := r.NewPoly()
-	r.MulScalar(pt.Coeffs, delta, scaled)
-	r.Add(c0, scaled, c0)
+	s := enc.scratch.Get().(*encScratch)
+	defer enc.scratch.Put(s)
+	u := enc.sample(s, src)
+	c0 := enc.ring.NewPoly()
+	enc.fillC0(pt, s, u, c0)
 	return c0
 }
 
@@ -148,27 +163,32 @@ type Decryptor struct {
 	params Params
 	ring   *ring.Ring
 	sk     *SecretKey
+	s      *ring.Operand // sk.S transformed once for c1·s
 }
 
 // NewDecryptor returns a Decryptor for sk.
 func NewDecryptor(p Params, sk *SecretKey) *Decryptor {
-	return &Decryptor{params: p, ring: p.Ring(), sk: sk}
+	r := p.Ring()
+	return &Decryptor{params: p, ring: r, sk: sk, s: r.NewOperand(sk.S)}
 }
 
 // phase computes c0 + c1·s + c2·s² + ... mod q.
 func (dec *Decryptor) phase(ct *Ciphertext) ring.Poly {
 	r := dec.ring
 	acc := r.Clone(ct.C[0])
-	sPow := r.Clone(dec.sk.S)
+	if len(ct.C) < 2 {
+		return acc
+	}
 	tmp := r.NewPoly()
-	for i := 1; i < len(ct.C); i++ {
+	r.MulTransformed(dec.s, r.Transform(ct.C[1], r.NewPoly()), tmp)
+	r.Add(acc, tmp, acc)
+	sPow := dec.sk.S
+	for i := 2; i < len(ct.C); i++ {
+		next := r.NewPoly()
+		r.Mul(sPow, dec.sk.S, next)
+		sPow = next
 		r.Mul(ct.C[i], sPow, tmp)
 		r.Add(acc, tmp, acc)
-		if i+1 < len(ct.C) {
-			next := r.NewPoly()
-			r.Mul(sPow, dec.sk.S, next)
-			sPow = next
-		}
 	}
 	return acc
 }

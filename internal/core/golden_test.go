@@ -1,0 +1,75 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"sort"
+	"testing"
+
+	"ciphermatch/internal/bfv"
+	"ciphermatch/internal/ring"
+	"ciphermatch/internal/rng"
+)
+
+// TestCiphertextGoldenDigest pins the bytes a client produces for a fixed
+// seed: the EncryptDatabase arena, then a PrepareQuery's DBTok plane and
+// RHS polynomials (ascending phase). Stored segments and a returning
+// client's token re-derivation both depend on these exact values, so a
+// faster ring product or sampler must leave every coefficient unchanged.
+func TestCiphertextGoldenDigest(t *testing.T) {
+	cases := []struct {
+		name   string
+		params bfv.Params
+		dbLen  int
+		want   string
+	}{
+		{"paper", bfv.ParamsPaper(), 4096, "62b91a316e18cd8f396dc70bc8f325dc4cdbc964be4a937b67e30f71a3023294"},
+		{"toy", bfv.ParamsToy(), 512, "70ff02442e7c0d5be334b5fc4914841df63ea3a8157f139a128240664bd71b7c"},
+		{"oddq", bfv.ParamsOddQ(), 512, "877f581a80a06a437c71482b5dd2acd909896c894f732f1bd06fd50bd2274206"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Params: tc.params, AlignBits: 8, Mode: ModeSeededMatch}
+			client, err := NewClient(cfg, rng.NewSourceFromString("golden-"+tc.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, tc.dbLen)
+			rng.NewSourceFromString("golden-data").Bytes(data)
+			db, err := client.EncryptDatabase(data, 8*len(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 8*len(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			putCoeffs(h, db.Arena())
+			for _, tok := range q.DBTok {
+				putCoeffs(h, tok)
+			}
+			phases := make([]int, 0, len(q.RHS))
+			for psi := range q.RHS {
+				phases = append(phases, psi)
+			}
+			sort.Ints(phases)
+			for _, psi := range phases {
+				putCoeffs(h, q.RHS[psi])
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+				t.Fatalf("client ciphertext bytes changed: sha256 %s, golden %s", got, tc.want)
+			}
+		})
+	}
+}
+
+func putCoeffs(h hash.Hash, p ring.Poly) {
+	buf := make([]byte, 8*len(p))
+	for i, c := range p {
+		binary.LittleEndian.PutUint64(buf[8*i:], c)
+	}
+	h.Write(buf)
+}

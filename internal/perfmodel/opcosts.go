@@ -9,10 +9,13 @@ import (
 
 // MeasuredOps holds per-operation latencies measured on this machine with
 // this repository's BFV implementation. Note the documented substitution
-// (DESIGN.md): our multiplication is schoolbook/Karatsuba rather than NTT,
-// so the Mul/Add ratio is higher than SEAL's; the calibrated model
-// constants (Calibration) are used for figure regeneration and these
-// measurements are reported alongside.
+// (DESIGN.md §6): q is not an NTT prime, so a ring product runs through an
+// auxiliary-prime NTT only when the operands' norms bound it (encryption,
+// decryption, relinearisation digits at small n) and through
+// schoolbook/Karatsuba otherwise, and Hom-Mul's tensor product is an exact
+// schoolbook convolution; the Mul/Add ratio is therefore higher than
+// SEAL's. The calibrated model constants (Calibration) are used for figure
+// regeneration and these measurements are reported alongside.
 type MeasuredOps struct {
 	TAdd time.Duration // Hom-Add (AddInto), per ciphertext pair
 	TMul time.Duration // Hom-Mul + relinearisation

@@ -7,19 +7,26 @@ import (
 )
 
 // Mul sets out = a * b in R_q (negacyclic convolution). out must not alias
-// a or b. Power-of-two moduli use Karatsuba above the threshold; NTT-ready
-// prime moduli use the number-theoretic transform; everything else falls
-// back to schoolbook.
+// a or b. NTT-ready prime moduli use the number-theoretic transform; other
+// moduli take the exact auxiliary-prime product when the operands' norms
+// admit it (auxntt.go), and otherwise Karatsuba (power-of-two moduli above
+// the threshold) or schoolbook.
 func (r *Ring) Mul(a, b, out Poly) {
-	if r.qIsPow2 && r.n >= r.karatsubaThreshold*2 {
-		r.MulKaratsuba(a, b, out)
-		return
+	if r.NTTAvailable() || !r.mulSmall(a, b, out) {
+		r.mulGeneral(a, b, out)
 	}
-	if r.NTTAvailable() {
+}
+
+// mulGeneral is Mul without the auxiliary-prime arm.
+func (r *Ring) mulGeneral(a, b, out Poly) {
+	switch {
+	case r.NTTAvailable():
 		r.MulNTT(a, b, out)
-		return
+	case r.qIsPow2 && r.n >= r.karatsubaThreshold*2:
+		r.MulKaratsuba(a, b, out)
+	default:
+		r.MulSchoolbook(a, b, out)
 	}
-	r.MulSchoolbook(a, b, out)
 }
 
 // MulSchoolbook sets out = a * b via the O(n^2) negacyclic schoolbook

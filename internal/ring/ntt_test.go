@@ -46,8 +46,13 @@ func TestNTTForwardInverseRoundtrip(t *testing.T) {
 	src := rng.NewSourceFromString("ntt-rt")
 	a := randomPoly(r, src)
 	orig := r.Clone(a)
-	r.nttForward(a)
-	r.nttInverse(a)
+	tbl := r.nativeNTT()
+	tbl.forward(a)
+	for i := range a { // lazy [0, 4p) forward output → inverse's [0, 2p) input
+		a[i] = condSub(a[i], 2*tbl.p)
+	}
+	tbl.inverse(a)
+	tbl.scaleReduce(a)
 	if !r.Equal(a, orig) {
 		t.Fatal("NTT followed by INTT is not the identity")
 	}
@@ -98,9 +103,6 @@ func TestModHelpers(t *testing.T) {
 	const q = 65537
 	if addMod(65530, 10, q) != 3 {
 		t.Error("addMod")
-	}
-	if subMod(3, 10, q) != q-7 {
-		t.Error("subMod")
 	}
 	if mulMod(65536, 65536, q) != 1 { // (-1)·(-1) = 1
 		t.Error("mulMod")

@@ -11,17 +11,24 @@
 //     exists for the larger-parameter presets and for property tests that
 //     check the implementation is not accidentally specialised to 2^32.
 //
-// Multiplication is negacyclic convolution (X^n = -1). Three algorithms are
-// provided: schoolbook (any modulus), Karatsuba (power-of-two moduli, used
-// by default there), and an exact integer convolution over centered lifts
-// (needed by the BFV tensoring step, which must not reduce mod q before
-// rescaling).
+// Multiplication is negacyclic convolution (X^n = -1). Ring.Mul picks, in
+// order: the number-theoretic transform over q itself (prime q ≡ 1 mod 2n);
+// an exact product over one auxiliary 56-bit NTT prime whenever the
+// operands' centred norms bound every integer coefficient below half that
+// prime — the case for every product by a small polynomial (ternary keys
+// and ephemerals, noise, digits), which is what encryption, decryption and
+// key generation do; Karatsuba (power-of-two moduli); and schoolbook (any
+// modulus, the reference the others are tested against). Operand and
+// Transformed let a caller transform a factor once and reuse it across
+// products. An exact integer convolution over centered lifts serves the BFV
+// tensoring step, which must not reduce mod q before rescaling.
 package ring
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Poly is a polynomial of degree < n with coefficients in [0, q). The slice
@@ -43,9 +50,10 @@ type Ring struct {
 	// recursion falls back to schoolbook multiplication.
 	karatsubaThreshold int
 
-	// NTT tables, built lazily for prime moduli with q ≡ 1 (mod 2n).
-	ntt        *ntt
-	nttChecked bool
+	// NTT tables for q itself, built on first use for prime moduli with
+	// q ≡ 1 (mod 2n); nil otherwise.
+	nttOnce sync.Once
+	ntt     *nttTables
 }
 
 // MaxGenericQ bounds non-power-of-two moduli so that schoolbook accumulation
@@ -216,6 +224,23 @@ func (r *Ring) MulScalar(a Poly, s uint64, out Poly) {
 	for i := range out {
 		hi, lo := bits.Mul64(a[i], s)
 		out[i] = bits.Rem64(hi, lo, r.q)
+	}
+}
+
+// MulScalarAdd sets out = out + s * a for a scalar s (reduced
+// internally): the plaintext-scaling step of encryption without a
+// temporary polynomial.
+func (r *Ring) MulScalarAdd(a Poly, s uint64, out Poly) {
+	s = r.reduce(s)
+	if r.qIsPow2 {
+		for i := range out {
+			out[i] = (out[i] + a[i]*s) & r.mask
+		}
+		return
+	}
+	for i := range out {
+		hi, lo := bits.Mul64(a[i], s)
+		out[i] = addMod(out[i], bits.Rem64(hi, lo, r.q), r.q)
 	}
 }
 

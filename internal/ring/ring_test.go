@@ -219,6 +219,12 @@ func TestMulScalar(t *testing.T) {
 		if !r.Equal(got, want) {
 			t.Fatalf("%s: MulScalar mismatch", tc.name)
 		}
+		b := randomPoly(r, src)
+		r.Add(want, b, want)
+		r.MulScalarAdd(a, s, b)
+		if !r.Equal(b, want) {
+			t.Fatalf("%s: MulScalarAdd mismatch", tc.name)
+		}
 	}
 }
 

@@ -12,28 +12,21 @@ func (r *Ring) UniformPoly(src *rng.Source, out Poly) {
 // TernaryPoly fills out with coefficients uniform in {-1, 0, +1} (reduced
 // mod q). This is the secret-key and encryption-ephemeral distribution.
 func (r *Ring) TernaryPoly(src *rng.Source, out Poly) {
-	q := r.q
 	for i := range out {
-		switch src.Ternary() {
-		case -1:
-			out[i] = q - 1
-		case 0:
-			out[i] = 0
-		default:
-			out[i] = 1
-		}
+		out[i] = r.fromSmall(src.Ternary())
 	}
 }
 
 // CBDPoly fills out with centered-binomial(eta) error coefficients (reduced
 // mod q).
 func (r *Ring) CBDPoly(src *rng.Source, eta int, out Poly) {
-	q := int64(r.q)
 	for i := range out {
-		v := src.CBD(eta)
-		if v < 0 {
-			v += q
-		}
-		out[i] = uint64(v)
+		out[i] = r.fromSmall(src.CBD(eta))
 	}
+}
+
+// fromSmall maps v in (-q, q) to its residue in [0, q) with a mask instead
+// of a branch on the sign of the (secret) sample.
+func (r *Ring) fromSmall(v int64) uint64 {
+	return uint64(v) + (r.q & uint64(v>>63))
 }

@@ -1,9 +1,40 @@
 package rng
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
+
+// TestSamplerGoldenStream pins the exact output of the samplers every
+// ciphertext's randomness is drawn from: SHA-256 over 1<<16 draws each of
+// Ternary, CBD(3) and Uniform(2^32) from one fixed seed. Stored database
+// ciphertexts and a client's token re-derivation depend on these values,
+// so a faster sampler must reproduce them bit for bit.
+func TestSamplerGoldenStream(t *testing.T) {
+	src := NewSourceFromString("sampler-golden")
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for i := 0; i < 1<<16; i++ {
+		put(uint64(src.Ternary()))
+	}
+	for i := 0; i < 1<<16; i++ {
+		put(uint64(src.CBD(3)))
+	}
+	for i := 0; i < 1<<16; i++ {
+		put(src.Uniform(1 << 32))
+	}
+	const want = "84f65f08bd8b20dfc4ff9a056a404de80eb7b36e1b2a9b8210bea8f8088d7f95"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("sampler stream changed: sha256 %s, golden %s", got, want)
+	}
+}
 
 func TestDeterminism(t *testing.T) {
 	a := NewSourceFromString("seed")
