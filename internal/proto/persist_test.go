@@ -9,6 +9,7 @@ import (
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
 	"ciphermatch/internal/mathutil"
+	"ciphermatch/internal/metrics"
 	"ciphermatch/internal/rng"
 	"ciphermatch/internal/segment"
 )
@@ -184,6 +185,7 @@ func TestStoreRestartRecovery(t *testing.T) {
 // that fits only one tenant arena, uploads and searches evict the
 // least-recently-used database, evicted tenants transparently reload
 // from their segment on the next search with bit-identical results,
+// every reload shows in the reload histogram and verified-bytes counter,
 // and Drop removes the segment file.
 func TestStoreEviction(t *testing.T) {
 	p := bfv.ParamsToy()
@@ -192,7 +194,8 @@ func TestStoreEviction(t *testing.T) {
 	b := newDurableTenant(t, p, "beta", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 968)
 	arena := 2 * int64(len(a.db.Chunks)) * int64(p.N) * 8
 
-	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir, MemBudget: arena + arena/2})
+	reg := metrics.NewRegistry()
+	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir, MemBudget: arena + arena/2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +234,17 @@ func TestStoreEviction(t *testing.T) {
 		if got := st.ResidentBytes(); got > arena+arena/2 {
 			t.Fatalf("round %d: resident %d bytes exceeds budget", i, got)
 		}
+	}
+	// Each round reloaded both tenants; both arenas are the same size.
+	const reloads = 6
+	if got := reg.Counter("store_reloads_total").Load(); got != reloads {
+		t.Fatalf("store_reloads_total = %d, want %d", got, reloads)
+	}
+	if got := reg.Histogram("store_reload_ns").Count(); got != reloads {
+		t.Fatalf("store_reload_ns count = %d, want %d", got, reloads)
+	}
+	if got := reg.Counter("store_reload_bytes_total").Load(); got != reloads*arena {
+		t.Fatalf("store_reload_bytes_total = %d, want %d", got, reloads*arena)
 	}
 
 	// Batch search also reloads cold tenants.
@@ -446,5 +460,40 @@ func TestStoreListCold(t *testing.T) {
 	}
 	if infos[0].Searches != 0 {
 		t.Fatalf("search count %d survived restart; want in-memory stat reset", infos[0].Searches)
+	}
+}
+
+// TestStoreSegmentV1Compat: a data directory holding a version 1
+// (CRC-64) segment, written by the last release that wrote that
+// version, reloads the tenant, answers bit-identically to the
+// client-decrypt ground truth, and scrubs clean. The scrub hashes with
+// the current checksum, so it would quarantine a healthy version 1
+// tenant if the loader handed it the file's CRC-64 sums.
+func TestStoreSegmentV1Compat(t *testing.T) {
+	p := bfv.ParamsToy()
+	tn := newDurableTenant(t, p, "v1-tenant", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 200)
+	raw, err := os.ReadFile(filepath.Join("..", "segment", "testdata", "v1-toy.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segment.FileName(tn.name)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if infos := st.List(); len(infos) != 1 || infos[0].Name != tn.name || infos[0].State != StateCold {
+		t.Fatalf("recovered listing: %+v", infos)
+	}
+	ir, err := st.Search(tn.name, tn.q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCandidates(t, "version 1 segment", ir.Candidates, tn.clientWant)
+	if checked, corrupted := st.ScrubOnce(); checked != 1 || corrupted != 0 {
+		t.Fatalf("scrub over a reloaded version 1 tenant: checked %d, corrupted %d; want 1, 0", checked, corrupted)
 	}
 }

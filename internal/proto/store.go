@@ -71,13 +71,15 @@ type Store struct {
 // the flat store_* totals keep their names for existing dashboards and
 // the chaos CI grep.
 type storeMetrics struct {
-	scrubRuns        *metrics.Counter // background/explicit scrub passes
-	scrubCorruptions *metrics.Counter // resident arenas failing their recorded CRCs
-	quarantines      *metrics.Counter // databases taken out of service as corrupt
-	uploadsFailed    *metrics.Counter // uploads refused because the durable write failed
-	reloads          *metrics.Counter // cold databases reloaded from their segment
-	reloadFailures   *metrics.Counter // reload attempts that failed (DB stays cold)
-	evictions        *metrics.Counter // residents evicted by the memory budget
+	scrubRuns        *metrics.Counter   // background/explicit scrub passes
+	scrubCorruptions *metrics.Counter   // resident arenas failing their recorded CRCs
+	quarantines      *metrics.Counter   // databases taken out of service as corrupt
+	uploadsFailed    *metrics.Counter   // uploads refused because the durable write failed
+	reloads          *metrics.Counter   // cold databases reloaded from their segment
+	reloadNs         *metrics.Histogram // wall time of each successful reload: verify, adopt, engine build
+	reloadBytes      *metrics.Counter   // arena bytes checksum-verified by successful reloads
+	reloadFailures   *metrics.Counter   // reload attempts that failed (DB stays cold)
+	evictions        *metrics.Counter   // residents evicted by the memory budget
 
 	tenantScrubCorruptions *metrics.CounterVec // tenant_scrub_corruptions_total{db}
 	tenantQuarantines      *metrics.CounterVec // tenant_quarantines_total{db}
@@ -98,6 +100,8 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 		quarantines:      reg.Counter("store_quarantines_total"),
 		uploadsFailed:    reg.Counter("store_uploads_failed_total"),
 		reloads:          reg.Counter("store_reloads_total"),
+		reloadNs:         reg.Histogram("store_reload_ns"),
+		reloadBytes:      reg.Counter("store_reload_bytes_total"),
 		reloadFailures:   reg.Counter("store_reload_failures_total"),
 		evictions:        reg.Counter("store_evictions_total"),
 
@@ -417,6 +421,7 @@ func (st *Store) ensureLoaded(d *hostedDB) error {
 	if !d.persisted || st.dir == nil {
 		return fmt.Errorf("proto: database %q has no engine and no segment to reload from", d.name)
 	}
+	start := time.Now()
 	seg, err := st.dir.Load(d.name, st.params.N, st.params.Q)
 	if err != nil {
 		st.met.reloadFailed(d.name)
@@ -430,9 +435,6 @@ func (st *Store) ensureLoaded(d *hostedDB) error {
 		}
 		return fmt.Errorf("proto: reloading %q: %w", d.name, err)
 	}
-	// The reload is always followed by a search streaming the arena:
-	// start faulting the mapping in while the engine is being built.
-	seg.AdviseWillNeed()
 	edb, err := seg.DB()
 	if err != nil {
 		_ = seg.Close()
@@ -452,6 +454,8 @@ func (st *Store) ensureLoaded(d *hostedDB) error {
 	d.crcKnown = true
 	d.loaded.Store(true)
 	st.met.reloads.Inc()
+	st.met.reloadNs.Observe(time.Since(start).Nanoseconds())
+	st.met.reloadBytes.Add(st.arenaBytes(d.chunks))
 	st.met.tenantReloads.With(d.name).Inc()
 	st.resident.Add(st.arenaBytes(d.chunks))
 	return nil

@@ -2,8 +2,6 @@
 
 package segment
 
-// On platforms without a usable Madvise in syscall the hints are no-ops.
+// On platforms without a usable Madvise in syscall the hint is a no-op.
 
 func adviseSequential(b []byte) {}
-
-func adviseWillNeed(b []byte) {}

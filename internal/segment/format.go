@@ -7,11 +7,11 @@
 // and the search walks it where it lies, instead of the server hauling
 // every tenant into heap-resident DRAM.
 //
-// File layout (version 1, all integers little-endian):
+// File layout (version 2, all integers little-endian):
 //
 //	offset  size  field
 //	     0     8  magic "CMSEGARN"
-//	     8     4  version (1)
+//	     8     4  version (2; 1 still loads)
 //	    12     4  header length (128)
 //	    16     8  ring degree n
 //	    24     8  ciphertext modulus q
@@ -26,21 +26,31 @@
 //	   128     -  database name, zero-padded to an 8-byte multiple
 //	     -     -  C0 plane: chunk coefficients c(0), 8 bytes each
 //	     -     -  C1 plane: chunk coefficients c(1), 8 bytes each
-//	     -    32  footer: C0 CRC, C1 CRC, header+name CRC, "CMSEGEND"
+//	     -    32  footer: C0 sum, C1 sum, header+name sum, "CMSEGEND"
 //
 // The planes are laid out exactly as core.EncryptedDB.Compact lays out
 // its arena — all first components, then all second components — and
 // every plane starts 8-byte aligned, so on little-endian platforms the
 // mapped byte range reinterprets directly as the []uint64 arena that
-// core.AdoptArena plugs into the chunk-view layout. Checksums are
-// CRC-64/ECMA, one per plane plus one over the header and name.
+// core.AdoptArena plugs into the chunk-view layout.
+//
+// Each footer sum is a 64-bit CRC: CRC-32C in the high word, CRC-32/IEEE
+// in the low word, both computed in hardware (SSE4.2 and PCLMULQDQ on
+// amd64, the CRC32 instructions on arm64). The two generator polynomials
+// are coprime, so by the Chinese remainder theorem the pair is a CRC
+// whose generator is their degree-64 product: every burst of up to 64
+// bits is caught and random damage escapes with probability 2^-64, the
+// guarantees of the table-driven CRC-64/ECMA that version 1 used. Version
+// 1 files stay readable; nothing writes them.
 package segment
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
+	"io"
 
 	"ciphermatch/internal/core"
 )
@@ -70,8 +80,9 @@ var (
 const (
 	magic    = "CMSEGARN"
 	endMagic = "CMSEGEND"
-	// Version is the current segment format version.
-	Version = 1
+	// Version is the segment format version Write produces. Version 1
+	// (CRC-64/ECMA sums) is still read.
+	Version = 2
 
 	headerLen = 128
 	footerLen = 32
@@ -87,8 +98,50 @@ const (
 	maxChunks     = 1 << 28
 )
 
-// crcTable is the CRC-64/ECMA table shared by writer and loader.
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var (
+	castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
+	ecmaTable       = crc64.MakeTable(crc64.ECMA) // version 1 only
+)
+
+// checksum is the 64-bit sum that seals each section of a version 2
+// segment: CRC-32C in the high word, CRC-32/IEEE in the low word. The
+// writer, both loaders and the store's upload fingerprint and scrub (via
+// ArenaPlaneCRCs) all use it.
+func checksum(b []byte) uint64 {
+	var d digest
+	d.Write(b) //nolint:errcheck // never fails
+	return d.Sum64()
+}
+
+// digest is the streaming form of checksum.
+type digest struct{ castagnoli, ieee uint32 }
+
+// Write folds b into both CRCs. It never fails. Two whole passes beat
+// interleaving the CRCs block by block over a freshly mapped plane
+// (BenchmarkOpen).
+func (d *digest) Write(b []byte) (int, error) {
+	d.castagnoli = crc32.Update(d.castagnoli, castagnoliTable, b)
+	d.ieee = crc32.Update(d.ieee, crc32.IEEETable, b)
+	return len(b), nil
+}
+
+// Sum64 returns the checksum of everything written.
+func (d *digest) Sum64() uint64 { return uint64(d.castagnoli)<<32 | uint64(d.ieee) }
+
+// hash64 is what verification needs of a format version's checksum.
+type hash64 interface {
+	io.Writer
+	Sum64() uint64
+}
+
+// newHash returns the streaming checksum a format version seals its
+// sections with. This is the only place version 1 differs.
+func newHash(version uint32) hash64 {
+	if version == 1 {
+		return crc64.New(ecmaTable)
+	}
+	return new(digest)
+}
 
 // nativeLittleEndian reports whether the host lays uint64s out in the
 // file's byte order; only then can a mapped plane be reinterpreted as
@@ -154,39 +207,50 @@ func encodeHeader(m Meta) []byte {
 	return buf
 }
 
+// layout is where one segment file's sections lie and which format
+// version sealed them.
+type layout struct {
+	version  uint32 // picks the checksum (newHash)
+	nameLen  int    // declared name length, before padding
+	planeOff int    // offset of the C0 plane
+	size     int64  // total file size
+}
+
 // decodeHeader parses and bounds-checks a header block (at least
 // headerLen bytes). It returns the meta with an empty Name — the name
-// sits behind the fixed block — plus the declared name length.
-func decodeHeader(buf []byte) (Meta, int, error) {
+// sits behind the fixed block — plus the layout the header declares
+// (size left zero).
+func decodeHeader(buf []byte) (Meta, layout, error) {
 	var m Meta
 	if len(buf) < headerLen {
-		return m, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(buf))
+		return m, layout{}, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(buf))
 	}
 	if string(buf[:8]) != magic {
-		return m, 0, fmt.Errorf("%w: % x", ErrBadMagic, buf[:8])
+		return m, layout{}, fmt.Errorf("%w: % x", ErrBadMagic, buf[:8])
 	}
-	if v := binary.LittleEndian.Uint32(buf[8:]); v != Version {
-		return m, 0, fmt.Errorf("%w: version %d, this build reads %d", ErrBadVersion, v, Version)
+	version := binary.LittleEndian.Uint32(buf[8:])
+	if version != 1 && version != Version {
+		return m, layout{}, fmt.Errorf("%w: version %d, this build reads 1 and %d", ErrBadVersion, version, Version)
 	}
 	if hl := binary.LittleEndian.Uint32(buf[12:]); hl != headerLen {
-		return m, 0, fmt.Errorf("%w: header length %d", ErrCorrupt, hl)
+		return m, layout{}, fmt.Errorf("%w: header length %d", ErrCorrupt, hl)
 	}
 	n := binary.LittleEndian.Uint64(buf[16:])
 	chunks := binary.LittleEndian.Uint64(buf[32:])
 	if n < 1 || n > maxRingDegree || n&(n-1) != 0 {
-		return m, 0, fmt.Errorf("%w: ring degree %d", ErrCorrupt, n)
+		return m, layout{}, fmt.Errorf("%w: ring degree %d", ErrCorrupt, n)
 	}
 	if chunks < 1 || chunks > maxChunks {
-		return m, 0, fmt.Errorf("%w: chunk count %d", ErrCorrupt, chunks)
+		return m, layout{}, fmt.Errorf("%w: chunk count %d", ErrCorrupt, chunks)
 	}
 	bitLen := binary.LittleEndian.Uint64(buf[40:])
 	numSegs := binary.LittleEndian.Uint64(buf[48:])
 	if bitLen > 1<<50 || numSegs > 1<<50 {
-		return m, 0, fmt.Errorf("%w: bit length %d / segment count %d", ErrCorrupt, bitLen, numSegs)
+		return m, layout{}, fmt.Errorf("%w: bit length %d / segment count %d", ErrCorrupt, bitLen, numSegs)
 	}
 	nameLen := binary.LittleEndian.Uint32(buf[56:])
 	if nameLen > MaxNameLen {
-		return m, 0, fmt.Errorf("%w: name length %d exceeds %d", ErrCorrupt, nameLen, MaxNameLen)
+		return m, layout{}, fmt.Errorf("%w: name length %d exceeds %d", ErrCorrupt, nameLen, MaxNameLen)
 	}
 	kind := buf[68 : 68+maxKindLen]
 	kindEnd := 0
@@ -195,7 +259,7 @@ func decodeHeader(buf []byte) (Meta, int, error) {
 	}
 	for _, b := range kind[kindEnd:] {
 		if b != 0 {
-			return m, 0, fmt.Errorf("%w: engine kind not NUL-padded", ErrCorrupt)
+			return m, layout{}, fmt.Errorf("%w: engine kind not NUL-padded", ErrCorrupt)
 		}
 	}
 	m.RingDegree = int(n)
@@ -207,30 +271,30 @@ func decodeHeader(buf []byte) (Meta, int, error) {
 		Kind:    string(kind[:kindEnd]),
 		Workers: int(binary.LittleEndian.Uint32(buf[60:])),
 	}
-	return m, int(nameLen), nil
+	return m, layout{version: version, nameLen: int(nameLen), planeOff: headerLen + pad8(int(nameLen))}, nil
 }
 
-// ArenaPlaneCRCs computes the CRC-64/ECMA of each coefficient plane of
-// a compact plane-major arena, exactly as Write stores them in the
-// segment footer. The store checksums resident arenas with it at upload
-// time, so the background scrub can compare memory against the same
-// fingerprint a durable segment carries.
+// ArenaPlaneCRCs computes the checksum of each coefficient plane of a
+// compact plane-major arena, exactly as Write stores them in the segment
+// footer. The store checksums resident arenas with it at upload time, so
+// the background scrub can compare memory against the same fingerprint a
+// durable segment carries.
 func ArenaPlaneCRCs(arena []uint64) [2]uint64 {
 	var crcs [2]uint64
 	words := len(arena) / 2
 	for p := 0; p < 2; p++ {
 		plane := arena[p*words : (p+1)*words]
 		if nativeLittleEndian {
-			crcs[p] = crc64.Checksum(u64Bytes(plane), crcTable)
+			crcs[p] = checksum(u64Bytes(plane))
 			continue
 		}
-		h := crc64.New(crcTable)
+		var d digest
 		var buf [8]byte
 		for _, w := range plane {
 			binary.LittleEndian.PutUint64(buf[:], w)
-			h.Write(buf[:]) //nolint:errcheck // hash.Hash never errors
+			d.Write(buf[:]) //nolint:errcheck // never fails
 		}
-		crcs[p] = h.Sum64()
+		crcs[p] = d.Sum64()
 	}
 	return crcs
 }

@@ -13,8 +13,8 @@ import (
 // FuzzDecodeSegment is the persistence-layer sibling of the proto wire
 // fuzzers: arbitrary file bytes must never panic the loader — only
 // error — and anything that does load must satisfy the meta invariants
-// the store relies on. Seeds are a valid segment plus truncations and
-// bit flips at the structurally interesting offsets.
+// the store relies on. Seeds are a valid segment of each format version
+// plus truncations and bit flips at the structurally interesting offsets.
 func FuzzDecodeSegment(f *testing.F) {
 	p := bfv.ParamsToy()
 	dir, err := os.MkdirTemp("", "segfuzz")
@@ -28,6 +28,13 @@ func FuzzDecodeSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(enc)
+	// The committed version 1 file, so the fuzzer explores both version
+	// branches of the loader.
+	v1, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Add([]byte{})
 	for _, cut := range []int{8, headerLen - 1, headerLen + 3, len(enc) / 2, len(enc) - footerLen, len(enc) - 1} {
 		if cut >= 0 && cut < len(enc) {

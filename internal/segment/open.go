@@ -3,7 +3,6 @@ package segment
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 
@@ -33,25 +32,15 @@ func (s *Segment) Meta() Meta { return s.meta }
 // layout (C0 plane then C1 plane). Read-only.
 func (s *Segment) Arena() []uint64 { return s.arena }
 
-// PlaneCRCs returns the CRC-64/ECMA of each coefficient plane as stored
-// in the file footer (verified against the bytes at load time). The
+// PlaneCRCs returns the checksum of each coefficient plane, as
+// ArenaPlaneCRCs computes it — for a current-version file, the sums
+// stored in its footer (verified against the bytes at load time). The
 // store records them so the background scrubber can re-verify resident
 // arenas against the durable checksums.
 func (s *Segment) PlaneCRCs() [2]uint64 { return s.planeCRC }
 
 // Mapped reports whether the arena is a zero-copy file mapping.
 func (s *Segment) Mapped() bool { return s.mapping != nil }
-
-// AdviseWillNeed hints the kernel to fault the mapping in ahead of
-// imminent sequential reads. The durable store calls it when a cold
-// segment is loaded for a search, so flash reads overlap engine
-// construction instead of serialising behind the kernel's page faults.
-// No-op for copied (non-mapped) arenas.
-func (s *Segment) AdviseWillNeed() {
-	if s.mapping != nil {
-		adviseWillNeed(s.mapping)
-	}
-}
 
 // DB adopts the arena into an EncryptedDB: chunk views over the mapped
 // (or copied) planes, ready for any engine. The database is read-only
@@ -97,26 +86,41 @@ func OpenFS(fsys FS, path string, ringDegree int, modulus uint64) (*Segment, err
 		return nil, err
 	}
 	defer f.Close()
-	meta, planeOff, size, err := readHeader(f)
+	meta, lay, err := readHeader(f)
 	if err != nil {
 		return nil, err
 	}
 	if err := meta.CheckGeometry(ringDegree, modulus); err != nil {
 		return nil, err
 	}
+	s, err := openVerified(fsys, f, meta, lay)
+	if err != nil {
+		return nil, err
+	}
+	if lay.version == 1 {
+		// The planes were just verified against their CRC-64 sums, but
+		// the store's scrub re-hashes with the current checksum: derive
+		// those sums once from the verified bytes.
+		s.planeCRC = ArenaPlaneCRCs(s.arena)
+	}
+	return s, nil
+}
 
+// openVerified maps the file where it can and copies it where it
+// cannot, verifying both planes either way.
+func openVerified(fsys FS, f File, meta Meta, lay layout) (*Segment, error) {
 	if nativeLittleEndian {
-		if m, err := fsys.Mmap(f, size); err == nil {
-			// The CRC pass below and the search kernels both stream the
-			// planes front-to-back: tell the kernel so readahead runs
+		if m, err := fsys.Mmap(f, lay.size); err == nil {
+			// The checksum pass below and the search kernels both stream
+			// the planes front-to-back: tell the kernel so readahead runs
 			// at full depth from the first fault.
 			adviseSequential(m)
-			foot, err := verifyMapped(m, planeOff, meta)
+			foot, err := verifyMapped(m, meta, lay)
 			if err != nil {
 				fsys.Munmap(m) //nolint:errcheck // reporting the verify failure
 				return nil, err
 			}
-			if arena := bytesU64(m[planeOff : int64(planeOff)+2*meta.planeBytes()]); arena != nil {
+			if arena := bytesU64(m[lay.planeOff : int64(lay.planeOff)+2*meta.planeBytes()]); arena != nil {
 				return &Segment{meta: meta, arena: arena, mapping: m, fsys: fsys, planeCRC: foot.planeCRC}, nil
 			}
 			fsys.Munmap(m) //nolint:errcheck // falling back to the copying loader
@@ -124,7 +128,7 @@ func OpenFS(fsys FS, path string, ringDegree int, modulus uint64) (*Segment, err
 		// Mapping failed (exotic filesystem, size limits, injected
 		// fault): copy instead.
 	}
-	return openCopy(f, meta, planeOff)
+	return openCopy(f, meta, lay)
 }
 
 // ReadMeta reads and validates a segment's header, name and header
@@ -141,60 +145,60 @@ func ReadMetaFS(fsys FS, path string) (Meta, error) {
 		return Meta{}, err
 	}
 	defer f.Close()
-	meta, _, _, err := readHeader(f)
+	meta, _, err := readHeader(f)
 	return meta, err
 }
 
 // readHeader validates sizes, parses the header and name, and checks
-// the header CRC stored in the footer. It returns the plane offset and
-// total file size.
-func readHeader(f File) (Meta, int, int64, error) {
+// the header sum stored in the footer. It returns the file's layout.
+func readHeader(f File) (Meta, layout, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return Meta{}, 0, 0, err
+		return Meta{}, layout{}, err
 	}
 	size := st.Size()
 	if size < headerLen+footerLen {
-		return Meta{}, 0, 0, fmt.Errorf("%w: %d bytes", ErrTruncated, size)
+		return Meta{}, layout{}, fmt.Errorf("%w: %d bytes", ErrTruncated, size)
 	}
 	var head [headerLen]byte
 	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return Meta{}, 0, 0, err
+		return Meta{}, layout{}, err
 	}
-	meta, nameLen, err := decodeHeader(head[:])
+	meta, lay, err := decodeHeader(head[:])
 	if err != nil {
-		return Meta{}, 0, 0, err
+		return Meta{}, layout{}, err
 	}
-	planeOff := headerLen + pad8(nameLen)
-	want := int64(planeOff) + 2*meta.planeBytes() + footerLen
+	want := int64(lay.planeOff) + 2*meta.planeBytes() + footerLen
 	if size < want {
-		return Meta{}, 0, 0, fmt.Errorf("%w: %d bytes, header promises %d", ErrTruncated, size, want)
+		return Meta{}, layout{}, fmt.Errorf("%w: %d bytes, header promises %d", ErrTruncated, size, want)
 	}
 	if size > want {
-		return Meta{}, 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, size-want)
+		return Meta{}, layout{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, size-want)
 	}
+	lay.size = size
 
-	nameBuf := make([]byte, pad8(nameLen))
+	nameBuf := make([]byte, lay.planeOff-headerLen)
 	if _, err := f.ReadAt(nameBuf, headerLen); err != nil {
-		return Meta{}, 0, 0, err
+		return Meta{}, layout{}, err
 	}
-	for _, b := range nameBuf[nameLen:] {
+	for _, b := range nameBuf[lay.nameLen:] {
 		if b != 0 {
-			return Meta{}, 0, 0, fmt.Errorf("%w: name padding not zero", ErrCorrupt)
+			return Meta{}, layout{}, fmt.Errorf("%w: name padding not zero", ErrCorrupt)
 		}
 	}
-	meta.Name = string(nameBuf[:nameLen])
+	meta.Name = string(nameBuf[:lay.nameLen])
 
 	foot, err := readFooter(f, size)
 	if err != nil {
-		return Meta{}, 0, 0, err
+		return Meta{}, layout{}, err
 	}
-	crc := crc64.Checksum(head[:], crcTable)
-	crc = crc64.Update(crc, crcTable, nameBuf)
-	if crc != foot.headCRC {
-		return Meta{}, 0, 0, fmt.Errorf("%w: header CRC %016x, stored %016x", ErrChecksum, crc, foot.headCRC)
+	h := newHash(lay.version)
+	h.Write(head[:]) //nolint:errcheck // hashes never fail
+	h.Write(nameBuf) //nolint:errcheck // hashes never fail
+	if sum := h.Sum64(); sum != foot.headCRC {
+		return Meta{}, layout{}, fmt.Errorf("%w: header CRC %016x, stored %016x", ErrChecksum, sum, foot.headCRC)
 	}
-	return meta, planeOff, size, nil
+	return meta, lay, nil
 }
 
 // footer is the decoded trailing block.
@@ -221,18 +225,20 @@ func decodeFooter(buf []byte) (footer, error) {
 	}, nil
 }
 
-// verifyMapped checks both plane CRCs against the mapped bytes. This is
+// verifyMapped checks both plane sums against the mapped bytes. This is
 // the cold-load cost: one sequential fault-in pass over the file.
-func verifyMapped(m []byte, planeOff int, meta Meta) (footer, error) {
+func verifyMapped(m []byte, meta Meta, lay layout) (footer, error) {
 	foot, err := decodeFooter(m[len(m)-footerLen:])
 	if err != nil {
 		return footer{}, err
 	}
 	pb := meta.planeBytes()
 	for p := 0; p < 2; p++ {
-		lo := int64(planeOff) + int64(p)*pb
-		if crc := crc64.Checksum(m[lo:lo+pb], crcTable); crc != foot.planeCRC[p] {
-			return footer{}, fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, crc, foot.planeCRC[p])
+		lo := int64(lay.planeOff) + int64(p)*pb
+		h := newHash(lay.version)
+		h.Write(m[lo : lo+pb]) //nolint:errcheck // hashes never fail
+		if sum := h.Sum64(); sum != foot.planeCRC[p] {
+			return footer{}, fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, sum, foot.planeCRC[p])
 		}
 	}
 	return foot, nil
@@ -242,9 +248,9 @@ func verifyMapped(m []byte, planeOff int, meta Meta) (footer, error) {
 // the planes are read — and byte-order corrected where needed — into a
 // heap arena. Still O(1) allocations: one arena plus fixed scratch.
 // Read-time bit flips injected by a fault FS surface here as ErrChecksum
-// (the CRC pass covers exactly the bytes adopted into the arena).
-func openCopy(f File, meta Meta, planeOff int) (*Segment, error) {
-	foot, err := readFooter(f, int64(planeOff)+2*meta.planeBytes()+footerLen)
+// (the checksum pass covers exactly the bytes adopted into the arena).
+func openCopy(f File, meta Meta, lay layout) (*Segment, error) {
+	foot, err := readFooter(f, lay.size)
 	if err != nil {
 		return nil, err
 	}
@@ -252,26 +258,23 @@ func openCopy(f File, meta Meta, planeOff int) (*Segment, error) {
 	words := len(arena) / 2
 	var scratch [512 * 8]byte
 	for p := 0; p < 2; p++ {
-		crc := crc64.New(crcTable)
+		h := newHash(lay.version)
 		plane := arena[p*words : (p+1)*words]
-		r := io.NewSectionReader(f, int64(planeOff)+int64(p)*meta.planeBytes(), meta.planeBytes())
+		r := io.NewSectionReader(f, int64(lay.planeOff)+int64(p)*meta.planeBytes(), meta.planeBytes())
 		for len(plane) > 0 {
-			chunk := len(scratch) / 8
-			if chunk > len(plane) {
-				chunk = len(plane)
-			}
+			chunk := min(len(scratch)/8, len(plane))
 			buf := scratch[:chunk*8]
 			if _, err := io.ReadFull(r, buf); err != nil {
 				return nil, err
 			}
-			crc.Write(buf)
+			h.Write(buf) //nolint:errcheck // hashes never fail
 			for i := 0; i < chunk; i++ {
 				plane[i] = binary.LittleEndian.Uint64(buf[i*8:])
 			}
 			plane = plane[chunk:]
 		}
-		if crc.Sum64() != foot.planeCRC[p] {
-			return nil, fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, crc.Sum64(), foot.planeCRC[p])
+		if sum := h.Sum64(); sum != foot.planeCRC[p] {
+			return nil, fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, sum, foot.planeCRC[p])
 		}
 	}
 	return &Segment{meta: meta, arena: arena, planeCRC: foot.planeCRC}, nil

@@ -3,6 +3,7 @@ package segment
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -159,8 +160,7 @@ func TestReservedShardWordIgnored(t *testing.T) {
 	// CRC the footer stores.
 	binary.LittleEndian.PutUint32(raw[64:], 4)
 	planeOff := headerLen + pad8(len("legacy"))
-	crc := crc64.Checksum(raw[:planeOff], crcTable)
-	binary.LittleEndian.PutUint64(raw[len(raw)-footerLen+16:], crc)
+	binary.LittleEndian.PutUint64(raw[len(raw)-footerLen+16:], checksum(raw[:planeOff]))
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -187,23 +187,79 @@ func TestReservedShardWordIgnored(t *testing.T) {
 	}
 }
 
-// TestSegmentCorruption holds the loader to the distinct-error
-// contract: every damage class maps to its own sentinel.
+// noMmapFS is the real filesystem with mapping unavailable, which
+// forces every load through the copying loader.
+type noMmapFS struct{ OSFS }
+
+func (noMmapFS) Mmap(File, int64) ([]byte, error) { return nil, errors.ErrUnsupported }
+
+// loaders are the two load paths every verification test runs through.
+var loaders = []struct {
+	name string
+	fsys FS
+}{{"mmap", OSFS{}}, {"copy", noMmapFS{}}}
+
+// subtest names a corruption case per loader; the mmap loader keeps the
+// bare case names it has always run under.
+func subtest(loader, name string) string {
+	if loader == "mmap" {
+		return name
+	}
+	return loader + "/" + name
+}
+
+// TestSegmentCorruption holds both loaders to the distinct-error
+// contract: every damage class maps to its own sentinel, and every
+// burst of up to 64 bits in any checksummed section is caught.
 func TestSegmentCorruption(t *testing.T) {
+	// The checksum's halves give the standard check values,
+	// CRC-32C("123456789") = E3069283 and CRC-32/IEEE = CBF43926, and
+	// streaming in pieces changes nothing.
+	t.Run("check-value", func(t *testing.T) {
+		if got := checksum([]byte("123456789")); got != 0xE3069283_CBF43926 {
+			t.Fatalf("checksum(\"123456789\") = %016x, want e3069283cbf43926", got)
+		}
+		buf := make([]byte, 3<<10+13)
+		rng.NewSourceFromString("checksum-stream").Bytes(buf)
+		var d digest
+		for rest := buf; len(rest) > 0; {
+			k := min(len(rest), 517)
+			d.Write(rest[:k]) //nolint:errcheck // never fails
+			rest = rest[k:]
+		}
+		if d.Sum64() != checksum(buf) {
+			t.Fatalf("streamed %016x, one-shot %016x", d.Sum64(), checksum(buf))
+		}
+	})
+
 	dir := t.TempDir()
 	path, p, _ := writeFixture(t, dir, "corrupt", 160, core.EngineSpec{})
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopen := func(t *testing.T, mutate func([]byte) []byte) error {
+	planeOff := headerLen + pad8(len("corrupt"))
+	pb := (len(orig) - planeOff - footerLen) / 2
+	foot := len(orig) - footerLen
+	burst := func(off int) func([]byte) []byte {
+		return func(b []byte) []byte {
+			for i := off; i < off+8; i++ {
+				b[i] ^= 0xFF
+			}
+			return b
+		}
+	}
+	flip := func(off int) func([]byte) []byte {
+		return func(b []byte) []byte { b[off] ^= 0x04; return b }
+	}
+	reopen := func(t *testing.T, fsys FS, mutate func([]byte) []byte) error {
 		t.Helper()
 		mutated := mutate(append([]byte(nil), orig...))
 		mp := filepath.Join(dir, "mutated.seg")
 		if err := os.WriteFile(mp, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(mp, p.N, p.Q)
+		s, err := OpenFS(fsys, mp, p.N, p.Q)
 		if s != nil {
 			s.Close()
 		}
@@ -220,18 +276,25 @@ func TestSegmentCorruption(t *testing.T) {
 		{"truncated-header", ErrTruncated, func(b []byte) []byte { return b[:60] }},
 		{"truncated-plane", ErrTruncated, func(b []byte) []byte { return b[:len(b)-footerLen-17] }},
 		{"trailing-garbage", ErrCorrupt, func(b []byte) []byte { return append(b, 0xAA) }},
-		{"plane-bit-flip", ErrChecksum, func(b []byte) []byte { b[headerLen+pad8(len("corrupt"))+5] ^= 0x10; return b }},
+		{"plane-bit-flip", ErrChecksum, flip(planeOff + 5)},
+		{"c0-burst64", ErrChecksum, burst(planeOff + 3)},
+		{"c1-burst64", ErrChecksum, burst(planeOff + pb + 37)},
 		{"header-bit-flip", ErrChecksum, func(b []byte) []byte { b[44] ^= 0x01; return b }}, // reserved byte: only the CRC sees it
+		{"name-bit-flip", ErrChecksum, flip(headerLen + 1)},
+		{"c0-footer-slot", ErrChecksum, flip(foot + 2)},
+		{"c1-footer-slot", ErrChecksum, flip(foot + 8 + 5)},
 		{"footer-magic", ErrCorrupt, func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }},
 		{"absurd-chunk-count", ErrCorrupt, func(b []byte) []byte { b[36] = 0xFF; return b }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := reopen(t, tc.mutate)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("got %v, want %v", err, tc.want)
-			}
-		})
+	for _, ld := range loaders {
+		for _, tc := range cases {
+			t.Run(subtest(ld.name, tc.name), func(t *testing.T) {
+				err := reopen(t, ld.fsys, tc.mutate)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("got %v, want %v", err, tc.want)
+				}
+			})
+		}
 	}
 
 	t.Run("degree-mismatch", func(t *testing.T) {
@@ -242,13 +305,138 @@ func TestSegmentCorruption(t *testing.T) {
 			t.Fatalf("got %v, want ErrGeometry", err)
 		}
 	})
-	t.Run("intact-still-opens", func(t *testing.T) {
-		s, err := Open(path, p.N, p.Q)
-		if err != nil {
+	for _, ld := range loaders {
+		t.Run(subtest(ld.name, "intact-still-opens"), func(t *testing.T) {
+			s, err := OpenFS(ld.fsys, path, p.N, p.Q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if mapped := ld.name == "mmap" && mmapSupported && nativeLittleEndian; s.Mapped() != mapped {
+				t.Fatalf("Mapped() = %v, want %v", s.Mapped(), mapped)
+			}
+		})
+	}
+}
+
+// v1Fixture is a version 1 (CRC-64/ECMA) segment written by the last
+// release that wrote that version: ParamsToy, tenant "v1-tenant",
+// engine pool:2, two chunks.
+const v1Fixture = "testdata/v1-toy.seg"
+
+// TestSegmentV1Compat: version 1 segments stay readable through both
+// loaders, are still verified against their CRC-64 sums, and report
+// PlaneCRCs in the current checksum, so the store's scrub finds a
+// healthy version 1 tenant healthy.
+func TestSegmentV1Compat(t *testing.T) {
+	p := bfv.ParamsToy()
+	orig, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(orig[8:]); v != 1 {
+		t.Fatalf("fixture is version %d, want 1", v)
+	}
+	dir := t.TempDir()
+	write := func(t *testing.T, raw []byte) string {
+		t.Helper()
+		path := filepath.Join(dir, "v1.seg")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s.Close()
-	})
+		return path
+	}
+	planeOff := headerLen + pad8(len("v1-tenant"))
+	for _, ld := range loaders {
+		t.Run(ld.name, func(t *testing.T) {
+			path := write(t, orig)
+			meta, err := ReadMetaFS(ld.fsys, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenFS(ld.fsys, path, p.N, p.Q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want := core.EngineSpec{Kind: core.EnginePool, Workers: 2}
+			if m := s.Meta(); m != meta || m.Name != "v1-tenant" || m.Chunks != 2 || m.Spec != want {
+				t.Fatalf("meta %+v (ReadMeta %+v)", m, meta)
+			}
+			if got, want := s.PlaneCRCs(), ArenaPlaneCRCs(s.Arena()); got != want {
+				t.Fatalf("PlaneCRCs %016x, ArenaPlaneCRCs %016x", got, want)
+			}
+			if _, err := s.DB(); err != nil {
+				t.Fatal(err)
+			}
+
+			flipped := append([]byte(nil), orig...)
+			flipped[planeOff+11] ^= 0x20
+			if _, err := OpenFS(ld.fsys, write(t, flipped), p.N, p.Q); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("plane bit flip: got %v, want ErrChecksum", err)
+			}
+			// The version field picks the checksum: the same bytes
+			// relabelled version 2 fail their header check.
+			relabelled := append([]byte(nil), orig...)
+			binary.LittleEndian.PutUint32(relabelled[8:], Version)
+			if _, err := OpenFS(ld.fsys, write(t, relabelled), p.N, p.Q); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("relabelled version: got %v, want ErrChecksum", err)
+			}
+		})
+	}
+}
+
+// sealV1 rewrites a version 2 segment image the way version 1 sealed
+// it: the version field, and all three footer sums as CRC-64/ECMA.
+func sealV1(raw []byte, planeOff int) {
+	binary.LittleEndian.PutUint32(raw[8:], 1)
+	pb := (len(raw) - planeOff - footerLen) / 2
+	foot := raw[len(raw)-footerLen:]
+	binary.LittleEndian.PutUint64(foot[0:], crc64.Checksum(raw[planeOff:planeOff+pb], ecmaTable))
+	binary.LittleEndian.PutUint64(foot[8:], crc64.Checksum(raw[planeOff+pb:planeOff+2*pb], ecmaTable))
+	binary.LittleEndian.PutUint64(foot[16:], crc64.Checksum(raw[:planeOff], ecmaTable))
+}
+
+// BenchmarkOpen times the cold-reload path of one tenants_cold tenant —
+// 2048 chunks at ParamsPaper, a 32 MiB page-cached segment — mapped and
+// verified by Open, per format version.
+func BenchmarkOpen(b *testing.B) {
+	p := bfv.ParamsPaper()
+	const chunks = 2048
+	db := core.NewCompactDB(p.N, chunks)
+	arena := db.Arena()
+	src := rng.NewSourceFromString("bench-open")
+	for i := range arena {
+		arena[i] = src.Uint64() % p.Q
+	}
+	meta := Meta{Name: "tenant", RingDegree: p.N, Modulus: p.Q, Chunks: chunks, BitLen: chunks * p.N * 16, NumSegments: chunks * p.N}
+	for _, version := range []int{1, Version} {
+		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), FileName(meta.Name))
+			if err := Write(path, meta, db); err != nil {
+				b.Fatal(err)
+			}
+			if version == 1 {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sealV1(raw, headerLen+pad8(len(meta.Name)))
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(2 * meta.planeBytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := Open(path, p.N, p.Q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
+	}
 }
 
 // TestOpenAllocsConstant pins the zero-copy claim: loading a segment

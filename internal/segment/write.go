@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 
@@ -115,7 +114,7 @@ func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) error {
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
-	headCRC := crc64.Checksum(head, crcTable)
+	headCRC := checksum(head)
 	if err := crashFlush(fsys, w, CrashWriteHeader); err != nil {
 		return err
 	}
@@ -128,7 +127,7 @@ func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) error {
 		words := len(arena) / 2
 		for p := 0; p < 2; p++ {
 			plane := u64Bytes(arena[p*words : (p+1)*words])
-			planeCRC[p] = crc64.Checksum(plane, crcTable)
+			planeCRC[p] = checksum(plane)
 			if _, err := w.Write(plane); err != nil {
 				return err
 			}
@@ -137,19 +136,21 @@ func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) error {
 			}
 		}
 	} else {
-		var tmp [8]byte
+		// Encode one chunk row at a time, so the checksum streams whole
+		// rows rather than single coefficients.
+		row := make([]byte, 8*meta.RingDegree)
 		for p := 0; p < 2; p++ {
-			crc := crc64.New(crcTable)
+			var d digest
 			for _, ct := range db.Chunks {
-				for _, c := range ct.C[p] {
-					binary.LittleEndian.PutUint64(tmp[:], c)
-					crc.Write(tmp[:])
-					if _, err := w.Write(tmp[:]); err != nil {
-						return err
-					}
+				for i, c := range ct.C[p] {
+					binary.LittleEndian.PutUint64(row[8*i:], c)
+				}
+				d.Write(row) //nolint:errcheck // never fails
+				if _, err := w.Write(row); err != nil {
+					return err
 				}
 			}
-			planeCRC[p] = crc.Sum64()
+			planeCRC[p] = d.Sum64()
 			if err := crashFlush(fsys, w, planePoints[p]); err != nil {
 				return err
 			}
