@@ -6,15 +6,15 @@
 //
 //	cmbench                 # run every experiment
 //	cmbench -exp fig7,fig10 # run selected experiments
-//	cmbench -exp none       # run no experiments (with -kernels: kernels only)
 //	cmbench -list           # list experiment IDs
 //	cmbench -csv results/   # also write one CSV per experiment
-//	cmbench -kernels        # print the per-dispatch-path kernel table
-//	                        # (coefficients/sec, arena GB/s)
 //
-// The ring kernel dispatch path (generic | unrolled | avx2) is chosen
-// at startup by CPU detection and forceable with CM_KERNEL; every run
-// prints the active path so recorded numbers are attributable.
+// The ring kernel dispatch path (generic | unrolled | avx2 | avx512) is
+// chosen at startup by CPU detection and forceable with CM_KERNEL; every
+// run prints the active path and the available ones so recorded numbers
+// are attributable. The per-path kernel table is a Go benchmark:
+//
+//	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$' ./internal/ring
 //
 // Measured serving performance lives in the bench/ module, whose metric
 // names BENCHMARK.json declares:
@@ -42,7 +42,6 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment IDs, 'all', or 'none'")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files")
-	kernels := flag.Bool("kernels", false, "run the ring kernel microbenchmark over every available dispatch path and print a coefficients/sec table")
 	flag.Parse()
 
 	if *list {
@@ -52,7 +51,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("kernel path: %s (avx2 available: %v)\n", ring.ActiveKernel(), ring.AVX2Supported())
+	fmt.Printf("kernel path: %s (available: %v)\n", ring.ActiveKernel(), ring.AvailableKernels())
 	if note := ring.KernelInitNote(); note != "" {
 		fmt.Printf("kernel note: %s\n", note)
 	}
@@ -91,16 +90,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "cmbench: writing CSV for %s: %v\n", e.ID, err)
 				exitCode = 1
 			}
-		}
-	}
-	if *kernels {
-		results, err := harness.RunKernelBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmbench: kernel benchmark: %v\n", err)
-			exitCode = 1
-		} else {
-			fmt.Println("ring kernels (per dispatch path):")
-			harness.WriteKernelBenchTable(os.Stdout, results)
 		}
 	}
 	os.Exit(exitCode)

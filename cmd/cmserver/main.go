@@ -179,7 +179,7 @@ func main() {
 	}
 	fmt.Printf("cmserver: listening on %s (BFV n=%d, log2 q=32, log2 t=16, default engine %s, coalescing %s)\n",
 		l.Addr(), bfv.ParamsPaper().N, spec, coalesceNote)
-	fmt.Printf("cmserver: ring kernel path %s (avx2 available: %v)\n", ring.ActiveKernel(), ring.AVX2Supported())
+	fmt.Printf("cmserver: ring kernel path %s (available: %v)\n", ring.ActiveKernel(), ring.AvailableKernels())
 	if note := ring.KernelInitNote(); note != "" {
 		fmt.Printf("cmserver: kernel note: %s\n", note)
 	}

@@ -5,9 +5,8 @@
 // line; bench_test.go wraps them as Go benchmarks.
 //
 // Beside the experiments it holds the shared drivers the tools and
-// tests reuse: the storm client (cmstorm), the ring kernel
-// microbenchmark (cmbench -kernels), the engine-benchmark fixtures
-// (BenchmarkEngine) and the trace-overhead measurement. Measured
+// tests reuse: the storm client (cmstorm), the engine-benchmark
+// fixtures (BenchmarkEngine) and the trace-overhead measurement. Measured
 // serving numbers come from the bench/ module.
 package harness
 

@@ -8,7 +8,8 @@ package ring
 // written, so a miss-dominated scan is a pure read stream.
 //
 // Like subcmp.go, the kernel dispatches across the generic baseline,
-// the unrolled multi-lane path and the AVX2 assembly path (kernel.go),
+// the unrolled multi-lane path and the AVX2 assembly path (kernel.go;
+// the avx512 path runs the AVX2 code here),
 // all bit-identical; the coefficient loops are branchless by policy
 // (cmvet's ctbranch analyzer), and an unaligned base gets a scalar
 // prologue up to the word boundary instead of demoting the whole poly
@@ -37,7 +38,7 @@ func eqMaskBit(x, y uint64) uint64 {
 //cm:hotpath
 func CmpEqScalarBits(a Poly, v uint64, bits []uint64, base int) {
 	switch KernelPath(activeKernel.Load()) {
-	case KernelAVX2:
+	case KernelAVX2, KernelAVX512: // one comparand: nothing for a fused block to amortise
 		cmpEqScalarAVX2(a, v, bits, base)
 	case KernelUnrolled:
 		cmpEqScalarUnrolled(a, v, bits, base)

@@ -1,7 +1,7 @@
 package ring
 
 // This file is the kernel dispatch layer of ROADMAP item 1: the hot
-// compare kernels (SubCmpMultiBits, CmpEqScalarBits) exist in three
+// compare kernels (SubCmpMultiBits, CmpEqScalarBits) exist in four
 // implementations behind one API, selected once at process start and
 // swappable at runtime for tests and benchmarks:
 //
@@ -15,12 +15,18 @@ package ring
 //	avx2      amd64 assembly block primitives (kernel_amd64.s), 4
 //	          coefficient lanes per vector op; present only on amd64
 //	          with OS-enabled AVX2
+//	avx512    amd64 fused block primitive: each 64-coefficient
+//	          difference block stays in ZMM registers across up to 64
+//	          comparands, 8 lanes per vector op; present only with
+//	          AVX512F+BW and OS-enabled ZMM/opmask state (CmpEqScalarBits,
+//	          one comparand, reuses the avx2 code)
 //
 // Selection policy, in order: the CM_KERNEL environment variable
-// (generic|unrolled|avx2) when set and satisfiable; otherwise avx2
-// when the CPU and OS support it; otherwise unrolled. GODEBUG
-// containing cpu.avx2=off disables AVX2 exactly like the stdlib knob,
-// so CI can prove the fallback paths never rot. The active path is a
+// (generic|unrolled|avx2|avx512) when set and satisfiable; otherwise
+// the most specialised path the CPU and OS support. GODEBUG containing
+// cpu.avx2=off disables both assembly paths, and cpu.avx512f=off or
+// cpu.avx512bw=off disables avx512, exactly like the stdlib knobs, so
+// CI can prove the fallback paths never rot. The active path is a
 // process-wide atomic: engines read it per kernel call (one load per
 // streamed polynomial, noise against the coefficient loop), and tests
 // flip it to run the same workload through every implementation.
@@ -42,6 +48,9 @@ const (
 	KernelUnrolled
 	// KernelAVX2 is the amd64 assembly kernel (4 lanes per vector op).
 	KernelAVX2
+	// KernelAVX512 is the amd64 fused block kernel (8 lanes per vector
+	// op, difference block held in registers across comparands).
+	KernelAVX512
 )
 
 // String returns the CM_KERNEL spelling of the path.
@@ -53,6 +62,8 @@ func (p KernelPath) String() string {
 		return "unrolled"
 	case KernelAVX2:
 		return "avx2"
+	case KernelAVX512:
+		return "avx512"
 	}
 	return fmt.Sprintf("kernel(%d)", uint32(p))
 }
@@ -66,14 +77,16 @@ func ParseKernelPath(s string) (KernelPath, error) {
 		return KernelUnrolled, nil
 	case "avx2":
 		return KernelAVX2, nil
+	case "avx512":
+		return KernelAVX512, nil
 	}
-	return 0, fmt.Errorf("ring: unknown kernel path %q (want generic, unrolled or avx2)", s)
+	return 0, fmt.Errorf("ring: unknown kernel path %q (want generic, unrolled, avx2 or avx512)", s)
 }
 
 var (
-	// avx2Supported is fixed at init: CPU + OS support, minus the
-	// GODEBUG=cpu.avx2=off escape hatch.
-	avx2Supported bool
+	// avx2Supported and avx512Supported are fixed at init: CPU + OS
+	// support, minus the GODEBUG escape hatches.
+	avx2Supported, avx512Supported bool
 	// activeKernel holds the KernelPath every exported kernel
 	// dispatches on.
 	activeKernel atomic.Uint32
@@ -83,17 +96,17 @@ var (
 )
 
 func init() {
-	avx2Supported = archAVX2Supported() && !godebugDisablesAVX2(os.Getenv("GODEBUG"))
-	p := KernelUnrolled
-	if avx2Supported {
-		p = KernelAVX2
-	}
+	godebug := os.Getenv("GODEBUG")
+	avx2Supported = archAVX2Supported() && !godebugDisables(godebug, "avx2")
+	avx512Supported = avx2Supported && archAVX512Supported() && !godebugDisables(godebug, "avx512f", "avx512bw")
+	avail := AvailableKernels()
+	p := avail[len(avail)-1]
 	if env := os.Getenv("CM_KERNEL"); env != "" {
 		switch forced, err := ParseKernelPath(env); {
 		case err != nil:
 			kernelNote = fmt.Sprintf("ignoring CM_KERNEL=%q: unknown path, using %s", env, p)
-		case forced == KernelAVX2 && !avx2Supported:
-			kernelNote = "CM_KERNEL=avx2 requested but AVX2 is unavailable; using " + p.String()
+		case !kernelSupported(forced):
+			kernelNote = fmt.Sprintf("CM_KERNEL=%s requested but unavailable (CPU, OS or GODEBUG); using %s", forced, p)
 		default:
 			p = forced
 		}
@@ -101,14 +114,29 @@ func init() {
 	activeKernel.Store(uint32(p))
 }
 
-// godebugDisablesAVX2 reports whether a GODEBUG value contains
-// cpu.avx2=off — honored here exactly like the stdlib honors it for
-// internal/cpu, so one knob degrades both.
-func godebugDisablesAVX2(godebug string) bool {
+// godebugDisables reports whether a GODEBUG value turns off any of the
+// named internal/cpu options (cpu.<opt>=off) — honored here exactly
+// like the stdlib honors them, so one knob degrades both.
+func godebugDisables(godebug string, opts ...string) bool {
 	for _, kv := range strings.Split(godebug, ",") {
-		if strings.TrimSpace(kv) == "cpu.avx2=off" {
-			return true
+		for _, opt := range opts {
+			if strings.TrimSpace(kv) == "cpu."+opt+"=off" {
+				return true
+			}
 		}
+	}
+	return false
+}
+
+// kernelSupported reports whether path p can run on this process.
+func kernelSupported(p KernelPath) bool {
+	switch p {
+	case KernelGeneric, KernelUnrolled:
+		return true
+	case KernelAVX2:
+		return avx2Supported
+	case KernelAVX512:
+		return avx512Supported
 	}
 	return false
 }
@@ -116,27 +144,21 @@ func godebugDisablesAVX2(godebug string) bool {
 // ActiveKernel returns the kernel path searches currently dispatch to.
 func ActiveKernel() KernelPath { return KernelPath(activeKernel.Load()) }
 
-// AVX2Supported reports whether the avx2 path can be selected on this
-// process (CPU feature, OS state support, and no GODEBUG override).
-func AVX2Supported() bool { return avx2Supported }
-
 // KernelInitNote returns a human-readable note when an explicit
 // CM_KERNEL request could not be honored at init, and "" otherwise.
 // CLIs print it; the library itself stays silent.
 func KernelInitNote() string { return kernelNote }
 
-// SetKernel switches the process-wide kernel path. Selecting avx2 on a
-// machine without it is refused, so a successful SetKernel means
-// subsequent searches really run the named implementation.
+// SetKernel switches the process-wide kernel path. Selecting an
+// assembly path on a machine without it is refused, so a successful
+// SetKernel means subsequent searches really run the named
+// implementation.
 func SetKernel(p KernelPath) error {
-	switch p {
-	case KernelGeneric, KernelUnrolled:
-	case KernelAVX2:
-		if !avx2Supported {
-			return fmt.Errorf("ring: kernel path avx2 is not available on this machine")
+	if !kernelSupported(p) {
+		if p > KernelAVX512 {
+			return fmt.Errorf("ring: unknown kernel path %d", uint32(p))
 		}
-	default:
-		return fmt.Errorf("ring: unknown kernel path %d", uint32(p))
+		return fmt.Errorf("ring: kernel path %s is not available on this machine", p)
 	}
 	activeKernel.Store(uint32(p))
 	return nil
@@ -154,9 +176,11 @@ func SetKernelByName(name string) error {
 // AvailableKernels lists the paths SetKernel would accept on this
 // machine, in ascending specialisation order.
 func AvailableKernels() []KernelPath {
-	out := []KernelPath{KernelGeneric, KernelUnrolled}
-	if avx2Supported {
-		out = append(out, KernelAVX2)
+	var out []KernelPath
+	for p := KernelGeneric; p <= KernelAVX512; p++ {
+		if kernelSupported(p) {
+			out = append(out, p)
+		}
 	}
 	return out
 }

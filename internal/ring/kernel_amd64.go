@@ -35,6 +35,22 @@ func archAVX2Supported() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
+// archAVX512Supported reports CPU + OS support for the AVX-512 kernel
+// on top of the AVX2 ladder: AVX512F and AVX512BW in CPUID.7.0:EBX,
+// and the opmask, ZMM_Hi256 and Hi16_ZMM state enabled in XCR0.
+func archAVX512Supported() bool {
+	if !archAVX2Supported() {
+		return false
+	}
+	xcr0, _ := kernelXGETBV0()
+	if xcr0&0xE6 != 0xE6 {
+		return false
+	}
+	_, ebx7, _, _ := kernelCPUID(7, 0)
+	const avx512f, avx512bw = 1 << 16, 1 << 30
+	return ebx7&avx512f != 0 && ebx7&avx512bw != 0
+}
+
 // kernelCPUID executes CPUID with the given leaf and subleaf.
 func kernelCPUID(op, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -103,6 +119,74 @@ func (r *Ring) subCmpAVX2(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 			//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
 			if w != 0 {
 				bits[v][wi] |= w
+			}
+		}
+	}
+	r.subCmpScalar(a, d, rhs, bits, base, i, n)
+}
+
+// subCmpPow2Block64AVX512 writes, for each v in [0, nrhs), the packed
+// verdict word of coefficients [i, i+64) to out[v]: bit k set iff
+// (a[k]-d[k]) & m == rhs[v][i+k], where off = 8*i and a, d already
+// point at coefficient i. nrhs must be in [1, 64]; every rhs[v] must
+// hold i+64 coefficients.
+//
+//cm:hotpath
+//go:noescape
+func subCmpPow2Block64AVX512(out, a, d *uint64, rhs *Poly, nrhs, off int, m uint64)
+
+// subCmpGenericBlock64AVX512 is subCmpPow2Block64AVX512 for a generic
+// q = m < 2^57 with a, d already reduced: the difference is
+// (a[k]+q-d[k]) mod q.
+//
+//cm:hotpath
+//go:noescape
+func subCmpGenericBlock64AVX512(out, a, d *uint64, rhs *Poly, nrhs, off int, m uint64)
+
+// subCmpAVX512 is SubCmpMultiBits on the AVX-512 block primitive: each
+// 64-coefficient difference block is computed once and kept in
+// registers while up to 64 comparands are compared against it, so a
+// word costs one assembly call per comparand group instead of one per
+// comparand. Larger R (batches pass the union of their members' RHS)
+// walks the comparands in groups of 64.
+//
+//cm:hotpath
+func (r *Ring) subCmpAVX512(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
+	if len(rhs) == 0 {
+		return // the asm comparand loop counts down from nrhs >= 1
+	}
+	n := len(a)
+	i := 0
+	if rem := base & 63; rem != 0 {
+		pro := 64 - rem
+		if pro > n {
+			pro = n
+		}
+		r.subCmpScalar(a, d, rhs, bits, base, 0, pro)
+		i = pro
+	}
+	// The asm reads d and every comparand through coefficient n-1 with
+	// no bounds checks of its own: prove each holds n coefficients once
+	// per call (a shorter one makes the low bound negative and panics).
+	_ = d[len(d)-n:]
+	for _, rp := range rhs {
+		_ = rp[len(rp)-n:]
+	}
+	var out [64]uint64
+	for ; i+64 <= n; i += 64 {
+		wi := (base + i) >> 6
+		for g := 0; g < len(rhs); g += len(out) {
+			grp := rhs[g:min(g+len(out), len(rhs))]
+			if r.qIsPow2 {
+				subCmpPow2Block64AVX512(&out[0], &a[i], &d[i], &grp[0], len(grp), 8*i, r.mask)
+			} else {
+				subCmpGenericBlock64AVX512(&out[0], &a[i], &d[i], &grp[0], len(grp), 8*i, r.q)
+			}
+			for v, w := range out[:len(grp)] {
+				//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+				if w != 0 {
+					bits[g+v][wi] |= w
+				}
 			}
 		}
 	}

@@ -2,10 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 block primitives for the ring compare kernels (see
+// AVX2 and AVX-512 block primitives for the ring compare kernels (see
 // kernel_amd64.go for contracts). All functions are leaf NOSPLIT with
-// unaligned 256-bit loads/stores (the coefficient planes are []uint64,
-// 8-byte aligned only), and every VEX-encoded function executes
+// unaligned 256/512-bit loads/stores (the coefficient planes are
+// []uint64, 8-byte aligned only), and every vector function executes
 // VZEROUPPER before returning to avoid SSE transition stalls in the
 // caller.
 
@@ -24,6 +24,18 @@
 	VPADDQ       Y5, Y4, Y6;   \
 	VPSLLQ       $63, Y5, Y5;  \
 	VPXOR        Y5, Y6, Y6
+
+// SUBCMPARGS loads the shared arguments and broadcasts the modulus
+// argument (mask or q) into Z8 for the two AVX-512 subtract-and-compare
+// blocks (byte offsets of their shared signature).
+#define SUBCMPARGS \
+	MOVQ         out+0(FP), DI;   \
+	MOVQ         a+8(FP), SI;     \
+	MOVQ         d+16(FP), DX;    \
+	MOVQ         rhs+24(FP), R8;  \
+	MOVQ         nrhs+32(FP), CX; \
+	MOVQ         off+40(FP), R9;  \
+	VPBROADCASTQ m+48(FP), Z8
 
 // func kernelCPUID(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·kernelCPUID(SB), NOSPLIT, $0-24
@@ -183,3 +195,83 @@ TEXT ·cmpEqScalarBlock64AVX2(SB), NOSPLIT, $0-24
 	MOVQ AX, ret+16(FP)
 	VZEROUPPER
 	RET
+
+// AVX-512 fused subtract-and-compare block. One call covers one
+// 64-coefficient word for nrhs >= 1 comparands: the 64 differences are
+// computed once into Z0-Z7 (8 lanes each) and stay there while every
+// comparand is compared straight from memory into K0-K7, whose eight
+// byte masks pack into the 64-bit verdict word out[v]. The comparand
+// data pointers are read from the []Poly headers (24-byte stride) at
+// rhs; off is the byte offset of the word inside every comparand.
+
+// SUBCMPLOOP walks the comparands: R8 = &rhs[0] header, CX = nrhs
+// (counts down, never entered with 0), DI = out, R9 = off.
+#define SUBCMPLOOP(label) \
+label:                               \
+	MOVQ      (R8), R10;             \
+	ADDQ      R9, R10;               \
+	VPCMPEQQ  0(R10), Z0, K0;        \
+	VPCMPEQQ  64(R10), Z1, K1;       \
+	VPCMPEQQ  128(R10), Z2, K2;      \
+	VPCMPEQQ  192(R10), Z3, K3;      \
+	VPCMPEQQ  256(R10), Z4, K4;      \
+	VPCMPEQQ  320(R10), Z5, K5;      \
+	VPCMPEQQ  384(R10), Z6, K6;      \
+	VPCMPEQQ  448(R10), Z7, K7;      \
+	KUNPCKBW  K0, K1, K0;            \
+	KUNPCKBW  K2, K3, K2;            \
+	KUNPCKBW  K4, K5, K4;            \
+	KUNPCKBW  K6, K7, K6;            \
+	KUNPCKWD  K0, K2, K0;            \
+	KUNPCKWD  K4, K6, K4;            \
+	KUNPCKDQ  K0, K4, K0;            \
+	KMOVQ     K0, AX;                \
+	MOVQ      AX, (DI);              \
+	ADDQ      $24, R8;               \
+	ADDQ      $8, DI;                \
+	DECQ      CX;                    \
+	JNZ       label;                 \
+	VZEROUPPER;                      \
+	RET
+
+// POW2DIFF512 leaves (a[k] - d[k]) & mask for 8 lanes in zk.
+#define POW2DIFF512(off, zk) \
+	VMOVDQU64 off(SI), zk;     \
+	VPSUBQ    off(DX), zk, zk; \
+	VPANDQ    Z8, zk, zk
+
+// func subCmpPow2Block64AVX512(out, a, d *uint64, rhs *Poly, nrhs, off int, m uint64)
+TEXT ·subCmpPow2Block64AVX512(SB), NOSPLIT, $0-56
+	SUBCMPARGS
+	POW2DIFF512(0, Z0)
+	POW2DIFF512(64, Z1)
+	POW2DIFF512(128, Z2)
+	POW2DIFF512(192, Z3)
+	POW2DIFF512(256, Z4)
+	POW2DIFF512(320, Z5)
+	POW2DIFF512(384, Z6)
+	POW2DIFF512(448, Z7)
+	SUBCMPLOOP(pow2cmploop)
+
+// GENDIFF512 leaves (a[k] + q - d[k]) mod q for 8 lanes in zk: t is
+// below 2q < 2^58, and the unsigned compare t >= q (predicate 5, NLT)
+// selects the lanes that get q subtracted under the K1 write mask.
+#define GENDIFF512(off, zk) \
+	VMOVDQU64 off(SI), zk;     \
+	VPADDQ    Z8, zk, zk;      \
+	VPSUBQ    off(DX), zk, zk; \
+	VPCMPUQ   $5, Z8, zk, K1;  \
+	VPSUBQ    Z8, zk, K1, zk
+
+// func subCmpGenericBlock64AVX512(out, a, d *uint64, rhs *Poly, nrhs, off int, m uint64)
+TEXT ·subCmpGenericBlock64AVX512(SB), NOSPLIT, $0-56
+	SUBCMPARGS
+	GENDIFF512(0, Z0)
+	GENDIFF512(64, Z1)
+	GENDIFF512(128, Z2)
+	GENDIFF512(192, Z3)
+	GENDIFF512(256, Z4)
+	GENDIFF512(320, Z5)
+	GENDIFF512(384, Z6)
+	GENDIFF512(448, Z7)
+	SUBCMPLOOP(gencmploop)

@@ -2,6 +2,8 @@ package ring
 
 import (
 	"encoding/binary"
+	"fmt"
+	"os"
 	"testing"
 
 	"ciphermatch/internal/rng"
@@ -25,7 +27,7 @@ func withKernel(t testing.TB, p KernelPath, f func()) {
 }
 
 func TestKernelPathNames(t *testing.T) {
-	for _, p := range []KernelPath{KernelGeneric, KernelUnrolled, KernelAVX2} {
+	for _, p := range []KernelPath{KernelGeneric, KernelUnrolled, KernelAVX2, KernelAVX512} {
 		got, err := ParseKernelPath(p.String())
 		if err != nil {
 			t.Fatalf("ParseKernelPath(%q): %v", p.String(), err)
@@ -51,39 +53,64 @@ func TestSetKernelAvailability(t *testing.T) {
 	if err := SetKernel(KernelGeneric); err != nil {
 		t.Fatalf("generic must always be available: %v", err)
 	}
-	if AVX2Supported() {
-		if err := SetKernel(KernelAVX2); err != nil {
-			t.Fatalf("avx2 reported supported but SetKernel refused: %v", err)
+	for _, asm := range []struct {
+		p         KernelPath
+		supported bool
+	}{{KernelAVX2, avx2Supported}, {KernelAVX512, avx512Supported}} {
+		if err := SetKernel(asm.p); (err == nil) != asm.supported {
+			t.Fatalf("SetKernel(%s) = %v with supported=%v", asm.p, err, asm.supported)
 		}
-	} else if err := SetKernel(KernelAVX2); err == nil {
-		t.Fatal("SetKernel(avx2) must refuse on a machine without AVX2")
+	}
+	if avx512Supported && !avx2Supported {
+		t.Fatal("avx512 must imply avx2 (CmpEqScalarBits runs the AVX2 code)")
 	}
 	if err := SetKernel(KernelPath(99)); err == nil {
 		t.Fatal("SetKernel accepted an unknown path value")
 	}
-	avail := AvailableKernels()
-	if len(avail) < 2 || avail[0] != KernelGeneric || avail[1] != KernelUnrolled {
-		t.Fatalf("AvailableKernels() = %v, want generic and unrolled first", avail)
+	// The init ladder honoured GODEBUG, and a CM_KERNEL it could not
+	// satisfy left a note (CI's fallback legs run this under both).
+	gd := os.Getenv("GODEBUG")
+	if godebugDisables(gd, "avx2") && avx2Supported || godebugDisables(gd, "avx512f", "avx512bw") && avx512Supported {
+		t.Fatalf("GODEBUG=%q not honoured: avx2=%v avx512=%v", gd, avx2Supported, avx512Supported)
 	}
-	if AVX2Supported() != (len(avail) == 3 && avail[2] == KernelAVX2) {
-		t.Fatalf("AvailableKernels() = %v inconsistent with AVX2Supported()=%v", avail, AVX2Supported())
+	if env := os.Getenv("CM_KERNEL"); env != "" && env != prev.String() && KernelInitNote() == "" {
+		t.Fatalf("CM_KERNEL=%s fell back to %s without an init note", env, prev)
+	}
+	avail := AvailableKernels()
+	t.Logf("AvailableKernels() = %v, active %s", avail, ActiveKernel())
+	want := []KernelPath{KernelGeneric, KernelUnrolled}
+	if avx2Supported {
+		want = append(want, KernelAVX2)
+	}
+	if avx512Supported {
+		want = append(want, KernelAVX512)
+	}
+	if fmt.Sprint(avail) != fmt.Sprint(want) {
+		t.Fatalf("AvailableKernels() = %v, want %v", avail, want)
 	}
 }
 
 func TestGodebugDisablesAVX2(t *testing.T) {
 	for _, tc := range []struct {
-		godebug string
-		want    bool
+		godebug      string
+		avx2, avx512 bool // whether the knob disables each path's own check
 	}{
-		{"", false},
-		{"cpu.avx2=off", true},
-		{"gctrace=1,cpu.avx2=off", true},
-		{"gctrace=1, cpu.avx2=off ,x=1", true},
-		{"cpu.avx2=on", false},
-		{"cpu.avx512=off", false},
+		{"", false, false},
+		{"cpu.avx2=off", true, false},
+		{"gctrace=1,cpu.avx2=off", true, false},
+		{"gctrace=1, cpu.avx2=off ,x=1", true, false},
+		{"cpu.avx2=on", false, false},
+		{"cpu.avx512f=off", false, true},
+		{"cpu.avx512bw=off", false, true},
+		{"gctrace=1, cpu.avx512bw=off", false, true},
+		{"cpu.avx512=off", false, false}, // not a Go option
+		{"cpu.avx512vl=off", false, false},
 	} {
-		if got := godebugDisablesAVX2(tc.godebug); got != tc.want {
-			t.Errorf("godebugDisablesAVX2(%q) = %v, want %v", tc.godebug, got, tc.want)
+		if got := godebugDisables(tc.godebug, "avx2"); got != tc.avx2 {
+			t.Errorf("godebugDisables(%q, avx2) = %v, want %v", tc.godebug, got, tc.avx2)
+		}
+		if got := godebugDisables(tc.godebug, "avx512f", "avx512bw"); got != tc.avx512 {
+			t.Errorf("godebugDisables(%q, avx512f, avx512bw) = %v, want %v", tc.godebug, got, tc.avx512)
 		}
 	}
 }
@@ -104,6 +131,14 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 	a, d := r.NewPoly(), r.NewPoly()
 	r.UniformPoly(src, a)
 	r.UniformPoly(src, d)
+	// Equal operands at ~1/8 of the coefficients: a+q-d == q exactly is
+	// the boundary of every conditional subtraction, and random draws
+	// never reach it.
+	for i := range d {
+		if src.Uniform(8) == 0 {
+			d[i] = a[i]
+		}
+	}
 	diff := r.NewPoly()
 	r.Sub(a, d, diff)
 	rhs := make([]Poly, R)
@@ -205,7 +240,7 @@ var fuzzNs = []int{16, 64, 128, 1024}
 // FuzzKernelPaths is the differential fuzzer of the dispatch layer:
 // random modulus family, degree, base alignment, comparand count and
 // coefficient streams, asserting the generic, unrolled and (where
-// present) avx2 paths produce bit-identical hit bitsets for both
+// present) avx2 and avx512 paths produce bit-identical hit bitsets for both
 // kernels. A divergence here is a miscompare in a rewritten kernel —
 // exactly the bug class that must be impossible before a new path can
 // ship.
@@ -215,11 +250,13 @@ func FuzzKernelPaths(f *testing.F) {
 	f.Add(uint64(3), uint8(3), uint8(2), uint16(63), uint8(3))
 	f.Add(uint64(4), uint8(4), uint8(3), uint16(129), uint8(5))
 	f.Add(uint64(5), uint8(1), uint8(1), uint16(64), uint8(2))
+	f.Add(uint64(6), uint8(0), uint8(3), uint16(0), uint8(0))   // R = 0
+	f.Add(uint64(7), uint8(2), uint8(3), uint16(37), uint8(70)) // R = 70: two comparand groups
 	f.Fuzz(func(t *testing.T, seed uint64, qSel, nSel uint8, baseRaw uint16, rRaw uint8) {
 		q := fuzzQs[int(qSel)%len(fuzzQs)]
 		n := fuzzNs[int(nSel)%len(fuzzNs)]
 		base := int(baseRaw) % (3 * 64)
-		R := 1 + int(rRaw)%5
+		R := int(rRaw) % 71
 		var seedBytes [32]byte
 		binary.LittleEndian.PutUint64(seedBytes[:8], seed)
 		src := rng.NewSource(seedBytes)

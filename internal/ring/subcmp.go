@@ -13,9 +13,9 @@ package ring
 // search reads the ciphertext arena once, not once per residue (see
 // core's engine kernels).
 //
-// The kernel exists in three dispatch paths (see kernel.go): the
+// The kernel exists in four dispatch paths (see kernel.go): the
 // generic word-at-a-time baseline, the unrolled multi-lane path below,
-// and the AVX2 assembly path (kernel_amd64.go). All paths share the
+// and the AVX2 and AVX-512 assembly paths (kernel_amd64.go). All paths share the
 // scalar prologue/epilogue and are proven bit-identical by
 // FuzzKernelPaths and the cross-path property tests.
 //
@@ -41,6 +41,8 @@ package ring
 //cm:hotpath
 func (r *Ring) SubCmpMultiBits(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 	switch KernelPath(activeKernel.Load()) {
+	case KernelAVX512:
+		r.subCmpAVX512(a, d, rhs, bits, base)
 	case KernelAVX2:
 		r.subCmpAVX2(a, d, rhs, bits, base)
 	case KernelUnrolled:

@@ -149,12 +149,15 @@ func TestSubCmpMultiBitsUnalignedBases(t *testing.T) {
 	}
 }
 
-// BenchmarkSubCmpMultiBits measures the residue-fused kernel at the
-// comparand counts that matter for serving (R shift variants per query),
+// BenchmarkSubCmpMultiBits is the per-dispatch-path kernel table: every
+// available path at the comparand counts that matter for serving (R = 1,
+// 8 for the storm and tenant workloads, 32 for the 2-bit DNA alphabet),
 // reporting coefficients/sec — the figure of merit for ROADMAP item 1's
 // vectorized-kernel work, where ns/op alone hides the multi-lane
 // amortisation. The aligned case is the arena hot path; the unaligned
 // case exercises the scalar-prologue + word-body split.
+//
+//	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$' ./internal/ring
 func BenchmarkSubCmpMultiBits(b *testing.B) {
 	const n = 4096
 	r := MustNew(n, 1<<32)
@@ -162,32 +165,38 @@ func BenchmarkSubCmpMultiBits(b *testing.B) {
 	a, d := r.NewPoly(), r.NewPoly()
 	r.UniformPoly(src, a)
 	r.UniformPoly(src, d)
-	const maxR = 16
+	const maxR = 32
 	rhs := make([]Poly, maxR)
 	for v := range rhs {
 		rhs[v] = r.NewPoly()
 		r.UniformPoly(src, rhs[v])
 	}
-	for _, R := range []int{1, 4, 16} {
-		for _, base := range []int{0, 37} {
-			name := "R=" + itoa(R)
-			if base != 0 {
-				name += "/unaligned"
-			}
-			b.Run(name, func(b *testing.B) {
-				bits := make([][]uint64, R)
-				for v := range bits {
-					bits[v] = make([]uint64, (base+n+63)/64)
+	for _, p := range AvailableKernels() {
+		b.Run(p.String(), func(b *testing.B) {
+			withKernel(b, p, func() {
+				for _, R := range []int{1, 8, maxR} {
+					for _, base := range []int{0, 37} {
+						name := "R=" + itoa(R)
+						if base != 0 {
+							name += "/unaligned"
+						}
+						b.Run(name, func(b *testing.B) {
+							bits := make([][]uint64, R)
+							for v := range bits {
+								bits[v] = make([]uint64, (base+n+63)/64)
+							}
+							b.SetBytes(2 * n * 8) // a and d, each streamed once per call
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								r.SubCmpMultiBits(a, d, rhs[:R], bits, base)
+							}
+							coeffs := float64(n) * float64(R) * float64(b.N)
+							b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
+						})
+					}
 				}
-				b.SetBytes(2 * n * 8) // a and d, each streamed once per call
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r.SubCmpMultiBits(a, d, rhs[:R], bits, base)
-				}
-				coeffs := float64(n) * float64(R) * float64(b.N)
-				b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
 			})
-		}
+		})
 	}
 }
 
