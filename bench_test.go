@@ -285,24 +285,62 @@ func BenchmarkEndToEndSearchIFP(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepareQuery measures client-side query preparation on the
-// standard engine-bench workload: the token builder derives EncryptC0
-// once per chunk plus once per phase (chunks+phases ring encryptions),
-// not once per (residue, chunk).
+// clientGeometries are the client-side benchmark shapes: small is the
+// standard engine-bench workload (4 KiB database, 2 chunks, byte
+// alignment, 32-bit pattern); dna_scan is the bench/ workload of that
+// name (4 MiB database, 2 048 chunks, 2-bit alignment, 64-bit pattern,
+// 32 phases), large enough for the client's parallel fan-out to show.
+var clientGeometries = []struct {
+	name      string
+	dbBytes   int
+	alignBits int
+	pattern   []byte
+}{
+	{"small", 4096, 8, []byte{0xDE, 0xAD, 0xBE, 0xEF}},
+	{"dna_scan", 4 << 20, 2, []byte{0x1B, 0xE4, 0x4E, 0xB1, 0x72, 0x8D, 0xC6, 0x39}},
+}
+
+// BenchmarkPrepareQuery measures client-side query preparation: the
+// token builder derives EncryptC0 once per chunk plus once per phase
+// (chunks+phases ring encryptions), not once per (residue, chunk).
 func BenchmarkPrepareQuery(b *testing.B) {
-	cfg := Config{Params: ParamsPaper(), AlignBits: 8, Mode: ModeSeededMatch}
-	client, err := NewClient(cfg, NewSeed("prep-bench"))
-	if err != nil {
-		b.Fatal(err)
+	for _, g := range clientGeometries {
+		b.Run(g.name, func(b *testing.B) {
+			cfg := Config{Params: ParamsPaper(), AlignBits: g.alignBits, Mode: ModeSeededMatch}
+			client, err := NewClient(cfg, NewSeed("prep-bench"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := client.PrepareQuery(g.pattern, 8*len(g.pattern), 8*g.dbBytes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	const dbBits = 4096 * 8
-	pattern := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.PrepareQuery(pattern, 32, dbBits); err != nil {
+}
+
+// BenchmarkEncryptDatabase measures the data owner's upload-side
+// encryption (pack, encode and encrypt every chunk, then compact) at
+// the dna_scan geometry.
+func BenchmarkEncryptDatabase(b *testing.B) {
+	g := clientGeometries[1]
+	b.Run(g.name, func(b *testing.B) {
+		client, err := NewClient(Config{Params: ParamsPaper(), AlignBits: g.alignBits}, NewSeed("encdb-bench"))
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		data := make([]byte, g.dbBytes)
+		NewSeed("encdb-data").Bytes(data)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.EncryptDatabase(data, 8*len(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkEngine runs the standard fixed workload (4 KiB database,

@@ -126,8 +126,8 @@ func TestEncryptionIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestEncryptC0MatchesEncrypt(t *testing.T) {
-	// The seeded match-token mode depends on EncryptC0 replaying the
-	// randomness stream of Encrypt exactly.
+	// The seeded match-token mode depends on EncryptC0 returning
+	// Encrypt's first component for a source in the same state.
 	for _, tc := range testParams {
 		p := tc.p
 		enc, encryptor, _, _, src := setup(t, p, "c0-"+tc.name)

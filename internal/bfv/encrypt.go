@@ -110,13 +110,15 @@ func NewEncryptor(p Params, pk *PublicKey) *Encryptor {
 }
 
 // sample draws the encryption randomness in the contract order (u ternary,
-// e0 CBD, e1 CBD) into s and returns u transformed for the products by
-// the public key.
-func (enc *Encryptor) sample(s *encScratch, src *rng.Source) ring.Transformed {
+// e0 CBD, then e1 CBD when withE1) into s and returns u transformed for
+// the products by the public key.
+func (enc *Encryptor) sample(s *encScratch, src *rng.Source, withE1 bool) ring.Transformed {
 	r := enc.ring
 	r.TernaryPoly(src, s.u)
 	r.CBDPoly(src, enc.params.Eta, s.e0)
-	r.CBDPoly(src, enc.params.Eta, s.e1)
+	if withE1 {
+		r.CBDPoly(src, enc.params.Eta, s.e1)
+	}
 	return r.Transform(s.u, s.uHat)
 }
 
@@ -130,13 +132,15 @@ func (enc *Encryptor) fillC0(pt *Plaintext, s *encScratch, u ring.Transformed, o
 
 // Encrypt encrypts pt, drawing randomness from src in the fixed order
 // (u ternary, e0 CBD, e1 CBD). The order is part of the package contract:
-// the seeded match-token mode re-derives ciphertext randomness by replaying
-// a forked source through this function.
+// the seeded match-token mode re-derives a ciphertext's first component
+// from the same source through EncryptC0, and stored databases depend on
+// every coefficient staying put. Calls on distinct sources may run
+// concurrently; each ciphertext depends only on pt and its own src.
 func (enc *Encryptor) Encrypt(pt *Plaintext, src *rng.Source) *Ciphertext {
 	r := enc.ring
 	s := enc.scratch.Get().(*encScratch)
 	defer enc.scratch.Put(s)
-	u := enc.sample(s, src)
+	u := enc.sample(s, src, true)
 	c0, c1 := r.NewPoly(), r.NewPoly()
 	enc.fillC0(pt, s, u, c0)
 	r.MulTransformed(enc.p1, u, c1)
@@ -145,14 +149,16 @@ func (enc *Encryptor) Encrypt(pt *Plaintext, src *rng.Source) *Ciphertext {
 }
 
 // EncryptC0 computes only the first ciphertext component for pt with the
-// randomness stream src, consuming src exactly as Encrypt does (e1 is
-// drawn and discarded to keep the stream aligned). The seeded match-token
+// randomness stream src: the value it returns equals Encrypt(pt, src).C[0]
+// for a source in the same state. It draws only u and e0, in Encrypt's
+// order, so what is left of src afterwards is unspecified; callers pass a
+// fresh fork and never draw from it again. The seeded match-token
 // construction (internal/core) uses this to build the expected hit value
 // of a homomorphic addition without the second component.
 func (enc *Encryptor) EncryptC0(pt *Plaintext, src *rng.Source) ring.Poly {
 	s := enc.scratch.Get().(*encScratch)
 	defer enc.scratch.Put(s)
-	u := enc.sample(s, src)
+	u := enc.sample(s, src, false)
 	c0 := enc.ring.NewPoly()
 	enc.fillC0(pt, s, u, c0)
 	return c0

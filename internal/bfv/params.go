@@ -12,13 +12,15 @@
 // roughly 27-bit q, so production deployments should use ParamsN2048.
 //
 // Determinism contract: Encrypt consumes randomness from its rng.Source in
-// a fixed documented order (u, e0, e1). The CIPHERMATCH seeded-match-token
-// mode (internal/core) relies on this to re-derive the public randomness
-// part of a ciphertext from a forked seed.
+// a fixed documented order (u, e0, e1), and EncryptC0 draws the same u and
+// e0 first. The CIPHERMATCH seeded-match-token mode (internal/core) relies
+// on this to re-derive the first component of a ciphertext from a forked
+// seed.
 package bfv
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ciphermatch/internal/ring"
 )
@@ -134,9 +136,10 @@ func (p Params) Delta() uint64 { return p.Q / p.T }
 
 // QBytes returns the number of bytes used to store one ciphertext
 // coefficient (the paper's footprint accounting uses exactly ceil(log2 q / 8)).
+// bits.Len64(q-1) is ceil(log2 q), the value Ring.LogQ reports; computing
+// it directly keeps the wire encoders free of a Ring allocation.
 func (p Params) QBytes() int {
-	r := ring.MustNew(p.N, p.Q)
-	return int((r.LogQ() + 7) / 8)
+	return (bits.Len64(p.Q-1) + 7) / 8
 }
 
 // PackedBitsPerCoeff returns how many database bits the CIPHERMATCH packing

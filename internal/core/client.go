@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"ciphermatch/internal/bfv"
@@ -69,7 +71,8 @@ func (c Config) validate() error {
 }
 
 // Client is the data owner: it holds the keys and the seed from which all
-// database encryption randomness is derived.
+// database encryption randomness is derived. A Client is safe for
+// concurrent use, and its results do not depend on GOMAXPROCS.
 type Client struct {
 	cfg       Config
 	enc       *bfv.Encoder
@@ -218,21 +221,45 @@ func (db *EncryptedDB) SizeBytes(p bfv.Params) int64 {
 	return total
 }
 
-// dbChunkSource derives the deterministic randomness for database chunk j.
-func (c *Client) dbChunkSource(j int) *rng.Source {
-	return c.src.Fork("db").ForkIndexed("chunk", j)
-}
+// dbSource is the parent of the database encryption randomness: chunk j
+// draws from dbSource().ForkIndexed("chunk", j). Fork reads only the
+// parent's seed, so workers fork their items from one shared parent.
+func (c *Client) dbSource() *rng.Source { return c.src.Fork("db") }
 
-// patternSource derives the deterministic randomness for the query pattern
-// ciphertext with phase psi.
-func (c *Client) patternSource(psi int) *rng.Source {
-	return c.src.Fork("query").ForkIndexed("pattern", psi)
+// querySource is the parent of the query randomness: the pattern
+// ciphertext of phase psi draws from querySource().ForkIndexed("pattern",
+// psi) and the token mask from querySource().Fork("token-mask").
+func (c *Client) querySource() *rng.Source { return c.src.Fork("query") }
+
+// forEach runs f(0), …, f(n-1) on min(GOMAXPROCS, n) workers that claim
+// indices from a shared counter; the caller is one of them, so with one
+// worker everything runs inline and no goroutine starts. Each f(i) must
+// write only item i's outputs.
+func forEach(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // EncryptDatabase packs data (bitLen bits, MSB-first) with the
 // memory-efficient scheme of §4.2.1 and encrypts each chunk. Chunk
 // randomness is derived from the client seed so that ModeSeededMatch can
-// reconstruct match tokens later without retaining the plaintext.
+// reconstruct match tokens later without retaining the plaintext; the
+// chunks encrypt in parallel.
 func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) {
 	segs := PackSegments(data, bitLen)
 	pts, err := ChunkPlaintexts(segs, c.cfg.Params)
@@ -244,9 +271,10 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 		BitLen:      bitLen,
 		NumSegments: len(segs),
 	}
-	for j, pt := range pts {
-		db.Chunks[j] = c.encryptor.Encrypt(pt, c.dbChunkSource(j))
-	}
+	dbSrc := c.dbSource()
+	forEach(len(pts), func(j int) {
+		db.Chunks[j] = c.encryptor.Encrypt(pts[j], dbSrc.ForkIndexed("chunk", j))
+	})
 	db.Compact()
 	return db, nil
 }
@@ -271,7 +299,7 @@ type Query struct {
 	// never ship them (the fused kernels run entirely on DBTok/RHS).
 	Patterns map[int]*bfv.Ciphertext
 	// DBTok is the per-chunk token plane:
-	// DBTok[j] = EncryptC0(allOnes, dbChunkSource(j)) - M, residue-
+	// DBTok[j] = EncryptC0(allOnes, chunk j's source) - M, residue-
 	// independent, where M is a client-seed-derived mask poly. Together
 	// with RHS it is the whole seeded-match query: NumChunks + numPhases
 	// polynomials.
@@ -344,6 +372,25 @@ func gcd(a, b int) int {
 	return a
 }
 
+// patternPhases returns the distinct PatternPhase(n, j, s, y) over every
+// chunk j < numChunks and residue s, ascending. ChunkPhi repeats with
+// period y/gcd(16n, y) in j, so one period of chunks covers them all.
+func patternPhases(n, numChunks, y int, residues []int) []int {
+	seen := make([]bool, y)
+	for j := 0; j < min(numChunks, y/gcd(SegmentBits*n, y)); j++ {
+		for _, s := range residues {
+			seen[PatternPhase(n, j, s, y)] = true
+		}
+	}
+	var phases []int
+	for psi, ok := range seen {
+		if ok {
+			phases = append(phases, psi)
+		}
+	}
+	return phases
+}
+
 // PrepareQuery builds the encrypted query for a database of dbBitLen bits.
 // queryBits must be at least 1 and at most 8*len(query).
 func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, error) {
@@ -363,31 +410,34 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 		AlignBits: c.cfg.AlignBits,
 		DBBitLen:  dbBitLen,
 		NumChunks: numChunks,
-		Patterns:  make(map[int]*bfv.Ciphertext),
 	}
 	g := gcd(c.cfg.AlignBits, y)
 	for s := 0; s < y; s += g {
 		q.Residues = append(q.Residues, s)
 	}
 
-	// Encrypt every distinct pattern phase once.
-	for _, s := range q.Residues {
-		for j := 0; j < numChunks; j++ {
-			psi := PatternPhase(n, j, s, y)
-			if _, ok := q.Patterns[psi]; ok {
-				continue
-			}
-			segs := buildPatternSegments(query, y, psi, n)
-			pt, err := c.enc.EncodeUint16(segs)
-			if err != nil {
-				return nil, err
-			}
-			q.Patterns[psi] = c.encryptor.Encrypt(pt, c.patternSource(psi))
+	// Encode every distinct pattern phase once, serially because encoding
+	// can fail, then encrypt the phases in parallel.
+	phases := patternPhases(n, numChunks, y, q.Residues)
+	pts := make([]*bfv.Plaintext, len(phases))
+	for i, psi := range phases {
+		var err error
+		if pts[i], err = c.enc.EncodeUint16(buildPatternSegments(query, y, psi, n)); err != nil {
+			return nil, err
 		}
+	}
+	querySrc := c.querySource()
+	patterns := make([]*bfv.Ciphertext, len(phases))
+	forEach(len(phases), func(i int) {
+		patterns[i] = c.encryptor.Encrypt(pts[i], querySrc.ForkIndexed("pattern", phases[i]))
+	})
+	q.Patterns = make(map[int]*bfv.Ciphertext, len(phases))
+	for i, psi := range phases {
+		q.Patterns[psi] = patterns[i]
 	}
 
 	if c.cfg.Mode == ModeSeededMatch {
-		if err := c.buildFactoredTokens(q); err != nil {
+		if err := c.buildFactoredTokens(q, phases, patterns); err != nil {
 			return nil, err
 		}
 	}
@@ -426,14 +476,15 @@ func (c *Client) tokenPlaintexts() (onesPT, zeroPT *bfv.Plaintext, err error) {
 // server can and cannot learn.
 func (c *Client) tokenMask() ring.Poly {
 	m := c.ring.NewPoly()
-	c.ring.UniformPoly(c.src.Fork("query").Fork("token-mask"), m)
+	c.ring.UniformPoly(c.querySource().Fork("token-mask"), m)
 	return m
 }
 
 // buildFactoredTokens computes the factored form of the "encrypted match
-// polynomial" of §4.2.2. The expected hit value for (variant s, chunk j)
-// is dbC0[j] + patC0[psi(j,s)] with dbC0[j] = EncryptC0(t-1, dbSource(j))
-// and patC0[psi] = EncryptC0(0, patternSource(psi)) — a sum whose parts
+// polynomial" of §4.2.2 for the encrypted patterns of phases. The
+// expected hit value for (variant s, chunk j) is dbC0[j] + patC0[psi(j,s)]
+// with dbC0[j] = EncryptC0(t-1, chunk j's source) and
+// patC0[psi] = EncryptC0(0, pattern psi's source) — a sum whose parts
 // depend only on the chunk and only on the phase. Shipping the parts
 // instead of the R×NumChunks sums keeps the query ~R× smaller and lets
 // the server evaluate every residue in one pass over each chunk:
@@ -443,27 +494,34 @@ func (c *Client) tokenMask() ring.Poly {
 //	                                   RHS[psi] = patC0[psi] - pattern.C0[psi] + M.
 //
 // M is the client's token mask; without it RHS would equal -Δ·patternPT
-// and hand the server the query plaintext.
-func (c *Client) buildFactoredTokens(q *Query) error {
+// and hand the server the query plaintext. The NumChunks DBTok rows and
+// the RHS rows are one parallel fan-out.
+func (c *Client) buildFactoredTokens(q *Query, phases []int, patterns []*bfv.Ciphertext) error {
 	onesPT, zeroPT, err := c.tokenPlaintexts()
 	if err != nil {
 		return err
 	}
 	mask := c.tokenMask()
+	dbSrc, querySrc := c.dbSource(), c.querySource()
 	q.DBTok = make([]ring.Poly, q.NumChunks)
-	for j := 0; j < q.NumChunks; j++ {
-		dbC0 := c.encryptor.EncryptC0(onesPT, c.dbChunkSource(j))
+	rhs := make([]ring.Poly, len(phases))
+	forEach(q.NumChunks+len(phases), func(i int) {
 		encryptC0Calls.Add(1)
-		c.ring.Sub(dbC0, mask, dbC0)
-		q.DBTok[j] = dbC0
-	}
-	q.RHS = make(map[int]ring.Poly, len(q.Patterns))
-	for psi, pattern := range q.Patterns {
-		rhs := c.encryptor.EncryptC0(zeroPT, c.patternSource(psi))
-		encryptC0Calls.Add(1)
-		c.ring.Sub(rhs, pattern.C[0], rhs)
-		c.ring.Add(rhs, mask, rhs)
-		q.RHS[psi] = rhs
+		if i < q.NumChunks {
+			tok := c.encryptor.EncryptC0(onesPT, dbSrc.ForkIndexed("chunk", i))
+			c.ring.Sub(tok, mask, tok)
+			q.DBTok[i] = tok
+			return
+		}
+		k := i - q.NumChunks
+		row := c.encryptor.EncryptC0(zeroPT, querySrc.ForkIndexed("pattern", phases[k]))
+		c.ring.Sub(row, patterns[k].C[0], row)
+		c.ring.Add(row, mask, row)
+		rhs[k] = row
+	})
+	q.RHS = make(map[int]ring.Poly, len(phases))
+	for k, psi := range phases {
+		q.RHS[psi] = rhs[k]
 	}
 	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -18,6 +20,8 @@ import (
 // RHS polynomials (ascending phase). Stored segments and a returning
 // client's token re-derivation both depend on these exact values, so a
 // faster ring product or sampler must leave every coefficient unchanged.
+// Each case runs at GOMAXPROCS 1 (every item inline) and 4 (the client's
+// parallel fan-out), which must agree byte for byte.
 func TestCiphertextGoldenDigest(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -31,38 +35,87 @@ func TestCiphertextGoldenDigest(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Params: tc.params, AlignBits: 8, Mode: ModeSeededMatch}
-			client, err := NewClient(cfg, rng.NewSourceFromString("golden-"+tc.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := make([]byte, tc.dbLen)
-			rng.NewSourceFromString("golden-data").Bytes(data)
-			db, err := client.EncryptDatabase(data, 8*len(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 8*len(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			putCoeffs(h, db.Arena())
-			for _, tok := range q.DBTok {
-				putCoeffs(h, tok)
-			}
-			phases := make([]int, 0, len(q.RHS))
-			for psi := range q.RHS {
-				phases = append(phases, psi)
-			}
-			sort.Ints(phases)
-			for _, psi := range phases {
-				putCoeffs(h, q.RHS[psi])
-			}
-			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
-				t.Fatalf("client ciphertext bytes changed: sha256 %s, golden %s", got, tc.want)
+			for _, procs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					cfg := Config{Params: tc.params, AlignBits: 8, Mode: ModeSeededMatch}
+					client, err := NewClient(cfg, rng.NewSourceFromString("golden-"+tc.name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := clientDigest(t, client, tc.dbLen); got != tc.want {
+						t.Fatalf("client ciphertext bytes changed: sha256 %s, golden %s", got, tc.want)
+					}
+				})
 			}
 		})
+	}
+}
+
+// clientDigest encrypts dbLen fixed bytes and prepares a fixed 32-bit
+// query over them, and returns the SHA-256 of the database arena, the
+// DBTok plane and the RHS rows in ascending phase.
+func clientDigest(t *testing.T, client *Client, dbLen int) string {
+	t.Helper()
+	data := make([]byte, dbLen)
+	rng.NewSourceFromString("golden-data").Bytes(data)
+	db, err := client.EncryptDatabase(data, 8*len(data))
+	if err != nil {
+		t.Error(err)
+		return ""
+	}
+	q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 8*len(data))
+	if err != nil {
+		t.Error(err)
+		return ""
+	}
+	h := sha256.New()
+	putCoeffs(h, db.Arena())
+	for _, tok := range q.DBTok {
+		putCoeffs(h, tok)
+	}
+	phases := make([]int, 0, len(q.RHS))
+	for psi := range q.RHS {
+		phases = append(phases, psi)
+	}
+	sort.Ints(phases)
+	for _, psi := range phases {
+		putCoeffs(h, q.RHS[psi])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestClientConcurrentPrepare shares one Client between 4 goroutines that
+// each encrypt a database and prepare a query while the others do the
+// same; every result must equal a lone serial run's arena, DBTok plane
+// and RHS rows.
+func TestClientConcurrentPrepare(t *testing.T) {
+	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 2, Mode: ModeSeededMatch}
+	client, err := NewClient(cfg, rng.NewSourceFromString("concurrent-prepare"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dbLen = 1200 // 10 chunks
+	var want string
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		want = clientDigest(t, client, dbLen)
+	}()
+	const workers = 4
+	got := make([]string, workers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = clientDigest(t, client, dbLen)
+		}()
+	}
+	wg.Wait()
+	for g, d := range got {
+		if d != want {
+			t.Errorf("goroutine %d: concurrent client output %s, serial %s", g, d, want)
+		}
 	}
 }
 

@@ -23,17 +23,18 @@ func SetBit(stream []byte, k int, v uint32) {
 
 // Segment16 extracts the 16-bit segment starting at bit offset off
 // (MSB-first: the bit at off becomes the segment's most significant bit).
-// Bits beyond the end of the stream read as zero.
+// Bits beyond the end of the stream read as zero. It reads the three
+// bytes a segment can touch instead of 16 single bits, since packing a
+// database extracts one segment per 16 bits.
 func Segment16(stream []byte, off int) uint16 {
-	var v uint16
-	total := len(stream) * 8
-	for i := 0; i < 16; i++ {
-		v <<= 1
-		if off+i < total {
-			v |= uint16(GetBit(stream, off+i))
+	var w uint32 // stream[off/8 : off/8+3], big-endian
+	for b := off / 8; b < off/8+3; b++ {
+		w <<= 8
+		if b < len(stream) {
+			w |= uint32(stream[b])
 		}
 	}
-	return v
+	return uint16(w >> (8 - uint(off%8)))
 }
 
 // BitLen returns the stream length in bits.

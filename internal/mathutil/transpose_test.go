@@ -156,4 +156,21 @@ func TestSegment16(t *testing.T) {
 	if got := Segment16(s, 16); got != 0xEF00 {
 		t.Fatalf("Segment16(16) = %#x", got)
 	}
+	// Every offset, including ones running off the end, matches a
+	// bit-by-bit read.
+	r := rand.New(rand.NewSource(16))
+	stream := make([]byte, 7)
+	r.Read(stream)
+	for off := 0; off < 8*len(stream)+8; off++ {
+		var want uint16
+		for i := 0; i < 16; i++ {
+			want <<= 1
+			if off+i < 8*len(stream) {
+				want |= uint16(GetBit(stream, off+i))
+			}
+		}
+		if got := Segment16(stream, off); got != want {
+			t.Fatalf("Segment16(%d) = %#x, bitwise %#x", off, got, want)
+		}
+	}
 }

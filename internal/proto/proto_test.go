@@ -68,6 +68,74 @@ func TestDBRoundtrip(t *testing.T) {
 	}
 }
 
+// TestUploadDBGoldenDigest pins MsgUploadDB bytes at both coefficient
+// widths the encoder distinguishes (ParamsPaper's 4-byte fast path and
+// ParamsOddQ's 5-byte path), recorded before the encoder sized its
+// buffer up front.
+func TestUploadDBGoldenDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params bfv.Params
+		dbLen  int
+		want   string
+	}{
+		{"paper", bfv.ParamsPaper(), 4096, "cc4320bc7c1195d4d3ef812280c6b52a9e0b2f746e33d99455a99cb558e32b97"},
+		{"oddq", bfv.ParamsOddQ(), 300, "76babe300bf1c07b1715be0ff4f4d8110160345108e96717860402225452dac5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, err := core.NewClient(core.Config{Params: tc.params}, rng.NewSourceFromString("proto-upload-"+tc.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, tc.dbLen)
+			rng.NewSourceFromString("payload").Bytes(data)
+			db, err := client.EncryptDatabase(data, 8*len(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := core.EngineSpec{Kind: "pool", Workers: 2}
+			checkGoldenDigest(t, "MsgUploadDB", EncodeUploadDB("genome", spec, db, tc.params), tc.want)
+		})
+	}
+}
+
+// TestEncodeExactSize: the query and upload encoders allocate one buffer
+// of exactly the message's size (plus sortedKeys' phase slice) and fill
+// it in one pass, so a wrong size function shows up as cap != len or as
+// a regrowth.
+func TestEncodeExactSize(t *testing.T) {
+	p := bfv.ParamsPaper()
+	client, err := core.NewClient(core.Config{Params: p, Mode: core.ModeSeededMatch, AlignBits: 2}, rng.NewSourceFromString("exact-size"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 3*p.PlaintextBytes()+100) // 4 chunks, the last partial
+	rng.NewSourceFromString("payload").Bytes(data)
+	db, err := client.EncryptDatabase(data, 8*len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.PrepareQuery([]byte{0x1B, 0xE4, 0x4E, 0xB1, 0x72, 0x8D, 0xC6, 0x39}, 64, 8*len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.EngineSpec{Kind: "pool", Workers: 2}
+	for _, c := range []struct {
+		name string
+		enc  func() []byte
+	}{
+		{"MsgQuery", func() []byte { return EncodeNamedQuery("genome", q, p) }},
+		{"MsgUploadDB", func() []byte { return EncodeUploadDB("genome", spec, db, p) }},
+	} {
+		if out := c.enc(); cap(out) != len(out) {
+			t.Errorf("%s: buffer cap %d, message %d bytes", c.name, cap(out), len(out))
+		}
+		if avg := testing.AllocsPerRun(50, func() { c.enc() }); avg > 2 {
+			t.Errorf("%s: %.1f allocations per encode, want ≤ 2", c.name, avg)
+		}
+	}
+}
+
 // checkGoldenDigest pins an encoding to the SHA-256 recorded at the
 // commit before the un-versioned layouts were deleted: the surviving
 // encoders must keep emitting byte-identical v1 payloads.

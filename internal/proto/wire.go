@@ -287,16 +287,34 @@ func (b *buffer) putCiphertext(ct *bfv.Ciphertext, qBytes int) {
 	}
 }
 
-// EncodeDB serialises an encrypted database.
-func EncodeDB(db *core.EncryptedDB, p bfv.Params) []byte {
-	var b buffer
+// dbWireSize is the exact length putDB appends for db (three header
+// words, then per chunk a component count and length-prefixed
+// polynomials), so encoders allocate their message once.
+func dbWireSize(db *core.EncryptedDB, qBytes int) int {
+	size := 4 * (3 + len(db.Chunks))
+	for _, ct := range db.Chunks {
+		for _, p := range ct.C {
+			size += 4 + len(p)*qBytes
+		}
+	}
+	return size
+}
+
+// putDB appends the EncodeDB encoding of db.
+func (b *buffer) putDB(db *core.EncryptedDB, qBytes int) {
 	b.putInt(db.BitLen)
 	b.putInt(db.NumSegments)
 	b.putInt(len(db.Chunks))
-	qb := p.QBytes()
 	for _, ct := range db.Chunks {
-		b.putCiphertext(ct, qb)
+		b.putCiphertext(ct, qBytes)
 	}
+}
+
+// EncodeDB serialises an encrypted database.
+func EncodeDB(db *core.EncryptedDB, p bfv.Params) []byte {
+	qb := p.QBytes()
+	b := buffer{data: make([]byte, 0, dbWireSize(db, qb))}
+	b.putDB(db, qb)
 	return b.data
 }
 
@@ -379,7 +397,27 @@ const factoredWireVersion = 1
 // deduplication and any caching keyed on encodings rely on.
 func EncodeQuery(q *core.Query, p bfv.Params) []byte {
 	qb := p.QBytes()
-	var b buffer
+	b := buffer{data: make([]byte, 0, queryWireSize(q, qb))}
+	b.putQuery(q, qb)
+	return b.data
+}
+
+// queryWireSize is the exact length putQuery appends for q: nine
+// header and count words, one word per residue, then the
+// length-prefixed polynomials, each RHS row behind its phase word.
+func queryWireSize(q *core.Query, qBytes int) int {
+	size := 4 * (9 + len(q.Residues) + len(q.DBTok) + 2*len(q.RHS))
+	for _, tok := range q.DBTok {
+		size += len(tok) * qBytes
+	}
+	for _, rhs := range q.RHS {
+		size += len(rhs) * qBytes
+	}
+	return size
+}
+
+// putQuery appends the EncodeQuery encoding of q.
+func (b *buffer) putQuery(q *core.Query, qb int) {
 	b.putUint32(factoredSentinel)
 	b.putInt(factoredWireVersion)
 	b.putInt(q.YBits)
@@ -399,7 +437,6 @@ func EncodeQuery(q *core.Query, p bfv.Params) []byte {
 		b.putInt(psi)
 		b.putPoly(q.RHS[psi], qb)
 	}
-	return b.data
 }
 
 // decodeWireVersion reads the sentinel and version words that open
@@ -500,12 +537,14 @@ func DecodeQuery(data []byte, p bfv.Params) (*core.Query, error) {
 // database itself. The spec's third word is reserved: it once carried
 // a chunk-range shard count, is written as 0, and is ignored on decode.
 func EncodeUploadDB(name string, spec core.EngineSpec, db *core.EncryptedDB, p bfv.Params) []byte {
-	var b buffer
+	qb := p.QBytes()
+	// Two string lengths, the workers word and the reserved word.
+	b := buffer{data: make([]byte, 0, 4*4+len(name)+len(spec.Kind)+dbWireSize(db, qb))}
 	b.putString(name)
 	b.putString(spec.Kind)
 	b.putInt(spec.Workers)
 	b.putInt(0) // reserved
-	b.data = append(b.data, EncodeDB(db, p)...)
+	b.putDB(db, qb)
 	return b.data
 }
 
@@ -534,9 +573,10 @@ func DecodeUploadDB(data []byte, p bfv.Params) (string, core.EngineSpec, *core.E
 
 // EncodeNamedQuery frames a query addressed to a named database.
 func EncodeNamedQuery(name string, q *core.Query, p bfv.Params) []byte {
-	var b buffer
+	qb := p.QBytes()
+	b := buffer{data: make([]byte, 0, 4+len(name)+queryWireSize(q, qb))}
 	b.putString(name)
-	b.data = append(b.data, EncodeQuery(q, p)...)
+	b.putQuery(q, qb)
 	return b.data
 }
 
