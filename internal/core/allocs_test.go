@@ -23,10 +23,9 @@ func TestSearchChunkRangeZeroAllocs(t *testing.T) {
 		bms[vi] = NewBitset(numWindows)
 		words[vi] = bms[vi].Words()
 	}
+	groups := []planeGroup{{fq: *fq, words: words}}
 	avg := testing.AllocsPerRun(50, func() {
-		if _, err := searchChunkRange(r, edb, q, fq, 0, len(edb.Chunks), words); err != nil {
-			t.Fatal(err)
-		}
+		searchChunkRange(r, edb, groups, 0, len(edb.Chunks))
 	})
 	if avg != 0 {
 		t.Fatalf("searchChunkRange allocates %.1f times per search, want 0", avg)
@@ -37,10 +36,10 @@ func TestSearchChunkRangeZeroAllocs(t *testing.T) {
 }
 
 // TestCPUEngineAllocs pins whole-search allocation counts on the toy
-// fixture, single and batch-of-two, at the values the separate serial
-// and pool engines had before they became one scheduler: one worker
-// runs inline (no goroutine handoff, no per-call pool state), and two
-// workers pay only for the shared call record and per-range stats.
+// fixture, single and batch-of-two (a duplicate member, evaluated once
+// and copied): one worker runs inline (no goroutine handoff, no
+// per-call pool state), and two workers pay only for the shared call
+// record.
 func TestCPUEngineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, inflating allocation counts")
@@ -52,8 +51,8 @@ func TestCPUEngineAllocs(t *testing.T) {
 		workers         int
 		single, batched float64
 	}{
-		{1, 14, 32},
-		{2, 17, 37},
+		{1, 13, 22},
+		{2, 14, 23},
 	} {
 		eng := NewCPUEngine(cfg.Params, edb, c.workers)
 		single := testing.AllocsPerRun(50, func() {

@@ -543,8 +543,8 @@ func (h HitBitmaps) Release() {
 
 // ExtractHits decrypts the per-(variant, chunk) result ciphertexts of a
 // search and marks every window whose coefficient equals the match value
-// t-1 (ModeClientDecrypt). Index generation runs through the same packed
-// compare kernel the server engines use (ring.CmpEqScalarBits), so both
+// t-1 (ModeClientDecrypt). Index generation writes the same packed
+// Bitsets as the server engines (ring.CmpEqScalarBits), so both
 // index-generation modes produce bit-identical Bitsets.
 func (c *Client) ExtractHits(q *Query, sr *SearchResult) HitBitmaps {
 	p := c.cfg.Params

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ciphermatch/internal/bfv"
@@ -12,9 +13,9 @@ import (
 
 var errEngineClosed = errors.New("core: engine is closed")
 
-// CPUEngine is the CPU substrate: the two residue-fused kernels
-// (searchChunkRange for one query, searchChunkRangeBatch for a batch)
-// run over one chunk-range scheduler. With one worker — the "serial"
+// CPUEngine is the CPU substrate: one residue-fused kernel
+// (searchChunkRange), for single queries and batches alike, runs over
+// one chunk-range scheduler. With one worker — the "serial"
 // spec, the paper's CPU baseline — every search runs on the caller's
 // goroutine: no goroutine, channel or extra allocation is involved.
 // With more, the (variant, chunk) work of a search fans out across a
@@ -64,38 +65,19 @@ func NewCPUEngine(params bfv.Params, db *EncryptedDB, workers int) *CPUEngine {
 	return e
 }
 
-// chunkSearch is the kernel input of one search: a single query (q, fq,
-// words) or a batch (bq, fqs, bitmaps).
-type chunkSearch struct {
-	q     *Query
-	fq    *FactoredQuery
-	words [][]uint64 // per variant: the bitsets' backing words
-
-	bq      *BatchQuery
-	fqs     []*FactoredQuery
-	bitmaps [][]*Bitset // [member][variant]
-}
-
-// run executes the search's kernel over chunks [lo, hi), adding the
-// work it caused to stats: one entry per batch member, one for a single
-// query.
-func (s *chunkSearch) run(r *ring.Ring, db *EncryptedDB, lo, hi int, stats []Stats) error {
-	if s.bq != nil {
-		return searchChunkRangeBatch(r, db, s.bq, s.fqs, lo, hi, s.bitmaps, stats)
-	}
-	st, err := searchChunkRange(r, db, s.q, s.fq, lo, hi, s.words)
-	stats[0].add(st)
-	return err
+// planeGroup is a group of a search's members on one DBTok plane with
+// one length, folded into one factored query, and the bitset words of
+// their residues in row order.
+type planeGroup struct {
+	members []*Query // the group's evaluated members, in row order
+	fq      FactoredQuery
+	words   [][]uint64
 }
 
 // poolCall is the shared state of one search on the pool.
 type poolCall struct {
-	search  chunkSearch
+	groups  []planeGroup
 	pending sync.WaitGroup
-
-	mu       sync.Mutex
-	firstErr error
-	stats    []Stats
 }
 
 // rangeJob is one unit of queued work: chunks [lo, hi) of one search.
@@ -104,36 +86,22 @@ type rangeJob struct {
 	lo, hi int
 }
 
-// worker drains the job queue until Close. The fused kernels write hit
-// bits straight into the search's shared bitsets — ranges are
-// word-aligned (see batchSize), so workers never touch the same bitset
-// word — and need no scratch ciphertext at all: the hot loop never
-// allocates and never contends.
+// worker drains the job queue until Close. The kernel writes hit bits
+// straight into the search's shared bitsets — ranges are word-aligned
+// (see batchSize), so workers never touch the same bitset word — and
+// needs no scratch ciphertext at all: the hot loop never allocates and
+// never contends.
 func (e *CPUEngine) worker() {
 	defer e.wg.Done()
 	for j := range e.jobs {
-		c := j.call
-		var one [1]Stats
-		local := one[:]
-		if len(c.stats) > 1 {
-			local = make([]Stats, len(c.stats))
-		}
-		err := c.search.run(e.ring, e.db, j.lo, j.hi, local)
-		c.mu.Lock()
-		if err != nil && c.firstErr == nil {
-			c.firstErr = err
-		}
-		for i := range local {
-			c.stats[i].add(local[i])
-		}
-		c.mu.Unlock()
-		c.pending.Done()
+		searchChunkRange(e.ring, e.db, j.call.groups, j.lo, j.hi)
+		j.call.pending.Done()
 	}
 }
 
 // batchSize picks the chunk-range granularity: enough ranges to keep
 // every worker busy (~4 per worker) without degenerating to one chunk
-// per range on large databases. The residue-fused kernels evaluate
+// per range on large databases. The residue-fused kernel evaluates
 // every variant (and every batch member) inside one chunk range, so
 // ranges split on chunks only. Ranges are additionally aligned so every
 // job's bit range starts on a 64-window word boundary — at ring degrees
@@ -154,11 +122,11 @@ func (e *CPUEngine) batchSize(numChunks int) int {
 	return per
 }
 
-// schedule is the one chunk-range scheduler: it runs s over every chunk
-// of the database and adds each member's work to stats. With one worker
-// the whole range runs on the caller's goroutine; otherwise the ranges
-// go to the pool and the caller waits for them.
-func (e *CPUEngine) schedule(s *chunkSearch, stats []Stats) error {
+// schedule is the one chunk-range scheduler: it runs the kernel for
+// groups over every chunk of the database. With one worker the whole
+// range runs on the caller's goroutine; otherwise the ranges go to the
+// pool and the caller waits for them.
+func (e *CPUEngine) schedule(groups []planeGroup) error {
 	numChunks := len(e.db.Chunks)
 	// Enqueue under the read half of closeMu: Close excludes itself with
 	// the write half, so sends can never hit a closed channel. Workers
@@ -170,9 +138,10 @@ func (e *CPUEngine) schedule(s *chunkSearch, stats []Stats) error {
 	}
 	if e.jobs == nil {
 		e.closeMu.RUnlock()
-		return s.run(e.ring, e.db, 0, numChunks, stats)
+		searchChunkRange(e.ring, e.db, groups, 0, numChunks)
+		return nil
 	}
-	c := &poolCall{search: *s, stats: make([]Stats, len(stats))}
+	c := &poolCall{groups: groups}
 	batch := e.batchSize(numChunks)
 	for lo := 0; lo < numChunks; lo += batch {
 		c.pending.Add(1)
@@ -180,10 +149,7 @@ func (e *CPUEngine) schedule(s *chunkSearch, stats []Stats) error {
 	}
 	e.closeMu.RUnlock()
 	c.pending.Wait()
-	for i := range stats {
-		stats[i].add(c.stats[i])
-	}
-	return c.firstErr
+	return nil
 }
 
 // SearchAndIndex implements Engine: one residue-fused pass over every
@@ -191,62 +157,116 @@ func (e *CPUEngine) schedule(s *chunkSearch, stats []Stats) error {
 //
 //cm:pooled
 func (e *CPUEngine) SearchAndIndex(q *Query) (*IndexResult, error) {
-	if err := validateSearchQuery(e.db, q, true); err != nil {
+	if err := validateSearchQuery(e.db, q, e.ring.N(), true); err != nil {
 		return nil, err
 	}
-	fq, err := FactorQuery(e.ring, q, len(e.db.Chunks))
-	if err != nil {
+	var out [1]*IndexResult
+	if err := e.search([]*Query{q}, out[:]); err != nil {
 		return nil, err
 	}
-	numWindows := len(e.db.Chunks) * e.ring.N()
-	ir := &IndexResult{Hits: make(HitBitmaps, len(q.Residues))}
-	words := make([][]uint64, len(q.Residues))
-	for vi, res := range q.Residues {
-		bm := NewBitset(numWindows)
-		ir.Hits[res] = bm
-		words[vi] = bm.Words()
-	}
-	var st [1]Stats
-	if err := e.schedule(&chunkSearch{q: q, fq: fq, words: words}, st[:]); err != nil {
-		ir.Release() // return the pooled bitsets on the error path
-		return nil, err
-	}
-	ir.Stats = st[0]
-	ir.Candidates = Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
-	e.record(ir.Stats)
-	return ir, nil
+	return out[0], nil
 }
 
 // SearchAndIndexBatch implements Engine: one pass over the database
-// evaluating every member per chunk (searchChunkRangeBatch), instead of
-// one pass per member.
+// evaluating every member per chunk, instead of one pass per member.
 //
 //cm:pooled
 func (e *CPUEngine) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error) {
-	if err := bq.validate(e.db); err != nil {
+	if err := bq.validate(e.db, e.ring.N()); err != nil {
 		return nil, err
 	}
 	if len(bq.Queries) == 0 {
 		return nil, nil
 	}
-	numChunks := len(e.db.Chunks)
-	fqs, err := factorBatch(e.ring, bq, numChunks)
-	if err != nil {
+	out := make([]*IndexResult, len(bq.Queries))
+	if err := e.search(bq.Queries, out); err != nil {
 		return nil, err
 	}
-	bitmaps := newBatchBitmaps(bq, numChunks*e.ring.N())
-	memberStats := make([]Stats, len(bq.Queries))
-	if err := e.schedule(&chunkSearch{bq: bq, fqs: fqs, bitmaps: bitmaps}, memberStats); err != nil {
-		for _, member := range bitmaps {
-			for _, bm := range member {
-				bm.Release() // return the pooled bitsets on the error path
+	return out, nil
+}
+
+// search runs validated queries in one pass over the database, filling
+// out[i] with query i's result. Members are grouped by DBTok plane
+// (samePlane) and length, each group is folded into one factored query
+// (factorPlane), and the kernel streams every chunk once for all
+// groups. A member identical to an earlier one (sameMember) is
+// evaluated once and gets its own copy of the hits. Stats come from the
+// plan: a plane streams every chunk once, charged to its first member;
+// a group subtracts once per chunk, charged to its first member; and
+// every member, duplicates included, compares every window once per
+// residue. On error the results are released.
+func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
+	n, numChunks := e.ring.N(), len(e.db.Chunks)
+	numWindows := numChunks * n
+	var groups []planeGroup
+	var dups [][2]int // (member, the earlier identical member it copies)
+	for mi, q := range queries {
+		ir := &IndexResult{Hits: make(HitBitmaps, len(q.Residues))}
+		out[mi] = ir
+		ir.Stats.CoeffCompares = int64(len(q.Residues)) * int64(numWindows)
+		if k := slices.IndexFunc(queries[:mi], func(o *Query) bool { return sameMember(o, q) }); k >= 0 {
+			dups = append(dups, [2]int{mi, k})
+			continue
+		}
+		if len(q.Residues) == 0 {
+			continue
+		}
+		g, onPlane := 0, false
+		for ; g < len(groups); g++ {
+			m := groups[g].members[0]
+			if samePlane(m.DBTok, q.DBTok) {
+				onPlane = true
+				if m.YBits == q.YBits {
+					break
+				}
 			}
 		}
-		return nil, err
+		if !onPlane {
+			ir.Stats.ChunkStreams = int64(numChunks)
+		}
+		if g == len(groups) {
+			groups = append(groups, planeGroup{words: make([][]uint64, 0, len(q.Residues))})
+			ir.Stats.HomAdds = numChunks
+		}
+		p := &groups[g]
+		p.members = append(p.members, q)
+		for _, res := range q.Residues {
+			bm := NewBitset(numWindows)
+			ir.Hits[res] = bm
+			p.words = append(p.words, bm.Words())
+		}
 	}
-	results, total := assembleBatchResults(bq, bitmaps, memberStats)
+	var err error
+	for g := range groups {
+		p := &groups[g]
+		if p.fq, err = factorPlane(n, p.members, numChunks); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = e.schedule(groups)
+	}
+	if err != nil {
+		for _, ir := range out {
+			ir.Release() // return the pooled bitsets on the error path
+		}
+		return err
+	}
+	for _, d := range dups {
+		for res, bm := range out[d[1]].Hits {
+			cp := NewBitset(numWindows)
+			copy(cp.Words(), bm.Words())
+			out[d[0]].Hits[res] = cp
+		}
+	}
+	var total Stats
+	for mi, q := range queries {
+		ir := out[mi]
+		ir.Candidates = Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
+		total.add(ir.Stats)
+	}
 	e.record(total)
-	return results, nil
+	return nil
 }
 
 // Describe implements Engine: "serial" for one worker, otherwise

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -95,11 +96,32 @@ func NewEngine(params bfv.Params, db *EncryptedDB, spec EngineSpec) (Engine, err
 	}
 }
 
+// ErrQueryDegree reports a query whose match-token polynomials do not
+// have the database's ring degree, e.g. one prepared under other
+// parameters. Every engine rejects it before its kernel runs.
+var ErrQueryDegree = errors.New("core: query polynomial degree does not match the database ring")
+
+// CheckTokenDegree returns an ErrQueryDegree error unless every DBTok
+// and RHS polynomial of q has n coefficients.
+func (q *Query) CheckTokenDegree(n int) error {
+	for j, p := range q.DBTok {
+		if len(p) != n {
+			return fmt.Errorf("%w: DBTok[%d] has %d coefficients, ring degree %d", ErrQueryDegree, j, len(p), n)
+		}
+	}
+	for psi, p := range q.RHS {
+		if len(p) != n {
+			return fmt.Errorf("%w: RHS[%d] has %d coefficients, ring degree %d", ErrQueryDegree, psi, len(p), n)
+		}
+	}
+	return nil
+}
+
 // validateSearchQuery is the shared request validation of every engine:
 // shape agreement between query and database, plus the match tokens
-// (DBTok plane, one polynomial per chunk) that server-side index
-// generation needs.
-func validateSearchQuery(db *EncryptedDB, q *Query, needTokens bool) error {
+// (DBTok plane, one polynomial per chunk, all of degree n) that
+// server-side index generation needs.
+func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) error {
 	if q.YBits < 1 {
 		return fmt.Errorf("core: query has invalid length %d", q.YBits)
 	}
@@ -114,55 +136,49 @@ func validateSearchQuery(db *EncryptedDB, q *Query, needTokens bool) error {
 		return fmt.Errorf("core: query prepared for %d-bit database, have %d bits",
 			q.DBBitLen, db.BitLen)
 	}
-	if needTokens && len(q.DBTok) != len(db.Chunks) {
+	if !needTokens {
+		return nil
+	}
+	if len(q.DBTok) != len(db.Chunks) {
 		return fmt.Errorf("core: query DBTok plane has %d chunks, database has %d (search requires ModeSeededMatch tokens)",
 			len(q.DBTok), len(db.Chunks))
 	}
-	return nil
+	return q.CheckTokenDegree(n)
 }
 
-// searchChunkRange is the shared CPU kernel: it executes index
-// generation for every shift variant at once over chunks [lo, hi) of
-// db, setting hit bits in the per-residue-index bitsets (global window
-// indexing). The CPU engine's scheduler runs it over the whole database
-// inline or over word-aligned ranges on its worker pool, mirroring how
-// the paper maps one algorithm onto different substrates.
+// searchChunkRange is the one CPU kernel: it executes index generation
+// for every group of a search over chunks [lo, hi) of db, setting hit
+// bits in the groups' bitset words (global window indexing). A single
+// query is one group with one member; a batch groups its members by
+// DBTok plane and length (CPUEngine.search). The CPU engine's scheduler runs it
+// over the whole database inline or over word-aligned ranges on its
+// worker pool, mirroring how the paper maps one algorithm onto
+// different substrates.
 //
 // Seeded-match index generation reads only the first ciphertext
 // component, so the kernel never touches C[1] — half the ciphertext
 // bytes — and ring.SubCmpMultiBits folds the homomorphic subtraction
-// and all R token comparisons into one streaming pass with no
-// intermediate store: chunk j's first component and DBTok[j] are each
-// read once per search (not once per residue), the R cache-resident RHS
-// polynomials are the only other operands, and the only writes are hit
-// bits in the packed bitsets. With a compacted database the reads are
-// one sequential walk of the C0 arena plane.
+// and all of a group's token comparisons into one streaming pass with
+// no intermediate store: chunk j's first component is read from memory
+// once per search (later groups find it in cache), DBTok[j] once per
+// group, the cache-resident RHS rows are the only other operands, and
+// the only writes are hit bits in the packed bitsets. With a compacted
+// database the reads are one sequential walk of the C0 arena plane.
 //
-// words holds the raw backing words of the per-variant bitsets
-// (bitsetWords), built once per search by the caller: the kernel itself
-// is allocation-free, so a worker re-entering it per chunk-range job
-// pays nothing.
+// The groups and their words are built once per search by the caller:
+// the kernel itself is allocation-free, so a worker re-entering it per
+// chunk-range job pays nothing.
 //
 //cm:hotpath
-func searchChunkRange(r *ring.Ring, db *EncryptedDB, q *Query, fq *FactoredQuery, lo, hi int, words [][]uint64) (Stats, error) {
-	var st Stats
-	if len(words) == 0 {
-		return st, nil
-	}
+func searchChunkRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi int) {
 	n := r.N()
-	y := q.YBits
 	for j := lo; j < hi; j++ {
-		row := fq.Row(ChunkPhi(n, j, y))
-		if row == nil {
-			//cm:allow hotpath -- cold error exit: a malformed query aborts the search, never taken per-chunk in steady state
-			return st, fmt.Errorf("core: factored query has no RHS row for chunk %d", j)
+		c0 := db.Chunks[j].C[0]
+		for i := range groups {
+			p := &groups[i]
+			r.SubCmpMultiBits(c0, p.fq.DBTok[j], p.fq.chunkRow(n, j), p.words, j*n)
 		}
-		r.SubCmpMultiBits(db.Chunks[j].C[0], fq.DBTok[j], row, words, j*n)
-		st.HomAdds++
-		st.ChunkStreams++
-		st.CoeffCompares += int64(len(row)) * int64(n)
 	}
-	return st, nil
 }
 
 // add folds another stats sample into s.

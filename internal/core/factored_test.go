@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ciphermatch/internal/bfv"
+	"ciphermatch/internal/ring"
 	"ciphermatch/internal/rng"
 )
 
@@ -134,4 +135,55 @@ func TestEncryptC0CallCounts(t *testing.T) {
 	if perResidue := residues*chunks + phases; got >= perResidue {
 		t.Fatalf("token builder (%d calls) does not beat the per-residue derivation (%d)", got, perResidue)
 	}
+}
+
+// FuzzFactorPlane holds the batch row merge to its definition with no
+// encryption involved: for members of one length and arbitrary
+// alignments on one plane, at every chunk the merged row is the
+// concatenation, in member order, of each member's
+// RHS[PatternPhase(n, j, s, y)] over its residues s.
+func FuzzFactorPlane(f *testing.F) {
+	// logN, chunks-1, y-1, members-1, then each member's align-1.
+	f.Add(uint8(6), uint16(2), uint16(47), uint8(1), uint8(7), uint8(3), uint8(0))       // 48 bits, 2 members
+	f.Add(uint8(6), uint16(63), uint16(24), uint8(2), uint8(0), uint8(4), uint8(7))      // 25 bits, 3 members
+	f.Add(uint8(10), uint16(255), uint16(1000), uint8(0), uint8(15), uint8(0), uint8(0)) // y > 16n
+	f.Add(uint8(0), uint16(0), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0))        // n = 1, y = 1
+	f.Fuzz(func(t *testing.T, logN uint8, chunks, yBits uint16, count, a0, a1, a2 uint8) {
+		n := 1 << (logN % 11)
+		numChunks := 1 + int(chunks%256)
+		y := 1 + int(yBits%1024)
+		var members []*Query
+		for _, a := range []uint8{a0, a1, a2}[:1+count%3] {
+			align := 1 + int(a%64)
+			q := &Query{YBits: y, AlignBits: align, RHS: make(map[int]ring.Poly, y)}
+			for s := 0; s < y; s += gcd(align, y) {
+				q.Residues = append(q.Residues, s)
+			}
+			for psi := 0; psi < y; psi++ {
+				q.RHS[psi] = ring.Poly{uint64(len(members))<<32 | uint64(psi)}
+			}
+			members = append(members, q)
+		}
+		fq, err := factorPlane(n, members, numChunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < numChunks; j++ {
+			row := fq.chunkRow(n, j)
+			i := 0
+			for mi, q := range members {
+				for _, s := range q.Residues {
+					want := q.RHS[PatternPhase(n, j, s, y)]
+					if i >= len(row) || &row[i][0] != &want[0] {
+						t.Fatalf("n=%d chunk %d: merged row entry %d is not member %d's residue %d comparand (row has %d entries)",
+							n, j, i, mi, s, len(row))
+					}
+					i++
+				}
+			}
+			if i != len(row) {
+				t.Fatalf("n=%d chunk %d: merged row has %d entries, members have %d residues", n, j, len(row), i)
+			}
+		}
+	})
 }

@@ -18,10 +18,13 @@ type Stats struct {
 	// only homomorphic operation CIPHERMATCH uses, §4.2.2). With the
 	// residue-fused kernel this is one per chunk streamed — the single
 	// subtraction whose difference is compared against every residue's
-	// RHS — instead of one per (chunk, residue).
+	// RHS — instead of one per (chunk, residue). A CPU batch subtracts
+	// once per chunk per (DBTok plane, length) group, so members of two
+	// lengths on one plane cost two per chunk.
 	HomAdds int
 	// CoeffCompares is the number of coefficient comparisons performed by
-	// index generation (still one per coefficient per residue).
+	// index generation (still one per coefficient per residue; a batch
+	// member that duplicates another is charged its own).
 	CoeffCompares int64
 	// ResultBytes is the volume of result ciphertexts produced.
 	ResultBytes int64
@@ -29,7 +32,8 @@ type Stats struct {
 	// component was streamed from the ciphertext arena. A single-pass
 	// search streams each chunk once, so ChunkStreams == NumChunks per
 	// search regardless of the residue count — the arena-traffic
-	// invariant the factored representation buys.
+	// invariant the factored representation buys. A batch is charged
+	// NumChunks per distinct DBTok plane.
 	ChunkStreams int64
 }
 
@@ -139,5 +143,5 @@ func (s *Server) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error) {
 }
 
 func (s *Server) checkQuery(q *Query) error {
-	return validateSearchQuery(s.db, q, false)
+	return validateSearchQuery(s.db, q, s.params.N, false)
 }

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
 	"ciphermatch/internal/mathutil"
+	"ciphermatch/internal/ring"
 	"ciphermatch/internal/rng"
 	"ciphermatch/internal/ssd"
 )
@@ -128,10 +130,14 @@ func TestEngineConformance(t *testing.T) {
 // TestEngineBatchConformance proves the batch pipeline's correctness
 // contract on every engine configuration: SearchAndIndexBatch returns
 // bitmaps and candidates identical to per-member SearchAndIndex calls
-// on the same engine. The batch mixes member lengths (all members share one DBTok
-// plane) and includes a duplicate of member 0 prepared separately, so
+// on the same engine. The batch mixes member lengths over four DBTok
+// planes and includes a duplicate of member 0 prepared separately, so
 // token dedup across members is exercised, and the CPU engine must
-// demonstrably save homomorphic additions from it.
+// demonstrably save homomorphic additions from it. The planes cover a
+// second client and planes holding two lengths each (one group per
+// length), among them lengths whose chunk phases never repeat within
+// the database. Results are released in reverse member order, so each
+// duplicate returns to the pool before its original is compared.
 func TestEngineBatchConformance(t *testing.T) {
 	v := conformanceVectors[1] // chunk-boundary: multi-chunk database
 	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: v.align, Mode: core.ModeSeededMatch}
@@ -150,18 +156,63 @@ func TestEngineBatchConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepare := func(pat []byte, bits int) *core.Query {
-		q, err := client.PrepareQuery(pat, bits, v.dbBits)
+	other, err := core.NewClient(cfg, rng.NewSourceFromString("batch-conf-other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepareWith := func(c *core.Client, pat []byte, bits int) *core.Query {
+		q, err := c.PrepareQuery(pat, bits, v.dbBits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return q
 	}
+	prepare := func(pat []byte, bits int) *core.Query { return prepareWith(client, pat, bits) }
+	// window returns bits [at, at+bits) of the database: a pattern that
+	// occurs at offset at.
+	window := func(at, bits int) []byte {
+		pat := make([]byte, (bits+7)/8)
+		for j := 0; j < bits; j++ {
+			mathutil.SetBit(pat, j, mathutil.GetBit(data, at+j))
+		}
+		return pat
+	}
+	// remask moves q onto a DBTok plane of its own, as a user holding
+	// the owner's keys with a different mask M' would: c0 − DBTok and
+	// RHS both shift by M', so the hits are unchanged.
+	remask := func(q *core.Query, seed string) *core.Query {
+		r := cfg.Params.Ring()
+		m := r.NewPoly()
+		r.UniformPoly(rng.NewSourceFromString(seed), m)
+		out := *q
+		out.DBTok = make([]ring.Poly, len(q.DBTok))
+		for j, tok := range q.DBTok {
+			out.DBTok[j] = r.NewPoly()
+			r.Sub(tok, m, out.DBTok[j])
+		}
+		out.RHS = make(map[int]ring.Poly, len(q.RHS))
+		for psi, rhs := range q.RHS {
+			out.RHS[psi] = r.NewPoly()
+			r.Add(rhs, m, out.RHS[psi])
+		}
+		return &out
+	}
 	members := []*core.Query{
 		prepare(v.query, v.queryBits),
 		prepare([]byte{0x0F, 0xF0, 0x55, 0xAA}, 32),
 		prepare(v.query, v.queryBits), // duplicate content, separately prepared
+		// A second client: its own DBTok plane, and no hits on this
+		// database, so a member evaluated on the wrong plane shows.
+		prepareWith(other, v.query, v.queryBits),
+		// Coprime lengths 48 and 25 on one plane.
+		remask(prepare(v.query, v.queryBits), "plane-b"),
+		remask(prepare(window(2048, 25), 25), "plane-b"),
+		// Lengths 57 and 59 on one plane: every chunk has its own phase.
+		remask(prepare(window(1000, 57), 57), "plane-c"),
+		remask(prepare(window(1000, 59), 59), "plane-c"),
 	}
+	members = append(members, members[1]) // the same query twice
+	mustHit := map[int]int{4: 1000, 5: 2048, 6: 1000, 7: 1000}
 	bq := core.NewBatchQuery(members...)
 
 	for _, spec := range conformanceSpecs {
@@ -178,10 +229,14 @@ func TestEngineBatchConformance(t *testing.T) {
 			t.Fatalf("%s: %d results for %d members", label, len(irs), len(members))
 		}
 		var batchAdds, seqAdds int
-		for mi, q := range members {
+		for mi := len(members) - 1; mi >= 0; mi-- {
+			q := members[mi]
 			want, err := eng.SearchAndIndex(q)
 			if err != nil {
 				t.Fatalf("%s: member %d: %v", label, mi, err)
+			}
+			if at, ok := mustHit[mi]; ok && !containsInt(want.Candidates, at) {
+				t.Fatalf("%s: member %d: occurrence %d missing from %v; fixture is vacuous", label, mi, at, want.Candidates)
 			}
 			got := irs[mi]
 			if !intsEqual(got.Candidates, want.Candidates) {
@@ -200,6 +255,10 @@ func TestEngineBatchConformance(t *testing.T) {
 			}
 			batchAdds += got.Stats.HomAdds
 			seqAdds += want.Stats.HomAdds
+			released := len(got.Hits) + len(want.Hits)
+			got.Release()
+			want.Release()
+			scribblePool(released, len(edb.Chunks)*cfg.Params.N)
 		}
 		// Member 2 duplicates member 0, so the CPU engine's batch pass
 		// must do strictly less homomorphic work than the sequential runs.
@@ -271,6 +330,71 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatalf("%s: close: %v", label, err)
+		}
+	}
+}
+
+// TestEngineRejectsWrongDegree: a query prepared under other parameters
+// (ParamsToy tokens, n = 64) against a 1-chunk ParamsPaper database
+// (n = 1024) agrees with it on every shape field, so only the
+// polynomial degree tells them apart. Every engine must reject it with
+// core.ErrQueryDegree, alone and as a batch member, before its kernel
+// indexes past the short polynomials — on a pool that panic would kill
+// the process from a worker goroutine.
+func TestEngineRejectsWrongDegree(t *testing.T) {
+	const dbBits = 512 // one chunk at either degree
+	paper := core.Config{Params: bfv.ParamsPaper(), AlignBits: 8, Mode: core.ModeSeededMatch}
+	owner, err := core.NewClient(paper, rng.NewSourceFromString("degree-owner"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := owner.EncryptDatabase(make([]byte, dbBits/8), dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := owner.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toy := core.Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: core.ModeSeededMatch}
+	stranger, err := core.NewClient(toy, rng.NewSourceFromString("degree-stranger"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := stranger.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.NumChunks != len(edb.Chunks) || bad.DBBitLen != edb.BitLen {
+		t.Fatalf("fixture: toy query has %d chunks/%d bits, database %d/%d; only the degree may differ",
+			bad.NumChunks, bad.DBBitLen, len(edb.Chunks), edb.BitLen)
+	}
+	for _, spec := range []core.EngineSpec{
+		{Kind: core.EngineSerial},
+		{Kind: core.EnginePool, Workers: 2},
+		{Kind: core.EngineSSD},
+	} {
+		eng, err := BuildWith(paper.Params, edb, spec, ssd.DefaultConfig(), ssd.SoftwareTransposition)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if ir, err := eng.SearchAndIndex(bad); !errors.Is(err, core.ErrQueryDegree) {
+			ir.Release()
+			t.Errorf("%s: single search err = %v, want core.ErrQueryDegree", spec, err)
+		}
+		if irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(good, bad)); !errors.Is(err, core.ErrQueryDegree) {
+			for _, ir := range irs {
+				ir.Release()
+			}
+			t.Errorf("%s: batch err = %v, want core.ErrQueryDegree", spec, err)
+		}
+		ir, err := eng.SearchAndIndex(good)
+		if err != nil {
+			t.Fatalf("%s: well-formed query after the rejections: %v", spec, err)
+		}
+		ir.Release()
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -356,6 +480,23 @@ func TestParse(t *testing.T) {
 		if spec.String() != s {
 			t.Errorf("round trip %q -> %q", s, spec.String())
 		}
+	}
+}
+
+// scribblePool draws k bitsets of the given size from the pool,
+// sets every bit and returns them: a result still sharing storage with
+// one just released now reads all ones.
+func scribblePool(k, bits int) {
+	bms := make([]*core.Bitset, k)
+	for i := range bms {
+		bms[i] = core.NewBitset(bits)
+		w := bms[i].Words()
+		for j := range w {
+			w[j] = ^uint64(0)
+		}
+	}
+	for _, bm := range bms {
+		bm.Release()
 	}
 }
 

@@ -6,9 +6,9 @@
 // members reference it by pool index. Dedup keys are encoded bytes,
 // which is sound because the encoders are deterministic (maps are
 // emitted in sorted key order). Decoding shares pool entries by pointer,
-// so the server-side batch kernels get their pointer-identity reuse for
-// free: members prepared by the same client against the same database
-// share one DBTok plane on the wire AND one chunk stream in the kernel.
+// so the CPU engine gets its pointer-identity grouping for free: members
+// prepared by the same client against the same database share one DBTok
+// plane on the wire AND one chunk stream in the kernel.
 
 package proto
 
@@ -117,8 +117,8 @@ func EncodeNamedBatchQuery(name string, bq *core.BatchQuery, p bfv.Params) []byt
 // DecodeNamedBatchQuery is the inverse of EncodeNamedBatchQuery.
 // Members referencing the same pool entry share one object — RHS
 // polynomials and whole DBTok planes come back pointer-shared, which is
-// exactly the identity the batch kernels key their per-chunk evaluation
-// reuse on.
+// exactly the identity the CPU engine groups members by: one factored
+// query per DBTok plane and length, one evaluation per identical member.
 func DecodeNamedBatchQuery(data []byte, p bfv.Params) (string, *core.BatchQuery, error) {
 	b := &buffer{data: data}
 	name, err := b.string()

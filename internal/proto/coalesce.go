@@ -1,4 +1,4 @@
-// Server-side query coalescing. The batch kernel makes one arena pass
+// Server-side query coalescing. The search kernel makes one arena pass
 // serve a whole core.BatchQuery, but only a client can form one. The
 // Coalescer closes that gap for concurrent traffic: single MsgQuery
 // requests against one database are held in a short per-database
@@ -154,8 +154,8 @@ func newCoalescer(store *Store, params bfv.Params, cfg CoalesceConfig, met *serv
 // search admits one still-encoded query for the named database and
 // blocks until its batch has executed, returning the query's own
 // candidates. Results are bit-identical to decoding and running
-// Store.Search directly (the batch kernels are conformance-pinned to
-// the sequential path). Rejects with ErrOverloaded when the database's
+// Store.Search directly (batches run the single-query kernel and are
+// conformance-pinned to the sequential path). Rejects with ErrOverloaded when the database's
 // queue is at its depth cap. tr (nil disables tracing) gets admission
 // stamped here; the leader stamps the window wait, batch formation, the
 // shared decode and the arena pass before the result is fanned back.
@@ -284,7 +284,7 @@ func (g *queryGroup) fan(res coalesceResult) {
 }
 
 // executeSafe runs one batch with panic isolation: a panic inside the
-// batch kernels or the store poisons only this window — every member
+// search kernel or the store poisons only this window — every member
 // that has not been answered yet gets a typed server-fault error, the
 // leader's connection keeps serving, and no member is ever stranded.
 func (co *Coalescer) executeSafe(q *dbQueue, batch []*pendingQuery) {
@@ -440,7 +440,7 @@ func (co *Coalescer) execute(q *dbQueue, batch []*pendingQuery) {
 		for i, g := range live {
 			ir := irs[i]
 			streamed += ir.Stats.ChunkStreams
-			// The member stats are the per-query share the batch kernel
+			// The member stats are the per-query share the engine
 			// attributed; the shared arena-pass wall time is stamped whole
 			// (every member rode the same pass).
 			stampMembers(g.members, trace.StageArena, arenaNS)
@@ -453,8 +453,8 @@ func (co *Coalescer) execute(q *dbQueue, batch []*pendingQuery) {
 	co.met.chunkStreams.Add(streamed)
 	// Arena passes saved: each member alone would have streamed every
 	// chunk once (the PR-5 single-pass invariant); the window shared
-	// those streams across members — between groups via the batch
-	// kernel's evaluation classes, within groups outright.
+	// those streams across members — between groups because groups on
+	// one DBTok plane stream it once, within groups outright.
 	if solo := int64(len(batch)) * int64(live[0].q.NumChunks); solo > streamed {
 		co.met.streamsSaved.Add(solo - streamed)
 	}

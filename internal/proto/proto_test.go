@@ -322,7 +322,7 @@ func TestBatchQueryRoundtrip(t *testing.T) {
 	// Every member comes from the same client against the same database,
 	// so the deduplicated wire encoding must hand all three the SAME
 	// DBTok plane object — one plane on the wire, one chunk stream in
-	// the batch kernel.
+	// the search kernel.
 	for mi := 1; mi < 3; mi++ {
 		if &back.Queries[mi].DBTok[0][0] != &back.Queries[0].DBTok[0][0] {
 			t.Fatalf("member %d DBTok plane not pool-shared", mi)

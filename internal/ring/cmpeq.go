@@ -7,13 +7,11 @@ package ring
 // coefficient, packed 64 windows per word. Words with no hits are never
 // written, so a miss-dominated scan is a pure read stream.
 //
-// Like subcmp.go, the kernel dispatches across the generic baseline,
-// the unrolled multi-lane path and the AVX2 assembly path (kernel.go;
-// the avx512 path runs the AVX2 code here),
-// all bit-identical; the coefficient loops are branchless by policy
-// (cmvet's ctbranch analyzer), and an unaligned base gets a scalar
-// prologue up to the word boundary instead of demoting the whole poly
-// to the scalar path.
+// Unlike SubCmpMultiBits, the scalar kernel does not dispatch across
+// kernel paths (kernel.go): it is one generic loop. The coefficient
+// loops are branchless by policy (cmvet's ctbranch analyzer), and an
+// unaligned base gets a scalar prologue up to the word boundary instead
+// of demoting the whole poly to the scalar path.
 
 // bitsetWord returns the word index and in-word bit mask of bit i.
 //
@@ -33,24 +31,12 @@ func eqMaskBit(x, y uint64) uint64 {
 
 // CmpEqScalarBits sets bit base+i of bits for every i with a[i] == v —
 // the client-decrypt index generation, where every window compares
-// against the single match value t-1.
+// against the single match value t-1. It has one portable
+// word-at-a-time implementation on every kernel path: its only caller
+// decrypts each chunk first, and decryption dominates the compare.
 //
 //cm:hotpath
 func CmpEqScalarBits(a Poly, v uint64, bits []uint64, base int) {
-	switch KernelPath(activeKernel.Load()) {
-	case KernelAVX2, KernelAVX512: // one comparand: nothing for a fused block to amortise
-		cmpEqScalarAVX2(a, v, bits, base)
-	case KernelUnrolled:
-		cmpEqScalarUnrolled(a, v, bits, base)
-	default:
-		cmpEqScalarGeneric(a, v, bits, base)
-	}
-}
-
-// cmpEqScalarGeneric is the portable word-at-a-time baseline.
-//
-//cm:hotpath
-func cmpEqScalarGeneric(a Poly, v uint64, bits []uint64, base int) {
 	n := len(a)
 	i := 0
 	if rem := base & 63; rem != 0 {
@@ -66,43 +52,6 @@ func cmpEqScalarGeneric(a Poly, v uint64, bits []uint64, base int) {
 		var w uint64
 		for k := range aa {
 			w |= eqMaskBit(aa[k], v) << uint(k)
-		}
-		//cm:allow ctbranch -- aggregated hit-word store elision keeps misses a pure read stream
-		if w != 0 {
-			bits[(base+i)>>6] |= w
-		}
-	}
-	cmpEqScalarEdge(a, v, bits, base, i, n)
-}
-
-// cmpEqScalarUnrolled is the multi-lane path: 8 compares per iteration
-// over bounds-check-free re-slices.
-//
-//cm:hotpath
-func cmpEqScalarUnrolled(a Poly, v uint64, bits []uint64, base int) {
-	n := len(a)
-	i := 0
-	if rem := base & 63; rem != 0 {
-		pro := 64 - rem
-		if pro > n {
-			pro = n
-		}
-		cmpEqScalarEdge(a, v, bits, base, 0, pro)
-		i = pro
-	}
-	for ; i+64 <= n; i += 64 {
-		var w uint64
-		for k := 0; k < 64; k += 8 {
-			a8 := a[i+k : i+k+8 : i+k+8]
-			g := eqMaskBit(a8[0], v) |
-				eqMaskBit(a8[1], v)<<1 |
-				eqMaskBit(a8[2], v)<<2 |
-				eqMaskBit(a8[3], v)<<3 |
-				eqMaskBit(a8[4], v)<<4 |
-				eqMaskBit(a8[5], v)<<5 |
-				eqMaskBit(a8[6], v)<<6 |
-				eqMaskBit(a8[7], v)<<7
-			w |= g << uint(k)
 		}
 		//cm:allow ctbranch -- aggregated hit-word store elision keeps misses a pure read stream
 		if w != 0 {

@@ -1,7 +1,7 @@
 package ring
 
 // This file is the kernel dispatch layer of ROADMAP item 1: the hot
-// compare kernels (SubCmpMultiBits, CmpEqScalarBits) exist in four
+// compare kernel (SubCmpMultiBits) exists in four
 // implementations behind one API, selected once at process start and
 // swappable at runtime for tests and benchmarks:
 //
@@ -18,8 +18,7 @@ package ring
 //	avx512    amd64 fused block primitive: each 64-coefficient
 //	          difference block stays in ZMM registers across up to 64
 //	          comparands, 8 lanes per vector op; present only with
-//	          AVX512F+BW and OS-enabled ZMM/opmask state (CmpEqScalarBits,
-//	          one comparand, reuses the avx2 code)
+//	          AVX512F+BW and OS-enabled ZMM/opmask state
 //
 // Selection policy, in order: the CM_KERNEL environment variable
 // (generic|unrolled|avx2|avx512) when set and satisfiable; otherwise

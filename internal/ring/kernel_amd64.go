@@ -81,14 +81,6 @@ func diffGenericBlock64AVX2(dst, a, d *uint64, q uint64)
 //go:noescape
 func cmpEqBlock64AVX2(x, y *uint64) uint64
 
-// cmpEqScalarBlock64AVX2 returns the packed equality word of a
-// 64-coefficient run against a broadcast scalar: bit k set iff
-// x[k] == v.
-//
-//cm:hotpath
-//go:noescape
-func cmpEqScalarBlock64AVX2(x *uint64, v uint64) uint64
-
 // subCmpAVX2 is SubCmpMultiBits on the assembly primitives: the
 // difference block lands in a stack buffer via one vector pass, then
 // each comparand's 64 compares collapse into one word via VPCMPEQQ +
@@ -191,28 +183,4 @@ func (r *Ring) subCmpAVX512(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 		}
 	}
 	r.subCmpScalar(a, d, rhs, bits, base, i, n)
-}
-
-// cmpEqScalarAVX2 is CmpEqScalarBits on the assembly primitives.
-//
-//cm:hotpath
-func cmpEqScalarAVX2(a Poly, v uint64, bits []uint64, base int) {
-	n := len(a)
-	i := 0
-	if rem := base & 63; rem != 0 {
-		pro := 64 - rem
-		if pro > n {
-			pro = n
-		}
-		cmpEqScalarEdge(a, v, bits, base, 0, pro)
-		i = pro
-	}
-	for ; i+64 <= n; i += 64 {
-		w := cmpEqScalarBlock64AVX2(&a[i], v)
-		//cm:allow ctbranch -- aggregated hit-word store elision keeps misses a pure read stream
-		if w != 0 {
-			bits[(base+i)>>6] |= w
-		}
-	}
-	cmpEqScalarEdge(a, v, bits, base, i, n)
 }

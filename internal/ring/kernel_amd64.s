@@ -162,40 +162,6 @@ TEXT ·cmpEqBlock64AVX2(SB), NOSPLIT, $0-24
 	VZEROUPPER
 	RET
 
-// CMPSGROUP compares one 4-lane group of x (SI) against the broadcast
-// scalar in Y3, accumulating like CMPGROUP.
-#define CMPSGROUP(off, sh) \
-	VMOVDQU   off(SI), Y0; \
-	VPCMPEQQ  Y3, Y0, Y0;  \
-	VMOVMSKPD Y0, BX;      \
-	SHLQ      $sh, BX;     \
-	ORQ       BX, AX
-
-// func cmpEqScalarBlock64AVX2(x *uint64, v uint64) uint64
-TEXT ·cmpEqScalarBlock64AVX2(SB), NOSPLIT, $0-24
-	MOVQ         x+0(FP), SI
-	VPBROADCASTQ v+8(FP), Y3
-	XORQ         AX, AX
-	CMPSGROUP(0, 0)
-	CMPSGROUP(32, 4)
-	CMPSGROUP(64, 8)
-	CMPSGROUP(96, 12)
-	CMPSGROUP(128, 16)
-	CMPSGROUP(160, 20)
-	CMPSGROUP(192, 24)
-	CMPSGROUP(224, 28)
-	CMPSGROUP(256, 32)
-	CMPSGROUP(288, 36)
-	CMPSGROUP(320, 40)
-	CMPSGROUP(352, 44)
-	CMPSGROUP(384, 48)
-	CMPSGROUP(416, 52)
-	CMPSGROUP(448, 56)
-	CMPSGROUP(480, 60)
-	MOVQ AX, ret+16(FP)
-	VZEROUPPER
-	RET
-
 // AVX-512 fused subtract-and-compare block. One call covers one
 // 64-coefficient word for nrhs >= 1 comparands: the 64 differences are
 // computed once into Z0-Z7 (8 lanes each) and stay there while every

@@ -22,8 +22,3 @@ func (r *Ring) subCmpAVX2(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 func (r *Ring) subCmpAVX512(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 	r.subCmpUnrolled(a, d, rhs, bits, base)
 }
-
-//cm:hotpath
-func cmpEqScalarAVX2(a Poly, v uint64, bits []uint64, base int) {
-	cmpEqScalarUnrolled(a, v, bits, base)
-}

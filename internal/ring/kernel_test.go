@@ -62,7 +62,7 @@ func TestSetKernelAvailability(t *testing.T) {
 		}
 	}
 	if avx512Supported && !avx2Supported {
-		t.Fatal("avx512 must imply avx2 (CmpEqScalarBits runs the AVX2 code)")
+		t.Fatal("avx512 must imply avx2 (GODEBUG cpu.avx2=off disables both assembly paths)")
 	}
 	if err := SetKernel(KernelPath(99)); err == nil {
 		t.Fatal("SetKernel accepted an unknown path value")
@@ -154,29 +154,21 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 	return kernelCase{r: r, a: a, d: d, rhs: rhs, base: base}
 }
 
-// runAllKernels executes the two exported kernels under every
-// available dispatch path and fails the test unless each path's
-// bitsets are bit-identical to the generic baseline's.
+// runAllKernels executes SubCmpMultiBits under every available
+// dispatch path and fails the test unless each path's bitsets are
+// bit-identical to the generic baseline's.
 func runAllKernels(t testing.TB, tc kernelCase) {
 	t.Helper()
 	words := (tc.base + tc.r.N() + 63) / 64
-	type result struct {
-		sub   [][]uint64
-		cmpeq []uint64
-	}
-	results := make(map[KernelPath]result)
+	results := make(map[KernelPath][][]uint64)
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			res := result{
-				sub:   make([][]uint64, len(tc.rhs)),
-				cmpeq: make([]uint64, words),
+			sub := make([][]uint64, len(tc.rhs))
+			for v := range sub {
+				sub[v] = make([]uint64, words)
 			}
-			for v := range res.sub {
-				res.sub[v] = make([]uint64, words)
-			}
-			tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, res.sub, tc.base)
-			CmpEqScalarBits(tc.a, tc.a[0], res.cmpeq, tc.base)
-			results[p] = res
+			tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, sub, tc.base)
+			results[p] = sub
 		})
 	}
 	ref := results[KernelGeneric]
@@ -185,18 +177,12 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 			continue
 		}
 		got := results[p]
-		for v := range ref.sub {
-			for w := range ref.sub[v] {
-				if got.sub[v][w] != ref.sub[v][w] {
+		for v := range ref {
+			for w := range ref[v] {
+				if got[v][w] != ref[v][w] {
 					t.Fatalf("SubCmpMultiBits path %s: rhs %d word %d = %#x, generic %#x (n=%d q=%d base=%d)",
-						p, v, w, got.sub[v][w], ref.sub[v][w], tc.r.N(), tc.r.Q(), tc.base)
+						p, v, w, got[v][w], ref[v][w], tc.r.N(), tc.r.Q(), tc.base)
 				}
-			}
-		}
-		for w := range ref.cmpeq {
-			if got.cmpeq[w] != ref.cmpeq[w] {
-				t.Fatalf("CmpEqScalarBits path %s: word %d = %#x, generic %#x (n=%d q=%d base=%d)",
-					p, w, got.cmpeq[w], ref.cmpeq[w], tc.r.N(), tc.r.Q(), tc.base)
 			}
 		}
 	}

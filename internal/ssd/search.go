@@ -39,6 +39,9 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 		return nil, fmt.Errorf("ssd: query DBTok plane has %d chunks, stored %d", len(q.DBTok), s.numChunks)
 	}
 	n := s.params.N
+	if err := q.CheckTokenDegree(n); err != nil {
+		return nil, err
+	}
 	fq, err := core.FactorQuery(s.params.Ring(), q, s.numChunks)
 	if err != nil {
 		return nil, err

@@ -127,7 +127,7 @@ type Trace struct {
 	TotalNS int64
 	// ChunkStreams and HomAdds are the arena work attributed to this
 	// request by the engine (a coalesced member gets its own share from
-	// the batch kernel's per-member stats).
+	// the batch's per-member stats).
 	ChunkStreams int64
 	HomAdds      int64
 	// Batch is the occupancy of the window the query rode in (1 = solo
