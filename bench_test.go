@@ -133,30 +133,6 @@ func BenchmarkHomMul(b *testing.B) {
 	}
 }
 
-// BenchmarkHomRotation measures a Galois automorphism + key switch — the
-// "costly rotation" of the scalable arithmetic baselines [34]/[29] that
-// CIPHERMATCH's algorithm never needs.
-func BenchmarkHomRotation(b *testing.B) {
-	p := bfv.ParamsNTTArith()
-	src := rng.NewSourceFromString("rot-bench")
-	sk, pk := bfv.KeyGen(p, src.Fork("keys"))
-	gk, err := bfv.NewGaloisKey(p, sk, 3, src.Fork("gk"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := bfv.NewEncoder(p)
-	encryptor := bfv.NewEncryptor(p, pk)
-	ev := bfv.NewEvaluator(p)
-	pt, _ := enc.Encode(make([]uint64, p.N))
-	ct := encryptor.Encrypt(pt, src.Fork("e"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.Automorphism(ct, gk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEncrypt(b *testing.B) {
 	enc, encryptor, _, _, _, _ := benchSetup(b)
 	src := rng.NewSourceFromString("enc-bench")
@@ -518,19 +494,19 @@ func BenchmarkAblationPolyMul(b *testing.B) {
 
 // BenchmarkAblationPackingWidth quantifies the memory-footprint effect of
 // the packing width (the paper's core software contribution): 1-bit
-// (Yasuda) vs 16-bit (CIPHERMATCH) vs per-bit Boolean.
+// (Yasuda) vs 16-bit (CIPHERMATCH) vs per-bit Boolean, from the
+// performance model's footprint (the one Fig. 2a plots).
 func BenchmarkAblationPackingWidth(b *testing.B) {
-	p := bfv.ParamsPaper()
-	const dbBits = 1 << 23
-	var cm, ya, bo core.Footprint
+	m := perfmodel.NewPaperModel()
+	w := perfmodel.Workload{PlainBits: 1 << 23, QueryBits: 16}
+	var cm, ya, bo int64
 	for i := 0; i < b.N; i++ {
-		cm = core.FootprintCiphermatch(dbBits, p)
-		ya = core.FootprintYasuda(dbBits, p)
-		bo = core.FootprintBoolean(dbBits)
+		cm, ya, bo = m.CMEncryptedBytes(w), m.ArithEncryptedBytes(w), m.BooleanEncryptedBytes(w)
 	}
-	b.ReportMetric(cm.Expansion(), "cm-expansion-x")
-	b.ReportMetric(ya.Expansion(), "yasuda-expansion-x")
-	b.ReportMetric(bo.Expansion(), "boolean-expansion-x")
+	plain := float64(w.PlainBits / 8)
+	b.ReportMetric(float64(cm)/plain, "cm-expansion-x")
+	b.ReportMetric(float64(ya)/plain, "yasuda-expansion-x")
+	b.ReportMetric(float64(bo)/plain, "boolean-expansion-x")
 }
 
 // BenchmarkAblationTransposition compares the software (13.6 µs/4KiB) and

@@ -2,11 +2,14 @@
 // deployment: it encrypts a local file, uploads the ciphertexts to a
 // named database on a cmserver, and issues encrypted searches,
 // receiving only match indices. It can also list and drop the server's
-// databases.
+// databases. With -local it starts its own in-process server on a
+// loopback listener, so a local search takes the same wire and store
+// path as a networked one.
 //
 // Usage:
 //
 //	cmclient -addr localhost:7448 -name corpus -db corpus.txt -query "needle"
+//	cmclient -local -db corpus.txt -query "needle" -engine ssd
 //	cmclient -name corpus -engine pool:8 -db corpus.txt -query "needle"
 //	cmclient -name corpus -db corpus.txt -queryfile patterns.txt
 //	cmclient -name corpus -db corpus.txt -query "needle" -noupload
@@ -28,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 
 	"ciphermatch"
@@ -37,6 +41,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:7448", "cmserver address")
+	local := flag.Bool("local", false, "search through an in-process server on a 127.0.0.1 listener instead of a cmserver at -addr")
 	name := flag.String("name", "default", "server-side database name")
 	dbPath := flag.String("db", "", "file to upload and search")
 	queryStr := flag.String("query", "", "query string")
@@ -57,6 +62,14 @@ func main() {
 		Params:    ciphermatch.ParamsPaper(),
 		AlignBits: *align,
 		Mode:      ciphermatch.ModeSeededMatch,
+	}
+	if *local {
+		localAddr, stop, err := serveLocal(cfg.Params)
+		if err != nil {
+			fatal(err)
+		}
+		defer stop()
+		*addr = localAddr
 	}
 	conn, err := proto.Dial(*addr, cfg.Params)
 	if err != nil {
@@ -169,6 +182,31 @@ func batchSearch(conn *proto.Conn, client *ciphermatch.Client, name, path string
 			fmt.Printf("  match at byte %d\n", o/8)
 		}
 	}
+}
+
+// serveLocal starts an in-process server (memory-only store, serial
+// default engine, no coalescing) on a 127.0.0.1 listener and returns
+// its address; stop closes the listener, waits for the accept loop to
+// return and drains the server.
+func serveLocal(params ciphermatch.Params) (addr string, stop func(), err error) {
+	srv, err := proto.NewServerWithServing(params, core.EngineSpec{}, proto.StoreOptions{}, proto.CoalesceConfig{})
+	if err != nil {
+		return "", nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln) //nolint:errcheck // returns the listener's close error
+	}()
+	return ln.Addr().String(), func() {
+		ln.Close()
+		<-served
+		srv.Shutdown() //nolint:errcheck // process exit follows
+	}, nil
 }
 
 func fatal(err error) {

@@ -137,15 +137,21 @@ func (enc *Encryptor) fillC0(pt *Plaintext, s *encScratch, u ring.Transformed, o
 // every coefficient staying put. Calls on distinct sources may run
 // concurrently; each ciphertext depends only on pt and its own src.
 func (enc *Encryptor) Encrypt(pt *Plaintext, src *rng.Source) *Ciphertext {
+	ct := &Ciphertext{C: []ring.Poly{enc.ring.NewPoly(), enc.ring.NewPoly()}}
+	enc.EncryptTo(pt, src, ct)
+	return ct
+}
+
+// EncryptTo is Encrypt writing into the two components of out, e.g. a
+// database arena's chunk views.
+func (enc *Encryptor) EncryptTo(pt *Plaintext, src *rng.Source, out *Ciphertext) {
 	r := enc.ring
 	s := enc.scratch.Get().(*encScratch)
 	defer enc.scratch.Put(s)
 	u := enc.sample(s, src, true)
-	c0, c1 := r.NewPoly(), r.NewPoly()
-	enc.fillC0(pt, s, u, c0)
-	r.MulTransformed(enc.p1, u, c1)
-	r.Add(c1, s.e1, c1)
-	return &Ciphertext{C: []ring.Poly{c0, c1}}
+	enc.fillC0(pt, s, u, out.C[0])
+	r.MulTransformed(enc.p1, u, out.C[1])
+	r.Add(out.C[1], s.e1, out.C[1])
 }
 
 // EncryptC0 computes only the first ciphertext component for pt with the

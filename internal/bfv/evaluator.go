@@ -97,28 +97,6 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	return out
 }
 
-// SubPlain returns ct - pt.
-func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	r := ev.ring
-	out := ct.Clone()
-	scaled := r.NewPoly()
-	r.MulScalar(pt.Coeffs, ev.params.Delta(), scaled)
-	r.Sub(out.C[0], scaled, out.C[0])
-	return out
-}
-
-// MulPlain returns ct · pt (plaintext multiplication, no rescaling needed:
-// the plaintext polynomial multiplies both components directly).
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	r := ev.ring
-	out := &Ciphertext{C: make([]ring.Poly, len(ct.C))}
-	for i := range ct.C {
-		out.C[i] = r.NewPoly()
-		r.Mul(ct.C[i], pt.Coeffs, out.C[i])
-	}
-	return out
-}
-
 // Mul returns the homomorphic product of two degree-1 ciphertexts as a
 // degree-2 ciphertext: the tensor (a0·b0, a0·b1 + a1·b0, a1·b1) is computed
 // exactly over the integers on centered lifts, then each component is

@@ -162,9 +162,3 @@ func (p Params) CiphertextBytes() int { return 2 * p.N * p.QBytes() }
 // PlaintextBytes returns the size of the data packed into one plaintext
 // polynomial under CIPHERMATCH packing (n coefficients × log2(t) bits).
 func (p Params) PlaintextBytes() int { return p.N * p.PackedBitsPerCoeff() / 8 }
-
-// ExpansionFactor returns the ciphertext/plaintext size ratio under
-// CIPHERMATCH packing; 4× for the paper parameters (§4.2.1 Key Insight).
-func (p Params) ExpansionFactor() float64 {
-	return float64(p.CiphertextBytes()) / float64(p.PlaintextBytes())
-}

@@ -100,16 +100,6 @@ func TestYasudaQuerySizeLimit(t *testing.T) {
 	}
 }
 
-func TestYasudaFootprintLargerThanCiphermatch(t *testing.T) {
-	p := bfv.ParamsPaper()
-	dbBits := int64(1 << 20)
-	cm := FootprintCiphermatch(dbBits, p).EncryptedBytes
-	ya := FootprintYasuda(dbBits, p).EncryptedBytes
-	if ya != 16*cm {
-		t.Fatalf("Yasuda footprint %d, CIPHERMATCH %d: want exactly 16x (paper §4.2.1)", ya, cm)
-	}
-}
-
 func TestBooleanMatcherXNORAndTree(t *testing.T) {
 	p := bfv.ParamsBoolean()
 	src := rng.NewSourceFromString("bool-gates")

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"sync"
-)
+import "sync"
 
 // Bitset is the packed window-hit bitmap of an index result: one bit
 // per 16-bit database window, 64 windows per word. It replaces the
@@ -71,25 +68,6 @@ func (b *Bitset) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// OnesCount returns the number of set bits.
-func (b *Bitset) OnesCount() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// None reports whether no bit is set.
-func (b *Bitset) None() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether b and o cover the same bits with the same
 // values.
 func (b *Bitset) Equal(o *Bitset) bool {
@@ -130,34 +108,4 @@ func (b *Bitset) AllSet(lo, hi int) bool {
 		}
 	}
 	return b.words[wHi]&last == last
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1
-// when none remains — the word-level scan behind sparse hit iteration.
-func (b *Bitset) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	w := i >> 6
-	cur := b.words[w] >> (uint(i) & 63)
-	if cur != 0 {
-		n := i + bits.TrailingZeros64(cur)
-		if n < b.n {
-			return n
-		}
-		return -1
-	}
-	for w++; w < len(b.words); w++ {
-		if b.words[w] != 0 {
-			n := w<<6 + bits.TrailingZeros64(b.words[w])
-			if n < b.n {
-				return n
-			}
-			return -1
-		}
-	}
-	return -1
 }

@@ -23,7 +23,7 @@ func candidatesByOffset(hits HitBitmaps, dbBits, yBits, alignBits int) []int {
 	bmAt := make([]*Bitset, yBits)
 	live := 0
 	for res, bm := range hits {
-		if res >= 0 && res < yBits && !bm.None() {
+		if res >= 0 && res < yBits && onesCount(bm) != 0 {
 			bmAt[res] = bm
 			live++
 		}

@@ -112,60 +112,22 @@ type EncryptedDB struct {
 	BitLen      int
 	NumSegments int
 
-	// arena is the contiguous backing store the chunk polynomials view
-	// into after Compact: all first components first, then all second
-	// components, so the seeded-match kernels — which read only C[0] —
-	// stream one sequential region instead of pointer-chasing per-chunk
-	// allocations. nil for databases assembled chunk by chunk.
+	// arena is the contiguous backing store every chunk polynomial views
+	// into: all first components first, then all second components, so
+	// the seeded-match kernels — which read only C[0] — stream one
+	// sequential region instead of pointer-chasing per-chunk
+	// allocations. Chunk j's first component occupies
+	// arena[j*n:(j+1)*n] and its second arena[(numChunks+j)*n:...].
+	// Every producer (EncryptDatabase, the wire decoder, the segment
+	// loader) builds the database on an arena; only a hand-assembled
+	// database lacks one.
 	arena []uint64
 }
 
-// Compact repacks the chunk polynomials into one contiguous arena.
-// Layout: chunk j's first component occupies arena[j*n:(j+1)*n] and its
-// second component arena[(numChunks+j)*n:...], i.e. a C0 plane followed
-// by a C1 plane. A seeded-match search touches only the C0 plane —
-// exactly half the ciphertext bytes — as one forward stream. Chunk
-// slices become views into the arena (full-capacity slicing keeps
-// appends impossible).
-// Databases whose chunks are not uniform 2-component ciphertexts (e.g.
-// hostile wire input) are left as-is.
-func (db *EncryptedDB) Compact() {
-	if len(db.Chunks) == 0 || db.arena != nil {
-		return
-	}
-	n := 0
-	for _, ct := range db.Chunks {
-		if ct == nil || len(ct.C) != 2 {
-			return
-		}
-		if n == 0 {
-			n = len(ct.C[0])
-		}
-		if len(ct.C[0]) != n || len(ct.C[1]) != n {
-			return
-		}
-	}
-	numChunks := len(db.Chunks)
-	arena := make([]uint64, 2*numChunks*n)
-	for j, ct := range db.Chunks {
-		c0 := arena[j*n : (j+1)*n : (j+1)*n]
-		c1 := arena[(numChunks+j)*n : (numChunks+j+1)*n : (numChunks+j+1)*n]
-		copy(c0, ct.C[0])
-		copy(c1, ct.C[1])
-		ct.C[0], ct.C[1] = c0, c1
-	}
-	db.arena = arena
-}
-
-// Compacted reports whether the chunk polynomials share one contiguous
-// arena.
-func (db *EncryptedDB) Compacted() bool { return db.arena != nil }
-
 // NewCompactDB allocates an EncryptedDB of numChunks two-component
-// chunks whose polynomials are zeroed views into a pre-built arena
-// (same layout as Compact). Decoders fill the coefficients in place,
-// so a database upload never holds loose per-chunk allocations and the
-// arena at the same time.
+// chunks whose polynomials are zeroed views into a fresh arena.
+// Producers fill the coefficients in place, so a database never holds
+// loose per-chunk allocations and the arena at the same time.
 func NewCompactDB(n, numChunks int) *EncryptedDB {
 	db, err := AdoptArena(n, numChunks, make([]uint64, 2*numChunks*n))
 	if err != nil {
@@ -175,8 +137,8 @@ func NewCompactDB(n, numChunks int) *EncryptedDB {
 }
 
 // AdoptArena builds an EncryptedDB whose chunks are views into a
-// caller-provided arena laid out exactly as Compact produces (C0 plane
-// then C1 plane). This is the adoption hook for the durable segment
+// caller-provided arena in the EncryptedDB layout (C0 plane then C1
+// plane). This is the adoption hook for the durable segment
 // store: a segment file's mmap'd coefficient region plugs straight into
 // the chunk-view layout the search kernels stream, with no copying. The
 // ciphertext headers are carved out of three batched allocations, so
@@ -207,9 +169,9 @@ func AdoptArena(n, numChunks int, arena []uint64) (*EncryptedDB, error) {
 	return db, nil
 }
 
-// Arena exposes the contiguous backing store of a compacted database
-// (nil when the chunks are loose allocations). The segment writer
-// streams it to disk as-is; treat it as read-only.
+// Arena exposes the contiguous backing store of the database (nil only
+// for a hand-assembled one). The segment writer streams it to disk
+// as-is; treat it as read-only.
 func (db *EncryptedDB) Arena() []uint64 { return db.arena }
 
 // SizeBytes returns the encrypted footprint, the quantity of Fig. 2(a).
@@ -256,26 +218,22 @@ func forEach(n int, f func(i int)) {
 }
 
 // EncryptDatabase packs data (bitLen bits, MSB-first) with the
-// memory-efficient scheme of §4.2.1 and encrypts each chunk. Chunk
-// randomness is derived from the client seed so that ModeSeededMatch can
-// reconstruct match tokens later without retaining the plaintext; the
-// chunks encrypt in parallel.
+// memory-efficient scheme of §4.2.1 and encrypts each chunk straight
+// into the database arena. Chunk randomness is derived from the client
+// seed so that ModeSeededMatch can reconstruct match tokens later
+// without retaining the plaintext; the chunks encrypt in parallel.
 func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) {
 	segs := PackSegments(data, bitLen)
 	pts, err := ChunkPlaintexts(segs, c.cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	db := &EncryptedDB{
-		Chunks:      make([]*bfv.Ciphertext, len(pts)),
-		BitLen:      bitLen,
-		NumSegments: len(segs),
-	}
+	db := NewCompactDB(c.cfg.Params.N, len(pts))
+	db.BitLen, db.NumSegments = bitLen, len(segs)
 	dbSrc := c.dbSource()
 	forEach(len(pts), func(j int) {
-		db.Chunks[j] = c.encryptor.Encrypt(pts[j], dbSrc.ForkIndexed("chunk", j))
+		c.encryptor.EncryptTo(pts[j], dbSrc.ForkIndexed("chunk", j), db.Chunks[j])
 	})
-	db.Compact()
 	return db, nil
 }
 
@@ -305,7 +263,8 @@ type Query struct {
 	// polynomials.
 	DBTok []ring.Poly
 	// RHS maps phase psi -> the comparand
-	// RHS[psi] = patC0(psi) - Patterns[psi].C[0] + M. A window of chunk
+	// RHS[psi] = patC0(psi) - Patterns[psi].C[0] + M = M - Δ·pt(psi),
+	// pt(psi) the pattern plaintext of phase psi. A window of chunk
 	// j hits variant s iff (c0[i] - DBTok[j][i]) mod q == RHS[psi][i]
 	// with psi = PatternPhase(n, j, s, y). The mask M keeps the server
 	// from reading Δ·pattern off the pair (without it, RHS would equal
@@ -437,7 +396,7 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	}
 
 	if c.cfg.Mode == ModeSeededMatch {
-		if err := c.buildFactoredTokens(q, phases, patterns); err != nil {
+		if err := c.buildFactoredTokens(q, phases, pts); err != nil {
 			return nil, err
 		}
 	}
@@ -445,26 +404,9 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 }
 
 // encryptC0Calls counts EncryptC0 invocations of the token builder; the
-// client-prep tests use it to pin one derivation per chunk plus one per
-// phase (not one per chunk per residue).
+// client-prep tests use it to pin one derivation per chunk (not one per
+// chunk per residue, and none per phase).
 var encryptC0Calls atomic.Int64
-
-// tokenPlaintexts encodes the two plaintexts the token builder needs:
-// the all-ones hit value t-1 and zero (for the pattern-noise component).
-func (c *Client) tokenPlaintexts() (onesPT, zeroPT *bfv.Plaintext, err error) {
-	p := c.cfg.Params
-	allOnes := make([]uint64, p.N)
-	for i := range allOnes {
-		allOnes[i] = p.T - 1
-	}
-	if onesPT, err = c.enc.Encode(allOnes); err != nil {
-		return nil, nil, err
-	}
-	if zeroPT, err = c.enc.Encode(nil); err != nil {
-		return nil, nil, err
-	}
-	return onesPT, zeroPT, nil
-}
 
 // tokenMask derives the client's token mask M: a uniform polynomial,
 // deterministic per client seed (not per query), that blinds both halves
@@ -481,7 +423,7 @@ func (c *Client) tokenMask() ring.Poly {
 }
 
 // buildFactoredTokens computes the factored form of the "encrypted match
-// polynomial" of §4.2.2 for the encrypted patterns of phases. The
+// polynomial" of §4.2.2 for the pattern plaintexts pts of phases. The
 // expected hit value for (variant s, chunk j) is dbC0[j] + patC0[psi(j,s)]
 // with dbC0[j] = EncryptC0(t-1, chunk j's source) and
 // patC0[psi] = EncryptC0(0, pattern psi's source) — a sum whose parts
@@ -493,35 +435,36 @@ func (c *Client) tokenMask() ring.Poly {
 //	⇔ (c0 - DBTok[j]) == RHS[psi]      with DBTok[j] = dbC0[j] - M,
 //	                                   RHS[psi] = patC0[psi] - pattern.C0[psi] + M.
 //
-// M is the client's token mask; without it RHS would equal -Δ·patternPT
-// and hand the server the query plaintext. The NumChunks DBTok rows and
-// the RHS rows are one parallel fan-out.
-func (c *Client) buildFactoredTokens(q *Query, phases []int, patterns []*bfv.Ciphertext) error {
-	onesPT, zeroPT, err := c.tokenPlaintexts()
+// patC0 and pattern.C0 draw the same u and e0 from the pattern's source,
+// so they differ by exactly Δ·pt and RHS[psi] = M − Δ·pt[psi] (DESIGN.md
+// §4.3): only the NumChunks DBTok rows need an encryption, one parallel
+// fan-out. M is the client's token mask; without it RHS would equal
+// −Δ·pt and hand the server the query plaintext.
+func (c *Client) buildFactoredTokens(q *Query, phases []int, pts []*bfv.Plaintext) error {
+	p := c.cfg.Params
+	allOnes := make([]uint64, p.N)
+	for i := range allOnes {
+		allOnes[i] = p.T - 1
+	}
+	onesPT, err := c.enc.Encode(allOnes)
 	if err != nil {
 		return err
 	}
 	mask := c.tokenMask()
-	dbSrc, querySrc := c.dbSource(), c.querySource()
+	dbSrc := c.dbSource()
 	q.DBTok = make([]ring.Poly, q.NumChunks)
-	rhs := make([]ring.Poly, len(phases))
-	forEach(q.NumChunks+len(phases), func(i int) {
+	forEach(q.NumChunks, func(j int) {
 		encryptC0Calls.Add(1)
-		if i < q.NumChunks {
-			tok := c.encryptor.EncryptC0(onesPT, dbSrc.ForkIndexed("chunk", i))
-			c.ring.Sub(tok, mask, tok)
-			q.DBTok[i] = tok
-			return
-		}
-		k := i - q.NumChunks
-		row := c.encryptor.EncryptC0(zeroPT, querySrc.ForkIndexed("pattern", phases[k]))
-		c.ring.Sub(row, patterns[k].C[0], row)
-		c.ring.Add(row, mask, row)
-		rhs[k] = row
+		tok := c.encryptor.EncryptC0(onesPT, dbSrc.ForkIndexed("chunk", j))
+		c.ring.Sub(tok, mask, tok)
+		q.DBTok[j] = tok
 	})
 	q.RHS = make(map[int]ring.Poly, len(phases))
 	for k, psi := range phases {
-		q.RHS[psi] = rhs[k]
+		row := c.ring.NewPoly()
+		c.ring.MulScalar(pts[k].Coeffs, p.Delta(), row)
+		c.ring.Sub(mask, row, row)
+		q.RHS[psi] = row
 	}
 	return nil
 }

@@ -162,8 +162,8 @@ func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) erro
 // no intermediate store: chunk j's first component is read from memory
 // once per search (later groups find it in cache), DBTok[j] once per
 // group, the cache-resident RHS rows are the only other operands, and
-// the only writes are hit bits in the packed bitsets. With a compacted
-// database the reads are one sequential walk of the C0 arena plane.
+// the only writes are hit bits in the packed bitsets. On an arena the
+// database reads are one sequential walk of the C0 plane.
 //
 // The groups and their words are built once per search by the caller:
 // the kernel itself is allocation-free, so a worker re-entering it per

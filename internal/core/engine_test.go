@@ -157,44 +157,26 @@ func TestPoolEngineClosedRejectsSearches(t *testing.T) {
 	}
 }
 
-// TestEncryptedDBArena checks the contiguous-arena invariants: a
-// client-encrypted database is compacted, chunk polynomials are views
-// into one backing array (C0 plane first), and search results over a
-// compacted database equal those over a chunk-by-chunk copy.
+// TestEncryptedDBArena checks the one database form: a client-encrypted
+// database sits on an arena whose C0 plane precedes its C1 plane, every
+// chunk polynomial is the capacity-limited view of its plane row, and
+// AdoptArena refuses an arena of the wrong size.
 func TestEncryptedDBArena(t *testing.T) {
-	cfg, edb, q, serial := engineFixture(t)
-	if !edb.Compacted() {
-		t.Fatal("EncryptDatabase did not compact the chunk polynomials")
+	cfg, edb, _, _ := engineFixture(t)
+	n, chunks := cfg.Params.N, len(edb.Chunks)
+	arena := edb.Arena()
+	if len(arena) != 2*chunks*n {
+		t.Fatalf("arena holds %d coefficients, want %d", len(arena), 2*chunks*n)
 	}
-	n := cfg.Params.N
 	for j, ct := range edb.Chunks {
-		if len(ct.C[0]) != n || len(ct.C[1]) != n {
-			t.Fatalf("chunk %d: component lengths %d/%d after compaction", j, len(ct.C[0]), len(ct.C[1]))
+		for c, row := range []int{j, chunks + j} {
+			if len(ct.C[c]) != n || cap(ct.C[c]) != n || &ct.C[c][0] != &arena[row*n] {
+				t.Fatalf("chunk %d component %d is not the capacity-limited view of arena row %d", j, c, row)
+			}
 		}
-		if cap(ct.C[0]) != n || cap(ct.C[1]) != n {
-			t.Fatalf("chunk %d: arena views must be capacity-limited", j)
-		}
 	}
-	// Functional equivalence: rebuild the database without an arena and
-	// check the serial engine returns identical results.
-	loose := &EncryptedDB{BitLen: edb.BitLen, NumSegments: edb.NumSegments}
-	for _, ct := range edb.Chunks {
-		loose.Chunks = append(loose.Chunks, ct.Clone())
-	}
-	if loose.Compacted() {
-		t.Fatal("cloned chunks must not report compacted")
-	}
-	ir, err := NewCPUEngine(cfg.Params, loose, 1).SearchAndIndex(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "loose-vs-arena", ir, serial)
-	// Compact is idempotent and tolerates odd shapes.
-	edb.Compact()
-	odd := &EncryptedDB{Chunks: []*bfv.Ciphertext{{}}}
-	odd.Compact()
-	if odd.Compacted() {
-		t.Fatal("malformed chunk must not compact")
+	if _, err := AdoptArena(n, chunks, arena[:len(arena)-1]); err == nil {
+		t.Fatal("AdoptArena accepted a short arena")
 	}
 }
 

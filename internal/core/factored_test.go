@@ -113,8 +113,9 @@ func TestBatchSharedPlaneSingleArenaPass(t *testing.T) {
 }
 
 // TestEncryptC0CallCounts pins the client-side token derivation cost:
-// PrepareQuery runs EncryptC0 once per chunk plus once per phase — NOT
-// once per (residue, chunk).
+// PrepareQuery runs EncryptC0 once per chunk — NOT once per (residue,
+// chunk), and not at all per phase (RHS is closed-form, see
+// TestRHSClosedForm).
 func TestEncryptC0CallCounts(t *testing.T) {
 	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
 	client, err := NewClient(cfg, rng.NewSourceFromString("c0-count"))
@@ -129,11 +130,60 @@ func TestEncryptC0CallCounts(t *testing.T) {
 	}
 	got := encryptC0Calls.Load() - start
 	chunks, phases, residues := int64(q.NumChunks), int64(len(q.RHS)), int64(len(q.Residues))
-	if want := chunks + phases; got != want {
-		t.Fatalf("PrepareQuery ran EncryptC0 %d times, want chunks+phases = %d", got, want)
+	if got != chunks {
+		t.Fatalf("PrepareQuery ran EncryptC0 %d times, want one per chunk = %d", got, chunks)
 	}
 	if perResidue := residues*chunks + phases; got >= perResidue {
 		t.Fatalf("token builder (%d calls) does not beat the per-residue derivation (%d)", got, perResidue)
+	}
+}
+
+// TestRHSClosedForm pins the RHS rows to both of their derivations: the
+// encryption-based definition EncryptC0(0, src_psi) − Patterns[psi].C[0]
+// + M, and the closed form M − Δ·pt_psi the client computes, on a
+// power-of-two and an odd modulus.
+func TestRHSClosedForm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    bfv.Params
+	}{{"toy", bfv.ParamsToy()}, {"paper", bfv.ParamsPaper()}, {"oddq", bfv.ParamsOddQ()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Params: tc.p, AlignBits: 8, Mode: ModeSeededMatch}
+			client, err := NewClient(cfg, rng.NewSourceFromString("rhs-"+tc.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			query := []byte{0xC0, 0xFF, 0xEE}
+			q, err := client.PrepareQuery(query, 24, 2*tc.p.N*SegmentBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(q.RHS) == 0 || len(q.RHS) != len(q.Patterns) {
+				t.Fatalf("%d RHS rows for %d patterns", len(q.RHS), len(q.Patterns))
+			}
+			r, mask := client.ring, client.tokenMask()
+			zero, err := client.enc.Encode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for psi, got := range q.RHS {
+				def := client.encryptor.EncryptC0(zero, client.querySource().ForkIndexed("pattern", psi))
+				r.Sub(def, q.Patterns[psi].C[0], def)
+				r.Add(def, mask, def)
+				pt, err := client.enc.EncodeUint16(buildPatternSegments(query, q.YBits, psi, tc.p.N))
+				if err != nil {
+					t.Fatal(err)
+				}
+				closed := r.NewPoly()
+				r.MulScalar(pt.Coeffs, tc.p.Delta(), closed)
+				r.Sub(mask, closed, closed)
+				for i := range got {
+					if got[i] != def[i] || got[i] != closed[i] {
+						t.Fatalf("RHS[%d][%d] = %d, definition %d, closed form %d", psi, i, got[i], def[i], closed[i])
+					}
+				}
+			}
+		})
 	}
 }
 

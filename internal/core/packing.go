@@ -68,68 +68,3 @@ func ChunkPlaintexts(segs []uint16, params bfv.Params) ([]*bfv.Plaintext, error)
 	}
 	return out, nil
 }
-
-// Footprint describes the memory footprint of an encrypted database under
-// one of the three approaches, in bytes.
-type Footprint struct {
-	PlainBytes     int64
-	EncryptedBytes int64
-}
-
-// Expansion returns the encrypted/plaintext size ratio.
-func (f Footprint) Expansion() float64 {
-	if f.PlainBytes == 0 {
-		return 0
-	}
-	return float64(f.EncryptedBytes) / float64(f.PlainBytes)
-}
-
-// FootprintCiphermatch returns the encrypted footprint of a dbBits-bit
-// database under the CIPHERMATCH packing scheme: 16 bits per coefficient,
-// n coefficients per ciphertext, 2 polynomials of 32-bit (q) coefficients
-// per ciphertext — the paper's 4× lower bound (§4.2.1 Key Insight).
-func FootprintCiphermatch(dbBits int64, params bfv.Params) Footprint {
-	bitsPerCT := int64(params.N) * int64(params.PackedBitsPerCoeff())
-	numCT := ceilDiv64(dbBits, bitsPerCT)
-	return Footprint{
-		PlainBytes:     ceilDiv64(dbBits, 8),
-		EncryptedBytes: numCT * int64(params.CiphertextBytes()),
-	}
-}
-
-// FootprintYasuda returns the encrypted footprint under the arithmetic
-// baseline's single-bit packing [27]: 1 bit per coefficient, so 64× for the
-// paper parameters.
-func FootprintYasuda(dbBits int64, params bfv.Params) Footprint {
-	bitsPerCT := int64(params.N) // one bit per coefficient
-	numCT := ceilDiv64(dbBits, bitsPerCT)
-	return Footprint{
-		PlainBytes:     ceilDiv64(dbBits, 8),
-		EncryptedBytes: numCT * int64(params.CiphertextBytes()),
-	}
-}
-
-// BooleanCiphertextBytes is the per-bit ciphertext size used for the
-// Boolean baseline's footprint model. The paper's Boolean baseline [17]
-// uses TFHE, whose per-bit LWE ciphertext at 128-bit security is about
-// (630+1) 32-bit values ≈ 2.5 KiB; the paper reports a >200× blow-up over
-// plaintext (§3.1). We keep the TFHE constant for footprint modelling even
-// though the functional Boolean baseline in this package is per-bit BFV
-// (see DESIGN.md, substitutions table).
-const BooleanCiphertextBytes = (630 + 1) * 4
-
-// FootprintBoolean returns the encrypted footprint under per-bit Boolean
-// encryption.
-func FootprintBoolean(dbBits int64) Footprint {
-	return Footprint{
-		PlainBytes:     ceilDiv64(dbBits, 8),
-		EncryptedBytes: dbBits * BooleanCiphertextBytes,
-	}
-}
-
-func ceilDiv64(a, b int64) int64 {
-	if b <= 0 {
-		panic("core: non-positive divisor")
-	}
-	return (a + b - 1) / b
-}

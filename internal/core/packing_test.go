@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ciphermatch/internal/bfv"
+	"ciphermatch/internal/rng"
 )
 
 func TestPackSegmentsBasic(t *testing.T) {
@@ -67,28 +68,56 @@ func TestChunkPlaintexts(t *testing.T) {
 	}
 }
 
+// TestFootprintRatios measures the encrypted databases the three packings
+// actually build, for exactly one CIPHERMATCH ciphertext worth of data:
+// the ratios hit the paper's lower bounds of §4.2.1 (4× for CIPHERMATCH,
+// 64× for Yasuda's single-bit packing) and the Boolean blow-up of §3.1.
 func TestFootprintRatios(t *testing.T) {
 	p := bfv.ParamsPaper()
-	// Exactly one full ciphertext worth of data: ratios hit the paper's
-	// lower bounds of §4.2.1 (4× for CIPHERMATCH, 64× for Yasuda).
-	dbBits := int64(p.N * 16)
-	if got := FootprintCiphermatch(dbBits, p).Expansion(); got != 4.0 {
+	data := make([]byte, p.N*16/8)
+	bits := len(data) * 8
+	src := rng.NewSourceFromString("footprint")
+
+	client, err := NewClient(Config{Params: p}, src.Fork("cm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := client.EncryptDatabase(data, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := float64(cm.SizeBytes(p)) / float64(len(data)); got != 4.0 {
 		t.Errorf("CIPHERMATCH expansion = %v, want 4", got)
 	}
-	if got := FootprintYasuda(dbBits, p).Expansion(); got != 64.0 {
+
+	ym, err := NewYasudaMatcher(p, 1, src.Fork("yasuda"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ydb, err := ym.EncryptDatabase(data, bits, src.Fork("ydb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := float64(ydb.SizeBytes(p)) / float64(len(data)); got != 64.0 {
 		t.Errorf("Yasuda expansion = %v, want 64", got)
 	}
-	if got := FootprintBoolean(dbBits).Expansion(); got <= 200 {
-		t.Errorf("Boolean expansion = %v, want > 200 (paper §3.1)", got)
-	}
-}
 
-func TestFootprintPartialCiphertext(t *testing.T) {
-	p := bfv.ParamsPaper()
-	// One bit still costs a whole ciphertext.
-	f := FootprintCiphermatch(1, p)
-	if f.EncryptedBytes != int64(p.CiphertextBytes()) {
-		t.Errorf("1-bit footprint = %d, want %d", f.EncryptedBytes, p.CiphertextBytes())
+	// Boolean packing spends one ciphertext per bit; one byte suffices.
+	bp := bfv.ParamsBoolean()
+	bm, err := NewBooleanMatcher(bp, src.Fork("bool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts, err := bm.EncryptBits(data[:1], 8, src.Fork("bits"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var boolBytes int64
+	for _, ct := range cts {
+		boolBytes += int64(ct.SizeBytes(bp))
+	}
+	if got := float64(boolBytes); got <= 200 {
+		t.Errorf("Boolean expansion = %v, want > 200 (paper §3.1)", got)
 	}
 }
 

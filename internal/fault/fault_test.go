@@ -79,7 +79,6 @@ func testDB(t *testing.T) (segment.Meta, *core.EncryptedDB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Compact()
 	meta := segment.Meta{
 		Name: "fault-tenant", RingDegree: p.N, Modulus: p.Q,
 		Chunks: len(db.Chunks), BitLen: db.BitLen, NumSegments: db.NumSegments,

@@ -10,10 +10,7 @@
 // math/bits.
 package mathutil
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Int128 is a signed 128-bit integer in two's-complement representation.
 // Hi holds the most significant 64 bits (including the sign bit), Lo the
@@ -26,11 +23,6 @@ type Int128 struct {
 // Int128FromInt64 sign-extends v to 128 bits.
 func Int128FromInt64(v int64) Int128 {
 	return Int128{Hi: uint64(v >> 63), Lo: uint64(v)}
-}
-
-// Int128FromUint64 zero-extends v to 128 bits.
-func Int128FromUint64(v uint64) Int128 {
-	return Int128{Lo: v}
 }
 
 // Add returns x + y (mod 2^128).
@@ -220,9 +212,4 @@ func (x Int128) String() string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
-}
-
-// GoString implements fmt.GoStringer for debugging.
-func (x Int128) GoString() string {
-	return fmt.Sprintf("mathutil.Int128{Hi: %#x, Lo: %#x}", x.Hi, x.Lo)
 }

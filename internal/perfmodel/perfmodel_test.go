@@ -44,8 +44,8 @@ func TestFootprintRatios(t *testing.T) {
 	m := NewPaperModel()
 	w := Workload{PlainBits: 1 << 30, QueryBits: 16}
 	plainBytes := w.PlainBits / 8
-	if got := float64(m.CMEncryptedBytes(w)) / float64(plainBytes); got < 3.9 || got > 4.1 {
-		t.Errorf("CM expansion = %.2f, want ≈4 (§4.2.1)", got)
+	if got := float64(m.CMEncryptedBytes(w)) / float64(plainBytes); got != 4 {
+		t.Errorf("CM expansion = %.2f, want 4 (§4.2.1)", got)
 	}
 	arith := float64(m.ArithEncryptedBytes(w)) / float64(plainBytes)
 	if arith < 63 || arith > 66 { // 64× plus chunk-overlap slack
@@ -53,6 +53,51 @@ func TestFootprintRatios(t *testing.T) {
 	}
 	if got := float64(m.BooleanEncryptedBytes(w)) / float64(plainBytes); got < 200 {
 		t.Errorf("Boolean expansion = %.0f, want >200 (§3.1)", got)
+	}
+	// Exactly one ciphertext of data: the paper's lower bounds of §4.2.1.
+	one := Workload{PlainBits: int64(m.Params.N * m.Params.PackedBitsPerCoeff()), QueryBits: 1}
+	if got, want := m.CMEncryptedBytes(one), 4*one.PlainBits/8; got != want {
+		t.Errorf("one-ciphertext CM footprint = %d, want %d (4×)", got, want)
+	}
+	if got, want := m.ArithEncryptedBytes(one), 64*one.PlainBits/8; got != want {
+		t.Errorf("one-ciphertext arith footprint at y=1 = %d, want %d (64×, no overlap)", got, want)
+	}
+}
+
+// TestFootprintPartialCiphertext: a partial ciphertext costs a whole
+// one, down to a single bit.
+func TestFootprintPartialCiphertext(t *testing.T) {
+	m := NewPaperModel()
+	ct, bitsPerCT := int64(m.Params.CiphertextBytes()), int64(16*m.Params.N)
+	for _, c := range []struct{ bits, cts int64 }{{1, 1}, {bitsPerCT, 1}, {bitsPerCT + 1, 2}} {
+		if got := m.CMEncryptedBytes(Workload{PlainBits: c.bits, QueryBits: 1}); got != c.cts*ct {
+			t.Errorf("%d-bit CM footprint = %d, want %d ciphertexts (%d)", c.bits, got, c.cts, c.cts*ct)
+		}
+	}
+	if got := m.ArithEncryptedBytes(Workload{PlainBits: 1, QueryBits: 1}); got != ct {
+		t.Errorf("1-bit arith footprint = %d, want one ciphertext (%d)", got, ct)
+	}
+}
+
+// TestYasudaFootprintLargerThanCiphermatch: single-bit packing costs 16×
+// CIPHERMATCH's chunks, plus the y−1 bits each chunk overlaps the next
+// so that every window start lies inside one chunk.
+func TestYasudaFootprintLargerThanCiphermatch(t *testing.T) {
+	m := NewPaperModel()
+	n := int64(m.Params.N)
+	for _, y := range []int{1, 16, 64} {
+		w := Workload{PlainBits: 1 << 20, QueryBits: y}
+		cm, ya := m.CMEncryptedBytes(w), m.ArithEncryptedBytes(w)
+		chunks := (w.PlainBits + n - int64(y)) / (n - int64(y) + 1) // ceil(bits / (n−y+1))
+		if want := chunks * int64(m.Params.CiphertextBytes()); ya != want {
+			t.Errorf("y=%d: arith footprint %d, want %d (%d overlapping chunks)", y, ya, want, chunks)
+		}
+		if y == 1 && ya != 16*cm {
+			t.Errorf("y=1: arith footprint %d, CIPHERMATCH %d: want exactly 16× (§4.2.1)", ya, cm)
+		}
+		if ya < 16*cm {
+			t.Errorf("y=%d: arith footprint %d below 16× CIPHERMATCH's %d", y, ya, cm)
+		}
 	}
 }
 

@@ -593,7 +593,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 func TestConnFaultsRetried(t *testing.T) {
 	p := bfv.ParamsToy()
 	tn := newDurableTenant(t, p, "retried", core.EngineSpec{}, 192, 200)
-	srv := NewServer(p)
+	srv := newMemServer(t, p, core.EngineSpec{})
 	defer srv.Close()
 	if err := srv.Store().Upload(tn.name, tn.spec, tn.db); err != nil {
 		t.Fatal(err)
@@ -632,7 +632,7 @@ func TestConnFaultsRetried(t *testing.T) {
 // a handler goroutine forever.
 func TestSlowLorisReadTimeout(t *testing.T) {
 	p := bfv.ParamsToy()
-	srv := NewServer(p)
+	srv := newMemServer(t, p, core.EngineSpec{})
 	defer srv.Close()
 	srv.SetTimeouts(50*time.Millisecond, 50*time.Millisecond)
 	addr := startChaosServer(t, srv)

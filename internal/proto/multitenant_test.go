@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -78,7 +79,7 @@ func TestMultiTenantConcurrentSearches(t *testing.T) {
 		newTenant(t, p, "genomes", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 200),
 		newTenant(t, p, "mail", core.EngineSpec{}, 256, 968), // server default engine
 	}
-	srv := NewServer(p)
+	srv := newMemServer(t, p, core.EngineSpec{})
 	addr := startServer(t, srv)
 
 	up, err := Dial(addr, p)
@@ -173,7 +174,7 @@ func (e *mismatchError) Error() string {
 func TestStoreLifecycle(t *testing.T) {
 	p := bfv.ParamsToy()
 	tn := newTenant(t, p, "docs", core.EngineSpec{}, 192, 80)
-	srv := NewServerWithSpec(p, core.EngineSpec{Kind: core.EnginePool, Workers: 2})
+	srv := newMemServer(t, p, core.EngineSpec{Kind: core.EnginePool, Workers: 2})
 	addr := startServer(t, srv)
 	conn, err := Dial(addr, p)
 	if err != nil {
@@ -238,12 +239,44 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 }
 
+// TestStoreUploadRequiresArena pins the one database form: a database
+// assembled chunk by chunk, with no arena, is refused — as a new name
+// and as a replacement — and the listing is left unchanged.
+func TestStoreUploadRequiresArena(t *testing.T) {
+	p := bfv.ParamsToy()
+	tn := newTenant(t, p, "arena", core.EngineSpec{}, 64, 40)
+	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Upload("kept", core.EngineSpec{}, tn.db); err != nil {
+		t.Fatal(err)
+	}
+	before := st.List()
+	loose := &core.EncryptedDB{BitLen: tn.db.BitLen, NumSegments: tn.db.NumSegments}
+	for _, ct := range tn.db.Chunks {
+		loose.Chunks = append(loose.Chunks, ct.Clone())
+	}
+	for _, name := range []string{"kept", "fresh"} {
+		if err := st.Upload(name, core.EngineSpec{}, loose); err == nil {
+			t.Fatalf("upload of %q without an arena accepted", name)
+		}
+	}
+	if after := st.List(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("listing changed by refused uploads: %+v, was %+v", after, before)
+	}
+}
+
 // TestStoreCapacity checks the namespace bound: at MaxStoredDBs, new
 // names are refused while replacement and drop-then-upload still work.
 func TestStoreCapacity(t *testing.T) {
 	p := bfv.ParamsToy()
 	tn := newTenant(t, p, "cap", core.EngineSpec{}, 64, 40)
-	st := NewStore(p, core.EngineSpec{})
+	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < MaxStoredDBs; i++ {
 		if err := st.Upload(fmt.Sprintf("db-%d", i), core.EngineSpec{}, tn.db); err != nil {
 			t.Fatal(err)
@@ -301,7 +334,7 @@ func TestUploadEnvelopeRoundtrip(t *testing.T) {
 func TestOldClientShardWordIgnored(t *testing.T) {
 	p := bfv.ParamsToy()
 	tn := newTenant(t, p, "legacy", core.EngineSpec{}, 320, 1504)
-	srv := NewServer(p)
+	srv := newMemServer(t, p, core.EngineSpec{})
 	addr := startServer(t, srv)
 	conn, err := Dial(addr, p)
 	if err != nil {
@@ -359,7 +392,7 @@ func TestZeroAlignBitsRejected(t *testing.T) {
 		{Kind: core.EnginePool, Workers: 4},
 		{Kind: core.EngineSSD},
 	}
-	srv := NewServer(p)
+	srv := newMemServer(t, p, core.EngineSpec{})
 	addr := startServer(t, srv)
 	conn, err := Dial(addr, p)
 	if err != nil {

@@ -9,12 +9,24 @@ import (
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
 	"ciphermatch/internal/mathutil"
 	"ciphermatch/internal/rng"
 )
+
+// newMemServer builds a memory-only, non-coalescing server whose
+// uploads default to spec.
+func newMemServer(t testing.TB, p bfv.Params, spec core.EngineSpec) *Server {
+	t.Helper()
+	srv, err := NewServerWithServing(p, spec, StoreOptions{}, CoalesceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
 
 func TestMessageFraming(t *testing.T) {
 	var buf bytes.Buffer
@@ -546,7 +558,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	srv := NewServer(p)
+	srv := newMemServer(t, p, core.EngineSpec{})
 	go srv.Serve(l) //nolint:errcheck // returns when the listener closes
 
 	conn, err := Dial(l.Addr().String(), p)
@@ -646,7 +658,7 @@ func TestBatchSearchOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	srv := NewServerWithSpec(p, core.EngineSpec{Kind: core.EnginePool, Workers: 2})
+	srv := newMemServer(t, p, core.EngineSpec{Kind: core.EnginePool, Workers: 2})
 	go srv.Serve(l) //nolint:errcheck // returns when the listener closes
 	defer srv.Store().Close()
 
@@ -699,5 +711,27 @@ func TestBatchSearchOverTCP(t *testing.T) {
 	queries[1].DBTok, queries[1].RHS = nil, nil
 	if _, err := conn.SearchBatch("corpus", queries); err == nil {
 		t.Fatal("tokenless batch member accepted")
+	}
+}
+
+// TestBackoffSaturates pins the retry delay at every attempt 0–64:
+// BaseDelay·2^attempt within the ±50 % jitter, saturating at MaxDelay,
+// including past the attempt where the shift would overflow (the
+// default 5 ms base used to fall back to 5 ms from attempt 23 on).
+func TestBackoffSaturates(t *testing.T) {
+	for _, pol := range []RetryPolicy{
+		{},                                      // 5 ms doubling to 250 ms
+		{BaseDelay: 1 << 40, MaxDelay: 1 << 62}, // saturates only near the int64 limit
+		{BaseDelay: time.Second, MaxDelay: time.Millisecond},
+	} {
+		c := NewConn(nil, bfv.ParamsToy())
+		c.SetRetry(pol)
+		base, maxDelay := float64(c.retry.BaseDelay), float64(c.retry.MaxDelay)
+		for attempt := 0; attempt <= 64; attempt++ {
+			want := math.Min(base*math.Pow(2, float64(attempt)), maxDelay)
+			if got := float64(c.backoff(attempt)); got < 0.5*want || got >= 1.5*want {
+				t.Fatalf("%+v attempt %d: backoff %v, want %v ±50%%", pol, attempt, time.Duration(got), time.Duration(want))
+			}
+		}
 	}
 }

@@ -44,20 +44,6 @@ type Server struct {
 	down   atomic.Bool
 }
 
-// NewServer creates a server whose databases default to the serial
-// engine.
-func NewServer(params bfv.Params) *Server {
-	return NewServerWithSpec(params, core.EngineSpec{})
-}
-
-// NewServerWithSpec creates a server with a default engine spec applied
-// to uploads that do not request a specific engine.
-func NewServerWithSpec(params bfv.Params, defaultSpec core.EngineSpec) *Server {
-	met := newServerMetrics()
-	return &Server{params: params, store: NewStore(params, defaultSpec), met: met,
-		rec: newBoundRecorder(met, 0, 0), conns: make(map[net.Conn]struct{})}
-}
-
 // DefaultTraceBuf is the default capacity of each trace ring (recent
 // and slow).
 const DefaultTraceBuf = 4096
@@ -556,11 +542,6 @@ func (c *Conn) EnableTracing(base uint64) {
 	c.traceBase = base
 }
 
-// NextTraceID returns the trace ID the next traced query will carry.
-func (c *Conn) NextTraceID() uint64 {
-	return c.traceBase + c.traceSeq.Load() + 1
-}
-
 // TraceDump fetches up to max request traces from the server's flight
 // recorder (0 = ring capacity), newest first; slowOnly reads the
 // slow-query ring instead of the recent one. Servers predating the
@@ -668,14 +649,13 @@ func (c *Conn) reconnect() error {
 }
 
 // backoff returns the jittered exponential delay before retry attempt
-// (0-based).
+// (0-based): BaseDelay·2^attempt, saturating at MaxDelay — also once
+// the shift would overflow, so a long retry run never falls back to
+// BaseDelay.
 func (c *Conn) backoff(attempt int) time.Duration {
-	d := c.retry.BaseDelay
-	if attempt > 0 && attempt < 32 && bits.LeadingZeros64(uint64(d))+attempt < 64 {
-		d <<= attempt
-	}
-	if d > c.retry.MaxDelay {
-		d = c.retry.MaxDelay
+	d := c.retry.MaxDelay
+	if attempt < bits.LeadingZeros64(uint64(c.retry.BaseDelay)) {
+		d = min(c.retry.BaseDelay<<attempt, d)
 	}
 	c.mu.Lock()
 	f := 0.5 + c.jitter.Float64() // ±50% jitter

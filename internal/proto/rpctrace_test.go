@@ -21,7 +21,7 @@ var tracingModes = []struct {
 // too, so both dump flavours can be asserted non-empty.
 func startTracingServer(t *testing.T, p bfv.Params, coalesce bool) (*Server, string) {
 	t.Helper()
-	srv := NewServerWithSpec(p, core.EngineSpec{})
+	srv := newMemServer(t, p, core.EngineSpec{})
 	if coalesce {
 		var err error
 		srv, err = NewServerWithServing(p, core.EngineSpec{}, StoreOptions{}, CoalesceConfig{
@@ -202,7 +202,7 @@ func TestTracePublishedBeforeReply(t *testing.T) {
 			defer observer.Close()
 
 			for i := 1; i <= 200; i++ {
-				id := searcher.NextTraceID()
+				id := searcher.traceBase + searcher.traceSeq.Load() + 1 // the ID this query will carry
 				if _, err := searcher.Search(fx.name, fx.queries[i%len(fx.queries)]); err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func TestTracePublishedBeforeReply(t *testing.T) {
 func TestTraceDumpLimitsAndStats(t *testing.T) {
 	p := bfv.ParamsToy()
 	fx := newCoalesceFixture(t, p, "trace-limits")
-	srv := NewServerWithSpec(p, core.EngineSpec{})
+	srv := newMemServer(t, p, core.EngineSpec{})
 	defer srv.Close()
 	addr := startServer(t, srv)
 	conn, err := Dial(addr, p)

@@ -176,24 +176,11 @@ type hostedDB struct {
 	seg     *segment.Segment // non-nil while mmap/segment-backed
 	dropped bool
 
-	// planeCRC fingerprints the resident arena — recorded from the
-	// compacted upload or the segment footer at reload, re-verified by
-	// the scrub. crcKnown guards against scrubbing an arena that never
-	// had a fingerprint (a non-compacted memory-only upload).
+	// planeCRC fingerprints the resident arena — recorded at upload or
+	// from the segment footer at reload, re-verified by the scrub.
 	planeCRC   [2]uint64
-	crcKnown   bool
 	corrupt    bool  // quarantined: serve a typed error, never the arena
 	corruptErr error // what the checksum pass found
-}
-
-// NewStore creates an empty memory-only store. Uploads that do not
-// name an engine kind get defaultSpec (zero value = serial).
-func NewStore(params bfv.Params, defaultSpec core.EngineSpec) *Store {
-	st, err := NewStoreWithOptions(params, defaultSpec, StoreOptions{})
-	if err != nil {
-		panic(err) // no options, no failure paths
-	}
-	return st
 }
 
 // NewStoreWithOptions creates a store, optionally durable. With a data
@@ -274,8 +261,13 @@ func (st *Store) arenaBytes(chunks int) int64 {
 // store the segment is written through — and fsynced — before the
 // upload is acknowledged, so an acked database survives a crash.
 // Replacement waits for in-flight searches on the old engine before
-// closing it.
+// closing it. The database must sit on an arena (core.NewCompactDB,
+// as every producer builds it): that is what the kernels stream, the
+// scrub fingerprints and the segment writer copies.
 func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB) error {
+	if edb.Arena() == nil {
+		return fmt.Errorf("proto: database %q has no arena", name)
+	}
 	if name == "" {
 		return fmt.Errorf("proto: database name must not be empty")
 	}
@@ -300,7 +292,6 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 			spec.Workers = workers
 		}
 	}
-	edb.Compact() // contiguous arena: what the kernels stream and the segment writer bulk-copies
 	eng, err := engine.Build(st.params, edb, spec)
 	if err != nil {
 		return fmt.Errorf("proto: building %q engine for %q: %w", spec, name, err)
@@ -313,12 +304,9 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 		numSegments: edb.NumSegments,
 		db:          edb,
 		engine:      eng,
-	}
-	if arena := edb.Arena(); arena != nil {
 		// Fingerprint the arena now, while it is known-good: the scrub
 		// and any later reload compare against exactly these CRCs.
-		entry.planeCRC = segment.ArenaPlaneCRCs(arena)
-		entry.crcKnown = true
+		planeCRC: segment.ArenaPlaneCRCs(edb.Arena()),
 	}
 
 	// Serialised persist+register: with concurrent uploads of one name,
@@ -451,7 +439,6 @@ func (st *Store) ensureLoaded(d *hostedDB) error {
 	// The loader just verified the footer CRCs over these exact bytes;
 	// adopt them as the fingerprint the scrub re-checks.
 	d.planeCRC = seg.PlaneCRCs()
-	d.crcKnown = true
 	d.loaded.Store(true)
 	st.met.reloads.Inc()
 	st.met.reloadNs.Observe(time.Since(start).Nanoseconds())
@@ -485,7 +472,7 @@ func (st *Store) ScrubOnce() (checked, corrupted int) {
 	st.mu.RUnlock()
 	for _, d := range dbs {
 		d.mu.RLock()
-		ok := !d.dropped && !d.corrupt && d.crcKnown && d.db != nil && d.db.Arena() != nil
+		ok := !d.dropped && !d.corrupt && d.db != nil
 		var got [2]uint64
 		if ok {
 			// Hashing under RLock: searches proceed, only load/evict wait.

@@ -163,15 +163,6 @@ func SetKernel(p KernelPath) error {
 	return nil
 }
 
-// SetKernelByName is SetKernel on the CM_KERNEL spelling.
-func SetKernelByName(name string) error {
-	p, err := ParseKernelPath(name)
-	if err != nil {
-		return err
-	}
-	return SetKernel(p)
-}
-
 // AvailableKernels lists the paths SetKernel would accept on this
 // machine, in ascending specialisation order.
 func AvailableKernels() []KernelPath {

@@ -39,9 +39,6 @@ func TestKernelPathNames(t *testing.T) {
 	if _, err := ParseKernelPath("sse9"); err == nil {
 		t.Fatal("ParseKernelPath accepted an unknown path")
 	}
-	if err := SetKernelByName("neon"); err == nil {
-		t.Fatal("SetKernelByName accepted an unknown path")
-	}
 }
 
 func TestSetKernelAvailability(t *testing.T) {

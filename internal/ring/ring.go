@@ -106,9 +106,6 @@ func (r *Ring) N() int { return r.n }
 // Q returns the coefficient modulus.
 func (r *Ring) Q() uint64 { return r.q }
 
-// QIsPow2 reports whether the modulus is a power of two.
-func (r *Ring) QIsPow2() bool { return r.qIsPow2 }
-
 // LogQ returns ceil(log2 q).
 func (r *Ring) LogQ() uint {
 	if r.qIsPow2 {
@@ -255,18 +252,6 @@ func (r *Ring) CenterLift(a Poly, out []int64) {
 		} else {
 			out[i] = int64(a[i])
 		}
-	}
-}
-
-// FromCentered reduces centered values into [0, q).
-func (r *Ring) FromCentered(in []int64, out Poly) {
-	q := int64(r.q)
-	for i := range in {
-		v := in[i] % q
-		if v < 0 {
-			v += q
-		}
-		out[i] = uint64(v)
 	}
 }
 

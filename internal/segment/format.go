@@ -28,8 +28,8 @@
 //	     -     -  C1 plane: chunk coefficients c(1), 8 bytes each
 //	     -    32  footer: C0 sum, C1 sum, header+name sum, "CMSEGEND"
 //
-// The planes are laid out exactly as core.EncryptedDB.Compact lays out
-// its arena — all first components, then all second components — and
+// The planes are laid out exactly as core.EncryptedDB lays out its
+// arena — all first components, then all second components — and
 // every plane starts 8-byte aligned, so on little-endian platforms the
 // mapped byte range reinterprets directly as the []uint64 arena that
 // core.AdoptArena plugs into the chunk-view layout.
@@ -283,18 +283,20 @@ func ArenaPlaneCRCs(arena []uint64) [2]uint64 {
 	var crcs [2]uint64
 	words := len(arena) / 2
 	for p := 0; p < 2; p++ {
-		plane := arena[p*words : (p+1)*words]
-		if nativeLittleEndian {
-			crcs[p] = checksum(u64Bytes(plane))
-			continue
-		}
-		var d digest
-		var buf [8]byte
-		for _, w := range plane {
-			binary.LittleEndian.PutUint64(buf[:], w)
-			d.Write(buf[:]) //nolint:errcheck // never fails
-		}
-		crcs[p] = d.Sum64()
+		crcs[p] = checksum(planeBytes(arena[p*words : (p+1)*words]))
 	}
 	return crcs
+}
+
+// planeBytes returns a plane's file bytes: the words themselves on a
+// little-endian host, an encoded copy elsewhere.
+func planeBytes(plane []uint64) []byte {
+	if nativeLittleEndian {
+		return u64Bytes(plane)
+	}
+	buf := make([]byte, 0, 8*len(plane))
+	for _, c := range plane {
+		buf = binary.LittleEndian.AppendUint64(buf, c)
+	}
+	return buf
 }

@@ -28,7 +28,7 @@ type Segment struct {
 // Meta returns the segment's identity and geometry.
 func (s *Segment) Meta() Meta { return s.meta }
 
-// Arena returns the coefficient planes in core.EncryptedDB.Compact
+// Arena returns the coefficient planes in the core.EncryptedDB arena
 // layout (C0 plane then C1 plane). Read-only.
 func (s *Segment) Arena() []uint64 { return s.arena }
 

@@ -14,7 +14,7 @@ import (
 	"ciphermatch/internal/rng"
 )
 
-// fixtureDB builds a compacted toy-parameter encrypted database of
+// fixtureDB builds an arena-backed toy-parameter encrypted database of
 // dbBytes bytes.
 func fixtureDB(tb testing.TB, seed string, dbBytes int) (bfv.Params, *core.EncryptedDB) {
 	tb.Helper()
@@ -85,7 +85,7 @@ func TestSegmentRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	if !got.Compacted() {
+	if got.Arena() == nil {
 		t.Fatal("adopted database is not arena-backed")
 	}
 }

@@ -14,9 +14,8 @@ import (
 // bytes are streamed to a temporary file in the same directory, fsynced,
 // and renamed over path, then the directory is fsynced, so a crash at
 // any point leaves either the old file or the new one — never a torn
-// segment. The database chunks must be uniform 2-component ciphertexts
-// of the meta's ring degree (everything the wire decoder and the client
-// ever produce).
+// segment. The database must sit on an arena of the meta's geometry
+// (core.NewCompactDB, as the wire decoder and the client build it).
 func Write(path string, meta Meta, db *core.EncryptedDB) error {
 	return WriteFS(OSFS{}, path, meta, db)
 }
@@ -88,10 +87,9 @@ func checkWritable(meta Meta, db *core.EncryptedDB) error {
 	if meta.Chunks < 1 || meta.Chunks > maxChunks || meta.RingDegree < 1 || meta.RingDegree > maxRingDegree {
 		return fmt.Errorf("segment: geometry %d chunks x degree %d out of range", meta.Chunks, meta.RingDegree)
 	}
-	for j, ct := range db.Chunks {
-		if ct == nil || len(ct.C) != 2 || len(ct.C[0]) != meta.RingDegree || len(ct.C[1]) != meta.RingDegree {
-			return fmt.Errorf("segment: chunk %d is not a 2-component degree-%d ciphertext", j, meta.RingDegree)
-		}
+	if len(db.Arena()) != meta.arenaWords() {
+		return fmt.Errorf("segment: database arena holds %d coefficients, %d chunks x degree %d need %d",
+			len(db.Arena()), meta.Chunks, meta.RingDegree, meta.arenaWords())
 	}
 	return nil
 }
@@ -119,41 +117,21 @@ func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) error {
 		return err
 	}
 
+	// The arena's planes are the file's planes: on a little-endian host
+	// the words already are the bytes (two bulk writes), elsewhere each
+	// plane is encoded once.
 	var planeCRC [2]uint64
 	planePoints := [2]string{CrashWritePlane0, CrashWritePlane1}
-	if arena := db.Arena(); arena != nil && nativeLittleEndian {
-		// Compacted database on a little-endian host: the arena already
-		// is the file's plane bytes — two bulk writes, no re-encoding.
-		words := len(arena) / 2
-		for p := 0; p < 2; p++ {
-			plane := u64Bytes(arena[p*words : (p+1)*words])
-			planeCRC[p] = checksum(plane)
-			if _, err := w.Write(plane); err != nil {
-				return err
-			}
-			if err := crashFlush(fsys, w, planePoints[p]); err != nil {
-				return err
-			}
+	arena := db.Arena()
+	words := len(arena) / 2
+	for p := 0; p < 2; p++ {
+		buf := planeBytes(arena[p*words : (p+1)*words])
+		planeCRC[p] = checksum(buf)
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
-	} else {
-		// Encode one chunk row at a time, so the checksum streams whole
-		// rows rather than single coefficients.
-		row := make([]byte, 8*meta.RingDegree)
-		for p := 0; p < 2; p++ {
-			var d digest
-			for _, ct := range db.Chunks {
-				for i, c := range ct.C[p] {
-					binary.LittleEndian.PutUint64(row[8*i:], c)
-				}
-				d.Write(row) //nolint:errcheck // never fails
-				if _, err := w.Write(row); err != nil {
-					return err
-				}
-			}
-			planeCRC[p] = d.Sum64()
-			if err := crashFlush(fsys, w, planePoints[p]); err != nil {
-				return err
-			}
+		if err := crashFlush(fsys, w, planePoints[p]); err != nil {
+			return err
 		}
 	}
 

@@ -43,11 +43,8 @@ func NewRing(capacity int) *Ring {
 	return &Ring{mask: uint64(n - 1), slots: make([]slot, n)}
 }
 
-// Cap returns the ring's slot count.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Len returns how many traces have been recorded in total (not capped
-// at the ring size — the overwrite count is Len-Cap when positive).
+// at the ring size — the overwrite count is Len minus the slot count when positive).
 func (r *Ring) Len() uint64 { return r.next.Load() }
 
 // Put records one trace by value. Safe for any number of concurrent

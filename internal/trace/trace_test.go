@@ -55,8 +55,8 @@ func TestTraceResetAndStamp(t *testing.T) {
 
 func TestRingPutSnapshot(t *testing.T) {
 	r := NewRing(3) // rounds up to 8
-	if r.Cap() != 8 {
-		t.Fatalf("Cap = %d, want 8", r.Cap())
+	if len(r.slots) != 8 {
+		t.Fatalf("%d slots, want 8", len(r.slots))
 	}
 	for i := 1; i <= 12; i++ {
 		tr := Trace{ID: uint64(i)}

@@ -71,13 +71,3 @@ func ExtractRead(genome []byte, pos, length int) ([]byte, error) {
 	copy(read, genome[pos:pos+length])
 	return read, nil
 }
-
-// PlantRead overwrites the genome with the read at base position pos, so
-// tests and examples control where matches occur.
-func PlantRead(genome, read []byte, pos int) error {
-	if pos < 0 || pos+len(read) > len(genome) {
-		return fmt.Errorf("workload: plant [%d, %d) outside genome of %d bases", pos, pos+len(read), len(genome))
-	}
-	copy(genome[pos:], read)
-	return nil
-}

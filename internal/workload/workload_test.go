@@ -57,16 +57,6 @@ func TestRandomGenomeAndReads(t *testing.T) {
 	if _, err := ExtractRead(g, 990, 32); err == nil {
 		t.Error("out-of-range read accepted")
 	}
-	other := RandomGenome(32, src)
-	if err := PlantRead(g, other, 500); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(g[500:532], other) {
-		t.Fatal("plant failed")
-	}
-	if err := PlantRead(g, other, 995); err == nil {
-		t.Error("out-of-range plant accepted")
-	}
 }
 
 func TestEncodedReadAppearsInEncodedGenome(t *testing.T) {
