@@ -162,12 +162,17 @@ func (enc *Encryptor) EncryptTo(pt *Plaintext, src *rng.Source, out *Ciphertext)
 // construction (internal/core) uses this to build the expected hit value
 // of a homomorphic addition without the second component.
 func (enc *Encryptor) EncryptC0(pt *Plaintext, src *rng.Source) ring.Poly {
+	c0 := enc.ring.NewPoly()
+	enc.EncryptC0To(pt, src, c0)
+	return c0
+}
+
+// EncryptC0To is EncryptC0 writing into out, e.g. a row of a
+// caller-allocated block.
+func (enc *Encryptor) EncryptC0To(pt *Plaintext, src *rng.Source, out ring.Poly) {
 	s := enc.scratch.Get().(*encScratch)
 	defer enc.scratch.Put(s)
-	u := enc.sample(s, src, false)
-	c0 := enc.ring.NewPoly()
-	enc.fillC0(pt, s, u, c0)
-	return c0
+	enc.fillC0(pt, s, enc.sample(s, src, false), out)
 }
 
 // Decryptor decrypts ciphertexts with the secret key.

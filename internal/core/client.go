@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,6 +82,14 @@ type Client struct {
 	ev        *bfv.Evaluator
 	ring      *ring.Ring
 	src       *rng.Source
+
+	// tokMu guards tokRows, the token-plane memo (ModeSeededMatch only):
+	// tokRows[j] = EncryptC0(t−1, chunk j's source) − M for every chunk
+	// a query or a database of this client has reached. A row depends
+	// only on the seed and j, so every query shares it; rows are
+	// read-only and the memo only grows.
+	tokMu   sync.Mutex
+	tokRows []ring.Poly
 }
 
 // NewClient creates a client with fresh keys drawn from src (which also
@@ -222,19 +231,61 @@ func forEach(n int, f func(i int)) {
 // into the database arena. Chunk randomness is derived from the client
 // seed so that ModeSeededMatch can reconstruct match tokens later
 // without retaining the plaintext; the chunks encrypt in parallel.
+//
+// In ModeSeededMatch the chunks the token-plane memo lacks get their
+// rows here, with no ring product: EncryptC0(t−1, src_j) draws the u
+// and e0 that Encrypt(m_j, src_j) drew, so its value is
+// C0_j + Δ·(t−1−m_j) (DESIGN.md §4.3).
 func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) {
+	p := c.cfg.Params
 	segs := PackSegments(data, bitLen)
-	pts, err := ChunkPlaintexts(segs, c.cfg.Params)
+	pts, err := ChunkPlaintexts(segs, p)
 	if err != nil {
 		return nil, err
 	}
-	db := NewCompactDB(c.cfg.Params.N, len(pts))
+	db := NewCompactDB(p.N, len(pts))
 	db.BitLen, db.NumSegments = bitLen, len(segs)
+	// Rows below have are not derived here: the memo holds them, or,
+	// outside ModeSeededMatch, there is no memo.
+	have, rows, mask := len(pts), []ring.Poly(nil), ring.Poly(nil)
+	if c.cfg.Mode == ModeSeededMatch {
+		c.tokMu.Lock()
+		have = min(len(c.tokRows), len(pts))
+		c.tokMu.Unlock()
+		rows, mask = c.newRows(len(pts)-have), c.tokenMask()
+	}
 	dbSrc := c.dbSource()
 	forEach(len(pts), func(j int) {
 		c.encryptor.EncryptTo(pts[j], dbSrc.ForkIndexed("chunk", j), db.Chunks[j])
+		if j >= have {
+			m := pts[j].Coeffs // spent: becomes t−1−m_j in place
+			for i := range m {
+				m[i] = p.T - 1 - m[i]
+			}
+			c.ring.Sub(db.Chunks[j].C[0], mask, rows[j-have])
+			c.ring.MulScalarAdd(m, p.Delta(), rows[j-have])
+		}
 	})
+	if len(rows) > 0 {
+		// A concurrent query may have derived some of these rows since.
+		c.tokMu.Lock()
+		if l := len(c.tokRows); l < have+len(rows) {
+			c.tokRows = append(c.tokRows, rows[l-have:]...)
+		}
+		c.tokMu.Unlock()
+	}
 	return db, nil
+}
+
+// newRows carves k zeroed polynomials out of one allocation.
+func (c *Client) newRows(k int) []ring.Poly {
+	n := c.cfg.Params.N
+	block := make([]uint64, k*n)
+	rows := make([]ring.Poly, k)
+	for i := range rows {
+		rows[i] = block[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
 }
 
 // Query is the encrypted query artifact sent to the server (Algorithm 1,
@@ -260,7 +311,9 @@ type Query struct {
 	// DBTok[j] = EncryptC0(allOnes, chunk j's source) - M, residue-
 	// independent, where M is a client-seed-derived mask poly. Together
 	// with RHS it is the whole seeded-match query: NumChunks + numPhases
-	// polynomials.
+	// polynomials. The slice is the query's own, but its rows are the
+	// preparing client's memo rows, shared by all of its queries: they
+	// are read-only.
 	DBTok []ring.Poly
 	// RHS maps phase psi -> the comparand
 	// RHS[psi] = patC0(psi) - Patterns[psi].C[0] + M = M - Δ·pt(psi),
@@ -396,16 +449,14 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	}
 
 	if c.cfg.Mode == ModeSeededMatch {
-		if err := c.buildFactoredTokens(q, phases, pts); err != nil {
-			return nil, err
-		}
+		c.buildFactoredTokens(q, phases, pts)
 	}
 	return q, nil
 }
 
 // encryptC0Calls counts EncryptC0 invocations of the token builder; the
-// client-prep tests use it to pin one derivation per chunk (not one per
-// chunk per residue, and none per phase).
+// client-prep tests use it to pin one derivation per chunk the memo
+// lacks (not one per chunk per residue, and none per phase).
 var encryptC0Calls atomic.Int64
 
 // tokenMask derives the client's token mask M: a uniform polynomial,
@@ -437,36 +488,43 @@ func (c *Client) tokenMask() ring.Poly {
 //
 // patC0 and pattern.C0 draw the same u and e0 from the pattern's source,
 // so they differ by exactly Δ·pt and RHS[psi] = M − Δ·pt[psi] (DESIGN.md
-// §4.3): only the NumChunks DBTok rows need an encryption, one parallel
-// fan-out. M is the client's token mask; without it RHS would equal
-// −Δ·pt and hand the server the query plaintext.
-func (c *Client) buildFactoredTokens(q *Query, phases []int, pts []*bfv.Plaintext) error {
-	p := c.cfg.Params
-	allOnes := make([]uint64, p.N)
-	for i := range allOnes {
-		allOnes[i] = p.T - 1
-	}
-	onesPT, err := c.enc.Encode(allOnes)
-	if err != nil {
-		return err
-	}
+// §4.3): only the DBTok rows need an encryption, and those come from
+// the client's token-plane memo (tokenPlane). M is the client's token
+// mask; without it RHS would equal −Δ·pt and hand the server the query
+// plaintext.
+func (c *Client) buildFactoredTokens(q *Query, phases []int, pts []*bfv.Plaintext) {
+	q.DBTok = c.tokenPlane(q.NumChunks)
 	mask := c.tokenMask()
-	dbSrc := c.dbSource()
-	q.DBTok = make([]ring.Poly, q.NumChunks)
-	forEach(q.NumChunks, func(j int) {
-		encryptC0Calls.Add(1)
-		tok := c.encryptor.EncryptC0(onesPT, dbSrc.ForkIndexed("chunk", j))
-		c.ring.Sub(tok, mask, tok)
-		q.DBTok[j] = tok
-	})
 	q.RHS = make(map[int]ring.Poly, len(phases))
 	for k, psi := range phases {
 		row := c.ring.NewPoly()
-		c.ring.MulScalar(pts[k].Coeffs, p.Delta(), row)
+		c.ring.MulScalar(pts[k].Coeffs, c.cfg.Params.Delta(), row)
 		c.ring.Sub(mask, row, row)
 		q.RHS[psi] = row
 	}
-	return nil
+}
+
+// tokenPlane returns the memo's first numChunks rows in a slice of the
+// caller's own, first deriving the rows the memo lacks with one
+// EncryptC0 each, in one parallel fan-out into one allocation.
+func (c *Client) tokenPlane(numChunks int) []ring.Poly {
+	c.tokMu.Lock()
+	defer c.tokMu.Unlock()
+	if have := len(c.tokRows); numChunks > have {
+		onesPT := &bfv.Plaintext{Coeffs: c.ring.NewPoly()}
+		for i := range onesPT.Coeffs {
+			onesPT.Coeffs[i] = c.cfg.Params.T - 1
+		}
+		mask, dbSrc := c.tokenMask(), c.dbSource()
+		rows := c.newRows(numChunks - have)
+		forEach(len(rows), func(i int) {
+			encryptC0Calls.Add(1)
+			c.encryptor.EncryptC0To(onesPT, dbSrc.ForkIndexed("chunk", have+i), rows[i])
+			c.ring.Sub(rows[i], mask, rows[i])
+		})
+		c.tokRows = append(c.tokRows, rows...)
+	}
+	return slices.Clone(c.tokRows[:numChunks])
 }
 
 // HitBitmaps maps a variant residue to its global window-hit bitmap,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -113,28 +114,186 @@ func TestBatchSharedPlaneSingleArenaPass(t *testing.T) {
 }
 
 // TestEncryptC0CallCounts pins the client-side token derivation cost:
-// PrepareQuery runs EncryptC0 once per chunk — NOT once per (residue,
-// chunk), and not at all per phase (RHS is closed-form, see
-// TestRHSClosedForm).
+// a cold client's PrepareQuery runs EncryptC0 once per chunk — NOT once
+// per (residue, chunk), and not at all per phase (RHS is closed-form,
+// see TestRHSClosedForm) — and after that only for chunks the client's
+// token-plane memo does not hold yet. A client that encrypted the
+// database derives its rows there, with no EncryptC0 at all.
 func TestEncryptC0CallCounts(t *testing.T) {
 	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
-	client, err := NewClient(cfg, rng.NewSourceFromString("c0-count"))
-	if err != nil {
-		t.Fatal(err)
+	newClient := func() *Client {
+		client, err := NewClient(cfg, rng.NewSourceFromString("c0-count"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return client
 	}
-	dbBits := 3 * cfg.Params.N * SegmentBits // 3 chunks
-	start := encryptC0Calls.Load()
-	q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE}, 24, dbBits)
-	if err != nil {
-		t.Fatal(err)
+	chunkBits := cfg.Params.N * SegmentBits
+	prepare := func(client *Client, pattern []byte, chunks int) (*Query, int64) {
+		t.Helper()
+		start := encryptC0Calls.Load()
+		q, err := client.PrepareQuery(pattern, 8*len(pattern), chunks*chunkBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, encryptC0Calls.Load() - start
 	}
-	got := encryptC0Calls.Load() - start
+
+	client := newClient()
+	q, got := prepare(client, []byte{0xDE, 0xAD, 0xBE}, 3)
 	chunks, phases, residues := int64(q.NumChunks), int64(len(q.RHS)), int64(len(q.Residues))
 	if got != chunks {
-		t.Fatalf("PrepareQuery ran EncryptC0 %d times, want one per chunk = %d", got, chunks)
+		t.Fatalf("cold PrepareQuery ran EncryptC0 %d times, want one per chunk = %d", got, chunks)
 	}
 	if perResidue := residues*chunks + phases; got >= perResidue {
 		t.Fatalf("token builder (%d calls) does not beat the per-residue derivation (%d)", got, perResidue)
+	}
+	if _, got := prepare(client, []byte{0x01, 0x02, 0x03, 0x04}, 3); got != 0 {
+		t.Fatalf("second PrepareQuery ran EncryptC0 %d times, want 0", got)
+	}
+	if _, got := prepare(client, []byte{0xDE, 0xAD, 0xBE}, 5); got != 2 {
+		t.Fatalf("PrepareQuery over 2 more chunks ran EncryptC0 %d times, want 2", got)
+	}
+
+	owner := newClient()
+	if _, err := owner.EncryptDatabase(make([]byte, 3*chunkBits/8), 3*chunkBits); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := prepare(owner, []byte{0xDE, 0xAD, 0xBE}, 3); got != 0 {
+		t.Fatalf("PrepareQuery after EncryptDatabase ran EncryptC0 %d times, want 0", got)
+	}
+}
+
+// TestTokenPlaneDerivations holds both fills of the token-plane memo to
+// the definition DBTok[j] = EncryptC0(t−1, src_j) − M, computed by a
+// fresh client with the same seed, on a power-of-two and an odd
+// modulus: the rows EncryptDatabase derives from its ciphertexts, the
+// same rows after a second database of other content, and a query over
+// more chunks than the database (derived rows, then lazily encrypted
+// ones).
+func TestTokenPlaneDerivations(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    bfv.Params
+	}{{"toy", bfv.ParamsToy()}, {"paper", bfv.ParamsPaper()}, {"oddq", bfv.ParamsOddQ()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Params: tc.p, AlignBits: 8, Mode: ModeSeededMatch}
+			seed := "token-plane-" + tc.name
+			client, err := NewClient(cfg, rng.NewSourceFromString(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewClient(cfg, rng.NewSourceFromString(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ones := make([]uint64, tc.p.N)
+			for i := range ones {
+				ones[i] = tc.p.T - 1
+			}
+			onesPT, err := ref.enc.Encode(ones)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mask := ref.tokenMask()
+			check := func(what string, plane []ring.Poly) {
+				t.Helper()
+				for j, got := range plane {
+					want := ref.encryptor.EncryptC0(onesPT, ref.dbSource().ForkIndexed("chunk", j))
+					ref.ring.Sub(want, mask, want)
+					if !ref.ring.Equal(got, want) {
+						t.Fatalf("%s: row %d differs from EncryptC0(t-1, src_%d) - M", what, j, j)
+					}
+				}
+			}
+
+			const dbChunks = 2
+			chunkBytes := tc.p.N * SegmentBits / 8
+			data := make([]byte, dbChunks*chunkBytes-5) // last chunk partly padding
+			rng.NewSourceFromString("token-plane-data").Bytes(data)
+			if _, err := client.EncryptDatabase(data, 8*len(data)); err != nil {
+				t.Fatal(err)
+			}
+			if len(client.tokRows) != dbChunks {
+				t.Fatalf("EncryptDatabase left %d memo rows, want %d", len(client.tokRows), dbChunks)
+			}
+			derived := slices.Clone(client.tokRows)
+			check("EncryptDatabase", derived)
+
+			rng.NewSourceFromString("token-plane-other").Bytes(data)
+			if _, err := client.EncryptDatabase(data, 8*len(data)); err != nil {
+				t.Fatal(err)
+			}
+			if !samePlane(client.tokRows, derived) {
+				t.Fatal("a second database replaced memo rows")
+			}
+			check("second database", client.tokRows)
+
+			q, err := client.PrepareQuery([]byte{0xC0, 0xFF, 0xEE}, 24, (dbChunks+2)*chunkBytes*8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(q.DBTok) != dbChunks+2 || !samePlane(derived, q.DBTok[:dbChunks]) {
+				t.Fatalf("query over %d chunks does not start with the %d derived rows", len(q.DBTok), dbChunks)
+			}
+			check("derived then lazy", q.DBTok)
+		})
+	}
+}
+
+// TestQueriesShareTokenPlane: two queries of one client are on one
+// DBTok plane by pointer before any DedupTokens call, and a shorter
+// query's plane is a prefix of a longer one's.
+func TestQueriesShareTokenPlane(t *testing.T) {
+	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
+	client, err := NewClient(cfg, rng.NewSourceFromString("share-plane"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbBits := 3 * cfg.Params.N * SegmentBits
+	q1, err := client.PrepareQuery([]byte{0xAB, 0xCD, 0xEF}, 24, dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := client.PrepareQuery([]byte{0x01, 0x02, 0x03, 0x04}, 32, dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := client.PrepareQuery([]byte{0x01}, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePlane(q1.DBTok, q2.DBTok) || !samePlane(short.DBTok, q1.DBTok) {
+		t.Fatal("queries of one client are not on one DBTok plane")
+	}
+	if &q1.DBTok[0] == &q2.DBTok[0] {
+		t.Fatal("queries share one DBTok slice, want a slice each")
+	}
+}
+
+// TestQueryPlaneHeaderIsOwn: rewriting a query's DBTok slice entries
+// (what DedupTokens does) leaves the next query's plane alone.
+func TestQueryPlaneHeaderIsOwn(t *testing.T) {
+	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
+	client, err := NewClient(cfg, rng.NewSourceFromString("own-header"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbBits := 2 * cfg.Params.N * SegmentBits
+	q1, err := client.PrepareQuery([]byte{0xAB, 0xCD, 0xEF}, 24, dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(q1.DBTok)
+	for j := range q1.DBTok {
+		q1.DBTok[j] = client.ring.NewPoly()
+	}
+	q2, err := client.PrepareQuery([]byte{0xAB, 0xCD, 0xEF}, 24, dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePlane(q2.DBTok, want) {
+		t.Fatal("rewriting one query's DBTok entries changed the next query's plane")
 	}
 }
 

@@ -71,6 +71,12 @@ func clientDigest(t *testing.T, client *Client, dbLen int) string {
 	}
 	h := sha256.New()
 	putCoeffs(h, db.Arena())
+	putQuery(h, q)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// putQuery hashes q's DBTok plane, then its RHS rows in ascending phase.
+func putQuery(h hash.Hash, q *Query) {
 	for _, tok := range q.DBTok {
 		putCoeffs(h, tok)
 	}
@@ -82,7 +88,6 @@ func clientDigest(t *testing.T, client *Client, dbLen int) string {
 	for _, psi := range phases {
 		putCoeffs(h, q.RHS[psi])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // TestClientConcurrentPrepare shares one Client between 4 goroutines that
@@ -117,6 +122,55 @@ func TestClientConcurrentPrepare(t *testing.T) {
 			t.Errorf("goroutine %d: concurrent client output %s, serial %s", g, d, want)
 		}
 	}
+
+	// A cold client fills its token-plane memo from both ends at once:
+	// lazy PrepareQuery fills of different lengths race an
+	// EncryptDatabase that derives rows from its ciphertexts.
+	cold, err := NewClient(cfg, rng.NewSourceFromString("concurrent-prepare"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens := []int{dbLen / 4, dbLen / 2, 2 * dbLen}
+	wantQ := make([]string, len(lens))
+	for i, l := range lens {
+		wantQ[i] = queryDigest(t, client, l)
+	}
+	gotQ := make([]string, len(lens))
+	var gotDB string
+	wg.Add(len(lens) + 1)
+	go func() {
+		defer wg.Done()
+		gotDB = clientDigest(t, cold, dbLen)
+	}()
+	for i, l := range lens {
+		go func() {
+			defer wg.Done()
+			gotQ[i] = queryDigest(t, cold, l)
+		}()
+	}
+	wg.Wait()
+	if gotDB != want {
+		t.Errorf("EncryptDatabase racing cold queries: output %s, serial %s", gotDB, want)
+	}
+	for i, d := range gotQ {
+		if d != wantQ[i] {
+			t.Errorf("cold query over %d bytes: output %s, serial %s", lens[i], d, wantQ[i])
+		}
+	}
+}
+
+// queryDigest prepares clientDigest's query over a database of dbLen
+// bytes and returns the SHA-256 of its DBTok plane and RHS rows.
+func queryDigest(t *testing.T, client *Client, dbLen int) string {
+	t.Helper()
+	q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 8*dbLen)
+	if err != nil {
+		t.Error(err)
+		return ""
+	}
+	h := sha256.New()
+	putQuery(h, q)
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func putCoeffs(h hash.Hash, p ring.Poly) {

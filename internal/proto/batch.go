@@ -40,10 +40,24 @@ func EncodeNamedBatchQuery(name string, bq *core.BatchQuery, p bfv.Params) []byt
 	b.putInt(factoredWireVersion)
 	qb := p.QBytes()
 
-	// Polynomial pool (DBTok plane members and RHS comparands).
+	// Polynomial pool (DBTok plane members and RHS comparands). A
+	// polynomial seen before by address and length — one client's
+	// queries share their DBTok rows — is not encoded and hashed again.
+	type polyAddr struct {
+		first *uint64
+		n     int
+	}
+	seen := make(map[polyAddr]int)
 	polyIndex := make(map[string]int)
 	var polyPool []string
 	polyRef := func(poly ring.Poly) int {
+		var addr polyAddr // every empty polynomial encodes alike
+		if len(poly) > 0 {
+			addr = polyAddr{&poly[0], len(poly)}
+		}
+		if idx, ok := seen[addr]; ok {
+			return idx
+		}
 		var pb buffer
 		pb.putPoly(poly, qb)
 		key := string(pb.data)
@@ -53,6 +67,7 @@ func EncodeNamedBatchQuery(name string, bq *core.BatchQuery, p bfv.Params) []byt
 			polyIndex[key] = idx
 			polyPool = append(polyPool, key)
 		}
+		seen[addr] = idx
 		return idx
 	}
 	// DBTok plane pool: a plane is its chunk-ordered poly-index list.
