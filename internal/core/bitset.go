@@ -6,7 +6,7 @@ import "sync"
 // per 16-bit database window, 64 windows per word. It replaces the
 // 1-byte-per-window []bool representation, shrinking results 8× and
 // letting candidate generation scan a word (64 windows) per comparison.
-// The compare kernels (ring.SubCmpMultiBits, ring.CmpEqScalarBits)
+// The compare kernels (ring.SubCmpNarrowBits, ring.CmpEqScalarBits)
 // write hit bits directly into Words(), so the bitmap is also the
 // kernel's only output store.
 //

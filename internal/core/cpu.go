@@ -239,7 +239,10 @@ func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 	var err error
 	for g := range groups {
 		p := &groups[g]
-		if p.fq, err = factorPlane(n, p.members, numChunks); err != nil {
+		if p.fq, err = factorPlane(n, p.members, numChunks); err == nil {
+			err = p.fq.cutNarrow(e.ring)
+		}
+		if err != nil {
 			break
 		}
 	}

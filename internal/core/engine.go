@@ -157,13 +157,17 @@ func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) erro
 //
 // Seeded-match index generation reads only the first ciphertext
 // component, so the kernel never touches C[1] — half the ciphertext
-// bytes — and ring.SubCmpMultiBits folds the homomorphic subtraction
+// bytes — and ring.SubCmpNarrowBits folds the homomorphic subtraction
 // and all of a group's token comparisons into one streaming pass with
 // no intermediate store: chunk j's first component is read from memory
 // once per search (later groups find it in cache), DBTok[j] once per
-// group, the cache-resident RHS rows are the only other operands, and
-// the only writes are hit bits in the packed bitsets. On an arena the
-// database reads are one sequential walk of the C0 plane.
+// group, the cache-resident 16-bit comparand rows and the group's low
+// row are the only other operands, and the only writes are hit bits in
+// the packed bitsets. On an arena the database reads are one
+// sequential walk of the C0 plane. The 16-bit compare is the 64-bit
+// one, bit for bit (DESIGN §4.3): cutNarrow checked that the group's
+// comparands share their low part, and the kernel's guard checks the
+// difference's low part against it.
 //
 // The groups and their words are built once per search by the caller:
 // the kernel itself is allocation-free, so a worker re-entering it per
@@ -176,7 +180,7 @@ func searchChunkRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi
 		c0 := db.Chunks[j].C[0]
 		for i := range groups {
 			p := &groups[i]
-			r.SubCmpMultiBits(c0, p.fq.DBTok[j], p.fq.chunkRow(n, j), p.words, j*n)
+			r.SubCmpNarrowBits(c0, p.fq.DBTok[j], p.fq.low, p.fq.narrowRow(j), p.words, j*n)
 		}
 	}
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"ciphermatch/internal/bfv"
+	"ciphermatch/internal/ring"
 	"ciphermatch/internal/rng"
 )
 
@@ -316,5 +318,69 @@ func TestCPUEngineCloseDuringSearches(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Wait()
+	}
+}
+
+// TestSeededSearchRejectsOddQ: the CPU engine's 16-bit compare needs a
+// power-of-two q (Δ = q/t a power of two). A seeded search under
+// ParamsOddQ fails with ErrNarrowModulus, alone and in a batch, on
+// either scheduler, and returns no result.
+func TestSeededSearchRejectsOddQ(t *testing.T) {
+	cfg := Config{Params: bfv.ParamsOddQ(), AlignBits: 8, Mode: ModeSeededMatch}
+	client, err := NewClient(cfg, rng.NewSourceFromString("odd-q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := make([]byte, 256)
+	rng.NewSourceFromString("odd-q-data").Bytes(db)
+	edb, err := client.EncryptDatabase(db, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.PrepareQuery(db[10:13], 24, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		eng := NewCPUEngine(cfg.Params, edb, workers)
+		if ir, err := eng.SearchAndIndex(q); !errors.Is(err, ErrNarrowModulus) || ir != nil {
+			t.Errorf("workers=%d: single search = (%v, %v), want ErrNarrowModulus and no result", workers, ir, err)
+		}
+		if irs, err := eng.SearchAndIndexBatch(NewBatchQuery(q)); !errors.Is(err, ErrNarrowModulus) || irs != nil {
+			t.Errorf("workers=%d: batch = (%v, %v), want ErrNarrowModulus and no result", workers, irs, err)
+		}
+		eng.Close()
+	}
+}
+
+// TestBatchRejectsRHSLowBitMismatch: two batch members on one DBTok
+// plane with one length fold into one factored query, whose comparands
+// must all share the client mask's low part below Δ. A member whose
+// RHS row differs from the other's in bit 0 alone breaks that, and the
+// batch fails with ErrRHSLowBits instead of returning a result.
+func TestBatchRejectsRHSLowBitMismatch(t *testing.T) {
+	cfg, edb, q, serial := engineFixture(t)
+	serial.Release()
+	bad := *q
+	bad.RHS = make(map[int]ring.Poly, len(q.RHS))
+	for psi, p := range q.RHS {
+		bad.RHS[psi] = p
+	}
+	for psi, p := range q.RHS {
+		off := slices.Clone(p)
+		off[7] ^= 1
+		bad.RHS[psi] = off
+		break
+	}
+	bq := NewBatchQuery(q, &bad)
+	if !samePlane(q.DBTok, bad.DBTok) {
+		t.Fatal("fixture: the members must share their DBTok plane")
+	}
+	for _, workers := range []int{1, 2} {
+		eng := NewCPUEngine(cfg.Params, edb, workers)
+		if irs, err := eng.SearchAndIndexBatch(bq); !errors.Is(err, ErrRHSLowBits) || irs != nil {
+			t.Errorf("workers=%d: batch = (%v, %v), want ErrRHSLowBits and no result", workers, irs, err)
+		}
+		eng.Close()
 	}
 }

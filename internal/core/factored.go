@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"ciphermatch/internal/ring"
@@ -11,9 +12,9 @@ import (
 // chunk phase that occurs in the database, one row of RHS comparands.
 // The fused kernel streams chunk j's first component and DBTok[j] once
 // and compares the difference against the chunk's row — every residue
-// of every member in a single arena pass. Building it is pointer
-// arrangement only (a phase lookup per residue); no polynomial is
-// copied or computed.
+// of every member in a single arena pass. Arranging the rows is pointer
+// work only (a phase lookup per residue); the engine then cuts each
+// distinct comparand once into its 16-bit narrow form (cutNarrow).
 //
 // A single query is a group with one member. A batch folds the members
 // that share a plane and a length into one FactoredQuery: a row is the
@@ -22,14 +23,34 @@ type FactoredQuery struct {
 	// DBTok[j] is the chunk-dependent comparand subtracted from chunk
 	// j's first component: the client's masked plane.
 	DBTok []ring.Poly
-	// y is the members' common length: chunk j's row is keyed on
-	// ChunkPhi(n, j, y).
-	y int
-	// rows[phi] is the comparand row of chunks with ChunkPhi == phi.
-	// Keyed by map, not a y-sized array: y comes off the wire, and the
-	// number of phases actually occurring is bounded by the chunk count.
-	rows map[int][]ring.Poly
+	// n and y are the ring degree and the members' common length:
+	// chunk j's row is keyed on ChunkPhi(n, j, y).
+	n, y int
+	// width is the number of comparands in a row.
+	width int
+	// wide holds the rows back to back: chunk j's row is row j mod
+	// (len(wide)/width). Phases repeat with period y/gcd(16n, y) in j,
+	// so no more rows than that (or than chunks) exist; y comes off the
+	// wire, and nothing here is sized from it alone.
+	wide []ring.Poly
+	// top[k] is wide[k] cut to its 16-bit narrow lanes, sharing one
+	// block per distinct comparand, and low is a comparand whose low
+	// part (below Δ) every comparand shares: the narrow kernel's
+	// operands, set by cutNarrow.
+	top [][]uint16
+	low ring.Poly
 }
+
+// ErrNarrowModulus reports a seeded search under a modulus the 16-bit
+// compare cannot split: q must be a power of two, so that Δ = q/t is
+// one too. Every CPU search rejects it before its kernel runs.
+var ErrNarrowModulus = errors.New("core: seeded search requires a power-of-two modulus")
+
+// ErrRHSLowBits reports a group of RHS rows that disagree below Δ:
+// every comparand of one DBTok plane carries the client mask's low part
+// M mod Δ, and the 16-bit compare relies on it. A search that breaks it
+// fails before its kernel runs.
+var ErrRHSLowBits = errors.New("core: query RHS rows disagree below Δ")
 
 // Row returns the RHS polynomials for chunks of phase phi (nil when no
 // chunk in range has that phase). For a single query's FactorQuery,
@@ -38,15 +59,20 @@ type FactoredQuery struct {
 //
 //cm:hotpath
 func (fq *FactoredQuery) Row(phi int) []ring.Poly {
-	//cm:allow hotpath -- phase-keyed map lookup: once per chunk, amortised over the n-coefficient stream
-	return fq.rows[phi]
+	for k := 0; k*fq.width < len(fq.wide); k++ {
+		if ChunkPhi(fq.n, k, fq.y) == phi {
+			return fq.wide[k*fq.width : (k+1)*fq.width : (k+1)*fq.width]
+		}
+	}
+	return nil
 }
 
-// chunkRow returns the comparand row of chunk j at ring degree n.
+// narrowRow returns the narrow lanes of chunk j's comparand row.
 //
 //cm:hotpath
-func (fq *FactoredQuery) chunkRow(n, j int) []ring.Poly {
-	return fq.Row(ChunkPhi(n, j, fq.y))
+func (fq *FactoredQuery) narrowRow(j int) [][]uint16 {
+	k := j % (len(fq.top) / fq.width) * fq.width
+	return fq.top[k : k+fq.width : k+fq.width]
 }
 
 func errMissingRHS(psi int) error {
@@ -58,6 +84,9 @@ func errMissingRHS(psi int) error {
 // validateSearchQuery.
 func FactorQuery(r *ring.Ring, q *Query, numChunks int) (*FactoredQuery, error) {
 	fq, err := factorPlane(r.N(), []*Query{q}, numChunks)
+	if err == nil {
+		err = fq.cutNarrow(r)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -77,15 +106,10 @@ func factorPlane(n int, members []*Query, numChunks int) (FactoredQuery, error) 
 		return FactoredQuery{}, nil
 	}
 	y := members[0].YBits
-	fq := FactoredQuery{DBTok: members[0].DBTok, y: y, rows: make(map[int][]ring.Poly)}
-	// Phases repeat with period y/gcd(16n, y) in j; one array backs every row.
-	rows := make([]ring.Poly, 0, width*min(numChunks, y/gcd(SegmentBits*n, y)))
-	for j := 0; j < numChunks; j++ {
+	period := min(numChunks, y/gcd(SegmentBits*n, y))
+	fq := FactoredQuery{DBTok: members[0].DBTok, n: n, y: y, width: width, wide: make([]ring.Poly, 0, width*period)}
+	for j := 0; j < period; j++ {
 		phi := ChunkPhi(n, j, y)
-		if fq.rows[phi] != nil {
-			continue
-		}
-		start := len(rows)
 		for _, q := range members {
 			for _, s := range q.Residues {
 				psi := ((phi-s)%y + y) % y
@@ -93,10 +117,47 @@ func factorPlane(n int, members []*Query, numChunks int) (FactoredQuery, error) 
 				if !ok {
 					return FactoredQuery{}, errMissingRHS(psi)
 				}
-				rows = append(rows, rhs)
+				fq.wide = append(fq.wide, rhs)
 			}
 		}
-		fq.rows[phi] = rows[start:len(rows):len(rows)]
 	}
 	return fq, nil
+}
+
+// cutNarrow builds the narrow kernel's operands from the arranged rows:
+// each distinct comparand (rows repeat across phases, and batch members
+// share them) is cut once into one block of 16-bit rows, so the block
+// is bounded by the query's own RHS bytes, not by rows × phases. The
+// same pass checks that every comparand shares the first one's low
+// part below Δ, which the narrow kernel's guard compares against.
+func (fq *FactoredQuery) cutNarrow(r *ring.Ring) error {
+	if len(fq.wide) == 0 {
+		return nil
+	}
+	if _, ok := r.NarrowShift(); !ok {
+		return fmt.Errorf("%w: q = %d", ErrNarrowModulus, r.Q())
+	}
+	n := r.N()
+	slot := make(map[*uint64]int) // distinct comparand → its block row
+	for _, p := range fq.wide {
+		if _, ok := slot[&p[0]]; !ok {
+			slot[&p[0]] = len(slot)
+		}
+	}
+	block := make([]uint16, len(slot)*n)
+	fq.top = make([][]uint16, len(fq.wide))
+	fq.low = fq.wide[0]
+	agree, cut := true, 0
+	for k, p := range fq.wide {
+		i := slot[&p[0]]
+		fq.top[k] = block[i*n : (i+1)*n : (i+1)*n]
+		if i == cut { // first occurrence: slots were numbered in this order
+			agree = r.CutNarrow(p, fq.low, fq.top[k]) && agree
+			cut++
+		}
+	}
+	if !agree {
+		return ErrRHSLowBits
+	}
+	return nil
 }

@@ -378,7 +378,7 @@ func FuzzFactorPlane(f *testing.F) {
 			t.Fatal(err)
 		}
 		for j := 0; j < numChunks; j++ {
-			row := fq.chunkRow(n, j)
+			row := fq.Row(ChunkPhi(n, j, y))
 			i := 0
 			for mi, q := range members {
 				for _, s := range q.Residues {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -273,65 +274,89 @@ func TestEngineBatchConformance(t *testing.T) {
 
 // TestEngineHitsMatchClientDecrypt proves the two index-generation
 // modes agree bit for bit with the fused kernels in place: every
-// engine's seeded-match bitmaps (ring.SubCmpMultiBits against match tokens)
-// must equal the client-decrypt bitmaps (Server.Search result
-// ciphertexts decrypted and compared against t-1 by ExtractHits). This
-// pins the fused kernel to the cryptographic ground truth, not just to
-// the other engines.
+// engine's seeded-match bitmaps (the CPU engines' 16-bit
+// ring.SubCmpNarrowBits, the in-flash engine's bit-serial sweep) must
+// equal the client-decrypt bitmaps (Server.Search result ciphertexts
+// decrypted and compared against t-1 by ExtractHits). This pins the
+// kernels to the cryptographic ground truth, not just to each other,
+// on every available kernel path and at two moduli: ParamsToy's 2^32
+// (16 bits below Δ) and ParamsN2048's 2^54 (38).
 func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 	v := conformanceVectors[1] // chunk-boundary: multi-chunk database
-	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: v.align, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("decrypt-conf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, v.dbBytes)
-	rng.NewSourceFromString("decrypt-conf-data").Bytes(data)
-	for _, o := range v.plants {
-		for j := 0; j < v.queryBits; j++ {
-			mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
-		}
-	}
-	edb, err := client.EncryptDatabase(data, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Client-decrypt ground truth: homomorphic sums shipped back and
-	// decrypted, windows compared against the match value t-1.
-	server := core.NewServer(cfg.Params, edb)
-	sr, err := server.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := client.ExtractHits(q, sr)
-
-	for _, spec := range conformanceSpecs {
-		eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		label := fmt.Sprintf("%s (%s)", spec, eng.Describe())
-		ir, err := eng.SearchAndIndex(q)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if len(ir.Hits) != len(want) {
-			t.Fatalf("%s: %d bitmaps, client decrypt has %d", label, len(ir.Hits), len(want))
-		}
-		for res, wbm := range want {
-			gbm := ir.Hits[res]
-			if gbm == nil || !gbm.Equal(wbm) {
-				t.Fatalf("%s: residue %d bitmap differs from client-decrypt ExtractHits", label, res)
+	for _, params := range []bfv.Params{bfv.ParamsToy(), bfv.ParamsN2048()} {
+		t.Run(fmt.Sprintf("q=2^%d", bits.TrailingZeros64(params.Q)), func(t *testing.T) {
+			cfg := core.Config{Params: params, AlignBits: v.align, Mode: core.ModeSeededMatch}
+			client, err := core.NewClient(cfg, rng.NewSourceFromString("decrypt-conf"))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatalf("%s: close: %v", label, err)
-		}
+			data := make([]byte, v.dbBytes)
+			rng.NewSourceFromString("decrypt-conf-data").Bytes(data)
+			for _, o := range v.plants {
+				for j := 0; j < v.queryBits; j++ {
+					mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
+				}
+			}
+			edb, err := client.EncryptDatabase(data, v.dbBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Client-decrypt ground truth: homomorphic sums shipped back and
+			// decrypted, windows compared against the match value t-1.
+			server := core.NewServer(cfg.Params, edb)
+			sr, err := server.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := client.ExtractHits(q, sr)
+			for _, kp := range ring.AvailableKernels() {
+				withKernel(t, kp, func() {
+					for _, spec := range conformanceSpecs {
+						if spec.Kind == core.EngineSSD && params.Q != 1<<32 {
+							continue // CM-IFP stores 32 wordlines per coefficient
+						}
+						eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
+						if err != nil {
+							t.Fatalf("%s: %v", spec, err)
+						}
+						label := fmt.Sprintf("%s (%s) on the %s kernel", spec, eng.Describe(), kp)
+						ir, err := eng.SearchAndIndex(q)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if len(ir.Hits) != len(want) {
+							t.Fatalf("%s: %d bitmaps, client decrypt has %d", label, len(ir.Hits), len(want))
+						}
+						for res, wbm := range want {
+							gbm := ir.Hits[res]
+							if gbm == nil || !gbm.Equal(wbm) {
+								t.Fatalf("%s: residue %d bitmap differs from client-decrypt ExtractHits", label, res)
+							}
+						}
+						if err := eng.Close(); err != nil {
+							t.Fatalf("%s: close: %v", label, err)
+						}
+					}
+				})
+			}
+		})
 	}
+}
+
+// withKernel runs f with the ring kernel forced to p, restoring the
+// previous path afterwards.
+func withKernel(t *testing.T, p ring.KernelPath, f func()) {
+	t.Helper()
+	prev := ring.ActiveKernel()
+	if err := ring.SetKernel(p); err != nil {
+		t.Fatal(err)
+	}
+	defer ring.SetKernel(prev) //nolint:errcheck // prev was active, so it is available
+	f()
 }
 
 // TestEngineRejectsWrongDegree: a query prepared under other parameters

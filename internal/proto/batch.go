@@ -149,13 +149,15 @@ func DecodeNamedBatchQuery(data []byte, p bfv.Params) (string, *core.BatchQuery,
 	} else if nct != 0 {
 		return "", nil, fmt.Errorf("proto: batch carries %d pattern ciphertexts; seeded-match batches ship none", nct)
 	}
-	npoly, err := b.count(8)
+	npoly, err := b.count(4 + p.N*qb) // poly length word + n coefficients
 	if err != nil {
 		return "", nil, err
 	}
 	polyPool := make([]ring.Poly, npoly)
+	coeffs := make(ring.Poly, npoly*p.N) // one block for the whole pool
 	for i := range polyPool {
-		if polyPool[i], err = b.poly(qb, p.N); err != nil {
+		polyPool[i] = coeffs[i*p.N : (i+1)*p.N : (i+1)*p.N]
+		if err := b.polyInto(polyPool[i], qb); err != nil {
 			return "", nil, err
 		}
 	}

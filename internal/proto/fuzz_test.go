@@ -95,6 +95,7 @@ func FuzzDecodeQuery(f *testing.F) {
 	p := bfv.ParamsToy()
 	addWireSeeds(f, EncodeQuery(fuzzSeedQuery(f, p), p))
 	addWireSeeds(f, unversionedQuery)
+	f.Add(claimedPlaneQuery(100000, 1100))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeQuery(data, p)
 		if err != nil {

@@ -436,3 +436,65 @@ func TestZeroAlignBitsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryBufferReuse: a direct query reads its payload and decodes
+// its DBTok plane into pooled buffers that the next request on any
+// connection may reuse, so no answer may depend on what a buffer held
+// before. On one connection it runs query A, an upload, query B on a
+// tenant whose query is larger (more chunks), then query A again, and
+// holds every answer to a fresh connection's; the coalesced path runs
+// the same sequence. Under -race this also proves nothing reads a
+// buffer after it went back to the pool.
+func TestQueryBufferReuse(t *testing.T) {
+	p := bfv.ParamsToy()
+	a := newTenant(t, p, "small", core.EngineSpec{}, 192, 200)
+	b := newTenant(t, p, "large", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 640, 3000)
+	if len(b.q.DBTok) <= len(a.q.DBTok) {
+		t.Fatalf("fixture: tenant %s has %d chunks, %s %d; want the second larger", b.name, len(b.q.DBTok), a.name, len(a.q.DBTok))
+	}
+	for _, co := range []CoalesceConfig{{}, {Window: time.Millisecond, MaxBatch: 2}} {
+		t.Run(fmt.Sprintf("window=%s", co.Window), func(t *testing.T) {
+			srv, err := NewServerWithServing(p, core.EngineSpec{}, StoreOptions{}, co)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			addr := startServer(t, srv)
+			fresh := func(tn *tenant) []int {
+				c, err := Dial(addr, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				got, err := c.Search(tn.name, tn.q)
+				if err != nil {
+					t.Fatalf("fresh connection, %s: %v", tn.name, err)
+				}
+				return got
+			}
+			c, err := Dial(addr, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.UploadDB(a.name, a.spec, a.db); err != nil {
+				t.Fatal(err)
+			}
+			search := func(step string, tn *tenant) {
+				got, err := c.Search(tn.name, tn.q)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if want := fresh(tn); !slices.Equal(got, want) || !slices.Equal(got, tn.expect) {
+					t.Fatalf("%s: reused connection answered %v, fresh connection %v, local engine %v", step, got, want, tn.expect)
+				}
+			}
+			search("query A", a)
+			if err := c.UploadDB(b.name, b.spec, b.db); err != nil {
+				t.Fatal(err)
+			}
+			search("query B after an upload", b)
+			search("query A again", a)
+		})
+	}
+}

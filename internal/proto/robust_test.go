@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"runtime"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -52,5 +53,66 @@ func TestPolyLengthLimit(t *testing.T) {
 	rb2 := buffer{data: b2.data}
 	if _, err := rb2.poly(4, 64); err == nil {
 		t.Fatal("degree-mismatched polynomial accepted")
+	}
+}
+
+// claimedPlaneQuery is a MsgQuery body (no name) whose header and
+// DBTok plane count both claim chunks chunks, zero-padded to size
+// bytes: a few bytes that ask the decoder for chunks·n coefficients.
+func claimedPlaneQuery(chunks, size int) []byte {
+	var b buffer
+	b.putUint32(factoredSentinel)
+	b.putInt(factoredWireVersion)
+	b.putInt(64)            // YBits
+	b.putInt(8)             // AlignBits
+	b.putInt(16 * 1024 * 8) // DBBitLen
+	b.putInt(chunks)        // NumChunks
+	b.putInt(1)             // one residue
+	b.putInt(0)
+	b.putInt(chunks) // DBTok plane count
+	return append(b.data, make([]byte, size-len(b.data))...)
+}
+
+// claimedPoolBatch is the MsgBatchQuery counterpart: a poly pool that
+// claims polys entries, zero-padded to size bytes.
+func claimedPoolBatch(polys, size int) []byte {
+	var b buffer
+	b.putString("db")
+	b.putUint32(factoredSentinel)
+	b.putInt(factoredWireVersion)
+	b.putInt(0)     // no pattern ciphertexts
+	b.putInt(polys) // poly pool count
+	return append(b.data, make([]byte, size-len(b.data))...)
+}
+
+// TestDecodeBoundsPlaneBeforeSizing: the query decoder sizes one block
+// for the whole DBTok plane and the batch decoder one block for its
+// poly pool, so each count must be bounded by the bytes a whole
+// polynomial needs (length word + n coefficients), not by its first
+// coefficient. A ~1 KiB payload that claims 100 000 chunks, or just
+// enough rows (130 × 8 KiB) to pass an 8-bytes-per-row bound, must
+// fail without allocating the block.
+func TestDecodeBoundsPlaneBeforeSizing(t *testing.T) {
+	p := bfv.ParamsPaper()
+	for _, c := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"query/100000", func() error { _, err := DecodeQuery(claimedPlaneQuery(100000, 1100), p); return err }},
+		{"query/130", func() error { _, err := DecodeQuery(claimedPlaneQuery(130, 1100), p); return err }},
+		{"batch/100000", func() error { _, _, err := DecodeNamedBatchQuery(claimedPoolBatch(100000, 1100), p); return err }},
+		{"batch/130", func() error { _, _, err := DecodeNamedBatchQuery(claimedPoolBatch(130, 1100), p); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := c.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded a plane the payload cannot hold", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes before failing, want < 1 MiB", c.name, grew)
+		}
 	}
 }

@@ -115,22 +115,41 @@ func WriteMessage(w io.Writer, msgType byte, payload []byte) error {
 // wraps ErrConnTruncated, so callers can type-switch a torn connection
 // without matching on io error identities.
 func ReadMessage(r io.Reader) (msgType byte, payload []byte, err error) {
+	msgType, n, err := readHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload = make([]byte, n)
+	if err := readPayload(r, payload); err != nil {
+		return 0, nil, err
+	}
+	return msgType, payload, nil
+}
+
+// readHeader reads a frame header: the message type and the payload
+// length, bounded by MaxPayload. The caller reads the payload with
+// readPayload into a buffer of its choosing.
+func readHeader(r io.Reader) (msgType byte, n int, err error) {
 	var hdr [5]byte
 	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		if n > 0 || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("%w: header after %d bytes: %v", ErrConnTruncated, n, err)
+			return 0, 0, fmt.Errorf("%w: header after %d bytes: %v", ErrConnTruncated, n, err)
 		}
-		return 0, nil, err
+		return 0, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("proto: payload of %d bytes exceeds limit", n)
+	size := binary.LittleEndian.Uint32(hdr[1:])
+	if size > MaxPayload {
+		return 0, 0, fmt.Errorf("proto: payload of %d bytes exceeds limit", size)
 	}
-	payload = make([]byte, n)
+	return hdr[0], int(size), nil
+}
+
+// readPayload fills payload, sized by readHeader, from r.
+func readPayload(r io.Reader, payload []byte) error {
 	if m, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: payload after %d of %d bytes: %v", ErrConnTruncated, m, n, err)
+		return fmt.Errorf("%w: payload after %d of %d bytes: %v", ErrConnTruncated, m, len(payload), err)
 	}
-	return hdr[0], payload, nil
+	return nil
 }
 
 // buffer is a simple append/consume byte cursor.
@@ -266,7 +285,15 @@ func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
 	src := b.data[b.off : b.off+need]
 	b.off += need
 	if qBytes == 4 {
-		for i := range dst {
+		// Two coefficients per 8-byte load, re-sliced so the compiler
+		// proves each pair in bounds once.
+		i := 0
+		for ; i+2 <= len(dst); i += 2 {
+			v := binary.LittleEndian.Uint64(src[4*i : 4*i+8 : 4*i+8])
+			d := dst[i : i+2 : i+2]
+			d[0], d[1] = v&(1<<32-1), v>>32
+		}
+		for ; i < len(dst); i++ {
 			dst[i] = uint64(binary.LittleEndian.Uint32(src[4*i:]))
 		}
 		return nil
@@ -493,6 +520,38 @@ func decodeQueryHeader(b *buffer, q *core.Query) error {
 // polynomial is held to the ring degree, so a hostile peer cannot
 // smuggle mis-shaped comparands into the fused kernel.
 func DecodeQuery(data []byte, p bfv.Params) (*core.Query, error) {
+	return decodeQuery(data, p, nil)
+}
+
+// planeBuf is reusable room for a decoded DBTok plane: one coefficient
+// block and the plane's row headers into it.
+type planeBuf struct {
+	coeffs ring.Poly
+	rows   []ring.Poly
+}
+
+// plane returns room for a plane of ntok rows of degree n: pb's buffers
+// when they are large enough, else fresh ones that pb keeps for the
+// next plane. A nil pb always allocates. The caller overwrites every
+// coefficient, so reused room is not cleared.
+func (pb *planeBuf) plane(ntok, n int) (ring.Poly, []ring.Poly) {
+	if pb == nil {
+		return make(ring.Poly, ntok*n), make([]ring.Poly, ntok)
+	}
+	if cap(pb.coeffs) < ntok*n {
+		pb.coeffs = make(ring.Poly, ntok*n)
+	}
+	if cap(pb.rows) < ntok {
+		pb.rows = make([]ring.Poly, ntok)
+	}
+	return pb.coeffs[:ntok*n], pb.rows[:ntok]
+}
+
+// decodeQuery is DecodeQuery with the DBTok plane decoded into pb's
+// room (see planeBuf.plane): one block of NumChunks·n coefficients, not
+// one allocation per chunk. The plane count is bounded by the bytes a
+// whole row needs before anything is sized from it.
+func decodeQuery(data []byte, p bfv.Params, pb *planeBuf) (*core.Query, error) {
 	b := &buffer{data: data}
 	if err := decodeWireVersion(b); err != nil {
 		return nil, err
@@ -502,19 +561,21 @@ func DecodeQuery(data []byte, p bfv.Params) (*core.Query, error) {
 		return nil, err
 	}
 	qb := p.QBytes()
-	ntok, err := b.count(8) // poly length word + at least one coefficient
+	ntok, err := b.count(4 + p.N*qb) // poly length word + n coefficients
 	if err != nil {
 		return nil, err
 	}
 	if ntok != q.NumChunks {
 		return nil, fmt.Errorf("proto: query DBTok plane has %d chunks, header says %d", ntok, q.NumChunks)
 	}
-	q.DBTok = make([]ring.Poly, ntok)
-	for j := range q.DBTok {
-		if q.DBTok[j], err = b.poly(qb, p.N); err != nil {
+	coeffs, rows := pb.plane(ntok, p.N)
+	for j := range rows {
+		rows[j] = coeffs[j*p.N : (j+1)*p.N : (j+1)*p.N]
+		if err := b.polyInto(rows[j], qb); err != nil {
 			return nil, err
 		}
 	}
+	q.DBTok = rows
 	nrhs, err := b.count(8) // psi word + poly length word
 	if err != nil {
 		return nil, err
@@ -596,12 +657,18 @@ func SplitNamedQuery(data []byte) (string, []byte, error) {
 
 // DecodeNamedQuery is the inverse of EncodeNamedQuery.
 func DecodeNamedQuery(data []byte, p bfv.Params) (string, *core.Query, error) {
+	return decodeNamedQuery(data, p, nil)
+}
+
+// decodeNamedQuery is DecodeNamedQuery decoding the plane into pb's
+// room (decodeQuery).
+func decodeNamedQuery(data []byte, p bfv.Params, pb *planeBuf) (string, *core.Query, error) {
 	b := buffer{data: data}
 	name, err := b.string()
 	if err != nil {
 		return "", nil, err
 	}
-	q, err := DecodeQuery(data[b.off:], p)
+	q, err := decodeQuery(data[b.off:], p, pb)
 	return name, q, err
 }
 

@@ -1,7 +1,8 @@
 package ring
 
 // This file is the kernel dispatch layer of ROADMAP item 1: the hot
-// compare kernel (SubCmpMultiBits) exists in four
+// compare kernels — SubCmpNarrowBits, the CPU engine's 16-bit compare,
+// and SubCmpMultiBits, its 64-bit form — each exist in four
 // implementations behind one API, selected once at process start and
 // swappable at runtime for tests and benchmarks:
 //
@@ -11,14 +12,16 @@ package ring
 //	unrolled  the multi-lane portable rewrite: 8 coefficients per
 //	          iteration with explicit slice re-slicing so the compiler
 //	          elides bounds checks, slice headers hoisted out of the
-//	          coefficient loops
+//	          coefficient loops; the narrow kernel compares four 16-bit
+//	          lanes per uint64 XOR (SWAR)
 //	avx2      amd64 assembly block primitives (kernel_amd64.s), 4
-//	          coefficient lanes per vector op; present only on amd64
-//	          with OS-enabled AVX2
+//	          coefficient lanes per vector op (16 narrow lanes);
+//	          present only on amd64 with OS-enabled AVX2
 //	avx512    amd64 fused block primitive: each 64-coefficient
 //	          difference block stays in ZMM registers across up to 64
-//	          comparands, 8 lanes per vector op; present only with
-//	          AVX512F+BW and OS-enabled ZMM/opmask state
+//	          comparands, 8 lanes per vector op (32 narrow lanes);
+//	          present only with AVX512F+BW and OS-enabled ZMM/opmask
+//	          state
 //
 // Selection policy, in order: the CM_KERNEL environment variable
 // (generic|unrolled|avx2|avx512) when set and satisfiable; otherwise

@@ -184,3 +184,68 @@ func (r *Ring) subCmpAVX512(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 	}
 	r.subCmpScalar(a, d, rhs, bits, base, i, n)
 }
+
+// subCmpNarrowBlock64AVX2 writes, for each v in [0, nrhs), the packed
+// verdict word of coefficients [i, i+64) to out[v]: bit k set iff
+// (a[k]-d[k]) mod 2^s == low[k] mod 2^s (the guard, with lm = 2^s-1)
+// and uint16((a[k]-d[k]) >> s) == top[v][i+k], where off = 2*i and a,
+// d and low already point at coefficient i. nrhs must be in [1, 64];
+// every top[v] must hold i+64 lanes.
+//
+//cm:hotpath
+//go:noescape
+func subCmpNarrowBlock64AVX2(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
+
+// subCmpNarrowBlock64AVX512 is subCmpNarrowBlock64AVX2 on ZMM
+// registers: 8 guard lanes and 32 narrow lanes per vector op.
+//
+//cm:hotpath
+//go:noescape
+func subCmpNarrowBlock64AVX512(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
+
+// subCmpNarrowAsm is SubCmpNarrowBits on the assembly block primitives
+// (avx512 selects the ZMM one): each 64-coefficient block computes its
+// guard word and packs its 64 narrow differences into registers once,
+// then compares them against up to 64 comparand rows in one call,
+// reading each row's data pointer from its slice header.
+//
+//cm:hotpath
+func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, bits [][]uint64, base int, avx512 bool) {
+	if len(top) == 0 {
+		return // the asm comparand loop counts down from nrhs >= 1
+	}
+	n := len(a)
+	i := 0
+	if rem := base & 63; rem != 0 {
+		pro := min(64-rem, n)
+		r.subCmpNarrowScalar(a, d, low, top, bits, base, 0, pro)
+		i = pro
+	}
+	// The asm reads d, low and every comparand row through coefficient
+	// n-1 with no bounds checks of its own: prove the lengths once.
+	_ = d[len(d)-n:]
+	_ = low[len(low)-n:]
+	for _, tv := range top {
+		_ = tv[len(tv)-n:]
+	}
+	s, lm := uint64(r.narrowShift), r.lowMask
+	var out [64]uint64
+	for ; i+64 <= n; i += 64 {
+		wi := (base + i) >> 6
+		for g := 0; g < len(top); g += len(out) {
+			grp := top[g:min(g+len(out), len(top))]
+			if avx512 {
+				subCmpNarrowBlock64AVX512(&out[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
+			} else {
+				subCmpNarrowBlock64AVX2(&out[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
+			}
+			for v, w := range out[:len(grp)] {
+				//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+				if w != 0 {
+					bits[g+v][wi] |= w
+				}
+			}
+		}
+	}
+	r.subCmpNarrowScalar(a, d, low, top, bits, base, i, n)
+}

@@ -37,6 +37,17 @@
 	MOVQ         off+40(FP), R9;  \
 	VPBROADCASTQ m+48(FP), Z8
 
+// NARROWARGS loads the shared arguments of the two narrow compare
+// blocks (SubCmpNarrowBits), below.
+#define NARROWARGS \
+	MOVQ out+0(FP), DI;    \
+	MOVQ a+8(FP), SI;      \
+	MOVQ d+16(FP), DX;     \
+	MOVQ low+24(FP), BX;   \
+	MOVQ top+32(FP), R8;   \
+	MOVQ nrhs+40(FP), CX;  \
+	MOVQ off+48(FP), R9
+
 // func kernelCPUID(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·kernelCPUID(SB), NOSPLIT, $0-24
 	MOVL op+0(FP), AX
@@ -241,3 +252,153 @@ TEXT ·subCmpGenericBlock64AVX512(SB), NOSPLIT, $0-56
 	GENDIFF512(384, Z6)
 	GENDIFF512(448, Z7)
 	SUBCMPLOOP(gencmploop)
+
+// Narrow compare blocks (SubCmpNarrowBits). One call covers one
+// 64-coefficient block for nrhs >= 1 comparand rows of uint16 lanes:
+// the block's differences D = a - d are computed once, their guard
+// word — bit k set iff (D ^ low) & lm == 0, the low part below bit s
+// matching — collects in R11, and their narrow lanes uint16(D >> s)
+// stay packed in registers while every comparand row is compared
+// straight from memory and the guard is ANDed into its verdict word
+// out[v]. The row data pointers are read from the [][]uint16 headers
+// (24-byte stride) at R8; R9 is the block's byte offset in every row.
+
+// narrowPermAVX2 is the VPERMD index that restores coefficient order
+// after two rounds of in-lane VPACKUSDW (dword pairs 0,4,1,5,2,6,3,7).
+DATA narrowPermAVX2<>+0(SB)/4, $0
+DATA narrowPermAVX2<>+4(SB)/4, $4
+DATA narrowPermAVX2<>+8(SB)/4, $1
+DATA narrowPermAVX2<>+12(SB)/4, $5
+DATA narrowPermAVX2<>+16(SB)/4, $2
+DATA narrowPermAVX2<>+20(SB)/4, $6
+DATA narrowPermAVX2<>+24(SB)/4, $3
+DATA narrowPermAVX2<>+28(SB)/4, $7
+GLOBL narrowPermAVX2<>(SB), RODATA|NOPTR, $32
+
+// NARROWQ4 handles 4 coefficients at byte offset off: the guard bits
+// land at bit sh of R11 (low-part mask in Y15, zero in Y5), and yd
+// keeps the narrow lanes zero-extended to 64 bits (shift count in X14,
+// 0xFFFF per qword in Y13). Y4 is scratch.
+#define NARROWQ4(off, sh, yd) \
+	VMOVDQU   off(SI), yd;     \
+	VPSUBQ    off(DX), yd, yd; \
+	VPXOR     off(BX), yd, Y4; \
+	VPAND     Y15, Y4, Y4;     \
+	VPCMPEQQ  Y5, Y4, Y4;      \
+	VMOVMSKPD Y4, AX;          \
+	SHLQ      $sh, AX;         \
+	ORQ       AX, R11;         \
+	VPSRLQ    X14, yd, yd;     \
+	VPAND     Y13, yd, yd
+
+// NARROW16AVX2 packs the narrow lanes of 16 coefficients into yh in
+// coefficient order: two in-lane unsigned-saturating packs (exact, as
+// every lane is below 2^16) and one cross-lane dword permute (Y12).
+#define NARROW16AVX2(off, sh, yh) \
+	NARROWQ4(off, sh, Y0);       \
+	NARROWQ4(off+32, sh+4, Y1);  \
+	NARROWQ4(off+64, sh+8, Y2);  \
+	NARROWQ4(off+96, sh+12, Y3); \
+	VPACKUSDW Y1, Y0, Y0;        \
+	VPACKUSDW Y3, Y2, Y2;        \
+	VPACKUSDW Y2, Y0, Y0;        \
+	VPERMD    Y0, Y12, yh
+
+// func subCmpNarrowBlock64AVX2(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
+TEXT ·subCmpNarrowBlock64AVX2(SB), NOSPLIT, $0-72
+	NARROWARGS
+	VPBROADCASTQ lm+56(FP), Y15
+	VMOVQ        s+64(FP), X14
+	VPCMPEQQ     Y13, Y13, Y13
+	VPSRLQ       $48, Y13, Y13
+	VMOVDQU      narrowPermAVX2<>(SB), Y12
+	VPXOR        Y5, Y5, Y5
+	XORQ         R11, R11
+	NARROW16AVX2(0, 0, Y8)
+	NARROW16AVX2(128, 16, Y9)
+	NARROW16AVX2(256, 32, Y10)
+	NARROW16AVX2(384, 48, Y11)
+
+	// Per comparand: 4 × VPCMPEQW (16 lanes each), signed-saturating
+	// byte packs (equal lanes are -1, which packs to -1) and a qword
+	// permute to undo the packs' lane interleave, then VPMOVMSKB
+	// yields 32 verdict bits per half.
+narrowavx2loop:
+	MOVQ      (R8), R10
+	ADDQ      R9, R10
+	VPCMPEQW  0(R10), Y8, Y6
+	VPCMPEQW  32(R10), Y9, Y7
+	VPACKSSWB Y7, Y6, Y6
+	VPERMQ    $0xD8, Y6, Y6
+	VPMOVMSKB Y6, AX
+	VPCMPEQW  64(R10), Y10, Y6
+	VPCMPEQW  96(R10), Y11, Y7
+	VPACKSSWB Y7, Y6, Y6
+	VPERMQ    $0xD8, Y6, Y6
+	VPMOVMSKB Y6, R10
+	SHLQ      $32, R10
+	ORQ       R10, AX
+	ANDQ      R11, AX
+	MOVQ      AX, (DI)
+	ADDQ      $24, R8
+	ADDQ      $8, DI
+	DECQ      CX
+	JNZ       narrowavx2loop
+	VZEROUPPER
+	RET
+
+// NARROW512 handles 8 coefficients at byte offset off: the guard bits
+// land in kk (VPTESTNMQ against the low-part mask in Z8) and the 8
+// narrow lanes are truncated into xo (shift count in X9, Z10 scratch).
+#define NARROW512(off, kk, xo) \
+	VMOVDQU64 off(SI), Z0;     \
+	VPSUBQ    off(DX), Z0, Z0; \
+	VPXORQ    off(BX), Z0, Z10; \
+	VPTESTNMQ Z8, Z10, kk;     \
+	VPSRLQ    X9, Z0, Z0;      \
+	VPMOVQW   Z0, xo
+
+// func subCmpNarrowBlock64AVX512(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
+TEXT ·subCmpNarrowBlock64AVX512(SB), NOSPLIT, $0-72
+	NARROWARGS
+	VPBROADCASTQ lm+56(FP), Z8
+	VMOVQ        s+64(FP), X9
+	NARROW512(0, K0, X16)
+	NARROW512(64, K1, X17)
+	NARROW512(128, K2, X18)
+	NARROW512(192, K3, X19)
+	NARROW512(256, K4, X20)
+	NARROW512(320, K5, X21)
+	NARROW512(384, K6, X22)
+	NARROW512(448, K7, X23)
+	VINSERTI32X4 $1, X17, Z16, Z16
+	VINSERTI32X4 $2, X18, Z16, Z16
+	VINSERTI32X4 $3, X19, Z16, Z16
+	VINSERTI32X4 $1, X21, Z20, Z20
+	VINSERTI32X4 $2, X22, Z20, Z20
+	VINSERTI32X4 $3, X23, Z20, Z20
+	KUNPCKBW     K0, K1, K0
+	KUNPCKBW     K2, K3, K2
+	KUNPCKBW     K4, K5, K4
+	KUNPCKBW     K6, K7, K6
+	KUNPCKWD     K0, K2, K0
+	KUNPCKWD     K4, K6, K4
+	KUNPCKDQ     K0, K4, K0
+	KMOVQ        K0, R11
+
+	// Per comparand: 2 × VPCMPEQW (32 lanes each) into one 64-bit mask.
+narrow512loop:
+	MOVQ     (R8), R10
+	ADDQ     R9, R10
+	VPCMPEQW 0(R10), Z16, K1
+	VPCMPEQW 64(R10), Z20, K2
+	KUNPCKDQ K1, K2, K1
+	KMOVQ    K1, AX
+	ANDQ     R11, AX
+	MOVQ     AX, (DI)
+	ADDQ     $24, R8
+	ADDQ     $8, DI
+	DECQ     CX
+	JNZ      narrow512loop
+	VZEROUPPER
+	RET

@@ -22,3 +22,8 @@ func (r *Ring) subCmpAVX2(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 func (r *Ring) subCmpAVX512(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
 	r.subCmpUnrolled(a, d, rhs, bits, base)
 }
+
+//cm:hotpath
+func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, bits [][]uint64, base int, _ bool) {
+	r.subCmpNarrowUnrolled(a, d, low, top, bits, base)
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"ciphermatch/internal/rng"
@@ -119,6 +120,12 @@ type kernelCase struct {
 	a, d Poly   // subcmp operands
 	rhs  []Poly // subcmp comparands
 	base int
+	// low and top are the SubCmpNarrowBits operands (nil when the ring
+	// has no narrow split): top is cut from rhs, and low matches the
+	// difference's low part at ~3/4 of the coefficients, so the guard
+	// both passes and fails.
+	low Poly
+	top [][]uint16
 }
 
 // newKernelCase builds polynomials with hits planted at ~1/4 of the
@@ -148,37 +155,59 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 			}
 		}
 	}
-	return kernelCase{r: r, a: a, d: d, rhs: rhs, base: base}
+	tc := kernelCase{r: r, a: a, d: d, rhs: rhs, base: base}
+	if _, ok := r.NarrowShift(); ok {
+		tc.top = narrowRows(r, rhs)
+		tc.low = r.NewPoly()
+		r.UniformPoly(src, tc.low)
+		for i := range tc.low {
+			if src.Uniform(4) != 0 {
+				tc.low[i] = diff[i]
+			}
+		}
+	}
+	return tc
 }
 
-// runAllKernels executes SubCmpMultiBits under every available
-// dispatch path and fails the test unless each path's bitsets are
-// bit-identical to the generic baseline's.
+// runAllKernels executes SubCmpMultiBits, and SubCmpNarrowBits where
+// the ring has a narrow split, under every available dispatch path and
+// fails the test unless each path's bitsets are bit-identical to the
+// generic baseline's.
 func runAllKernels(t testing.TB, tc kernelCase) {
 	t.Helper()
-	words := (tc.base + tc.r.N() + 63) / 64
-	results := make(map[KernelPath][][]uint64)
-	for _, p := range AvailableKernels() {
-		withKernel(t, p, func() {
-			sub := make([][]uint64, len(tc.rhs))
-			for v := range sub {
-				sub[v] = make([]uint64, words)
-			}
-			tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, sub, tc.base)
-			results[p] = sub
-		})
+	type kernel struct {
+		name string
+		run  func(bits [][]uint64)
 	}
-	ref := results[KernelGeneric]
-	for _, p := range AvailableKernels() {
-		if p == KernelGeneric {
-			continue
+	kernels := []kernel{{"SubCmpMultiBits", func(bits [][]uint64) { tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, bits, tc.base) }}}
+	if tc.top != nil {
+		kernels = append(kernels, kernel{"SubCmpNarrowBits", func(bits [][]uint64) { tc.r.SubCmpNarrowBits(tc.a, tc.d, tc.low, tc.top, bits, tc.base) }})
+	}
+	words := (tc.base + tc.r.N() + 63) / 64
+	for _, k := range kernels {
+		results := make(map[KernelPath][][]uint64)
+		for _, p := range AvailableKernels() {
+			withKernel(t, p, func() {
+				sub := make([][]uint64, len(tc.rhs))
+				for v := range sub {
+					sub[v] = make([]uint64, words)
+				}
+				k.run(sub)
+				results[p] = sub
+			})
 		}
-		got := results[p]
-		for v := range ref {
-			for w := range ref[v] {
-				if got[v][w] != ref[v][w] {
-					t.Fatalf("SubCmpMultiBits path %s: rhs %d word %d = %#x, generic %#x (n=%d q=%d base=%d)",
-						p, v, w, got[v][w], ref[v][w], tc.r.N(), tc.r.Q(), tc.base)
+		ref := results[KernelGeneric]
+		for _, p := range AvailableKernels() {
+			if p == KernelGeneric {
+				continue
+			}
+			got := results[p]
+			for v := range ref {
+				for w := range ref[v] {
+					if got[v][w] != ref[v][w] {
+						t.Fatalf("%s path %s: rhs %d word %d = %#x, generic %#x (n=%d q=%d base=%d)",
+							k.name, p, v, w, got[v][w], ref[v][w], tc.r.N(), tc.r.Q(), tc.base)
+					}
 				}
 			}
 		}
@@ -187,12 +216,13 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 
 // TestKernelPathsBitIdentical is the deterministic cross-path property
 // test: every available dispatch path must agree with the generic
-// baseline bit for bit, across modulus families, degrees on both sides
-// of the 64-coefficient word body, aligned and unaligned bases, and
-// comparand counts bracketing the serving R.
+// baseline bit for bit, for both kernels, across modulus families (and
+// the narrow kernel's power-of-two ones), degrees on both sides of the
+// 64-coefficient word body, aligned and unaligned bases, and comparand
+// counts bracketing the serving R.
 func TestKernelPathsBitIdentical(t *testing.T) {
 	src := rng.NewSourceFromString("kernel-paths")
-	for _, fam := range kernelFamilies {
+	for _, fam := range slices.Concat(kernelFamilies, narrowFamilies) {
 		t.Run(fam.name, func(t *testing.T) {
 			for _, base := range []int{0, 37, 64, 64*5 + 63} {
 				for _, R := range []int{1, 4} {
@@ -206,14 +236,16 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 }
 
 // fuzzQs are the modulus grid of FuzzKernelPaths: the paper's 2^32,
-// another power of two, and generic moduli spanning small primes to
-// just under the 2^57 cap.
+// another power of two, generic moduli spanning small primes to just
+// under the 2^57 cap, and ParamsN2048's 2^54 (appended, so the seeds
+// keep their moduli). The powers of two also drive the narrow kernel.
 var fuzzQs = []uint64{
 	1 << 32,
 	1 << 20,
 	12289,
 	(1 << 40) + 15,
 	(1 << 56) + 7,
+	1 << 54,
 }
 
 // fuzzNs are the degree grid: both sides of the 64-coefficient word
@@ -224,7 +256,8 @@ var fuzzNs = []int{16, 64, 128, 1024}
 // random modulus family, degree, base alignment, comparand count and
 // coefficient streams, asserting the generic, unrolled and (where
 // present) avx2 and avx512 paths produce bit-identical hit bitsets for both
-// kernels. A divergence here is a miscompare in a rewritten kernel —
+// kernels (SubCmpMultiBits, and SubCmpNarrowBits on power-of-two q). A
+// divergence here is a miscompare in a rewritten kernel —
 // exactly the bug class that must be impossible before a new path can
 // ship.
 func FuzzKernelPaths(f *testing.F) {
@@ -235,6 +268,7 @@ func FuzzKernelPaths(f *testing.F) {
 	f.Add(uint64(5), uint8(1), uint8(1), uint16(64), uint8(2))
 	f.Add(uint64(6), uint8(0), uint8(3), uint16(0), uint8(0))   // R = 0
 	f.Add(uint64(7), uint8(2), uint8(3), uint16(37), uint8(70)) // R = 70: two comparand groups
+	f.Add(uint64(8), uint8(5), uint8(3), uint16(37), uint8(32)) // q = 2^54: 38 bits below the narrow lane
 	f.Fuzz(func(t *testing.T, seed uint64, qSel, nSel uint8, baseRaw uint16, rRaw uint8) {
 		q := fuzzQs[int(qSel)%len(fuzzQs)]
 		n := fuzzNs[int(nSel)%len(fuzzNs)]

@@ -1,0 +1,206 @@
+package ring
+
+// This file implements the narrow compare kernel of the seeded search.
+// The hit test of SubCmpMultiBits is a 64-bit equality
+//
+//	D == rhs[v][i],   D = (a[i] - d[i]) mod q
+//
+// but for a power-of-two q = 2^(s+16) it splits exactly at bit s:
+//
+//	D == rhs  ⇔  D >> s == rhs >> s   and   D mod 2^s == rhs mod 2^s
+//
+// A seeded query's comparands all carry the same low part (the client
+// mask M mod Δ, Δ = 2^s; DESIGN §4.3), so the low half is one guard per
+// coefficient shared by every comparand, and the per-comparand compare
+// runs on 16-bit lanes: a quarter of the comparand bytes and four times
+// the lanes per vector op. The guard keeps the split exact for any a
+// and d — a coefficient whose low part misses the shared one can never
+// hit — so the kernel is bit-identical to SubCmpMultiBits over the
+// comparands the narrow rows were cut from.
+//
+// The kernel has the same four dispatch paths as SubCmpMultiBits
+// (kernel.go), the same scalar prologue/epilogue, the same branchless
+// coefficient loops and the same word-granular store elision; only the
+// lane width differs.
+
+// NarrowBits is the lane width of SubCmpNarrowBits: log2 t of every
+// served parameter set.
+const NarrowBits = 16
+
+// NarrowShift returns s = log2 q − NarrowBits, the number of coefficient
+// bits below the narrow lane, and whether SubCmpNarrowBits applies to
+// this ring at all: q must be a power of two of at least 2^NarrowBits.
+func (r *Ring) NarrowShift() (uint, bool) {
+	return r.narrowShift, r.narrowOK
+}
+
+// CutNarrow stores the narrow lanes of p, uint16(p[i] >> s), in top and
+// reports whether p's low part (below bit s, see NarrowShift) equals
+// low's at every coefficient: the precondition under which
+// SubCmpNarrowBits with this low row and these lanes sets exactly the
+// bits SubCmpMultiBits sets for p. The ring must satisfy NarrowShift.
+func (r *Ring) CutNarrow(p, low Poly, top []uint16) bool {
+	s, lm := r.narrowShift, r.lowMask
+	top, low = top[:len(p)], low[:len(p)]
+	var diff uint64
+	for i, c := range p {
+		top[i] = uint16(c >> s)
+		diff |= (c ^ low[i]) & lm
+	}
+	return diff == 0
+}
+
+// SubCmpNarrowBits sets bit base+i of bits[v] for every comparand v and
+// coefficient i with
+//
+//	D mod 2^s == low[i] mod 2^s   and   D >> s == top[v][i]
+//
+// where D = (a[i] - d[i]) mod q and s comes from NarrowShift. For
+// comparands rhs[v] that share low's low part and top[v] cut from them
+// (CutNarrow), the bits are exactly those SubCmpMultiBits sets for rhs.
+// Bits are only ever set; words with no hits are never written.
+//
+// The ring must satisfy NarrowShift. top and bits must have equal
+// length; d, low and every top[v] must have len(a) entries, and every
+// bits[v] must cover bits [base, base+len(a)).
+//
+//cm:hotpath
+func (r *Ring) SubCmpNarrowBits(a, d, low Poly, top [][]uint16, bits [][]uint64, base int) {
+	switch KernelPath(activeKernel.Load()) {
+	case KernelAVX512:
+		r.subCmpNarrowAsm(a, d, low, top, bits, base, true)
+	case KernelAVX2:
+		r.subCmpNarrowAsm(a, d, low, top, bits, base, false)
+	case KernelUnrolled:
+		r.subCmpNarrowUnrolled(a, d, low, top, bits, base)
+	default:
+		r.subCmpNarrowGeneric(a, d, low, top, bits, base)
+	}
+}
+
+// subCmpNarrowGeneric is the portable word-at-a-time reference: the
+// guard word and the 64 narrow differences of a block are computed
+// once, then each comparand folds its 64 lane compares into one word,
+// ANDed with the guard and stored only when some window hit.
+//
+//cm:hotpath
+func (r *Ring) subCmpNarrowGeneric(a, d, low Poly, top [][]uint16, bits [][]uint64, base int) {
+	n := len(a)
+	i := 0
+	if rem := base & 63; rem != 0 {
+		pro := min(64-rem, n)
+		r.subCmpNarrowScalar(a, d, low, top, bits, base, 0, pro)
+		i = pro
+	}
+	s, lm := r.narrowShift, r.lowMask
+	var diff [64]uint16
+	for ; i+64 <= n; i += 64 {
+		aa, dd, ll := a[i:i+64], d[i:i+64], low[i:i+64]
+		var g uint64
+		for k := range aa {
+			t := aa[k] - dd[k]
+			g |= eqMaskBit(t&lm, ll[k]&lm) << uint(k)
+			diff[k] = uint16(t >> s)
+		}
+		wi := (base + i) >> 6
+		for v, tv := range top {
+			tt := tv[i : i+64]
+			var w uint64
+			for k := range tt {
+				// A lane XOR is below 2^16, so subtracting 1 borrows
+				// into the top bit iff the lanes are equal.
+				w |= (uint64(diff[k]^tt[k]) - 1) >> 63 << uint(k)
+			}
+			w &= g
+			//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+			if w != 0 {
+				bits[v][wi] |= w
+			}
+		}
+	}
+	r.subCmpNarrowScalar(a, d, low, top, bits, base, i, n)
+}
+
+// lanes16Lo is the low 15 bits of each 16-bit lane of a uint64.
+const lanes16Lo = 0x7FFF_7FFF_7FFF_7FFF
+
+// zeroLanes16 returns a 4-bit word whose bit k is set iff 16-bit lane k
+// of x is zero, without branching: adding lanes16Lo to the low 15 bits
+// carries into a lane's top bit iff they are non-zero (never across
+// lanes), and the multiply gathers the four lane flags at bits 16k into
+// bits 48..51 with no overlapping partial products.
+//
+//cm:hotpath
+func zeroLanes16(x uint64) uint64 {
+	nz := (x&lanes16Lo + lanes16Lo) | x
+	z := ^nz >> 15 & 0x0001_0001_0001_0001
+	return z * (1<<48 | 1<<33 | 1<<18 | 1<<3) >> 48
+}
+
+// subCmpNarrowUnrolled is the portable SWAR path: the block's narrow
+// differences are packed four lanes to a uint64, and each comparand
+// compares four lanes per XOR (zeroLanes16), a quarter of the compares
+// of the generic path.
+//
+//cm:hotpath
+func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, bits [][]uint64, base int) {
+	n := len(a)
+	i := 0
+	if rem := base & 63; rem != 0 {
+		pro := min(64-rem, n)
+		r.subCmpNarrowScalar(a, d, low, top, bits, base, 0, pro)
+		i = pro
+	}
+	s, lm := r.narrowShift, r.lowMask
+	var diff [16]uint64
+	for ; i+64 <= n; i += 64 {
+		var g uint64
+		for k := 0; k < 64; k += 4 {
+			a4 := a[i+k : i+k+4 : i+k+4]
+			d4 := d[i+k : i+k+4 : i+k+4]
+			l4 := low[i+k : i+k+4 : i+k+4]
+			t0, t1, t2, t3 := a4[0]-d4[0], a4[1]-d4[1], a4[2]-d4[2], a4[3]-d4[3]
+			g |= (eqMaskBit(t0&lm, l4[0]&lm) |
+				eqMaskBit(t1&lm, l4[1]&lm)<<1 |
+				eqMaskBit(t2&lm, l4[2]&lm)<<2 |
+				eqMaskBit(t3&lm, l4[3]&lm)<<3) << uint(k)
+			diff[k>>2] = uint64(uint16(t0>>s)) | uint64(uint16(t1>>s))<<16 |
+				uint64(uint16(t2>>s))<<32 | uint64(uint16(t3>>s))<<48
+		}
+		wi := (base + i) >> 6
+		for v, tv := range top {
+			tt := tv[i : i+64 : i+64]
+			var w uint64
+			for k := 0; k < 16; k++ {
+				t4 := tt[4*k : 4*k+4 : 4*k+4]
+				x := uint64(t4[0]) | uint64(t4[1])<<16 | uint64(t4[2])<<32 | uint64(t4[3])<<48
+				w |= zeroLanes16(diff[k]^x) << uint(4*k)
+			}
+			w &= g
+			//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+			if w != 0 {
+				bits[v][wi] |= w
+			}
+		}
+	}
+	r.subCmpNarrowScalar(a, d, low, top, bits, base, i, n)
+}
+
+// subCmpNarrowScalar is the coefficient-at-a-time edge path of
+// SubCmpNarrowBits over coefficients [lo, hi), shared by every dispatch
+// path: the guard clears the coefficient's bit mask, and each comparand
+// ORs its masked verdict unconditionally.
+//
+//cm:hotpath
+func (r *Ring) subCmpNarrowScalar(a, d, low Poly, top [][]uint16, bits [][]uint64, base, lo, hi int) {
+	s, lm := r.narrowShift, r.lowMask
+	for i := lo; i < hi; i++ {
+		t := a[i] - d[i]
+		x := uint64(uint16(t >> s))
+		wi, m := bitsetWord(base + i)
+		m &= -eqMaskBit(t&lm, low[i]&lm)
+		for v, tv := range top {
+			bits[v][wi] |= m & -eqMaskBit(x, uint64(tv[i]))
+		}
+	}
+}

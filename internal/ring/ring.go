@@ -46,6 +46,12 @@ type Ring struct {
 	logQ    uint   // valid when qIsPow2
 	mask    uint64 // q-1 when qIsPow2
 
+	// narrowShift (log2 q − NarrowBits) and lowMask (2^narrowShift − 1)
+	// split a coefficient for SubCmpNarrowBits; valid when narrowOK.
+	narrowOK    bool
+	narrowShift uint
+	lowMask     uint64
+
 	// karatsubaThreshold is the sub-problem size below which Karatsuba
 	// recursion falls back to schoolbook multiplication.
 	karatsubaThreshold int
@@ -82,6 +88,11 @@ func New(n int, q uint64) (*Ring, error) {
 		r.mask = q - 1
 		if r.logQ > 63 {
 			return nil, errors.New("ring: power-of-two modulus must be at most 2^63")
+		}
+		if r.logQ >= NarrowBits {
+			r.narrowOK = true
+			r.narrowShift = r.logQ - NarrowBits
+			r.lowMask = 1<<r.narrowShift - 1
 		}
 	} else if q >= MaxGenericQ {
 		return nil, fmt.Errorf("ring: non-power-of-two modulus must be below 2^57, got %d", q)

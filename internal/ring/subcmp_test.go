@@ -198,6 +198,92 @@ func BenchmarkSubCmpMultiBits(b *testing.B) {
 			})
 		})
 	}
+	b.Run("dna_scan", benchDNAScanSweep)
+}
+
+// benchDNAScanSweep sweeps the bench's dna_scan geometry through both
+// compare kernels on every available path: 2 048 chunks of 1 024
+// coefficients at q = 2^32 and R = 32 comparands that share their low
+// bits, as a seeded query's do. The 16 MiB arena and 16 MiB token plane
+// are far larger than any cache, so one op is one DRAM-resident search
+// sweep and the reported MB/s is the stream rate over the two planes.
+//
+//	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$/dna_scan' ./internal/ring
+func benchDNAScanSweep(b *testing.B) {
+	const chunks, n, R = 2048, 1024, 32
+	r := MustNew(n, 1<<32)
+	src := rng.NewSourceFromString("dna-scan-sweep")
+	arena, plane := make(Poly, chunks*n), make(Poly, chunks*n)
+	for i := range arena {
+		arena[i], plane[i] = src.Uint64()&(1<<32-1), src.Uint64()&(1<<32-1)
+	}
+	low := r.NewPoly()
+	r.UniformPoly(src, low)
+	rhs := make([]Poly, R)
+	for v := range rhs {
+		rhs[v] = r.NewPoly()
+		r.UniformPoly(src, rhs[v])
+		for i := range rhs[v] {
+			rhs[v][i] = rhs[v][i]&^0xFFFF | low[i]&0xFFFF
+		}
+	}
+	top := narrowRows(r, rhs)
+	bits := make([][]uint64, R)
+	for v := range bits {
+		bits[v] = make([]uint64, chunks*n/64)
+	}
+	sweeps := []struct {
+		name string
+		run  func(a, d Poly, base int)
+	}{
+		{"wide", func(a, d Poly, base int) { r.SubCmpMultiBits(a, d, rhs, bits, base) }},
+		{"narrow", func(a, d Poly, base int) { r.SubCmpNarrowBits(a, d, low, top, bits, base) }},
+	}
+	for _, p := range AvailableKernels() {
+		for _, sw := range sweeps {
+			b.Run(p.String()+"/"+sw.name, func(b *testing.B) {
+				withKernel(b, p, func() {
+					b.SetBytes(2 * chunks * n * 8)
+					for i := 0; i < b.N; i++ {
+						for j := 0; j < chunks; j++ {
+							sw.run(arena[j*n:(j+1)*n], plane[j*n:(j+1)*n], j*n)
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkSubCmpNarrowBits is BenchmarkSubCmpMultiBits' per-path table
+// for the narrow kernel: the same L2-resident n = 4096 poly at q = 2^32
+// and the same comparand counts, in coefficients/sec.
+//
+//	go test -run '^$' -bench 'BenchmarkSubCmpNarrowBits$' ./internal/ring
+func BenchmarkSubCmpNarrowBits(b *testing.B) {
+	const n, maxR = 4096, 32
+	r, a, d, low, rhs := newNarrowCase(rng.NewSourceFromString("narrow-bench"), n, 1<<32, maxR)
+	top := narrowRows(r, rhs)
+	for _, p := range AvailableKernels() {
+		b.Run(p.String(), func(b *testing.B) {
+			withKernel(b, p, func() {
+				for _, R := range []int{1, 8, maxR} {
+					b.Run("R="+itoa(R), func(b *testing.B) {
+						bits := make([][]uint64, R)
+						for v := range bits {
+							bits[v] = make([]uint64, n/64)
+						}
+						b.SetBytes(2 * n * 8)
+						for i := 0; i < b.N; i++ {
+							r.SubCmpNarrowBits(a, d, low, top[:R], bits, 0)
+						}
+						coeffs := float64(n) * float64(R) * float64(b.N)
+						b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
+					})
+				}
+			})
+		})
+	}
 }
 
 func itoa(v int) string {
