@@ -281,7 +281,8 @@ var clientGeometries = []struct {
 // token plane is derived: one EncryptC0 per chunk, not one per
 // (residue, chunk), plus the closed-form RHS rows. warm prepares on a
 // client primed by one untimed query, so its memo already holds the
-// plane and only the pattern encryptions and RHS rows remain.
+// plane and only the phase encodings and RHS rows remain: a seeded
+// query encrypts nothing.
 func BenchmarkPrepareQuery(b *testing.B) {
 	for _, g := range clientGeometries {
 		cfg := Config{Params: ParamsPaper(), AlignBits: g.alignBits, Mode: ModeSeededMatch}

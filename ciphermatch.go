@@ -58,10 +58,11 @@ type (
 	Client = core.Client
 	// Server stores the encrypted database and runs addition-only search.
 	Server = core.Server
-	// Query is the encrypted query artifact: shift-variant patterns
-	// plus, in ModeSeededMatch, factored match tokens (a per-chunk
-	// DBTok plane and per-phase RHS comparands — chunks + phases
-	// polynomials on the wire, not one per residue per chunk).
+	// Query is the encrypted query artifact, carrying only what its mode
+	// ships: in ModeClientDecrypt the shift-variant pattern ciphertexts,
+	// in ModeSeededMatch the factored match tokens (a per-chunk DBTok
+	// plane and per-phase RHS comparands — chunks + phases polynomials
+	// on the wire, not one per residue per chunk) and no patterns.
 	Query = core.Query
 	// EncryptedDB is the packed, encrypted database.
 	EncryptedDB = core.EncryptedDB

@@ -12,9 +12,10 @@
 // The ring kernel dispatch path (generic | unrolled | avx2 | avx512) is
 // chosen at startup by CPU detection and forceable with CM_KERNEL; every
 // run prints the active path and the available ones so recorded numbers
-// are attributable. The per-path kernel table is a Go benchmark:
+// are attributable. The per-path kernel tables are a Go benchmark: the
+// 64-bit compare and the 16-bit one the CPU engine runs:
 //
-//	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$' ./internal/ring
+//	go test -run '^$' -bench '^BenchmarkSubCmp(MultiBits|NarrowBits)$' ./internal/ring
 //
 // Measured serving performance lives in the bench/ module, whose metric
 // names BENCHMARK.json declares:

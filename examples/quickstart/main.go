@@ -35,14 +35,15 @@ func main() {
 		len(data), len(db.Chunks), db.SizeBytes(cfg.Params),
 		float64(db.SizeBytes(cfg.Params))/float64(len(data)))
 
-	// Client side: negate, replicate and shift the query; build match
-	// tokens from the seed.
+	// Client side: negate, replicate and shift the query into one RHS row
+	// per phase; the chunks' match tokens come from the seed, and no
+	// pattern is encrypted.
 	q, err := client.PrepareQuery(needle, len(needle)*8, dbBits)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("query: %q (%d bits), %d shift variants, %d pattern ciphertexts\n",
-		needle, len(needle)*8, len(q.Residues), len(q.Patterns))
+	fmt.Printf("query: %q (%d bits), %d shift variants, %d RHS rows\n",
+		needle, len(needle)*8, len(q.Residues), len(q.RHS))
 
 	// Server side: homomorphic additions + index generation. The server
 	// never sees keys or plaintext.

@@ -79,9 +79,17 @@ type Client struct {
 	enc       *bfv.Encoder
 	encryptor *bfv.Encryptor
 	decryptor *bfv.Decryptor
-	ev        *bfv.Evaluator
 	ring      *ring.Ring
 	src       *rng.Source
+
+	// mask is the token mask M (ModeSeededMatch only): a read-only
+	// uniform polynomial drawn once per client seed, not per query, that
+	// blinds both halves of the token representation; sharing it lets
+	// batch deduplication share one DBTok plane between members. M is one
+	// pad, so differences cancel it: RHS[p1]−RHS[p2] = Δ·(patPT[p2]−
+	// patPT[p1]), and DBTok[j1]−DBTok[j2] with the stored chunks gives
+	// Δ·(m_j1−m_j2) (DESIGN.md §4.3: what the server can and cannot learn).
+	mask ring.Poly
 
 	// tokMu guards tokRows, the token-plane memo (ModeSeededMatch only):
 	// tokRows[j] = EncryptC0(t−1, chunk j's source) − M for every chunk
@@ -100,15 +108,19 @@ func NewClient(cfg Config, src *rng.Source) (*Client, error) {
 		return nil, err
 	}
 	sk, pk := bfv.KeyGen(cfg.Params, src.Fork("keygen"))
-	return &Client{
+	c := &Client{
 		cfg:       cfg,
 		enc:       bfv.NewEncoder(cfg.Params),
 		encryptor: bfv.NewEncryptor(cfg.Params, pk),
 		decryptor: bfv.NewDecryptor(cfg.Params, sk),
-		ev:        bfv.NewEvaluator(cfg.Params),
 		ring:      cfg.Params.Ring(),
 		src:       src,
-	}, nil
+	}
+	if cfg.Mode == ModeSeededMatch {
+		c.mask = c.ring.NewPoly()
+		c.ring.UniformPoly(c.querySource().Fork("token-mask"), c.mask)
+	}
+	return c, nil
 }
 
 // Config returns the client's configuration.
@@ -247,12 +259,12 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 	db.BitLen, db.NumSegments = bitLen, len(segs)
 	// Rows below have are not derived here: the memo holds them, or,
 	// outside ModeSeededMatch, there is no memo.
-	have, rows, mask := len(pts), []ring.Poly(nil), ring.Poly(nil)
+	have, rows := len(pts), []ring.Poly(nil)
 	if c.cfg.Mode == ModeSeededMatch {
 		c.tokMu.Lock()
 		have = min(len(c.tokRows), len(pts))
 		c.tokMu.Unlock()
-		rows, mask = c.newRows(len(pts)-have), c.tokenMask()
+		rows = c.newRows(len(pts) - have)
 	}
 	dbSrc := c.dbSource()
 	forEach(len(pts), func(j int) {
@@ -262,7 +274,7 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 			for i := range m {
 				m[i] = p.T - 1 - m[i]
 			}
-			c.ring.Sub(db.Chunks[j].C[0], mask, rows[j-have])
+			c.ring.Sub(db.Chunks[j].C[0], c.mask, rows[j-have])
 			c.ring.MulScalarAdd(m, p.Delta(), rows[j-have])
 		}
 	})
@@ -289,8 +301,9 @@ func (c *Client) newRows(k int) []ring.Poly {
 }
 
 // Query is the encrypted query artifact sent to the server (Algorithm 1,
-// lines 4-9): the negated, replicated query at every required shift
-// alignment, plus (in ModeSeededMatch) the factored match tokens
+// lines 4-9). It carries only what its mode ships: in ModeClientDecrypt
+// the negated, replicated query encrypted at every required shift
+// alignment (Patterns), in ModeSeededMatch the factored match tokens
 // (DBTok/RHS).
 type Query struct {
 	YBits     int
@@ -303,9 +316,8 @@ type Query struct {
 	// Patterns maps phase psi -> encrypted negated replicated query
 	// pattern. The pattern for (variant s, chunk j) has phase
 	// psi = (16·n·j - s) mod y; variants share pattern ciphertexts with
-	// equal phase. Required by the client-decrypt path (Server.Search);
-	// seeded-match queries carry them in-process for diagnostics but
-	// never ship them (the fused kernels run entirely on DBTok/RHS).
+	// equal phase. ModeClientDecrypt only (Server.Search): nil in
+	// ModeSeededMatch, whose kernels run entirely on DBTok/RHS.
 	Patterns map[int]*bfv.Ciphertext
 	// DBTok is the per-chunk token plane:
 	// DBTok[j] = EncryptC0(allOnes, chunk j's source) - M, residue-
@@ -315,8 +327,7 @@ type Query struct {
 	// preparing client's memo rows, shared by all of its queries: they
 	// are read-only.
 	DBTok []ring.Poly
-	// RHS maps phase psi -> the comparand
-	// RHS[psi] = patC0(psi) - Patterns[psi].C[0] + M = M - Δ·pt(psi),
+	// RHS maps phase psi -> the comparand RHS[psi] = M - Δ·pt(psi),
 	// pt(psi) the pattern plaintext of phase psi. A window of chunk
 	// j hits variant s iff (c0[i] - DBTok[j][i]) mod q == RHS[psi][i]
 	// with psi = PatternPhase(n, j, s, y). The mask M keeps the server
@@ -330,10 +341,9 @@ type Query struct {
 func (q *Query) HasTokens() bool { return q.DBTok != nil }
 
 // SizeBytes returns the total bytes the client ships to the server for
-// this query. Seeded-match queries ship only the DBTok plane and the
-// per-phase RHS polynomials — the kernels never touch pattern
-// ciphertexts, so they stay home; client-decrypt queries ship their
-// pattern ciphertexts.
+// this query: the DBTok plane and the per-phase RHS polynomials of a
+// seeded-match query, or the pattern ciphertexts of a client-decrypt
+// one.
 func (q *Query) SizeBytes(p bfv.Params) int64 {
 	if q.HasTokens() {
 		return int64(len(q.DBTok)+len(q.RHS)) * int64(p.N*p.QBytes())
@@ -429,7 +439,8 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	}
 
 	// Encode every distinct pattern phase once, serially because encoding
-	// can fail, then encrypt the phases in parallel.
+	// can fail. A seeded query turns the plaintexts into RHS rows; a
+	// client-decrypt query encrypts them, in parallel.
 	phases := patternPhases(n, numChunks, y, q.Residues)
 	pts := make([]*bfv.Plaintext, len(phases))
 	for i, psi := range phases {
@@ -437,6 +448,10 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 		if pts[i], err = c.enc.EncodeUint16(buildPatternSegments(query, y, psi, n)); err != nil {
 			return nil, err
 		}
+	}
+	if c.cfg.Mode == ModeSeededMatch {
+		c.buildFactoredTokens(q, phases, pts)
+		return q, nil
 	}
 	querySrc := c.querySource()
 	patterns := make([]*bfv.Ciphertext, len(phases))
@@ -447,10 +462,6 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	for i, psi := range phases {
 		q.Patterns[psi] = patterns[i]
 	}
-
-	if c.cfg.Mode == ModeSeededMatch {
-		c.buildFactoredTokens(q, phases, pts)
-	}
 	return q, nil
 }
 
@@ -458,20 +469,6 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 // client-prep tests use it to pin one derivation per chunk the memo
 // lacks (not one per chunk per residue, and none per phase).
 var encryptC0Calls atomic.Int64
-
-// tokenMask derives the client's token mask M: a uniform polynomial,
-// deterministic per client seed (not per query), that blinds both halves
-// of the token representation. Sharing M across a client's queries is
-// what lets batch deduplication share one DBTok plane between members.
-// M is one pad, so differences cancel it: RHS[p1]−RHS[p2] equals
-// Δ·(patPT[p2]−patPT[p1]), and DBTok[j1]−DBTok[j2] combined with the
-// stored chunks gives Δ·(m_j1−m_j2) — see DESIGN.md §4.3 for what the
-// server can and cannot learn.
-func (c *Client) tokenMask() ring.Poly {
-	m := c.ring.NewPoly()
-	c.ring.UniformPoly(c.querySource().Fork("token-mask"), m)
-	return m
-}
 
 // buildFactoredTokens computes the factored form of the "encrypted match
 // polynomial" of §4.2.2 for the pattern plaintexts pts of phases. The
@@ -488,18 +485,17 @@ func (c *Client) tokenMask() ring.Poly {
 //
 // patC0 and pattern.C0 draw the same u and e0 from the pattern's source,
 // so they differ by exactly Δ·pt and RHS[psi] = M − Δ·pt[psi] (DESIGN.md
-// §4.3): only the DBTok rows need an encryption, and those come from
-// the client's token-plane memo (tokenPlane). M is the client's token
-// mask; without it RHS would equal −Δ·pt and hand the server the query
-// plaintext.
+// §4.3): no pattern is encrypted, and only the DBTok rows need an
+// encryption, which come from the client's token-plane memo
+// (tokenPlane). M is the client's token mask; without it RHS would equal
+// −Δ·pt and hand the server the query plaintext.
 func (c *Client) buildFactoredTokens(q *Query, phases []int, pts []*bfv.Plaintext) {
 	q.DBTok = c.tokenPlane(q.NumChunks)
-	mask := c.tokenMask()
 	q.RHS = make(map[int]ring.Poly, len(phases))
 	for k, psi := range phases {
 		row := c.ring.NewPoly()
 		c.ring.MulScalar(pts[k].Coeffs, c.cfg.Params.Delta(), row)
-		c.ring.Sub(mask, row, row)
+		c.ring.Sub(c.mask, row, row)
 		q.RHS[psi] = row
 	}
 }
@@ -515,12 +511,12 @@ func (c *Client) tokenPlane(numChunks int) []ring.Poly {
 		for i := range onesPT.Coeffs {
 			onesPT.Coeffs[i] = c.cfg.Params.T - 1
 		}
-		mask, dbSrc := c.tokenMask(), c.dbSource()
+		dbSrc := c.dbSource()
 		rows := c.newRows(numChunks - have)
 		forEach(len(rows), func(i int) {
 			encryptC0Calls.Add(1)
 			c.encryptor.EncryptC0To(onesPT, dbSrc.ForkIndexed("chunk", have+i), rows[i])
-			c.ring.Sub(rows[i], mask, rows[i])
+			c.ring.Sub(rows[i], c.mask, rows[i])
 		})
 		c.tokRows = append(c.tokRows, rows...)
 	}

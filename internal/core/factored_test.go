@@ -195,7 +195,7 @@ func TestTokenPlaneDerivations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mask := ref.tokenMask()
+			mask := ref.mask
 			check := func(what string, plane []ring.Poly) {
 				t.Helper()
 				for j, got := range plane {
@@ -298,9 +298,11 @@ func TestQueryPlaneHeaderIsOwn(t *testing.T) {
 }
 
 // TestRHSClosedForm pins the RHS rows to both of their derivations: the
-// encryption-based definition EncryptC0(0, src_psi) − Patterns[psi].C[0]
-// + M, and the closed form M − Δ·pt_psi the client computes, on a
-// power-of-two and an odd modulus.
+// encryption-based definition EncryptC0(0, src_psi) − pattern_psi.C[0]
+// + M, with pattern_psi = Encrypt(pt_psi, src_psi) encrypted here from
+// the fork a client-decrypt query draws it from, and the closed form
+// M − Δ·pt_psi the client computes, on a power-of-two and an odd
+// modulus.
 func TestRHSClosedForm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -317,22 +319,24 @@ func TestRHSClosedForm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(q.RHS) == 0 || len(q.RHS) != len(q.Patterns) {
-				t.Fatalf("%d RHS rows for %d patterns", len(q.RHS), len(q.Patterns))
+			phases := patternPhases(tc.p.N, q.NumChunks, q.YBits, q.Residues)
+			if len(q.RHS) == 0 || len(q.RHS) != len(phases) {
+				t.Fatalf("%d RHS rows for %d pattern phases", len(q.RHS), len(phases))
 			}
-			r, mask := client.ring, client.tokenMask()
+			r, mask := client.ring, client.mask
 			zero, err := client.enc.Encode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for psi, got := range q.RHS {
-				def := client.encryptor.EncryptC0(zero, client.querySource().ForkIndexed("pattern", psi))
-				r.Sub(def, q.Patterns[psi].C[0], def)
-				r.Add(def, mask, def)
 				pt, err := client.enc.EncodeUint16(buildPatternSegments(query, q.YBits, psi, tc.p.N))
 				if err != nil {
 					t.Fatal(err)
 				}
+				src := func() *rng.Source { return client.querySource().ForkIndexed("pattern", psi) }
+				def := client.encryptor.EncryptC0(zero, src())
+				r.Sub(def, client.encryptor.Encrypt(pt, src()).C[0], def)
+				r.Add(def, mask, def)
 				closed := r.NewPoly()
 				r.MulScalar(pt.Coeffs, tc.p.Delta(), closed)
 				r.Sub(mask, closed, closed)

@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,35 +17,55 @@ import (
 )
 
 // TestCiphertextGoldenDigest pins the bytes a client produces for a fixed
-// seed: the EncryptDatabase arena, then a PrepareQuery's DBTok plane and
-// RHS polynomials (ascending phase). Stored segments and a returning
-// client's token re-derivation both depend on these exact values, so a
-// faster ring product or sampler must leave every coefficient unchanged.
-// Each case runs at GOMAXPROCS 1 (every item inline) and 4 (the client's
-// parallel fan-out), which must agree byte for byte.
+// seed: the EncryptDatabase arena, then a PrepareQuery's shipped
+// artifacts (clientDigest), in ModeSeededMatch and in ModeClientDecrypt.
+// Stored segments and a returning client's token re-derivation both
+// depend on these exact values, so a faster ring product or sampler must
+// leave every coefficient unchanged. Each case runs at GOMAXPROCS 1
+// (every item inline) and 4 (the client's parallel fan-out), which must
+// agree byte for byte. The two modes' clients of one seed are twins:
+// their arenas are byte-identical, which is what lets the oracle tests
+// take a seeded database's ground truth from a client-decrypt client.
 func TestCiphertextGoldenDigest(t *testing.T) {
 	cases := []struct {
-		name   string
-		params bfv.Params
-		dbLen  int
-		want   string
+		name            string
+		params          bfv.Params
+		dbLen           int
+		seeded, decrypt string
 	}{
-		{"paper", bfv.ParamsPaper(), 4096, "62b91a316e18cd8f396dc70bc8f325dc4cdbc964be4a937b67e30f71a3023294"},
-		{"toy", bfv.ParamsToy(), 512, "70ff02442e7c0d5be334b5fc4914841df63ea3a8157f139a128240664bd71b7c"},
-		{"oddq", bfv.ParamsOddQ(), 512, "877f581a80a06a437c71482b5dd2acd909896c894f732f1bd06fd50bd2274206"},
+		{"paper", bfv.ParamsPaper(), 4096,
+			"62b91a316e18cd8f396dc70bc8f325dc4cdbc964be4a937b67e30f71a3023294",
+			"0552fb482ef2979bbceda52877f6f64e604b11f12c3761b4d096647912dfd1ed"},
+		{"toy", bfv.ParamsToy(), 512,
+			"70ff02442e7c0d5be334b5fc4914841df63ea3a8157f139a128240664bd71b7c",
+			"3f01f7c66ffef83584ac110d92d6e6815776626bc63ecb3c38ffedc014ba3ad2"},
+		{"oddq", bfv.ParamsOddQ(), 512,
+			"877f581a80a06a437c71482b5dd2acd909896c894f732f1bd06fd50bd2274206",
+			"636c32ac5a30b5e2fd301fdcdc4b545d53bf6268d6bbd4d2e6be22685a7eb795"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, procs := range []int{1, 4} {
 				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					cfg := Config{Params: tc.params, AlignBits: 8, Mode: ModeSeededMatch}
-					client, err := NewClient(cfg, rng.NewSourceFromString("golden-"+tc.name))
-					if err != nil {
-						t.Fatal(err)
+					var arenas [][]uint64
+					for _, m := range []struct {
+						name, want string
+						mode       IndexMode
+					}{{"seeded", tc.seeded, ModeSeededMatch}, {"client-decrypt", tc.decrypt, ModeClientDecrypt}} {
+						cfg := Config{Params: tc.params, AlignBits: 8, Mode: m.mode}
+						client, err := NewClient(cfg, rng.NewSourceFromString("golden-"+tc.name))
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, arena := clientDigest(t, client, tc.dbLen)
+						if got != m.want {
+							t.Fatalf("%s: client ciphertext bytes changed: sha256 %s, golden %s", m.name, got, m.want)
+						}
+						arenas = append(arenas, arena)
 					}
-					if got := clientDigest(t, client, tc.dbLen); got != tc.want {
-						t.Fatalf("client ciphertext bytes changed: sha256 %s, golden %s", got, tc.want)
+					if !slices.Equal(arenas[0], arenas[1]) {
+						t.Fatal("seeded and client-decrypt clients of one seed encrypt different arenas")
 					}
 				})
 			}
@@ -53,26 +74,35 @@ func TestCiphertextGoldenDigest(t *testing.T) {
 }
 
 // clientDigest encrypts dbLen fixed bytes and prepares a fixed 32-bit
-// query over them, and returns the SHA-256 of the database arena, the
-// DBTok plane and the RHS rows in ascending phase.
-func clientDigest(t *testing.T, client *Client, dbLen int) string {
+// query over them. It returns the database arena and the SHA-256 of
+// the arena, then of what the query ships: the DBTok plane and the RHS
+// rows in ModeSeededMatch, each phase's pattern ciphertext (C0, C1) in
+// ModeClientDecrypt, in ascending phase.
+func clientDigest(t *testing.T, client *Client, dbLen int) (string, []uint64) {
 	t.Helper()
 	data := make([]byte, dbLen)
 	rng.NewSourceFromString("golden-data").Bytes(data)
 	db, err := client.EncryptDatabase(data, 8*len(data))
 	if err != nil {
 		t.Error(err)
-		return ""
+		return "", nil
 	}
 	q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 8*len(data))
 	if err != nil {
 		t.Error(err)
-		return ""
+		return "", nil
 	}
 	h := sha256.New()
 	putCoeffs(h, db.Arena())
-	putQuery(h, q)
-	return fmt.Sprintf("%x", h.Sum(nil))
+	if client.cfg.Mode == ModeSeededMatch {
+		putQuery(h, q)
+	} else {
+		for _, psi := range slices.Sorted(maps.Keys(q.Patterns)) {
+			putCoeffs(h, q.Patterns[psi].C[0])
+			putCoeffs(h, q.Patterns[psi].C[1])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)), db.Arena()
 }
 
 // putQuery hashes q's DBTok plane, then its RHS rows in ascending phase.
@@ -80,12 +110,7 @@ func putQuery(h hash.Hash, q *Query) {
 	for _, tok := range q.DBTok {
 		putCoeffs(h, tok)
 	}
-	phases := make([]int, 0, len(q.RHS))
-	for psi := range q.RHS {
-		phases = append(phases, psi)
-	}
-	sort.Ints(phases)
-	for _, psi := range phases {
+	for _, psi := range slices.Sorted(maps.Keys(q.RHS)) {
 		putCoeffs(h, q.RHS[psi])
 	}
 }
@@ -104,7 +129,7 @@ func TestClientConcurrentPrepare(t *testing.T) {
 	var want string
 	func() {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		want = clientDigest(t, client, dbLen)
+		want, _ = clientDigest(t, client, dbLen)
 	}()
 	const workers = 4
 	got := make([]string, workers)
@@ -113,7 +138,7 @@ func TestClientConcurrentPrepare(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = clientDigest(t, client, dbLen)
+			got[g], _ = clientDigest(t, client, dbLen)
 		}()
 	}
 	wg.Wait()
@@ -140,7 +165,7 @@ func TestClientConcurrentPrepare(t *testing.T) {
 	wg.Add(len(lens) + 1)
 	go func() {
 		defer wg.Done()
-		gotDB = clientDigest(t, cold, dbLen)
+		gotDB, _ = clientDigest(t, cold, dbLen)
 	}()
 	for i, l := range lens {
 		go func() {

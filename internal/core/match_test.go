@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -271,6 +272,12 @@ func TestQueryValidation(t *testing.T) {
 	q2, _ := client.PrepareQuery([]byte{0xFF, 0x00}, 16, 128)
 	if _, err := server.SearchAndIndex(q2); err == nil {
 		t.Error("SearchAndIndex accepted query without tokens")
+	}
+
+	seeded, _ := NewClient(Config{Params: cfg.Params, Mode: ModeSeededMatch}, rng.NewSourceFromString("qv"))
+	q3, _ := seeded.PrepareQuery([]byte{0xFF, 0x00}, 16, 128)
+	if _, err := server.Search(q3); err == nil || !strings.Contains(err.Error(), "SearchAndIndex") {
+		t.Errorf("Search on a seeded query: error %v, want one naming SearchAndIndex", err)
 	}
 }
 

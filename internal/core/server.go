@@ -1,15 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/ring"
 )
-
-func errMissingPhase(psi int) error {
-	return fmt.Errorf("core: query missing pattern phase %d", psi)
-}
 
 // Stats accumulates the operation counts of a search; the performance model
 // (internal/perfmodel) consumes these to compose end-to-end latency.
@@ -76,9 +73,9 @@ type SearchResult struct {
 }
 
 // Search performs the homomorphic additions of Algorithm 1 line 10 and
-// returns the result ciphertexts for client-side index generation. This
-// path ships ciphertexts back to the client, so it always runs on the
-// CPU regardless of the configured engine.
+// returns the result ciphertexts for client-side index generation
+// (ModeClientDecrypt only). This path ships ciphertexts back to the
+// client, so it always runs on the CPU regardless of the engine.
 func (s *Server) Search(q *Query) (*SearchResult, error) {
 	if err := s.checkQuery(q); err != nil {
 		return nil, err
@@ -91,7 +88,7 @@ func (s *Server) Search(q *Query) (*SearchResult, error) {
 			psi := PatternPhase(n, j, res, q.YBits)
 			pattern, ok := q.Patterns[psi]
 			if !ok {
-				return nil, errMissingPhase(psi)
+				return nil, fmt.Errorf("core: query missing pattern phase %d", psi)
 			}
 			sum := s.ev.Add(chunk, pattern)
 			row[j] = sum
@@ -143,5 +140,8 @@ func (s *Server) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error) {
 }
 
 func (s *Server) checkQuery(q *Query) error {
+	if q.Patterns == nil && q.HasTokens() {
+		return errors.New("core: a seeded-match query carries no pattern ciphertexts; search it with SearchAndIndex")
+	}
 	return validateSearchQuery(s.db, q, s.params.N, false)
 }

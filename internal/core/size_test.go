@@ -8,10 +8,10 @@ import (
 )
 
 // TestQuerySizeAccounting pins down the communication-volume arithmetic:
-// client-decrypt queries ship one ciphertext per pattern phase;
-// seeded-match queries ship the factored tokens only — one polynomial
-// per chunk (DBTok) plus one per phase (RHS), pattern ciphertexts
-// staying home.
+// client-decrypt queries ship one ciphertext per pattern phase and carry
+// no tokens; seeded-match queries ship the factored tokens only — one
+// polynomial per chunk (DBTok) plus one per phase (RHS) — and carry no
+// pattern ciphertexts.
 func TestQuerySizeAccounting(t *testing.T) {
 	p := bfv.ParamsToy()
 	dbBits := 2048 // 2 toy chunks
@@ -23,6 +23,9 @@ func TestQuerySizeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if q1.DBTok != nil || q1.RHS != nil {
+		t.Fatal("ClientDecrypt query carries match tokens")
+	}
 	wantPatterns := int64(len(q1.Patterns)) * int64(p.CiphertextBytes())
 	if got := q1.SizeBytes(p); got != wantPatterns {
 		t.Fatalf("ClientDecrypt query size = %d, want %d", got, wantPatterns)
@@ -33,6 +36,9 @@ func TestQuerySizeAccounting(t *testing.T) {
 	q2, err := c2.PrepareQuery([]byte{0xAA, 0xBB}, 16, dbBits)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q2.Patterns != nil {
+		t.Fatal("SeededMatch query carries pattern ciphertexts")
 	}
 	wantFactored := int64(len(q2.DBTok)+len(q2.RHS)) * polyBytes
 	if got := q2.SizeBytes(p); got != wantFactored {

@@ -277,7 +277,10 @@ func TestEngineBatchConformance(t *testing.T) {
 // engine's seeded-match bitmaps (the CPU engines' 16-bit
 // ring.SubCmpNarrowBits, the in-flash engine's bit-serial sweep) must
 // equal the client-decrypt bitmaps (Server.Search result ciphertexts
-// decrypted and compared against t-1 by ExtractHits). This pins the
+// decrypted and compared against t-1 by ExtractHits). The ground truth
+// comes from a ModeClientDecrypt twin of the seeded client: one seed
+// gives both the same keys and a byte-identical database, and the twin
+// never builds tokens. This pins the
 // kernels to the cryptographic ground truth, not just to each other,
 // on every available kernel path and at two moduli: ParamsToy's 2^32
 // (16 bits below Δ) and ParamsN2048's 2^54 (38).
@@ -287,6 +290,12 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 		t.Run(fmt.Sprintf("q=2^%d", bits.TrailingZeros64(params.Q)), func(t *testing.T) {
 			cfg := core.Config{Params: params, AlignBits: v.align, Mode: core.ModeSeededMatch}
 			client, err := core.NewClient(cfg, rng.NewSourceFromString("decrypt-conf"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twinCfg := cfg
+			twinCfg.Mode = core.ModeClientDecrypt
+			twin, err := core.NewClient(twinCfg, rng.NewSourceFromString("decrypt-conf"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,14 +314,17 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Client-decrypt ground truth: homomorphic sums shipped back and
-			// decrypted, windows compared against the match value t-1.
-			server := core.NewServer(cfg.Params, edb)
-			sr, err := server.Search(q)
+			// Client-decrypt ground truth: the twin's homomorphic sums shipped
+			// back and decrypted, windows compared against the match value t-1.
+			tq, err := twin.PrepareQuery(v.query, v.queryBits, v.dbBits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := client.ExtractHits(q, sr)
+			sr, err := core.NewServer(cfg.Params, edb).Search(tq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := twin.ExtractHits(tq, sr)
 			for _, kp := range ring.AvailableKernels() {
 				withKernel(t, kp, func() {
 					for _, spec := range conformanceSpecs {

@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"ciphermatch/internal/bfv"
+	"ciphermatch/internal/flash"
 	"ciphermatch/internal/perfmodel"
 	"ciphermatch/internal/ssd"
 )
@@ -83,13 +83,11 @@ func runTable3(m *perfmodel.Model) (*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("derived Tbit_add differs from the paper's rounded value by %v (TDMA rounding)",
-				(flashPaperTBitAdd - tm.BitAdd()).Abs()),
+				(flash.PaperTBitAdd - tm.BitAdd()).Abs()),
 		},
 	}
 	return t, nil
 }
-
-const flashPaperTBitAdd = 29380 * time.Nanosecond
 
 func runOverhead(m *perfmodel.Model) (*Table, error) {
 	drive, err := ssd.New(m.SSD, bfv.ParamsPaper(), ssd.SoftwareTransposition)

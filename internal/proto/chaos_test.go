@@ -53,11 +53,7 @@ func newChaosFixture(t *testing.T, p bfv.Params) *chaosFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := core.NewServer(p, db).Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := core.Candidates(client.ExtractHits(q, sr), q.DBBitLen, q.YBits, q.AlignBits)
+		want := decryptTruth(t, p, "chaos-client", db, pat, 32)
 		if len(want) == 0 {
 			t.Fatalf("chaos fixture %s: vacuous ground truth", seed)
 		}

@@ -19,14 +19,15 @@ import (
 // conformance tests pin to), not just from another engine.
 type durableTenant struct {
 	*tenant
-	clientWant []int // candidates derived via Server.Search + ExtractHits
+	clientWant []int // candidates derived by decryptTruth
 	batch      []*core.Query
 }
 
 func newDurableTenant(t *testing.T, p bfv.Params, name string, spec core.EngineSpec, dbBytes, plantAt int) *durableTenant {
 	t.Helper()
+	seed := "tenant-" + name
 	cfg := core.Config{Params: p, AlignBits: 8, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("tenant-"+name))
+	client, err := core.NewClient(cfg, rng.NewSourceFromString(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +44,7 @@ func newDurableTenant(t *testing.T, p bfv.Params, name string, spec core.EngineS
 	if tn.q, err = client.PrepareQuery(tn.query, 32, dbBytes*8); err != nil {
 		t.Fatal(err)
 	}
-	// Cryptographic ground truth, as in TestEngineHitsMatchClientDecrypt:
-	// result ciphertexts shipped back, decrypted, compared against t-1.
-	sr, err := core.NewServer(p, tn.db).Search(tn.q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := client.ExtractHits(tn.q, sr)
-	want := core.Candidates(hits, tn.q.DBBitLen, tn.q.YBits, tn.q.AlignBits)
+	want := decryptTruth(t, p, seed, tn.db, tn.query, 32)
 	if len(want) == 0 {
 		t.Fatalf("tenant %s: vacuous fixture", name)
 	}
@@ -64,6 +58,30 @@ func newDurableTenant(t *testing.T, p bfv.Params, name string, spec core.EngineS
 	}
 	tn.expect = want
 	return &durableTenant{tenant: tn, clientWant: want, batch: []*core.Query{tn.q, second, dup}}
+}
+
+// decryptTruth is the cryptographic ground truth, as in
+// TestEngineHitsMatchClientDecrypt: the candidates of query over db on
+// the client-decrypt path. The ModeClientDecrypt client of the seed
+// label that encrypted db is its owner's twin (same keys, byte-identical
+// database); its pattern ciphertexts are added homomorphically by
+// Server.Search, and it decrypts the sums and compares windows against
+// t-1.
+func decryptTruth(t *testing.T, p bfv.Params, seed string, db *core.EncryptedDB, query []byte, queryBits int) []int {
+	t.Helper()
+	twin, err := core.NewClient(core.Config{Params: p, AlignBits: 8, Mode: core.ModeClientDecrypt}, rng.NewSourceFromString(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := twin.PrepareQuery(query, queryBits, db.BitLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := core.NewServer(p, db).Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Candidates(twin.ExtractHits(q, sr), q.DBBitLen, q.YBits, q.AlignBits)
 }
 
 func assertCandidates(t *testing.T, label string, got, want []int) {

@@ -417,8 +417,9 @@ const factoredSentinel = ^uint32(0)
 const factoredWireVersion = 1
 
 // EncodeQuery serialises a seeded-match query: metadata, the DBTok
-// plane and the per-phase RHS polynomials. Pattern ciphertexts are NOT
-// shipped — seeded-match index generation runs entirely on DBTok/RHS.
+// plane and the per-phase RHS polynomials. A seeded-match query carries
+// no pattern ciphertexts: its index generation runs entirely on
+// DBTok/RHS.
 // Map-backed sections are emitted in sorted key order, so the same
 // query always encodes to the same bytes — the property batch-level
 // deduplication and any caching keyed on encodings rely on.
