@@ -12,8 +12,9 @@
 // The ring kernel dispatch path (generic | unrolled | avx2 | avx512) is
 // chosen at startup by CPU detection and forceable with CM_KERNEL; every
 // run prints the active path and the available ones so recorded numbers
-// are attributable. The per-path kernel tables are a Go benchmark: the
-// 64-bit compare and the 16-bit one the CPU engine runs:
+// are attributable. The per-path table of the 16-bit compare the CPU
+// engine runs, and the rows of its one-loop 64-bit reference, are a Go
+// benchmark:
 //
 //	go test -run '^$' -bench '^BenchmarkSubCmp(MultiBits|NarrowBits)$' ./internal/ring
 //

@@ -31,10 +31,12 @@ func allocFixture(t *testing.T, n int, q uint64, numRHS int) (*Ring, Poly, Poly,
 	return r, a, d, rhs, bits
 }
 
-// The pins run under every available dispatch path (generic, unrolled,
-// and avx2 where the host supports it): the unrolled path must not let
-// a re-slice escape, and the assembly drivers' 64-word stack buffers
-// must stay stack-allocated (//go:noescape on the stubs).
+// SubCmpNarrowBits' pin (narrow_test.go) runs under every available
+// dispatch path: the unrolled path must not let a re-slice escape, and
+// the assembly driver's 64-word stack buffer must stay stack-allocated
+// (//go:noescape on the stubs). SubCmpMultiBits and CmpEqScalarBits run
+// one loop whatever the active path; their pins keep one row per path,
+// which costs microseconds and shows that no path setting reaches them.
 
 func TestSubCmpMultiBitsZeroAllocs(t *testing.T) {
 	for _, p := range AvailableKernels() {

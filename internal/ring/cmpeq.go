@@ -7,7 +7,7 @@ package ring
 // coefficient, packed 64 windows per word. Words with no hits are never
 // written, so a miss-dominated scan is a pure read stream.
 //
-// Unlike SubCmpMultiBits, the scalar kernel does not dispatch across
+// Like SubCmpMultiBits, the scalar kernel does not dispatch across
 // kernel paths (kernel.go): it is one generic loop. The coefficient
 // loops are branchless by policy (cmvet's ctbranch analyzer), and an
 // unaligned base gets a scalar prologue up to the word boundary instead

@@ -1,27 +1,25 @@
 package ring
 
 // This file is the kernel dispatch layer of ROADMAP item 1: the hot
-// compare kernels — SubCmpNarrowBits, the CPU engine's 16-bit compare,
-// and SubCmpMultiBits, its 64-bit form — each exist in four
-// implementations behind one API, selected once at process start and
-// swappable at runtime for tests and benchmarks:
+// compare kernel SubCmpNarrowBits, the CPU engine's 16-bit compare,
+// exists in four implementations behind one API, selected once at
+// process start and swappable at runtime for tests and benchmarks:
 //
 //	generic   the committed portable baseline: word-at-a-time with
 //	          range loops — the reference every other path must match
 //	          bit for bit (FuzzKernelPaths, TestKernelPathsBitIdentical)
-//	unrolled  the multi-lane portable rewrite: 8 coefficients per
-//	          iteration with explicit slice re-slicing so the compiler
-//	          elides bounds checks, slice headers hoisted out of the
-//	          coefficient loops; the narrow kernel compares four 16-bit
-//	          lanes per uint64 XOR (SWAR)
-//	avx2      amd64 assembly block primitives (kernel_amd64.s), 4
-//	          coefficient lanes per vector op (16 narrow lanes);
-//	          present only on amd64 with OS-enabled AVX2
-//	avx512    amd64 fused block primitive: each 64-coefficient
-//	          difference block stays in ZMM registers across up to 64
-//	          comparands, 8 lanes per vector op (32 narrow lanes);
-//	          present only with AVX512F+BW and OS-enabled ZMM/opmask
-//	          state
+//	unrolled  the multi-lane portable rewrite: four 16-bit lanes per
+//	          uint64 XOR (SWAR), three-index re-slices so the compiler
+//	          elides bounds checks
+//	avx2      amd64 assembly block primitive (kernel_amd64.s), 16
+//	          narrow lanes per vector op; present only on amd64 with
+//	          OS-enabled AVX2
+//	avx512    amd64 assembly block primitive on ZMM registers, 32
+//	          narrow lanes per vector op; present only with AVX512F+BW
+//	          and OS-enabled ZMM/opmask state
+//
+// SubCmpMultiBits, the 64-bit form the narrow kernel is tested
+// against, runs one portable loop and ignores the active path.
 //
 // Selection policy, in order: the CM_KERNEL environment variable
 // (generic|unrolled|avx2|avx512) when set and satisfiable; otherwise
@@ -40,7 +38,7 @@ import (
 	"sync/atomic"
 )
 
-// KernelPath identifies one implementation of the hot compare kernels.
+// KernelPath identifies one implementation of the hot compare kernel.
 type KernelPath uint32
 
 const (
@@ -48,10 +46,11 @@ const (
 	KernelGeneric KernelPath = iota
 	// KernelUnrolled is the multi-lane bounds-check-free portable kernel.
 	KernelUnrolled
-	// KernelAVX2 is the amd64 assembly kernel (4 lanes per vector op).
+	// KernelAVX2 is the amd64 assembly narrow kernel (16 lanes per
+	// vector op).
 	KernelAVX2
-	// KernelAVX512 is the amd64 fused block kernel (8 lanes per vector
-	// op, difference block held in registers across comparands).
+	// KernelAVX512 is the amd64 ZMM narrow kernel (32 lanes per vector
+	// op, lanes and guard held in registers across comparands).
 	KernelAVX512
 )
 
@@ -89,8 +88,8 @@ var (
 	// avx2Supported and avx512Supported are fixed at init: CPU + OS
 	// support, minus the GODEBUG escape hatches.
 	avx2Supported, avx512Supported bool
-	// activeKernel holds the KernelPath every exported kernel
-	// dispatches on.
+	// activeKernel holds the KernelPath SubCmpNarrowBits dispatches
+	// on.
 	activeKernel atomic.Uint32
 	// kernelNote records a CM_KERNEL value that could not be honored,
 	// for CLIs to surface (a library init has no business printing).

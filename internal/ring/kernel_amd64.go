@@ -2,15 +2,15 @@
 
 package ring
 
-// AVX2 kernel path: the block primitives live in kernel_amd64.s and
-// operate on 64-coefficient runs (one bitset word of lanes, 16 vector
-// ops of 4 uint64 lanes each). The drivers below keep every piece of
-// policy in Go — prologue/epilogue alignment handling, the per-word
-// store elision, the rhs fan-out — and hand the asm nothing but dense
-// arithmetic over memory the driver has already proven in bounds
-// (i+64 <= len, and the documented rhs/bits length contract). The
-// stubs are //go:noescape so the difference buffer stays on the
-// driver's stack, keeping the 0 allocs/op pin honest.
+// The avx2 and avx512 paths of SubCmpNarrowBits: the block primitives
+// live in kernel_amd64.s and operate on 64-coefficient runs (one bitset
+// word of lanes) against up to 64 comparand rows per call. The driver
+// below keeps every piece of policy in Go — prologue/epilogue alignment
+// handling, the per-word store elision, the comparand grouping — and
+// hands the asm nothing but dense arithmetic over memory the driver has
+// already proven in bounds. The stubs are //go:noescape so the verdict
+// buffer stays on the driver's stack, keeping the 0 allocs/op pin
+// honest.
 
 // archAVX2Supported reports CPU + OS support for the AVX2 kernels:
 // OSXSAVE and AVX in CPUID.1:ECX, XMM+YMM state enabled in XCR0, and
@@ -56,134 +56,6 @@ func kernelCPUID(op, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // kernelXGETBV0 reads XCR0 (requires OSXSAVE, checked first).
 func kernelXGETBV0() (eax, edx uint32)
-
-// diffPow2Block64AVX2 stores (a[k]-d[k]) & mask into dst[k] for k in
-// [0, 64). All three pointers address 64 readable (dst: writable)
-// coefficients.
-//
-//cm:hotpath
-//go:noescape
-func diffPow2Block64AVX2(dst, a, d *uint64, mask uint64)
-
-// diffGenericBlock64AVX2 stores (a[k]+q-d[k]) mod q into dst[k] for k
-// in [0, 64), for q < 2^57 with a, d already reduced. The conditional
-// subtraction is a sign-flipped signed compare (no unsigned 64-bit
-// compare in AVX2), valid because both t < 2^58 and q-1 < 2^63.
-//
-//cm:hotpath
-//go:noescape
-func diffGenericBlock64AVX2(dst, a, d *uint64, q uint64)
-
-// cmpEqBlock64AVX2 returns the packed equality word of two
-// 64-coefficient runs: bit k set iff x[k] == y[k].
-//
-//cm:hotpath
-//go:noescape
-func cmpEqBlock64AVX2(x, y *uint64) uint64
-
-// subCmpAVX2 is SubCmpMultiBits on the assembly primitives: the
-// difference block lands in a stack buffer via one vector pass, then
-// each comparand's 64 compares collapse into one word via VPCMPEQQ +
-// sign-mask extraction.
-//
-//cm:hotpath
-func (r *Ring) subCmpAVX2(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
-	n := len(a)
-	i := 0
-	if rem := base & 63; rem != 0 {
-		pro := 64 - rem
-		if pro > n {
-			pro = n
-		}
-		r.subCmpScalar(a, d, rhs, bits, base, 0, pro)
-		i = pro
-	}
-	var diff [64]uint64
-	for ; i+64 <= n; i += 64 {
-		if r.qIsPow2 {
-			diffPow2Block64AVX2(&diff[0], &a[i], &d[i], r.mask)
-		} else {
-			diffGenericBlock64AVX2(&diff[0], &a[i], &d[i], r.q)
-		}
-		wi := (base + i) >> 6
-		for v := range rhs {
-			w := cmpEqBlock64AVX2(&diff[0], &rhs[v][i])
-			//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
-			if w != 0 {
-				bits[v][wi] |= w
-			}
-		}
-	}
-	r.subCmpScalar(a, d, rhs, bits, base, i, n)
-}
-
-// subCmpPow2Block64AVX512 writes, for each v in [0, nrhs), the packed
-// verdict word of coefficients [i, i+64) to out[v]: bit k set iff
-// (a[k]-d[k]) & m == rhs[v][i+k], where off = 8*i and a, d already
-// point at coefficient i. nrhs must be in [1, 64]; every rhs[v] must
-// hold i+64 coefficients.
-//
-//cm:hotpath
-//go:noescape
-func subCmpPow2Block64AVX512(out, a, d *uint64, rhs *Poly, nrhs, off int, m uint64)
-
-// subCmpGenericBlock64AVX512 is subCmpPow2Block64AVX512 for a generic
-// q = m < 2^57 with a, d already reduced: the difference is
-// (a[k]+q-d[k]) mod q.
-//
-//cm:hotpath
-//go:noescape
-func subCmpGenericBlock64AVX512(out, a, d *uint64, rhs *Poly, nrhs, off int, m uint64)
-
-// subCmpAVX512 is SubCmpMultiBits on the AVX-512 block primitive: each
-// 64-coefficient difference block is computed once and kept in
-// registers while up to 64 comparands are compared against it, so a
-// word costs one assembly call per comparand group instead of one per
-// comparand. Larger R (batches pass the union of their members' RHS)
-// walks the comparands in groups of 64.
-//
-//cm:hotpath
-func (r *Ring) subCmpAVX512(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
-	if len(rhs) == 0 {
-		return // the asm comparand loop counts down from nrhs >= 1
-	}
-	n := len(a)
-	i := 0
-	if rem := base & 63; rem != 0 {
-		pro := 64 - rem
-		if pro > n {
-			pro = n
-		}
-		r.subCmpScalar(a, d, rhs, bits, base, 0, pro)
-		i = pro
-	}
-	// The asm reads d and every comparand through coefficient n-1 with
-	// no bounds checks of its own: prove each holds n coefficients once
-	// per call (a shorter one makes the low bound negative and panics).
-	_ = d[len(d)-n:]
-	for _, rp := range rhs {
-		_ = rp[len(rp)-n:]
-	}
-	var out [64]uint64
-	for ; i+64 <= n; i += 64 {
-		wi := (base + i) >> 6
-		for g := 0; g < len(rhs); g += len(out) {
-			grp := rhs[g:min(g+len(out), len(rhs))]
-			if r.qIsPow2 {
-				subCmpPow2Block64AVX512(&out[0], &a[i], &d[i], &grp[0], len(grp), 8*i, r.mask)
-			} else {
-				subCmpGenericBlock64AVX512(&out[0], &a[i], &d[i], &grp[0], len(grp), 8*i, r.q)
-			}
-			for v, w := range out[:len(grp)] {
-				//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
-				if w != 0 {
-					bits[g+v][wi] |= w
-				}
-			}
-		}
-	}
-	r.subCmpScalar(a, d, rhs, bits, base, i, n)
-}
 
 // subCmpNarrowBlock64AVX2 writes, for each v in [0, nrhs), the packed
 // verdict word of coefficients [i, i+64) to out[v]: bit k set iff

@@ -4,24 +4,14 @@ package ring
 
 // No assembly kernels on this architecture: the avx2 and avx512 paths
 // are never offered (SetKernel rejects them, AvailableKernels omits
-// them), and the forwarders below exist only so the dispatch switches
-// compile everywhere. Should the active path ever read one of them
-// here, the search still computes the right answer on the unrolled
-// path.
+// them), and the forwarder below exists only so SubCmpNarrowBits'
+// dispatch switch compiles everywhere. Should the active path ever read
+// one of them here, the search still computes the right answer on the
+// unrolled path.
 
 func archAVX2Supported() bool { return false }
 
 func archAVX512Supported() bool { return false }
-
-//cm:hotpath
-func (r *Ring) subCmpAVX2(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
-	r.subCmpUnrolled(a, d, rhs, bits, base)
-}
-
-//cm:hotpath
-func (r *Ring) subCmpAVX512(a, d Poly, rhs []Poly, bits [][]uint64, base int) {
-	r.subCmpUnrolled(a, d, rhs, bits, base)
-}
 
 //cm:hotpath
 func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, bits [][]uint64, base int, _ bool) {

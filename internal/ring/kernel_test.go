@@ -169,45 +169,62 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 	return tc
 }
 
-// runAllKernels executes SubCmpMultiBits, and SubCmpNarrowBits where
-// the ring has a narrow split, under every available dispatch path and
-// fails the test unless each path's bitsets are bit-identical to the
-// generic baseline's.
+// runAllKernels checks SubCmpMultiBits, which runs one loop on every
+// path, once against the unfused subtract-then-compare pipeline, and
+// then, where the ring has a narrow split, runs SubCmpNarrowBits under
+// every available dispatch path and fails the test unless each path's
+// bitsets are bit-identical to the generic baseline's.
 func runAllKernels(t testing.TB, tc kernelCase) {
 	t.Helper()
-	type kernel struct {
-		name string
-		run  func(bits [][]uint64)
-	}
-	kernels := []kernel{{"SubCmpMultiBits", func(bits [][]uint64) { tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, bits, tc.base) }}}
-	if tc.top != nil {
-		kernels = append(kernels, kernel{"SubCmpNarrowBits", func(bits [][]uint64) { tc.r.SubCmpNarrowBits(tc.a, tc.d, tc.low, tc.top, bits, tc.base) }})
-	}
-	words := (tc.base + tc.r.N() + 63) / 64
-	for _, k := range kernels {
-		results := make(map[KernelPath][][]uint64)
-		for _, p := range AvailableKernels() {
-			withKernel(t, p, func() {
-				sub := make([][]uint64, len(tc.rhs))
-				for v := range sub {
-					sub[v] = make([]uint64, words)
-				}
-				k.run(sub)
-				results[p] = sub
-			})
+	n := tc.r.N()
+	words := (tc.base + n + 63) / 64
+	newBits := func() [][]uint64 {
+		bits := make([][]uint64, len(tc.rhs))
+		for v := range bits {
+			bits[v] = make([]uint64, words)
 		}
-		ref := results[KernelGeneric]
-		for _, p := range AvailableKernels() {
-			if p == KernelGeneric {
-				continue
+		return bits
+	}
+	// The reference bitsets: subtract, then compare coefficient-wise.
+	diff := tc.r.NewPoly()
+	tc.r.Sub(tc.a, tc.d, diff)
+	want := newBits()
+	for v, rp := range tc.rhs {
+		for i := range n {
+			if diff[i] == rp[i] {
+				want[v][(tc.base+i)>>6] |= 1 << (uint(tc.base+i) & 63)
 			}
-			got := results[p]
-			for v := range ref {
-				for w := range ref[v] {
-					if got[v][w] != ref[v][w] {
-						t.Fatalf("%s path %s: rhs %d word %d = %#x, generic %#x (n=%d q=%d base=%d)",
-							k.name, p, v, w, got[v][w], ref[v][w], tc.r.N(), tc.r.Q(), tc.base)
-					}
+		}
+	}
+	wide := newBits()
+	tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, wide, tc.base)
+	for v := range want {
+		for w := range want[v] {
+			if wide[v][w] != want[v][w] {
+				t.Fatalf("SubCmpMultiBits: rhs %d word %d = %#x, sub+compare %#x (n=%d q=%d base=%d)",
+					v, w, wide[v][w], want[v][w], n, tc.r.Q(), tc.base)
+			}
+		}
+	}
+	if tc.top == nil {
+		return
+	}
+	results := make(map[KernelPath][][]uint64)
+	for _, p := range AvailableKernels() {
+		withKernel(t, p, func() {
+			bits := newBits()
+			tc.r.SubCmpNarrowBits(tc.a, tc.d, tc.low, tc.top, bits, tc.base)
+			results[p] = bits
+		})
+	}
+	ref := results[KernelGeneric]
+	for _, p := range AvailableKernels() {
+		got := results[p]
+		for v := range ref {
+			for w := range ref[v] {
+				if got[v][w] != ref[v][w] {
+					t.Fatalf("SubCmpNarrowBits path %s: rhs %d word %d = %#x, generic %#x (n=%d q=%d base=%d)",
+						p, v, w, got[v][w], ref[v][w], n, tc.r.Q(), tc.base)
 				}
 			}
 		}
@@ -215,11 +232,12 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 }
 
 // TestKernelPathsBitIdentical is the deterministic cross-path property
-// test: every available dispatch path must agree with the generic
-// baseline bit for bit, for both kernels, across modulus families (and
-// the narrow kernel's power-of-two ones), degrees on both sides of the
-// 64-coefficient word body, aligned and unaligned bases, and comparand
-// counts bracketing the serving R.
+// test: SubCmpMultiBits must match subtract-then-compare on every
+// modulus family, and every available path of SubCmpNarrowBits must
+// agree with its generic baseline bit for bit on the power-of-two
+// ones, across degrees on both sides of the 64-coefficient word body,
+// aligned and unaligned bases, and comparand counts bracketing the
+// serving R.
 func TestKernelPathsBitIdentical(t *testing.T) {
 	src := rng.NewSourceFromString("kernel-paths")
 	for _, fam := range slices.Concat(kernelFamilies, narrowFamilies) {
@@ -254,12 +272,12 @@ var fuzzNs = []int{16, 64, 128, 1024}
 
 // FuzzKernelPaths is the differential fuzzer of the dispatch layer:
 // random modulus family, degree, base alignment, comparand count and
-// coefficient streams, asserting the generic, unrolled and (where
-// present) avx2 and avx512 paths produce bit-identical hit bitsets for both
-// kernels (SubCmpMultiBits, and SubCmpNarrowBits on power-of-two q). A
-// divergence here is a miscompare in a rewritten kernel —
-// exactly the bug class that must be impossible before a new path can
-// ship.
+// coefficient streams, asserting that SubCmpMultiBits matches
+// subtract-then-compare for every modulus, odd ones included, and that
+// on power-of-two q the generic, unrolled and (where present) avx2 and
+// avx512 paths of SubCmpNarrowBits produce bit-identical hit bitsets. A
+// divergence here is a miscompare in a rewritten kernel — exactly the
+// bug class that must be impossible before a new path can ship.
 func FuzzKernelPaths(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(1))
 	f.Add(uint64(2), uint8(2), uint8(1), uint16(37), uint8(4))

@@ -18,10 +18,10 @@ package ring
 // hit — so the kernel is bit-identical to SubCmpMultiBits over the
 // comparands the narrow rows were cut from.
 //
-// The kernel has the same four dispatch paths as SubCmpMultiBits
-// (kernel.go), the same scalar prologue/epilogue, the same branchless
-// coefficient loops and the same word-granular store elision; only the
-// lane width differs.
+// The kernel has four dispatch paths (kernel.go); SubCmpMultiBits is
+// the one-loop reference they are tested against. It shares that
+// reference's scalar prologue/epilogue shape, branchless coefficient
+// loops and word-granular store elision; only the lane width differs.
 
 // NarrowBits is the lane width of SubCmpNarrowBits: log2 t of every
 // served parameter set.

@@ -149,13 +149,12 @@ func TestSubCmpMultiBitsUnalignedBases(t *testing.T) {
 	}
 }
 
-// BenchmarkSubCmpMultiBits is the per-dispatch-path kernel table: every
-// available path at the comparand counts that matter for serving (R = 1,
-// 8 for the storm and tenant workloads, 32 for the 2-bit DNA alphabet),
-// reporting coefficients/sec — the figure of merit for ROADMAP item 1's
-// vectorized-kernel work, where ns/op alone hides the multi-lane
-// amortisation. The aligned case is the arena hot path; the unaligned
-// case exercises the scalar-prologue + word-body split.
+// BenchmarkSubCmpMultiBits times the 64-bit reference kernel at the
+// comparand counts that matter for serving (R = 1, 8 for the storm and
+// tenant workloads, 32 for the 2-bit DNA alphabet), reporting
+// coefficients/sec — one row per R, as the kernel runs one loop on
+// every path. BenchmarkSubCmpNarrowBits is the per-path table of the
+// kernel searches run.
 //
 //	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$' ./internal/ring
 func BenchmarkSubCmpMultiBits(b *testing.B) {
@@ -171,42 +170,31 @@ func BenchmarkSubCmpMultiBits(b *testing.B) {
 		rhs[v] = r.NewPoly()
 		r.UniformPoly(src, rhs[v])
 	}
-	for _, p := range AvailableKernels() {
-		b.Run(p.String(), func(b *testing.B) {
-			withKernel(b, p, func() {
-				for _, R := range []int{1, 8, maxR} {
-					for _, base := range []int{0, 37} {
-						name := "R=" + itoa(R)
-						if base != 0 {
-							name += "/unaligned"
-						}
-						b.Run(name, func(b *testing.B) {
-							bits := make([][]uint64, R)
-							for v := range bits {
-								bits[v] = make([]uint64, (base+n+63)/64)
-							}
-							b.SetBytes(2 * n * 8) // a and d, each streamed once per call
-							b.ResetTimer()
-							for i := 0; i < b.N; i++ {
-								r.SubCmpMultiBits(a, d, rhs[:R], bits, base)
-							}
-							coeffs := float64(n) * float64(R) * float64(b.N)
-							b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
-						})
-					}
-				}
-			})
+	for _, R := range []int{1, 8, maxR} {
+		b.Run("R="+itoa(R), func(b *testing.B) {
+			bits := make([][]uint64, R)
+			for v := range bits {
+				bits[v] = make([]uint64, n/64)
+			}
+			b.SetBytes(2 * n * 8) // a and d, each streamed once per call
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.SubCmpMultiBits(a, d, rhs[:R], bits, 0)
+			}
+			coeffs := float64(n) * float64(R) * float64(b.N)
+			b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
 		})
 	}
 	b.Run("dna_scan", benchDNAScanSweep)
 }
 
-// benchDNAScanSweep sweeps the bench's dna_scan geometry through both
-// compare kernels on every available path: 2 048 chunks of 1 024
-// coefficients at q = 2^32 and R = 32 comparands that share their low
-// bits, as a seeded query's do. The 16 MiB arena and 16 MiB token plane
-// are far larger than any cache, so one op is one DRAM-resident search
-// sweep and the reported MB/s is the stream rate over the two planes.
+// benchDNAScanSweep sweeps the bench's dna_scan geometry through the
+// narrow kernel on every available path, plus one row of the 64-bit
+// reference: 2 048 chunks of 1 024 coefficients at q = 2^32 and R = 32
+// comparands that share their low bits, as a seeded query's do. The
+// 16 MiB arena and 16 MiB token plane are far larger than any cache, so
+// one op is one DRAM-resident search sweep and the reported MB/s is the
+// stream rate over the two planes.
 //
 //	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$/dna_scan' ./internal/ring
 func benchDNAScanSweep(b *testing.B) {
@@ -232,32 +220,32 @@ func benchDNAScanSweep(b *testing.B) {
 	for v := range bits {
 		bits[v] = make([]uint64, chunks*n/64)
 	}
-	sweeps := []struct {
-		name string
-		run  func(a, d Poly, base int)
-	}{
-		{"wide", func(a, d Poly, base int) { r.SubCmpMultiBits(a, d, rhs, bits, base) }},
-		{"narrow", func(a, d Poly, base int) { r.SubCmpNarrowBits(a, d, low, top, bits, base) }},
-	}
-	for _, p := range AvailableKernels() {
-		for _, sw := range sweeps {
-			b.Run(p.String()+"/"+sw.name, func(b *testing.B) {
-				withKernel(b, p, func() {
-					b.SetBytes(2 * chunks * n * 8)
-					for i := 0; i < b.N; i++ {
-						for j := 0; j < chunks; j++ {
-							sw.run(arena[j*n:(j+1)*n], plane[j*n:(j+1)*n], j*n)
-						}
-					}
-				})
-			})
+	sweep := func(run func(a, d Poly, base int)) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(2 * chunks * n * 8)
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < chunks; j++ {
+					run(arena[j*n:(j+1)*n], plane[j*n:(j+1)*n], j*n)
+				}
+			}
 		}
 	}
+	for _, p := range AvailableKernels() {
+		b.Run(p.String()+"/narrow", func(b *testing.B) {
+			withKernel(b, p, func() {
+				sweep(func(a, d Poly, base int) { r.SubCmpNarrowBits(a, d, low, top, bits, base) })(b)
+			})
+		})
+	}
+	b.Run("wide", sweep(func(a, d Poly, base int) { r.SubCmpMultiBits(a, d, rhs, bits, base) }))
 }
 
-// BenchmarkSubCmpNarrowBits is BenchmarkSubCmpMultiBits' per-path table
-// for the narrow kernel: the same L2-resident n = 4096 poly at q = 2^32
-// and the same comparand counts, in coefficients/sec.
+// BenchmarkSubCmpNarrowBits is the per-dispatch-path kernel table of
+// the kernel searches run: every available path on the same
+// L2-resident n = 4096 poly at q = 2^32 and the same comparand counts
+// as BenchmarkSubCmpMultiBits, reporting coefficients/sec — the figure
+// of merit for ROADMAP item 1's vectorized-kernel work, where ns/op
+// alone hides the multi-lane amortisation.
 //
 //	go test -run '^$' -bench 'BenchmarkSubCmpNarrowBits$' ./internal/ring
 func BenchmarkSubCmpNarrowBits(b *testing.B) {
