@@ -388,9 +388,9 @@ func benchEngineSpec(b *testing.B, cfg core.Config, db *core.EncryptedDB, q *cor
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Recycle the hit bitmaps the way the wire server does
+		// Recycle the hit records the way the wire server does
 		// after encoding, so the steady state exercises the
-		// bitset pool rather than the allocator.
+		// record pool rather than the allocator.
 		ir.Release()
 	}
 	b.StopTimer()

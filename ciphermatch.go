@@ -69,15 +69,19 @@ type (
 	// SearchResult holds per-(variant, chunk) result ciphertexts
 	// (ModeClientDecrypt).
 	SearchResult = core.SearchResult
-	// IndexResult holds server-generated hit bitmaps and candidates
+	// IndexResult holds server-generated hit records and candidates
 	// (ModeSeededMatch).
 	IndexResult = core.IndexResult
 	// IndexMode selects client-side or server-side index generation.
 	IndexMode = core.IndexMode
-	// HitBitmaps maps shift residues to window-hit bitmaps.
+	// HitWords is a server search's sparse hit output: one record per
+	// nonzero 64-window word of a residue's hits.
+	HitWords = core.HitWords
+	// HitBitmaps maps shift residues to dense window-hit bitmaps, the
+	// client-decrypt path's hit form (Client.ExtractHits).
 	HitBitmaps = core.HitBitmaps
-	// Bitset is the packed window-hit bitmap: one bit per 16-bit
-	// database window, written directly by the fused search kernels.
+	// Bitset is a packed dense window-hit bitmap: one bit per 16-bit
+	// database window, written by the client-decrypt compare.
 	Bitset = core.Bitset
 
 	// Engine is the backend-agnostic execution interface: the CPU
@@ -192,13 +196,16 @@ func ReadPatternFile(path string) ([][]byte, error) {
 	return patterns, nil
 }
 
-// NewBitset returns a zeroed window-hit bitset of n bits, drawing
-// storage from the shared bitset pool.
+// NewBitset returns a zeroed dense window-hit bitset of n bits,
+// drawing storage from the shared bitset pool.
 func NewBitset(n int) *Bitset { return core.NewBitset(n) }
 
-// Candidates converts hit bitmaps into candidate occurrence offsets.
+// Candidates converts client-decrypt hit bitmaps into candidate
+// occurrence offsets, through their sparse form (HitBitmaps.Sparse).
 func Candidates(hits HitBitmaps, dbBits, queryBits, alignBits int) []int {
-	return core.Candidates(hits, dbBits, queryBits, alignBits)
+	hw := hits.Sparse()
+	defer hw.Release()
+	return core.Candidates(hw, dbBits, queryBits, alignBits)
 }
 
 // VerifyCandidates filters candidates against the plaintext database (data

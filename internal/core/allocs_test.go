@@ -1,13 +1,18 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"ciphermatch/internal/ring"
+)
 
 // TestSearchChunkRangeZeroAllocs pins the steady-state allocation
 // profile of the serial search loop: with the factored query built and
-// the bitset words bound, streaming every chunk through the fused
-// kernel allocates nothing. This is the runtime complement of the
-// //cm:hotpath annotation on searchChunkRange — the static check
-// forbids allocation sites, this catches allocations hiding in callees.
+// a record buffer that has room for the search, streaming every chunk
+// through the fused kernel allocates nothing. This is the runtime
+// complement of the //cm:hotpath annotation on searchChunkRange — the
+// static check forbids allocation sites, this catches allocations
+// hiding in callees.
 func TestSearchChunkRangeZeroAllocs(t *testing.T) {
 	cfg, edb, q, serial := engineFixture(t)
 	defer serial.Release()
@@ -16,22 +21,18 @@ func TestSearchChunkRangeZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := make([][]uint64, len(q.Residues))
-	bms := make([]*Bitset, len(q.Residues))
-	numWindows := len(edb.Chunks) * cfg.Params.N
-	for vi := range words {
-		bms[vi] = NewBitset(numWindows)
-		words[vi] = bms[vi].Words()
-	}
-	groups := []planeGroup{{fq: *fq, words: words}}
+	groups := []planeGroup{{fq: *fq}}
+	room := ring.HitRoom(cfg.Params.N, len(q.Residues))
+	buf := runRange(r, edb, groups, 0, len(edb.Chunks), room, nil) // grown to the search's size
+	stopped := 0
 	avg := testing.AllocsPerRun(50, func() {
-		searchChunkRange(r, edb, groups, 0, len(edb.Chunks))
+		stopped, _ = searchChunkRange(r, edb, groups, 0, len(edb.Chunks), room, buf[:0])
 	})
 	if avg != 0 {
 		t.Fatalf("searchChunkRange allocates %.1f times per search, want 0", avg)
 	}
-	for _, bm := range bms {
-		bm.Release()
+	if stopped != len(edb.Chunks) {
+		t.Fatalf("searchChunkRange stopped at chunk %d of %d in a buffer the same search filled", stopped, len(edb.Chunks))
 	}
 }
 

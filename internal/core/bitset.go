@@ -2,25 +2,21 @@ package core
 
 import "sync"
 
-// Bitset is the packed window-hit bitmap of an index result: one bit
-// per 16-bit database window, 64 windows per word. It replaces the
-// 1-byte-per-window []bool representation, shrinking results 8× and
-// letting candidate generation scan a word (64 windows) per comparison.
-// The compare kernels (ring.SubCmpNarrowBits, ring.CmpEqScalarBits)
-// write hit bits directly into Words(), so the bitmap is also the
-// kernel's only output store.
-//
-// Concurrent writers are safe only on disjoint word ranges; the CPU
-// engine aligns its chunk-range jobs so every 64-bit word belongs to
-// exactly one job (see CPUEngine.batchSize).
+// Bitset is a packed dense window-hit bitmap: one bit per 16-bit
+// database window, 64 windows per word. It is the hit form of the
+// producers that build whole planes anyway — the client-decrypt path,
+// whose ring.CmpEqScalarBits writes hit bits directly into Words(), and
+// the in-flash controller — which reach Candidates through
+// HitBitmaps.Sparse. The CPU engine never builds one: its kernel emits
+// sparse records (HitWords).
 type Bitset struct {
 	words []uint64
 	n     int
 }
 
-// bitsetPool recycles the word storage of released index results, so a
-// server under steady multi-user load stops allocating bitmap backing
-// arrays entirely.
+// bitsetPool recycles the word storage of released bitsets, so the
+// dense producers stop allocating bitmap backing arrays under steady
+// load.
 var bitsetPool = sync.Pool{New: func() any { return &Bitset{} }}
 
 // NewBitset returns a zeroed bitset of n bits, reusing pooled storage
@@ -66,20 +62,6 @@ func (b *Bitset) Get(i int) bool {
 // Set sets bit i.
 func (b *Bitset) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// Equal reports whether b and o cover the same bits with the same
-// values.
-func (b *Bitset) Equal(o *Bitset) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i, w := range b.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AllSet reports whether every bit in [lo, hi) is set, scanning whole

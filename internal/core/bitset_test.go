@@ -103,13 +103,13 @@ func TestBitsetPoolReuse(t *testing.T) {
 // window run must still be found.
 func TestCandidatesEmptyFastPath(t *testing.T) {
 	hits := HitBitmaps{0: NewBitset(64), 8: NewBitset(64)}
-	if got := Candidates(hits, 1024, 32, 8); got != nil {
+	if got := Candidates(hits.Sparse(), 1024, 32, 8); got != nil {
 		t.Fatalf("empty bitmaps produced candidates %v", got)
 	}
 	// Windows 2,3 set for residue 0: offset 32 has full windows [2,4).
 	hits[0].Set(2)
 	hits[0].Set(3)
-	got := Candidates(hits, 1024, 32, 8)
+	got := Candidates(hits.Sparse(), 1024, 32, 8)
 	found := false
 	for _, o := range got {
 		if o == 32 {

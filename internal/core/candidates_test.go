@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // candidatesByOffset is the reference implementation Candidates is
@@ -48,11 +49,12 @@ func candidatesByOffset(hits HitBitmaps, dbBits, yBits, alignBits int) []int {
 	return out
 }
 
-// checkCandidatesOracle fails unless Candidates and the per-offset
-// oracle agree exactly, order included; it returns the agreed result.
+// checkCandidatesOracle fails unless Candidates, reached through the
+// dense-to-records conversion, and the per-offset oracle agree exactly,
+// order included; it returns the agreed result.
 func checkCandidatesOracle(t *testing.T, hits HitBitmaps, dbBits, yBits, alignBits int) []int {
 	t.Helper()
-	got := Candidates(hits, dbBits, yBits, alignBits)
+	got := Candidates(hits.Sparse(), dbBits, yBits, alignBits)
 	want := candidatesByOffset(hits, dbBits, yBits, alignBits)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Candidates(dbBits=%d, yBits=%d, alignBits=%d, %d residues):\n got %v\nwant %v",
@@ -170,7 +172,7 @@ func FuzzCandidates(f *testing.F) {
 // query validation relies on: AlignBits and YBits arrive off the wire,
 // and a zero alignment would otherwise never advance the offset.
 func TestCandidatesRejectsNonPositiveGeometry(t *testing.T) {
-	hits := HitBitmaps{0: densityBitset(nil, 64, 1)}
+	hits := HitBitmaps{0: densityBitset(nil, 64, 1)}.Sparse()
 	for _, g := range [][2]int{{32, 0}, {32, -8}, {0, 8}, {-1, 8}, {0, 0}} {
 		if got := Candidates(hits, 1024, g[0], g[1]); got != nil {
 			t.Fatalf("Candidates(yBits=%d, alignBits=%d) = %v, want nil", g[0], g[1], got)
@@ -186,7 +188,7 @@ func TestCandidatesRejectsNonPositiveGeometry(t *testing.T) {
 func TestCandidatesNotSizedFromWire(t *testing.T) {
 	bm := NewBitset(64)
 	bm.Set(0)
-	hits := HitBitmaps{0: bm}
+	hits := HitBitmaps{0: bm}.Sparse()
 	ordinary := testing.AllocsPerRun(10, func() { Candidates(hits, 1024, 64, 8) })
 	hostile := testing.AllocsPerRun(10, func() {
 		if got := Candidates(hits, math.MaxInt, math.MaxInt32, 8); got != nil {
@@ -202,12 +204,15 @@ var candidatesSink []int
 
 // BenchmarkCandidates measures candidate generation at its two
 // extremes. sparse is the dna_scan serving shape (32 residues x 2 Mi
-// windows, random hits at 2^-16 density plus 8 planted 4-window runs),
-// where the cost should be the OR sweep over the bitmaps. dense is
-// every window set at alignBits = 1, where the sweep filters nothing
-// and Candidates must stay within 1.3x of the per-offset oracle: the
-// oracle/* runs are that reference, for comparing by hand (CI's smoke
-// step leaves them out). MB/s is bitmap bytes scanned per second.
+// windows, random hits at 2^-16 density plus 8 planted 4-window runs)
+// handed over as dense bitmaps, so its cost is the dense producers'
+// conversion (HitBitmaps.Sparse) plus Candidates; records is the same
+// hits already in record form, as the CPU engine hands them over, and
+// times Candidates alone. dense is every window set at alignBits = 1,
+// where nothing is filtered and conversion plus Candidates must stay
+// within 1.3x of the per-offset oracle: the oracle/* runs are that
+// reference, for comparing by hand (CI's smoke step leaves them out).
+// MB/s is dense bitmap bytes (for records, record bytes) per second.
 func BenchmarkCandidates(b *testing.B) {
 	const yBits = 64
 	r := rand.New(rand.NewSource(22))
@@ -232,20 +237,35 @@ func BenchmarkCandidates(b *testing.B) {
 	for s := 0; s < yBits; s++ {
 		dense[s] = densityBitset(nil, denseWindows, 1)
 	}
-	run := func(name string, fn func(HitBitmaps, int, int, int) []int, hits HitBitmaps, windows, alignBits, wantAtLeast int) {
+	run := func(name string, bytes int, fn func(dbBits, alignBits int) []int, windows, alignBits, wantAtLeast int) {
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(hits) * windows / 8))
+			b.SetBytes(int64(bytes))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				candidatesSink = fn(hits, windows*SegmentBits, yBits, alignBits)
+				candidatesSink = fn(windows*SegmentBits, alignBits)
 			}
 			if len(candidatesSink) < wantAtLeast {
 				b.Fatalf("%d candidates, want at least %d", len(candidatesSink), wantAtLeast)
 			}
 		})
 	}
-	run("sparse", Candidates, sparse, sparseWindows, 2, 8)
-	run("dense", Candidates, dense, denseWindows, 1, denseWindows*SegmentBits-yBits)
-	run("oracle/sparse", candidatesByOffset, sparse, sparseWindows, 2, 8)
-	run("oracle/dense", candidatesByOffset, dense, denseWindows, 1, denseWindows*SegmentBits-yBits)
+	viaRecords := func(hits HitBitmaps) func(dbBits, alignBits int) []int {
+		return func(dbBits, alignBits int) []int {
+			hw := hits.Sparse()
+			defer hw.Release()
+			return Candidates(hw, dbBits, yBits, alignBits)
+		}
+	}
+	oracle := func(hits HitBitmaps) func(dbBits, alignBits int) []int {
+		return func(dbBits, alignBits int) []int { return candidatesByOffset(hits, dbBits, yBits, alignBits) }
+	}
+	records := sparse.Sparse()
+	sparseBytes, denseBytes := len(sparse)*sparseWindows/8, len(dense)*denseWindows/8
+	run("sparse", sparseBytes, viaRecords(sparse), sparseWindows, 2, 8)
+	run("records", len(records.Words)*int(unsafe.Sizeof(records.Words[0])), func(dbBits, alignBits int) []int {
+		return Candidates(records, dbBits, yBits, alignBits)
+	}, sparseWindows, 2, 8)
+	run("dense", denseBytes, viaRecords(dense), denseWindows, 1, denseWindows*SegmentBits-yBits)
+	run("oracle/sparse", sparseBytes, oracle(sparse), sparseWindows, 2, 8)
+	run("oracle/dense", denseBytes, oracle(dense), denseWindows, 1, denseWindows*SegmentBits-yBits)
 }

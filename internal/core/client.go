@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -524,12 +523,13 @@ func (c *Client) tokenPlane(numChunks int) []ring.Poly {
 }
 
 // HitBitmaps maps a variant residue to its global window-hit bitmap,
-// packed 64 windows per word (see Bitset).
+// packed 64 windows per word (see Bitset): the dense hit form of the
+// client-decrypt path, which decrypts whole planes anyway. Sparse
+// converts it into the records Candidates reads.
 type HitBitmaps map[int]*Bitset
 
-// Release returns every bitmap's storage to the bitset pool. Callers
-// done with a result (e.g. the wire server after encoding candidates)
-// release it so steady-state searches reuse bitmap storage instead of
+// Release returns every bitmap's storage to the bitset pool, so
+// steady-state dense producers reuse bitmap storage instead of
 // allocating.
 func (h HitBitmaps) Release() {
 	for res, bm := range h {
@@ -540,9 +540,9 @@ func (h HitBitmaps) Release() {
 
 // ExtractHits decrypts the per-(variant, chunk) result ciphertexts of a
 // search and marks every window whose coefficient equals the match value
-// t-1 (ModeClientDecrypt). Index generation writes the same packed
-// Bitsets as the server engines (ring.CmpEqScalarBits), so both
-// index-generation modes produce bit-identical Bitsets.
+// t-1 (ModeClientDecrypt), one packed Bitset per residue
+// (ring.CmpEqScalarBits). Its Sparse form equals the records a server
+// engine returns for the same search.
 func (c *Client) ExtractHits(q *Query, sr *SearchResult) HitBitmaps {
 	p := c.cfg.Params
 	matchVal := p.T - 1
@@ -567,62 +567,6 @@ func (c *Client) ExtractHits(q *Query, sr *SearchResult) HitBitmaps {
 // simulator cannot import proto (proto links the engine registry, which
 // links the SSD).
 const CandidateWireBytes = 4
-
-// Candidates converts hit bitmaps into candidate occurrence offsets: every
-// aligned offset whose full windows are all hits. See DESIGN.md on boundary
-// bits: candidates agree with the query on every full window; up to 15 bits
-// on each side are unverified.
-//
-// The scan is hit-driven: it ORs the residues' bitmaps word by word (64
-// windows per step, zero words skipped) and, for each set bit w of the OR,
-// tests only the aligned offsets whose first full window is w, i.e.
-// o in (16(w-1), 16w]. That is exact, not a heuristic: an offset is a
-// candidate only if its residue's bitmap has every window of
-// FullWindows(o) = [w0, w1) set with w1 > w0, so in particular bit w0 is
-// set in that bitmap and therefore in the OR — the OR is a superset filter
-// in front of an unchanged predicate. Windows ascend and offsets ascend
-// within a window, so the output is in ascending order without a sort.
-// Cost is O(words·residues + set bits·16/alignBits) rather than
-// O(dbBits/alignBits); nothing is sized from yBits or alignBits, which
-// arrive off the wire. Non-positive yBits or alignBits yield nil.
-func Candidates(hits HitBitmaps, dbBits, yBits, alignBits int) []int {
-	if yBits < 1 || alignBits < 1 {
-		return nil
-	}
-	live := make([][]uint64, 0, len(hits))
-	numWords := 0
-	for res, bm := range hits {
-		if res >= 0 && res < yBits {
-			live = append(live, bm.words)
-			numWords = max(numWords, len(bm.words))
-		}
-	}
-	maxO := dbBits - yBits // last offset whose span fits the database
-	var out []int
-	for wi := 0; wi < numWords; wi++ {
-		var or uint64
-		for _, words := range live {
-			if wi < len(words) {
-				or |= words[wi]
-			}
-		}
-		for ; or != 0; or &= or - 1 {
-			w := wi<<6 + bits.TrailingZeros64(or)
-			hi := min(SegmentBits*w, maxO)
-			lo := max(SegmentBits*(w-1)+1, 0)
-			for o := (lo + alignBits - 1) / alignBits * alignBits; o <= hi; o += alignBits {
-				bm := hits[o%yBits]
-				if bm == nil {
-					continue
-				}
-				if w0, w1 := FullWindows(o, yBits); w1 > w0 && bm.AllSet(w0, w1) {
-					out = append(out, o)
-				}
-			}
-		}
-	}
-	return out
-}
 
 // VerifyCandidates filters candidates against the plaintext database; this
 // is the optional exact verification pass available to the data owner.

@@ -66,36 +66,53 @@ func NewCPUEngine(params bfv.Params, db *EncryptedDB, workers int) *CPUEngine {
 }
 
 // planeGroup is a group of a search's members on one DBTok plane with
-// one length, folded into one factored query, and the bitset words of
-// their residues in row order.
+// one length, folded into one factored query. Its comparand rows are
+// the search's record rows row0, row0+1, …, in member order.
 type planeGroup struct {
 	members []*Query // the group's evaluated members, in row order
 	fq      FactoredQuery
-	words   [][]uint64
+	row0    int
 }
 
-// poolCall is the shared state of one search on the pool.
+// poolCall is the shared state of one search on the pool: each range
+// job writes its records to its own slot of outs.
 type poolCall struct {
 	groups  []planeGroup
+	room    int
+	outs    []*HitWords
 	pending sync.WaitGroup
 }
 
-// rangeJob is one unit of queued work: chunks [lo, hi) of one search.
+// rangeJob is one unit of queued work: chunks [lo, hi) of one search,
+// its k-th range.
 type rangeJob struct {
-	call   *poolCall
-	lo, hi int
+	call      *poolCall
+	k, lo, hi int
 }
 
-// worker drains the job queue until Close. The kernel writes hit bits
-// straight into the search's shared bitsets — ranges are word-aligned
-// (see batchSize), so workers never touch the same bitset word — and
-// needs no scratch ciphertext at all: the hot loop never allocates and
-// never contends.
+// worker drains the job queue until Close. Each job runs the kernel
+// into a record list of its own, so workers share no output and never
+// contend; the caller joins the lists in range order.
 func (e *CPUEngine) worker() {
 	defer e.wg.Done()
 	for j := range e.jobs {
-		searchChunkRange(e.ring, e.db, j.call.groups, j.lo, j.hi)
-		j.call.pending.Done()
+		c := j.call
+		hw := newHitWords(nil)
+		hw.Words = runRange(e.ring, e.db, c.groups, j.lo, j.hi, c.room, hw.Words)
+		c.outs[j.k] = hw
+		c.pending.Done()
+	}
+}
+
+// runRange runs the kernel over chunks [lo, hi), appending the records
+// to buf: whenever buf lacks room for the next chunk's records, the
+// kernel returns and buf grows here, outside the allocation-free loop.
+func runRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi, room int, buf []ring.HitWord) []ring.HitWord {
+	for {
+		if lo, buf = searchChunkRange(r, db, groups, lo, hi, room, buf); lo == hi {
+			return buf
+		}
+		buf = slices.Grow(buf, max(room, len(buf)))
 	}
 }
 
@@ -104,9 +121,9 @@ func (e *CPUEngine) worker() {
 // per range on large databases. The residue-fused kernel evaluates
 // every variant (and every batch member) inside one chunk range, so
 // ranges split on chunks only. Ranges are additionally aligned so every
-// job's bit range starts on a 64-window word boundary — at ring degrees
-// below 64 a chunk is less than one bitset word, and two workers must
-// never OR into the same word.
+// job's window range starts on a 64-window word boundary — at ring
+// degrees below 64 a chunk is less than one bitset word, and each
+// word's partial records then come from one job.
 func (e *CPUEngine) batchSize(numChunks int) int {
 	per := numChunks / (4 * e.workers)
 	if per < 1 {
@@ -123,10 +140,11 @@ func (e *CPUEngine) batchSize(numChunks int) int {
 }
 
 // schedule is the one chunk-range scheduler: it runs the kernel for
-// groups over every chunk of the database. With one worker the whole
-// range runs on the caller's goroutine; otherwise the ranges go to the
-// pool and the caller waits for them.
-func (e *CPUEngine) schedule(groups []planeGroup) error {
+// groups over every chunk of the database, room records per chunk, and
+// leaves the records in dst in range order. With one worker the whole
+// range runs on the caller's goroutine, straight into dst; otherwise
+// the ranges go to the pool and the caller joins their lists.
+func (e *CPUEngine) schedule(groups []planeGroup, room int, dst *HitWords) error {
 	numChunks := len(e.db.Chunks)
 	// Enqueue under the read half of closeMu: Close excludes itself with
 	// the write half, so sends can never hit a closed channel. Workers
@@ -138,17 +156,22 @@ func (e *CPUEngine) schedule(groups []planeGroup) error {
 	}
 	if e.jobs == nil {
 		e.closeMu.RUnlock()
-		searchChunkRange(e.ring, e.db, groups, 0, numChunks)
+		dst.Words = runRange(e.ring, e.db, groups, 0, numChunks, room, dst.Words)
 		return nil
 	}
-	c := &poolCall{groups: groups}
 	batch := e.batchSize(numChunks)
-	for lo := 0; lo < numChunks; lo += batch {
+	c := &poolCall{groups: groups, room: room, outs: make([]*HitWords, (numChunks+batch-1)/batch)}
+	for k := range c.outs {
+		lo := k * batch
 		c.pending.Add(1)
-		e.jobs <- rangeJob{call: c, lo: lo, hi: min(lo+batch, numChunks)}
+		e.jobs <- rangeJob{call: c, k: k, lo: lo, hi: min(lo+batch, numChunks)}
 	}
 	e.closeMu.RUnlock()
 	c.pending.Wait()
+	for _, hw := range c.outs {
+		dst.Words = append(dst.Words, hw.Words...)
+		hw.Release()
+	}
 	return nil
 }
 
@@ -189,21 +212,21 @@ func (e *CPUEngine) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error) 
 // out[i] with query i's result. Members are grouped by DBTok plane
 // (samePlane) and length, each group is folded into one factored query
 // (factorPlane), and the kernel streams every chunk once for all
-// groups. A member identical to an earlier one (sameMember) is
-// evaluated once and gets its own copy of the hits. Stats come from the
-// plan: a plane streams every chunk once, charged to its first member;
-// a group subtracts once per chunk, charged to its first member; and
-// every member, duplicates included, compares every window once per
-// residue. On error the results are released.
+// groups, emitting hit records on the search's rows, from which each
+// member takes its own. A member identical to an earlier one
+// (sameMember) is evaluated once and gets its own copy of the records.
+// Stats come from the plan: a plane streams every chunk once, charged
+// to its first member; a group subtracts once per chunk, charged to its
+// first member; and every member, duplicates included, compares every
+// window once per residue. On error the results are released.
 func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 	n, numChunks := e.ring.N(), len(e.db.Chunks)
-	numWindows := numChunks * n
 	var groups []planeGroup
 	var dups [][2]int // (member, the earlier identical member it copies)
 	for mi, q := range queries {
-		ir := &IndexResult{Hits: make(HitBitmaps, len(q.Residues))}
+		ir := &IndexResult{Hits: newHitWords(q.Residues)}
 		out[mi] = ir
-		ir.Stats.CoeffCompares = int64(len(q.Residues)) * int64(numWindows)
+		ir.Stats.CoeffCompares = int64(len(q.Residues)) * int64(numChunks*n)
 		if k := slices.IndexFunc(queries[:mi], func(o *Query) bool { return sameMember(o, q) }); k >= 0 {
 			dups = append(dups, [2]int{mi, k})
 			continue
@@ -225,18 +248,13 @@ func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 			ir.Stats.ChunkStreams = int64(numChunks)
 		}
 		if g == len(groups) {
-			groups = append(groups, planeGroup{words: make([][]uint64, 0, len(q.Residues))})
+			groups = append(groups, planeGroup{})
 			ir.Stats.HomAdds = numChunks
 		}
-		p := &groups[g]
-		p.members = append(p.members, q)
-		for _, res := range q.Residues {
-			bm := NewBitset(numWindows)
-			ir.Hits[res] = bm
-			p.words = append(p.words, bm.Words())
-		}
+		groups[g].members = append(groups[g].members, q)
 	}
 	var err error
+	rows := 0
 	for g := range groups {
 		p := &groups[g]
 		if p.fq, err = factorPlane(n, p.members, numChunks); err == nil {
@@ -245,22 +263,38 @@ func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 		if err != nil {
 			break
 		}
+		p.row0 = rows
+		rows += p.fq.width
 	}
+	all := newHitWords(nil)
+	defer all.Release()
 	if err == nil {
-		err = e.schedule(groups)
+		err = e.schedule(groups, ring.HitRoom(n, rows), all)
 	}
 	if err != nil {
 		for _, ir := range out {
-			ir.Release() // return the pooled bitsets on the error path
+			ir.Release() // return the pooled records on the error path
 		}
 		return err
 	}
-	for _, d := range dups {
-		for res, bm := range out[d[1]].Hits {
-			cp := NewBitset(numWindows)
-			copy(cp.Words(), bm.Words())
-			out[d[0]].Hits[res] = cp
+	if n&63 != 0 {
+		all.Words = mergeHitWords(all.Words)
+	}
+	for g := range groups {
+		row := groups[g].row0
+		for _, q := range groups[g].members {
+			hw := out[slices.Index(queries, q)].Hits
+			for _, h := range all.Words {
+				if r := int(h.Row) - row; r >= 0 && r < len(q.Residues) {
+					h.Row = uint32(r)
+					hw.Words = append(hw.Words, h)
+				}
+			}
+			row += len(q.Residues)
 		}
+	}
+	for _, d := range dups {
+		out[d[0]].Hits.Words = append(out[d[0]].Hits.Words, out[d[1]].Hits.Words...)
 	}
 	var total Stats
 	for mi, q := range queries {

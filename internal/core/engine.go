@@ -147,13 +147,13 @@ func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) erro
 }
 
 // searchChunkRange is the one CPU kernel: it executes index generation
-// for every group of a search over chunks [lo, hi) of db, setting hit
-// bits in the groups' bitset words (global window indexing). A single
-// query is one group with one member; a batch groups its members by
-// DBTok plane and length (CPUEngine.search). The CPU engine's scheduler runs it
-// over the whole database inline or over word-aligned ranges on its
-// worker pool, mirroring how the paper maps one algorithm onto
-// different substrates.
+// for every group of a search over chunks [lo, hi) of db, appending hit
+// records to out (global window indexing, each group's comparands on
+// its rows from row0). A single query is one group with one member; a
+// batch groups its members by DBTok plane and length
+// (CPUEngine.search). The CPU engine's scheduler runs it over the whole
+// database inline or over word-aligned ranges on its worker pool,
+// mirroring how the paper maps one algorithm onto different substrates.
 //
 // Seeded-match index generation reads only the first ciphertext
 // component, so the kernel never touches C[1] — half the ciphertext
@@ -162,27 +162,38 @@ func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) erro
 // no intermediate store: chunk j's first component is read from memory
 // once per search (later groups find it in cache), DBTok[j] once per
 // group, the cache-resident 16-bit comparand rows and the group's low
-// row are the only other operands, and the only writes are hit bits in
-// the packed bitsets. On an arena the database reads are one
+// row are the only other operands, and the only writes are the records
+// of the words that hold a hit. On an arena the database reads are one
 // sequential walk of the C0 plane. The 16-bit compare is the 64-bit
 // one, bit for bit (DESIGN §4.3): cutNarrow checked that the group's
 // comparands share their low part, and the kernel's guard checks the
 // difference's low part against it.
 //
-// The groups and their words are built once per search by the caller:
-// the kernel itself is allocation-free, so a worker re-entering it per
-// chunk-range job pays nothing.
+// Before each chunk the kernel needs room records of spare capacity in
+// out (ring.HitRoom over all groups' rows); when out lacks it, the
+// kernel returns the chunk it stopped at, and runRange grows out and
+// resumes. Everything else is built once per search by the caller, so
+// the kernel itself is allocation-free.
 //
 //cm:hotpath
-func searchChunkRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi int) {
+func searchChunkRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi, room int, out []ring.HitWord) (int, []ring.HitWord) {
 	n := r.N()
 	for j := lo; j < hi; j++ {
+		if cap(out)-len(out) < room {
+			return j, out
+		}
 		c0 := db.Chunks[j].C[0]
 		for i := range groups {
 			p := &groups[i]
-			r.SubCmpNarrowBits(c0, p.fq.DBTok[j], p.fq.low, p.fq.narrowRow(j), p.words, j*n)
+			free := out[len(out):cap(out)]
+			k := r.SubCmpNarrowBits(c0, p.fq.DBTok[j], p.fq.low, p.fq.narrowRow(j), free, j*n)
+			for x := range free[:k] {
+				free[x].Row += uint32(p.row0)
+			}
+			out = out[:len(out)+k]
 		}
 	}
+	return hi, out
 }
 
 // add folds another stats sample into s.

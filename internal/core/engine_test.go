@@ -56,21 +56,11 @@ func assertSameResult(t *testing.T, label string, got, want *IndexResult) {
 	if got.Stats.HomAdds != want.Stats.HomAdds {
 		t.Fatalf("%s: HomAdds %d != %d", label, got.Stats.HomAdds, want.Stats.HomAdds)
 	}
-	if len(got.Hits) != len(want.Hits) {
-		t.Fatalf("%s: %d hit bitmaps != %d", label, len(got.Hits), len(want.Hits))
+	if len(got.Hits.Residues) != len(want.Hits.Residues) {
+		t.Fatalf("%s: %d hit residues != %d", label, len(got.Hits.Residues), len(want.Hits.Residues))
 	}
-	for res, bm := range want.Hits {
-		gbm := got.Hits[res]
-		if gbm.Len() != bm.Len() {
-			t.Fatalf("%s: residue %d bitmap length %d != %d", label, res, gbm.Len(), bm.Len())
-		}
-		if !gbm.Equal(bm) {
-			for w := 0; w < bm.Len(); w++ {
-				if bm.Get(w) != gbm.Get(w) {
-					t.Fatalf("%s: residue %d window %d differs", label, res, w)
-				}
-			}
-		}
+	if !got.Hits.Equal(want.Hits) {
+		t.Fatalf("%s: hit records differ:\n got %v\nwant %v", label, got.Hits.Words, want.Hits.Words)
 	}
 }
 
@@ -382,5 +372,149 @@ func TestBatchRejectsRHSLowBitMismatch(t *testing.T) {
 			t.Errorf("workers=%d: batch = (%v, %v), want ErrRHSLowBits and no result", workers, irs, err)
 		}
 		eng.Close()
+	}
+}
+
+// TestPoolRangeBoundaries plants an occurrence across every chunk
+// boundary of a 24-chunk database, so on pool:2, pool:3 and pool:4
+// every chunk range the scheduler cuts (batchSize) has a match whose
+// full windows straddle its edge, and so do chunk boundaries inside a
+// range. Each job emits its own records and the caller joins them in
+// range order: the joined records must equal serial's, and the
+// candidates too, ascending. A batch with a duplicate member exercises
+// the copy of the records.
+func TestPoolRangeBoundaries(t *testing.T) {
+	const chunks, yBits = 24, 48
+	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
+	client, err := NewClient(cfg, rng.NewSourceFromString("range-bounds"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunkBits := SegmentBits * cfg.Params.N
+	db := make([]byte, chunks*chunkBits/8)
+	rng.NewSourceFromString("range-bounds-data").Bytes(db)
+	query := []byte{0x5A, 0xC3, 0x0F, 0xF0, 0x96, 0x69}
+	var plants []int
+	for k := 1; k < chunks; k++ {
+		o := k*chunkBits - SegmentBits // full windows 64k-1 .. 64k+1
+		plantQuery(db, query, yBits, o)
+		plants = append(plants, o)
+	}
+	edb, err := client.EncryptDatabase(db, len(db)*8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.PrepareQuery(query, yBits, len(db)*8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := client.PrepareQuery(query[:4], 32, len(db)*8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := NewCPUEngine(cfg.Params, edb, 1).SearchAndIndex(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Release()
+	if want := ExpectedCandidates(db, len(db)*8, query, yBits, cfg.AlignBits); !intsEqual(serial.Candidates, want) {
+		t.Fatalf("serial candidates %v, plain reference %v", serial.Candidates, want)
+	}
+	for _, o := range plants {
+		if !slices.Contains(serial.Candidates, o) {
+			t.Fatalf("planted occurrence %d missing from serial %v", o, serial.Candidates)
+		}
+	}
+	for _, workers := range []int{2, 3, 4} {
+		eng := NewCPUEngine(cfg.Params, edb, workers)
+		if batch := eng.batchSize(chunks); batch >= chunks {
+			t.Fatalf("pool:%d runs one range; the test crosses no range boundary", workers)
+		}
+		label := eng.Describe()
+		ir, err := eng.SearchAndIndex(q)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !slices.IsSorted(ir.Candidates) {
+			t.Fatalf("%s: candidates not ascending: %v", label, ir.Candidates)
+		}
+		assertSameResult(t, label, ir, serial)
+		ir.Release()
+		irs, err := eng.SearchAndIndexBatch(NewBatchQuery(q, other, q))
+		if err != nil {
+			t.Fatalf("%s: batch: %v", label, err)
+		}
+		for _, mi := range []int{0, 2} {
+			got := *irs[mi]
+			got.Stats = serial.Stats // a batch charges plane work to its first member only
+			assertSameResult(t, label+" batch member", &got, serial)
+		}
+		for _, ir := range irs {
+			ir.Release()
+		}
+		eng.Close()
+	}
+}
+
+// TestEngineSubWordChunks runs the CPU engine at ring degrees below 64,
+// where a chunk is part of a bitset word and every chunk's kernel call
+// emits its partial word: the engine must merge those into one record
+// per word and residue, identical to the client-decrypt twin's, inline
+// and on pools.
+func TestEngineSubWordChunks(t *testing.T) {
+	query := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	for _, n := range []int{16, 32} {
+		params := bfv.Params{N: n, Q: 1 << 32, T: 1 << 16, Eta: 3, RelinBaseBits: 8}
+		cfg := Config{Params: params, AlignBits: 8, Mode: ModeSeededMatch}
+		client, err := NewClient(cfg, rng.NewSourceFromString("sub-word"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twinCfg := cfg
+		twinCfg.Mode = ModeClientDecrypt
+		twin, err := NewClient(twinCfg, rng.NewSourceFromString("sub-word"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunkBits := SegmentBits * n
+		db := make([]byte, 10*chunkBits/8)
+		rng.NewSourceFromString("sub-word-data").Bytes(db)
+		dbBits := len(db) * 8
+		for _, o := range []int{8, chunkBits - 8, 5*chunkBits - 16, dbBits - 32} {
+			plantQuery(db, query, 32, o)
+		}
+		edb, err := client.EncryptDatabase(db, dbBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := client.PrepareQuery(query, 32, dbBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tq, err := twin.PrepareQuery(query, 32, dbBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := NewServer(params, edb).Search(tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := twin.ExtractHits(tq, sr).Sparse()
+		wantCands := ExpectedCandidates(db, dbBits, query, 32, cfg.AlignBits)
+		for _, workers := range []int{1, 2, 3} {
+			eng := NewCPUEngine(params, edb, workers)
+			ir, err := eng.SearchAndIndex(q)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, eng.Describe(), err)
+			}
+			if !ir.Hits.Equal(want) {
+				t.Fatalf("n=%d %s: records %v, client decrypt %v", n, eng.Describe(), ir.Hits.Words, want.Words)
+			}
+			if !intsEqual(ir.Candidates, wantCands) {
+				t.Fatalf("n=%d %s: candidates %v, plain reference %v", n, eng.Describe(), ir.Candidates, wantCands)
+			}
+			ir.Release()
+			eng.Close()
+		}
 	}
 }

@@ -101,23 +101,23 @@ func (s *Server) Search(q *Query) (*SearchResult, error) {
 }
 
 // IndexResult is the output of server-side index generation
-// (ModeSeededMatch): per-variant window-hit bitmaps (packed Bitsets) and
-// the final candidate offsets.
+// (ModeSeededMatch): the search's sparse hit records and the final
+// candidate offsets.
 type IndexResult struct {
-	Hits       HitBitmaps
+	Hits       *HitWords
 	Candidates []int
 	Stats      Stats
 }
 
-// Release recycles the result's hit-bitmap storage through the bitset
-// pool. Call it when the result will not be used again (the wire server
-// does, after encoding candidates); afterwards ir.Hits is empty. Safe on
-// nil.
+// Release recycles the result's hit-record storage through its pool.
+// Call it when the result will not be used again (the wire server does,
+// after encoding candidates); afterwards ir.Hits is nil. Safe on nil.
 func (ir *IndexResult) Release() {
 	if ir == nil {
 		return
 	}
 	ir.Hits.Release()
+	ir.Hits = nil
 }
 
 // SearchAndIndex performs the homomorphic additions and then generates the

@@ -109,16 +109,8 @@ func TestEngineConformance(t *testing.T) {
 				if ir.Stats.CoeffCompares <= 0 {
 					t.Fatalf("%s: no coefficient comparisons recorded", label)
 				}
-				for res, bm := range ref.Hits {
-					got := ir.Hits[res]
-					if got.Len() != bm.Len() {
-						t.Fatalf("%s: residue %d bitmap length %d != %d", label, res, got.Len(), bm.Len())
-					}
-					for w := 0; w < bm.Len(); w++ {
-						if bm.Get(w) != got.Get(w) {
-							t.Fatalf("%s: residue %d window %d differs from serial", label, res, w)
-						}
-					}
+				if !ir.Hits.Equal(ref.Hits) {
+					t.Fatalf("%s: hit records %v differ from serial %v", label, ir.Hits.Words, ref.Hits.Words)
 				}
 				if err := eng.Close(); err != nil {
 					t.Fatalf("%s: close: %v", label, err)
@@ -243,23 +235,14 @@ func TestEngineBatchConformance(t *testing.T) {
 			if !intsEqual(got.Candidates, want.Candidates) {
 				t.Fatalf("%s: member %d: batch candidates %v != sequential %v", label, mi, got.Candidates, want.Candidates)
 			}
-			for res, bm := range want.Hits {
-				gbm := got.Hits[res]
-				if gbm.Len() != bm.Len() {
-					t.Fatalf("%s: member %d residue %d: bitmap length %d != %d", label, mi, res, gbm.Len(), bm.Len())
-				}
-				for w := 0; w < bm.Len(); w++ {
-					if bm.Get(w) != gbm.Get(w) {
-						t.Fatalf("%s: member %d residue %d window %d: batch differs from sequential", label, mi, res, w)
-					}
-				}
+			if !got.Hits.Equal(want.Hits) {
+				t.Fatalf("%s: member %d: batch records %v differ from sequential %v", label, mi, got.Hits.Words, want.Hits.Words)
 			}
 			batchAdds += got.Stats.HomAdds
 			seqAdds += want.Stats.HomAdds
-			released := len(got.Hits) + len(want.Hits)
 			got.Release()
 			want.Release()
-			scribblePool(released, len(edb.Chunks)*cfg.Params.N)
+			scribblePool(2)
 		}
 		// Member 2 duplicates member 0, so the CPU engine's batch pass
 		// must do strictly less homomorphic work than the sequential runs.
@@ -324,7 +307,7 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := twin.ExtractHits(tq, sr)
+			want := twin.ExtractHits(tq, sr).Sparse()
 			for _, kp := range ring.AvailableKernels() {
 				withKernel(t, kp, func() {
 					for _, spec := range conformanceSpecs {
@@ -340,20 +323,103 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if len(ir.Hits) != len(want) {
-							t.Fatalf("%s: %d bitmaps, client decrypt has %d", label, len(ir.Hits), len(want))
+						if len(ir.Hits.Residues) != len(want.Residues) {
+							t.Fatalf("%s: %d residues, client decrypt has %d", label, len(ir.Hits.Residues), len(want.Residues))
 						}
-						for res, wbm := range want {
-							gbm := ir.Hits[res]
-							if gbm == nil || !gbm.Equal(wbm) {
-								t.Fatalf("%s: residue %d bitmap differs from client-decrypt ExtractHits", label, res)
-							}
+						if !ir.Hits.Equal(want) {
+							t.Fatalf("%s: hit records %v differ from client-decrypt ExtractHits %v", label, ir.Hits.Words, want.Words)
 						}
 						if err := eng.Close(); err != nil {
 							t.Fatalf("%s: close: %v", label, err)
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestEngineSaturatedHits is the worst case of the record form: an
+// all-zero database searched for an all-zero pattern hits every window
+// for every residue. On ParamsToy and a small ParamsPaper database,
+// serial, pool:2, pool:3 and the in-flash engine must return the
+// client-decrypt twin's hits and candidates, and the CPU engine must
+// emit exactly one record per residue per 64-window word — 16 B per
+// word where the dense bitmaps held 8 B.
+func TestEngineSaturatedHits(t *testing.T) {
+	const queryBits, align = 32, 8
+	for _, c := range []struct {
+		params bfv.Params
+		chunks int
+	}{{bfv.ParamsToy(), 5}, {bfv.ParamsPaper(), 3}} {
+		n := c.params.N
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			cfg := core.Config{Params: c.params, AlignBits: align, Mode: core.ModeSeededMatch}
+			client, err := core.NewClient(cfg, rng.NewSourceFromString("saturated"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twinCfg := cfg
+			twinCfg.Mode = core.ModeClientDecrypt
+			twin, err := core.NewClient(twinCfg, rng.NewSourceFromString("saturated"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbBits := c.chunks * n * core.SegmentBits
+			data := make([]byte, dbBits/8)
+			pattern := make([]byte, queryBits/8)
+			edb, err := client.EncryptDatabase(data, dbBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := client.PrepareQuery(pattern, queryBits, dbBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tq, err := twin.PrepareQuery(pattern, queryBits, dbBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := core.NewServer(cfg.Params, edb).Search(tq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := twin.ExtractHits(tq, sr).Sparse()
+			wantCands := core.Candidates(want, dbBits, queryBits, align)
+			if all := core.ExpectedCandidates(data, dbBits, pattern, queryBits, align); !intsEqual(wantCands, all) {
+				t.Fatalf("client decrypt found %d candidates, every one of the %d aligned offsets expected", len(wantCands), len(all))
+			}
+			records := len(q.Residues) * c.chunks * n / 64
+			if len(want.Words) != records {
+				t.Fatalf("client decrypt hits %d words, want every window of %d residues: %d", len(want.Words), len(q.Residues), records)
+			}
+			for _, spec := range []core.EngineSpec{
+				{Kind: core.EngineSerial},
+				{Kind: core.EnginePool, Workers: 2},
+				{Kind: core.EnginePool, Workers: 3},
+				{Kind: core.EngineSSD},
+			} {
+				eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
+				if err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
+				ir, err := eng.SearchAndIndex(q)
+				if err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
+				if len(ir.Hits.Words) != records {
+					t.Fatalf("%s: %d records, want R·⌈windows/64⌉ = %d", spec, len(ir.Hits.Words), records)
+				}
+				if !ir.Hits.Equal(want) {
+					t.Fatalf("%s: hit records differ from client-decrypt ExtractHits", spec)
+				}
+				if !intsEqual(ir.Candidates, wantCands) {
+					t.Fatalf("%s: %d candidates, client decrypt %d", spec, len(ir.Candidates), len(wantCands))
+				}
+				ir.Release()
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -520,20 +586,20 @@ func TestParse(t *testing.T) {
 	}
 }
 
-// scribblePool draws k bitsets of the given size from the pool,
-// sets every bit and returns them: a result still sharing storage with
-// one just released now reads all ones.
-func scribblePool(k, bits int) {
-	bms := make([]*core.Bitset, k)
-	for i := range bms {
-		bms[i] = core.NewBitset(bits)
-		w := bms[i].Words()
+// scribblePool draws k record lists from the hit-record pool, fills
+// their whole capacity with all-ones records and returns them: a result
+// still sharing storage with one just released now reads garbage.
+func scribblePool(k int) {
+	hws := make([]*core.HitWords, k)
+	for i := range hws {
+		hws[i] = core.HitBitmaps{}.Sparse()
+		w := hws[i].Words[:cap(hws[i].Words)]
 		for j := range w {
-			w[j] = ^uint64(0)
+			w[j] = ring.HitWord{Word: ^uint32(0), Mask: ^uint64(0)}
 		}
 	}
-	for _, bm := range bms {
-		bm.Release()
+	for _, hw := range hws {
+		hw.Release()
 	}
 }
 

@@ -466,7 +466,7 @@ func (s *Server) handleMessage(msgType byte, payload []byte, t *trace.Trace, pb 
 		for i, ir := range irs {
 			results[i] = ir.Candidates
 			streamed += ir.Stats.ChunkStreams
-			ir.Release() // candidates only; recycle the hit bitmaps
+			ir.Release() // candidates only; recycle the hit records
 		}
 		s.met.chunkStreams.Add(streamed)
 		body, err := EncodeBatchResult(results)
@@ -528,8 +528,8 @@ func (s *Server) searchOne(payload []byte, t *trace.Trace, pb *planeBuf) ([]int,
 	t.Batch = 1
 	s.met.chunkStreams.Add(ir.Stats.ChunkStreams)
 	candidates := ir.Candidates
-	// Only candidates cross the wire; recycle the hit bitmaps so the
-	// request loop's bitset storage is reused across searches.
+	// Only candidates cross the wire; recycle the hit records so the
+	// request loop's record storage is reused across searches.
 	ir.Release()
 	return candidates, nil
 }

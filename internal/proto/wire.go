@@ -256,7 +256,7 @@ func (b *buffer) putPoly(p ring.Poly, qBytes int) {
 // coefficients: every polynomial on this wire (chunk ciphertext
 // components, match tokens) is a ring element of the
 // session's parameter set, and the search kernels size their loops and
-// bitset writes from these lengths, so a peer must not be able to
+// hit-record writes from these lengths, so a peer must not be able to
 // smuggle in oversized polynomials.
 func (b *buffer) poly(qBytes, degree int) (ring.Poly, error) {
 	out := make(ring.Poly, degree)

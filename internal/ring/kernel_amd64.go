@@ -82,16 +82,15 @@ func subCmpNarrowBlock64AVX512(out, a, d, low *uint64, top *[]uint16, nrhs, off 
 // reading each row's data pointer from its slice header.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, bits [][]uint64, base int, avx512 bool) {
+func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, out []HitWord, base int, avx512 bool) int {
 	if len(top) == 0 {
-		return // the asm comparand loop counts down from nrhs >= 1
+		return 0 // the asm comparand loop counts down from nrhs >= 1
 	}
 	n := len(a)
-	i := 0
+	i, nw := 0, 0
 	if rem := base & 63; rem != 0 {
-		pro := min(64-rem, n)
-		r.subCmpNarrowScalar(a, d, low, top, bits, base, 0, pro)
-		i = pro
+		i = min(64-rem, n)
+		nw = r.subCmpNarrowScalar(a, d, low, top, out, nw, base, 0, i)
 	}
 	// The asm reads d, low and every comparand row through coefficient
 	// n-1 with no bounds checks of its own: prove the lengths once.
@@ -101,23 +100,24 @@ func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, bits [][]uint64, 
 		_ = tv[len(tv)-n:]
 	}
 	s, lm := uint64(r.narrowShift), r.lowMask
-	var out [64]uint64
+	var verdict [64]uint64
 	for ; i+64 <= n; i += 64 {
-		wi := (base + i) >> 6
-		for g := 0; g < len(top); g += len(out) {
-			grp := top[g:min(g+len(out), len(top))]
+		wi := uint32((base + i) >> 6)
+		for g := 0; g < len(top); g += len(verdict) {
+			grp := top[g:min(g+len(verdict), len(top))]
 			if avx512 {
-				subCmpNarrowBlock64AVX512(&out[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
+				subCmpNarrowBlock64AVX512(&verdict[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
 			} else {
-				subCmpNarrowBlock64AVX2(&out[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
+				subCmpNarrowBlock64AVX2(&verdict[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
 			}
-			for v, w := range out[:len(grp)] {
-				//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+			for v, w := range verdict[:len(grp)] {
+				//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
 				if w != 0 {
-					bits[g+v][wi] |= w
+					out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(g+v), w
+					nw++
 				}
 			}
 		}
 	}
-	r.subCmpNarrowScalar(a, d, low, top, bits, base, i, n)
+	return r.subCmpNarrowScalar(a, d, low, top, out, nw, base, i, n)
 }

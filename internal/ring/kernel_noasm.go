@@ -14,6 +14,6 @@ func archAVX2Supported() bool { return false }
 func archAVX512Supported() bool { return false }
 
 //cm:hotpath
-func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, bits [][]uint64, base int, _ bool) {
-	r.subCmpNarrowUnrolled(a, d, low, top, bits, base)
+func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, out []HitWord, base int, _ bool) int {
+	return r.subCmpNarrowUnrolled(a, d, low, top, out, base)
 }

@@ -212,9 +212,7 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 	results := make(map[KernelPath][][]uint64)
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			bits := newBits()
-			tc.r.SubCmpNarrowBits(tc.a, tc.d, tc.low, tc.top, bits, tc.base)
-			results[p] = bits
+			results[p] = runNarrow(t, tc.r, tc.a, tc.d, tc.low, tc.top, tc.base, words)
 		})
 	}
 	ref := results[KernelGeneric]

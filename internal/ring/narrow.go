@@ -20,8 +20,23 @@ package ring
 //
 // The kernel has four dispatch paths (kernel.go); SubCmpMultiBits is
 // the one-loop reference they are tested against. It shares that
-// reference's scalar prologue/epilogue shape, branchless coefficient
-// loops and word-granular store elision; only the lane width differs.
+// reference's scalar prologue/epilogue shape and branchless coefficient
+// loops, but its output is sparse: one HitWord record per word that
+// holds a hit, so a search writes nothing for the words it misses.
+
+// HitWord is one record of SubCmpNarrowBits' sparse output: bit k of
+// Mask is set iff comparand Row hit window 64·Word+k.
+type HitWord struct {
+	Word, Row uint32
+	Mask      uint64
+}
+
+// HitRoom returns how many records one SubCmpNarrowBits call over n
+// coefficients and rows comparands can emit: one per comparand for
+// every bitset word the call touches, at most ⌈n/64⌉+1 of them.
+func HitRoom(n, rows int) int {
+	return rows * ((n+63)/64 + 1)
+}
 
 // NarrowBits is the lane width of SubCmpNarrowBits: log2 t of every
 // served parameter set.
@@ -50,47 +65,54 @@ func (r *Ring) CutNarrow(p, low Poly, top []uint16) bool {
 	return diff == 0
 }
 
-// SubCmpNarrowBits sets bit base+i of bits[v] for every comparand v and
-// coefficient i with
+// SubCmpNarrowBits finds, for every comparand v and coefficient i,
+// whether
 //
 //	D mod 2^s == low[i] mod 2^s   and   D >> s == top[v][i]
 //
-// where D = (a[i] - d[i]) mod q and s comes from NarrowShift. For
-// comparands rhs[v] that share low's low part and top[v] cut from them
-// (CutNarrow), the bits are exactly those SubCmpMultiBits sets for rhs.
-// Bits are only ever set; words with no hits are never written.
+// where D = (a[i] - d[i]) mod q and s comes from NarrowShift, and
+// reports the hits as window base+i of comparand v: it writes HitWord
+// records to out and returns how many. For comparands rhs[v] that share
+// low's low part and top[v] cut from them (CutNarrow), the hit windows
+// are exactly the bits SubCmpMultiBits sets for rhs.
 //
-// The ring must satisfy NarrowShift. top and bits must have equal
-// length; d, low and every top[v] must have len(a) entries, and every
-// bits[v] must cover bits [base, base+len(a)).
+// Records come in ascending word order, comparands ascending within a
+// word. A word covered by a whole 64-coefficient block is emitted only
+// if it holds a hit; the partial words at the edges of an unaligned
+// call (base or base+len(a) not a multiple of 64) are emitted for every
+// comparand, empty or not, so consecutive calls may emit the same
+// (word, comparand) twice, with disjoint masks.
+//
+// The ring must satisfy NarrowShift. d, low and every top[v] must have
+// len(a) entries, and out must have room for HitRoom(len(a), len(top))
+// records.
 //
 //cm:hotpath
-func (r *Ring) SubCmpNarrowBits(a, d, low Poly, top [][]uint16, bits [][]uint64, base int) {
+func (r *Ring) SubCmpNarrowBits(a, d, low Poly, top [][]uint16, out []HitWord, base int) int {
 	switch KernelPath(activeKernel.Load()) {
 	case KernelAVX512:
-		r.subCmpNarrowAsm(a, d, low, top, bits, base, true)
+		return r.subCmpNarrowAsm(a, d, low, top, out, base, true)
 	case KernelAVX2:
-		r.subCmpNarrowAsm(a, d, low, top, bits, base, false)
+		return r.subCmpNarrowAsm(a, d, low, top, out, base, false)
 	case KernelUnrolled:
-		r.subCmpNarrowUnrolled(a, d, low, top, bits, base)
+		return r.subCmpNarrowUnrolled(a, d, low, top, out, base)
 	default:
-		r.subCmpNarrowGeneric(a, d, low, top, bits, base)
+		return r.subCmpNarrowGeneric(a, d, low, top, out, base)
 	}
 }
 
 // subCmpNarrowGeneric is the portable word-at-a-time reference: the
 // guard word and the 64 narrow differences of a block are computed
 // once, then each comparand folds its 64 lane compares into one word,
-// ANDed with the guard and stored only when some window hit.
+// ANDed with the guard and emitted only when some window hit.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowGeneric(a, d, low Poly, top [][]uint16, bits [][]uint64, base int) {
+func (r *Ring) subCmpNarrowGeneric(a, d, low Poly, top [][]uint16, out []HitWord, base int) int {
 	n := len(a)
-	i := 0
+	i, nw := 0, 0
 	if rem := base & 63; rem != 0 {
-		pro := min(64-rem, n)
-		r.subCmpNarrowScalar(a, d, low, top, bits, base, 0, pro)
-		i = pro
+		i = min(64-rem, n)
+		nw = r.subCmpNarrowScalar(a, d, low, top, out, nw, base, 0, i)
 	}
 	s, lm := r.narrowShift, r.lowMask
 	var diff [64]uint16
@@ -102,7 +124,7 @@ func (r *Ring) subCmpNarrowGeneric(a, d, low Poly, top [][]uint16, bits [][]uint
 			g |= eqMaskBit(t&lm, ll[k]&lm) << uint(k)
 			diff[k] = uint16(t >> s)
 		}
-		wi := (base + i) >> 6
+		wi := uint32((base + i) >> 6)
 		for v, tv := range top {
 			tt := tv[i : i+64]
 			var w uint64
@@ -112,13 +134,14 @@ func (r *Ring) subCmpNarrowGeneric(a, d, low Poly, top [][]uint16, bits [][]uint
 				w |= (uint64(diff[k]^tt[k]) - 1) >> 63 << uint(k)
 			}
 			w &= g
-			//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+			//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
 			if w != 0 {
-				bits[v][wi] |= w
+				out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(v), w
+				nw++
 			}
 		}
 	}
-	r.subCmpNarrowScalar(a, d, low, top, bits, base, i, n)
+	return r.subCmpNarrowScalar(a, d, low, top, out, nw, base, i, n)
 }
 
 // lanes16Lo is the low 15 bits of each 16-bit lane of a uint64.
@@ -143,13 +166,12 @@ func zeroLanes16(x uint64) uint64 {
 // of the generic path.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, bits [][]uint64, base int) {
+func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, out []HitWord, base int) int {
 	n := len(a)
-	i := 0
+	i, nw := 0, 0
 	if rem := base & 63; rem != 0 {
-		pro := min(64-rem, n)
-		r.subCmpNarrowScalar(a, d, low, top, bits, base, 0, pro)
-		i = pro
+		i = min(64-rem, n)
+		nw = r.subCmpNarrowScalar(a, d, low, top, out, nw, base, 0, i)
 	}
 	s, lm := r.narrowShift, r.lowMask
 	var diff [16]uint64
@@ -167,7 +189,7 @@ func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, bits [][]uin
 			diff[k>>2] = uint64(uint16(t0>>s)) | uint64(uint16(t1>>s))<<16 |
 				uint64(uint16(t2>>s))<<32 | uint64(uint16(t3>>s))<<48
 		}
-		wi := (base + i) >> 6
+		wi := uint32((base + i) >> 6)
 		for v, tv := range top {
 			tt := tv[i : i+64 : i+64]
 			var w uint64
@@ -177,30 +199,45 @@ func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, bits [][]uin
 				w |= zeroLanes16(diff[k]^x) << uint(4*k)
 			}
 			w &= g
-			//cm:allow ctbranch -- aggregated hit-word store elision: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+			//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
 			if w != 0 {
-				bits[v][wi] |= w
+				out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(v), w
+				nw++
 			}
 		}
 	}
-	r.subCmpNarrowScalar(a, d, low, top, bits, base, i, n)
+	return r.subCmpNarrowScalar(a, d, low, top, out, nw, base, i, n)
 }
 
 // subCmpNarrowScalar is the coefficient-at-a-time edge path of
-// SubCmpNarrowBits over coefficients [lo, hi), shared by every dispatch
-// path: the guard clears the coefficient's bit mask, and each comparand
-// ORs its masked verdict unconditionally.
+// SubCmpNarrowBits over coefficients [lo, hi), which lie in one bitset
+// word, shared by every dispatch path: it computes the guard bits and
+// narrow differences once, then writes the word's record for every
+// comparand, hit or not, at out[nw:], and returns the new record count.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowScalar(a, d, low Poly, top [][]uint16, bits [][]uint64, base, lo, hi int) {
+func (r *Ring) subCmpNarrowScalar(a, d, low Poly, top [][]uint16, out []HitWord, nw, base, lo, hi int) int {
+	if lo == hi {
+		return nw
+	}
 	s, lm := r.narrowShift, r.lowMask
+	var diff [64]uint16
+	var g uint64
 	for i := lo; i < hi; i++ {
 		t := a[i] - d[i]
-		x := uint64(uint16(t >> s))
-		wi, m := bitsetWord(base + i)
-		m &= -eqMaskBit(t&lm, low[i]&lm)
-		for v, tv := range top {
-			bits[v][wi] |= m & -eqMaskBit(x, uint64(tv[i]))
-		}
+		diff[i-lo] = uint16(t >> s)
+		_, m := bitsetWord(base + i)
+		g |= m & -eqMaskBit(t&lm, low[i]&lm)
 	}
+	wi := uint32((base + lo) >> 6)
+	for v, tv := range top {
+		var w uint64
+		for i := lo; i < hi; i++ {
+			_, m := bitsetWord(base + i)
+			w |= m & -eqMaskBit(uint64(diff[i-lo]), uint64(tv[i]))
+		}
+		out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(v), w&g
+		nw++
+	}
+	return nw
 }

@@ -16,6 +16,37 @@ func narrowRows(r *Ring, rhs []Poly) [][]uint16 {
 	return top
 }
 
+// runNarrow runs SubCmpNarrowBits with exactly HitRoom records of room
+// and scatters its records into len(top) dense bitsets of words words:
+// the conversion through which the tests compare its hits with
+// SubCmpMultiBits' words. It fails unless the records ascend by word
+// and comparand inside the call's words and only the call's partial
+// edge words carry empty masks.
+func runNarrow(t testing.TB, r *Ring, a, d, low Poly, top [][]uint16, base, words int) [][]uint64 {
+	t.Helper()
+	out := make([]HitWord, HitRoom(len(a), len(top)))
+	k := r.SubCmpNarrowBits(a, d, low, top, out, base)
+	bits := make([][]uint64, len(top))
+	for v := range bits {
+		bits[v] = make([]uint64, words)
+	}
+	first, last := base>>6, (base+len(a)-1)>>6
+	for i, h := range out[:k] {
+		w := int(h.Word)
+		edge := w == first && base&63 != 0 || w == last && (base+len(a))&63 != 0
+		switch {
+		case w < first || w > last || int(h.Row) >= len(top):
+			t.Fatalf("record %d (word %d, row %d) outside the call's %d words from %d and %d rows", i, w, h.Row, last-first+1, first, len(top))
+		case i > 0 && (out[i-1].Word > h.Word || out[i-1].Word == h.Word && out[i-1].Row >= h.Row):
+			t.Fatalf("record %d (word %d, row %d) does not ascend from (word %d, row %d)", i, w, h.Row, out[i-1].Word, out[i-1].Row)
+		case h.Mask == 0 && !edge:
+			t.Fatalf("record %d: empty mask for whole word %d", i, w)
+		}
+		bits[h.Row][w] |= h.Mask
+	}
+	return bits
+}
+
 // narrowFamilies are the rings SubCmpNarrowBits serves and the edges of
 // its split: the paper's q = 2^32 (16 low bits) at degrees on both
 // sides of the word body, ParamsN2048's q = 2^54 (38 low bits), q =
@@ -103,11 +134,7 @@ func TestSubCmpNarrowMatchesMultiBits(t *testing.T) {
 						r.SubCmpMultiBits(a, d, rhs, wide, base)
 						for _, p := range AvailableKernels() {
 							withKernel(t, p, func() {
-								narrow := make([][]uint64, R)
-								for v := range narrow {
-									narrow[v] = make([]uint64, words)
-								}
-								r.SubCmpNarrowBits(a, d, low, top, narrow, base)
+								narrow := runNarrow(t, r, a, d, low, top, base, words)
 								for v := range wide {
 									for w := range wide[v] {
 										if narrow[v][w] != wide[v][w] {
@@ -148,12 +175,11 @@ func TestSubCmpNarrowGuard(t *testing.T) {
 	}
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			bits := [][]uint64{make([]uint64, 3)}
-			r.SubCmpNarrowBits(a, d, off, top, bits, 5)
+			bits := runNarrow(t, r, a, d, off, top, 5, 3)
 			if bits[0][0]|bits[0][1]|bits[0][2] != 0 {
 				t.Fatalf("path %s: low-part mismatch produced hits %#x", p, bits[0])
 			}
-			r.SubCmpNarrowBits(a, d, diff, top, bits, 5)
+			bits = runNarrow(t, r, a, d, diff, top, 5, 3)
 			if got := popcount(bits[0][0]) + popcount(bits[0][1]) + popcount(bits[0][2]); got != 128 {
 				t.Fatalf("path %s: %d of 128 exact comparands hit", p, got)
 			}
@@ -194,14 +220,11 @@ func TestSubCmpNarrowBitsZeroAllocs(t *testing.T) {
 				t.Run(fam.name, func(t *testing.T) {
 					r, a, d, low, rhs := newNarrowCase(rng.NewSourceFromString("narrow-allocs"), fam.n, fam.q, 3)
 					top := narrowRows(r, rhs)
-					bits := make([][]uint64, len(rhs))
-					for v := range bits {
-						bits[v] = make([]uint64, (64+fam.n+63)/64)
-					}
+					out := make([]HitWord, HitRoom(fam.n, len(top)))
 					withKernel(t, p, func() {
 						for _, base := range []int{0, 37} {
 							if avg := testing.AllocsPerRun(100, func() {
-								r.SubCmpNarrowBits(a, d, low, top, bits, base)
+								r.SubCmpNarrowBits(a, d, low, top, out, base)
 							}); avg != 0 {
 								t.Fatalf("SubCmpNarrowBits (base %d) allocates %.1f times per call, want 0", base, avg)
 							}

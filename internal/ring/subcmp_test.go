@@ -220,6 +220,7 @@ func benchDNAScanSweep(b *testing.B) {
 	for v := range bits {
 		bits[v] = make([]uint64, chunks*n/64)
 	}
+	out := make([]HitWord, HitRoom(n, R)) // one chunk's records, overwritten per call
 	sweep := func(run func(a, d Poly, base int)) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.SetBytes(2 * chunks * n * 8)
@@ -233,7 +234,7 @@ func benchDNAScanSweep(b *testing.B) {
 	for _, p := range AvailableKernels() {
 		b.Run(p.String()+"/narrow", func(b *testing.B) {
 			withKernel(b, p, func() {
-				sweep(func(a, d Poly, base int) { r.SubCmpNarrowBits(a, d, low, top, bits, base) })(b)
+				sweep(func(a, d Poly, base int) { r.SubCmpNarrowBits(a, d, low, top, out, base) })(b)
 			})
 		})
 	}
@@ -257,13 +258,10 @@ func BenchmarkSubCmpNarrowBits(b *testing.B) {
 			withKernel(b, p, func() {
 				for _, R := range []int{1, 8, maxR} {
 					b.Run("R="+itoa(R), func(b *testing.B) {
-						bits := make([][]uint64, R)
-						for v := range bits {
-							bits[v] = make([]uint64, n/64)
-						}
+						out := make([]HitWord, HitRoom(n, R))
 						b.SetBytes(2 * n * 8)
 						for i := 0; i < b.N; i++ {
-							r.SubCmpNarrowBits(a, d, low, top[:R], bits, 0)
+							r.SubCmpNarrowBits(a, d, low, top[:R], out, 0)
 						}
 						coeffs := float64(n) * float64(R) * float64(b.N)
 						b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")

@@ -49,17 +49,22 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	// What the client shipped for this query (DBTok + RHS polynomials).
 	s.ctrl.HostBytesIn += q.SizeBytes(s.params)
 
-	ir := &core.IndexResult{Hits: make(core.HitBitmaps, len(q.Residues))}
+	ir := &core.IndexResult{}
 	if len(q.Residues) == 0 {
 		// Nothing to detect: FactorQuery returns an empty form (no
 		// DBTok to negate), so answer before touching it.
+		ir.Hits = core.HitBitmaps{}.Sparse()
 		return ir, nil
 	}
+	// The controller compares whole pages, so it builds dense bitmaps
+	// and converts them to the engines' sparse records once at the end.
 	numWindows := s.numChunks * n
+	hits := make(core.HitBitmaps, len(q.Residues))
+	defer hits.Release()
 	bms := make([]*core.Bitset, len(q.Residues))
 	for vi, res := range q.Residues {
 		bms[vi] = core.NewBitset(numWindows)
-		ir.Hits[res] = bms[vi]
+		hits[res] = bms[vi]
 	}
 	// Snapshot the controller counters so ir.Stats reports this call's
 	// work (the cumulative counters stay in ControllerStats), keeping
@@ -151,6 +156,7 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 		s.ctrl.IndexGenTime += s.cfg.IndexGenLatency
 		s.ctrl.IndexGenEnergy += s.cfg.Energy.IndexGenPerPage
 	}
+	ir.Hits = hits.Sparse()
 	ir.Candidates = core.Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
 	s.ctrl.HostBytesOut += int64(len(ir.Candidates) * core.CandidateWireBytes)
 	ir.Stats.HomAdds = s.ctrl.HomAdds - startAdds

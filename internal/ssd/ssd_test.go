@@ -137,17 +137,9 @@ func TestCMSearchMatchesSoftware(t *testing.T) {
 			t.Fatalf("planted occurrence %d missing from IFP candidates %v", o, ifpResult.Candidates)
 		}
 	}
-	// The hit bitmaps must agree variant by variant.
-	for res, swBM := range swResult.Hits {
-		ifpBM := ifpResult.Hits[res]
-		if ifpBM.Len() != swBM.Len() {
-			t.Fatalf("bitmap length mismatch for residue %d", res)
-		}
-		for w := 0; w < swBM.Len(); w++ {
-			if swBM.Get(w) != ifpBM.Get(w) {
-				t.Fatalf("residue %d window %d: software %v, IFP %v", res, w, swBM.Get(w), ifpBM.Get(w))
-			}
-		}
+	// The hit records must agree record by record.
+	if !ifpResult.Hits.Equal(swResult.Hits) {
+		t.Fatalf("hit records: software %v, IFP %v", swResult.Hits.Words, ifpResult.Hits.Words)
 	}
 }
 
@@ -186,7 +178,7 @@ func TestCMSearchEmptyResidues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty-residue search errored: %v", err)
 	}
-	if len(ir.Hits) != 0 || len(ir.Candidates) != 0 {
+	if len(ir.Hits.Words) != 0 || len(ir.Candidates) != 0 {
 		t.Fatalf("empty-residue search returned non-empty result: %+v", ir)
 	}
 }
