@@ -35,6 +35,18 @@ var calleeWhitelist = map[string]bool{
 	"sync/atomic": true,
 }
 
+// calleeFuncWhitelist lists single functions outside the whitelisted
+// packages that are pure register arithmetic: the fixed-width loads of
+// binary.LittleEndian, which the compiler lowers to one unaligned MOV,
+// so kernels read byte-layout operands (token rows) without converting
+// a possibly misaligned []byte to a wider pointer. The rest of
+// encoding/binary (Read, Write, the varint appenders) reflects or
+// allocates and stays forbidden.
+var calleeFuncWhitelist = map[string]bool{
+	"(encoding/binary.littleEndian).Uint32": true,
+	"(encoding/binary.littleEndian).Uint64": true,
+}
+
 // allowedBuiltins are the builtins that never allocate.
 var allowedBuiltins = map[string]bool{
 	"len": true, "cap": true, "copy": true, "clear": true,
@@ -169,7 +181,7 @@ func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 			pass.Reportf(call.Pos(), "hotpath function %s calls %s.%s", fd.Name.Name, path, fn.Name())
 			return
 		}
-		if calleeWhitelist[path] {
+		if calleeWhitelist[path] || calleeFuncWhitelist[fn.FullName()] {
 			return
 		}
 	}

@@ -4,6 +4,7 @@
 package fixture
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -128,4 +129,20 @@ func asmStub(dst, a *uint64, q uint64)
 //cm:hotpath
 func callsAsmStub(dst, a []uint64, q uint64) {
 	asmStub(&dst[0], &a[0], q)
+}
+
+// Byte-layout operands: binary.LittleEndian's fixed-width loads are on
+// the per-function whitelist; the reflective half of encoding/binary
+// is not.
+//
+//cm:hotpath
+func readsLanes(d []byte, out []uint64) {
+	for i := range out {
+		out[i] = uint64(binary.LittleEndian.Uint32(d[4*i:])) + binary.LittleEndian.Uint64(d[8*i:])
+	}
+}
+
+//cm:hotpath
+func readsReflect(d []byte) int {
+	return binary.Size(d) // want `calls non-hotpath function Size` `passes a concrete value as interface argument`
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"slices"
 
 	"ciphermatch/internal/ring"
@@ -36,38 +38,42 @@ func NewBatchQuery(queries ...*Query) *BatchQuery {
 	return bq
 }
 
-// DedupTokens rewrites content-identical match-token polynomials (DBTok
-// plane and RHS comparands) across members to one shared ring.Poly, and
-// returns the number of distinct token polynomials. Queries prepared
-// from the same client seed against the same database share their
-// entire DBTok plane, so after deduplication the CPU engine recognises
-// members on one plane, and identical members, by pointer identity.
-// Tokens are keyed by a 64-bit content hash with a full coefficient
+// DedupTokens rewrites content-identical match-token rows and
+// polynomials (DBTok rows and RHS comparands) across members to one
+// shared slice each, and returns the number of distinct ones. Queries
+// prepared from the same client seed against the same database share
+// their entire DBTok plane, so after deduplication the CPU engine
+// recognises members on one plane, and identical members, by pointer
+// identity. Tokens are keyed by a 64-bit content hash with a full
 // compare only inside a hash bucket, so deduplication never copies the
 // token stream.
 func (bq *BatchQuery) DedupTokens() int {
-	buckets := make(map[uint64][]ring.Poly)
+	seed := maphash.MakeSeed()
+	rows := make(map[uint64][][]byte)
+	polys := make(map[uint64][]ring.Poly)
 	distinct := 0
-	dedup := func(p ring.Poly) ring.Poly {
-		h := polyHash(p)
-		for _, cand := range buckets[h] {
-			if polysEqual(cand, p) {
-				return cand
-			}
-		}
-		buckets[h] = append(buckets[h], p)
-		distinct++
-		return p
-	}
 	for _, q := range bq.Queries {
 		for i, tok := range q.DBTok {
-			q.DBTok[i] = dedup(tok)
+			q.DBTok[i] = dedup(rows, maphash.Bytes(seed, tok), tok, bytes.Equal, &distinct)
 		}
 		for psi, rhs := range q.RHS {
-			q.RHS[psi] = dedup(rhs)
+			q.RHS[psi] = dedup(polys, polyHash(rhs), rhs, slices.Equal, &distinct)
 		}
 	}
 	return distinct
+}
+
+// dedup returns the first value of buckets[h] equal to v, or records v
+// there as a new distinct value.
+func dedup[T any](buckets map[uint64][]T, h uint64, v T, equal func(a, b T) bool, distinct *int) T {
+	for _, cand := range buckets[h] {
+		if equal(cand, v) {
+			return cand
+		}
+	}
+	buckets[h] = append(buckets[h], v)
+	*distinct++
+	return v
 }
 
 // polyHash is FNV-1a over the coefficients.
@@ -79,23 +85,11 @@ func polyHash(p ring.Poly) uint64 {
 	return h
 }
 
-func polysEqual(a, b ring.Poly) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // validate checks every member against the database of ring degree n,
 // so a batch fails before any work starts rather than mid-pass.
-func (bq *BatchQuery) validate(db *EncryptedDB, n int) error {
+func (bq *BatchQuery) validate(db *EncryptedDB, r *ring.Ring) error {
 	for i, q := range bq.Queries {
-		if err := validateSearchQuery(db, q, n, true); err != nil {
+		if err := validateTokenQuery(db, q, r); err != nil {
 			return fmt.Errorf("core: batch member %d: %w", i, err)
 		}
 	}
@@ -103,9 +97,10 @@ func (bq *BatchQuery) validate(db *EncryptedDB, n int) error {
 }
 
 // samePlane reports whether a and b are one DBTok plane: the same
-// polynomial, by pointer, at every chunk (DedupTokens makes planes of
-// one client against one database so).
-func samePlane(a, b []ring.Poly) bool {
+// row, by pointer, at every chunk (DedupTokens makes planes of one
+// client against one database so, and a batch decoded off the wire
+// shares its plane pool's rows).
+func samePlane(a, b [][]byte) bool {
 	for j := range a {
 		if &a[j][0] != &b[j][0] {
 			return false

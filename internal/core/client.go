@@ -92,11 +92,12 @@ type Client struct {
 
 	// tokMu guards tokRows, the token-plane memo (ModeSeededMatch only):
 	// tokRows[j] = EncryptC0(t−1, chunk j's source) − M for every chunk
-	// a query or a database of this client has reached. A row depends
-	// only on the seed and j, so every query shares it; rows are
-	// read-only and the memo only grows.
+	// a query or a database of this client has reached, stored as a
+	// token row (ring.PutLanes), the layout queries ship and the server
+	// sweeps. A row depends only on the seed and j, so every query
+	// shares it; rows are read-only and the memo only grows.
 	tokMu   sync.Mutex
-	tokRows []ring.Poly
+	tokRows [][]byte
 }
 
 // NewClient creates a client with fresh keys drawn from src (which also
@@ -258,7 +259,7 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 	db.BitLen, db.NumSegments = bitLen, len(segs)
 	// Rows below have are not derived here: the memo holds them, or,
 	// outside ModeSeededMatch, there is no memo.
-	have, rows := len(pts), []ring.Poly(nil)
+	have, rows := len(pts), [][]byte(nil)
 	if c.cfg.Mode == ModeSeededMatch {
 		c.tokMu.Lock()
 		have = min(len(c.tokRows), len(pts))
@@ -269,12 +270,14 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 	forEach(len(pts), func(j int) {
 		c.encryptor.EncryptTo(pts[j], dbSrc.ForkIndexed("chunk", j), db.Chunks[j])
 		if j >= have {
-			m := pts[j].Coeffs // spent: becomes t−1−m_j in place
+			m := pts[j].Coeffs // spent: becomes the row C0_j − M + Δ·(t−1−m_j) in place
 			for i := range m {
 				m[i] = p.T - 1 - m[i]
 			}
-			c.ring.Sub(db.Chunks[j].C[0], c.mask, rows[j-have])
-			c.ring.MulScalarAdd(m, p.Delta(), rows[j-have])
+			c.ring.MulScalar(m, p.Delta(), m)
+			c.ring.Add(m, db.Chunks[j].C[0], m)
+			c.ring.Sub(m, c.mask, m)
+			c.ring.PutLanes(rows[j-have], m)
 		}
 	})
 	if len(rows) > 0 {
@@ -288,13 +291,13 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 	return db, nil
 }
 
-// newRows carves k zeroed polynomials out of one allocation.
-func (c *Client) newRows(k int) []ring.Poly {
-	n := c.cfg.Params.N
-	block := make([]uint64, k*n)
-	rows := make([]ring.Poly, k)
+// newRows carves k token rows out of one allocation.
+func (c *Client) newRows(k int) [][]byte {
+	w := c.cfg.Params.N * c.ring.LaneBytes()
+	block := make([]byte, k*w)
+	rows := make([][]byte, k)
 	for i := range rows {
-		rows[i] = block[i*n : (i+1)*n : (i+1)*n]
+		rows[i] = block[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
 }
@@ -322,10 +325,14 @@ type Query struct {
 	// DBTok[j] = EncryptC0(allOnes, chunk j's source) - M, residue-
 	// independent, where M is a client-seed-derived mask poly. Together
 	// with RHS it is the whole seeded-match query: NumChunks + numPhases
-	// polynomials. The slice is the query's own, but its rows are the
-	// preparing client's memo rows, shared by all of its queries: they
-	// are read-only.
-	DBTok []ring.Poly
+	// polynomials. Each row is a token row: n little-endian lanes of the
+	// ring's LaneBytes (4 B when q ≤ 2^32), the one layout the plane has
+	// from the client's memo through the wire to the search kernel. The
+	// slice is the query's own, but its rows are read-only: on the
+	// client they are the preparing client's memo rows, shared by all
+	// of its queries, and on a server they alias the request payload
+	// they were decoded from (DESIGN §4.3).
+	DBTok [][]byte
 	// RHS maps phase psi -> the comparand RHS[psi] = M - Δ·pt(psi),
 	// pt(psi) the pattern plaintext of phase psi. A window of chunk
 	// j hits variant s iff (c0[i] - DBTok[j][i]) mod q == RHS[psi][i]
@@ -370,17 +377,25 @@ func PatternPhase(n, j, s, y int) int {
 
 // buildPatternSegments constructs the n packed coefficients of the negated
 // replicated query pattern at phase psi: coefficient i bit b (MSB-first) is
-// NOT query[(psi + 16i + b) mod y].
+// NOT query[(psi + 16i + b) mod y]. Each coefficient is cut whole out of
+// ext, the pattern's bits followed by its first 16 again, so that any 16
+// bits of the periodic pattern starting below y are one contiguous run:
+// coefficient i starts at o = (psi + 16i) mod y and is a 24-bit load
+// shifted into place.
 func buildPatternSegments(query []byte, y, psi, n int) []uint16 {
+	ext := make([]byte, (y+SegmentBits+7)/8+2) // +2: the last load's spare bytes
+	for k := 0; k < y+SegmentBits; k++ {
+		ext[k>>3] |= byte(mathutil.GetBit(query, k%y)) << (7 - k&7)
+	}
 	segs := make([]uint16, n)
-	for i := 0; i < n; i++ {
-		var v uint16
-		for b := 0; b < SegmentBits; b++ {
-			v <<= 1
-			bit := mathutil.GetBit(query, (psi+SegmentBits*i+b)%y)
-			v |= uint16(bit ^ 1) // negated query (~Q), §4.2.2
+	o := psi % y
+	for i := range segs {
+		e := ext[o>>3 : o>>3+3]
+		w := uint32(e[0])<<16 | uint32(e[1])<<8 | uint32(e[2])
+		segs[i] = ^uint16(w >> (8 - o&7)) // negated query (~Q), §4.2.2
+		if o += SegmentBits; o >= y {
+			o %= y
 		}
-		segs[i] = v
 	}
 	return segs
 }
@@ -502,7 +517,7 @@ func (c *Client) buildFactoredTokens(q *Query, phases []int, pts []*bfv.Plaintex
 // tokenPlane returns the memo's first numChunks rows in a slice of the
 // caller's own, first deriving the rows the memo lacks with one
 // EncryptC0 each, in one parallel fan-out into one allocation.
-func (c *Client) tokenPlane(numChunks int) []ring.Poly {
+func (c *Client) tokenPlane(numChunks int) [][]byte {
 	c.tokMu.Lock()
 	defer c.tokMu.Unlock()
 	if have := len(c.tokRows); numChunks > have {
@@ -514,8 +529,10 @@ func (c *Client) tokenPlane(numChunks int) []ring.Poly {
 		rows := c.newRows(numChunks - have)
 		forEach(len(rows), func(i int) {
 			encryptC0Calls.Add(1)
-			c.encryptor.EncryptC0To(onesPT, dbSrc.ForkIndexed("chunk", have+i), rows[i])
-			c.ring.Sub(rows[i], c.mask, rows[i])
+			row := c.ring.NewPoly()
+			c.encryptor.EncryptC0To(onesPT, dbSrc.ForkIndexed("chunk", have+i), row)
+			c.ring.Sub(row, c.mask, row)
+			c.ring.PutLanes(rows[i], row)
 		})
 		c.tokRows = append(c.tokRows, rows...)
 	}

@@ -180,7 +180,7 @@ func (e *CPUEngine) schedule(groups []planeGroup, room int, dst *HitWords) error
 //
 //cm:pooled
 func (e *CPUEngine) SearchAndIndex(q *Query) (*IndexResult, error) {
-	if err := validateSearchQuery(e.db, q, e.ring.N(), true); err != nil {
+	if err := validateTokenQuery(e.db, q, e.ring); err != nil {
 		return nil, err
 	}
 	var out [1]*IndexResult
@@ -195,7 +195,7 @@ func (e *CPUEngine) SearchAndIndex(q *Query) (*IndexResult, error) {
 //
 //cm:pooled
 func (e *CPUEngine) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error) {
-	if err := bq.validate(e.db, e.ring.N()); err != nil {
+	if err := bq.validate(e.db, e.ring); err != nil {
 		return nil, err
 	}
 	if len(bq.Queries) == 0 {

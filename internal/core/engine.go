@@ -102,11 +102,13 @@ func NewEngine(params bfv.Params, db *EncryptedDB, spec EngineSpec) (Engine, err
 var ErrQueryDegree = errors.New("core: query polynomial degree does not match the database ring")
 
 // CheckTokenDegree returns an ErrQueryDegree error unless every DBTok
-// and RHS polynomial of q has n coefficients.
-func (q *Query) CheckTokenDegree(n int) error {
-	for j, p := range q.DBTok {
-		if len(p) != n {
-			return fmt.Errorf("%w: DBTok[%d] has %d coefficients, ring degree %d", ErrQueryDegree, j, len(p), n)
+// row of q holds the n lanes of r (r.LaneBytes each) and every RHS
+// polynomial has n coefficients.
+func (q *Query) CheckTokenDegree(r *ring.Ring) error {
+	n, lb := r.N(), r.LaneBytes()
+	for j, row := range q.DBTok {
+		if len(row) != n*lb {
+			return fmt.Errorf("%w: DBTok[%d] has %d bytes, ring degree %d needs %d lanes of %d", ErrQueryDegree, j, len(row), n, n, lb)
 		}
 	}
 	for psi, p := range q.RHS {
@@ -117,11 +119,9 @@ func (q *Query) CheckTokenDegree(n int) error {
 	return nil
 }
 
-// validateSearchQuery is the shared request validation of every engine:
-// shape agreement between query and database, plus the match tokens
-// (DBTok plane, one polynomial per chunk, all of degree n) that
-// server-side index generation needs.
-func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) error {
+// validateSearchQuery is the shared shape check of every search:
+// agreement between query and database.
+func validateSearchQuery(db *EncryptedDB, q *Query) error {
 	if q.YBits < 1 {
 		return fmt.Errorf("core: query has invalid length %d", q.YBits)
 	}
@@ -136,14 +136,21 @@ func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) erro
 		return fmt.Errorf("core: query prepared for %d-bit database, have %d bits",
 			q.DBBitLen, db.BitLen)
 	}
-	if !needTokens {
-		return nil
+	return nil
+}
+
+// validateTokenQuery is validateSearchQuery plus the match tokens
+// server-side index generation needs: a DBTok plane of one row per
+// chunk, rows and RHS polynomials of r's degree.
+func validateTokenQuery(db *EncryptedDB, q *Query, r *ring.Ring) error {
+	if err := validateSearchQuery(db, q); err != nil {
+		return err
 	}
 	if len(q.DBTok) != len(db.Chunks) {
 		return fmt.Errorf("core: query DBTok plane has %d chunks, database has %d (search requires ModeSeededMatch tokens)",
 			len(q.DBTok), len(db.Chunks))
 	}
-	return q.CheckTokenDegree(n)
+	return q.CheckTokenDegree(r)
 }
 
 // searchChunkRange is the one CPU kernel: it executes index generation
@@ -160,8 +167,9 @@ func validateSearchQuery(db *EncryptedDB, q *Query, n int, needTokens bool) erro
 // bytes — and ring.SubCmpNarrowBits folds the homomorphic subtraction
 // and all of a group's token comparisons into one streaming pass with
 // no intermediate store: chunk j's first component is read from memory
-// once per search (later groups find it in cache), DBTok[j] once per
-// group, the cache-resident 16-bit comparand rows and the group's low
+// once per search (later groups find it in cache), the token row
+// DBTok[j] once per group in its 4- or 8-byte lanes, as it came off the
+// wire, the cache-resident 16-bit comparand rows and the group's low
 // row are the only other operands, and the only writes are the records
 // of the words that hold a hit. On an arena the database reads are one
 // sequential walk of the C0 plane. The 16-bit compare is the 64-bit
@@ -186,7 +194,7 @@ func searchChunkRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi
 		for i := range groups {
 			p := &groups[i]
 			free := out[len(out):cap(out)]
-			k := r.SubCmpNarrowBits(c0, p.fq.DBTok[j], p.fq.low, p.fq.narrowRow(j), free, j*n)
+			k := r.SubCmpNarrowBits(c0, p.fq.tok[j], p.fq.low, p.fq.narrowRow(j), free, j*n)
 			for x := range free[:k] {
 				free[x].Row += uint32(p.row0)
 			}

@@ -8,8 +8,9 @@ import (
 )
 
 // FactoredQuery is the kernel-ready factored form of one (DBTok plane,
-// length) group of a search: the per-chunk DBTok plane plus, for every
-// chunk phase that occurs in the database, one row of RHS comparands.
+// length) group of a search: the per-chunk DBTok plane (token rows, as
+// the query carries them) plus, for every chunk phase that occurs in
+// the database, one row of RHS comparands.
 // The fused kernel streams chunk j's first component and DBTok[j] once
 // and compares the difference against the chunk's row — every residue
 // of every member in a single arena pass. Arranging the rows is pointer
@@ -21,8 +22,13 @@ import (
 // concatenation of the members' rows, in member order.
 type FactoredQuery struct {
 	// DBTok[j] is the chunk-dependent comparand subtracted from chunk
-	// j's first component: the client's masked plane.
+	// j's first component, the client's masked plane, widened to a
+	// Poly: FactorQuery fills it for replays through SubCmpMultiBits.
+	// The engine's own factoring leaves it nil and sweeps tok.
 	DBTok []ring.Poly
+	// tok is the query's DBTok plane of token rows, the narrow
+	// kernel's subtrahends.
+	tok [][]byte
 	// n and y are the ring degree and the members' common length:
 	// chunk j's row is keyed on ChunkPhi(n, j, y).
 	n, y int
@@ -80,8 +86,9 @@ func errMissingRHS(psi int) error {
 }
 
 // FactorQuery arranges q into the kernel-ready form for a database of
-// numChunks chunks. The query must already have passed
-// validateSearchQuery.
+// numChunks chunks, with the DBTok plane also widened into DBTok for a
+// replay through the 64-bit SubCmpMultiBits. The query must already
+// have passed validateTokenQuery.
 func FactorQuery(r *ring.Ring, q *Query, numChunks int) (*FactoredQuery, error) {
 	fq, err := factorPlane(r.N(), []*Query{q}, numChunks)
 	if err == nil {
@@ -90,13 +97,22 @@ func FactorQuery(r *ring.Ring, q *Query, numChunks int) (*FactoredQuery, error) 
 	if err != nil {
 		return nil, err
 	}
+	if fq.width > 0 {
+		n := r.N()
+		block := make(ring.Poly, len(fq.tok)*n)
+		fq.DBTok = make([]ring.Poly, len(fq.tok))
+		for j, row := range fq.tok {
+			fq.DBTok[j] = block[j*n : (j+1)*n : (j+1)*n]
+			r.WidenLanes(fq.DBTok[j], row)
+		}
+	}
 	return &fq, nil
 }
 
 // factorPlane folds members that share one DBTok plane and one length
 // y into one FactoredQuery over numChunks chunks of degree n: a row for
 // every chunk phase, the members' rows concatenated. Every member must
-// already have passed validateSearchQuery.
+// already have passed validateTokenQuery.
 func factorPlane(n int, members []*Query, numChunks int) (FactoredQuery, error) {
 	width := 0
 	for _, q := range members {
@@ -107,7 +123,7 @@ func factorPlane(n int, members []*Query, numChunks int) (FactoredQuery, error) 
 	}
 	y := members[0].YBits
 	period := min(numChunks, y/gcd(SegmentBits*n, y))
-	fq := FactoredQuery{DBTok: members[0].DBTok, n: n, y: y, width: width, wide: make([]ring.Poly, 0, width*period)}
+	fq := FactoredQuery{tok: members[0].DBTok, n: n, y: y, width: width, wide: make([]ring.Poly, 0, width*period)}
 	for j := 0; j < period; j++ {
 		phi := ChunkPhi(n, j, y)
 		for _, q := range members {

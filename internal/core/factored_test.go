@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
+	"ciphermatch/internal/mathutil"
 	"ciphermatch/internal/ring"
 	"ciphermatch/internal/rng"
 )
@@ -196,13 +198,15 @@ func TestTokenPlaneDerivations(t *testing.T) {
 				t.Fatal(err)
 			}
 			mask := ref.mask
-			check := func(what string, plane []ring.Poly) {
+			check := func(what string, plane [][]byte) {
 				t.Helper()
 				for j, got := range plane {
 					want := ref.encryptor.EncryptC0(onesPT, ref.dbSource().ForkIndexed("chunk", j))
 					ref.ring.Sub(want, mask, want)
-					if !ref.ring.Equal(got, want) {
-						t.Fatalf("%s: row %d differs from EncryptC0(t-1, src_%d) - M", what, j, j)
+					wantRow := make([]byte, tc.p.N*ref.ring.LaneBytes())
+					ref.ring.PutLanes(wantRow, want)
+					if !bytes.Equal(got, wantRow) {
+						t.Fatalf("%s: row %d differs from the lanes of EncryptC0(t-1, src_%d) - M", what, j, j)
 					}
 				}
 			}
@@ -286,7 +290,7 @@ func TestQueryPlaneHeaderIsOwn(t *testing.T) {
 	}
 	want := slices.Clone(q1.DBTok)
 	for j := range q1.DBTok {
-		q1.DBTok[j] = client.ring.NewPoly()
+		q1.DBTok[j] = make([]byte, len(q1.DBTok[j]))
 	}
 	q2, err := client.PrepareQuery([]byte{0xAB, 0xCD, 0xEF}, 24, dbBits)
 	if err != nil {
@@ -399,4 +403,31 @@ func FuzzFactorPlane(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBuildPatternSegmentsBitwise holds the word-at-a-time pattern
+// encoder to its definition, coefficient i bit b (MSB-first) = NOT
+// query[(psi + 16i + b) mod y], computed one bit at a time, over
+// lengths below, at and above one coefficient and not multiples of a
+// byte, every phase, and degrees on both sides of one period.
+func TestBuildPatternSegmentsBitwise(t *testing.T) {
+	src := rng.NewSourceFromString("pattern-segments")
+	for _, y := range []int{1, 3, 8, 15, 16, 17, 24, 31, 64, 100, 257} {
+		query := make([]byte, (y+7)/8)
+		src.Bytes(query)
+		for _, n := range []int{4, 64} {
+			for psi := 0; psi < y; psi++ {
+				got := buildPatternSegments(query, y, psi, n)
+				for i, v := range got {
+					var want uint16
+					for b := 0; b < SegmentBits; b++ {
+						want = want<<1 | uint16(mathutil.GetBit(query, (psi+SegmentBits*i+b)%y)^1)
+					}
+					if v != want {
+						t.Fatalf("y=%d psi=%d n=%d: coefficient %d = %#04x, bitwise %#04x", y, psi, n, i, v, want)
+					}
+				}
+			}
+		}
+	}
 }

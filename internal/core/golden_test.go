@@ -95,7 +95,7 @@ func clientDigest(t *testing.T, client *Client, dbLen int) (string, []uint64) {
 	h := sha256.New()
 	putCoeffs(h, db.Arena())
 	if client.cfg.Mode == ModeSeededMatch {
-		putQuery(h, q)
+		putQuery(h, client.ring, q)
 	} else {
 		for _, psi := range slices.Sorted(maps.Keys(q.Patterns)) {
 			putCoeffs(h, q.Patterns[psi].C[0])
@@ -105,10 +105,13 @@ func clientDigest(t *testing.T, client *Client, dbLen int) (string, []uint64) {
 	return fmt.Sprintf("%x", h.Sum(nil)), db.Arena()
 }
 
-// putQuery hashes q's DBTok plane, then its RHS rows in ascending phase.
-func putQuery(h hash.Hash, q *Query) {
+// putQuery hashes q's DBTok plane, each token row widened back to its
+// coefficients, then its RHS rows in ascending phase.
+func putQuery(h hash.Hash, r *ring.Ring, q *Query) {
 	for _, tok := range q.DBTok {
-		putCoeffs(h, tok)
+		p := r.NewPoly()
+		r.WidenLanes(p, tok)
+		putCoeffs(h, p)
 	}
 	for _, psi := range slices.Sorted(maps.Keys(q.RHS)) {
 		putCoeffs(h, q.RHS[psi])
@@ -194,7 +197,7 @@ func queryDigest(t *testing.T, client *Client, dbLen int) string {
 		return ""
 	}
 	h := sha256.New()
-	putQuery(h, q)
+	putQuery(h, client.ring, q)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

@@ -51,72 +51,87 @@ var conformanceSpecs = []core.EngineSpec{
 // TestEngineConformance proves the tentpole property: every engine
 // returns byte-identical hit bitmaps and candidates (and the same
 // homomorphic-addition count) on the shared vectors, with the plain
-// reference as ground truth.
+// reference as ground truth, at ParamsToy's q = 2^32 (4-byte token
+// lanes) and, under "q=2^54/", ParamsN2048's q = 2^54 (8-byte lanes;
+// the in-flash engine stores 32-bit coefficients and runs at 2^32
+// only).
 func TestEngineConformance(t *testing.T) {
-	for _, v := range conformanceVectors {
-		t.Run(v.name, func(t *testing.T) {
-			cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: v.align, Mode: core.ModeSeededMatch}
-			client, err := core.NewClient(cfg, rng.NewSourceFromString("conf-"+v.name))
-			if err != nil {
-				t.Fatal(err)
+	for _, params := range []bfv.Params{bfv.ParamsToy(), bfv.ParamsN2048()} {
+		for _, v := range conformanceVectors {
+			name := v.name
+			if params.Q != 1<<32 {
+				name = fmt.Sprintf("q=2^%d/%s", bits.TrailingZeros64(params.Q), v.name)
 			}
-			data := make([]byte, v.dbBytes)
-			rng.NewSourceFromString("conf-data-" + v.name).Bytes(data)
-			for _, o := range v.plants {
-				for j := 0; j < v.queryBits; j++ {
-					mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
-				}
-			}
-			edb, err := client.EncryptDatabase(data, v.dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := core.ExpectedCandidates(data, v.dbBits, v.query, v.queryBits, v.align)
+			t.Run(name, func(t *testing.T) { conformVector(t, params, v) })
+		}
+	}
+}
 
-			var ref *core.IndexResult
-			for _, spec := range conformanceSpecs {
-				eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-				if err != nil {
-					t.Fatalf("%s: %v", spec, err)
-				}
-				label := fmt.Sprintf("%s (%s)", spec, eng.Describe())
-				ir, err := eng.SearchAndIndex(q)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if ref == nil {
-					ref = ir // serial is first: the reference result
-					if !intsEqual(ir.Candidates, want) {
-						t.Fatalf("%s: candidates %v != plain reference %v", label, ir.Candidates, want)
-					}
-					for _, o := range v.plants {
-						if !containsInt(ir.Candidates, o) {
-							t.Fatalf("%s: planted occurrence %d missing from %v", label, o, ir.Candidates)
-						}
-					}
-					continue
-				}
-				if !intsEqual(ir.Candidates, ref.Candidates) {
-					t.Fatalf("%s: candidates %v != serial %v", label, ir.Candidates, ref.Candidates)
-				}
-				if ir.Stats.HomAdds != ref.Stats.HomAdds {
-					t.Fatalf("%s: HomAdds %d != serial %d", label, ir.Stats.HomAdds, ref.Stats.HomAdds)
-				}
-				if ir.Stats.CoeffCompares <= 0 {
-					t.Fatalf("%s: no coefficient comparisons recorded", label)
-				}
-				if !ir.Hits.Equal(ref.Hits) {
-					t.Fatalf("%s: hit records %v differ from serial %v", label, ir.Hits.Words, ref.Hits.Words)
-				}
-				if err := eng.Close(); err != nil {
-					t.Fatalf("%s: close: %v", label, err)
+// conformVector runs one TestEngineConformance vector at params.
+func conformVector(t *testing.T, params bfv.Params, v conformanceVector) {
+	cfg := core.Config{Params: params, AlignBits: v.align, Mode: core.ModeSeededMatch}
+	client, err := core.NewClient(cfg, rng.NewSourceFromString("conf-"+v.name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, v.dbBytes)
+	rng.NewSourceFromString("conf-data-" + v.name).Bytes(data)
+	for _, o := range v.plants {
+		for j := 0; j < v.queryBits; j++ {
+			mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
+		}
+	}
+	edb, err := client.EncryptDatabase(data, v.dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.ExpectedCandidates(data, v.dbBits, v.query, v.queryBits, v.align)
+
+	var ref *core.IndexResult
+	for _, spec := range conformanceSpecs {
+		if spec.Kind == core.EngineSSD && params.Q != 1<<32 {
+			continue
+		}
+		eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		label := fmt.Sprintf("%s (%s)", spec, eng.Describe())
+		ir, err := eng.SearchAndIndex(q)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if ref == nil {
+			ref = ir // serial is first: the reference result
+			if !intsEqual(ir.Candidates, want) {
+				t.Fatalf("%s: candidates %v != plain reference %v", label, ir.Candidates, want)
+			}
+			for _, o := range v.plants {
+				if !containsInt(ir.Candidates, o) {
+					t.Fatalf("%s: planted occurrence %d missing from %v", label, o, ir.Candidates)
 				}
 			}
-		})
+			continue
+		}
+		if !intsEqual(ir.Candidates, ref.Candidates) {
+			t.Fatalf("%s: candidates %v != serial %v", label, ir.Candidates, ref.Candidates)
+		}
+		if ir.Stats.HomAdds != ref.Stats.HomAdds {
+			t.Fatalf("%s: HomAdds %d != serial %d", label, ir.Stats.HomAdds, ref.Stats.HomAdds)
+		}
+		if ir.Stats.CoeffCompares <= 0 {
+			t.Fatalf("%s: no coefficient comparisons recorded", label)
+		}
+		if !ir.Hits.Equal(ref.Hits) {
+			t.Fatalf("%s: hit records %v differ from serial %v", label, ir.Hits.Words, ref.Hits.Words)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
 	}
 }
 
@@ -178,10 +193,13 @@ func TestEngineBatchConformance(t *testing.T) {
 		m := r.NewPoly()
 		r.UniformPoly(rng.NewSourceFromString(seed), m)
 		out := *q
-		out.DBTok = make([]ring.Poly, len(q.DBTok))
-		for j, tok := range q.DBTok {
-			out.DBTok[j] = r.NewPoly()
-			r.Sub(tok, m, out.DBTok[j])
+		out.DBTok = make([][]byte, len(q.DBTok))
+		tok := r.NewPoly()
+		for j, row := range q.DBTok {
+			r.WidenLanes(tok, row)
+			r.Sub(tok, m, tok)
+			out.DBTok[j] = make([]byte, len(row))
+			r.PutLanes(out.DBTok[j], tok)
 		}
 		out.RHS = make(map[int]ring.Poly, len(q.RHS))
 		for psi, rhs := range q.RHS {

@@ -38,28 +38,27 @@ func EncodeNamedBatchQuery(name string, bq *core.BatchQuery, p bfv.Params) []byt
 	b.putString(name)
 	b.putUint32(factoredSentinel)
 	b.putInt(factoredWireVersion)
-	qb := p.QBytes()
+	qb, lb := p.QBytes(), ring.LaneBytesFor(p.Q)
 
-	// Polynomial pool (DBTok plane members and RHS comparands). A
+	// Polynomial pool (DBTok rows and RHS comparands). A row or
 	// polynomial seen before by address and length — one client's
 	// queries share their DBTok rows — is not encoded and hashed again.
-	type polyAddr struct {
-		first *uint64
-		n     int
+	// A row encodes as its widened polynomial (putLanes), so equal
+	// contents share one entry whichever form they come in.
+	type addr struct {
+		row  *byte
+		poly *uint64
+		n    int
 	}
-	seen := make(map[polyAddr]int)
+	seen := make(map[addr]int)
 	polyIndex := make(map[string]int)
 	var polyPool []string
-	polyRef := func(poly ring.Poly) int {
-		var addr polyAddr // every empty polynomial encodes alike
-		if len(poly) > 0 {
-			addr = polyAddr{&poly[0], len(poly)}
-		}
-		if idx, ok := seen[addr]; ok {
+	intern := func(a addr, put func(*buffer)) int {
+		if idx, ok := seen[a]; ok {
 			return idx
 		}
 		var pb buffer
-		pb.putPoly(poly, qb)
+		put(&pb)
 		key := string(pb.data)
 		idx, ok := polyIndex[key]
 		if !ok {
@@ -67,17 +66,31 @@ func EncodeNamedBatchQuery(name string, bq *core.BatchQuery, p bfv.Params) []byt
 			polyIndex[key] = idx
 			polyPool = append(polyPool, key)
 		}
-		seen[addr] = idx
+		seen[a] = idx
 		return idx
+	}
+	polyRef := func(poly ring.Poly) int {
+		a := addr{n: len(poly)} // every empty polynomial encodes alike
+		if len(poly) > 0 {
+			a.poly = &poly[0]
+		}
+		return intern(a, func(pb *buffer) { pb.putPoly(poly, qb) })
+	}
+	rowRef := func(row []byte) int {
+		a := addr{n: len(row) / lb}
+		if len(row) > 0 {
+			a.row = &row[0]
+		}
+		return intern(a, func(pb *buffer) { pb.putLanes(row, lb, qb) })
 	}
 	// DBTok plane pool: a plane is its chunk-ordered poly-index list.
 	planeIndex := make(map[string]int)
 	var planePool [][]int
-	planeRef := func(plane []ring.Poly) int {
+	planeRef := func(plane [][]byte) int {
 		refs := make([]int, len(plane))
 		var kb buffer
-		for i, poly := range plane {
-			refs[i] = polyRef(poly)
+		for i, row := range plane {
+			refs[i] = rowRef(row)
 			kb.putInt(refs[i])
 		}
 		key := string(kb.data)
@@ -134,6 +147,11 @@ func EncodeNamedBatchQuery(name string, bq *core.BatchQuery, p bfv.Params) []byt
 // polynomials and whole DBTok planes come back pointer-shared, which is
 // exactly the identity the CPU engine groups members by: one factored
 // query per DBTok plane and length, one evaluation per identical member.
+// Every pool entry's length word and bytes are checked up front. Plane
+// rows are then token rows as DecodeQuery's are (sliced out of data
+// when the wire width is the lane width, so the batch aliases data,
+// else widened), and an entry an RHS references is decoded once, on
+// first reference, into a polynomial of its own.
 func DecodeNamedBatchQuery(data []byte, p bfv.Params) (string, *core.BatchQuery, error) {
 	b := &buffer{data: data}
 	name, err := b.string()
@@ -143,7 +161,7 @@ func DecodeNamedBatchQuery(data []byte, p bfv.Params) (string, *core.BatchQuery,
 	if err := decodeWireVersion(b); err != nil {
 		return "", nil, err
 	}
-	qb := p.QBytes()
+	qb, lb := p.QBytes(), ring.LaneBytesFor(p.Q)
 	if nct, err := b.int(); err != nil {
 		return "", nil, err
 	} else if nct != 0 {
@@ -153,34 +171,40 @@ func DecodeNamedBatchQuery(data []byte, p bfv.Params) (string, *core.BatchQuery,
 	if err != nil {
 		return "", nil, err
 	}
-	polyPool := make([]ring.Poly, npoly)
-	coeffs := make(ring.Poly, npoly*p.N) // one block for the whole pool
-	for i := range polyPool {
-		polyPool[i] = coeffs[i*p.N : (i+1)*p.N : (i+1)*p.N]
-		if err := b.polyInto(polyPool[i], qb); err != nil {
+	raw := make([][]byte, npoly)
+	for i := range raw {
+		if raw[i], err = b.coeffs(qb, p.N); err != nil {
 			return "", nil, err
 		}
+	}
+	rows, polys := tokenRows(raw, p.N, lb, qb), make([]ring.Poly, npoly)
+	poly := func(idx int) ring.Poly {
+		if polys[idx] == nil {
+			polys[idx] = make(ring.Poly, p.N)
+			loadCoeffs(polys[idx], raw[idx], qb)
+		}
+		return polys[idx]
 	}
 	nplane, err := b.count(4)
 	if err != nil {
 		return "", nil, err
 	}
-	planePool := make([][]ring.Poly, nplane)
+	planePool := make([][][]byte, nplane)
 	for i := range planePool {
 		cnt, err := b.count(4)
 		if err != nil {
 			return "", nil, err
 		}
-		plane := make([]ring.Poly, cnt)
+		plane := make([][]byte, cnt)
 		for j := range plane {
 			idx, err := b.int()
 			if err != nil {
 				return "", nil, err
 			}
-			if idx < 0 || idx >= len(polyPool) {
-				return "", nil, fmt.Errorf("proto: batch plane %d references poly pool entry %d of %d", i, idx, len(polyPool))
+			if idx < 0 || idx >= npoly {
+				return "", nil, fmt.Errorf("proto: batch plane %d references poly pool entry %d of %d", i, idx, npoly)
 			}
-			plane[j] = polyPool[idx]
+			plane[j] = rows[idx]
 		}
 		planePool[i] = plane
 	}
@@ -231,10 +255,10 @@ func DecodeNamedBatchQuery(data []byte, p bfv.Params) (string, *core.BatchQuery,
 			if err != nil {
 				return "", nil, err
 			}
-			if idx < 0 || idx >= len(polyPool) {
-				return "", nil, fmt.Errorf("proto: batch member %d references poly pool entry %d of %d", mi, idx, len(polyPool))
+			if idx < 0 || idx >= npoly {
+				return "", nil, fmt.Errorf("proto: batch member %d references poly pool entry %d of %d", mi, idx, npoly)
 			}
-			q.RHS[psi] = polyPool[idx]
+			q.RHS[psi] = poly(idx)
 		}
 		queries[mi] = q
 	}

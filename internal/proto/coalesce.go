@@ -83,6 +83,14 @@ type coalesceResult struct {
 // to batch execution, where byte-identical members (a hot query
 // replayed by many connections — exactly the traffic that coalesces)
 // share one decode.
+//
+// Lifetime rule: the group's decoded query aliases its first member's
+// raw bytes (DecodeQuery slices the DBTok rows out of them), so raw
+// must stay unmodified until the window's search has returned. It
+// does: raw is a slice of the request's own payload allocation (the
+// direct path's pooled buffers are never used when a coalescer is
+// configured), and its handler blocks on done until the leader has
+// searched and fanned the results out.
 type pendingQuery struct {
 	raw      []byte // encoded query, name already stripped
 	enqueued time.Time

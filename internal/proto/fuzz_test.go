@@ -2,6 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -91,11 +94,52 @@ func addWireSeeds(f *testing.F, enc []byte) {
 	}
 }
 
+// malformedPlanes returns encodings of q whose DBTok plane breaks in
+// each way a decoder must reject before it sizes anything from the
+// plane: a row length word one off n either way, a payload cut inside
+// the plane, and a plane count one off NumChunks either way. encode is
+// EncodeQuery or a one-member EncodeNamedBatchQuery, and planeAt the
+// offset of the plane's (for a batch, the pool's) first row.
+func malformedPlanes(q *core.Query, p bfv.Params, encode func(*core.Query) []byte, planeAt int) map[string][]byte {
+	lb := len(q.DBTok[0]) / p.N
+	out := make(map[string][]byte)
+	for _, d := range []int{-1, 1} {
+		bad := *q
+		bad.DBTok = slices.Clone(q.DBTok)
+		bad.DBTok[0] = make([]byte, (p.N+d)*lb)
+		copy(bad.DBTok[0], q.DBTok[0])
+		out[fmt.Sprintf("row length n%+d", d)] = encode(&bad)
+		bad = *q
+		bad.NumChunks += d
+		out[fmt.Sprintf("plane count NumChunks%+d", -d)] = encode(&bad)
+	}
+	enc := encode(q)
+	out["truncated plane"] = enc[:planeAt+len(q.DBTok)*(4+p.N*p.QBytes())/2+1]
+	return out
+}
+
+// malformedQueryPlanes and malformedBatchPlanes are malformedPlanes
+// over q's single-query and one-member batch encodings.
+func malformedQueryPlanes(q *core.Query, p bfv.Params) map[string][]byte {
+	return malformedPlanes(q, p, func(q *core.Query) []byte { return EncodeQuery(q, p) }, 4*(8+len(q.Residues)))
+}
+
+func malformedBatchPlanes(q *core.Query, p bfv.Params) map[string][]byte {
+	encode := func(q *core.Query) []byte {
+		return EncodeNamedBatchQuery("corpus", &core.BatchQuery{Queries: []*core.Query{q}}, p)
+	}
+	return malformedPlanes(q, p, encode, 4+len("corpus")+16)
+}
+
 func FuzzDecodeQuery(f *testing.F) {
 	p := bfv.ParamsToy()
-	addWireSeeds(f, EncodeQuery(fuzzSeedQuery(f, p), p))
+	q := fuzzSeedQuery(f, p)
+	addWireSeeds(f, EncodeQuery(q, p))
 	addWireSeeds(f, unversionedQuery)
 	f.Add(claimedPlaneQuery(100000, 1100))
+	for _, name := range slices.Sorted(maps.Keys(malformedQueryPlanes(q, p))) {
+		f.Add(malformedQueryPlanes(q, p)[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeQuery(data, p)
 		if err != nil {
@@ -175,6 +219,9 @@ func FuzzDecodeBatchQuery(f *testing.F) {
 	q2 := fuzzSeedQueryFor(f, p, []byte{0x01, 0x02, 0x03, 0x04})
 	addWireSeeds(f, EncodeNamedBatchQuery("corpus", &core.BatchQuery{Queries: []*core.Query{q, q2}}, p))
 	addWireSeeds(f, unversionedBatch)
+	for _, name := range slices.Sorted(maps.Keys(malformedBatchPlanes(q, p))) {
+		f.Add(malformedBatchPlanes(q, p)[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, got, err := DecodeNamedBatchQuery(data, p)
 		if err != nil {

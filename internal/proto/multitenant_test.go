@@ -437,10 +437,10 @@ func TestZeroAlignBitsRejected(t *testing.T) {
 	}
 }
 
-// TestQueryBufferReuse: a direct query reads its payload and decodes
-// its DBTok plane into pooled buffers that the next request on any
-// connection may reuse, so no answer may depend on what a buffer held
-// before. On one connection it runs query A, an upload, query B on a
+// TestQueryBufferReuse: a direct query reads its payload into a pooled
+// buffer that the next request on any connection may reuse, and its
+// decoded DBTok plane aliases that buffer, so no answer may depend on
+// what a buffer held before. On one connection it runs query A, an upload, query B on a
 // tenant whose query is larger (more chunks), then query A again, and
 // holds every answer to a fresh connection's; the coalesced path runs
 // the same sequence. Under -race this also proves nothing reads a

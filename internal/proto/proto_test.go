@@ -190,7 +190,7 @@ func TestQueryRoundtrip(t *testing.T) {
 	}
 	r := p.Ring()
 	for j := range q.DBTok {
-		if !r.Equal(back.DBTok[j], q.DBTok[j]) {
+		if !bytes.Equal(back.DBTok[j], q.DBTok[j]) {
 			t.Fatalf("DBTok %d corrupted", j)
 		}
 	}
@@ -321,7 +321,7 @@ func TestBatchQueryRoundtrip(t *testing.T) {
 			t.Fatalf("member %d structure lost", mi)
 		}
 		for j := range q.DBTok {
-			if !r.Equal(got.DBTok[j], q.DBTok[j]) {
+			if !bytes.Equal(got.DBTok[j], q.DBTok[j]) {
 				t.Fatalf("member %d DBTok %d corrupted", mi, j)
 			}
 		}

@@ -85,11 +85,12 @@ func claimedPoolBatch(polys, size int) []byte {
 	return append(b.data, make([]byte, size-len(b.data))...)
 }
 
-// TestDecodeBoundsPlaneBeforeSizing: the query decoder sizes one block
-// for the whole DBTok plane and the batch decoder one block for its
-// poly pool, so each count must be bounded by the bytes a whole
-// polynomial needs (length word + n coefficients), not by its first
-// coefficient. A ~1 KiB payload that claims 100 000 chunks, or just
+// TestDecodeBoundsPlaneBeforeSizing: the query decoder sizes the DBTok
+// plane's row list (and, for wire coefficients narrower than the token
+// lanes, one block of widened rows) and the batch decoder its poly
+// pool from their counts, so each count must be bounded by the bytes a
+// whole polynomial needs (length word + n coefficients), not by its
+// first coefficient. A ~1 KiB payload that claims 100 000 chunks, or just
 // enough rows (130 × 8 KiB) to pass an 8-bytes-per-row bound, must
 // fail without allocating the block.
 func TestDecodeBoundsPlaneBeforeSizing(t *testing.T) {
@@ -113,6 +114,42 @@ func TestDecodeBoundsPlaneBeforeSizing(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 			t.Errorf("%s: decoding allocated %d bytes before failing, want < 1 MiB", c.name, grew)
+		}
+	}
+}
+
+// TestDecodeRejectsMalformedPlane: a DBTok row whose length word is not
+// n, a payload cut inside the plane, and a plane count that is not
+// NumChunks each fail the single-query and the batch decoder, at both
+// lane widths (ParamsToy's 4-byte coefficients are sliced out of the
+// payload, ParamsN2048's 7-byte ones widened), and fail before
+// anything is sized from the broken plane: the decoder allocates no
+// more than the payload it rejects would take widened to 8-byte lanes,
+// plus 1 KiB of headers.
+func TestDecodeRejectsMalformedPlane(t *testing.T) {
+	for _, p := range []bfv.Params{bfv.ParamsToy(), bfv.ParamsN2048()} {
+		q := fuzzSeedQuery(t, p)
+		for form, cases := range map[string]map[string][]byte{
+			"query": malformedQueryPlanes(q, p),
+			"batch": malformedBatchPlanes(q, p),
+		} {
+			for name, data := range cases {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				var err error
+				if form == "query" {
+					_, err = DecodeQuery(data, p)
+				} else {
+					_, _, err = DecodeNamedBatchQuery(data, p)
+				}
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Errorf("N=%d %s, %s: decoded", p.N, form, name)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))*8/7+1<<10 {
+					t.Errorf("N=%d %s, %s: allocated %d bytes for a %d-byte payload before failing", p.N, form, name, grew, len(data))
+				}
+			}
 		}
 	}
 }

@@ -275,8 +275,8 @@ func (s *Server) handleConn(conn net.Conn) {
 			t.Stamp(trace.StageRead, int64(time.Since(tr.first)))
 			qt = &t
 		}
-		reply, body := s.answer(msgType, payload, qt, qb.planeBuf())
-		qb.release() // the search has returned: nothing aliases the buffers
+		reply, body := s.answer(msgType, payload, qt)
+		qb.release() // the search has returned: nothing aliases the payload
 		if traced {
 			t.Stamp(trace.StageWrite, carriedWrite)
 			t.TotalNS = int64(time.Since(tr.first))
@@ -309,29 +309,25 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// queryBufs are the reusable buffers of a direct MsgQuery (one that
-// runs without the coalescer): the request payload and the decoded
-// DBTok plane, 8.5 MB and 16 MB on a 4 MiB database. handleConn takes
-// them from queryBufPool per request and puts them back once the
-// search has returned. Nothing aliases them by then: the store and the
-// engines keep neither the query nor its payload, the trace copies the
-// tenant name, and the reply is encoded from the fresh candidates. The
-// coalesced path, uploads and batches keep their own buffers: a
+// queryBufs is the reusable payload buffer of a direct MsgQuery (one
+// that runs without the coalescer), 8.5 MB on a 4 MiB database.
+// handleConn takes it from queryBufPool per request and puts it back
+// once the search has returned.
+//
+// Lifetime rule: a decoded query aliases its request payload — its
+// DBTok rows are slices of it (DecodeQuery) — so a payload must not be
+// reused or modified until every search reading the query has
+// returned. Here that holds because the buffer returns to the pool only
+// after answer: the store and the engines keep neither the query nor
+// its payload past the search, the trace copies the tenant name, and
+// the reply is encoded from the fresh candidates. The coalesced path,
+// uploads and batches read into buffers of their own, never pooled: a
 // coalesced payload outlives its handler inside the batching window.
 type queryBufs struct {
 	payload []byte
-	plane   planeBuf
 }
 
 var queryBufPool = sync.Pool{New: func() any { return new(queryBufs) }}
-
-// planeBuf returns the plane room of qb, nil for a nil qb.
-func (qb *queryBufs) planeBuf() *planeBuf {
-	if qb == nil {
-		return nil
-	}
-	return &qb.plane
-}
 
 // release returns qb to the pool; a nil qb is a no-op.
 func (qb *queryBufs) release() {
@@ -341,9 +337,9 @@ func (qb *queryBufs) release() {
 }
 
 // readRequest reads one request frame. A direct MsgQuery's payload is
-// read into pooled buffers, returned as qb for the caller to release
-// once the request is answered; every other payload is its own
-// allocation.
+// read into a pooled buffer, returned as qb for the caller to release
+// once the request is answered (see queryBufs for the lifetime rule);
+// every other payload is its own allocation.
 func (s *Server) readRequest(r io.Reader) (msgType byte, payload []byte, qb *queryBufs, err error) {
 	msgType, n, err := readHeader(r)
 	if err != nil {
@@ -367,9 +363,8 @@ func (s *Server) readRequest(r io.Reader) (msgType byte, payload []byte, qb *que
 
 // answer runs one request through handleMessage with panic isolation
 // and maps errors to their typed wire replies. t is the request's
-// lifecycle trace (non-nil only for MsgQuery), and pb the plane room a
-// direct query decodes into (nil: allocate).
-func (s *Server) answer(msgType byte, payload []byte, t *trace.Trace, pb *planeBuf) (reply byte, body []byte) {
+// lifecycle trace (non-nil only for MsgQuery).
+func (s *Server) answer(msgType byte, payload []byte, t *trace.Trace) (reply byte, body []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.met.panics.Inc()
@@ -378,7 +373,7 @@ func (s *Server) answer(msgType byte, payload []byte, t *trace.Trace, pb *planeB
 			reply, body = MsgServerError, []byte(fmt.Sprintf("recovered panic: %v", r))
 		}
 	}()
-	reply, body, err := s.handleMessage(msgType, payload, t, pb)
+	reply, body, err := s.handleMessage(msgType, payload, t)
 	if err != nil {
 		switch {
 		// Admission-control rejections travel typed so clients can
@@ -403,7 +398,7 @@ func (s *Server) answer(msgType byte, payload []byte, t *trace.Trace, pb *planeB
 	return reply, body
 }
 
-func (s *Server) handleMessage(msgType byte, payload []byte, t *trace.Trace, pb *planeBuf) (byte, []byte, error) {
+func (s *Server) handleMessage(msgType byte, payload []byte, t *trace.Trace) (byte, []byte, error) {
 	switch msgType {
 	case MsgUploadDB:
 		name, spec, db, err := DecodeUploadDB(payload, s.params)
@@ -427,7 +422,7 @@ func (s *Server) handleMessage(msgType byte, payload []byte, t *trace.Trace, pb 
 		} else {
 			t.ID = s.rec.NextID()
 		}
-		candidates, err := s.searchOne(payload, t, pb)
+		candidates, err := s.searchOne(payload, t)
 		if err != nil {
 			if errors.Is(err, ErrOverloaded) || errors.Is(err, errShutdown) {
 				return 0, nil, err
@@ -498,8 +493,8 @@ func (s *Server) handleMessage(msgType byte, payload []byte, t *trace.Trace, pb 
 // decode into the batching window (identical payloads decode once) and
 // shares arena passes with concurrent arrivals. Stage stamps land on t
 // either here (direct path) or by the leader of the query's window. The
-// direct path decodes the DBTok plane into pb's room.
-func (s *Server) searchOne(payload []byte, t *trace.Trace, pb *planeBuf) ([]int, error) {
+// direct path's decoded query aliases payload (see queryBufs).
+func (s *Server) searchOne(payload []byte, t *trace.Trace) ([]int, error) {
 	if s.co != nil {
 		splitStart := time.Now()
 		name, raw, err := SplitNamedQuery(payload)
@@ -511,7 +506,7 @@ func (s *Server) searchOne(payload []byte, t *trace.Trace, pb *planeBuf) ([]int,
 		return s.co.search(name, raw, t)
 	}
 	decodeStart := time.Now()
-	name, q, err := decodeNamedQuery(payload, s.params, pb)
+	name, q, err := DecodeNamedQuery(payload, s.params)
 	if err != nil {
 		return nil, fmt.Errorf("decoding query: %w", err)
 	}

@@ -267,23 +267,19 @@ func (b *buffer) poly(qBytes, degree int) (ring.Poly, error) {
 }
 
 // polyInto decodes a polynomial into dst, whose length fixes the
-// expected coefficient count. Once the count and payload bounds hold,
-// the coefficient bytes are sliced once and width 4 runs a straight
-// load loop (the same specialisation as putPoly).
+// expected coefficient count (coeffs).
 func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
-	n, err := b.count(qBytes)
-	if err != nil {
-		return err
+	src, err := b.coeffs(qBytes, len(dst))
+	if err == nil {
+		loadCoeffs(dst, src, qBytes)
 	}
-	if n != len(dst) {
-		return fmt.Errorf("proto: polynomial has %d coefficients, ring degree is %d", n, len(dst))
-	}
-	need := n * qBytes
-	if b.off+need > len(b.data) {
-		return errShortPayload
-	}
-	src := b.data[b.off : b.off+need]
-	b.off += need
+	return err
+}
+
+// loadCoeffs loads the len(dst) qBytes-wide little-endian coefficients
+// of src into dst; width 4 runs a straight load loop (the same
+// specialisation as putPoly).
+func loadCoeffs(dst ring.Poly, src []byte, qBytes int) {
 	if qBytes == 4 {
 		// Two coefficients per 8-byte load, re-sliced so the compiler
 		// proves each pair in bounds once.
@@ -296,7 +292,7 @@ func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
 		for ; i < len(dst); i++ {
 			dst[i] = uint64(binary.LittleEndian.Uint32(src[4*i:]))
 		}
-		return nil
+		return
 	}
 	var tmp [8]byte
 	for i := range dst {
@@ -304,7 +300,65 @@ func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
 		copy(tmp[:qBytes], src[i*qBytes:])
 		dst[i] = binary.LittleEndian.Uint64(tmp[:])
 	}
-	return nil
+}
+
+// coeffs consumes a length-prefixed polynomial of exactly degree
+// qBytes-wide coefficients and returns its coefficient bytes, a
+// capacity-capped slice of the payload. The length word and the payload
+// bounds are checked before anything is read.
+func (b *buffer) coeffs(qBytes, degree int) ([]byte, error) {
+	n, err := b.count(qBytes)
+	if err != nil {
+		return nil, err
+	}
+	if n != degree {
+		return nil, fmt.Errorf("proto: polynomial has %d coefficients, ring degree is %d", n, degree)
+	}
+	need := n * qBytes
+	if b.off+need > len(b.data) {
+		return nil, errShortPayload
+	}
+	src := b.data[b.off : b.off+need : b.off+need]
+	b.off += need
+	return src, nil
+}
+
+// putLanes appends a token row (ring.PutLanes, lb-byte lanes) in the
+// putPoly encoding of its widened polynomial. A row whose lanes are
+// already qBytes wide (every q ≤ 2^32 with 4-byte coefficients) is its
+// own encoding and is copied whole; wider lanes drop their zero high
+// bytes.
+func (b *buffer) putLanes(row []byte, lb, qBytes int) {
+	n := len(row) / lb
+	b.putInt(n)
+	if lb == qBytes {
+		b.data = append(b.data, row...)
+		return
+	}
+	off := len(b.data)
+	b.data = slices.Grow(b.data, n*qBytes)[:off+n*qBytes]
+	dst := b.data[off:]
+	for i := range n {
+		copy(dst[i*qBytes:(i+1)*qBytes], row[i*lb:])
+	}
+}
+
+// tokenRows returns raw, rows of n qBytes-wide coefficients, as token
+// rows of lb-byte lanes: raw itself when the widths agree, else the
+// rows widened once into one block of their own (the zero-extension
+// putLanes undoes).
+func tokenRows(raw [][]byte, n, lb, qBytes int) [][]byte {
+	if qBytes == lb {
+		return raw
+	}
+	rows, block := make([][]byte, len(raw)), make([]byte, len(raw)*n*lb)
+	for j, src := range raw {
+		rows[j] = block[j*n*lb : (j+1)*n*lb : (j+1)*n*lb]
+		for i := range n {
+			copy(rows[j][i*lb:(i+1)*lb], src[i*qBytes:(i+1)*qBytes])
+		}
+	}
+	return rows
 }
 
 func (b *buffer) putCiphertext(ct *bfv.Ciphertext, qBytes int) {
@@ -424,19 +478,20 @@ const factoredWireVersion = 1
 // query always encodes to the same bytes — the property batch-level
 // deduplication and any caching keyed on encodings rely on.
 func EncodeQuery(q *core.Query, p bfv.Params) []byte {
-	qb := p.QBytes()
-	b := buffer{data: make([]byte, 0, queryWireSize(q, qb))}
-	b.putQuery(q, qb)
+	qb, lb := p.QBytes(), ring.LaneBytesFor(p.Q)
+	b := buffer{data: make([]byte, 0, queryWireSize(q, qb, lb))}
+	b.putQuery(q, qb, lb)
 	return b.data
 }
 
 // queryWireSize is the exact length putQuery appends for q: nine
 // header and count words, one word per residue, then the
-// length-prefixed polynomials, each RHS row behind its phase word.
-func queryWireSize(q *core.Query, qBytes int) int {
+// length-prefixed polynomials, each RHS row behind its phase word. The
+// DBTok rows hold lb-byte lanes.
+func queryWireSize(q *core.Query, qBytes, lb int) int {
 	size := 4 * (9 + len(q.Residues) + len(q.DBTok) + 2*len(q.RHS))
 	for _, tok := range q.DBTok {
-		size += len(tok) * qBytes
+		size += len(tok) / lb * qBytes
 	}
 	for _, rhs := range q.RHS {
 		size += len(rhs) * qBytes
@@ -444,8 +499,9 @@ func queryWireSize(q *core.Query, qBytes int) int {
 	return size
 }
 
-// putQuery appends the EncodeQuery encoding of q.
-func (b *buffer) putQuery(q *core.Query, qb int) {
+// putQuery appends the EncodeQuery encoding of q, whose DBTok rows hold
+// lb-byte lanes.
+func (b *buffer) putQuery(q *core.Query, qb, lb int) {
 	b.putUint32(factoredSentinel)
 	b.putInt(factoredWireVersion)
 	b.putInt(q.YBits)
@@ -458,7 +514,7 @@ func (b *buffer) putQuery(q *core.Query, qb int) {
 	}
 	b.putInt(len(q.DBTok))
 	for _, tok := range q.DBTok {
-		b.putPoly(tok, qb)
+		b.putLanes(tok, lb, qb)
 	}
 	b.putInt(len(q.RHS))
 	for _, psi := range sortedKeys(q.RHS) {
@@ -519,40 +575,18 @@ func decodeQueryHeader(b *buffer, q *core.Query) error {
 // DecodeQuery is the inverse of EncodeQuery. The DBTok plane must cover
 // exactly NumChunks chunks — the kernels index it per chunk — and every
 // polynomial is held to the ring degree, so a hostile peer cannot
-// smuggle mis-shaped comparands into the fused kernel.
+// smuggle mis-shaped comparands into the fused kernel. The plane count
+// is bounded by the bytes a whole row needs, and every row's length
+// word and bytes are checked, before anything is sized from them.
+//
+// When the wire coefficient width is the ring's token lane width
+// (ring.LaneBytesFor: every q ≤ 2^32 with 4-byte coefficients, as
+// ParamsPaper and ParamsToy), each DBTok row is sliced straight out of
+// data: the decoded query aliases data, which must stay unmodified
+// until every search reading the query has returned. Otherwise (e.g.
+// ParamsN2048's 7-byte coefficients) the plane is widened once into
+// 8-byte lanes of its own.
 func DecodeQuery(data []byte, p bfv.Params) (*core.Query, error) {
-	return decodeQuery(data, p, nil)
-}
-
-// planeBuf is reusable room for a decoded DBTok plane: one coefficient
-// block and the plane's row headers into it.
-type planeBuf struct {
-	coeffs ring.Poly
-	rows   []ring.Poly
-}
-
-// plane returns room for a plane of ntok rows of degree n: pb's buffers
-// when they are large enough, else fresh ones that pb keeps for the
-// next plane. A nil pb always allocates. The caller overwrites every
-// coefficient, so reused room is not cleared.
-func (pb *planeBuf) plane(ntok, n int) (ring.Poly, []ring.Poly) {
-	if pb == nil {
-		return make(ring.Poly, ntok*n), make([]ring.Poly, ntok)
-	}
-	if cap(pb.coeffs) < ntok*n {
-		pb.coeffs = make(ring.Poly, ntok*n)
-	}
-	if cap(pb.rows) < ntok {
-		pb.rows = make([]ring.Poly, ntok)
-	}
-	return pb.coeffs[:ntok*n], pb.rows[:ntok]
-}
-
-// decodeQuery is DecodeQuery with the DBTok plane decoded into pb's
-// room (see planeBuf.plane): one block of NumChunks·n coefficients, not
-// one allocation per chunk. The plane count is bounded by the bytes a
-// whole row needs before anything is sized from it.
-func decodeQuery(data []byte, p bfv.Params, pb *planeBuf) (*core.Query, error) {
 	b := &buffer{data: data}
 	if err := decodeWireVersion(b); err != nil {
 		return nil, err
@@ -561,7 +595,7 @@ func decodeQuery(data []byte, p bfv.Params, pb *planeBuf) (*core.Query, error) {
 	if err := decodeQueryHeader(b, q); err != nil {
 		return nil, err
 	}
-	qb := p.QBytes()
+	qb, lb := p.QBytes(), ring.LaneBytesFor(p.Q)
 	ntok, err := b.count(4 + p.N*qb) // poly length word + n coefficients
 	if err != nil {
 		return nil, err
@@ -569,14 +603,13 @@ func decodeQuery(data []byte, p bfv.Params, pb *planeBuf) (*core.Query, error) {
 	if ntok != q.NumChunks {
 		return nil, fmt.Errorf("proto: query DBTok plane has %d chunks, header says %d", ntok, q.NumChunks)
 	}
-	coeffs, rows := pb.plane(ntok, p.N)
-	for j := range rows {
-		rows[j] = coeffs[j*p.N : (j+1)*p.N : (j+1)*p.N]
-		if err := b.polyInto(rows[j], qb); err != nil {
+	raw := make([][]byte, ntok)
+	for j := range raw {
+		if raw[j], err = b.coeffs(qb, p.N); err != nil {
 			return nil, err
 		}
 	}
-	q.DBTok = rows
+	q.DBTok = tokenRows(raw, p.N, lb, qb)
 	nrhs, err := b.count(8) // psi word + poly length word
 	if err != nil {
 		return nil, err
@@ -635,10 +668,10 @@ func DecodeUploadDB(data []byte, p bfv.Params) (string, core.EngineSpec, *core.E
 
 // EncodeNamedQuery frames a query addressed to a named database.
 func EncodeNamedQuery(name string, q *core.Query, p bfv.Params) []byte {
-	qb := p.QBytes()
-	b := buffer{data: make([]byte, 0, 4+len(name)+queryWireSize(q, qb))}
+	qb, lb := p.QBytes(), ring.LaneBytesFor(p.Q)
+	b := buffer{data: make([]byte, 0, 4+len(name)+queryWireSize(q, qb, lb))}
 	b.putString(name)
-	b.putQuery(q, qb)
+	b.putQuery(q, qb, lb)
 	return b.data
 }
 
@@ -656,20 +689,15 @@ func SplitNamedQuery(data []byte) (string, []byte, error) {
 	return name, data[b.off:], nil
 }
 
-// DecodeNamedQuery is the inverse of EncodeNamedQuery.
+// DecodeNamedQuery is the inverse of EncodeNamedQuery. The query
+// aliases data as DecodeQuery's does.
 func DecodeNamedQuery(data []byte, p bfv.Params) (string, *core.Query, error) {
-	return decodeNamedQuery(data, p, nil)
-}
-
-// decodeNamedQuery is DecodeNamedQuery decoding the plane into pb's
-// room (decodeQuery).
-func decodeNamedQuery(data []byte, p bfv.Params, pb *planeBuf) (string, *core.Query, error) {
 	b := buffer{data: data}
 	name, err := b.string()
 	if err != nil {
 		return "", nil, err
 	}
-	q, err := decodeQuery(data[b.off:], p, pb)
+	q, err := DecodeQuery(data[b.off:], p)
 	return name, q, err
 }
 

@@ -59,21 +59,22 @@ func kernelXGETBV0() (eax, edx uint32)
 
 // subCmpNarrowBlock64AVX2 writes, for each v in [0, nrhs), the packed
 // verdict word of coefficients [i, i+64) to out[v]: bit k set iff
-// (a[k]-d[k]) mod 2^s == low[k] mod 2^s (the guard, with lm = 2^s-1)
-// and uint16((a[k]-d[k]) >> s) == top[v][i+k], where off = 2*i and a,
-// d and low already point at coefficient i. nrhs must be in [1, 64];
-// every top[v] must hold i+64 lanes.
+// (a[k]-d_k) mod 2^s == low[k] mod 2^s (the guard, with lm = 2^s-1)
+// and uint16((a[k]-d_k) >> s) == top[v][i+k], where d_k is lane k of
+// the token row at d, lb (4 or 8) bytes wide, off = 2*i, and a, d and
+// low already point at coefficient i. nrhs must be in [1, 64]; every
+// top[v] must hold i+64 lanes.
 //
 //cm:hotpath
 //go:noescape
-func subCmpNarrowBlock64AVX2(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
+func subCmpNarrowBlock64AVX2(out, a *uint64, d *byte, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64, lb int)
 
 // subCmpNarrowBlock64AVX512 is subCmpNarrowBlock64AVX2 on ZMM
 // registers: 8 guard lanes and 32 narrow lanes per vector op.
 //
 //cm:hotpath
 //go:noescape
-func subCmpNarrowBlock64AVX512(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
+func subCmpNarrowBlock64AVX512(out, a *uint64, d *byte, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64, lb int)
 
 // subCmpNarrowAsm is SubCmpNarrowBits on the assembly block primitives
 // (avx512 selects the ZMM one): each 64-coefficient block computes its
@@ -82,11 +83,11 @@ func subCmpNarrowBlock64AVX512(out, a, d, low *uint64, top *[]uint16, nrhs, off 
 // reading each row's data pointer from its slice header.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, out []HitWord, base int, avx512 bool) int {
+func (r *Ring) subCmpNarrowAsm(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int, avx512 bool) int {
 	if len(top) == 0 {
 		return 0 // the asm comparand loop counts down from nrhs >= 1
 	}
-	n := len(a)
+	n, lb := len(a), r.laneBytes
 	i, nw := 0, 0
 	if rem := base & 63; rem != 0 {
 		i = min(64-rem, n)
@@ -94,7 +95,7 @@ func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, out []HitWord, ba
 	}
 	// The asm reads d, low and every comparand row through coefficient
 	// n-1 with no bounds checks of its own: prove the lengths once.
-	_ = d[len(d)-n:]
+	_ = d[len(d)-n*lb:]
 	_ = low[len(low)-n:]
 	for _, tv := range top {
 		_ = tv[len(tv)-n:]
@@ -106,9 +107,9 @@ func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, out []HitWord, ba
 		for g := 0; g < len(top); g += len(verdict) {
 			grp := top[g:min(g+len(verdict), len(top))]
 			if avx512 {
-				subCmpNarrowBlock64AVX512(&verdict[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
+				subCmpNarrowBlock64AVX512(&verdict[0], &a[i], &d[i*lb], &low[i], &grp[0], len(grp), 2*i, lm, s, lb)
 			} else {
-				subCmpNarrowBlock64AVX2(&verdict[0], &a[i], &d[i], &low[i], &grp[0], len(grp), 2*i, lm, s)
+				subCmpNarrowBlock64AVX2(&verdict[0], &a[i], &d[i*lb], &low[i], &grp[0], len(grp), 2*i, lm, s, lb)
 			}
 			for v, w := range verdict[:len(grp)] {
 				//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee

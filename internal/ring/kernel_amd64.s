@@ -4,10 +4,11 @@
 
 // CPUID/XGETBV probes and the AVX2 and AVX-512 block primitives of
 // SubCmpNarrowBits (see kernel_amd64.go for contracts). All functions
-// are leaf NOSPLIT with unaligned 256/512-bit loads/stores (the
-// coefficient planes are []uint64, 8-byte aligned only), and every
-// vector function executes VZEROUPPER before returning to avoid SSE
-// transition stalls in the caller.
+// are leaf NOSPLIT with unaligned vector loads/stores (the coefficient
+// planes are []uint64, 8-byte aligned only, and a token row may start
+// at any byte of a request payload), and every vector function
+// executes VZEROUPPER before returning to avoid SSE transition stalls
+// in the caller.
 
 // NARROWARGS loads the shared arguments of the two narrow compare
 // blocks, below. (Defined before the first TEXT block: vet's asmdecl
@@ -50,6 +51,22 @@ TEXT ·kernelXGETBV0(SB), NOSPLIT, $0-8
 // straight from memory and the guard is ANDed into its verdict word
 // out[v]. The row data pointers are read from the [][]uint16 headers
 // (24-byte stride) at R8; R9 is the block's byte offset in every row.
+//
+// The token row at DX holds 4- or 8-byte lanes (the lb argument). The
+// two widths differ only in how a lane reaches its 64-bit vector slot —
+// a plain load, or VPMOVZXDQ zero-extending 4-byte lanes from half as
+// many bytes — so each block macro takes its load as a parameter (LD,
+// with the row's byte offset doff) and everything after the load is
+// shared. Each primitive branches on lb once, packs the block's lanes
+// through one of two expansions of the same macros, and joins the
+// shared comparand loop.
+
+// Token-row loads: LD8* reads 8-byte lanes, LD4* zero-extends 4-byte
+// lanes; Y forms load 4 lanes, Z forms 8.
+#define LD8Y(doff, y) VMOVDQU   doff(DX), y
+#define LD4Y(doff, y) VPMOVZXDQ doff(DX), y
+#define LD8Z(doff, z) VMOVDQU64 doff(DX), z
+#define LD4Z(doff, z) VPMOVZXDQ doff(DX), z
 
 // narrowPermAVX2 is the VPERMD index that restores coefficient order
 // after two rounds of in-lane VPACKUSDW (dword pairs 0,4,1,5,2,6,3,7).
@@ -63,13 +80,15 @@ DATA narrowPermAVX2<>+24(SB)/4, $3
 DATA narrowPermAVX2<>+28(SB)/4, $7
 GLOBL narrowPermAVX2<>(SB), RODATA|NOPTR, $32
 
-// NARROWQ4 handles 4 coefficients at byte offset off: the guard bits
-// land at bit sh of R11 (low-part mask in Y15, zero in Y5), and yd
-// keeps the narrow lanes zero-extended to 64 bits (shift count in X14,
-// 0xFFFF per qword in Y13). Y4 is scratch.
-#define NARROWQ4(off, sh, yd) \
+// NARROWQ4 handles 4 coefficients at byte offset off (token row offset
+// doff, loaded by LD): the guard bits land at bit sh of R11 (low-part
+// mask in Y15, zero in Y5), and yd keeps the narrow lanes zero-extended
+// to 64 bits (shift count in X14, 0xFFFF per qword in Y13). Y4 is
+// scratch.
+#define NARROWQ4(LD, off, doff, sh, yd) \
+	LD(doff, Y4);              \
 	VMOVDQU   off(SI), yd;     \
-	VPSUBQ    off(DX), yd, yd; \
+	VPSUBQ    Y4, yd, yd;      \
 	VPXOR     off(BX), yd, Y4; \
 	VPAND     Y15, Y4, Y4;     \
 	VPCMPEQQ  Y5, Y4, Y4;      \
@@ -82,18 +101,19 @@ GLOBL narrowPermAVX2<>(SB), RODATA|NOPTR, $32
 // NARROW16AVX2 packs the narrow lanes of 16 coefficients into yh in
 // coefficient order: two in-lane unsigned-saturating packs (exact, as
 // every lane is below 2^16) and one cross-lane dword permute (Y12).
-#define NARROW16AVX2(off, sh, yh) \
-	NARROWQ4(off, sh, Y0);       \
-	NARROWQ4(off+32, sh+4, Y1);  \
-	NARROWQ4(off+64, sh+8, Y2);  \
-	NARROWQ4(off+96, sh+12, Y3); \
+// dstep is the token-row bytes of 4 lanes.
+#define NARROW16AVX2(LD, off, doff, dstep, sh, yh) \
+	NARROWQ4(LD, off, doff, sh, Y0);                \
+	NARROWQ4(LD, off+32, doff+dstep, sh+4, Y1);     \
+	NARROWQ4(LD, off+64, doff+2*dstep, sh+8, Y2);   \
+	NARROWQ4(LD, off+96, doff+3*dstep, sh+12, Y3);  \
 	VPACKUSDW Y1, Y0, Y0;        \
 	VPACKUSDW Y3, Y2, Y2;        \
 	VPACKUSDW Y2, Y0, Y0;        \
 	VPERMD    Y0, Y12, yh
 
-// func subCmpNarrowBlock64AVX2(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
-TEXT ·subCmpNarrowBlock64AVX2(SB), NOSPLIT, $0-72
+// func subCmpNarrowBlock64AVX2(out, a *uint64, d *byte, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64, lb int)
+TEXT ·subCmpNarrowBlock64AVX2(SB), NOSPLIT, $0-80
 	NARROWARGS
 	VPBROADCASTQ lm+56(FP), Y15
 	VMOVQ        s+64(FP), X14
@@ -102,10 +122,20 @@ TEXT ·subCmpNarrowBlock64AVX2(SB), NOSPLIT, $0-72
 	VMOVDQU      narrowPermAVX2<>(SB), Y12
 	VPXOR        Y5, Y5, Y5
 	XORQ         R11, R11
-	NARROW16AVX2(0, 0, Y8)
-	NARROW16AVX2(128, 16, Y9)
-	NARROW16AVX2(256, 32, Y10)
-	NARROW16AVX2(384, 48, Y11)
+	MOVQ         lb+72(FP), AX
+	CMPQ         AX, $4
+	JEQ          narrowavx2lanes4
+	NARROW16AVX2(LD8Y, 0, 0, 32, 0, Y8)
+	NARROW16AVX2(LD8Y, 128, 128, 32, 16, Y9)
+	NARROW16AVX2(LD8Y, 256, 256, 32, 32, Y10)
+	NARROW16AVX2(LD8Y, 384, 384, 32, 48, Y11)
+	JMP          narrowavx2loop
+
+narrowavx2lanes4:
+	NARROW16AVX2(LD4Y, 0, 0, 16, 0, Y8)
+	NARROW16AVX2(LD4Y, 128, 64, 16, 16, Y9)
+	NARROW16AVX2(LD4Y, 256, 128, 16, 32, Y10)
+	NARROW16AVX2(LD4Y, 384, 192, 16, 48, Y11)
 
 	// Per comparand: 4 × VPCMPEQW (16 lanes each), signed-saturating
 	// byte packs (equal lanes are -1, which packs to -1) and a qword
@@ -135,30 +165,48 @@ narrowavx2loop:
 	VZEROUPPER
 	RET
 
-// NARROW512 handles 8 coefficients at byte offset off: the guard bits
-// land in kk (VPTESTNMQ against the low-part mask in Z8) and the 8
-// narrow lanes are truncated into xo (shift count in X9, Z10 scratch).
-#define NARROW512(off, kk, xo) \
+// NARROW512 handles 8 coefficients at byte offset off (token row
+// offset doff, loaded by LD): the guard bits land in kk (VPTESTNMQ
+// against the low-part mask in Z8) and the 8 narrow lanes are
+// truncated into xo (shift count in X9, Z10 scratch).
+#define NARROW512(LD, off, doff, kk, xo) \
+	LD(doff, Z10);             \
 	VMOVDQU64 off(SI), Z0;     \
-	VPSUBQ    off(DX), Z0, Z0; \
+	VPSUBQ    Z10, Z0, Z0;     \
 	VPXORQ    off(BX), Z0, Z10; \
 	VPTESTNMQ Z8, Z10, kk;     \
 	VPSRLQ    X9, Z0, Z0;      \
 	VPMOVQW   Z0, xo
 
-// func subCmpNarrowBlock64AVX512(out, a, d, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64)
-TEXT ·subCmpNarrowBlock64AVX512(SB), NOSPLIT, $0-72
+// func subCmpNarrowBlock64AVX512(out, a *uint64, d *byte, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64, lb int)
+TEXT ·subCmpNarrowBlock64AVX512(SB), NOSPLIT, $0-80
 	NARROWARGS
 	VPBROADCASTQ lm+56(FP), Z8
 	VMOVQ        s+64(FP), X9
-	NARROW512(0, K0, X16)
-	NARROW512(64, K1, X17)
-	NARROW512(128, K2, X18)
-	NARROW512(192, K3, X19)
-	NARROW512(256, K4, X20)
-	NARROW512(320, K5, X21)
-	NARROW512(384, K6, X22)
-	NARROW512(448, K7, X23)
+	MOVQ         lb+72(FP), AX
+	CMPQ         AX, $4
+	JEQ          narrow512lanes4
+	NARROW512(LD8Z, 0, 0, K0, X16)
+	NARROW512(LD8Z, 64, 64, K1, X17)
+	NARROW512(LD8Z, 128, 128, K2, X18)
+	NARROW512(LD8Z, 192, 192, K3, X19)
+	NARROW512(LD8Z, 256, 256, K4, X20)
+	NARROW512(LD8Z, 320, 320, K5, X21)
+	NARROW512(LD8Z, 384, 384, K6, X22)
+	NARROW512(LD8Z, 448, 448, K7, X23)
+	JMP          narrow512packed
+
+narrow512lanes4:
+	NARROW512(LD4Z, 0, 0, K0, X16)
+	NARROW512(LD4Z, 64, 32, K1, X17)
+	NARROW512(LD4Z, 128, 64, K2, X18)
+	NARROW512(LD4Z, 192, 96, K3, X19)
+	NARROW512(LD4Z, 256, 128, K4, X20)
+	NARROW512(LD4Z, 320, 160, K5, X21)
+	NARROW512(LD4Z, 384, 192, K6, X22)
+	NARROW512(LD4Z, 448, 224, K7, X23)
+
+narrow512packed:
 	VINSERTI32X4 $1, X17, Z16, Z16
 	VINSERTI32X4 $2, X18, Z16, Z16
 	VINSERTI32X4 $3, X19, Z16, Z16

@@ -14,6 +14,6 @@ func archAVX2Supported() bool { return false }
 func archAVX512Supported() bool { return false }
 
 //cm:hotpath
-func (r *Ring) subCmpNarrowAsm(a, d, low Poly, top [][]uint16, out []HitWord, base int, _ bool) int {
+func (r *Ring) subCmpNarrowAsm(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int, _ bool) int {
 	return r.subCmpNarrowUnrolled(a, d, low, top, out, base)
 }

@@ -123,14 +123,16 @@ type kernelCase struct {
 	// low and top are the SubCmpNarrowBits operands (nil when the ring
 	// has no narrow split): top is cut from rhs, and low matches the
 	// difference's low part at ~3/4 of the coefficients, so the guard
-	// both passes and fails.
-	low Poly
-	top [][]uint16
+	// both passes and fails. lanes is d as a token row starting off
+	// bytes into its buffer.
+	low   Poly
+	top   [][]uint16
+	lanes []byte
 }
 
 // newKernelCase builds polynomials with hits planted at ~1/4 of the
 // coefficients so the verdict words are neither all-zero nor all-one.
-func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
+func newKernelCase(src *rng.Source, n int, q uint64, R, base, off int) kernelCase {
 	r := MustNew(n, q)
 	a, d := r.NewPoly(), r.NewPoly()
 	r.UniformPoly(src, a)
@@ -158,6 +160,7 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 	tc := kernelCase{r: r, a: a, d: d, rhs: rhs, base: base}
 	if _, ok := r.NarrowShift(); ok {
 		tc.top = narrowRows(r, rhs)
+		tc.lanes = laneRow(r, d, off)
 		tc.low = r.NewPoly()
 		r.UniformPoly(src, tc.low)
 		for i := range tc.low {
@@ -171,9 +174,11 @@ func newKernelCase(src *rng.Source, n int, q uint64, R, base int) kernelCase {
 
 // runAllKernels checks SubCmpMultiBits, which runs one loop on every
 // path, once against the unfused subtract-then-compare pipeline, and
-// then, where the ring has a narrow split, runs SubCmpNarrowBits under
-// every available dispatch path and fails the test unless each path's
-// bitsets are bit-identical to the generic baseline's.
+// then, where the ring has a narrow split, runs SubCmpNarrowBits on the
+// token row under every available dispatch path and fails the test
+// unless each path's bitsets are bit-identical to SubCmpMultiBits' on
+// the row widened back to a Poly, against the comparands the narrow
+// operands stand for: top[v]'s lanes over low's low part.
 func runAllKernels(t testing.TB, tc kernelCase) {
 	t.Helper()
 	n := tc.r.N()
@@ -209,23 +214,31 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 	if tc.top == nil {
 		return
 	}
-	results := make(map[KernelPath][][]uint64)
+	s, _ := tc.r.NarrowShift()
+	lm := uint64(1)<<s - 1
+	widened := tc.r.NewPoly()
+	tc.r.WidenLanes(widened, tc.lanes)
+	cmp := make([]Poly, len(tc.top))
+	for v, tv := range tc.top {
+		cmp[v] = tc.r.NewPoly()
+		for i, x := range tv {
+			cmp[v][i] = uint64(x)<<s | tc.low[i]&lm
+		}
+	}
+	ref := newBits()
+	tc.r.SubCmpMultiBits(tc.a, widened, cmp, ref, tc.base)
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			results[p] = runNarrow(t, tc.r, tc.a, tc.d, tc.low, tc.top, tc.base, words)
-		})
-	}
-	ref := results[KernelGeneric]
-	for _, p := range AvailableKernels() {
-		got := results[p]
-		for v := range ref {
-			for w := range ref[v] {
-				if got[v][w] != ref[v][w] {
-					t.Fatalf("SubCmpNarrowBits path %s: rhs %d word %d = %#x, generic %#x (n=%d q=%d base=%d)",
-						p, v, w, got[v][w], ref[v][w], n, tc.r.Q(), tc.base)
+			got := runNarrow(t, tc.r, tc.a, tc.lanes, tc.low, tc.top, tc.base, words)
+			for v := range ref {
+				for w := range ref[v] {
+					if got[v][w] != ref[v][w] {
+						t.Fatalf("SubCmpNarrowBits path %s: rhs %d word %d = %#x, SubCmpMultiBits on the widened row %#x (n=%d q=%d base=%d row offset %d)",
+							p, v, w, got[v][w], ref[v][w], n, tc.r.Q(), tc.base, cap(tc.lanes)-len(tc.lanes))
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -243,7 +256,7 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 			for _, base := range []int{0, 37, 64, 64*5 + 63} {
 				for _, R := range []int{1, 4} {
 					for trial := 0; trial < 6; trial++ {
-						runAllKernels(t, newKernelCase(src, fam.n, fam.q, R, base))
+						runAllKernels(t, newKernelCase(src, fam.n, fam.q, R, base, trial*11%64))
 					}
 				}
 			}
@@ -269,23 +282,31 @@ var fuzzQs = []uint64{
 var fuzzNs = []int{16, 64, 128, 1024}
 
 // FuzzKernelPaths is the differential fuzzer of the dispatch layer:
-// random modulus family, degree, base alignment, comparand count and
-// coefficient streams, asserting that SubCmpMultiBits matches
-// subtract-then-compare for every modulus, odd ones included, and that
-// on power-of-two q the generic, unrolled and (where present) avx2 and
-// avx512 paths of SubCmpNarrowBits produce bit-identical hit bitsets. A
-// divergence here is a miscompare in a rewritten kernel — exactly the
-// bug class that must be impossible before a new path can ship.
+// random modulus family, degree, base alignment, comparand count, token
+// row byte offset (0–63) and coefficient streams, asserting that
+// SubCmpMultiBits matches subtract-then-compare for every modulus, odd
+// ones included, and that on power-of-two q the generic, unrolled and
+// (where present) avx2 and avx512 paths of SubCmpNarrowBits, reading
+// the row's 4-byte (q ≤ 2^32) or 8-byte lanes, are bit-identical to
+// SubCmpMultiBits on the widened row. A divergence here is a miscompare
+// in a rewritten kernel — exactly the bug class that must be impossible
+// before a new path can ship.
 func FuzzKernelPaths(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(1))
-	f.Add(uint64(2), uint8(2), uint8(1), uint16(37), uint8(4))
-	f.Add(uint64(3), uint8(3), uint8(2), uint16(63), uint8(3))
-	f.Add(uint64(4), uint8(4), uint8(3), uint16(129), uint8(5))
-	f.Add(uint64(5), uint8(1), uint8(1), uint16(64), uint8(2))
-	f.Add(uint64(6), uint8(0), uint8(3), uint16(0), uint8(0))   // R = 0
-	f.Add(uint64(7), uint8(2), uint8(3), uint16(37), uint8(70)) // R = 70: two comparand groups
-	f.Add(uint64(8), uint8(5), uint8(3), uint16(37), uint8(32)) // q = 2^54: 38 bits below the narrow lane
-	f.Fuzz(func(t *testing.T, seed uint64, qSel, nSel uint8, baseRaw uint16, rRaw uint8) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(1), uint8(0))
+	f.Add(uint64(2), uint8(2), uint8(1), uint16(37), uint8(4), uint8(0))
+	f.Add(uint64(3), uint8(3), uint8(2), uint16(63), uint8(3), uint8(0))
+	f.Add(uint64(4), uint8(4), uint8(3), uint16(129), uint8(5), uint8(0))
+	f.Add(uint64(5), uint8(1), uint8(1), uint16(64), uint8(2), uint8(0))
+	f.Add(uint64(6), uint8(0), uint8(3), uint16(0), uint8(0), uint8(0))   // R = 0
+	f.Add(uint64(7), uint8(2), uint8(3), uint16(37), uint8(70), uint8(0)) // R = 70: two comparand groups
+	f.Add(uint64(8), uint8(5), uint8(3), uint16(37), uint8(32), uint8(0)) // q = 2^54: 38 bits below the narrow lane
+	// Token rows at odd byte offsets: 4-byte lanes (q = 2^32) and
+	// 8-byte lanes (q = 2^54), aligned and unaligned bases.
+	f.Add(uint64(9), uint8(0), uint8(3), uint16(0), uint8(32), uint8(1))
+	f.Add(uint64(10), uint8(0), uint8(2), uint16(37), uint8(7), uint8(63))
+	f.Add(uint64(11), uint8(5), uint8(3), uint16(0), uint8(32), uint8(3))
+	f.Add(uint64(12), uint8(5), uint8(1), uint16(101), uint8(65), uint8(61))
+	f.Fuzz(func(t *testing.T, seed uint64, qSel, nSel uint8, baseRaw uint16, rRaw, offRaw uint8) {
 		q := fuzzQs[int(qSel)%len(fuzzQs)]
 		n := fuzzNs[int(nSel)%len(fuzzNs)]
 		base := int(baseRaw) % (3 * 64)
@@ -293,6 +314,6 @@ func FuzzKernelPaths(f *testing.F) {
 		var seedBytes [32]byte
 		binary.LittleEndian.PutUint64(seedBytes[:8], seed)
 		src := rng.NewSource(seedBytes)
-		runAllKernels(t, newKernelCase(src, n, q, R, base))
+		runAllKernels(t, newKernelCase(src, n, q, R, base, int(offRaw)%64))
 	})
 }

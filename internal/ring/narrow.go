@@ -1,5 +1,7 @@
 package ring
 
+import "encoding/binary"
+
 // This file implements the narrow compare kernel of the seeded search.
 // The hit test of SubCmpMultiBits is a 64-bit equality
 //
@@ -23,6 +25,14 @@ package ring
 // reference's scalar prologue/epilogue shape and branchless coefficient
 // loops, but its output is sparse: one HitWord record per word that
 // holds a hit, so a search writes nothing for the words it misses.
+//
+// The subtrahend d is a token row: little-endian lanes of LaneBytes
+// each, the byte layout a query's token plane has from the client's
+// memo through the wire to this kernel, so a server slices its rows out
+// of the request payload and sweeps them with no decode pass. A row may
+// start at any byte offset: the Go legs read it with encoding/binary
+// and the assembly with unaligned loads, never through a converted
+// pointer.
 
 // HitWord is one record of SubCmpNarrowBits' sparse output: bit k of
 // Mask is set iff comparand Row hit window 64·Word+k.
@@ -49,6 +59,53 @@ func (r *Ring) NarrowShift() (uint, bool) {
 	return r.narrowShift, r.narrowOK
 }
 
+// LaneBytes returns the width of one coefficient in a token row, the
+// layout of SubCmpNarrowBits' subtrahend: LaneBytesFor(q).
+func (r *Ring) LaneBytes() int { return r.laneBytes }
+
+// LaneBytesFor returns the token-row lane width of modulus q: 4 bytes
+// when q ≤ 2^32, else 8.
+func LaneBytesFor(q uint64) int {
+	if q <= 1<<32 {
+		return 4
+	}
+	return 8
+}
+
+// PutLanes stores p as a token row in dst: len(p) little-endian lanes
+// of LaneBytes each. Coefficients must be below q.
+func (r *Ring) PutLanes(dst []byte, p Poly) {
+	if r.laneBytes == 4 {
+		dst = dst[:4*len(p)]
+		for i, c := range p {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(c))
+		}
+		return
+	}
+	dst = dst[:8*len(p)]
+	for i, c := range p {
+		binary.LittleEndian.PutUint64(dst[8*i:], c)
+	}
+}
+
+// WidenLanes is the inverse of PutLanes: it loads the first len(dst)
+// lanes of the token row d into dst.
+//
+//cm:hotpath
+func (r *Ring) WidenLanes(dst Poly, d []byte) {
+	if r.laneBytes == 4 {
+		d = d[:4*len(dst)]
+		for i := range dst {
+			dst[i] = uint64(binary.LittleEndian.Uint32(d[4*i:]))
+		}
+		return
+	}
+	d = d[:8*len(dst)]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(d[8*i:])
+	}
+}
+
 // CutNarrow stores the narrow lanes of p, uint16(p[i] >> s), in top and
 // reports whether p's low part (below bit s, see NarrowShift) equals
 // low's at every coefficient: the precondition under which
@@ -70,7 +127,8 @@ func (r *Ring) CutNarrow(p, low Poly, top []uint16) bool {
 //
 //	D mod 2^s == low[i] mod 2^s   and   D >> s == top[v][i]
 //
-// where D = (a[i] - d[i]) mod q and s comes from NarrowShift, and
+// where D = (a[i] - d_i) mod q, d_i is lane i of the token row d (see
+// LaneBytes) and s comes from NarrowShift, and
 // reports the hits as window base+i of comparand v: it writes HitWord
 // records to out and returns how many. For comparands rhs[v] that share
 // low's low part and top[v] cut from them (CutNarrow), the hit windows
@@ -83,12 +141,12 @@ func (r *Ring) CutNarrow(p, low Poly, top []uint16) bool {
 // comparand, empty or not, so consecutive calls may emit the same
 // (word, comparand) twice, with disjoint masks.
 //
-// The ring must satisfy NarrowShift. d, low and every top[v] must have
-// len(a) entries, and out must have room for HitRoom(len(a), len(top))
-// records.
+// The ring must satisfy NarrowShift. d must hold len(a) lanes, low and
+// every top[v] len(a) entries, and out must have room for
+// HitRoom(len(a), len(top)) records.
 //
 //cm:hotpath
-func (r *Ring) SubCmpNarrowBits(a, d, low Poly, top [][]uint16, out []HitWord, base int) int {
+func (r *Ring) SubCmpNarrowBits(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int) int {
 	switch KernelPath(activeKernel.Load()) {
 	case KernelAVX512:
 		return r.subCmpNarrowAsm(a, d, low, top, out, base, true)
@@ -107,8 +165,8 @@ func (r *Ring) SubCmpNarrowBits(a, d, low Poly, top [][]uint16, out []HitWord, b
 // ANDed with the guard and emitted only when some window hit.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowGeneric(a, d, low Poly, top [][]uint16, out []HitWord, base int) int {
-	n := len(a)
+func (r *Ring) subCmpNarrowGeneric(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int) int {
+	n, lb := len(a), r.laneBytes
 	i, nw := 0, 0
 	if rem := base & 63; rem != 0 {
 		i = min(64-rem, n)
@@ -116,8 +174,10 @@ func (r *Ring) subCmpNarrowGeneric(a, d, low Poly, top [][]uint16, out []HitWord
 	}
 	s, lm := r.narrowShift, r.lowMask
 	var diff [64]uint16
+	var dd [64]uint64
 	for ; i+64 <= n; i += 64 {
-		aa, dd, ll := a[i:i+64], d[i:i+64], low[i:i+64]
+		r.WidenLanes(dd[:], d[i*lb:])
+		aa, ll := a[i:i+64], low[i:i+64]
 		var g uint64
 		for k := range aa {
 			t := aa[k] - dd[k]
@@ -166,8 +226,8 @@ func zeroLanes16(x uint64) uint64 {
 // of the generic path.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, out []HitWord, base int) int {
-	n := len(a)
+func (r *Ring) subCmpNarrowUnrolled(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int) int {
+	n, lb := len(a), r.laneBytes
 	i, nw := 0, 0
 	if rem := base & 63; rem != 0 {
 		i = min(64-rem, n)
@@ -175,11 +235,13 @@ func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, out []HitWor
 	}
 	s, lm := r.narrowShift, r.lowMask
 	var diff [16]uint64
+	var dd [64]uint64
 	for ; i+64 <= n; i += 64 {
+		r.WidenLanes(dd[:], d[i*lb:])
 		var g uint64
 		for k := 0; k < 64; k += 4 {
 			a4 := a[i+k : i+k+4 : i+k+4]
-			d4 := d[i+k : i+k+4 : i+k+4]
+			d4 := dd[k : k+4 : k+4]
 			l4 := low[i+k : i+k+4 : i+k+4]
 			t0, t1, t2, t3 := a4[0]-d4[0], a4[1]-d4[1], a4[2]-d4[2], a4[3]-d4[3]
 			g |= (eqMaskBit(t0&lm, l4[0]&lm) |
@@ -216,15 +278,17 @@ func (r *Ring) subCmpNarrowUnrolled(a, d, low Poly, top [][]uint16, out []HitWor
 // comparand, hit or not, at out[nw:], and returns the new record count.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowScalar(a, d, low Poly, top [][]uint16, out []HitWord, nw, base, lo, hi int) int {
+func (r *Ring) subCmpNarrowScalar(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, nw, base, lo, hi int) int {
 	if lo == hi {
 		return nw
 	}
 	s, lm := r.narrowShift, r.lowMask
 	var diff [64]uint16
+	var dd [64]uint64
+	r.WidenLanes(dd[:hi-lo], d[lo*r.laneBytes:])
 	var g uint64
 	for i := lo; i < hi; i++ {
-		t := a[i] - d[i]
+		t := a[i] - dd[i-lo]
 		diff[i-lo] = uint16(t >> s)
 		_, m := bitsetWord(base + i)
 		g |= m & -eqMaskBit(t&lm, low[i]&lm)

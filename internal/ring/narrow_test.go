@@ -16,13 +16,22 @@ func narrowRows(r *Ring, rhs []Poly) [][]uint16 {
 	return top
 }
 
+// laneRow stores d as a token row (PutLanes) that starts off bytes into
+// its buffer, so the kernels read rows at any alignment, as they do rows
+// sliced out of a request payload.
+func laneRow(r *Ring, d Poly, off int) []byte {
+	buf := make([]byte, off+len(d)*r.LaneBytes())
+	r.PutLanes(buf[off:], d)
+	return buf[off:]
+}
+
 // runNarrow runs SubCmpNarrowBits with exactly HitRoom records of room
 // and scatters its records into len(top) dense bitsets of words words:
 // the conversion through which the tests compare its hits with
 // SubCmpMultiBits' words. It fails unless the records ascend by word
 // and comparand inside the call's words and only the call's partial
 // edge words carry empty masks.
-func runNarrow(t testing.TB, r *Ring, a, d, low Poly, top [][]uint16, base, words int) [][]uint64 {
+func runNarrow(t testing.TB, r *Ring, a Poly, d []byte, low Poly, top [][]uint16, base, words int) [][]uint64 {
 	t.Helper()
 	out := make([]HitWord, HitRoom(len(a), len(top)))
 	k := r.SubCmpNarrowBits(a, d, low, top, out, base)
@@ -125,6 +134,7 @@ func TestSubCmpNarrowMatchesMultiBits(t *testing.T) {
 				for _, R := range []int{1, 4, 32, 65} {
 					r, a, d, low, rhs := newNarrowCase(src, fam.n, fam.q, R)
 					top := narrowRows(r, rhs)
+					lanes := laneRow(r, d, trial*R%64)
 					for _, base := range []int{0, 37, 64, 64*5 + 63} {
 						words := (base + fam.n + 63) / 64
 						wide := make([][]uint64, R)
@@ -134,7 +144,7 @@ func TestSubCmpNarrowMatchesMultiBits(t *testing.T) {
 						r.SubCmpMultiBits(a, d, rhs, wide, base)
 						for _, p := range AvailableKernels() {
 							withKernel(t, p, func() {
-								narrow := runNarrow(t, r, a, d, low, top, base, words)
+								narrow := runNarrow(t, r, a, lanes, low, top, base, words)
 								for v := range wide {
 									for w := range wide[v] {
 										if narrow[v][w] != wide[v][w] {
@@ -173,13 +183,14 @@ func TestSubCmpNarrowGuard(t *testing.T) {
 	if r.CutNarrow(diff, off, make([]uint16, len(diff))) {
 		t.Fatal("CutNarrow reports a shared low part for rows one bit apart")
 	}
+	lanes := laneRow(r, d, 1)
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			bits := runNarrow(t, r, a, d, off, top, 5, 3)
+			bits := runNarrow(t, r, a, lanes, off, top, 5, 3)
 			if bits[0][0]|bits[0][1]|bits[0][2] != 0 {
 				t.Fatalf("path %s: low-part mismatch produced hits %#x", p, bits[0])
 			}
-			bits = runNarrow(t, r, a, d, diff, top, 5, 3)
+			bits = runNarrow(t, r, a, lanes, diff, top, 5, 3)
 			if got := popcount(bits[0][0]) + popcount(bits[0][1]) + popcount(bits[0][2]); got != 128 {
 				t.Fatalf("path %s: %d of 128 exact comparands hit", p, got)
 			}
@@ -220,11 +231,12 @@ func TestSubCmpNarrowBitsZeroAllocs(t *testing.T) {
 				t.Run(fam.name, func(t *testing.T) {
 					r, a, d, low, rhs := newNarrowCase(rng.NewSourceFromString("narrow-allocs"), fam.n, fam.q, 3)
 					top := narrowRows(r, rhs)
+					lanes := laneRow(r, d, 3)
 					out := make([]HitWord, HitRoom(fam.n, len(top)))
 					withKernel(t, p, func() {
 						for _, base := range []int{0, 37} {
 							if avg := testing.AllocsPerRun(100, func() {
-								r.SubCmpNarrowBits(a, d, low, top, out, base)
+								r.SubCmpNarrowBits(a, lanes, low, top, out, base)
 							}); avg != 0 {
 								t.Fatalf("SubCmpNarrowBits (base %d) allocates %.1f times per call, want 0", base, avg)
 							}

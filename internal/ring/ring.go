@@ -51,6 +51,9 @@ type Ring struct {
 	narrowOK    bool
 	narrowShift uint
 	lowMask     uint64
+	// laneBytes is the width of one coefficient in a token row
+	// (LaneBytes).
+	laneBytes int
 
 	// karatsubaThreshold is the sub-problem size below which Karatsuba
 	// recursion falls back to schoolbook multiplication.
@@ -81,6 +84,7 @@ func New(n int, q uint64) (*Ring, error) {
 		q:                  q,
 		logN:               uint(bits.TrailingZeros(uint(n))),
 		karatsubaThreshold: 32,
+		laneBytes:          LaneBytesFor(q),
 	}
 	if q&(q-1) == 0 {
 		r.qIsPow2 = true

@@ -192,9 +192,10 @@ func BenchmarkSubCmpMultiBits(b *testing.B) {
 // narrow kernel on every available path, plus one row of the 64-bit
 // reference: 2 048 chunks of 1 024 coefficients at q = 2^32 and R = 32
 // comparands that share their low bits, as a seeded query's do. The
-// 16 MiB arena and 16 MiB token plane are far larger than any cache, so
-// one op is one DRAM-resident search sweep and the reported MB/s is the
-// stream rate over the two planes.
+// narrow kernel reads the token plane in its 4-byte lanes (8 MiB), the
+// reference as a widened Poly (16 MiB); with the 16 MiB arena both are
+// far larger than any cache, so one op is one DRAM-resident search
+// sweep and the reported MB/s is the stream rate over what each reads.
 //
 //	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$/dna_scan' ./internal/ring
 func benchDNAScanSweep(b *testing.B) {
@@ -205,6 +206,8 @@ func benchDNAScanSweep(b *testing.B) {
 	for i := range arena {
 		arena[i], plane[i] = src.Uint64()&(1<<32-1), src.Uint64()&(1<<32-1)
 	}
+	lanes := make([]byte, chunks*n*r.LaneBytes())
+	r.PutLanes(lanes, plane)
 	low := r.NewPoly()
 	r.UniformPoly(src, low)
 	rhs := make([]Poly, R)
@@ -221,51 +224,65 @@ func benchDNAScanSweep(b *testing.B) {
 		bits[v] = make([]uint64, chunks*n/64)
 	}
 	out := make([]HitWord, HitRoom(n, R)) // one chunk's records, overwritten per call
-	sweep := func(run func(a, d Poly, base int)) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.SetBytes(2 * chunks * n * 8)
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < chunks; j++ {
-					run(arena[j*n:(j+1)*n], plane[j*n:(j+1)*n], j*n)
-				}
-			}
-		}
-	}
 	for _, p := range AvailableKernels() {
 		b.Run(p.String()+"/narrow", func(b *testing.B) {
 			withKernel(b, p, func() {
-				sweep(func(a, d Poly, base int) { r.SubCmpNarrowBits(a, d, low, top, out, base) })(b)
+				b.SetBytes(int64(chunks * n * (8 + r.LaneBytes())))
+				lb := n * r.LaneBytes()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < chunks; j++ {
+						r.SubCmpNarrowBits(arena[j*n:(j+1)*n], lanes[j*lb:(j+1)*lb], low, top, out, j*n)
+					}
+				}
 			})
 		})
 	}
-	b.Run("wide", sweep(func(a, d Poly, base int) { r.SubCmpMultiBits(a, d, rhs, bits, base) }))
+	b.Run("wide", func(b *testing.B) {
+		b.SetBytes(2 * chunks * n * 8)
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < chunks; j++ {
+				r.SubCmpMultiBits(arena[j*n:(j+1)*n], plane[j*n:(j+1)*n], rhs, bits, j*n)
+			}
+		}
+	})
 }
 
 // BenchmarkSubCmpNarrowBits is the per-dispatch-path kernel table of
 // the kernel searches run: every available path on the same
-// L2-resident n = 4096 poly at q = 2^32 and the same comparand counts
-// as BenchmarkSubCmpMultiBits, reporting coefficients/sec — the figure
-// of merit for ROADMAP item 1's vectorized-kernel work, where ns/op
-// alone hides the multi-lane amortisation.
+// L2-resident n = 4096 poly at q = 2^32 (4-byte token lanes) and the
+// same comparand counts as BenchmarkSubCmpMultiBits, plus one R = 32
+// row at ParamsN2048's q = 2^54 (8-byte lanes), reporting
+// coefficients/sec — the figure of merit for ROADMAP item 1's
+// vectorized-kernel work, where ns/op alone hides the multi-lane
+// amortisation.
 //
 //	go test -run '^$' -bench 'BenchmarkSubCmpNarrowBits$' ./internal/ring
 func BenchmarkSubCmpNarrowBits(b *testing.B) {
 	const n, maxR = 4096, 32
-	r, a, d, low, rhs := newNarrowCase(rng.NewSourceFromString("narrow-bench"), n, 1<<32, maxR)
-	top := narrowRows(r, rhs)
+	type shape struct {
+		name string
+		q    uint64
+		rs   []int
+	}
+	shapes := []shape{{"", 1 << 32, []int{1, 8, maxR}}, {"q54/", 1 << 54, []int{maxR}}}
 	for _, p := range AvailableKernels() {
 		b.Run(p.String(), func(b *testing.B) {
 			withKernel(b, p, func() {
-				for _, R := range []int{1, 8, maxR} {
-					b.Run("R="+itoa(R), func(b *testing.B) {
-						out := make([]HitWord, HitRoom(n, R))
-						b.SetBytes(2 * n * 8)
-						for i := 0; i < b.N; i++ {
-							r.SubCmpNarrowBits(a, d, low, top[:R], out, 0)
-						}
-						coeffs := float64(n) * float64(R) * float64(b.N)
-						b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
-					})
+				for _, sh := range shapes {
+					r, a, d, low, rhs := newNarrowCase(rng.NewSourceFromString("narrow-bench"), n, sh.q, maxR)
+					top := narrowRows(r, rhs)
+					lanes := laneRow(r, d, 0)
+					for _, R := range sh.rs {
+						b.Run(sh.name+"R="+itoa(R), func(b *testing.B) {
+							out := make([]HitWord, HitRoom(n, R))
+							b.SetBytes(int64(n * (8 + r.LaneBytes())))
+							for i := 0; i < b.N; i++ {
+								r.SubCmpNarrowBits(a, lanes, low, top[:R], out, 0)
+							}
+							coeffs := float64(n) * float64(R) * float64(b.N)
+							b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
+						})
+					}
 				}
 			})
 		})

@@ -6,6 +6,7 @@ import (
 	"ciphermatch/internal/core"
 	"ciphermatch/internal/flash"
 	"ciphermatch/internal/mathutil"
+	"ciphermatch/internal/ring"
 )
 
 // CMSearch executes a secure string search entirely inside the SSD
@@ -20,7 +21,9 @@ import (
 // against the R cache-resident RHS rows. Only the hit index leaves the
 // drive.
 //
-// The query must carry match tokens (core.ModeSeededMatch).
+// The controller reads the query's DBTok token rows as they came off
+// the wire and widens one row at a time into the 32-bit operand lanes
+// it negates. The query must carry match tokens (core.ModeSeededMatch).
 func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	if s.numChunks == 0 {
 		return nil, fmt.Errorf("ssd: no database in the CIPHERMATCH region")
@@ -38,21 +41,27 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	if len(q.DBTok) != s.numChunks {
 		return nil, fmt.Errorf("ssd: query DBTok plane has %d chunks, stored %d", len(q.DBTok), s.numChunks)
 	}
-	n := s.params.N
-	if err := q.CheckTokenDegree(n); err != nil {
+	n, r := s.params.N, s.params.Ring()
+	if err := q.CheckTokenDegree(r); err != nil {
 		return nil, err
 	}
-	fq, err := core.FactorQuery(s.params.Ring(), q, s.numChunks)
-	if err != nil {
-		return nil, err
+	// rows[j] holds chunk j's comparands, one RHS polynomial per residue.
+	rows := make([][]ring.Poly, s.numChunks)
+	for j := range rows {
+		rows[j] = make([]ring.Poly, len(q.Residues))
+		for vi, res := range q.Residues {
+			psi := core.PatternPhase(n, j, res, q.YBits)
+			if rows[j][vi] = q.RHS[psi]; rows[j][vi] == nil {
+				return nil, fmt.Errorf("ssd: query missing RHS for phase %d", psi)
+			}
+		}
 	}
 	// What the client shipped for this query (DBTok + RHS polynomials).
 	s.ctrl.HostBytesIn += q.SizeBytes(s.params)
 
 	ir := &core.IndexResult{}
 	if len(q.Residues) == 0 {
-		// Nothing to detect: FactorQuery returns an empty form (no
-		// DBTok to negate), so answer before touching it.
+		// Nothing to detect: answer before touching the plane.
 		ir.Hits = core.HitBitmaps{}.Sparse()
 		return ir, nil
 	}
@@ -75,10 +84,11 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	// complement on the 32-bit lanes) so the in-flash addition computes
 	// the difference the factored comparison needs.
 	negTok := make([][]uint32, s.numChunks)
+	wide := r.NewPoly()
 	for j := range negTok {
-		p := fq.DBTok[j]
-		out := make([]uint32, len(p))
-		for i, c := range p {
+		r.WidenLanes(wide, q.DBTok[j])
+		out := make([]uint32, n)
+		for i, c := range wide {
 			out[i] = -uint32(c)
 		}
 		negTok[j] = out
@@ -135,13 +145,9 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 			if c != 0 || j >= s.numChunks {
 				continue
 			}
-			row := fq.Row(core.ChunkPhi(n, j, q.YBits))
-			if row == nil {
-				return nil, fmt.Errorf("ssd: factored query has no RHS row for chunk %d", j)
-			}
 			base := j * n
 			laneSums := sums[lane*n : (lane+1)*n]
-			for vi, rhs := range row {
+			for vi, rhs := range rows[j] {
 				bm := bms[vi]
 				for i, v := range laneSums {
 					if uint64(v) == rhs[i] {
