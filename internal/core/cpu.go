@@ -104,15 +104,16 @@ func (e *CPUEngine) worker() {
 	}
 }
 
-// runRange runs the kernel over chunks [lo, hi), appending the records
-// to buf: whenever buf lacks room for the next chunk's records, the
-// kernel returns and buf grows here, outside the allocation-free loop.
+// runRange runs the kernel over chunks [lo, hi), room records per
+// chunk, appending the records to buf: whenever buf lacks room for the
+// next tile's records, the kernel returns and buf grows here, outside
+// the allocation-free loop.
 func runRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi, room int, buf []ring.HitWord) []ring.HitWord {
 	for {
 		if lo, buf = searchChunkRange(r, db, groups, lo, hi, room, buf); lo == hi {
 			return buf
 		}
-		buf = slices.Grow(buf, max(room, len(buf)))
+		buf = slices.Grow(buf, max(ring.TileChunks(r.N())*room, len(buf)))
 	}
 }
 

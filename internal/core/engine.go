@@ -164,41 +164,53 @@ func validateTokenQuery(db *EncryptedDB, q *Query, r *ring.Ring) error {
 //
 // Seeded-match index generation reads only the first ciphertext
 // component, so the kernel never touches C[1] — half the ciphertext
-// bytes — and ring.SubCmpNarrowBits folds the homomorphic subtraction
-// and all of a group's token comparisons into one streaming pass with
-// no intermediate store: chunk j's first component is read from memory
-// once per search (later groups find it in cache), the token row
+// bytes. The range goes to ring.SubCmpNarrowBits one tile of
+// ring.TileChunks chunks at a time, once per group: the kernel narrows
+// the tile's C0 − DBTok differences into an L1-sized scratch of 16-bit
+// lanes, rejects each 64-coefficient block against all of the group's
+// comparands in one filter pass, and compares exactly only the blocks
+// that can hold a hit. Chunk j's first component is read from memory
+// once per search (later groups find the tile in cache), the token row
 // DBTok[j] once per group in its 4- or 8-byte lanes, as it came off the
 // wire, the cache-resident 16-bit comparand rows and the group's low
 // row are the only other operands, and the only writes are the records
 // of the words that hold a hit. On an arena the database reads are one
-// sequential walk of the C0 plane. The 16-bit compare is the 64-bit
+// sequential walk of the C0 plane. A tile's records come group by
+// group, each group's chunk by chunk; a member's records, which lie in
+// one group, still ascend by word. The 16-bit compare is the 64-bit
 // one, bit for bit (DESIGN §4.3): cutNarrow checked that the group's
 // comparands share their low part, and the kernel's guard checks the
 // difference's low part against it.
 //
-// Before each chunk the kernel needs room records of spare capacity in
-// out (ring.HitRoom over all groups' rows); when out lacks it, the
-// kernel returns the chunk it stopped at, and runRange grows out and
-// resumes. Everything else is built once per search by the caller, so
-// the kernel itself is allocation-free.
+// room is the records one chunk needs (ring.HitRoom over all groups'
+// rows). Before each tile the kernel needs room for every chunk of it
+// in out's spare capacity; when out lacks it, the kernel returns the
+// chunk it stopped at, and runRange grows out and resumes. Everything
+// else is built once per search by the caller, so the kernel itself is
+// allocation-free: the tile's chunk descriptors and the ring kernel's
+// scratch live on the stack.
 //
 //cm:hotpath
 func searchChunkRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi, room int, out []ring.HitWord) (int, []ring.HitWord) {
 	n := r.N()
-	for j := lo; j < hi; j++ {
-		if cap(out)-len(out) < room {
+	per := ring.TileChunks(n)
+	var tile [ring.MaxTileChunks]ring.NarrowChunk
+	for j := lo; j < hi; j += per {
+		k := min(per, hi-j)
+		if cap(out)-len(out) < k*room {
 			return j, out
 		}
-		c0 := db.Chunks[j].C[0]
 		for i := range groups {
 			p := &groups[i]
+			for c := range tile[:k] {
+				tile[c].A, tile[c].D, tile[c].Top = db.Chunks[j+c].C[0], p.fq.tok[j+c], p.fq.narrowRow(j+c)
+			}
 			free := out[len(out):cap(out)]
-			k := r.SubCmpNarrowBits(c0, p.fq.tok[j], p.fq.low, p.fq.narrowRow(j), free, j*n)
-			for x := range free[:k] {
+			m := r.SubCmpNarrowBits(tile[:k], p.fq.low, free, j*n)
+			for x := range free[:m] {
 				free[x].Row += uint32(p.row0)
 			}
-			out = out[:len(out)+k]
+			out = out[:len(out)+m]
 		}
 	}
 	return hi, out

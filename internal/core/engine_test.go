@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -516,5 +517,100 @@ func TestEngineSubWordChunks(t *testing.T) {
 			ir.Release()
 			eng.Close()
 		}
+	}
+}
+
+// TestEngineTileBoundaries holds the CPU engine's records to the
+// client-decrypt twin's across the kernel's tiles (ring.TileChunks):
+// chunk counts one past a tile and several tiles plus a partial one at
+// the toy ring (tiles of 16 chunks of 64 coefficients), and one past a
+// tile at ParamsN2048 (tiles of 4 chunks, 8-byte token lanes), with an
+// occurrence planted across every tile boundary. Pattern lengths 32 and
+// 48 run alone and as one batch, where they make two plane groups; 48
+// does not divide a chunk's 16n bits, so neighbouring chunks of a tile
+// compare against different comparand rows. Serial and pool engines
+// run it, and the pool's ranges cut tiles short.
+func TestEngineTileBoundaries(t *testing.T) {
+	query := []byte{0x5A, 0xC3, 0x0F, 0xF0, 0x96, 0x69}
+	for _, tc := range []struct {
+		params bfv.Params
+		chunks int
+	}{
+		{bfv.ParamsToy(), ring.TileChunks(64) + 1},
+		{bfv.ParamsToy(), 3*ring.TileChunks(64) + 5},
+		{bfv.ParamsN2048(), ring.TileChunks(2048) + 1},
+	} {
+		n := tc.params.N
+		t.Run(fmt.Sprintf("n%d-chunks%d", n, tc.chunks), func(t *testing.T) {
+			cfg := Config{Params: tc.params, AlignBits: 8, Mode: ModeSeededMatch}
+			client, err := NewClient(cfg, rng.NewSourceFromString("tiles"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twinCfg := cfg
+			twinCfg.Mode = ModeClientDecrypt
+			twin, err := NewClient(twinCfg, rng.NewSourceFromString("tiles"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunkBits := SegmentBits * n
+			db := make([]byte, tc.chunks*chunkBits/8)
+			rng.NewSourceFromString("tiles-data").Bytes(db)
+			dbBits := len(db) * 8
+			per := ring.TileChunks(n)
+			plantQuery(db, query, 48, 8)
+			for j := per; j < tc.chunks; j += per {
+				plantQuery(db, query, 48, j*chunkBits-24)
+			}
+			plantQuery(db, query, 48, dbBits-48)
+			edb, err := client.EncryptDatabase(db, dbBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var qs []*Query
+			var want []*HitWords
+			for _, y := range []int{32, 48} {
+				q, err := client.PrepareQuery(query[:y/8], y, dbBits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tq, err := twin.PrepareQuery(query[:y/8], y, dbBits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sr, err := NewServer(tc.params, edb).Search(tq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qs, want = append(qs, q), append(want, twin.ExtractHits(tq, sr).Sparse())
+			}
+			if len(want[1].Words) < tc.chunks/per+1 {
+				t.Fatalf("the twin found %d records for the planted occurrences; the fixture is vacuous", len(want[1].Words))
+			}
+			for _, workers := range []int{1, 2, 3} {
+				eng := NewCPUEngine(tc.params, edb, workers)
+				for i, q := range qs {
+					ir, err := eng.SearchAndIndex(q)
+					if err != nil {
+						t.Fatalf("%s: %v", eng.Describe(), err)
+					}
+					if !ir.Hits.Equal(want[i]) {
+						t.Fatalf("%s y=%d: records %v, client decrypt %v", eng.Describe(), q.YBits, ir.Hits.Words, want[i].Words)
+					}
+					ir.Release()
+				}
+				irs, err := eng.SearchAndIndexBatch(NewBatchQuery(qs...))
+				if err != nil {
+					t.Fatalf("%s: batch: %v", eng.Describe(), err)
+				}
+				for i, ir := range irs {
+					if !ir.Hits.Equal(want[i]) {
+						t.Fatalf("%s batch member %d: records %v, client decrypt %v", eng.Describe(), i, ir.Hits.Words, want[i].Words)
+					}
+					ir.Release()
+				}
+				eng.Close()
+			}
+		})
 	}
 }

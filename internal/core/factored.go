@@ -140,12 +140,23 @@ func factorPlane(n int, members []*Query, numChunks int) (FactoredQuery, error) 
 	return fq, nil
 }
 
+// rowPad is the gap, in lanes, between consecutive narrow comparand
+// rows: one 128-byte block, so the rows' slices of one block position
+// start 2n+128 bytes apart and walk through the L1 sets (see
+// cutNarrow).
+const rowPad = 64
+
 // cutNarrow builds the narrow kernel's operands from the arranged rows:
 // each distinct comparand (rows repeat across phases, and batch members
 // share them) is cut once into one block of 16-bit rows, so the block
-// is bounded by the query's own RHS bytes, not by rows × phases. The
-// same pass checks that every comparand shares the first one's low
-// part below Δ, which the narrow kernel's guard compares against.
+// is bounded by the query's own RHS bytes, not by rows × phases. Rows
+// sit rowPad lanes apart beyond their n: the kernel's filter reads one
+// 128-byte slice of every row per block position, and slices 2n bytes
+// apart (a multiple of 4 KiB at n ≥ 2048, of 2 KiB at n = 1024) would
+// share a handful of L1 sets and evict each other on every chunk of a
+// tile. The same pass checks that every comparand shares the first
+// one's low part below Δ, which the narrow kernel's guard compares
+// against.
 func (fq *FactoredQuery) cutNarrow(r *ring.Ring) error {
 	if len(fq.wide) == 0 {
 		return nil
@@ -160,13 +171,14 @@ func (fq *FactoredQuery) cutNarrow(r *ring.Ring) error {
 			slot[&p[0]] = len(slot)
 		}
 	}
-	block := make([]uint16, len(slot)*n)
+	stride := n + rowPad
+	block := make([]uint16, len(slot)*stride)
 	fq.top = make([][]uint16, len(fq.wide))
 	fq.low = fq.wide[0]
 	agree, cut := true, 0
 	for k, p := range fq.wide {
 		i := slot[&p[0]]
-		fq.top[k] = block[i*n : (i+1)*n : (i+1)*n]
+		fq.top[k] = block[i*stride : i*stride+n : i*stride+n]
 		if i == cut { // first occurrence: slots were numbered in this order
 			agree = r.CutNarrow(p, fq.low, fq.top[k]) && agree
 			cut++

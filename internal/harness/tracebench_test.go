@@ -14,6 +14,14 @@ func TestTraceOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed; skipped in -short")
 	}
+	if raceEnabled {
+		// Measured: -race multiplies the record path ~40× (276 ns →
+		// 10–13 µs: every atomic and the ring's mutex are instrumented)
+		// but the search only ~5× (79 → 400–520 µs: its kernel is
+		// assembly), so the ratio reads 2.4–2.6 % for the detector's
+		// sake alone. The budget holds on the uninstrumented build.
+		t.Skip("the race detector instruments the record path's atomics but not the assembly search kernel, skewing the ratio")
+	}
 	res, err := RunTraceOverheadBench()
 	if err != nil {
 		t.Fatal(err)

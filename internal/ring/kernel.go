@@ -5,18 +5,19 @@ package ring
 // exists in four implementations behind one API, selected once at
 // process start and swappable at runtime for tests and benchmarks:
 //
-//	generic   the committed portable baseline: word-at-a-time with
+//	generic   the committed portable baseline: lane by lane with
 //	          range loops — the reference every other path must match
-//	          bit for bit (FuzzKernelPaths, TestKernelPathsBitIdentical)
+//	          record for record (FuzzKernelPaths,
+//	          TestKernelPathsBitIdentical)
 //	unrolled  the multi-lane portable rewrite: four 16-bit lanes per
 //	          uint64 XOR (SWAR), three-index re-slices so the compiler
 //	          elides bounds checks
-//	avx2      amd64 assembly block primitive (kernel_amd64.s), 16
+//	avx2      amd64 assembly stage primitives (kernel_amd64.s), 16
 //	          narrow lanes per vector op; present only on amd64 with
 //	          OS-enabled AVX2
-//	avx512    amd64 assembly block primitive on ZMM registers, 32
-//	          narrow lanes per vector op; present only with AVX512F+BW
-//	          and OS-enabled ZMM/opmask state
+//	avx512    amd64 assembly stage primitives on ZMM registers, 32
+//	          narrow lanes per vector op, plus a hit-row pass; present
+//	          only with AVX512F+BW and OS-enabled ZMM/opmask state
 //
 // SubCmpMultiBits, the 64-bit form the narrow kernel is tested
 // against, runs one portable loop and ignores the active path.
@@ -28,7 +29,7 @@ package ring
 // cpu.avx512bw=off disables avx512, exactly like the stdlib knobs, so
 // CI can prove the fallback paths never rot. The active path is a
 // process-wide atomic: engines read it per kernel call (one load per
-// streamed polynomial, noise against the coefficient loop), and tests
+// tile of chunks, noise against the coefficient loop), and tests
 // flip it to run the same workload through every implementation.
 
 import (

@@ -2,15 +2,16 @@
 
 package ring
 
-// The avx2 and avx512 paths of SubCmpNarrowBits: the block primitives
-// live in kernel_amd64.s and operate on 64-coefficient runs (one bitset
-// word of lanes) against up to 64 comparand rows per call. The driver
-// below keeps every piece of policy in Go — prologue/epilogue alignment
-// handling, the per-word store elision, the comparand grouping — and
-// hands the asm nothing but dense arithmetic over memory the driver has
-// already proven in bounds. The stubs are //go:noescape so the verdict
-// buffer stays on the driver's stack, keeping the 0 allocs/op pin
-// honest.
+// The avx2 and avx512 paths of SubCmpNarrowBits: one assembly
+// primitive per step (kernel_amd64.s) — narrow one block position of a
+// tile, filter it, mark its hit rows (avx512), compare one chunk's
+// flagged blocks exactly — each looping over whole 64-lane blocks. The
+// Go driver (narrow.go) keeps every piece of policy — tiling,
+// prologue/epilogue alignment, the edge words — and hands the asm
+// nothing but dense arithmetic over memory it has already proven in
+// bounds. The stubs are //go:noescape so the lane scratch and the
+// tile's chunk descriptors stay on the caller's stack, keeping the 0
+// allocs/op pin honest.
 
 // archAVX2Supported reports CPU + OS support for the AVX2 kernels:
 // OSXSAVE and AVX in CPUID.1:ECX, XMM+YMM state enabled in XCR0, and
@@ -57,68 +58,95 @@ func kernelCPUID(op, sub uint32) (eax, ebx, ecx, edx uint32)
 // kernelXGETBV0 reads XCR0 (requires OSXSAVE, checked first).
 func kernelXGETBV0() (eax, edx uint32)
 
-// subCmpNarrowBlock64AVX2 writes, for each v in [0, nrhs), the packed
-// verdict word of coefficients [i, i+64) to out[v]: bit k set iff
-// (a[k]-d_k) mod 2^s == low[k] mod 2^s (the guard, with lm = 2^s-1)
-// and uint16((a[k]-d_k) >> s) == top[v][i+k], where d_k is lane k of
-// the token row at d, lb (4 or 8) bytes wide, off = 2*i, and a, d and
-// low already point at coefficient i. nrhs must be in [1, 64]; every
-// top[v] must hold i+64 lanes.
+// narrowLanesAVX2 narrows one block position, coefficients i … i+63,
+// of each of spans chunks of tile into the consecutive scratch blocks
+// from x: block x+s's lanes[k] = uint16((a[k]-d_k) >> s) and bit k of
+// its guard word is set iff (a[k]-d_k) mod 2^s == low[k] mod 2^s (lm =
+// 2^s-1), where a is chunk s's A from coefficient i, d_k lane i+k of its
+// token row, lb (4 or 8) bytes wide, and low points at low[i].
 //
 //cm:hotpath
 //go:noescape
-func subCmpNarrowBlock64AVX2(out, a *uint64, d *byte, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64, lb int)
+func narrowLanesAVX2(sc *laneTile, tile *NarrowChunk, spans, x, i int, low *uint64, lm, s uint64, lb int)
 
-// subCmpNarrowBlock64AVX512 is subCmpNarrowBlock64AVX2 on ZMM
-// registers: 8 guard lanes and 32 narrow lanes per vector op.
+// narrowLanesAVX512 is narrowLanesAVX2 on ZMM registers.
 //
 //cm:hotpath
 //go:noescape
-func subCmpNarrowBlock64AVX512(out, a *uint64, d *byte, low *uint64, top *[]uint16, nrhs, off int, lm, s uint64, lb int)
+func narrowLanesAVX512(sc *laneTile, tile *NarrowChunk, spans, x, i int, low *uint64, lm, s uint64, lb int)
 
-// subCmpNarrowAsm is SubCmpNarrowBits on the assembly block primitives
-// (avx512 selects the ZMM one): each 64-coefficient block computes its
-// guard word and packs its 64 narrow differences into registers once,
-// then compares them against up to 64 comparand rows in one call,
-// reading each row's data pointer from its slice header.
+// narrowFilterAVX2 is the filter of one block position: for each of
+// spans chunks of tile, scratch block x+s's flags word is its guard
+// word ANDed with the lanes some comparand row of the chunk equals,
+// rows read from byte off, via the lane-wise minimum of lanes XOR row.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowAsm(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int, avx512 bool) int {
-	if len(top) == 0 {
-		return 0 // the asm comparand loop counts down from nrhs >= 1
+//go:noescape
+func narrowFilterAVX2(sc *laneTile, tile *NarrowChunk, spans, x, off int)
+
+// narrowFilterAVX512 is narrowFilterAVX2 on ZMM registers.
+//
+//cm:hotpath
+//go:noescape
+func narrowFilterAVX512(sc *laneTile, tile *NarrowChunk, spans, x, off int)
+
+// narrowHitRowsAVX512 marks, at one block position of spans chunks of
+// tile, which of the first 64 comparand rows hit: bit v of scratch
+// block x+s's rows word is set iff row v, read from byte off, equals
+// some lane the block's flags word keeps; unflagged blocks get 0. It
+// runs while the position's comparand slices are in L1, so the exact
+// compare, which walks chunk by chunk, reads only rows that hit.
+//
+//cm:hotpath
+//go:noescape
+func narrowHitRowsAVX512(sc *laneTile, tile *NarrowChunk, spans, x, off int)
+
+// narrowExactAVX2 compares the nb scratch blocks x, x+step, … whose
+// flags word is nonzero against the nrhs >= 1 comparand rows whose
+// headers start at top, read from byte off (block k at off+128k), and
+// writes a HitWord {word+k, v, eq AND flags} to out for every
+// comparand v with a nonzero one, branch-free: each record is stored,
+// then kept or overwritten. It returns the number kept.
+//
+//cm:hotpath
+//go:noescape
+func narrowExactAVX2(out *HitWord, sc *laneTile, x, step, nb int, top *[]uint16, nrhs, off int, word uint64) int
+
+// narrowExactAVX512 is narrowExactAVX2 on ZMM registers, comparing of
+// the first 64 comparands only those the block's rows word marks.
+//
+//cm:hotpath
+//go:noescape
+func narrowExactAVX512(out *HitWord, sc *laneTile, x, step, nb int, top *[]uint16, nrhs, off int, word uint64) int
+
+// sweepAsm is one block position of sweepTile on the assembly paths:
+// stage 1 at coefficient o into scratch blocks x …, then the filter
+// and, on avx512, the hit-row pass; sweepTile has proven every operand
+// in bounds.
+//
+//cm:hotpath
+func (r *Ring) sweepAsm(sc *laneTile, chunks []NarrowChunk, x, o int, low Poly, avx512 bool) {
+	s, lm, lb := uint64(r.narrowShift), r.lowMask, r.laneBytes
+	_ = sc.guard[x+len(chunks)-1]
+	if avx512 {
+		narrowLanesAVX512(sc, &chunks[0], len(chunks), x, o, &low[o], lm, s, lb)
+		narrowFilterAVX512(sc, &chunks[0], len(chunks), x, 2*o)
+		narrowHitRowsAVX512(sc, &chunks[0], len(chunks), x, 2*o)
+	} else {
+		narrowLanesAVX2(sc, &chunks[0], len(chunks), x, o, &low[o], lm, s, lb)
+		narrowFilterAVX2(sc, &chunks[0], len(chunks), x, 2*o)
 	}
-	n, lb := len(a), r.laneBytes
-	i, nw := 0, 0
-	if rem := base & 63; rem != 0 {
-		i = min(64-rem, n)
-		nw = r.subCmpNarrowScalar(a, d, low, top, out, nw, base, 0, i)
+}
+
+// exactAsm is the exact compare on the assembly paths: out holds a
+// record for every block and comparand, and sweepTile has proven the
+// comparand rows in bounds.
+//
+//cm:hotpath
+func exactAsm(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32, avx512 bool) int {
+	_, _ = out[m*len(top)-1], sc.flags[x+(m-1)*step]
+	if avx512 {
+		return narrowExactAVX512(&out[0], sc, x, step, m, &top[0], len(top), 2*i, uint64(w0))
 	}
-	// The asm reads d, low and every comparand row through coefficient
-	// n-1 with no bounds checks of its own: prove the lengths once.
-	_ = d[len(d)-n*lb:]
-	_ = low[len(low)-n:]
-	for _, tv := range top {
-		_ = tv[len(tv)-n:]
-	}
-	s, lm := uint64(r.narrowShift), r.lowMask
-	var verdict [64]uint64
-	for ; i+64 <= n; i += 64 {
-		wi := uint32((base + i) >> 6)
-		for g := 0; g < len(top); g += len(verdict) {
-			grp := top[g:min(g+len(verdict), len(top))]
-			if avx512 {
-				subCmpNarrowBlock64AVX512(&verdict[0], &a[i], &d[i*lb], &low[i], &grp[0], len(grp), 2*i, lm, s, lb)
-			} else {
-				subCmpNarrowBlock64AVX2(&verdict[0], &a[i], &d[i*lb], &low[i], &grp[0], len(grp), 2*i, lm, s, lb)
-			}
-			for v, w := range verdict[:len(grp)] {
-				//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
-				if w != 0 {
-					out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(g+v), w
-					nw++
-				}
-			}
-		}
-	}
-	return r.subCmpNarrowScalar(a, d, low, top, out, nw, base, i, n)
+	return narrowExactAVX2(&out[0], sc, x, step, m, &top[0], len(top), 2*i, uint64(w0))
 }

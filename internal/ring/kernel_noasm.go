@@ -4,8 +4,8 @@ package ring
 
 // No assembly kernels on this architecture: the avx2 and avx512 paths
 // are never offered (SetKernel rejects them, AvailableKernels omits
-// them), and the forwarder below exists only so SubCmpNarrowBits'
-// dispatch switch compiles everywhere. Should the active path ever read
+// them), and the forwarders below exist only so SubCmpNarrowBits'
+// dispatch switches compile everywhere. Should the active path ever read
 // one of them here, the search still computes the right answer on the
 // unrolled path.
 
@@ -14,6 +14,15 @@ func archAVX2Supported() bool { return false }
 func archAVX512Supported() bool { return false }
 
 //cm:hotpath
-func (r *Ring) subCmpNarrowAsm(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int, _ bool) int {
-	return r.subCmpNarrowUnrolled(a, d, low, top, out, base)
+func (r *Ring) sweepAsm(sc *laneTile, chunks []NarrowChunk, x, o int, low Poly, _ bool) {
+	lb := r.laneBytes
+	for s, ch := range chunks {
+		r.narrowGo(sc.lanes[64*(x+s):64*(x+s+1)], &sc.guard[x+s], ch.A[o:o+64], ch.D[o*lb:(o+64)*lb], low[o:o+64])
+	}
+	filterUnrolled(sc, chunks, x, o)
+}
+
+//cm:hotpath
+func exactAsm(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32, _ bool) int {
+	return exactUnrolled(out, sc, x, step, m, top, i, w0)
 }

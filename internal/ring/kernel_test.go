@@ -114,149 +114,186 @@ func TestGodebugDisablesAVX2(t *testing.T) {
 }
 
 // kernelCase is one randomised kernel workload shared by the
-// cross-path property test and the differential fuzzer.
+// cross-path property test and the differential fuzzer: a tile of
+// chunks whose comparand rows repeat with a phase period, as a search's
+// rows do when the pattern length does not divide a chunk's bits.
 type kernelCase struct {
 	r    *Ring
-	a, d Poly   // subcmp operands
-	rhs  []Poly // subcmp comparands
 	base int
-	// low and top are the SubCmpNarrowBits operands (nil when the ring
-	// has no narrow split): top is cut from rhs, and low matches the
-	// difference's low part at ~3/4 of the coefficients, so the guard
-	// both passes and fails. lanes is d as a token row starting off
-	// bytes into its buffer.
+	// a[c] and d[c] are chunk c's subcmp operands, and rhs[p] the
+	// comparands of phase p: chunk c uses rhs[c mod len(rhs)].
+	a, d []Poly
+	rhs  [][]Poly
+	// low, top and lanes are the SubCmpNarrowBits operands (nil when
+	// the ring has no narrow split): top[p] is cut from rhs[p], low
+	// matches the differences' low part at ~3/4 of the coefficients, so
+	// the guard both passes and fails, and lanes[c] is d[c] as a token
+	// row starting off bytes into its buffer.
 	low   Poly
-	top   [][]uint16
-	lanes []byte
+	top   [][][]uint16
+	lanes [][]byte
 }
 
-// newKernelCase builds polynomials with hits planted at ~1/4 of the
-// coefficients so the verdict words are neither all-zero nor all-one.
-func newKernelCase(src *rng.Source, n int, q uint64, R, base, off int) kernelCase {
+// newKernelCase builds a tile of chunks chunks over period phases. Each
+// phase has a target difference sharing low's low part at ~3/4 of the
+// coefficients; a chunk's difference equals its phase's target at ~3/4
+// of the coefficients and is zero (equal operands) at ~1/8, and each
+// comparand takes the target at ~1/4, so the verdict words are neither
+// all-zero nor all-one.
+func newKernelCase(src *rng.Source, n int, q uint64, R, base, off, chunks, period int) kernelCase {
 	r := MustNew(n, q)
-	a, d := r.NewPoly(), r.NewPoly()
-	r.UniformPoly(src, a)
-	r.UniformPoly(src, d)
-	// Equal operands at ~1/8 of the coefficients: a+q-d == q exactly is
-	// the boundary of every conditional subtraction, and random draws
-	// never reach it.
-	for i := range d {
-		if src.Uniform(8) == 0 {
-			d[i] = a[i]
+	s, narrow := r.NarrowShift()
+	lm := uint64(1)<<s - 1
+	tc := kernelCase{r: r, base: base, low: r.NewPoly()}
+	r.UniformPoly(src, tc.low)
+	target := make([]Poly, period)
+	tc.rhs = make([][]Poly, period)
+	for p := range target {
+		target[p] = r.NewPoly()
+		r.UniformPoly(src, target[p])
+		for i := range target[p] {
+			if narrow && src.Uniform(4) != 0 {
+				target[p][i] = target[p][i]&^lm | tc.low[i]&lm
+			}
 		}
-	}
-	diff := r.NewPoly()
-	r.Sub(a, d, diff)
-	rhs := make([]Poly, R)
-	for v := range rhs {
-		rhs[v] = r.NewPoly()
-		r.UniformPoly(src, rhs[v])
-		for i := range rhs[v] {
-			if src.Uniform(4) == 0 {
-				rhs[v][i] = diff[i]
+		tc.rhs[p] = make([]Poly, R)
+		for v := range tc.rhs[p] {
+			tc.rhs[p][v] = r.NewPoly()
+			r.UniformPoly(src, tc.rhs[p][v])
+			for i := range tc.rhs[p][v] {
+				if src.Uniform(4) == 0 {
+					tc.rhs[p][v][i] = target[p][i]
+				}
 			}
 		}
 	}
-	tc := kernelCase{r: r, a: a, d: d, rhs: rhs, base: base}
-	if _, ok := r.NarrowShift(); ok {
-		tc.top = narrowRows(r, rhs)
-		tc.lanes = laneRow(r, d, off)
-		tc.low = r.NewPoly()
-		r.UniformPoly(src, tc.low)
-		for i := range tc.low {
-			if src.Uniform(4) != 0 {
-				tc.low[i] = diff[i]
+	for c := 0; c < chunks; c++ {
+		a, d := r.NewPoly(), r.NewPoly()
+		r.UniformPoly(src, a)
+		r.UniformPoly(src, d)
+		// d = a − target makes the difference the phase's target; a+q-d
+		// == q exactly (d = a) is the boundary of every conditional
+		// subtraction, and random draws never reach it.
+		sub := r.NewPoly()
+		r.Sub(a, target[c%period], sub)
+		for i := range d {
+			switch src.Uniform(8) {
+			case 0:
+				d[i] = a[i]
+			case 1:
+			default:
+				d[i] = sub[i]
 			}
+		}
+		tc.a, tc.d = append(tc.a, a), append(tc.d, d)
+	}
+	if narrow {
+		for _, rhs := range tc.rhs {
+			tc.top = append(tc.top, narrowRows(r, rhs))
+		}
+		for _, d := range tc.d {
+			tc.lanes = append(tc.lanes, laneRow(r, d, off))
 		}
 	}
 	return tc
 }
 
+// tile returns the case's SubCmpNarrowBits operands, one NarrowChunk
+// per chunk.
+func (tc kernelCase) tile() []NarrowChunk {
+	tile := make([]NarrowChunk, len(tc.a))
+	for c := range tile {
+		tile[c] = NarrowChunk{A: tc.a[c], D: tc.lanes[c], Top: tc.top[c%len(tc.top)]}
+	}
+	return tile
+}
+
 // runAllKernels checks SubCmpMultiBits, which runs one loop on every
-// path, once against the unfused subtract-then-compare pipeline, and
-// then, where the ring has a narrow split, runs SubCmpNarrowBits on the
-// token row under every available dispatch path and fails the test
-// unless each path's bitsets are bit-identical to SubCmpMultiBits' on
-// the row widened back to a Poly, against the comparands the narrow
-// operands stand for: top[v]'s lanes over low's low part.
+// path, once against the unfused subtract-then-compare pipeline for
+// every chunk, and then, where the ring has a narrow split, runs
+// SubCmpNarrowBits on the whole tile under every available dispatch
+// path and fails the test unless each path emits exactly the records of
+// wantNarrowRecords: SubCmpMultiBits on the rows widened back to Polys,
+// one chunk at a time, against the comparands the narrow operands stand
+// for.
 func runAllKernels(t testing.TB, tc kernelCase) {
 	t.Helper()
 	n := tc.r.N()
-	words := (tc.base + n + 63) / 64
-	newBits := func() [][]uint64 {
-		bits := make([][]uint64, len(tc.rhs))
-		for v := range bits {
-			bits[v] = make([]uint64, words)
+	for c := range tc.a {
+		base := tc.base + c*n
+		rhs := tc.rhs[c%len(tc.rhs)]
+		words := (base + n + 63) / 64
+		newBits := func() [][]uint64 {
+			bits := make([][]uint64, len(rhs))
+			for v := range bits {
+				bits[v] = make([]uint64, words)
+			}
+			return bits
 		}
-		return bits
-	}
-	// The reference bitsets: subtract, then compare coefficient-wise.
-	diff := tc.r.NewPoly()
-	tc.r.Sub(tc.a, tc.d, diff)
-	want := newBits()
-	for v, rp := range tc.rhs {
-		for i := range n {
-			if diff[i] == rp[i] {
-				want[v][(tc.base+i)>>6] |= 1 << (uint(tc.base+i) & 63)
+		// The reference bitsets: subtract, then compare coefficient-wise.
+		diff := tc.r.NewPoly()
+		tc.r.Sub(tc.a[c], tc.d[c], diff)
+		want := newBits()
+		for v, rp := range rhs {
+			for i := range n {
+				if diff[i] == rp[i] {
+					want[v][(base+i)>>6] |= 1 << (uint(base+i) & 63)
+				}
 			}
 		}
-	}
-	wide := newBits()
-	tc.r.SubCmpMultiBits(tc.a, tc.d, tc.rhs, wide, tc.base)
-	for v := range want {
-		for w := range want[v] {
-			if wide[v][w] != want[v][w] {
-				t.Fatalf("SubCmpMultiBits: rhs %d word %d = %#x, sub+compare %#x (n=%d q=%d base=%d)",
-					v, w, wide[v][w], want[v][w], n, tc.r.Q(), tc.base)
+		wide := newBits()
+		tc.r.SubCmpMultiBits(tc.a[c], tc.d[c], rhs, wide, base)
+		for v := range want {
+			for w := range want[v] {
+				if wide[v][w] != want[v][w] {
+					t.Fatalf("SubCmpMultiBits: chunk %d rhs %d word %d = %#x, sub+compare %#x (n=%d q=%d base=%d)",
+						c, v, w, wide[v][w], want[v][w], n, tc.r.Q(), base)
+				}
 			}
 		}
 	}
 	if tc.top == nil {
 		return
 	}
-	s, _ := tc.r.NarrowShift()
-	lm := uint64(1)<<s - 1
-	widened := tc.r.NewPoly()
-	tc.r.WidenLanes(widened, tc.lanes)
-	cmp := make([]Poly, len(tc.top))
-	for v, tv := range tc.top {
-		cmp[v] = tc.r.NewPoly()
-		for i, x := range tv {
-			cmp[v][i] = uint64(x)<<s | tc.low[i]&lm
-		}
-	}
-	ref := newBits()
-	tc.r.SubCmpMultiBits(tc.a, widened, cmp, ref, tc.base)
+	tile := tc.tile()
+	want := wantNarrowRecords(tc.r, tile, tc.low, tc.base)
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			got := runNarrow(t, tc.r, tc.a, tc.lanes, tc.low, tc.top, tc.base, words)
-			for v := range ref {
-				for w := range ref[v] {
-					if got[v][w] != ref[v][w] {
-						t.Fatalf("SubCmpNarrowBits path %s: rhs %d word %d = %#x, SubCmpMultiBits on the widened row %#x (n=%d q=%d base=%d row offset %d)",
-							p, v, w, got[v][w], ref[v][w], n, tc.r.Q(), tc.base, cap(tc.lanes)-len(tc.lanes))
-					}
-				}
+			got := narrowRecords(tc.r, tile, tc.low, tc.base)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("SubCmpNarrowBits path %s: record %d of %d/%d differs: %s, want %s (n=%d q=%d base=%d chunks=%d period=%d row offset %d)",
+					p, i, len(got), len(want), recordAt(got, i), recordAt(want, i), n, tc.r.Q(), tc.base, len(tile), len(tc.top), cap(tc.lanes[0])-len(tc.lanes[0]))
 			}
 		})
 	}
 }
 
+// scratchChunks is how many chunks of degree n one pass of the kernel's
+// lane scratch holds: tiles longer than this cross a scratch boundary.
+func scratchChunks(n int) int { return max(64*tileBlocks/n, 1) }
+
 // TestKernelPathsBitIdentical is the deterministic cross-path property
 // test: SubCmpMultiBits must match subtract-then-compare on every
 // modulus family, and every available path of SubCmpNarrowBits must
-// agree with its generic baseline bit for bit on the power-of-two
+// emit the records of its SubCmpMultiBits oracle on the power-of-two
 // ones, across degrees on both sides of the 64-coefficient word body,
-// aligned and unaligned bases, and comparand counts bracketing the
-// serving R.
+// aligned and unaligned bases, comparand counts bracketing the serving
+// R, and tiles of one chunk, of three chunks past a scratch boundary,
+// and of such a tile whose comparand rows change with a phase period of
+// 3.
 func TestKernelPathsBitIdentical(t *testing.T) {
 	src := rng.NewSourceFromString("kernel-paths")
 	for _, fam := range slices.Concat(kernelFamilies, narrowFamilies) {
 		t.Run(fam.name, func(t *testing.T) {
+			long := scratchChunks(fam.n) + 3
 			for _, base := range []int{0, 37, 64, 64*5 + 63} {
 				for _, R := range []int{1, 4} {
 					for trial := 0; trial < 6; trial++ {
-						runAllKernels(t, newKernelCase(src, fam.n, fam.q, R, base, trial*11%64))
+						chunks, period := 1, 1
+						if trial >= 2 {
+							chunks, period = long, 1+trial/4*2
+						}
+						runAllKernels(t, newKernelCase(src, fam.n, fam.q, R, base, trial*11%64, chunks, period))
 					}
 				}
 			}
@@ -283,30 +320,39 @@ var fuzzNs = []int{16, 64, 128, 1024}
 
 // FuzzKernelPaths is the differential fuzzer of the dispatch layer:
 // random modulus family, degree, base alignment, comparand count, token
-// row byte offset (0–63) and coefficient streams, asserting that
-// SubCmpMultiBits matches subtract-then-compare for every modulus, odd
-// ones included, and that on power-of-two q the generic, unrolled and
-// (where present) avx2 and avx512 paths of SubCmpNarrowBits, reading
-// the row's 4-byte (q ≤ 2^32) or 8-byte lanes, are bit-identical to
-// SubCmpMultiBits on the widened row. A divergence here is a miscompare
-// in a rewritten kernel — exactly the bug class that must be impossible
-// before a new path can ship.
+// row byte offset (0–63), tile length (1–20 chunks), phase period (1–3)
+// and coefficient streams, asserting that SubCmpMultiBits matches
+// subtract-then-compare for every modulus, odd ones included, and that
+// on power-of-two q the generic, unrolled and (where present) avx2 and
+// avx512 paths of SubCmpNarrowBits, reading the rows' 4-byte (q ≤
+// 2^32) or 8-byte lanes, emit exactly the records of SubCmpMultiBits on
+// the widened rows. A divergence here is a miscompare in a rewritten
+// kernel — exactly the bug class that must be impossible before a new
+// path can ship.
 func FuzzKernelPaths(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(1), uint8(0))
-	f.Add(uint64(2), uint8(2), uint8(1), uint16(37), uint8(4), uint8(0))
-	f.Add(uint64(3), uint8(3), uint8(2), uint16(63), uint8(3), uint8(0))
-	f.Add(uint64(4), uint8(4), uint8(3), uint16(129), uint8(5), uint8(0))
-	f.Add(uint64(5), uint8(1), uint8(1), uint16(64), uint8(2), uint8(0))
-	f.Add(uint64(6), uint8(0), uint8(3), uint16(0), uint8(0), uint8(0))   // R = 0
-	f.Add(uint64(7), uint8(2), uint8(3), uint16(37), uint8(70), uint8(0)) // R = 70: two comparand groups
-	f.Add(uint64(8), uint8(5), uint8(3), uint16(37), uint8(32), uint8(0)) // q = 2^54: 38 bits below the narrow lane
+	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(2), uint8(1), uint16(37), uint8(4), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(3), uint8(2), uint16(63), uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(4), uint8(4), uint8(3), uint16(129), uint8(5), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(5), uint8(1), uint8(1), uint16(64), uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(6), uint8(0), uint8(3), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0))   // R = 0
+	f.Add(uint64(7), uint8(2), uint8(3), uint16(37), uint8(70), uint8(0), uint8(0), uint8(0)) // R = 70
+	f.Add(uint64(8), uint8(5), uint8(3), uint16(37), uint8(32), uint8(0), uint8(0), uint8(0)) // q = 2^54: 38 bits below the narrow lane
 	// Token rows at odd byte offsets: 4-byte lanes (q = 2^32) and
 	// 8-byte lanes (q = 2^54), aligned and unaligned bases.
-	f.Add(uint64(9), uint8(0), uint8(3), uint16(0), uint8(32), uint8(1))
-	f.Add(uint64(10), uint8(0), uint8(2), uint16(37), uint8(7), uint8(63))
-	f.Add(uint64(11), uint8(5), uint8(3), uint16(0), uint8(32), uint8(3))
-	f.Add(uint64(12), uint8(5), uint8(1), uint16(101), uint8(65), uint8(61))
-	f.Fuzz(func(t *testing.T, seed uint64, qSel, nSel uint8, baseRaw uint16, rRaw, offRaw uint8) {
+	f.Add(uint64(9), uint8(0), uint8(3), uint16(0), uint8(32), uint8(1), uint8(0), uint8(0))
+	f.Add(uint64(10), uint8(0), uint8(2), uint16(37), uint8(7), uint8(63), uint8(0), uint8(0))
+	f.Add(uint64(11), uint8(5), uint8(3), uint16(0), uint8(32), uint8(3), uint8(0), uint8(0))
+	f.Add(uint64(12), uint8(5), uint8(1), uint16(101), uint8(65), uint8(61), uint8(0), uint8(0))
+	// Multi-chunk tiles: n = 1024 past one scratch (8 chunks) with 4-
+	// and 8-byte lanes, phase periods 2 and 3, sub-word chunks (n = 16)
+	// sharing words at an unaligned base.
+	f.Add(uint64(13), uint8(0), uint8(3), uint16(0), uint8(32), uint8(0), uint8(10), uint8(0))
+	f.Add(uint64(14), uint8(0), uint8(3), uint16(64), uint8(5), uint8(9), uint8(10), uint8(1))
+	f.Add(uint64(15), uint8(5), uint8(3), uint16(37), uint8(8), uint8(2), uint8(12), uint8(2))
+	f.Add(uint64(16), uint8(0), uint8(0), uint16(21), uint8(3), uint8(0), uint8(18), uint8(2))
+	f.Add(uint64(17), uint8(1), uint8(1), uint16(7), uint8(4), uint8(5), uint8(19), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, qSel, nSel uint8, baseRaw uint16, rRaw, offRaw, chunksRaw, periodRaw uint8) {
 		q := fuzzQs[int(qSel)%len(fuzzQs)]
 		n := fuzzNs[int(nSel)%len(fuzzNs)]
 		base := int(baseRaw) % (3 * 64)
@@ -314,6 +360,6 @@ func FuzzKernelPaths(f *testing.F) {
 		var seedBytes [32]byte
 		binary.LittleEndian.PutUint64(seedBytes[:8], seed)
 		src := rng.NewSource(seedBytes)
-		runAllKernels(t, newKernelCase(src, n, q, R, base, int(offRaw)%64))
+		runAllKernels(t, newKernelCase(src, n, q, R, base, int(offRaw)%64, 1+int(chunksRaw)%20, 1+int(periodRaw)%3))
 	})
 }

@@ -20,11 +20,21 @@ import "encoding/binary"
 // hit — so the kernel is bit-identical to SubCmpMultiBits over the
 // comparands the narrow rows were cut from.
 //
+// One call sweeps a tile of chunks in two stages (DESIGN §4.4). Stage 1
+// narrows: it writes each chunk's 16-bit lanes uint16(D >> s) and its
+// 64-bit guard words into a stack scratch sized to L1d. Stage 2 compares
+// lane rows against comparand rows: a filter pass takes, per block of
+// 64 lanes, the lane-wise minimum over the comparands of lanes XOR row
+// (a zero lane is a possible hit) and ANDs the result with the guard,
+// visiting one block position across the whole tile so its comparand
+// slices stay in L1; the exact per-comparand compare then runs only on
+// the blocks the filter flagged. Stage 2 reads lanes and guard words,
+// never a coefficient or a token row.
+//
 // The kernel has four dispatch paths (kernel.go); SubCmpMultiBits is
-// the one-loop reference they are tested against. It shares that
-// reference's scalar prologue/epilogue shape and branchless coefficient
-// loops, but its output is sparse: one HitWord record per word that
-// holds a hit, so a search writes nothing for the words it misses.
+// the one-loop reference they are tested against. Its output is sparse:
+// one HitWord record per word that holds a hit, so a search writes
+// nothing for the words it misses.
 //
 // The subtrahend d is a token row: little-endian lanes of LaneBytes
 // each, the byte layout a query's token plane has from the client's
@@ -41,9 +51,10 @@ type HitWord struct {
 	Mask      uint64
 }
 
-// HitRoom returns how many records one SubCmpNarrowBits call over n
-// coefficients and rows comparands can emit: one per comparand for
-// every bitset word the call touches, at most ⌈n/64⌉+1 of them.
+// HitRoom returns how many records SubCmpNarrowBits can emit for one
+// chunk of n coefficients and rows comparands: one per comparand for
+// every bitset word the chunk touches, at most ⌈n/64⌉+1 of them. A
+// tile needs the sum over its chunks.
 func HitRoom(n, rows int) int {
 	return rows * ((n+63)/64 + 1)
 }
@@ -122,179 +133,393 @@ func (r *Ring) CutNarrow(p, low Poly, top []uint16) bool {
 	return diff == 0
 }
 
-// SubCmpNarrowBits finds, for every comparand v and coefficient i,
-// whether
-//
-//	D mod 2^s == low[i] mod 2^s   and   D >> s == top[v][i]
-//
-// where D = (a[i] - d_i) mod q, d_i is lane i of the token row d (see
-// LaneBytes) and s comes from NarrowShift, and
-// reports the hits as window base+i of comparand v: it writes HitWord
-// records to out and returns how many. For comparands rhs[v] that share
-// low's low part and top[v] cut from them (CutNarrow), the hit windows
-// are exactly the bits SubCmpMultiBits sets for rhs.
-//
-// Records come in ascending word order, comparands ascending within a
-// word. A word covered by a whole 64-coefficient block is emitted only
-// if it holds a hit; the partial words at the edges of an unaligned
-// call (base or base+len(a) not a multiple of 64) are emitted for every
-// comparand, empty or not, so consecutive calls may emit the same
-// (word, comparand) twice, with disjoint masks.
-//
-// The ring must satisfy NarrowShift. d must hold len(a) lanes, low and
-// every top[v] len(a) entries, and out must have room for
-// HitRoom(len(a), len(top)) records.
+// NarrowChunk is one chunk of a SubCmpNarrowBits tile: its first
+// ciphertext component A, its token row D (len(A) lanes of LaneBytes
+// each) and its comparand rows Top (len(A) narrow lanes each). The
+// filter reads one 128-byte slice of every row per block position and
+// keeps them in L1 across the tile only if they fall in different L1
+// sets: rows a power-of-two multiple of 2 KiB apart do not, so callers
+// lay them out with a gap (core's cutNarrow adds 64 lanes).
+type NarrowChunk struct {
+	A   Poly
+	D   []byte
+	Top [][]uint16
+}
+
+const (
+	// tileBlocks is the capacity of stage 1's scratch in 64-lane
+	// blocks: 16 KiB of lanes and 3 KiB of guard, flags and rows
+	// words, under half of a 48 KiB L1d, which leaves room for the
+	// comparand slices one block position reads across the tile
+	// (R·128 B, 4 KiB at R = 32). Tiles of 64 and 256 blocks measured
+	// the same on the dna_scan sweep.
+	tileBlocks = 128
+	// MaxTileChunks bounds TileChunks, so callers can hold a tile's
+	// chunk descriptors in a fixed array.
+	MaxTileChunks = 16
+)
+
+// TileChunks returns how many chunks of n coefficients a caller should
+// hand SubCmpNarrowBits at once: as many as stage 1's lane scratch
+// holds (8 at n = 1024, 4 at n = 2048), between 1 and MaxTileChunks.
 //
 //cm:hotpath
-func (r *Ring) SubCmpNarrowBits(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int) int {
-	switch KernelPath(activeKernel.Load()) {
-	case KernelAVX512:
-		return r.subCmpNarrowAsm(a, d, low, top, out, base, true)
-	case KernelAVX2:
-		return r.subCmpNarrowAsm(a, d, low, top, out, base, false)
-	case KernelUnrolled:
-		return r.subCmpNarrowUnrolled(a, d, low, top, out, base)
-	default:
-		return r.subCmpNarrowGeneric(a, d, low, top, out, base)
+func TileChunks(n int) int {
+	return min(max(64*tileBlocks/max(n, 1), 1), MaxTileChunks)
+}
+
+// laneTile is SubCmpNarrowBits' scratch, one per call on the caller's
+// stack: stage 1 writes block x's 64 narrow lanes to lanes[64x:] and
+// its guard word to guard[x], and the filter writes the block's
+// possible-hit word (guard AND some comparand equal) to flags[x]. Block
+// k of a pass's chunk s is block k·spans+s, so one block position of
+// every chunk is one run of blocks. The assembly addresses guard, flags
+// and rows at fixed offsets from the base (kernel_amd64.s).
+type laneTile struct {
+	lanes [64 * tileBlocks]uint16
+	guard [tileBlocks]uint64
+	flags [tileBlocks]uint64
+	// rows marks, for the avx512 exact compare, which of the first 64
+	// comparands hit a flagged block (narrowHitRowsAVX512).
+	rows [tileBlocks]uint64
+}
+
+// SubCmpNarrowBits finds, for every chunk c of the tile, comparand v
+// and coefficient i, whether
+//
+//	D mod 2^s == low[i] mod 2^s   and   D >> s == Top[v][i]
+//
+// where D = (A[i] - d_i) mod q, d_i is lane i of the chunk's token row
+// D (see LaneBytes) and s comes from NarrowShift, and reports the hits
+// as window base + c·n + i of comparand v: it writes HitWord records to
+// out and returns how many. For comparands rhs[v] that share low's low
+// part and Top[v] cut from them (CutNarrow), the hit windows are
+// exactly the bits SubCmpMultiBits sets for rhs, chunk by chunk.
+//
+// Records come chunk by chunk in ascending word order, comparands
+// ascending within a word. A word covered by a whole 64-coefficient
+// block is emitted only if it holds a hit; the partial words at the
+// edges of an unaligned chunk (its first or last window not on a
+// multiple of 64) are emitted for every comparand, empty or not, so
+// neighbouring chunks may emit the same (word, comparand) twice, with
+// disjoint masks.
+//
+// The ring must satisfy NarrowShift. Every chunk holds the same number
+// n of coefficients; D must hold n lanes, low and every Top[v] n
+// entries, and out must have room for HitRoom(n, len(Top)) records per
+// chunk. Any tile length works; TileChunks(n) chunks fill the scratch.
+//
+//cm:hotpath
+func (r *Ring) SubCmpNarrowBits(tile []NarrowChunk, low Poly, out []HitWord, base int) int {
+	if len(tile) == 0 {
+		return 0
+	}
+	leg := KernelPath(activeKernel.Load())
+	n := len(tile[0].A)
+	var sc laneTile
+	nw := 0
+	for c := 0; c < len(tile); {
+		b := base + c*n
+		pro := min(-b&63, n)
+		nb := (n - pro) >> 6
+		// Chunks of whole words all start at the same word offset, so
+		// as many as the scratch holds share one pass; any other chunk
+		// runs alone, one scratch of blocks at a time.
+		spans := 1
+		if n&63 == 0 && nb > 0 {
+			spans = max(min(len(tile)-c, tileBlocks/nb), 1)
+		}
+		chunks := tile[c : c+spans]
+		for i := pro; ; i += 64 * tileBlocks {
+			m := min((n-i)>>6, tileBlocks)
+			if m > 0 {
+				r.sweepTile(leg, &sc, chunks, low, i, m)
+			}
+			last := i+64*m == pro+64*nb
+			for s := range chunks {
+				bs := b + s*n
+				if i == pro {
+					nw = r.subCmpNarrowScalar(chunks[s], low, out, nw, bs, 0, pro)
+				}
+				if m > 0 {
+					nw = exactSpan(leg, &sc, s, len(chunks), m, chunks[s].Top, i, out, nw, uint32((bs+i)>>6))
+				}
+				if last {
+					nw = r.subCmpNarrowScalar(chunks[s], low, out, nw, bs, pro+64*nb, n)
+				}
+			}
+			if last {
+				break
+			}
+		}
+		c += spans
+	}
+	return nw
+}
+
+// sweepTile runs stage 1 and the filter over the m blocks from
+// coefficient i of every chunk of chunks, one block position at a time:
+// it narrows the position's block of every chunk into one run of
+// scratch blocks, then filters the run against the position's
+// comparand slices, which stay in L1 from the first chunk to the last.
+// Alternating the stages block by block keeps the coefficient and
+// token streams flowing while the compares run.
+//
+//cm:hotpath
+func (r *Ring) sweepTile(leg KernelPath, sc *laneTile, chunks []NarrowChunk, low Poly, i, m int) {
+	hi, lb := i+64*m, r.laneBytes
+	_ = low[i:hi]
+	for _, ch := range chunks { // the assembly reads operands unchecked
+		_, _ = ch.A[i:hi], ch.D[i*lb:hi*lb]
+		for _, tv := range ch.Top {
+			_ = tv[i:hi]
+		}
+	}
+	for k := 0; k < m; k++ {
+		o, x := i+64*k, k*len(chunks)
+		switch leg {
+		case KernelAVX512, KernelAVX2:
+			r.sweepAsm(sc, chunks, x, o, low, leg == KernelAVX512)
+		default:
+			for s, ch := range chunks {
+				r.narrowGo(sc.lanes[64*(x+s):64*(x+s+1)], &sc.guard[x+s], ch.A[o:o+64], ch.D[o*lb:(o+64)*lb], low[o:o+64])
+			}
+			if leg == KernelUnrolled {
+				filterUnrolled(sc, chunks, x, o)
+			} else {
+				filterGeneric(sc, chunks, x, o)
+			}
+		}
 	}
 }
 
-// subCmpNarrowGeneric is the portable word-at-a-time reference: the
-// guard word and the 64 narrow differences of a block are computed
-// once, then each comparand folds its 64 lane compares into one word,
-// ANDed with the guard and emitted only when some window hit.
+// narrowGo is stage 1 of one block on the portable paths: the narrow
+// lanes of D = a − d, and the guard word, bit k set iff D's low part
+// at coefficient k matches low's.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowGeneric(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int) int {
-	n, lb := len(a), r.laneBytes
-	i, nw := 0, 0
-	if rem := base & 63; rem != 0 {
-		i = min(64-rem, n)
-		nw = r.subCmpNarrowScalar(a, d, low, top, out, nw, base, 0, i)
-	}
+func (r *Ring) narrowGo(lanes []uint16, guard *uint64, a Poly, d []byte, low Poly) {
 	s, lm := r.narrowShift, r.lowMask
-	var diff [64]uint16
 	var dd [64]uint64
-	for ; i+64 <= n; i += 64 {
-		r.WidenLanes(dd[:], d[i*lb:])
-		aa, ll := a[i:i+64], low[i:i+64]
-		var g uint64
-		for k := range aa {
-			t := aa[k] - dd[k]
-			g |= eqMaskBit(t&lm, ll[k]&lm) << uint(k)
-			diff[k] = uint16(t >> s)
-		}
-		wi := uint32((base + i) >> 6)
-		for v, tv := range top {
-			tt := tv[i : i+64]
-			var w uint64
-			for k := range tt {
-				// A lane XOR is below 2^16, so subtracting 1 borrows
-				// into the top bit iff the lanes are equal.
-				w |= (uint64(diff[k]^tt[k]) - 1) >> 63 << uint(k)
-			}
-			w &= g
-			//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
-			if w != 0 {
-				out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(v), w
-				nw++
-			}
-		}
+	r.WidenLanes(dd[:], d)
+	a, low, lanes = a[:64], low[:64], lanes[:64]
+	var g uint64
+	for k := range dd {
+		t := a[k] - dd[k]
+		g |= eqMaskBit(t&lm, low[k]&lm) << uint(k)
+		lanes[k] = uint16(t >> s)
 	}
-	return r.subCmpNarrowScalar(a, d, low, top, out, nw, base, i, n)
+	*guard = g
+}
+
+// filterGeneric is the filter lane by lane over scratch blocks x … of
+// chunks, comparand rows read from coefficient o: the minimum over
+// comparands of lanes XOR row is zero exactly at the lanes some
+// comparand equals.
+//
+//cm:hotpath
+func filterGeneric(sc *laneTile, chunks []NarrowChunk, x, o int) {
+	for s, ch := range chunks {
+		ln := sc.lanes[64*(x+s) : 64*(x+s+1)]
+		var acc [64]uint16
+		for l := range acc {
+			acc[l] = 0xFFFF
+		}
+		for _, tv := range ch.Top {
+			tt := tv[o : o+64]
+			for l := range acc {
+				acc[l] = min(acc[l], ln[l]^tt[l])
+			}
+		}
+		var w uint64
+		for l, v := range acc {
+			w |= (uint64(v) - 1) >> 63 << uint(l)
+		}
+		sc.flags[x+s] = w & sc.guard[x+s]
+	}
 }
 
 // lanes16Lo is the low 15 bits of each 16-bit lane of a uint64.
 const lanes16Lo = 0x7FFF_7FFF_7FFF_7FFF
 
-// zeroLanes16 returns a 4-bit word whose bit k is set iff 16-bit lane k
-// of x is zero, without branching: adding lanes16Lo to the low 15 bits
-// carries into a lane's top bit iff they are non-zero (never across
-// lanes), and the multiply gathers the four lane flags at bits 16k into
-// bits 48..51 with no overlapping partial products.
+// nonzeroLanes16 sets the top bit of each 16-bit lane of x that is
+// non-zero, without branching: adding lanes16Lo to the low 15 bits
+// carries into a lane's top bit iff they are non-zero, never across
+// lanes. Other bits are garbage.
 //
 //cm:hotpath
-func zeroLanes16(x uint64) uint64 {
-	nz := (x&lanes16Lo + lanes16Lo) | x
+func nonzeroLanes16(x uint64) uint64 {
+	return (x&lanes16Lo + lanes16Lo) | x
+}
+
+// clearTops16 gathers the four lane flags of a nonzeroLanes16 result
+// into a 4-bit word, bit k set iff lane k's top bit is clear: the
+// multiply moves the flags at bits 16k into bits 48..51 with no
+// overlapping partial products.
+//
+//cm:hotpath
+func clearTops16(nz uint64) uint64 {
 	z := ^nz >> 15 & 0x0001_0001_0001_0001
 	return z * (1<<48 | 1<<33 | 1<<18 | 1<<3) >> 48
 }
 
-// subCmpNarrowUnrolled is the portable SWAR path: the block's narrow
-// differences are packed four lanes to a uint64, and each comparand
-// compares four lanes per XOR (zeroLanes16), a quarter of the compares
-// of the generic path.
+// zeroLanes16 returns a 4-bit word whose bit k is set iff 16-bit lane k
+// of x is zero.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowUnrolled(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, base int) int {
-	n, lb := len(a), r.laneBytes
-	i, nw := 0, 0
-	if rem := base & 63; rem != 0 {
-		i = min(64-rem, n)
-		nw = r.subCmpNarrowScalar(a, d, low, top, out, nw, base, 0, i)
-	}
-	s, lm := r.narrowShift, r.lowMask
-	var diff [16]uint64
-	var dd [64]uint64
-	for ; i+64 <= n; i += 64 {
-		r.WidenLanes(dd[:], d[i*lb:])
-		var g uint64
-		for k := 0; k < 64; k += 4 {
-			a4 := a[i+k : i+k+4 : i+k+4]
-			d4 := dd[k : k+4 : k+4]
-			l4 := low[i+k : i+k+4 : i+k+4]
-			t0, t1, t2, t3 := a4[0]-d4[0], a4[1]-d4[1], a4[2]-d4[2], a4[3]-d4[3]
-			g |= (eqMaskBit(t0&lm, l4[0]&lm) |
-				eqMaskBit(t1&lm, l4[1]&lm)<<1 |
-				eqMaskBit(t2&lm, l4[2]&lm)<<2 |
-				eqMaskBit(t3&lm, l4[3]&lm)<<3) << uint(k)
-			diff[k>>2] = uint64(uint16(t0>>s)) | uint64(uint16(t1>>s))<<16 |
-				uint64(uint16(t2>>s))<<32 | uint64(uint16(t3>>s))<<48
+func zeroLanes16(x uint64) uint64 {
+	return clearTops16(nonzeroLanes16(x))
+}
+
+// lanes4 packs four consecutive 16-bit lanes into a uint64, lane 0 in
+// the low bits.
+//
+//cm:hotpath
+func lanes4(l []uint16) uint64 {
+	l = l[:4:4]
+	return uint64(l[0]) | uint64(l[1])<<16 | uint64(l[2])<<32 | uint64(l[3])<<48
+}
+
+// filterUnrolled is the SWAR filter: four lanes per uint64, and per
+// comparand one XOR and nonzeroLanes16 ANDed into the block's
+// accumulator, whose lane tops end up clear exactly where some
+// comparand equals.
+//
+//cm:hotpath
+func filterUnrolled(sc *laneTile, chunks []NarrowChunk, x, o int) {
+	for s, ch := range chunks {
+		ln := sc.lanes[64*(x+s) : 64*(x+s+1) : 64*(x+s+1)]
+		var pk, acc [16]uint64
+		for q := range pk {
+			pk[q], acc[q] = lanes4(ln[4*q:]), ^uint64(0)
 		}
-		wi := uint32((base + i) >> 6)
-		for v, tv := range top {
-			tt := tv[i : i+64 : i+64]
-			var w uint64
-			for k := 0; k < 16; k++ {
-				t4 := tt[4*k : 4*k+4 : 4*k+4]
-				x := uint64(t4[0]) | uint64(t4[1])<<16 | uint64(t4[2])<<32 | uint64(t4[3])<<48
-				w |= zeroLanes16(diff[k]^x) << uint(4*k)
+		for _, tv := range ch.Top {
+			tt := tv[o : o+64 : o+64]
+			for q := range acc {
+				acc[q] &= nonzeroLanes16(pk[q] ^ lanes4(tt[4*q:]))
 			}
-			w &= g
+		}
+		var w uint64
+		for q, a := range acc {
+			w |= clearTops16(a) << uint(4*q)
+		}
+		sc.flags[x+s] = w & sc.guard[x+s]
+	}
+}
+
+// exactSpan is stage 2's exact compare over one chunk's m scratch
+// blocks x, x+step, …, coefficients i… of a chunk with comparand rows
+// top: for every flagged block it compares each comparand and emits the
+// records of the nonzero words, the first block's as word w0, at
+// out[nw:], and returns the new record count.
+//
+//cm:hotpath
+func exactSpan(leg KernelPath, sc *laneTile, x, step, m int, top [][]uint16, i int, out []HitWord, nw int, w0 uint32) int {
+	if len(top) == 0 {
+		return nw
+	}
+	dst := out[nw : nw+m*len(top)] // the assembly writes records unchecked
+	switch leg {
+	case KernelAVX512, KernelAVX2:
+		return nw + exactAsm(dst, sc, x, step, m, top, i, w0, leg == KernelAVX512)
+	case KernelUnrolled:
+		return nw + exactUnrolled(dst, sc, x, step, m, top, i, w0)
+	default:
+		return nw + exactGeneric(dst, sc, x, step, m, top, i, w0)
+	}
+}
+
+// exactGeneric is the exact compare lane by lane.
+//
+//cm:hotpath
+func exactGeneric(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32) int {
+	nw := 0
+	for k := 0; k < m; k++ {
+		b := x + k*step
+		f := sc.flags[b]
+		//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+		if f == 0 {
+			continue
+		}
+		ln, o := sc.lanes[64*b:64*b+64], i+64*k
+		for v, tv := range top {
+			tt := tv[o : o+64]
+			var w uint64
+			for l := range tt {
+				// A lane XOR is below 2^16, so subtracting 1 borrows
+				// into the top bit iff the lanes are equal.
+				w |= (uint64(ln[l]^tt[l]) - 1) >> 63 << uint(l)
+			}
+			w &= f
 			//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
 			if w != 0 {
-				out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(v), w
+				out[nw].Word, out[nw].Row, out[nw].Mask = w0+uint32(k), uint32(v), w
 				nw++
 			}
 		}
 	}
-	return r.subCmpNarrowScalar(a, d, low, top, out, nw, base, i, n)
+	return nw
+}
+
+// exactUnrolled is the exact compare four lanes per XOR (zeroLanes16).
+//
+//cm:hotpath
+func exactUnrolled(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32) int {
+	nw := 0
+	var pk [16]uint64
+	for k := 0; k < m; k++ {
+		b := x + k*step
+		f := sc.flags[b]
+		//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+		if f == 0 {
+			continue
+		}
+		ln, o := sc.lanes[64*b:64*b+64:64*b+64], i+64*k
+		for q := range pk {
+			pk[q] = lanes4(ln[4*q:])
+		}
+		for v, tv := range top {
+			tt := tv[o : o+64 : o+64]
+			var w uint64
+			for q := range pk {
+				w |= zeroLanes16(pk[q]^lanes4(tt[4*q:])) << uint(4*q)
+			}
+			w &= f
+			//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
+			if w != 0 {
+				out[nw].Word, out[nw].Row, out[nw].Mask = w0+uint32(k), uint32(v), w
+				nw++
+			}
+		}
+	}
+	return nw
 }
 
 // subCmpNarrowScalar is the coefficient-at-a-time edge path of
-// SubCmpNarrowBits over coefficients [lo, hi), which lie in one bitset
-// word, shared by every dispatch path: it computes the guard bits and
-// narrow differences once, then writes the word's record for every
-// comparand, hit or not, at out[nw:], and returns the new record count.
+// SubCmpNarrowBits over coefficients [lo, hi) of chunk ch, whose first
+// coefficient is window base; they lie in one bitset word. Shared by
+// every dispatch path, it computes the guard bits and narrow
+// differences once, then writes the word's record for every comparand,
+// hit or not, at out[nw:], and returns the new record count.
 //
 //cm:hotpath
-func (r *Ring) subCmpNarrowScalar(a Poly, d []byte, low Poly, top [][]uint16, out []HitWord, nw, base, lo, hi int) int {
+func (r *Ring) subCmpNarrowScalar(ch NarrowChunk, low Poly, out []HitWord, nw, base, lo, hi int) int {
 	if lo == hi {
 		return nw
 	}
 	s, lm := r.narrowShift, r.lowMask
 	var diff [64]uint16
 	var dd [64]uint64
-	r.WidenLanes(dd[:hi-lo], d[lo*r.laneBytes:])
+	r.WidenLanes(dd[:hi-lo], ch.D[lo*r.laneBytes:])
 	var g uint64
 	for i := lo; i < hi; i++ {
-		t := a[i] - dd[i-lo]
+		t := ch.A[i] - dd[i-lo]
 		diff[i-lo] = uint16(t >> s)
 		_, m := bitsetWord(base + i)
 		g |= m & -eqMaskBit(t&lm, low[i]&lm)
 	}
 	wi := uint32((base + lo) >> 6)
-	for v, tv := range top {
+	for v, tv := range ch.Top {
 		var w uint64
 		for i := lo; i < hi; i++ {
 			_, m := bitsetWord(base + i)

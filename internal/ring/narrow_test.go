@@ -1,7 +1,9 @@
 package ring
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"ciphermatch/internal/rng"
 )
@@ -16,6 +18,23 @@ func narrowRows(r *Ring, rhs []Poly) [][]uint16 {
 	return top
 }
 
+// paddedRows copies rows into one block at the engine's layout (core's
+// cutNarrow): each row 64 lanes past the end of the one before, so the
+// rows' slices of one block position fall in different L1 sets.
+func paddedRows(rows [][]uint16) [][]uint16 {
+	out := make([][]uint16, len(rows))
+	if len(rows) == 0 {
+		return out
+	}
+	n := len(rows[0])
+	block := make([]uint16, len(rows)*(n+64))
+	for v, row := range rows {
+		out[v] = block[v*(n+64) : v*(n+64)+n : v*(n+64)+n]
+		copy(out[v], row)
+	}
+	return out
+}
+
 // laneRow stores d as a token row (PutLanes) that starts off bytes into
 // its buffer, so the kernels read rows at any alignment, as they do rows
 // sliced out of a request payload.
@@ -25,22 +44,95 @@ func laneRow(r *Ring, d Poly, off int) []byte {
 	return buf[off:]
 }
 
-// runNarrow runs SubCmpNarrowBits with exactly HitRoom records of room
-// and scatters its records into len(top) dense bitsets of words words:
-// the conversion through which the tests compare its hits with
-// SubCmpMultiBits' words. It fails unless the records ascend by word
-// and comparand inside the call's words and only the call's partial
-// edge words carry empty masks.
+// tileRoom is the record room of a tile: HitRoom per chunk.
+func tileRoom(tile []NarrowChunk) int {
+	room := 0
+	for _, ch := range tile {
+		room += HitRoom(len(ch.A), len(ch.Top))
+	}
+	return room
+}
+
+// narrowRecords runs SubCmpNarrowBits over tile with exactly its room.
+func narrowRecords(r *Ring, tile []NarrowChunk, low Poly, base int) []HitWord {
+	out := make([]HitWord, tileRoom(tile))
+	return out[:r.SubCmpNarrowBits(tile, low, out, base)]
+}
+
+// wantNarrowRecords is the oracle of SubCmpNarrowBits' record stream,
+// built one chunk at a time from SubCmpMultiBits on the widened token
+// row against the comparands the narrow operands stand for, Top[v]'s
+// lanes over low's low part: per chunk its words ascending, comparands
+// ascending within a word, a whole word only when it holds a hit and
+// the chunk's partial edge words always.
+func wantNarrowRecords(r *Ring, tile []NarrowChunk, low Poly, base int) []HitWord {
+	s, _ := r.NarrowShift()
+	lm := uint64(1)<<s - 1
+	var out []HitWord
+	for c, ch := range tile {
+		n := len(ch.A)
+		b := base + c*n
+		d := make(Poly, n)
+		r.WidenLanes(d, ch.D)
+		first, last := b>>6, (b+n-1)>>6
+		cmp := make([]Poly, len(ch.Top))
+		bits := make([][]uint64, len(ch.Top))
+		for v, tv := range ch.Top {
+			cmp[v], bits[v] = make(Poly, n), make([]uint64, last+1)
+			for i, x := range tv {
+				cmp[v][i] = uint64(x)<<s | low[i]&lm
+			}
+		}
+		r.SubCmpMultiBits(ch.A, d, cmp, bits, b)
+		for w := first; w <= last; w++ {
+			edge := w == first && b&63 != 0 || w == last && (b+n)&63 != 0
+			for v := range cmp {
+				if m := bits[v][w]; m != 0 || edge {
+					out = append(out, HitWord{Word: uint32(w), Row: uint32(v), Mask: m})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// firstDiff returns the index of the first record where got and want
+// differ, or -1 when they are equal.
+func firstDiff(got, want []HitWord) int {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	return -1
+}
+
+// recordAt formats record i of hs, or "none" past its end.
+func recordAt(hs []HitWord, i int) string {
+	if i >= len(hs) {
+		return "none"
+	}
+	return fmt.Sprintf("(word %d, row %d, %#x)", hs[i].Word, hs[i].Row, hs[i].Mask)
+}
+
+// runNarrow runs SubCmpNarrowBits on a one-chunk tile with exactly
+// HitRoom records of room and scatters its records into len(top) dense
+// bitsets of words words: the conversion through which the tests
+// compare its hits with SubCmpMultiBits' words. It fails unless the
+// records ascend by word and comparand inside the call's words and only
+// the call's partial edge words carry empty masks.
 func runNarrow(t testing.TB, r *Ring, a Poly, d []byte, low Poly, top [][]uint16, base, words int) [][]uint64 {
 	t.Helper()
-	out := make([]HitWord, HitRoom(len(a), len(top)))
-	k := r.SubCmpNarrowBits(a, d, low, top, out, base)
+	out := narrowRecords(r, []NarrowChunk{{A: a, D: d, Top: top}}, low, base)
 	bits := make([][]uint64, len(top))
 	for v := range bits {
 		bits[v] = make([]uint64, words)
 	}
 	first, last := base>>6, (base+len(a)-1)>>6
-	for i, h := range out[:k] {
+	for i, h := range out {
 		w := int(h.Word)
 		edge := w == first && base&63 != 0 || w == last && (base+len(a))&63 != 0
 		switch {
@@ -224,19 +316,153 @@ func TestZeroLanes16(t *testing.T) {
 	}
 }
 
+// TestSubCmpNarrowTiles holds every path to its record oracle at the
+// tile shapes the engine and odd callers produce: a chunk count that is
+// not a multiple of the scratch's, sub-word chunks sharing a word, a
+// phase period of 3 (neighbouring chunks on different comparand rows),
+// 8-byte lanes, a chunk larger than the whole scratch (processed in
+// pieces, aligned and not), and comparand counts past one register
+// group.
+func TestSubCmpNarrowTiles(t *testing.T) {
+	src := rng.NewSourceFromString("narrow-tiles")
+	for _, tc := range []struct {
+		n              int
+		q              uint64
+		chunks, period int
+		base, R        int
+	}{
+		{1024, 1 << 32, 8, 1, 0, 32},
+		{1024, 1 << 32, 19, 3, 0, 5},
+		{1024, 1 << 32, 9, 2, 37, 3},
+		{64, 1 << 32, 131, 3, 0, 2},
+		{64, 1 << 32, 130, 1, 5, 1},
+		{16, 1 << 32, 21, 3, 0, 4},
+		{32, 1 << 32, 9, 2, 48, 3},
+		{2048, 1 << 54, 6, 2, 0, 32},
+		{2048, 1 << 54, 5, 1, 64*3 + 1, 2},
+		{16384, 1 << 32, 2, 2, 0, 3},
+		{16384, 1 << 32, 1, 1, 37, 2},
+		{128, 1 << 20, 70, 3, 64, 65},
+	} {
+		name := fmt.Sprintf("n%d-q%d-chunks%d-period%d-base%d-R%d", tc.n, tc.q, tc.chunks, tc.period, tc.base, tc.R)
+		t.Run(name, func(t *testing.T) {
+			kc := newKernelCase(src, tc.n, tc.q, tc.R, tc.base, tc.chunks%7, tc.chunks, tc.period)
+			tile := kc.tile()
+			want := wantNarrowRecords(kc.r, tile, kc.low, tc.base)
+			hits := 0
+			for _, h := range want {
+				hits += popcount(h.Mask)
+			}
+			if hits == 0 && tc.R > 0 {
+				t.Fatal("no planted hit survived; the case tests nothing")
+			}
+			for _, p := range AvailableKernels() {
+				withKernel(t, p, func() {
+					got := narrowRecords(kc.r, tile, kc.low, tc.base)
+					if i := firstDiff(got, want); i >= 0 {
+						t.Fatalf("path %s: record %d of %d/%d: %s, want %s", p, i, len(got), len(want), recordAt(got, i), recordAt(want, i))
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestSubCmpNarrowSparseHits holds every path to its record oracle on
+// the shape of a real search: every difference carries low's low part,
+// so the guard passes everywhere, random lanes almost never hit, and
+// one hit is planted per block, in the low half of some blocks and the
+// high half of others, for one comparand each — the blocks the avx512
+// hit-row pass compares in one half only. Comparand counts on both
+// sides of the 64 that pass marks.
+func TestSubCmpNarrowSparseHits(t *testing.T) {
+	for _, tc := range []struct {
+		n, chunks, R int
+		q            uint64
+	}{
+		{1024, 11, 40, 1 << 32},
+		{1024, 9, 70, 1 << 32},
+		{2048, 5, 32, 1 << 54},
+	} {
+		t.Run(fmt.Sprintf("n%d-R%d-q%d", tc.n, tc.R, tc.q), func(t *testing.T) {
+			r := MustNew(tc.n, tc.q)
+			src := rng.NewSourceFromString("narrow-sparse")
+			s, _ := r.NarrowShift()
+			lm := uint64(1)<<s - 1
+			low := r.NewPoly()
+			r.UniformPoly(src, low)
+			rhs := make([]Poly, tc.R)
+			for v := range rhs {
+				rhs[v] = r.NewPoly()
+				r.UniformPoly(src, rhs[v])
+			}
+			top := paddedRows(narrowRows(r, rhs))
+			tile := make([]NarrowChunk, tc.chunks)
+			for c := range tile {
+				a, diff, d := r.NewPoly(), r.NewPoly(), r.NewPoly()
+				r.UniformPoly(src, a)
+				r.UniformPoly(src, diff)
+				for i := range diff {
+					diff[i] = diff[i]&^lm | low[i]&lm
+				}
+				r.Sub(a, diff, d)
+				for k := 0; k < tc.n/64; k++ {
+					i := 64*k + (c*7+k*13)%64
+					top[(c+k)%tc.R][i] = uint16(diff[i] >> s)
+				}
+				tile[c] = NarrowChunk{A: a, D: laneRow(r, d, c%5), Top: top}
+			}
+			want := wantNarrowRecords(r, tile, low, 0)
+			if len(want) < tc.chunks*tc.n/64/2 {
+				t.Fatalf("only %d records for %d blocks; the planted hits did not survive", len(want), tc.chunks*tc.n/64)
+			}
+			for _, p := range AvailableKernels() {
+				withKernel(t, p, func() {
+					got := narrowRecords(r, tile, low, 0)
+					if i := firstDiff(got, want); i >= 0 {
+						t.Fatalf("path %s: record %d of %d/%d: %s, want %s", p, i, len(got), len(want), recordAt(got, i), recordAt(want, i))
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestNarrowLayout pins the struct layouts the assembly addresses at
+// fixed offsets (the TILE_* and CHUNK_* constants of kernel_amd64.s).
+func TestNarrowLayout(t *testing.T) {
+	var sc laneTile
+	var ch NarrowChunk
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"laneTile.guard", unsafe.Offsetof(sc.guard), 16384},
+		{"laneTile.flags", unsafe.Offsetof(sc.flags), 17408},
+		{"laneTile.rows", unsafe.Offsetof(sc.rows), 18432},
+		{"NarrowChunk.A", unsafe.Offsetof(ch.A), 0},
+		{"NarrowChunk.D", unsafe.Offsetof(ch.D), 24},
+		{"NarrowChunk.Top", unsafe.Offsetof(ch.Top), 48},
+		{"NarrowChunk size", unsafe.Sizeof(ch), 72},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s at %d, the assembly expects %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestSubCmpNarrowBitsZeroAllocs(t *testing.T) {
 	for _, p := range AvailableKernels() {
 		t.Run(p.String(), func(t *testing.T) {
 			for _, fam := range narrowFamilies {
 				t.Run(fam.name, func(t *testing.T) {
-					r, a, d, low, rhs := newNarrowCase(rng.NewSourceFromString("narrow-allocs"), fam.n, fam.q, 3)
-					top := narrowRows(r, rhs)
-					lanes := laneRow(r, d, 3)
-					out := make([]HitWord, HitRoom(fam.n, len(top)))
+					kc := newKernelCase(rng.NewSourceFromString("narrow-allocs"), fam.n, fam.q, 3, 0, 3, scratchChunks(fam.n)+1, 2)
+					tile := kc.tile()
+					out := make([]HitWord, tileRoom(tile))
 					withKernel(t, p, func() {
 						for _, base := range []int{0, 37} {
 							if avg := testing.AllocsPerRun(100, func() {
-								r.SubCmpNarrowBits(a, lanes, low, top, out, base)
+								kc.r.SubCmpNarrowBits(tile, kc.low, out, base)
 							}); avg != 0 {
 								t.Fatalf("SubCmpNarrowBits (base %d) allocates %.1f times per call, want 0", base, avg)
 							}

@@ -192,22 +192,25 @@ func BenchmarkSubCmpMultiBits(b *testing.B) {
 // narrow kernel on every available path, plus one row of the 64-bit
 // reference: 2 048 chunks of 1 024 coefficients at q = 2^32 and R = 32
 // comparands that share their low bits, as a seeded query's do. The
-// narrow kernel reads the token plane in its 4-byte lanes (8 MiB), the
-// reference as a widened Poly (16 MiB); with the 16 MiB arena both are
-// far larger than any cache, so one op is one DRAM-resident search
-// sweep and the reported MB/s is the stream rate over what each reads.
+// token plane is derived as a seeded query's is: every difference D =
+// C0 − token carries low's low part, so the guard passes at every
+// coefficient, and D's random high part hits some comparand at about
+// one lane in 2 048 (≈ 1 000 records a sweep, reported as records/op).
+// Those are the narrow rows. The saturated rows plant one hit in every
+// 64-coefficient block, the worst case of a kernel that filters blocks
+// before it compares them exactly. Calls go tile by tile (TileChunks),
+// over comparand rows laid out as the engine lays them out. The narrow kernel reads the token plane in
+// its 4-byte lanes (8 MiB), the reference as a widened Poly (16 MiB);
+// with the 16 MiB arena both are far larger than any cache, so one op
+// is one DRAM-resident search sweep and the reported MB/s is the stream
+// rate over what each reads.
 //
 //	go test -run '^$' -bench 'BenchmarkSubCmpMultiBits$/dna_scan' ./internal/ring
 func benchDNAScanSweep(b *testing.B) {
 	const chunks, n, R = 2048, 1024, 32
+	const q32 = 1<<32 - 1
 	r := MustNew(n, 1<<32)
 	src := rng.NewSourceFromString("dna-scan-sweep")
-	arena, plane := make(Poly, chunks*n), make(Poly, chunks*n)
-	for i := range arena {
-		arena[i], plane[i] = src.Uint64()&(1<<32-1), src.Uint64()&(1<<32-1)
-	}
-	lanes := make([]byte, chunks*n*r.LaneBytes())
-	r.PutLanes(lanes, plane)
 	low := r.NewPoly()
 	r.UniformPoly(src, low)
 	rhs := make([]Poly, R)
@@ -218,24 +221,55 @@ func benchDNAScanSweep(b *testing.B) {
 			rhs[v][i] = rhs[v][i]&^0xFFFF | low[i]&0xFFFF
 		}
 	}
-	top := narrowRows(r, rhs)
+	top := paddedRows(narrowRows(r, rhs))
+	arena, plane, hot := make(Poly, chunks*n), make(Poly, chunks*n), make(Poly, chunks*n)
+	for i := range arena {
+		j := i % n
+		arena[i] = src.Uint64() & q32
+		plane[i] = (arena[i] - (src.Uint64()&^0xFFFF | low[j]&0xFFFF)) & q32
+		hot[i] = plane[i]
+		if blk := i >> 6; i&63 == blk*7&63 {
+			hot[i] = (arena[i] - rhs[blk%R][j]) & q32
+		}
+	}
+	lb := n * r.LaneBytes()
+	lanes, hotLanes := make([]byte, chunks*lb), make([]byte, chunks*lb)
+	r.PutLanes(lanes, plane)
+	r.PutLanes(hotLanes, hot)
+	per := TileChunks(n)
+	out := make([]HitWord, per*HitRoom(n, R)) // one tile's records, overwritten per call
+	sweep := func(d []byte) int {
+		var tile [MaxTileChunks]NarrowChunk
+		records := 0
+		for j := 0; j < chunks; j += per {
+			for c := range tile[:per] {
+				k := j + c
+				tile[c] = NarrowChunk{A: arena[k*n : (k+1)*n], D: d[k*lb : (k+1)*lb], Top: top}
+			}
+			records += r.SubCmpNarrowBits(tile[:per], low, out, j*n)
+		}
+		return records
+	}
+	for _, p := range AvailableKernels() {
+		for _, row := range []struct {
+			name string
+			d    []byte
+		}{{"narrow", lanes}, {"saturated", hotLanes}} {
+			b.Run(p.String()+"/"+row.name, func(b *testing.B) {
+				withKernel(b, p, func() {
+					b.SetBytes(int64(chunks * n * (8 + r.LaneBytes())))
+					records := 0
+					for i := 0; i < b.N; i++ {
+						records = sweep(row.d)
+					}
+					b.ReportMetric(float64(records), "records/op")
+				})
+			})
+		}
+	}
 	bits := make([][]uint64, R)
 	for v := range bits {
 		bits[v] = make([]uint64, chunks*n/64)
-	}
-	out := make([]HitWord, HitRoom(n, R)) // one chunk's records, overwritten per call
-	for _, p := range AvailableKernels() {
-		b.Run(p.String()+"/narrow", func(b *testing.B) {
-			withKernel(b, p, func() {
-				b.SetBytes(int64(chunks * n * (8 + r.LaneBytes())))
-				lb := n * r.LaneBytes()
-				for i := 0; i < b.N; i++ {
-					for j := 0; j < chunks; j++ {
-						r.SubCmpNarrowBits(arena[j*n:(j+1)*n], lanes[j*lb:(j+1)*lb], low, top, out, j*n)
-					}
-				}
-			})
-		})
 	}
 	b.Run("wide", func(b *testing.B) {
 		b.SetBytes(2 * chunks * n * 8)
@@ -251,7 +285,9 @@ func benchDNAScanSweep(b *testing.B) {
 // the kernel searches run: every available path on the same
 // L2-resident n = 4096 poly at q = 2^32 (4-byte token lanes) and the
 // same comparand counts as BenchmarkSubCmpMultiBits, plus one R = 32
-// row at ParamsN2048's q = 2^54 (8-byte lanes), reporting
+// row at ParamsN2048's q = 2^54 (8-byte lanes); hits are planted at a
+// third of the lanes, so every block reaches the exact compare. It
+// reports
 // coefficients/sec — the figure of merit for ROADMAP item 1's
 // vectorized-kernel work, where ns/op alone hides the multi-lane
 // amortisation.
@@ -274,10 +310,11 @@ func BenchmarkSubCmpNarrowBits(b *testing.B) {
 					lanes := laneRow(r, d, 0)
 					for _, R := range sh.rs {
 						b.Run(sh.name+"R="+itoa(R), func(b *testing.B) {
+							tile := []NarrowChunk{{A: a, D: lanes, Top: top[:R]}}
 							out := make([]HitWord, HitRoom(n, R))
 							b.SetBytes(int64(n * (8 + r.LaneBytes())))
 							for i := 0; i < b.N; i++ {
-								r.SubCmpNarrowBits(a, lanes, low, top[:R], out, 0)
+								r.SubCmpNarrowBits(tile, low, out, 0)
 							}
 							coeffs := float64(n) * float64(R) * float64(b.N)
 							b.ReportMetric(coeffs/b.Elapsed().Seconds(), "coeffs/s")
