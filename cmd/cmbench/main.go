@@ -9,7 +9,7 @@
 //	cmbench -list           # list experiment IDs
 //	cmbench -csv results/   # also write one CSV per experiment
 //
-// The ring kernel dispatch path (generic | unrolled | avx2 | avx512) is
+// The ring kernel dispatch path (generic | avx2 | avx512) is
 // chosen at startup by CPU detection and forceable with CM_KERNEL; every
 // run prints the active path and the available ones so recorded numbers
 // are attributable. The per-path table of the 16-bit compare the CPU

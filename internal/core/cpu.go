@@ -121,23 +121,9 @@ func runRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi, room i
 // every worker busy (~4 per worker) without degenerating to one chunk
 // per range on large databases. The residue-fused kernel evaluates
 // every variant (and every batch member) inside one chunk range, so
-// ranges split on chunks only. Ranges are additionally aligned so every
-// job's window range starts on a 64-window word boundary — at ring
-// degrees below 64 a chunk is less than one bitset word, and each
-// word's partial records then come from one job.
+// ranges split on chunks only.
 func (e *CPUEngine) batchSize(numChunks int) int {
-	per := numChunks / (4 * e.workers)
-	if per < 1 {
-		per = 1
-	}
-	n := e.ring.N()
-	if align := (63 + n) / n; align > 1 {
-		per = (per + align - 1) / align * align
-	}
-	if per > numChunks {
-		per = numChunks
-	}
-	return per
+	return max(numChunks/(4*e.workers), 1)
 }
 
 // schedule is the one chunk-range scheduler: it runs the kernel for
@@ -277,9 +263,6 @@ func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 			ir.Release() // return the pooled records on the error path
 		}
 		return err
-	}
-	if n&63 != 0 {
-		all.Words = mergeHitWords(all.Words)
 	}
 	for g := range groups {
 		row := groups[g].row0

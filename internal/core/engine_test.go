@@ -313,34 +313,41 @@ func TestCPUEngineCloseDuringSearches(t *testing.T) {
 }
 
 // TestSeededSearchRejectsOddQ: the CPU engine's 16-bit compare needs a
-// power-of-two q (Δ = q/t a power of two). A seeded search under
-// ParamsOddQ fails with ErrNarrowModulus, alone and in a batch, on
+// power-of-two q (Δ = q/t a power of two) and chunks of whole bitset
+// words (n ≥ 64). A seeded search under ParamsOddQ, or on a ring of
+// degree 16 or 32, fails with ErrNarrowRing, alone and in a batch, on
 // either scheduler, and returns no result.
 func TestSeededSearchRejectsOddQ(t *testing.T) {
-	cfg := Config{Params: bfv.ParamsOddQ(), AlignBits: 8, Mode: ModeSeededMatch}
-	client, err := NewClient(cfg, rng.NewSourceFromString("odd-q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := make([]byte, 256)
-	rng.NewSourceFromString("odd-q-data").Bytes(db)
-	edb, err := client.EncryptDatabase(db, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := client.PrepareQuery(db[10:13], 24, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2} {
-		eng := NewCPUEngine(cfg.Params, edb, workers)
-		if ir, err := eng.SearchAndIndex(q); !errors.Is(err, ErrNarrowModulus) || ir != nil {
-			t.Errorf("workers=%d: single search = (%v, %v), want ErrNarrowModulus and no result", workers, ir, err)
+	for _, params := range []bfv.Params{
+		bfv.ParamsOddQ(),
+		{N: 16, Q: 1 << 32, T: 1 << 16, Eta: 3, RelinBaseBits: 8},
+		{N: 32, Q: 1 << 32, T: 1 << 16, Eta: 3, RelinBaseBits: 8},
+	} {
+		cfg := Config{Params: params, AlignBits: 8, Mode: ModeSeededMatch}
+		client, err := NewClient(cfg, rng.NewSourceFromString("odd-q"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if irs, err := eng.SearchAndIndexBatch(NewBatchQuery(q)); !errors.Is(err, ErrNarrowModulus) || irs != nil {
-			t.Errorf("workers=%d: batch = (%v, %v), want ErrNarrowModulus and no result", workers, irs, err)
+		db := make([]byte, 256)
+		rng.NewSourceFromString("odd-q-data").Bytes(db)
+		edb, err := client.EncryptDatabase(db, 2048)
+		if err != nil {
+			t.Fatal(err)
 		}
-		eng.Close()
+		q, err := client.PrepareQuery(db[10:13], 24, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			eng := NewCPUEngine(cfg.Params, edb, workers)
+			if ir, err := eng.SearchAndIndex(q); !errors.Is(err, ErrNarrowRing) || ir != nil {
+				t.Errorf("n=%d q=%d workers=%d: single search = (%v, %v), want ErrNarrowRing and no result", params.N, params.Q, workers, ir, err)
+			}
+			if irs, err := eng.SearchAndIndexBatch(NewBatchQuery(q)); !errors.Is(err, ErrNarrowRing) || irs != nil {
+				t.Errorf("n=%d q=%d workers=%d: batch = (%v, %v), want ErrNarrowRing and no result", params.N, params.Q, workers, irs, err)
+			}
+			eng.Close()
+		}
 	}
 }
 
@@ -454,69 +461,6 @@ func TestPoolRangeBoundaries(t *testing.T) {
 			ir.Release()
 		}
 		eng.Close()
-	}
-}
-
-// TestEngineSubWordChunks runs the CPU engine at ring degrees below 64,
-// where a chunk is part of a bitset word and every chunk's kernel call
-// emits its partial word: the engine must merge those into one record
-// per word and residue, identical to the client-decrypt twin's, inline
-// and on pools.
-func TestEngineSubWordChunks(t *testing.T) {
-	query := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	for _, n := range []int{16, 32} {
-		params := bfv.Params{N: n, Q: 1 << 32, T: 1 << 16, Eta: 3, RelinBaseBits: 8}
-		cfg := Config{Params: params, AlignBits: 8, Mode: ModeSeededMatch}
-		client, err := NewClient(cfg, rng.NewSourceFromString("sub-word"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		twinCfg := cfg
-		twinCfg.Mode = ModeClientDecrypt
-		twin, err := NewClient(twinCfg, rng.NewSourceFromString("sub-word"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunkBits := SegmentBits * n
-		db := make([]byte, 10*chunkBits/8)
-		rng.NewSourceFromString("sub-word-data").Bytes(db)
-		dbBits := len(db) * 8
-		for _, o := range []int{8, chunkBits - 8, 5*chunkBits - 16, dbBits - 32} {
-			plantQuery(db, query, 32, o)
-		}
-		edb, err := client.EncryptDatabase(db, dbBits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := client.PrepareQuery(query, 32, dbBits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tq, err := twin.PrepareQuery(query, 32, dbBits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, err := NewServer(params, edb).Search(tq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := twin.ExtractHits(tq, sr).Sparse()
-		wantCands := ExpectedCandidates(db, dbBits, query, 32, cfg.AlignBits)
-		for _, workers := range []int{1, 2, 3} {
-			eng := NewCPUEngine(params, edb, workers)
-			ir, err := eng.SearchAndIndex(q)
-			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, eng.Describe(), err)
-			}
-			if !ir.Hits.Equal(want) {
-				t.Fatalf("n=%d %s: records %v, client decrypt %v", n, eng.Describe(), ir.Hits.Words, want.Words)
-			}
-			if !intsEqual(ir.Candidates, wantCands) {
-				t.Fatalf("n=%d %s: candidates %v, plain reference %v", n, eng.Describe(), ir.Candidates, wantCands)
-			}
-			ir.Release()
-			eng.Close()
-		}
 	}
 }
 

@@ -47,10 +47,11 @@ type FactoredQuery struct {
 	low ring.Poly
 }
 
-// ErrNarrowModulus reports a seeded search under a modulus the 16-bit
-// compare cannot split: q must be a power of two, so that Δ = q/t is
-// one too. Every CPU search rejects it before its kernel runs.
-var ErrNarrowModulus = errors.New("core: seeded search requires a power-of-two modulus")
+// ErrNarrowRing reports a seeded search on a ring the 16-bit compare
+// does not serve: q must be a power of two, so that Δ = q/t is one too,
+// and the degree at least 64, so that every chunk covers whole bitset
+// words. Every CPU search rejects it before its kernel runs.
+var ErrNarrowRing = errors.New("core: seeded search requires a power-of-two modulus and a degree of at least 64")
 
 // ErrRHSLowBits reports a group of RHS rows that disagree below Δ:
 // every comparand of one DBTok plane carries the client mask's low part
@@ -161,10 +162,10 @@ func (fq *FactoredQuery) cutNarrow(r *ring.Ring) error {
 	if len(fq.wide) == 0 {
 		return nil
 	}
-	if _, ok := r.NarrowShift(); !ok {
-		return fmt.Errorf("%w: q = %d", ErrNarrowModulus, r.Q())
-	}
 	n := r.N()
+	if _, ok := r.NarrowShift(); !ok || n < 64 {
+		return fmt.Errorf("%w: n = %d, q = %d", ErrNarrowRing, n, r.Q())
+	}
 	slot := make(map[*uint64]int) // distinct comparand → its block row
 	for _, p := range fq.wide {
 		if _, ok := slot[&p[0]]; !ok {

@@ -102,25 +102,6 @@ const wordOffsets = 64 * SegmentBits
 // hitKey orders records by word, then row.
 func hitKey(h ring.HitWord) uint64 { return uint64(h.Word)<<32 | uint64(h.Row) }
 
-// mergeHitWords puts records into canonical form: sorted by word and
-// row, the records of one (word, row) ORed together, empty ones
-// dropped. Only a search whose chunks do not fill whole bitset words
-// (n < 64) needs it: there every chunk's kernel call emits its partial
-// word.
-func mergeHitWords(ws []ring.HitWord) []ring.HitWord {
-	slices.SortFunc(ws, func(a, b ring.HitWord) int { return cmp.Compare(hitKey(a), hitKey(b)) })
-	out := ws[:0]
-	for _, h := range ws {
-		switch {
-		case len(out) > 0 && hitKey(out[len(out)-1]) == hitKey(h):
-			out[len(out)-1].Mask |= h.Mask
-		case h.Mask != 0:
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
 // Candidates converts a search's hit records, in the canonical order
 // every producer emits, into candidate occurrence offsets: every
 // aligned offset whose full windows are all hits. See

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -202,7 +203,11 @@ func TestQueryRoundtrip(t *testing.T) {
 }
 
 func TestResultRoundtrip(t *testing.T) {
-	in := []int{0, 16, 1024, 99999, math.MaxUint32}
+	in := []int{0, 16, 1024, 99999, math.MaxInt32}
+	if strconv.IntSize == 64 { // the largest wire offset fits only a 64-bit int
+		max32 := uint64(math.MaxUint32)
+		in = append(in, int(max32))
+	}
 	enc, err := EncodeResult(in)
 	if err != nil {
 		t.Fatal(err)
@@ -230,15 +235,21 @@ func TestResultRoundtrip(t *testing.T) {
 }
 
 // TestEncodeResultRejectsOverflow: offsets past the 4-byte wire encoding
-// must fail loudly instead of truncating to the wrong position.
+// must fail loudly instead of truncating to the wrong position. Only a
+// 64-bit int holds offsets past 2^32; a negative one fails everywhere.
 func TestEncodeResultRejectsOverflow(t *testing.T) {
-	for _, bad := range [][]int{{math.MaxUint32 + 1}, {-1}, {0, 1 << 40}} {
+	bads := [][]int{{-1}}
+	if strconv.IntSize == 64 {
+		over := uint64(math.MaxUint32) + 1
+		bads = append(bads, []int{int(over)}, []int{0, int(over << 8)})
+	}
+	for _, bad := range bads {
 		if _, err := EncodeResult(bad); err == nil {
 			t.Fatalf("EncodeResult(%v) accepted an unrepresentable offset", bad)
 		}
-	}
-	if _, err := EncodeBatchResult([][]int{{0}, {math.MaxUint32 + 1}}); err == nil {
-		t.Fatal("EncodeBatchResult accepted an unrepresentable offset")
+		if _, err := EncodeBatchResult([][]int{{0}, bad}); err == nil {
+			t.Fatalf("EncodeBatchResult accepted the unrepresentable offset list %v", bad)
+		}
 	}
 }
 

@@ -796,7 +796,7 @@ const CandidateWireBytes = core.CandidateWireBytes
 func (b *buffer) putCandidates(candidates []int) error {
 	b.putInt(len(candidates))
 	for _, c := range candidates {
-		if c < 0 || c > math.MaxUint32 {
+		if c < 0 || uint64(c) > math.MaxUint32 {
 			return fmt.Errorf("proto: candidate offset %d does not fit the %d-byte wire encoding", c, CandidateWireBytes)
 		}
 		b.putUint32(uint32(c))

@@ -32,7 +32,7 @@ func allocFixture(t *testing.T, n int, q uint64, numRHS int) (*Ring, Poly, Poly,
 }
 
 // SubCmpNarrowBits' pin (narrow_test.go) runs under every available
-// dispatch path: the unrolled path must not let a re-slice escape, and
+// dispatch path: the generic path must not let a re-slice escape, and
 // the assembly driver's 64-word stack buffer must stay stack-allocated
 // (//go:noescape on the stubs). SubCmpMultiBits and CmpEqScalarBits run
 // one loop whatever the active path; their pins keep one row per path,

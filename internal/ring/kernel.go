@@ -2,16 +2,12 @@ package ring
 
 // This file is the kernel dispatch layer of ROADMAP item 1: the hot
 // compare kernel SubCmpNarrowBits, the CPU engine's 16-bit compare,
-// exists in four implementations behind one API, selected once at
+// exists in three implementations behind one API, selected once at
 // process start and swappable at runtime for tests and benchmarks:
 //
-//	generic   the committed portable baseline: lane by lane with
-//	          range loops — the reference every other path must match
-//	          record for record (FuzzKernelPaths,
-//	          TestKernelPathsBitIdentical)
-//	unrolled  the multi-lane portable rewrite: four 16-bit lanes per
-//	          uint64 XOR (SWAR), three-index re-slices so the compiler
-//	          elides bounds checks
+//	generic   the portable path: four 16-bit lanes per uint64 XOR
+//	          (SWAR), three-index re-slices so the compiler elides
+//	          bounds checks; the only path off amd64
 //	avx2      amd64 assembly stage primitives (kernel_amd64.s), 16
 //	          narrow lanes per vector op; present only on amd64 with
 //	          OS-enabled AVX2
@@ -19,11 +15,12 @@ package ring
 //	          narrow lanes per vector op, plus a hit-row pass; present
 //	          only with AVX512F+BW and OS-enabled ZMM/opmask state
 //
-// SubCmpMultiBits, the 64-bit form the narrow kernel is tested
-// against, runs one portable loop and ignores the active path.
+// SubCmpMultiBits, the 64-bit form every path must match record for
+// record (FuzzKernelPaths, TestKernelPathsBitIdentical), runs one
+// portable loop and ignores the active path.
 //
 // Selection policy, in order: the CM_KERNEL environment variable
-// (generic|unrolled|avx2|avx512) when set and satisfiable; otherwise
+// (generic|avx2|avx512) when set and satisfiable; otherwise
 // the most specialised path the CPU and OS support. GODEBUG containing
 // cpu.avx2=off disables both assembly paths, and cpu.avx512f=off or
 // cpu.avx512bw=off disables avx512, exactly like the stdlib knobs, so
@@ -43,10 +40,8 @@ import (
 type KernelPath uint32
 
 const (
-	// KernelGeneric is the portable word-at-a-time baseline kernel.
+	// KernelGeneric is the portable SWAR kernel, four lanes per word.
 	KernelGeneric KernelPath = iota
-	// KernelUnrolled is the multi-lane bounds-check-free portable kernel.
-	KernelUnrolled
 	// KernelAVX2 is the amd64 assembly narrow kernel (16 lanes per
 	// vector op).
 	KernelAVX2
@@ -60,8 +55,6 @@ func (p KernelPath) String() string {
 	switch p {
 	case KernelGeneric:
 		return "generic"
-	case KernelUnrolled:
-		return "unrolled"
 	case KernelAVX2:
 		return "avx2"
 	case KernelAVX512:
@@ -75,14 +68,12 @@ func ParseKernelPath(s string) (KernelPath, error) {
 	switch s {
 	case "generic":
 		return KernelGeneric, nil
-	case "unrolled":
-		return KernelUnrolled, nil
 	case "avx2":
 		return KernelAVX2, nil
 	case "avx512":
 		return KernelAVX512, nil
 	}
-	return 0, fmt.Errorf("ring: unknown kernel path %q (want generic, unrolled, avx2 or avx512)", s)
+	return 0, fmt.Errorf("ring: unknown kernel path %q (want generic, avx2 or avx512)", s)
 }
 
 var (
@@ -133,7 +124,7 @@ func godebugDisables(godebug string, opts ...string) bool {
 // kernelSupported reports whether path p can run on this process.
 func kernelSupported(p KernelPath) bool {
 	switch p {
-	case KernelGeneric, KernelUnrolled:
+	case KernelGeneric:
 		return true
 	case KernelAVX2:
 		return avx2Supported

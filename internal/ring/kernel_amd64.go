@@ -6,10 +6,9 @@ package ring
 // primitive per step (kernel_amd64.s) — narrow one block position of a
 // tile, filter it, mark its hit rows (avx512), compare one chunk's
 // flagged blocks exactly — each looping over whole 64-lane blocks. The
-// Go driver (narrow.go) keeps every piece of policy — tiling,
-// prologue/epilogue alignment, the edge words — and hands the asm
-// nothing but dense arithmetic over memory it has already proven in
-// bounds. The stubs are //go:noescape so the lane scratch and the
+// Go driver (narrow.go) keeps every piece of policy — the whole-word
+// precondition, tiling — and hands the asm nothing but dense arithmetic
+// over memory it has already proven in bounds. The stubs are //go:noescape so the lane scratch and the
 // tile's chunk descriptors stay on the caller's stack, keeping the 0
 // allocs/op pin honest.
 

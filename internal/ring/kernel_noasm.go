@@ -7,7 +7,7 @@ package ring
 // them), and the forwarders below exist only so SubCmpNarrowBits'
 // dispatch switches compile everywhere. Should the active path ever read
 // one of them here, the search still computes the right answer on the
-// unrolled path.
+// generic path.
 
 func archAVX2Supported() bool { return false }
 
@@ -19,10 +19,10 @@ func (r *Ring) sweepAsm(sc *laneTile, chunks []NarrowChunk, x, o int, low Poly, 
 	for s, ch := range chunks {
 		r.narrowGo(sc.lanes[64*(x+s):64*(x+s+1)], &sc.guard[x+s], ch.A[o:o+64], ch.D[o*lb:(o+64)*lb], low[o:o+64])
 	}
-	filterUnrolled(sc, chunks, x, o)
+	filterGo(sc, chunks, x, o)
 }
 
 //cm:hotpath
 func exactAsm(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32, _ bool) int {
-	return exactUnrolled(out, sc, x, step, m, top, i, w0)
+	return exactGo(out, sc, x, step, m, top, i, w0)
 }

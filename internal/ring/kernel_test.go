@@ -28,7 +28,7 @@ func withKernel(t testing.TB, p KernelPath, f func()) {
 }
 
 func TestKernelPathNames(t *testing.T) {
-	for _, p := range []KernelPath{KernelGeneric, KernelUnrolled, KernelAVX2, KernelAVX512} {
+	for _, p := range []KernelPath{KernelGeneric, KernelAVX2, KernelAVX512} {
 		got, err := ParseKernelPath(p.String())
 		if err != nil {
 			t.Fatalf("ParseKernelPath(%q): %v", p.String(), err)
@@ -37,17 +37,16 @@ func TestKernelPathNames(t *testing.T) {
 			t.Fatalf("ParseKernelPath(%q) = %v, want %v", p.String(), got, p)
 		}
 	}
-	if _, err := ParseKernelPath("sse9"); err == nil {
-		t.Fatal("ParseKernelPath accepted an unknown path")
+	for _, s := range []string{"sse9", "unrolled"} {
+		if _, err := ParseKernelPath(s); err == nil {
+			t.Fatalf("ParseKernelPath accepted the unknown path %q", s)
+		}
 	}
 }
 
 func TestSetKernelAvailability(t *testing.T) {
 	prev := ActiveKernel()
 	defer SetKernel(prev)
-	if err := SetKernel(KernelUnrolled); err != nil {
-		t.Fatalf("unrolled must always be available: %v", err)
-	}
 	if err := SetKernel(KernelGeneric); err != nil {
 		t.Fatalf("generic must always be available: %v", err)
 	}
@@ -76,7 +75,7 @@ func TestSetKernelAvailability(t *testing.T) {
 	}
 	avail := AvailableKernels()
 	t.Logf("AvailableKernels() = %v, active %s", avail, ActiveKernel())
-	want := []KernelPath{KernelGeneric, KernelUnrolled}
+	want := []KernelPath{KernelGeneric}
 	if avx2Supported {
 		want = append(want, KernelAVX2)
 	}
@@ -210,12 +209,14 @@ func (tc kernelCase) tile() []NarrowChunk {
 
 // runAllKernels checks SubCmpMultiBits, which runs one loop on every
 // path, once against the unfused subtract-then-compare pipeline for
-// every chunk, and then, where the ring has a narrow split, runs
-// SubCmpNarrowBits on the whole tile under every available dispatch
-// path and fails the test unless each path emits exactly the records of
+// every chunk at the case's base, and then, where the ring has a narrow
+// split and n ≥ 64, runs SubCmpNarrowBits on the whole tile under every
+// available dispatch path at the word boundary at or below the base,
+// and fails the test unless each path emits exactly the records of
 // wantNarrowRecords: SubCmpMultiBits on the rows widened back to Polys,
 // one chunk at a time, against the comparands the narrow operands stand
-// for.
+// for. The narrow kernel takes whole bitset words only
+// (TestSubCmpNarrowRejectsSubWords).
 func runAllKernels(t testing.TB, tc kernelCase) {
 	t.Helper()
 	n := tc.r.N()
@@ -252,17 +253,17 @@ func runAllKernels(t testing.TB, tc kernelCase) {
 			}
 		}
 	}
-	if tc.top == nil {
+	if tc.top == nil || n < 64 {
 		return
 	}
-	tile := tc.tile()
-	want := wantNarrowRecords(tc.r, tile, tc.low, tc.base)
+	tile, base := tc.tile(), tc.base&^63
+	want := wantNarrowRecords(tc.r, tile, tc.low, base)
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			got := narrowRecords(tc.r, tile, tc.low, tc.base)
+			got := narrowRecords(tc.r, tile, tc.low, base)
 			if i := firstDiff(got, want); i >= 0 {
 				t.Fatalf("SubCmpNarrowBits path %s: record %d of %d/%d differs: %s, want %s (n=%d q=%d base=%d chunks=%d period=%d row offset %d)",
-					p, i, len(got), len(want), recordAt(got, i), recordAt(want, i), n, tc.r.Q(), tc.base, len(tile), len(tc.top), cap(tc.lanes[0])-len(tc.lanes[0]))
+					p, i, len(got), len(want), recordAt(got, i), recordAt(want, i), n, tc.r.Q(), base, len(tile), len(tc.top), cap(tc.lanes[0])-len(tc.lanes[0]))
 			}
 		})
 	}
@@ -274,13 +275,13 @@ func scratchChunks(n int) int { return max(64*tileBlocks/n, 1) }
 
 // TestKernelPathsBitIdentical is the deterministic cross-path property
 // test: SubCmpMultiBits must match subtract-then-compare on every
-// modulus family, and every available path of SubCmpNarrowBits must
-// emit the records of its SubCmpMultiBits oracle on the power-of-two
-// ones, across degrees on both sides of the 64-coefficient word body,
-// aligned and unaligned bases, comparand counts bracketing the serving
-// R, and tiles of one chunk, of three chunks past a scratch boundary,
-// and of such a tile whose comparand rows change with a phase period of
-// 3.
+// modulus family, across degrees on both sides of the 64-coefficient
+// word body and aligned and unaligned bases, and every available path
+// of SubCmpNarrowBits must emit the records of its SubCmpMultiBits
+// oracle on the power-of-two ones at whole words, across comparand
+// counts bracketing the serving R, and tiles of one chunk, of three
+// chunks past a scratch boundary, and of such a tile whose comparand
+// rows change with a phase period of 3.
 func TestKernelPathsBitIdentical(t *testing.T) {
 	src := rng.NewSourceFromString("kernel-paths")
 	for _, fam := range slices.Concat(kernelFamilies, narrowFamilies) {
@@ -323,10 +324,10 @@ var fuzzNs = []int{16, 64, 128, 1024}
 // row byte offset (0–63), tile length (1–20 chunks), phase period (1–3)
 // and coefficient streams, asserting that SubCmpMultiBits matches
 // subtract-then-compare for every modulus, odd ones included, and that
-// on power-of-two q the generic, unrolled and (where present) avx2 and
-// avx512 paths of SubCmpNarrowBits, reading the rows' 4-byte (q ≤
-// 2^32) or 8-byte lanes, emit exactly the records of SubCmpMultiBits on
-// the widened rows. A divergence here is a miscompare in a rewritten
+// on power-of-two q the generic and (where present) avx2 and avx512
+// paths of SubCmpNarrowBits, reading the rows' 4-byte (q ≤ 2^32) or
+// 8-byte lanes, emit exactly the records of SubCmpMultiBits on the
+// widened rows at whole words (the base rounded down to one; n ≥ 64). A divergence here is a miscompare in a rewritten
 // kernel — exactly the bug class that must be impossible before a new
 // path can ship.
 func FuzzKernelPaths(f *testing.F) {
@@ -345,8 +346,8 @@ func FuzzKernelPaths(f *testing.F) {
 	f.Add(uint64(11), uint8(5), uint8(3), uint16(0), uint8(32), uint8(3), uint8(0), uint8(0))
 	f.Add(uint64(12), uint8(5), uint8(1), uint16(101), uint8(65), uint8(61), uint8(0), uint8(0))
 	// Multi-chunk tiles: n = 1024 past one scratch (8 chunks) with 4-
-	// and 8-byte lanes, phase periods 2 and 3, sub-word chunks (n = 16)
-	// sharing words at an unaligned base.
+	// and 8-byte lanes, phase periods 2 and 3, and sub-word chunks
+	// (n = 16), which only SubCmpMultiBits takes.
 	f.Add(uint64(13), uint8(0), uint8(3), uint16(0), uint8(32), uint8(0), uint8(10), uint8(0))
 	f.Add(uint64(14), uint8(0), uint8(3), uint16(64), uint8(5), uint8(9), uint8(10), uint8(1))
 	f.Add(uint64(15), uint8(5), uint8(3), uint16(37), uint8(8), uint8(2), uint8(12), uint8(2))

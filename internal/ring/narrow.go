@@ -1,6 +1,9 @@
 package ring
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // This file implements the narrow compare kernel of the seeded search.
 // The hit test of SubCmpMultiBits is a 64-bit equality
@@ -31,10 +34,12 @@ import "encoding/binary"
 // the blocks the filter flagged. Stage 2 reads lanes and guard words,
 // never a coefficient or a token row.
 //
-// The kernel has four dispatch paths (kernel.go); SubCmpMultiBits is
-// the one-loop reference they are tested against. Its output is sparse:
-// one HitWord record per word that holds a hit, so a search writes
-// nothing for the words it misses.
+// The kernel has three dispatch paths (kernel.go); SubCmpMultiBits is
+// the one-loop reference they are tested against. It works on whole
+// bitset words only: every chunk holds a multiple of 64 coefficients
+// and starts on a word. Its output is sparse: one HitWord record per
+// word that holds a hit, so a search writes nothing for the words it
+// misses.
 //
 // The subtrahend d is a token row: little-endian lanes of LaneBytes
 // each, the byte layout a query's token plane has from the client's
@@ -53,11 +58,15 @@ type HitWord struct {
 
 // HitRoom returns how many records SubCmpNarrowBits can emit for one
 // chunk of n coefficients and rows comparands: one per comparand for
-// every bitset word the chunk touches, at most ⌈n/64⌉+1 of them. A
-// tile needs the sum over its chunks.
+// each of the chunk's n/64 bitset words. A tile needs the sum over its
+// chunks.
 func HitRoom(n, rows int) int {
-	return rows * ((n+63)/64 + 1)
+	return rows * (n / 64)
 }
+
+// errSubWord is SubCmpNarrowBits' panic value for a tile off whole
+// bitset words: a sentinel, so the hot path boxes nothing.
+var errSubWord = errors.New("ring: SubCmpNarrowBits needs whole bitset words: chunks of n ≥ 64 coefficients, n and base multiples of 64")
 
 // NarrowBits is the lane width of SubCmpNarrowBits: log2 t of every
 // served parameter set.
@@ -197,62 +206,41 @@ type laneTile struct {
 // exactly the bits SubCmpMultiBits sets for rhs, chunk by chunk.
 //
 // Records come chunk by chunk in ascending word order, comparands
-// ascending within a word. A word covered by a whole 64-coefficient
-// block is emitted only if it holds a hit; the partial words at the
-// edges of an unaligned chunk (its first or last window not on a
-// multiple of 64) are emitted for every comparand, empty or not, so
-// neighbouring chunks may emit the same (word, comparand) twice, with
-// disjoint masks.
+// ascending within a word, and a word is emitted only if it holds a
+// hit.
 //
 // The ring must satisfy NarrowShift. Every chunk holds the same number
-// n of coefficients; D must hold n lanes, low and every Top[v] n
-// entries, and out must have room for HitRoom(n, len(Top)) records per
-// chunk. Any tile length works; TileChunks(n) chunks fill the scratch.
+// n of coefficients, a multiple of 64, and base is a multiple of 64, so
+// every chunk covers whole bitset words; any other tile panics with
+// errSubWord. D must hold n lanes, low and every Top[v] n entries, and
+// out must have room for HitRoom(n, len(Top)) records per chunk. Any
+// tile length works; TileChunks(n) chunks fill the scratch.
 //
 //cm:hotpath
 func (r *Ring) SubCmpNarrowBits(tile []NarrowChunk, low Poly, out []HitWord, base int) int {
 	if len(tile) == 0 {
 		return 0
 	}
-	leg := KernelPath(activeKernel.Load())
 	n := len(tile[0].A)
+	if n < 64 || (n|base)&63 != 0 {
+		panic(errSubWord)
+	}
+	leg := KernelPath(activeKernel.Load())
 	var sc laneTile
-	nw := 0
+	nb, nw := n>>6, 0
 	for c := 0; c < len(tile); {
-		b := base + c*n
-		pro := min(-b&63, n)
-		nb := (n - pro) >> 6
-		// Chunks of whole words all start at the same word offset, so
-		// as many as the scratch holds share one pass; any other chunk
-		// runs alone, one scratch of blocks at a time.
-		spans := 1
-		if n&63 == 0 && nb > 0 {
-			spans = max(min(len(tile)-c, tileBlocks/nb), 1)
-		}
-		chunks := tile[c : c+spans]
-		for i := pro; ; i += 64 * tileBlocks {
-			m := min((n-i)>>6, tileBlocks)
-			if m > 0 {
-				r.sweepTile(leg, &sc, chunks, low, i, m)
-			}
-			last := i+64*m == pro+64*nb
+		// As many chunks as the scratch holds share one pass; a chunk
+		// larger than the scratch runs alone, one scratch of blocks at
+		// a time.
+		chunks := tile[c : c+max(min(len(tile)-c, tileBlocks/nb), 1)]
+		for i := 0; i < n; i += 64 * tileBlocks {
+			m := min(nb-i>>6, tileBlocks)
+			r.sweepTile(leg, &sc, chunks, low, i, m)
 			for s := range chunks {
-				bs := b + s*n
-				if i == pro {
-					nw = r.subCmpNarrowScalar(chunks[s], low, out, nw, bs, 0, pro)
-				}
-				if m > 0 {
-					nw = exactSpan(leg, &sc, s, len(chunks), m, chunks[s].Top, i, out, nw, uint32((bs+i)>>6))
-				}
-				if last {
-					nw = r.subCmpNarrowScalar(chunks[s], low, out, nw, bs, pro+64*nb, n)
-				}
-			}
-			if last {
-				break
+				nw = exactSpan(leg, &sc, s, len(chunks), m, chunks[s].Top, i, out, nw, uint32((base+(c+s)*n+i)>>6))
 			}
 		}
-		c += spans
+		c += len(chunks)
 	}
 	return nw
 }
@@ -284,11 +272,7 @@ func (r *Ring) sweepTile(leg KernelPath, sc *laneTile, chunks []NarrowChunk, low
 			for s, ch := range chunks {
 				r.narrowGo(sc.lanes[64*(x+s):64*(x+s+1)], &sc.guard[x+s], ch.A[o:o+64], ch.D[o*lb:(o+64)*lb], low[o:o+64])
 			}
-			if leg == KernelUnrolled {
-				filterUnrolled(sc, chunks, x, o)
-			} else {
-				filterGeneric(sc, chunks, x, o)
-			}
+			filterGo(sc, chunks, x, o)
 		}
 	}
 }
@@ -310,33 +294,6 @@ func (r *Ring) narrowGo(lanes []uint16, guard *uint64, a Poly, d []byte, low Pol
 		lanes[k] = uint16(t >> s)
 	}
 	*guard = g
-}
-
-// filterGeneric is the filter lane by lane over scratch blocks x … of
-// chunks, comparand rows read from coefficient o: the minimum over
-// comparands of lanes XOR row is zero exactly at the lanes some
-// comparand equals.
-//
-//cm:hotpath
-func filterGeneric(sc *laneTile, chunks []NarrowChunk, x, o int) {
-	for s, ch := range chunks {
-		ln := sc.lanes[64*(x+s) : 64*(x+s+1)]
-		var acc [64]uint16
-		for l := range acc {
-			acc[l] = 0xFFFF
-		}
-		for _, tv := range ch.Top {
-			tt := tv[o : o+64]
-			for l := range acc {
-				acc[l] = min(acc[l], ln[l]^tt[l])
-			}
-		}
-		var w uint64
-		for l, v := range acc {
-			w |= (uint64(v) - 1) >> 63 << uint(l)
-		}
-		sc.flags[x+s] = w & sc.guard[x+s]
-	}
 }
 
 // lanes16Lo is the low 15 bits of each 16-bit lane of a uint64.
@@ -380,13 +337,14 @@ func lanes4(l []uint16) uint64 {
 	return uint64(l[0]) | uint64(l[1])<<16 | uint64(l[2])<<32 | uint64(l[3])<<48
 }
 
-// filterUnrolled is the SWAR filter: four lanes per uint64, and per
-// comparand one XOR and nonzeroLanes16 ANDed into the block's
-// accumulator, whose lane tops end up clear exactly where some
-// comparand equals.
+// filterGo is the filter on the generic path over scratch blocks x …
+// of chunks, comparand rows read from coefficient o, in SWAR: four
+// lanes per uint64, and per comparand one XOR and nonzeroLanes16 ANDed
+// into the block's accumulator, whose lane tops end up clear exactly
+// where some comparand equals.
 //
 //cm:hotpath
-func filterUnrolled(sc *laneTile, chunks []NarrowChunk, x, o int) {
+func filterGo(sc *laneTile, chunks []NarrowChunk, x, o int) {
 	for s, ch := range chunks {
 		ln := sc.lanes[64*(x+s) : 64*(x+s+1) : 64*(x+s+1)]
 		var pk, acc [16]uint64
@@ -419,52 +377,17 @@ func exactSpan(leg KernelPath, sc *laneTile, x, step, m int, top [][]uint16, i i
 		return nw
 	}
 	dst := out[nw : nw+m*len(top)] // the assembly writes records unchecked
-	switch leg {
-	case KernelAVX512, KernelAVX2:
+	if leg == KernelAVX512 || leg == KernelAVX2 {
 		return nw + exactAsm(dst, sc, x, step, m, top, i, w0, leg == KernelAVX512)
-	case KernelUnrolled:
-		return nw + exactUnrolled(dst, sc, x, step, m, top, i, w0)
-	default:
-		return nw + exactGeneric(dst, sc, x, step, m, top, i, w0)
 	}
+	return nw + exactGo(dst, sc, x, step, m, top, i, w0)
 }
 
-// exactGeneric is the exact compare lane by lane.
+// exactGo is the exact compare on the generic path, four lanes per XOR
+// (zeroLanes16).
 //
 //cm:hotpath
-func exactGeneric(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32) int {
-	nw := 0
-	for k := 0; k < m; k++ {
-		b := x + k*step
-		f := sc.flags[b]
-		//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
-		if f == 0 {
-			continue
-		}
-		ln, o := sc.lanes[64*b:64*b+64], i+64*k
-		for v, tv := range top {
-			tt := tv[o : o+64]
-			var w uint64
-			for l := range tt {
-				// A lane XOR is below 2^16, so subtracting 1 borrows
-				// into the top bit iff the lanes are equal.
-				w |= (uint64(ln[l]^tt[l]) - 1) >> 63 << uint(l)
-			}
-			w &= f
-			//cm:allow ctbranch -- aggregated hit-word emission: reveals only word-granular occupancy, and is the kernel's read-stream guarantee
-			if w != 0 {
-				out[nw].Word, out[nw].Row, out[nw].Mask = w0+uint32(k), uint32(v), w
-				nw++
-			}
-		}
-	}
-	return nw
-}
-
-// exactUnrolled is the exact compare four lanes per XOR (zeroLanes16).
-//
-//cm:hotpath
-func exactUnrolled(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32) int {
+func exactGo(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, i int, w0 uint32) int {
 	nw := 0
 	var pk [16]uint64
 	for k := 0; k < m; k++ {
@@ -491,42 +414,6 @@ func exactUnrolled(out []HitWord, sc *laneTile, x, step, m int, top [][]uint16, 
 				nw++
 			}
 		}
-	}
-	return nw
-}
-
-// subCmpNarrowScalar is the coefficient-at-a-time edge path of
-// SubCmpNarrowBits over coefficients [lo, hi) of chunk ch, whose first
-// coefficient is window base; they lie in one bitset word. Shared by
-// every dispatch path, it computes the guard bits and narrow
-// differences once, then writes the word's record for every comparand,
-// hit or not, at out[nw:], and returns the new record count.
-//
-//cm:hotpath
-func (r *Ring) subCmpNarrowScalar(ch NarrowChunk, low Poly, out []HitWord, nw, base, lo, hi int) int {
-	if lo == hi {
-		return nw
-	}
-	s, lm := r.narrowShift, r.lowMask
-	var diff [64]uint16
-	var dd [64]uint64
-	r.WidenLanes(dd[:hi-lo], ch.D[lo*r.laneBytes:])
-	var g uint64
-	for i := lo; i < hi; i++ {
-		t := ch.A[i] - dd[i-lo]
-		diff[i-lo] = uint16(t >> s)
-		_, m := bitsetWord(base + i)
-		g |= m & -eqMaskBit(t&lm, low[i]&lm)
-	}
-	wi := uint32((base + lo) >> 6)
-	for v, tv := range ch.Top {
-		var w uint64
-		for i := lo; i < hi; i++ {
-			_, m := bitsetWord(base + i)
-			w |= m & -eqMaskBit(uint64(diff[i-lo]), uint64(tv[i]))
-		}
-		out[nw].Word, out[nw].Row, out[nw].Mask = wi, uint32(v), w&g
-		nw++
 	}
 	return nw
 }

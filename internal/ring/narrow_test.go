@@ -3,7 +3,6 @@ package ring
 import (
 	"fmt"
 	"testing"
-	"unsafe"
 
 	"ciphermatch/internal/rng"
 )
@@ -59,12 +58,19 @@ func narrowRecords(r *Ring, tile []NarrowChunk, low Poly, base int) []HitWord {
 	return out[:r.SubCmpNarrowBits(tile, low, out, base)]
 }
 
+// narrowRefused reports whether SubCmpNarrowBits refuses tile at base,
+// panicking with errSubWord.
+func narrowRefused(r *Ring, tile []NarrowChunk, low Poly, base int) (refused bool) {
+	defer func() { refused = recover() == errSubWord }()
+	narrowRecords(r, tile, low, base)
+	return false
+}
+
 // wantNarrowRecords is the oracle of SubCmpNarrowBits' record stream,
 // built one chunk at a time from SubCmpMultiBits on the widened token
 // row against the comparands the narrow operands stand for, Top[v]'s
 // lanes over low's low part: per chunk its words ascending, comparands
-// ascending within a word, a whole word only when it holds a hit and
-// the chunk's partial edge words always.
+// ascending within a word, a word only when it holds a hit.
 func wantNarrowRecords(r *Ring, tile []NarrowChunk, low Poly, base int) []HitWord {
 	s, _ := r.NarrowShift()
 	lm := uint64(1)<<s - 1
@@ -85,9 +91,8 @@ func wantNarrowRecords(r *Ring, tile []NarrowChunk, low Poly, base int) []HitWor
 		}
 		r.SubCmpMultiBits(ch.A, d, cmp, bits, b)
 		for w := first; w <= last; w++ {
-			edge := w == first && b&63 != 0 || w == last && (b+n)&63 != 0
 			for v := range cmp {
-				if m := bits[v][w]; m != 0 || edge {
+				if m := bits[v][w]; m != 0 {
 					out = append(out, HitWord{Word: uint32(w), Row: uint32(v), Mask: m})
 				}
 			}
@@ -122,8 +127,8 @@ func recordAt(hs []HitWord, i int) string {
 // HitRoom records of room and scatters its records into len(top) dense
 // bitsets of words words: the conversion through which the tests
 // compare its hits with SubCmpMultiBits' words. It fails unless the
-// records ascend by word and comparand inside the call's words and only
-// the call's partial edge words carry empty masks.
+// records ascend by word and comparand inside the call's words and
+// every mask holds a hit.
 func runNarrow(t testing.TB, r *Ring, a Poly, d []byte, low Poly, top [][]uint16, base, words int) [][]uint64 {
 	t.Helper()
 	out := narrowRecords(r, []NarrowChunk{{A: a, D: d, Top: top}}, low, base)
@@ -134,14 +139,13 @@ func runNarrow(t testing.TB, r *Ring, a Poly, d []byte, low Poly, top [][]uint16
 	first, last := base>>6, (base+len(a)-1)>>6
 	for i, h := range out {
 		w := int(h.Word)
-		edge := w == first && base&63 != 0 || w == last && (base+len(a))&63 != 0
 		switch {
 		case w < first || w > last || int(h.Row) >= len(top):
 			t.Fatalf("record %d (word %d, row %d) outside the call's %d words from %d and %d rows", i, w, h.Row, last-first+1, first, len(top))
 		case i > 0 && (out[i-1].Word > h.Word || out[i-1].Word == h.Word && out[i-1].Row >= h.Row):
 			t.Fatalf("record %d (word %d, row %d) does not ascend from (word %d, row %d)", i, w, h.Row, out[i-1].Word, out[i-1].Row)
-		case h.Mask == 0 && !edge:
-			t.Fatalf("record %d: empty mask for whole word %d", i, w)
+		case h.Mask == 0:
+			t.Fatalf("record %d: empty mask for word %d", i, w)
 		}
 		bits[h.Row][w] |= h.Mask
 	}
@@ -150,8 +154,9 @@ func runNarrow(t testing.TB, r *Ring, a Poly, d []byte, low Poly, top [][]uint16
 
 // narrowFamilies are the rings SubCmpNarrowBits serves and the edges of
 // its split: the paper's q = 2^32 (16 low bits) at degrees on both
-// sides of the word body, ParamsN2048's q = 2^54 (38 low bits), q =
-// 2^20, and q = 2^16, where the low part is empty.
+// sides of the word body (n = 16, below it, the kernel refuses),
+// ParamsN2048's q = 2^54 (38 low bits), q = 2^20, and q = 2^16, where
+// the low part is empty.
 var narrowFamilies = []struct {
 	name string
 	n    int
@@ -215,8 +220,8 @@ func newNarrowCase(src *rng.Source, n int, q uint64, R int) (r *Ring, a, d, low 
 // the narrow kernel: on every available path, for comparands that share
 // their low bits, SubCmpNarrowBits sets exactly the bits SubCmpMultiBits
 // sets — planted hits, low-only mismatches and random differences alike
-// — at aligned and unaligned bases and comparand counts on both sides
-// of a 64-comparand group.
+// — at word-aligned bases and comparand counts on both sides of a
+// 64-comparand group, and refuses unaligned bases and sub-word degrees.
 func TestSubCmpNarrowMatchesMultiBits(t *testing.T) {
 	src := rng.NewSourceFromString("narrow-vs-wide")
 	for _, fam := range narrowFamilies {
@@ -236,6 +241,12 @@ func TestSubCmpNarrowMatchesMultiBits(t *testing.T) {
 						r.SubCmpMultiBits(a, d, rhs, wide, base)
 						for _, p := range AvailableKernels() {
 							withKernel(t, p, func() {
+								if base&63 != 0 || fam.n < 64 {
+									if !narrowRefused(r, []NarrowChunk{{A: a, D: lanes, Top: top}}, low, base) {
+										t.Fatalf("path %s: n=%d base %d off whole words accepted", p, fam.n, base)
+									}
+									return
+								}
 								narrow := runNarrow(t, r, a, lanes, low, top, base, words)
 								for v := range wide {
 									for w := range wide[v] {
@@ -251,7 +262,7 @@ func TestSubCmpNarrowMatchesMultiBits(t *testing.T) {
 					}
 				}
 			}
-			if hits == 0 {
+			if hits == 0 && fam.n >= 64 {
 				t.Fatal("no planted hit survived; the cases test nothing")
 			}
 		})
@@ -278,11 +289,11 @@ func TestSubCmpNarrowGuard(t *testing.T) {
 	lanes := laneRow(r, d, 1)
 	for _, p := range AvailableKernels() {
 		withKernel(t, p, func() {
-			bits := runNarrow(t, r, a, lanes, off, top, 5, 3)
+			bits := runNarrow(t, r, a, lanes, off, top, 64, 3)
 			if bits[0][0]|bits[0][1]|bits[0][2] != 0 {
 				t.Fatalf("path %s: low-part mismatch produced hits %#x", p, bits[0])
 			}
-			bits = runNarrow(t, r, a, lanes, diff, top, 5, 3)
+			bits = runNarrow(t, r, a, lanes, diff, top, 64, 3)
 			if got := popcount(bits[0][0]) + popcount(bits[0][1]) + popcount(bits[0][2]); got != 128 {
 				t.Fatalf("path %s: %d of 128 exact comparands hit", p, got)
 			}
@@ -318,11 +329,12 @@ func TestZeroLanes16(t *testing.T) {
 
 // TestSubCmpNarrowTiles holds every path to its record oracle at the
 // tile shapes the engine and odd callers produce: a chunk count that is
-// not a multiple of the scratch's, sub-word chunks sharing a word, a
-// phase period of 3 (neighbouring chunks on different comparand rows),
-// 8-byte lanes, a chunk larger than the whole scratch (processed in
-// pieces, aligned and not), and comparand counts past one register
-// group.
+// not a multiple of the scratch's, a phase period of 3 (neighbouring
+// chunks on different comparand rows), 8-byte lanes, a chunk larger
+// than the whole scratch (processed in pieces), nonzero word-aligned
+// bases, and comparand counts past one register group. The shapes off
+// whole words — sub-word chunks, unaligned bases — every path must
+// refuse.
 func TestSubCmpNarrowTiles(t *testing.T) {
 	src := rng.NewSourceFromString("narrow-tiles")
 	for _, tc := range []struct {
@@ -334,20 +346,34 @@ func TestSubCmpNarrowTiles(t *testing.T) {
 		{1024, 1 << 32, 8, 1, 0, 32},
 		{1024, 1 << 32, 19, 3, 0, 5},
 		{1024, 1 << 32, 9, 2, 37, 3},
+		{1024, 1 << 32, 9, 2, 64 * 3, 3},
 		{64, 1 << 32, 131, 3, 0, 2},
 		{64, 1 << 32, 130, 1, 5, 1},
+		{64, 1 << 32, 130, 1, 64, 1},
 		{16, 1 << 32, 21, 3, 0, 4},
 		{32, 1 << 32, 9, 2, 48, 3},
 		{2048, 1 << 54, 6, 2, 0, 32},
 		{2048, 1 << 54, 5, 1, 64*3 + 1, 2},
+		{2048, 1 << 54, 5, 1, 64 * 3, 2},
 		{16384, 1 << 32, 2, 2, 0, 3},
 		{16384, 1 << 32, 1, 1, 37, 2},
+		{16384, 1 << 32, 1, 1, 64, 2},
 		{128, 1 << 20, 70, 3, 64, 65},
 	} {
 		name := fmt.Sprintf("n%d-q%d-chunks%d-period%d-base%d-R%d", tc.n, tc.q, tc.chunks, tc.period, tc.base, tc.R)
 		t.Run(name, func(t *testing.T) {
 			kc := newKernelCase(src, tc.n, tc.q, tc.R, tc.base, tc.chunks%7, tc.chunks, tc.period)
 			tile := kc.tile()
+			if tc.n < 64 || tc.base&63 != 0 {
+				for _, p := range AvailableKernels() {
+					withKernel(t, p, func() {
+						if !narrowRefused(kc.r, tile, kc.low, tc.base) {
+							t.Fatalf("path %s accepted a tile off whole words", p)
+						}
+					})
+				}
+				return
+			}
 			want := wantNarrowRecords(kc.r, tile, kc.low, tc.base)
 			hits := 0
 			for _, h := range want {
@@ -428,29 +454,28 @@ func TestSubCmpNarrowSparseHits(t *testing.T) {
 	}
 }
 
-// TestNarrowLayout pins the struct layouts the assembly addresses at
-// fixed offsets (the TILE_* and CHUNK_* constants of kernel_amd64.s).
-func TestNarrowLayout(t *testing.T) {
-	var sc laneTile
-	var ch NarrowChunk
-	for _, c := range []struct {
-		name      string
-		got, want uintptr
-	}{
-		{"laneTile.guard", unsafe.Offsetof(sc.guard), 16384},
-		{"laneTile.flags", unsafe.Offsetof(sc.flags), 17408},
-		{"laneTile.rows", unsafe.Offsetof(sc.rows), 18432},
-		{"NarrowChunk.A", unsafe.Offsetof(ch.A), 0},
-		{"NarrowChunk.D", unsafe.Offsetof(ch.D), 24},
-		{"NarrowChunk.Top", unsafe.Offsetof(ch.Top), 48},
-		{"NarrowChunk size", unsafe.Sizeof(ch), 72},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s at %d, the assembly expects %d", c.name, c.got, c.want)
+// TestSubCmpNarrowRejectsSubWords pins the kernel's precondition: on
+// every path, a tile of chunks below one bitset word (n = 32) or at a
+// base off a word boundary (37) panics with the sentinel errSubWord
+// instead of emitting records.
+func TestSubCmpNarrowRejectsSubWords(t *testing.T) {
+	src := rng.NewSourceFromString("narrow-sub-word")
+	for _, tc := range []struct{ n, base int }{{32, 0}, {32, 64}, {1024, 37}, {64, 32}} {
+		kc := newKernelCase(src, tc.n, 1<<32, 2, tc.base, 0, 3, 1)
+		for _, p := range AvailableKernels() {
+			withKernel(t, p, func() {
+				if !narrowRefused(kc.r, kc.tile(), kc.low, tc.base) {
+					t.Fatalf("path %s: n=%d base %d accepted, want a panic with errSubWord", p, tc.n, tc.base)
+				}
+			})
 		}
 	}
 }
 
+// TestSubCmpNarrowBitsZeroAllocs pins 0 allocs per call on every path
+// and family, at two word-aligned bases; below a word (n = 16) it pins
+// the refusal: the panic carries a sentinel, so it allocates nothing
+// either.
 func TestSubCmpNarrowBitsZeroAllocs(t *testing.T) {
 	for _, p := range AvailableKernels() {
 		t.Run(p.String(), func(t *testing.T) {
@@ -460,7 +485,17 @@ func TestSubCmpNarrowBitsZeroAllocs(t *testing.T) {
 					tile := kc.tile()
 					out := make([]HitWord, tileRoom(tile))
 					withKernel(t, p, func() {
-						for _, base := range []int{0, 37} {
+						if fam.n < 64 {
+							refused := false
+							if avg := testing.AllocsPerRun(100, func() {
+								defer func() { refused = recover() == errSubWord }()
+								kc.r.SubCmpNarrowBits(tile, kc.low, out, 0)
+							}); avg != 0 || !refused {
+								t.Fatalf("sub-word SubCmpNarrowBits: refused %v, %.1f allocs per call, want a refusal and 0", refused, avg)
+							}
+							return
+						}
+						for _, base := range []int{0, 64} {
 							if avg := testing.AllocsPerRun(100, func() {
 								kc.r.SubCmpNarrowBits(tile, kc.low, out, base)
 							}); avg != 0 {
