@@ -351,6 +351,71 @@ func TestSeededSearchRejectsOddQ(t *testing.T) {
 	}
 }
 
+// TestEngineSubWordChunks: on rings of degree 16 and 32 a chunk is
+// narrower than one bitset word. The client-decrypt path still serves
+// them: with occurrences planted across chunk boundaries, its candidates
+// equal the plain reference. The seeded CPU engine refuses the same
+// database with ErrNarrowRing on every worker count instead of
+// returning records.
+func TestEngineSubWordChunks(t *testing.T) {
+	query := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	for _, n := range []int{16, 32} {
+		params := bfv.Params{N: n, Q: 1 << 32, T: 1 << 16, Eta: 3, RelinBaseBits: 8}
+		cfg := Config{Params: params, AlignBits: 8, Mode: ModeSeededMatch}
+		client, err := NewClient(cfg, rng.NewSourceFromString("sub-word"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twinCfg := cfg
+		twinCfg.Mode = ModeClientDecrypt
+		twin, err := NewClient(twinCfg, rng.NewSourceFromString("sub-word"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunkBits := SegmentBits * n
+		db := make([]byte, 10*chunkBits/8)
+		rng.NewSourceFromString("sub-word-data").Bytes(db)
+		dbBits := len(db) * 8
+		planted := []int{8, chunkBits - 8, 5*chunkBits - 16, dbBits - 32}
+		for _, o := range planted {
+			plantQuery(db, query, 32, o)
+		}
+		edb, err := client.EncryptDatabase(db, dbBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := client.PrepareQuery(query, 32, dbBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tq, err := twin.PrepareQuery(query, 32, dbBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := NewServer(params, edb).Search(tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Candidates(twin.ExtractHits(tq, sr).Sparse(), dbBits, 32, cfg.AlignBits)
+		wantCands := ExpectedCandidates(db, dbBits, query, 32, cfg.AlignBits)
+		if !intsEqual(got, wantCands) {
+			t.Fatalf("n=%d client decrypt: candidates %v, plain reference %v", n, got, wantCands)
+		}
+		for _, o := range planted {
+			if !slices.Contains(got, o) {
+				t.Fatalf("n=%d client decrypt: planted occurrence at %d missing from %v", n, o, got)
+			}
+		}
+		for _, workers := range []int{1, 2, 3} {
+			eng := NewCPUEngine(params, edb, workers)
+			if ir, err := eng.SearchAndIndex(q); !errors.Is(err, ErrNarrowRing) || ir != nil {
+				t.Errorf("n=%d %s: seeded search = (%v, %v), want ErrNarrowRing and no result", n, eng.Describe(), ir, err)
+			}
+			eng.Close()
+		}
+	}
+}
+
 // TestBatchRejectsRHSLowBitMismatch: two batch members on one DBTok
 // plane with one length fold into one factored query, whose comparands
 // must all share the client mask's low part below Δ. A member whose
