@@ -85,7 +85,7 @@ type (
 	Bitset = core.Bitset
 
 	// Engine is the backend-agnostic execution interface: the CPU
-	// engine (serial or over a worker pool) and the in-flash simulator
+	// engine (serial or fanned out over workers) and the in-flash simulator
 	// both satisfy it and return identical results.
 	Engine = core.Engine
 	// BatchQuery carries N independent queries against one database, so
@@ -140,7 +140,7 @@ func NewClient(cfg Config, seed *Seed) (*Client, error) { return core.NewClient(
 const (
 	// EngineSerial executes searches on the calling goroutine.
 	EngineSerial = core.EngineSerial
-	// EnginePool fans chunk ranges across a persistent worker pool.
+	// EnginePool fans each search's chunk ranges out over N workers.
 	EnginePool = core.EnginePool
 	// EngineSSD executes CM-search inside the simulated in-flash drive.
 	EngineSSD = core.EngineSSD

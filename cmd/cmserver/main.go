@@ -2,7 +2,7 @@
 // store of named encrypted databases answering encrypted queries with
 // match indices, never holding any key material (§2.2's two-round HE
 // exchange; Algorithm 1 server side). Each database runs on an
-// execution engine — serial CPU, persistent worker pool, or the
+// execution engine — serial CPU, CPU fanned out over N workers, or the
 // simulated in-flash drive — selected per upload or defaulted here.
 //
 // With -datadir the store is durable: uploads write through to

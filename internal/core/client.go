@@ -214,28 +214,37 @@ func (c *Client) dbSource() *rng.Source { return c.src.Fork("db") }
 // psi) and the token mask from querySource().Fork("token-mask").
 func (c *Client) querySource() *rng.Source { return c.src.Fork("query") }
 
-// forEach runs f(0), …, f(n-1) on min(GOMAXPROCS, n) workers that claim
-// indices from a shared counter; the caller is one of them, so with one
-// worker everything runs inline and no goroutine starts. Each f(i) must
-// write only item i's outputs.
-func forEach(n int, f func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			f(i)
-		}
+// fanOut is the state of one forEach call, kept in one allocation.
+type fanOut struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	f    func(i int)
+}
+
+// run claims indices from the shared counter until none is left.
+func (s *fanOut) run() {
+	for i := int(s.next.Add(1) - 1); i < s.n; i = int(s.next.Add(1) - 1) {
+		s.f(i)
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
+}
+
+// forEach runs f(0), …, f(n-1) on min(workers, n) runners that claim
+// indices from a shared counter; the caller is one of them, so with one
+// runner everything runs inline and no goroutine starts. It returns once
+// every f(i) has, so no goroutine outlives the call. Each f(i) must
+// write only item i's outputs.
+func forEach(workers, n int, f func(i int)) {
+	s := &fanOut{n: n, f: f}
+	for w := 1; w < min(workers, n); w++ {
+		s.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			work()
+			defer s.wg.Done()
+			s.run()
 		}()
 	}
-	work()
-	wg.Wait()
+	s.run()
+	s.wg.Wait()
 }
 
 // EncryptDatabase packs data (bitLen bits, MSB-first) with the
@@ -267,7 +276,7 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 		rows = c.newRows(len(pts) - have)
 	}
 	dbSrc := c.dbSource()
-	forEach(len(pts), func(j int) {
+	forEach(runtime.GOMAXPROCS(0), len(pts), func(j int) {
 		c.encryptor.EncryptTo(pts[j], dbSrc.ForkIndexed("chunk", j), db.Chunks[j])
 		if j >= have {
 			m := pts[j].Coeffs // spent: becomes the row C0_j − M + Δ·(t−1−m_j) in place
@@ -469,7 +478,7 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	}
 	querySrc := c.querySource()
 	patterns := make([]*bfv.Ciphertext, len(phases))
-	forEach(len(phases), func(i int) {
+	forEach(runtime.GOMAXPROCS(0), len(phases), func(i int) {
 		patterns[i] = c.encryptor.Encrypt(pts[i], querySrc.ForkIndexed("pattern", phases[i]))
 	})
 	q.Patterns = make(map[int]*bfv.Ciphertext, len(phases))
@@ -527,7 +536,7 @@ func (c *Client) tokenPlane(numChunks int) [][]byte {
 		}
 		dbSrc := c.dbSource()
 		rows := c.newRows(numChunks - have)
-		forEach(len(rows), func(i int) {
+		forEach(runtime.GOMAXPROCS(0), len(rows), func(i int) {
 			encryptC0Calls.Add(1)
 			row := c.ring.NewPoly()
 			c.encryptor.EncryptC0To(onesPT, dbSrc.ForkIndexed("chunk", have+i), row)

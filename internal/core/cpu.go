@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/ring"
@@ -18,28 +18,20 @@ var errEngineClosed = errors.New("core: engine is closed")
 // one chunk-range scheduler. With one worker — the "serial"
 // spec, the paper's CPU baseline — every search runs on the caller's
 // goroutine: no goroutine, channel or extra allocation is involved.
-// With more, the (variant, chunk) work of a search fans out across a
-// persistent pool: homomorphic additions are embarrassingly parallel —
-// the coefficient-wise independence the paper exploits with SIMD on
-// CPUs and with array-level parallelism in flash — so the search
-// scales with cores until memory bandwidth saturates.
+// With more, each search fans its chunk ranges out over up to that many
+// runners (forEach), the caller among them: homomorphic additions are
+// embarrassingly parallel — the coefficient-wise independence the paper
+// exploits with SIMD on CPUs and with array-level parallelism in flash —
+// so the search scales with cores until memory bandwidth saturates.
 //
-// Pool workers live for the lifetime of the engine and calls only pay
-// for enqueueing word-aligned chunk ranges. Concurrent searches share
-// the pool fairly (their ranges interleave on the same queue). The
-// ring is shared and read-only, so concurrent searches are safe with
-// any worker count.
+// The engine owns no goroutine: a search's runners exit before it
+// returns. The ring is shared and read-only, so concurrent searches are
+// safe with any worker count.
 type CPUEngine struct {
 	ring    *ring.Ring
 	db      *EncryptedDB
 	workers int
-
-	// jobs feeds the pool; nil with one worker, whose searches run
-	// inline.
-	jobs    chan rangeJob
-	wg      sync.WaitGroup
-	closeMu sync.RWMutex // guards closed and the enqueue/close race
-	closed  bool
+	closed  atomic.Bool
 
 	statCounter
 }
@@ -47,22 +39,12 @@ type CPUEngine struct {
 var _ Engine = (*CPUEngine)(nil)
 
 // NewCPUEngine creates a CPU engine with the given number of workers
-// (0 = GOMAXPROCS) and, for more than one, starts them.
+// (0 = GOMAXPROCS).
 func NewCPUEngine(params bfv.Params, db *EncryptedDB, workers int) *CPUEngine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &CPUEngine{ring: params.Ring(), db: db, workers: workers}
-	if workers > 1 {
-		// Room for one search's ~4 ranges per worker (batchSize), so a
-		// lone search enqueues without waiting on the workers.
-		e.jobs = make(chan rangeJob, 4*workers)
-		for w := 0; w < workers; w++ {
-			e.wg.Add(1)
-			go e.worker()
-		}
-	}
-	return e
+	return &CPUEngine{ring: params.Ring(), db: db, workers: workers}
 }
 
 // planeGroup is a group of a search's members on one DBTok plane with
@@ -72,36 +54,6 @@ type planeGroup struct {
 	members []*Query // the group's evaluated members, in row order
 	fq      FactoredQuery
 	row0    int
-}
-
-// poolCall is the shared state of one search on the pool: each range
-// job writes its records to its own slot of outs.
-type poolCall struct {
-	groups  []planeGroup
-	room    int
-	outs    []*HitWords
-	pending sync.WaitGroup
-}
-
-// rangeJob is one unit of queued work: chunks [lo, hi) of one search,
-// its k-th range.
-type rangeJob struct {
-	call      *poolCall
-	k, lo, hi int
-}
-
-// worker drains the job queue until Close. Each job runs the kernel
-// into a record list of its own, so workers share no output and never
-// contend; the caller joins the lists in range order.
-func (e *CPUEngine) worker() {
-	defer e.wg.Done()
-	for j := range e.jobs {
-		c := j.call
-		hw := newHitWords(nil)
-		hw.Words = runRange(e.ring, e.db, c.groups, j.lo, j.hi, c.room, hw.Words)
-		c.outs[j.k] = hw
-		c.pending.Done()
-	}
 }
 
 // runRange runs the kernel over chunks [lo, hi), room records per
@@ -130,32 +82,27 @@ func (e *CPUEngine) batchSize(numChunks int) int {
 // groups over every chunk of the database, room records per chunk, and
 // leaves the records in dst in range order. With one worker the whole
 // range runs on the caller's goroutine, straight into dst; otherwise
-// the ranges go to the pool and the caller joins their lists.
+// forEach runs the ranges, each into a record list of its own, so
+// runners share no output, and the caller joins the lists in range
+// order.
 func (e *CPUEngine) schedule(groups []planeGroup, room int, dst *HitWords) error {
-	numChunks := len(e.db.Chunks)
-	// Enqueue under the read half of closeMu: Close excludes itself with
-	// the write half, so sends can never hit a closed channel. Workers
-	// keep draining while this lock is held, so sends always progress.
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
+	if e.closed.Load() {
 		return errEngineClosed
 	}
-	if e.jobs == nil {
-		e.closeMu.RUnlock()
+	numChunks := len(e.db.Chunks)
+	if e.workers == 1 {
 		dst.Words = runRange(e.ring, e.db, groups, 0, numChunks, room, dst.Words)
 		return nil
 	}
 	batch := e.batchSize(numChunks)
-	c := &poolCall{groups: groups, room: room, outs: make([]*HitWords, (numChunks+batch-1)/batch)}
-	for k := range c.outs {
+	outs := make([]*HitWords, (numChunks+batch-1)/batch)
+	forEach(e.workers, len(outs), func(k int) {
 		lo := k * batch
-		c.pending.Add(1)
-		e.jobs <- rangeJob{call: c, k: k, lo: lo, hi: min(lo+batch, numChunks)}
-	}
-	e.closeMu.RUnlock()
-	c.pending.Wait()
-	for _, hw := range c.outs {
+		hw := newHitWords(nil)
+		hw.Words = runRange(e.ring, e.db, groups, lo, min(lo+batch, numChunks), room, hw.Words)
+		outs[k] = hw
+	})
+	for _, hw := range outs {
 		dst.Words = append(dst.Words, hw.Words...)
 		hw.Release()
 	}
@@ -299,18 +246,9 @@ func (e *CPUEngine) Describe() string {
 	return fmt.Sprintf("pool(%d workers)", e.workers)
 }
 
-// Close implements Engine: it shuts the workers down. Searches already
-// in flight complete; later calls fail. Close is idempotent and safe
-// against concurrent searches.
+// Close implements Engine: searches already in flight complete; later
+// calls fail. Close is idempotent and safe against concurrent searches.
 func (e *CPUEngine) Close() error {
-	e.closeMu.Lock()
-	if !e.closed {
-		e.closed = true
-		if e.jobs != nil {
-			close(e.jobs)
-		}
-	}
-	e.closeMu.Unlock()
-	e.wg.Wait()
+	e.closed.Store(true)
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 // central claim is that the same addition-only algorithm runs on three
 // substrates — CPU, processing-using-memory, and in-flash processing —
 // and Engine is the seam that makes the substrates interchangeable: the
-// CPU engine (CPUEngine, inline or over a worker pool) and the in-flash
+// CPU engine (CPUEngine, inline or fanned out over workers) and the in-flash
 // simulator (internal/ssd.Engine) both satisfy it and return identical
 // results on identical inputs (see internal/engine's conformance test).
 //
@@ -119,11 +119,37 @@ func (q *Query) CheckTokenDegree(r *ring.Ring) error {
 	return nil
 }
 
+// ErrQueryResidues reports a query whose residue list no client
+// prepares: residues not strictly ascending within [0, YBits), or, in a
+// token query, more residues than RHS polynomials (each chunk compares
+// every residue against the RHS polynomial of a distinct phase). Every
+// engine rejects it before anything is sized from the list.
+var ErrQueryResidues = errors.New("core: query residues out of order, out of range or not covered by RHS polynomials")
+
+// CheckResidues returns an ErrQueryResidues error unless q's residues
+// ascend strictly within [0, YBits) and, when q carries match tokens,
+// number at most its RHS polynomials.
+func (q *Query) CheckResidues() error {
+	for i, s := range q.Residues {
+		if s < 0 || s >= q.YBits || i > 0 && s <= q.Residues[i-1] {
+			return fmt.Errorf("%w: residue %d is %d, query length %d", ErrQueryResidues, i, s, q.YBits)
+		}
+	}
+	if q.HasTokens() && len(q.Residues) > len(q.RHS) {
+		return fmt.Errorf("%w: %d residues, %d RHS polynomials", ErrQueryResidues, len(q.Residues), len(q.RHS))
+	}
+	return nil
+}
+
 // validateSearchQuery is the shared shape check of every search:
-// agreement between query and database.
+// agreement between query and database, and a residue list a client
+// could have prepared.
 func validateSearchQuery(db *EncryptedDB, q *Query) error {
 	if q.YBits < 1 {
 		return fmt.Errorf("core: query has invalid length %d", q.YBits)
+	}
+	if err := q.CheckResidues(); err != nil {
+		return err
 	}
 	if q.AlignBits < 1 {
 		return fmt.Errorf("core: query has invalid alignment %d", q.AlignBits)
@@ -159,7 +185,7 @@ func validateTokenQuery(db *EncryptedDB, q *Query, r *ring.Ring) error {
 // its rows from row0). A single query is one group with one member; a
 // batch groups its members by DBTok plane and length
 // (CPUEngine.search). The CPU engine's scheduler runs it over the whole
-// database inline or over word-aligned ranges on its worker pool,
+// database inline or over chunk ranges fanned out across its workers,
 // mirroring how the paper maps one algorithm onto different substrates.
 //
 // Seeded-match index generation reads only the first ciphertext

@@ -80,9 +80,9 @@ func TestPoolEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPoolEngineConcurrentSearches drives one persistent pool from many
-// goroutines at once — the proto server's per-database concurrency —
-// and is the -race target for the worker pool.
+// TestPoolEngineConcurrentSearches drives one four-worker engine from
+// many goroutines at once — the proto server's per-database concurrency
+// — and is the -race target for the fanned-out search path.
 func TestPoolEngineConcurrentSearches(t *testing.T) {
 	cfg, edb, q, serial := engineFixture(t)
 	pool := NewCPUEngine(cfg.Params, edb, 4)
@@ -211,9 +211,9 @@ func settledGoroutines() int {
 
 // TestCPUEngineOneWorkerRunsInline pins the scheduler's two modes: with
 // one worker (the "serial" and "pool:1" specs) construction and a search
-// start no goroutine, while a four-worker pool's goroutines are gone
-// after Close. (Close semantics per worker count:
-// TestPoolEngineClosedRejectsSearches.)
+// start no goroutine, while a four-worker engine runs no goroutine at
+// rest and leaves none behind after a single or a batched search.
+// (Close semantics per worker count: TestPoolEngineClosedRejectsSearches.)
 func TestCPUEngineOneWorkerRunsInline(t *testing.T) {
 	cfg, edb, q, serial := engineFixture(t)
 	defer serial.Release()
@@ -248,8 +248,27 @@ func TestCPUEngineOneWorkerRunsInline(t *testing.T) {
 
 	before := settledGoroutines()
 	pool := NewCPUEngine(cfg.Params, edb, 4)
-	if got := runtime.NumGoroutine(); got < before+4 {
-		t.Fatalf("pool:4 runs %d goroutines, want at least %d", got, before+4)
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("pool:4 runs %d goroutines at rest, baseline %d", got, before)
+	}
+	ir, err := pool.SearchAndIndex(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "pool:4", ir, serial)
+	ir.Release()
+	if after := settledGoroutines(); after != before {
+		t.Fatalf("pool:4: %d goroutines after a search, baseline %d", after, before)
+	}
+	irs, err := pool.SearchAndIndexBatch(bq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ir := range irs {
+		ir.Release()
+	}
+	if after := settledGoroutines(); after != before {
+		t.Fatalf("pool:4: %d goroutines after a batched search, baseline %d", after, before)
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
@@ -262,8 +281,8 @@ func TestCPUEngineOneWorkerRunsInline(t *testing.T) {
 // TestCPUEngineCloseDuringSearches interleaves Close with concurrent
 // single and batched searches: every search either completes with the
 // serial result or fails because the engine closed — none hangs or
-// panics on a closed queue. Run under -race it checks the scheduler's
-// enqueue/close synchronisation on both the inline and the pool path.
+// panics. Run under -race it checks the scheduler's closed flag against
+// in-flight searches on both the inline and the fanned-out path.
 func TestCPUEngineCloseDuringSearches(t *testing.T) {
 	cfg, edb, q, serial := engineFixture(t)
 	defer serial.Release()

@@ -3,7 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -490,24 +493,50 @@ func TestEngineRejectsWrongDegree(t *testing.T) {
 		t.Fatalf("fixture: toy query has %d chunks/%d bits, database %d/%d; only the degree may differ",
 			bad.NumChunks, bad.DBBitLen, len(edb.Chunks), edb.BitLen)
 	}
+	assertEnginesRefuse(t, paper.Params, edb, good, map[string]*core.Query{"toy degree": bad}, core.ErrQueryDegree)
+}
+
+// assertEnginesRefuse builds every engine kind on edb and requires each
+// query of bad to fail with want, alone (allocating under 64 KiB, so
+// nothing was sized from it) and as a batch member after good; the
+// engine must then serve good.
+func assertEnginesRefuse(t *testing.T, params bfv.Params, edb *core.EncryptedDB, good *core.Query, bad map[string]*core.Query, want error) {
+	t.Helper()
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
 	for _, spec := range []core.EngineSpec{
 		{Kind: core.EngineSerial},
 		{Kind: core.EnginePool, Workers: 2},
 		{Kind: core.EngineSSD},
 	} {
-		eng, err := BuildWith(paper.Params, edb, spec, ssd.DefaultConfig(), ssd.SoftwareTransposition)
+		eng, err := BuildWith(params, edb, spec, ssd.DefaultConfig(), ssd.SoftwareTransposition)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		if ir, err := eng.SearchAndIndex(bad); !errors.Is(err, core.ErrQueryDegree) {
-			ir.Release()
-			t.Errorf("%s: single search err = %v, want core.ErrQueryDegree", spec, err)
-		}
-		if irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(good, bad)); !errors.Is(err, core.ErrQueryDegree) {
-			for _, ir := range irs {
-				ir.Release()
+		for _, name := range slices.Sorted(maps.Keys(bad)) {
+			var err error
+			if b := allocated(func() {
+				var ir *core.IndexResult
+				if ir, err = eng.SearchAndIndex(bad[name]); err == nil {
+					ir.Release()
+				}
+			}); b >= 64<<10 {
+				t.Errorf("%s %s: refused search allocated %d bytes", spec, name, b)
 			}
-			t.Errorf("%s: batch err = %v, want core.ErrQueryDegree", spec, err)
+			if !errors.Is(err, want) {
+				t.Errorf("%s %s: single search err = %v, want %v", spec, name, err, want)
+			}
+			if irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(good, bad[name])); !errors.Is(err, want) {
+				for _, ir := range irs {
+					ir.Release()
+				}
+				t.Errorf("%s %s: batch err = %v, want %v", spec, name, err, want)
+			}
 		}
 		ir, err := eng.SearchAndIndex(good)
 		if err != nil {
@@ -518,6 +547,47 @@ func TestEngineRejectsWrongDegree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestEngineRejectsHostileResidues: the residue list of a query comes
+// off the wire and sizes the kernel's comparand rows and record room
+// (the SSD controller's bitmaps), so every engine must refuse one no
+// client prepares — duplicates, a residue outside [0, YBits), a
+// descending list, more residues than RHS polynomials — with
+// core.ErrQueryResidues, alone and as a batch member, before anything
+// is sized from it: 4096 copies of residue 0 once cost megabytes.
+func TestEngineRejectsHostileResidues(t *testing.T) {
+	const dbBits = 512 // one chunk
+	cfg := core.Config{Params: bfv.ParamsPaper(), AlignBits: 8, Mode: core.ModeSeededMatch}
+	client, err := core.NewClient(cfg, rng.NewSourceFromString("residues"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := client.EncryptDatabase(make([]byte, dbBits/8), dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, dbBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good.Residues) != 4 || len(good.RHS) != 4 {
+		t.Fatalf("fixture: %d residues, %d RHS polynomials; want 4 and 4", len(good.Residues), len(good.RHS))
+	}
+	bad := make(map[string]*core.Query)
+	for name, residues := range map[string][]int{
+		"duplicates":      make([]int, 4096),
+		"negative":        {-8, 0, 8, 16},
+		"at length":       {0, 8, 16, 32},
+		"descending":      {0, 16, 8, 24},
+		"more than RHS":   {0, 1, 2, 3, 4},
+		"repeated at end": {0, 8, 16, 16},
+	} {
+		q := *good
+		q.Residues = residues
+		bad[name] = &q
+	}
+	assertEnginesRefuse(t, cfg.Params, edb, good, bad, core.ErrQueryResidues)
 }
 
 // TestEngineStatsAccumulate checks the cumulative Stats contract across

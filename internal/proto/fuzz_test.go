@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
+	"ciphermatch/internal/engine"
 	"ciphermatch/internal/rng"
 )
 
@@ -152,6 +154,68 @@ func FuzzDecodeQuery(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeQuery(back, p), canonical) {
 			t.Fatal("encode->decode->encode is not a fixed point")
+		}
+	})
+}
+
+// FuzzSearchDecodedQuery holds the CPU engine to a bound a hostile peer
+// cannot break: each payload that decodes is searched on a one-chunk
+// toy database, inline and on two workers, and no search may allocate
+// more than 64 bytes per payload byte plus 64 KiB, so nothing a search
+// sizes (comparand rows, record room) outgrows what the peer sent. A
+// seed carries 4096 copies of residue 0. The SSD simulator is left out:
+// each of its searches allocates ~0.5 MiB whatever the payload, and
+// TestEngineRejectsHostileResidues bounds its refusals.
+func FuzzSearchDecodedQuery(f *testing.F) {
+	p := bfv.ParamsToy()
+	const dbBits = 1024 // one chunk at n = 64
+	client, err := core.NewClient(core.Config{Params: p, AlignBits: 8, Mode: core.ModeSeededMatch}, rng.NewSourceFromString("fuzz-search"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	data := make([]byte, dbBits/8)
+	rng.NewSourceFromString("fuzz-search-data").Bytes(data)
+	edb, err := client.EncryptDatabase(data, dbBits)
+	if err != nil {
+		f.Fatal(err)
+	}
+	q, err := client.PrepareQuery(data[40:43], 24, dbBits)
+	if err != nil {
+		f.Fatal(err)
+	}
+	addWireSeeds(f, EncodeQuery(q, p))
+	dup := *q
+	dup.Residues = make([]int, 4096)
+	f.Add(EncodeQuery(&dup, p))
+	var engines []core.Engine
+	for _, spec := range []core.EngineSpec{
+		{Kind: core.EngineSerial},
+		{Kind: core.EnginePool, Workers: 2},
+	} {
+		eng, err := engine.Build(p, edb, spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		engines = append(engines, eng)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		q, err := DecodeQuery(payload, p)
+		if err != nil {
+			return
+		}
+		limit := 64*uint64(len(payload)) + 64<<10
+		for _, eng := range engines {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ir, err := eng.SearchAndIndex(q)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				ir.Release()
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > limit {
+				t.Fatalf("%s: search of a %d-byte payload (%d residues) allocated %d bytes, bound %d",
+					eng.Describe(), len(payload), len(q.Residues), b, limit)
+			}
 		}
 	})
 }

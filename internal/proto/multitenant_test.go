@@ -385,6 +385,25 @@ func TestOldClientShardWordIgnored(t *testing.T) {
 // AlignBits = 0 with a typed MsgError, and the same connection must
 // then serve the intact query correctly.
 func TestZeroAlignBitsRejected(t *testing.T) {
+	assertRefusedOverWire(t, "align", "alignment", func(q *core.Query) { q.AlignBits = 0 })
+}
+
+// TestHostileResiduesRejected: a query's residue list travels in its
+// header and sizes the engine's comparand rows and record room, so a
+// list no client prepares — here 4096 copies of residue 0 — must be
+// refused by every engine kind, single and batched, with a MsgError
+// naming the residues, and the same connection must then serve the
+// intact query correctly.
+func TestHostileResiduesRejected(t *testing.T) {
+	assertRefusedOverWire(t, "residues", "residue", func(q *core.Query) { q.Residues = make([]int, 4096) })
+}
+
+// assertRefusedOverWire uploads one tenant per engine kind, sends its
+// query as altered by hostile, alone and as a batch member, and wants a
+// MsgError containing want for each; the same connection must then
+// serve the intact query correctly.
+func assertRefusedOverWire(t *testing.T, prefix, want string, hostile func(*core.Query)) {
+	t.Helper()
 	p := bfv.ParamsToy()
 	specs := []core.EngineSpec{
 		{Kind: core.EngineSerial},
@@ -403,28 +422,28 @@ func TestZeroAlignBitsRejected(t *testing.T) {
 	conn.SetRetry(RetryPolicy{Max: 0, Timeout: 5 * time.Second})
 
 	for _, spec := range specs {
-		name := "align-" + spec.String()
+		name := prefix + "-" + spec.String()
 		tn := newTenant(t, p, name, spec, 320, 1504)
 		if err := conn.UploadDB(name, spec, tn.db); err != nil {
 			t.Fatalf("%s: upload: %v", name, err)
 		}
-		hostile := *tn.q
-		hostile.AlignBits = 0
+		bad := *tn.q
+		hostile(&bad)
 		requests := []struct {
 			what    string
 			msgType byte
 			payload []byte
 		}{
-			{"single", MsgQuery, EncodeNamedQuery(name, &hostile, p)},
-			{"batch", MsgBatchQuery, EncodeNamedBatchQuery(name, &core.BatchQuery{Queries: []*core.Query{tn.q, &hostile}}, p)},
+			{"single", MsgQuery, EncodeNamedQuery(name, &bad, p)},
+			{"batch", MsgBatchQuery, EncodeNamedBatchQuery(name, &core.BatchQuery{Queries: []*core.Query{tn.q, &bad}}, p)},
 		}
 		for _, req := range requests {
 			reply, body, err := conn.roundTrip(req.msgType, req.payload)
 			if err != nil {
-				t.Fatalf("%s %s: no reply to AlignBits=0: %v", name, req.what, err)
+				t.Fatalf("%s %s: no reply to the hostile query: %v", name, req.what, err)
 			}
-			if reply != MsgError || !strings.Contains(string(body), "alignment") {
-				t.Fatalf("%s %s: AlignBits=0 answered with type %d %q, want MsgError naming the alignment", name, req.what, reply, body)
+			if reply != MsgError || !strings.Contains(string(body), want) {
+				t.Fatalf("%s %s: hostile query answered with type %d %.80q, want MsgError naming the %s", name, req.what, reply, body, want)
 			}
 			got, err := conn.Search(name, tn.q)
 			if err != nil {

@@ -34,6 +34,9 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	if q.YBits < 1 || q.AlignBits < 1 {
 		return nil, fmt.Errorf("ssd: query has invalid length %d or alignment %d", q.YBits, q.AlignBits)
 	}
+	if err := q.CheckResidues(); err != nil {
+		return nil, err
+	}
 	if q.NumChunks != s.numChunks || q.DBBitLen != s.dbBitLen {
 		return nil, fmt.Errorf("ssd: query prepared for %d chunks/%d bits, stored %d chunks/%d bits",
 			q.NumChunks, q.DBBitLen, s.numChunks, s.dbBitLen)
