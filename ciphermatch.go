@@ -74,15 +74,10 @@ type (
 	IndexResult = core.IndexResult
 	// IndexMode selects client-side or server-side index generation.
 	IndexMode = core.IndexMode
-	// HitWords is a server search's sparse hit output: one record per
-	// nonzero 64-window word of a residue's hits.
+	// HitWords is the hit form every search produces, server engines and
+	// the client-decrypt Client.ExtractHits alike: one record per nonzero
+	// 64-window word of a residue's hits.
 	HitWords = core.HitWords
-	// HitBitmaps maps shift residues to dense window-hit bitmaps, the
-	// client-decrypt path's hit form (Client.ExtractHits).
-	HitBitmaps = core.HitBitmaps
-	// Bitset is a packed dense window-hit bitmap: one bit per 16-bit
-	// database window, written by the client-decrypt compare.
-	Bitset = core.Bitset
 
 	// Engine is the backend-agnostic execution interface: the CPU
 	// engine (serial or fanned out over workers) and the in-flash simulator
@@ -196,16 +191,10 @@ func ReadPatternFile(path string) ([][]byte, error) {
 	return patterns, nil
 }
 
-// NewBitset returns a zeroed dense window-hit bitset of n bits,
-// drawing storage from the shared bitset pool.
-func NewBitset(n int) *Bitset { return core.NewBitset(n) }
-
-// Candidates converts client-decrypt hit bitmaps into candidate
-// occurrence offsets, through their sparse form (HitBitmaps.Sparse).
-func Candidates(hits HitBitmaps, dbBits, queryBits, alignBits int) []int {
-	hw := hits.Sparse()
-	defer hw.Release()
-	return core.Candidates(hw, dbBits, queryBits, alignBits)
+// Candidates converts hit records (Client.ExtractHits on the
+// client-decrypt path) into candidate occurrence offsets.
+func Candidates(hits *HitWords, dbBits, queryBits, alignBits int) []int {
+	return core.Candidates(hits, dbBits, queryBits, alignBits)
 }
 
 // VerifyCandidates filters candidates against the plaintext database (data

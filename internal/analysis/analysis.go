@@ -19,7 +19,7 @@
 //     zero-stores-on-miss branchless discipline.
 //   - wiresize: wire decoders must bound every length read off the wire
 //     before allocating from it.
-//   - poolrelease: pooled results (IndexResult, Bitset) acquired from
+//   - poolrelease: pooled results (IndexResult, HitWords) acquired from
 //     `//cm:pooled` functions must be Released, returned or handed off
 //     on every path.
 //   - atomicfield: a field accessed through sync/atomic anywhere is

@@ -1,6 +1,6 @@
 // Package poolrelease polices the ownership contract of pooled values:
 // a result acquired from a //cm:pooled function (Store.Search returning
-// an *IndexResult, core.NewBitset) must be Released, returned, stored,
+// an *IndexResult, core.NewHitWords) must be Released, returned, stored,
 // or handed to another function before the acquiring function exits —
 // otherwise the backing buffers leak out of the sync.Pool and the
 // steady-state allocation profile the pools exist to flatten comes
@@ -95,7 +95,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				id, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok {
 					// Assigning straight into a field, slice slot or map
-					// entry (bms[i][j] = NewBitset(n)) is a store: the
+					// entry (out[i] = NewHitWords(r)) is a store: the
 					// value is owned by that structure now.
 					bound = true
 					continue

@@ -89,7 +89,7 @@ func polyHash(p ring.Poly) uint64 {
 // so a batch fails before any work starts rather than mid-pass.
 func (bq *BatchQuery) validate(db *EncryptedDB, r *ring.Ring) error {
 	for i, q := range bq.Queries {
-		if err := validateTokenQuery(db, q, r); err != nil {
+		if err := ValidateTokenQuery(q, len(db.Chunks), db.BitLen, r); err != nil {
 			return fmt.Errorf("core: batch member %d: %w", i, err)
 		}
 	}

@@ -15,13 +15,13 @@ import (
 // kept verbatim (walk every aligned offset, look its residue's bitmap
 // up, test its full windows). Non-positive geometry is rejected up
 // front because this loop cannot terminate on alignBits < 1.
-func candidatesByOffset(hits HitBitmaps, dbBits, yBits, alignBits int) []int {
+func candidatesByOffset(hits hitBitmaps, dbBits, yBits, alignBits int) []int {
 	if yBits < 1 || alignBits < 1 {
 		return nil
 	}
 	// Residue-indexed bitmap table: one modulo + array load per offset
 	// instead of per-offset map lookups; empty bitmaps stay nil.
-	bmAt := make([]*Bitset, yBits)
+	bmAt := make([]*bitset, yBits)
 	live := 0
 	for res, bm := range hits {
 		if res >= 0 && res < yBits && onesCount(bm) != 0 {
@@ -42,19 +42,19 @@ func candidatesByOffset(hits HitBitmaps, dbBits, yBits, alignBits int) []int {
 		if w1 == w0 {
 			continue // undetectable at this offset
 		}
-		if bm.AllSet(w0, w1) {
+		if bm.allSet(w0, w1) {
 			out = append(out, o)
 		}
 	}
 	return out
 }
 
-// checkCandidatesOracle fails unless Candidates, reached through the
-// dense-to-records conversion, and the per-offset oracle agree exactly,
-// order included; it returns the agreed result.
-func checkCandidatesOracle(t *testing.T, hits HitBitmaps, dbBits, yBits, alignBits int) []int {
+// checkCandidatesOracle fails unless Candidates, on the bitmaps'
+// records, and the per-offset oracle agree exactly, order included; it
+// returns the agreed result.
+func checkCandidatesOracle(t *testing.T, hits hitBitmaps, dbBits, yBits, alignBits int) []int {
 	t.Helper()
-	got := Candidates(hits.Sparse(), dbBits, yBits, alignBits)
+	got := Candidates(hits.records(), dbBits, yBits, alignBits)
 	want := candidatesByOffset(hits, dbBits, yBits, alignBits)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Candidates(dbBits=%d, yBits=%d, alignBits=%d, %d residues):\n got %v\nwant %v",
@@ -65,11 +65,11 @@ func checkCandidatesOracle(t *testing.T, hits HitBitmaps, dbBits, yBits, alignBi
 
 // densityBitset draws a bitset of n windows with each bit set with
 // probability density (1 needs no source).
-func densityBitset(r *rand.Rand, n int, density float64) *Bitset {
-	bm := &Bitset{words: make([]uint64, (n+63)/64), n: n}
+func densityBitset(r *rand.Rand, n int, density float64) *bitset {
+	bm := newBitset(n)
 	for i := 0; i < n; i++ {
 		if density >= 1 || r.Float64() < density {
-			bm.Set(i)
+			bm.set(i)
 		}
 	}
 	return bm
@@ -93,7 +93,7 @@ func TestCandidatesMatchesPerOffsetOracle(t *testing.T) {
 		windows := 1 + r.Intn(400)
 		dbBits := windows*SegmentBits - r.Intn(SegmentBits)
 		density := densities[r.Intn(len(densities))]
-		hits := HitBitmaps{}
+		hits := hitBitmaps{}
 		for s := 0; s < yBits; s += gcd(alignBits, yBits) {
 			if r.Intn(5) == 0 {
 				continue // residue missing from the result
@@ -120,7 +120,7 @@ func TestCandidatesMatchesPerOffsetOracle(t *testing.T) {
 // four geometry bytes, then per residue a residue byte (one below and
 // one past the valid range included), a length byte, a trim byte and
 // the bitmap words themselves.
-func candidatesCaseFromBytes(data []byte) (hits HitBitmaps, dbBits, yBits, alignBits int) {
+func candidatesCaseFromBytes(data []byte) (hits hitBitmaps, dbBits, yBits, alignBits int) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -133,7 +133,7 @@ func candidatesCaseFromBytes(data []byte) (hits HitBitmaps, dbBits, yBits, align
 	alignBits = 1 + next()%24
 	cut := next() % SegmentBits
 	residues := 1 + next()%8
-	hits = HitBitmaps{}
+	hits = hitBitmaps{}
 	windows := 0
 	for i := 0; i < residues; i++ {
 		res := next()%(yBits+2) - 1
@@ -145,7 +145,7 @@ func candidatesCaseFromBytes(data []byte) (hits HitBitmaps, dbBits, yBits, align
 				data = data[8:]
 			}
 		}
-		hits[res] = &Bitset{words: words, n: n}
+		hits[res] = &bitset{words: words, n: n}
 		windows = max(windows, n)
 	}
 	return hits, max(windows*SegmentBits-cut, 0), yBits, alignBits
@@ -172,7 +172,7 @@ func FuzzCandidates(f *testing.F) {
 // query validation relies on: AlignBits and YBits arrive off the wire,
 // and a zero alignment would otherwise never advance the offset.
 func TestCandidatesRejectsNonPositiveGeometry(t *testing.T) {
-	hits := HitBitmaps{0: densityBitset(nil, 64, 1)}.Sparse()
+	hits := hitBitmaps{0: densityBitset(nil, 64, 1)}.records()
 	for _, g := range [][2]int{{32, 0}, {32, -8}, {0, 8}, {-1, 8}, {0, 0}} {
 		if got := Candidates(hits, 1024, g[0], g[1]); got != nil {
 			t.Fatalf("Candidates(yBits=%d, alignBits=%d) = %v, want nil", g[0], g[1], got)
@@ -186,9 +186,9 @@ func TestCandidatesRejectsNonPositiveGeometry(t *testing.T) {
 // small constant number of allocations as an ordinary search. (The
 // constants are the largest that still compile where int is 32 bits.)
 func TestCandidatesNotSizedFromWire(t *testing.T) {
-	bm := NewBitset(64)
-	bm.Set(0)
-	hits := HitBitmaps{0: bm}.Sparse()
+	bm := newBitset(64)
+	bm.set(0)
+	hits := hitBitmaps{0: bm}.records()
 	ordinary := testing.AllocsPerRun(10, func() { Candidates(hits, 1024, 64, 8) })
 	hostile := testing.AllocsPerRun(10, func() {
 		if got := Candidates(hits, math.MaxInt, math.MaxInt32, 8); got != nil {
@@ -203,25 +203,24 @@ func TestCandidatesNotSizedFromWire(t *testing.T) {
 var candidatesSink []int
 
 // BenchmarkCandidates measures candidate generation at its two
-// extremes. sparse is the dna_scan serving shape (32 residues x 2 Mi
-// windows, random hits at 2^-16 density plus 8 planted 4-window runs)
-// handed over as dense bitmaps, so its cost is the dense producers'
-// conversion (HitBitmaps.Sparse) plus Candidates; records is the same
-// hits already in record form, as the CPU engine hands them over, and
-// times Candidates alone. dense is every window set at alignBits = 1,
-// where nothing is filtered and conversion plus Candidates must stay
-// within 1.3x of the per-offset oracle: the oracle/* runs are that
-// reference, for comparing by hand (CI's smoke step leaves them out).
-// MB/s is dense bitmap bytes (for records, record bytes) per second.
+// extremes, on records built before the timer. sparse is the dna_scan
+// serving shape (32 residues x 2 Mi windows, random hits at 2^-16
+// density plus 8 planted 4-window runs); records times the same call
+// and reports it per record byte instead of per dense bitmap byte.
+// dense is every window set at alignBits = 1, where nothing is
+// filtered and Candidates must stay within 1.3x of the per-offset
+// oracle: the oracle/* runs are that reference, for comparing by hand
+// (CI's smoke step leaves them out). MB/s is dense bitmap bytes (for
+// records, record bytes) per second.
 func BenchmarkCandidates(b *testing.B) {
 	const yBits = 64
 	r := rand.New(rand.NewSource(22))
-	sparse := HitBitmaps{}
+	sparse := hitBitmaps{}
 	const sparseWindows = 2 << 20
 	for s := 0; s < yBits; s += 2 {
-		bm := NewBitset(sparseWindows)
+		bm := newBitset(sparseWindows)
 		for i := 0; i < sparseWindows>>16; i++ {
-			bm.Set(r.Intn(sparseWindows))
+			bm.set(r.Intn(sparseWindows))
 		}
 		sparse[s] = bm
 	}
@@ -229,10 +228,10 @@ func BenchmarkCandidates(b *testing.B) {
 		o := 2 * r.Intn((sparseWindows*SegmentBits-yBits)/2)
 		w0, w1 := FullWindows(o, yBits)
 		for w := w0; w < w1; w++ {
-			sparse[o%yBits].Set(w)
+			sparse[o%yBits].set(w)
 		}
 	}
-	dense := HitBitmaps{}
+	dense := hitBitmaps{}
 	const denseWindows = 64 << 10
 	for s := 0; s < yBits; s++ {
 		dense[s] = densityBitset(nil, denseWindows, 1)
@@ -249,23 +248,17 @@ func BenchmarkCandidates(b *testing.B) {
 			}
 		})
 	}
-	viaRecords := func(hits HitBitmaps) func(dbBits, alignBits int) []int {
-		return func(dbBits, alignBits int) []int {
-			hw := hits.Sparse()
-			defer hw.Release()
-			return Candidates(hw, dbBits, yBits, alignBits)
-		}
+	viaRecords := func(hw *HitWords) func(dbBits, alignBits int) []int {
+		return func(dbBits, alignBits int) []int { return Candidates(hw, dbBits, yBits, alignBits) }
 	}
-	oracle := func(hits HitBitmaps) func(dbBits, alignBits int) []int {
+	oracle := func(hits hitBitmaps) func(dbBits, alignBits int) []int {
 		return func(dbBits, alignBits int) []int { return candidatesByOffset(hits, dbBits, yBits, alignBits) }
 	}
-	records := sparse.Sparse()
+	records := sparse.records()
 	sparseBytes, denseBytes := len(sparse)*sparseWindows/8, len(dense)*denseWindows/8
-	run("sparse", sparseBytes, viaRecords(sparse), sparseWindows, 2, 8)
-	run("records", len(records.Words)*int(unsafe.Sizeof(records.Words[0])), func(dbBits, alignBits int) []int {
-		return Candidates(records, dbBits, yBits, alignBits)
-	}, sparseWindows, 2, 8)
-	run("dense", denseBytes, viaRecords(dense), denseWindows, 1, denseWindows*SegmentBits-yBits)
+	run("sparse", sparseBytes, viaRecords(records), sparseWindows, 2, 8)
+	run("records", len(records.Words)*int(unsafe.Sizeof(records.Words[0])), viaRecords(records), sparseWindows, 2, 8)
+	run("dense", denseBytes, viaRecords(dense.records()), denseWindows, 1, denseWindows*SegmentBits-yBits)
 	run("oracle/sparse", sparseBytes, oracle(sparse), sparseWindows, 2, 8)
 	run("oracle/dense", denseBytes, oracle(dense), denseWindows, 1, denseWindows*SegmentBits-yBits)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -548,40 +549,31 @@ func (c *Client) tokenPlane(numChunks int) [][]byte {
 	return slices.Clone(c.tokRows[:numChunks])
 }
 
-// HitBitmaps maps a variant residue to its global window-hit bitmap,
-// packed 64 windows per word (see Bitset): the dense hit form of the
-// client-decrypt path, which decrypts whole planes anyway. Sparse
-// converts it into the records Candidates reads.
-type HitBitmaps map[int]*Bitset
-
-// Release returns every bitmap's storage to the bitset pool, so
-// steady-state dense producers reuse bitmap storage instead of
-// allocating.
-func (h HitBitmaps) Release() {
-	for res, bm := range h {
-		bm.Release()
-		delete(h, res)
-	}
-}
-
 // ExtractHits decrypts the per-(variant, chunk) result ciphertexts of a
-// search and marks every window whose coefficient equals the match value
-// t-1 (ModeClientDecrypt), one packed Bitset per residue
-// (ring.CmpEqScalarBits). Its Sparse form equals the records a server
-// engine returns for the same search.
-func (c *Client) ExtractHits(q *Query, sr *SearchResult) HitBitmaps {
+// search and returns, as hit records in canonical order, every window
+// whose coefficient equals the match value t-1 (ModeClientDecrypt): the
+// records a server engine returns for the same search. Each residue's
+// chunks are compared (ring.CmpEqScalarBits) into one reused row of
+// hit words, so a word may span chunks when n < 64, and its nonzero
+// words are appended; one sort by word then puts the rows in order.
+//
+//cm:pooled
+func (c *Client) ExtractHits(q *Query, sr *SearchResult) *HitWords {
 	p := c.cfg.Params
-	matchVal := p.T - 1
-	hits := make(HitBitmaps, len(q.Residues))
-	numWindows := q.NumChunks * p.N
-	for vi, s := range q.Residues {
-		bm := NewBitset(numWindows)
+	hits := NewHitWords(q.Residues)
+	row := make([]uint64, (q.NumChunks*p.N+63)/64)
+	for vi := range q.Residues {
+		clear(row)
 		for j, ct := range sr.Results[vi] {
-			pt := c.decryptor.Decrypt(ct)
-			ring.CmpEqScalarBits(pt.Coeffs, matchVal, bm.Words(), j*p.N)
+			ring.CmpEqScalarBits(c.decryptor.Decrypt(ct).Coeffs, p.T-1, row, j*p.N)
 		}
-		hits[s] = bm
+		for w, m := range row {
+			if m != 0 {
+				hits.Words = append(hits.Words, ring.HitWord{Word: uint32(w), Row: uint32(vi), Mask: m})
+			}
+		}
 	}
+	slices.SortFunc(hits.Words, func(a, b ring.HitWord) int { return cmp.Compare(hitKey(a), hitKey(b)) })
 	return hits
 }
 

@@ -98,7 +98,7 @@ func (e *CPUEngine) schedule(groups []planeGroup, room int, dst *HitWords) error
 	outs := make([]*HitWords, (numChunks+batch-1)/batch)
 	forEach(e.workers, len(outs), func(k int) {
 		lo := k * batch
-		hw := newHitWords(nil)
+		hw := NewHitWords(nil)
 		hw.Words = runRange(e.ring, e.db, groups, lo, min(lo+batch, numChunks), room, hw.Words)
 		outs[k] = hw
 	})
@@ -114,7 +114,7 @@ func (e *CPUEngine) schedule(groups []planeGroup, room int, dst *HitWords) error
 //
 //cm:pooled
 func (e *CPUEngine) SearchAndIndex(q *Query) (*IndexResult, error) {
-	if err := validateTokenQuery(e.db, q, e.ring); err != nil {
+	if err := ValidateTokenQuery(q, len(e.db.Chunks), e.db.BitLen, e.ring); err != nil {
 		return nil, err
 	}
 	var out [1]*IndexResult
@@ -158,7 +158,7 @@ func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 	var groups []planeGroup
 	var dups [][2]int // (member, the earlier identical member it copies)
 	for mi, q := range queries {
-		ir := &IndexResult{Hits: newHitWords(q.Residues)}
+		ir := &IndexResult{Hits: NewHitWords(q.Residues)}
 		out[mi] = ir
 		ir.Stats.CoeffCompares = int64(len(q.Residues)) * int64(numChunks*n)
 		if k := slices.IndexFunc(queries[:mi], func(o *Query) bool { return sameMember(o, q) }); k >= 0 {
@@ -200,7 +200,7 @@ func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 		p.row0 = rows
 		rows += p.fq.width
 	}
-	all := newHitWords(nil)
+	all := NewHitWords(nil)
 	defer all.Release()
 	if err == nil {
 		err = e.schedule(groups, ring.HitRoom(n, rows), all)

@@ -22,9 +22,9 @@ import (
 // server issues them under a read lock.
 type Engine interface {
 	// SearchAndIndex executes Algorithm 1 line 10 plus index generation
-	// and returns the per-variant hit bitmaps and candidate offsets. The
+	// and returns the hit records (HitWords) and candidate offsets. The
 	// query must carry match tokens (ModeSeededMatch). The result's
-	// bitmaps are pool-backed: callers own them and must Release (or
+	// records are pool-backed: callers own them and must Release (or
 	// hand off) the IndexResult on every path.
 	//
 	//cm:pooled
@@ -33,7 +33,8 @@ type Engine interface {
 	// IndexResult per member, in member order, identical to per-member
 	// SearchAndIndex calls. The CPU engine walks the database once for
 	// the whole batch; the in-flash engine serialises members on its
-	// controller. Results are pool-backed like SearchAndIndex's.
+	// controller. Either validates every member before any search
+	// work. Results are pool-backed like SearchAndIndex's.
 	//
 	//cm:pooled
 	SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error)
@@ -43,8 +44,9 @@ type Engine interface {
 	// Describe returns a short human-readable engine description, e.g.
 	// "serial" or "pool(8 workers)".
 	Describe() string
-	// Close releases the engine's resources (the CPU engine's workers).
-	// Searches in flight complete; later searches fail. Idempotent.
+	// Close ends the engine's use: the CPU engine lets searches in
+	// flight complete and fails later ones; a simulated drive holds
+	// nothing to release. Idempotent.
 	Close() error
 }
 
@@ -101,10 +103,10 @@ func NewEngine(params bfv.Params, db *EncryptedDB, spec EngineSpec) (Engine, err
 // parameters. Every engine rejects it before its kernel runs.
 var ErrQueryDegree = errors.New("core: query polynomial degree does not match the database ring")
 
-// CheckTokenDegree returns an ErrQueryDegree error unless every DBTok
+// checkTokenDegree returns an ErrQueryDegree error unless every DBTok
 // row of q holds the n lanes of r (r.LaneBytes each) and every RHS
 // polynomial has n coefficients.
-func (q *Query) CheckTokenDegree(r *ring.Ring) error {
+func (q *Query) checkTokenDegree(r *ring.Ring) error {
 	n, lb := r.N(), r.LaneBytes()
 	for j, row := range q.DBTok {
 		if len(row) != n*lb {
@@ -126,10 +128,10 @@ func (q *Query) CheckTokenDegree(r *ring.Ring) error {
 // engine rejects it before anything is sized from the list.
 var ErrQueryResidues = errors.New("core: query residues out of order, out of range or not covered by RHS polynomials")
 
-// CheckResidues returns an ErrQueryResidues error unless q's residues
+// checkResidues returns an ErrQueryResidues error unless q's residues
 // ascend strictly within [0, YBits) and, when q carries match tokens,
 // number at most its RHS polynomials.
-func (q *Query) CheckResidues() error {
+func (q *Query) checkResidues() error {
 	for i, s := range q.Residues {
 		if s < 0 || s >= q.YBits || i > 0 && s <= q.Residues[i-1] {
 			return fmt.Errorf("%w: residue %d is %d, query length %d", ErrQueryResidues, i, s, q.YBits)
@@ -142,41 +144,45 @@ func (q *Query) CheckResidues() error {
 }
 
 // validateSearchQuery is the shared shape check of every search:
-// agreement between query and database, and a residue list a client
-// could have prepared.
-func validateSearchQuery(db *EncryptedDB, q *Query) error {
+// agreement between query and a database of numChunks chunks and
+// bitLen bits, and a residue list a client could have prepared.
+func validateSearchQuery(q *Query, numChunks, bitLen int) error {
 	if q.YBits < 1 {
 		return fmt.Errorf("core: query has invalid length %d", q.YBits)
 	}
-	if err := q.CheckResidues(); err != nil {
+	if err := q.checkResidues(); err != nil {
 		return err
 	}
 	if q.AlignBits < 1 {
 		return fmt.Errorf("core: query has invalid alignment %d", q.AlignBits)
 	}
-	if q.NumChunks != len(db.Chunks) {
+	if q.NumChunks != numChunks {
 		return fmt.Errorf("core: query prepared for %d chunks, database has %d",
-			q.NumChunks, len(db.Chunks))
+			q.NumChunks, numChunks)
 	}
-	if q.DBBitLen != db.BitLen {
+	if q.DBBitLen != bitLen {
 		return fmt.Errorf("core: query prepared for %d-bit database, have %d bits",
-			q.DBBitLen, db.BitLen)
+			q.DBBitLen, bitLen)
 	}
 	return nil
 }
 
-// validateTokenQuery is validateSearchQuery plus the match tokens
-// server-side index generation needs: a DBTok plane of one row per
-// chunk, rows and RHS polynomials of r's degree.
-func validateTokenQuery(db *EncryptedDB, q *Query, r *ring.Ring) error {
-	if err := validateSearchQuery(db, q); err != nil {
+// ValidateTokenQuery is the check every engine runs on a seeded query
+// before it sizes anything from it: validateSearchQuery against a
+// database of numChunks chunks and bitLen bits, plus the match tokens
+// server-side index generation needs, a DBTok plane of one row per
+// chunk and rows and RHS polynomials of r's degree. It takes the
+// database's shape rather than the database, so a drive that stores
+// the chunks itself (internal/ssd) runs the same check.
+func ValidateTokenQuery(q *Query, numChunks, bitLen int, r *ring.Ring) error {
+	if err := validateSearchQuery(q, numChunks, bitLen); err != nil {
 		return err
 	}
-	if len(q.DBTok) != len(db.Chunks) {
+	if len(q.DBTok) != numChunks {
 		return fmt.Errorf("core: query DBTok plane has %d chunks, database has %d (search requires ModeSeededMatch tokens)",
-			len(q.DBTok), len(db.Chunks))
+			len(q.DBTok), numChunks)
 	}
-	return q.CheckTokenDegree(r)
+	return q.checkTokenDegree(r)
 }
 
 // searchChunkRange is the one CPU kernel: it executes index generation

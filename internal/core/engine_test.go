@@ -415,7 +415,7 @@ func TestEngineSubWordChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := Candidates(twin.ExtractHits(tq, sr).Sparse(), dbBits, 32, cfg.AlignBits)
+		got := Candidates(twin.ExtractHits(tq, sr), dbBits, 32, cfg.AlignBits)
 		wantCands := ExpectedCandidates(db, dbBits, query, 32, cfg.AlignBits)
 		if !intsEqual(got, wantCands) {
 			t.Fatalf("n=%d client decrypt: candidates %v, plain reference %v", n, got, wantCands)
@@ -610,7 +610,7 @@ func TestEngineTileBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				qs, want = append(qs, q), append(want, twin.ExtractHits(tq, sr).Sparse())
+				qs, want = append(qs, q), append(want, twin.ExtractHits(tq, sr))
 			}
 			if len(want[1].Words) < tc.chunks/per+1 {
 				t.Fatalf("the twin found %d records for the planted occurrences; the fixture is vacuous", len(want[1].Words))

@@ -50,7 +50,9 @@ type FactoredQuery struct {
 // ErrNarrowRing reports a seeded search on a ring the 16-bit compare
 // does not serve: q must be a power of two, so that Δ = q/t is one too,
 // and the degree at least 64, so that every chunk covers whole bitset
-// words. Every CPU search rejects it before its kernel runs.
+// words. Every CPU search rejects it before its kernel runs, and the
+// in-flash simulator (internal/ssd) refuses such a ring when the drive
+// is built.
 var ErrNarrowRing = errors.New("core: seeded search requires a power-of-two modulus and a degree of at least 64")
 
 // ErrRHSLowBits reports a group of RHS rows that disagree below Δ:
@@ -89,7 +91,7 @@ func errMissingRHS(psi int) error {
 // FactorQuery arranges q into the kernel-ready form for a database of
 // numChunks chunks, with the DBTok plane also widened into DBTok for a
 // replay through the 64-bit SubCmpMultiBits. The query must already
-// have passed validateTokenQuery.
+// have passed ValidateTokenQuery.
 func FactorQuery(r *ring.Ring, q *Query, numChunks int) (*FactoredQuery, error) {
 	fq, err := factorPlane(r.N(), []*Query{q}, numChunks)
 	if err == nil {
@@ -113,7 +115,7 @@ func FactorQuery(r *ring.Ring, q *Query, numChunks int) (*FactoredQuery, error) 
 // factorPlane folds members that share one DBTok plane and one length
 // y into one FactoredQuery over numChunks chunks of degree n: a row for
 // every chunk phase, the members' rows concatenated. Every member must
-// already have passed validateTokenQuery.
+// already have passed ValidateTokenQuery.
 func factorPlane(n int, members []*Query, numChunks int) (FactoredQuery, error) {
 	width := 0
 	for _, q := range members {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"maps"
 	"math/bits"
 	"slices"
 	"sync"
@@ -10,16 +9,14 @@ import (
 	"ciphermatch/internal/ring"
 )
 
-// HitWords is the sparse hit output of a search: one ring.HitWord
-// record per nonzero 64-window word of a residue's hits, in the order
-// the CPU engine's kernel emits them, ascending by word and then by
-// row. A record's Row indexes Residues: bit k of its Mask is set iff
-// residue Residues[Row] hit window 64·Word+k. Words no residue hits
-// cost nothing, so a dna_scan search carries about a thousand records
-// where dense bitmaps would hold 8 MiB.
-//
-// Dense producers (ExtractHits, the in-flash controller) convert their
-// bitmaps with HitBitmaps.Sparse; Candidates reads only this form.
+// HitWords is the one hit form: one ring.HitWord record per nonzero
+// 64-window word of a residue's hits, in canonical order, ascending by
+// word and then by row. Every producer emits it: the CPU engine's
+// kernel, the in-flash controller (internal/ssd) and the client-decrypt
+// ExtractHits. A record's Row indexes Residues: bit k of its Mask is
+// set iff residue Residues[Row] hit window 64·Word+k. Words no residue
+// hits cost nothing, so a dna_scan search carries about a thousand
+// records where dense bitmaps would hold 8 MiB.
 type HitWords struct {
 	Residues []int
 	Words    []ring.HitWord
@@ -29,11 +26,11 @@ type HitWords struct {
 // server under steady load stops allocating it.
 var hitWordsPool = sync.Pool{New: func() any { return new(HitWords) }}
 
-// newHitWords returns an empty record list for residues, reusing the
+// NewHitWords returns an empty record list for residues, reusing the
 // storage of a released one.
 //
 //cm:pooled
-func newHitWords(residues []int) *HitWords {
+func NewHitWords(residues []int) *HitWords {
 	h := hitWordsPool.Get().(*HitWords)
 	h.Residues, h.Words = residues, h.Words[:0]
 	return h
@@ -62,37 +59,6 @@ func (h *HitWords) Equal(o *HitWords) bool {
 		}
 	}
 	return true
-}
-
-// Sparse converts dense bitmaps into records: rows in ascending residue
-// order, and only the bits below each bitmap's Len, so a window past a
-// bitmap's end reads as a miss exactly as Bitset.AllSet treats it.
-//
-//cm:pooled
-func (h HitBitmaps) Sparse() *HitWords {
-	residues := slices.Sorted(maps.Keys(h))
-	out := newHitWords(residues)
-	bms := make([]*Bitset, len(residues))
-	numWords := 0
-	for row, res := range residues {
-		bms[row] = h[res]
-		numWords = max(numWords, len(bms[row].words))
-	}
-	for wi := 0; wi < numWords; wi++ {
-		for row, bm := range bms {
-			if wi >= len(bm.words) {
-				continue
-			}
-			w := bm.words[wi]
-			if valid := bm.n - 64*wi; valid < 64 {
-				w &= 1<<max(valid, 0) - 1
-			}
-			if w != 0 {
-				out.Words = append(out.Words, ring.HitWord{Word: uint32(wi), Row: uint32(row), Mask: w})
-			}
-		}
-	}
-	return out
 }
 
 // wordOffsets is the number of offsets whose first full window lies in

@@ -58,7 +58,7 @@ func runSearch(t *testing.T, mode IndexMode, seed string, db []byte, dbBits int,
 		t.Fatal(err)
 	}
 	hits := client.ExtractHits(q, sr)
-	return Candidates(hits.Sparse(), dbBits, queryBits, align)
+	return Candidates(hits, dbBits, queryBits, align)
 }
 
 func TestEndToEndSingleChunk(t *testing.T) {

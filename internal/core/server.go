@@ -143,5 +143,5 @@ func (s *Server) checkQuery(q *Query) error {
 	if q.Patterns == nil && q.HasTokens() {
 		return errors.New("core: a seeded-match query carries no pattern ciphertexts; search it with SearchAndIndex")
 	}
-	return validateSearchQuery(s.db, q)
+	return validateSearchQuery(q, len(s.db.Chunks), s.db.BitLen)
 }

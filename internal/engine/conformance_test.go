@@ -328,7 +328,7 @@ func TestEngineHitsMatchClientDecrypt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := twin.ExtractHits(tq, sr).Sparse()
+			want := twin.ExtractHits(tq, sr)
 			for _, kp := range ring.AvailableKernels() {
 				withKernel(t, kp, func() {
 					for _, spec := range conformanceSpecs {
@@ -405,7 +405,7 @@ func TestEngineSaturatedHits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := twin.ExtractHits(tq, sr).Sparse()
+			want := twin.ExtractHits(tq, sr)
 			wantCands := core.Candidates(want, dbBits, queryBits, align)
 			if all := core.ExpectedCandidates(data, dbBits, pattern, queryBits, align); !intsEqual(wantCands, all) {
 				t.Fatalf("client decrypt found %d candidates, every one of the %d aligned offsets expected", len(wantCands), len(all))
@@ -590,6 +590,45 @@ func TestEngineRejectsHostileResidues(t *testing.T) {
 	assertEnginesRefuse(t, cfg.Params, edb, good, bad, core.ErrQueryResidues)
 }
 
+// TestEngineRejectsNarrowRing: on rings of degree 16 and 32 a chunk is
+// narrower than one 64-window hit word. The CPU engine refuses a seeded
+// search there with core.ErrNarrowRing, alone and in a batch, and the
+// in-flash engine refuses the database itself with the same error.
+func TestEngineRejectsNarrowRing(t *testing.T) {
+	for _, n := range []int{16, 32} {
+		params := bfv.Params{N: n, Q: 1 << 32, T: 1 << 16, Eta: 3, RelinBaseBits: 8}
+		cfg := core.Config{Params: params, AlignBits: 8, Mode: core.ModeSeededMatch}
+		client, err := core.NewClient(cfg, rng.NewSourceFromString("narrow-ring"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edb, err := client.EncryptDatabase(make([]byte, 256), 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []core.EngineSpec{{Kind: core.EngineSerial}, {Kind: core.EnginePool, Workers: 2}} {
+			eng, err := BuildWith(params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, spec, err)
+			}
+			if ir, err := eng.SearchAndIndex(q); !errors.Is(err, core.ErrNarrowRing) || ir != nil {
+				t.Errorf("n=%d %s: search = (%v, %v), want ErrNarrowRing and no result", n, spec, ir, err)
+			}
+			if irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(q)); !errors.Is(err, core.ErrNarrowRing) || irs != nil {
+				t.Errorf("n=%d %s: batch = (%v, %v), want ErrNarrowRing and no result", n, spec, irs, err)
+			}
+			eng.Close()
+		}
+		if eng, err := BuildWith(params, edb, core.EngineSpec{Kind: core.EngineSSD}, ssd.TestConfig(), ssd.SoftwareTransposition); !errors.Is(err, core.ErrNarrowRing) {
+			t.Errorf("n=%d ssd: build = (%v, %v), want ErrNarrowRing", n, eng, err)
+		}
+	}
+}
+
 // TestEngineStatsAccumulate checks the cumulative Stats contract across
 // repeated searches for each substrate.
 func TestEngineStatsAccumulate(t *testing.T) {
@@ -680,7 +719,7 @@ func TestParse(t *testing.T) {
 func scribblePool(k int) {
 	hws := make([]*core.HitWords, k)
 	for i := range hws {
-		hws[i] = core.HitBitmaps{}.Sparse()
+		hws[i] = core.NewHitWords(nil)
 		w := hws[i].Words[:cap(hws[i].Words)]
 		for j := range w {
 			w[j] = ring.HitWord{Word: ^uint32(0), Mask: ^uint64(0)}

@@ -38,39 +38,39 @@ import (
 const OperandBits = 32
 
 // BitSerialAddPlanes adds the 32 operand bit-planes bPlanes to the value
-// stored vertically at (block, wlBase..wlBase+31), returning the 32 sum
-// bit-planes. Every bitline computes one independent 32-bit addition; the
-// final carry-out is discarded (mod-2^32 semantics).
-func (p *Plane) BitSerialAddPlanes(b, wlBase int, bPlanes [][]uint64) ([][]uint64, error) {
-	if len(bPlanes) != OperandBits {
-		return nil, fmt.Errorf("flash: operand must have %d bit-planes, got %d", OperandBits, len(bPlanes))
+// stored vertically at (block, wlBase..wlBase+31), writing the 32 sum
+// bit-planes into the caller's sums, each one page wide. Every bitline
+// computes one independent 32-bit addition; the final carry-out is
+// discarded (mod-2^32 semantics).
+func (p *Plane) BitSerialAddPlanes(b, wlBase int, bPlanes, sums [][]uint64) error {
+	if len(bPlanes) != OperandBits || len(sums) != OperandBits {
+		return fmt.Errorf("flash: operand and sum must have %d bit-planes, got %d and %d", OperandBits, len(bPlanes), len(sums))
 	}
 	if mode := p.BlockMode(b); mode != ModeSLCESP {
-		return nil, fmt.Errorf("flash: bit-serial addition on %s block %d (CIPHERMATCH region must be SLC+ESP, §4.3.1)", mode, b)
+		return fmt.Errorf("flash: bit-serial addition on %s block %d (CIPHERMATCH region must be SLC+ESP, §4.3.1)", mode, b)
 	}
-	sums := make([][]uint64, OperandBits)
 	p.ResetD(2) // carry-in = 0
 	for i := 0; i < OperandBits; i++ {
 		if err := p.LoadS(bPlanes[i]); err != nil { // 1
-			return nil, err
+			return err
 		}
 		p.TransferS2D(1)                                // 2
 		p.AndSD(2)                                      // 3
 		p.XorDD(1, 2)                                   // 4
 		p.TransferS2D(0)                                // 5
 		if err := p.ReadPage(b, wlBase+i); err != nil { // 6
-			return nil, err
+			return err
 		}
-		p.TransferS2D(2)          // 7
-		p.AndSD(1)                // 8
-		p.XorDD(1, 2)             // 9
-		p.TransferS2D(2)          // 10
-		p.TransferD2S(0)          // 11
-		p.OrSD(2)                 // 12
-		sums[i] = p.ReadLatchD(1) // 13
+		p.TransferS2D(2)         // 7
+		p.AndSD(1)               // 8
+		p.XorDD(1, 2)            // 9
+		p.TransferS2D(2)         // 10
+		p.TransferD2S(0)         // 11
+		p.OrSD(2)                // 12
+		p.ReadLatchD(1, sums[i]) // 13
 		p.stats.BitSerialAdds++
 	}
-	return sums, nil
+	return nil
 }
 
 // BitSerialAdd is the convenience form over horizontal coefficients: it
@@ -82,13 +82,9 @@ func (p *Plane) BitSerialAdd(b, wlBase int, operand []uint32) ([]uint32, error) 
 	if len(operand) > p.geom.PageBits() {
 		return nil, fmt.Errorf("flash: %d operand coefficients exceed %d bitlines", len(operand), p.geom.PageBits())
 	}
-	bPlanes := make([][]uint64, OperandBits)
-	for i := range bPlanes {
-		bPlanes[i] = make([]uint64, p.geom.PageWords())
-	}
+	bPlanes, sumPlanes := p.geom.NewBitPlanes(), p.geom.NewBitPlanes()
 	mathutil.TransposeToBitPlanes(operand, bPlanes)
-	sumPlanes, err := p.BitSerialAddPlanes(b, wlBase, bPlanes)
-	if err != nil {
+	if err := p.BitSerialAddPlanes(b, wlBase, bPlanes, sumPlanes); err != nil {
 		return nil, err
 	}
 	out := make([]uint32, len(operand))

@@ -50,6 +50,16 @@ func (g Geometry) PageBits() int { return g.PageBytes * 8 }
 // PageWords returns the page size in 64-bit words.
 func (g Geometry) PageWords() int { return g.PageBytes / 8 }
 
+// NewBitPlanes returns OperandBits zeroed page-wide bit-planes, the
+// vertical form of one page of 32-bit coefficients.
+func (g Geometry) NewBitPlanes() [][]uint64 {
+	planes := make([][]uint64, OperandBits)
+	for i := range planes {
+		planes[i] = make([]uint64, g.PageWords())
+	}
+	return planes
+}
+
 // TotalPlanes returns the number of planes across the whole SSD — the unit
 // of array-level parallelism for in-flash processing.
 func (g Geometry) TotalPlanes() int {

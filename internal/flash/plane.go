@@ -232,14 +232,13 @@ func (p *Plane) LoadS(data []uint64) error {
 	return nil
 }
 
-// ReadLatchD transfers D-latch d out to the controller (DMA).
-func (p *Plane) ReadLatchD(d int) []uint64 {
-	out := make([]uint64, len(p.D[d]))
-	copy(out, p.D[d])
+// ReadLatchD transfers D-latch d out to the controller (DMA) into dst,
+// one page wide.
+func (p *Plane) ReadLatchD(d int, dst []uint64) {
+	copy(dst, p.D[d])
 	p.stats.LatchReads++
 	p.stats.Time += p.timing.DMA
 	p.stats.Energy += p.energy.DMAPerChannel
-	return out
 }
 
 // WriteVertical stores coeffs in vertical layout: bit i of coefficient j is
@@ -251,10 +250,7 @@ func (p *Plane) WriteVertical(b, wlBase int, coeffs []uint32) error {
 	if len(coeffs) > p.geom.PageBits() {
 		return fmt.Errorf("flash: %d coefficients exceed %d bitlines", len(coeffs), p.geom.PageBits())
 	}
-	planes := make([][]uint64, 32)
-	for i := range planes {
-		planes[i] = make([]uint64, p.geom.PageWords())
-	}
+	planes := p.geom.NewBitPlanes()
 	mathutil.TransposeToBitPlanes(coeffs, planes)
 	for i := 0; i < 32; i++ {
 		if err := p.ProgramPage(b, wlBase+i, planes[i]); err != nil {
@@ -267,14 +263,12 @@ func (p *Plane) WriteVertical(b, wlBase int, coeffs []uint32) error {
 // ReadVertical reads numCoeffs coefficients stored in vertical layout at
 // (block, wlBase..wlBase+31). It performs 32 flash reads.
 func (p *Plane) ReadVertical(b, wlBase, numCoeffs int) ([]uint32, error) {
-	planes := make([][]uint64, 32)
-	for i := 0; i < 32; i++ {
+	planes := p.geom.NewBitPlanes()
+	for i, row := range planes {
 		if err := p.ReadPage(b, wlBase+i); err != nil {
 			return nil, err
 		}
-		row := make([]uint64, len(p.S))
 		copy(row, p.S)
-		planes[i] = row
 	}
 	coeffs := make([]uint32, numCoeffs)
 	mathutil.TransposeFromBitPlanes(planes, coeffs)

@@ -63,7 +63,7 @@ func newTwinTenant(t testing.TB, p bfv.Params, name string, dbBytes int, plants 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn.want = core.Candidates(twin.ExtractHits(tq, sr).Sparse(), 8*dbBytes, 32, 32)
+	tn.want = core.Candidates(twin.ExtractHits(tq, sr), 8*dbBytes, 32, 32)
 	for _, at := range plants {
 		if !slices.Contains(tn.want, at) {
 			t.Fatalf("tenant %s: twin candidates %v miss the planted occurrence %d", name, tn.want, at)

@@ -158,14 +158,13 @@ func FuzzDecodeQuery(f *testing.F) {
 	})
 }
 
-// FuzzSearchDecodedQuery holds the CPU engine to a bound a hostile peer
+// FuzzSearchDecodedQuery holds every engine to a bound a hostile peer
 // cannot break: each payload that decodes is searched on a one-chunk
-// toy database, inline and on two workers, and no search may allocate
-// more than 64 bytes per payload byte plus 64 KiB, so nothing a search
-// sizes (comparand rows, record room) outgrows what the peer sent. A
-// seed carries 4096 copies of residue 0. The SSD simulator is left out:
-// each of its searches allocates ~0.5 MiB whatever the payload, and
-// TestEngineRejectsHostileResidues bounds its refusals.
+// toy database, by the CPU engine inline and on two workers and by the
+// in-flash simulator, and no search may allocate more than 64 bytes per
+// payload byte plus 64 KiB, so nothing a search sizes (comparand rows,
+// record room) outgrows what the peer sent. A seed carries 4096 copies
+// of residue 0.
 func FuzzSearchDecodedQuery(f *testing.F) {
 	p := bfv.ParamsToy()
 	const dbBits = 1024 // one chunk at n = 64
@@ -191,6 +190,7 @@ func FuzzSearchDecodedQuery(f *testing.F) {
 	for _, spec := range []core.EngineSpec{
 		{Kind: core.EngineSerial},
 		{Kind: core.EnginePool, Workers: 2},
+		{Kind: core.EngineSSD},
 	} {
 		eng, err := engine.Build(p, edb, spec)
 		if err != nil {

@@ -81,7 +81,7 @@ func decryptTruth(t *testing.T, p bfv.Params, seed string, db *core.EncryptedDB,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Candidates(twin.ExtractHits(q, sr).Sparse(), q.DBBitLen, q.YBits, q.AlignBits)
+	return core.Candidates(twin.ExtractHits(q, sr), q.DBBitLen, q.YBits, q.AlignBits)
 }
 
 func assertCandidates(t *testing.T, label string, got, want []int) {

@@ -6,6 +6,7 @@ import (
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
+	"ciphermatch/internal/ring"
 )
 
 // Engine adapts the in-flash simulator to core.Engine, so the SSD's
@@ -51,20 +52,32 @@ func NewEngineForDB(cfg Config, params bfv.Params, kind TranspositionKind, db *c
 func (e *Engine) SearchAndIndex(q *core.Query) (*core.IndexResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.searchLocked(q)
+	rows, err := e.drive.comparands(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.searchLocked(q, rows)
 }
 
 // SearchAndIndexBatch implements core.Engine: one drive executes one
 // command stream, so batch members run back to back under the drive
-// mutex exactly as separate searches would.
+// mutex exactly as separate searches would, once every member has
+// passed the checks, so a malformed member costs no flash work.
 //
 //cm:pooled
 func (e *Engine) SearchAndIndexBatch(bq *core.BatchQuery) ([]*core.IndexResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	rows := make([][][]ring.Poly, len(bq.Queries))
+	for i, q := range bq.Queries {
+		var err error
+		if rows[i], err = e.drive.comparands(q); err != nil {
+			return nil, fmt.Errorf("ssd: batch member %d: %w", i, err)
+		}
+	}
 	out := make([]*core.IndexResult, len(bq.Queries))
 	for i, q := range bq.Queries {
-		ir, err := e.searchLocked(q)
+		ir, err := e.searchLocked(q, rows[i])
 		if err != nil {
 			for _, done := range out[:i] {
 				done.Release()
@@ -76,12 +89,13 @@ func (e *Engine) SearchAndIndexBatch(bq *core.BatchQuery) ([]*core.IndexResult, 
 	return out, nil
 }
 
-// searchLocked runs one CM-search and folds its counts into the
-// cumulative stats; e.mu held.
+// searchLocked runs one CM-search with the comparand rows the drive
+// looked up for q and folds its counts into the cumulative stats; e.mu
+// held.
 //
 //cm:pooled
-func (e *Engine) searchLocked(q *core.Query) (*core.IndexResult, error) {
-	ir, err := e.drive.CMSearch(q)
+func (e *Engine) searchLocked(q *core.Query, rows [][]ring.Poly) (*core.IndexResult, error) {
+	ir, err := e.drive.search(q, rows)
 	if err != nil {
 		return nil, err
 	}

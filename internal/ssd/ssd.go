@@ -32,6 +32,14 @@ type SSD struct {
 	ftl *ftl
 
 	ctrl ControllerStats
+
+	// Controller scratch, one page each, reused by every CM command: a
+	// group's coefficients, one per bitline (the operand, then the
+	// sums), and the operand's and the sums' bit-planes. The drive runs
+	// one command at a time, so an SSD is not safe for concurrent use;
+	// Engine serialises its searches.
+	page      []uint32
+	ops, sums [][]uint64
 }
 
 // ControllerStats accumulates controller-side work (the flash planes track
@@ -48,11 +56,16 @@ type ControllerStats struct {
 }
 
 // New creates an SSD for the given BFV parameters. The parameters must use
-// q = 2^32 (the 32-bit vertical coefficient layout of §4.3.1) and n must
-// not exceed the page width in bits.
+// q = 2^32 (the 32-bit vertical coefficient layout of §4.3.1), and n must
+// not exceed the page width in bits. n must be at least 64, the CPU
+// engine's contract (core.ErrNarrowRing): a chunk then covers whole hit
+// words, so CM-search emits its records chunk by chunk.
 func New(cfg Config, params bfv.Params, kind TranspositionKind) (*SSD, error) {
 	if params.Q != 1<<32 {
 		return nil, fmt.Errorf("ssd: CM-IFP requires q = 2^32 (32 wordlines per coefficient), got q = %d", params.Q)
+	}
+	if params.N < 64 {
+		return nil, fmt.Errorf("ssd: %w: n = %d", core.ErrNarrowRing, params.N)
 	}
 	if params.N > cfg.Geometry.PageBits() {
 		return nil, fmt.Errorf("ssd: ring degree %d exceeds page width %d bitlines", params.N, cfg.Geometry.PageBits())
@@ -66,6 +79,9 @@ func New(cfg Config, params bfv.Params, kind TranspositionKind) (*SSD, error) {
 		transKind:     kind,
 		cmBlocks:      cfg.Geometry.BlocksPerPlane / 2, // half the drive, §4.3.2 region split
 		lanesPerGroup: cfg.Geometry.PageBits() / params.N,
+		page:          make([]uint32, cfg.Geometry.PageBits()),
+		ops:           cfg.Geometry.NewBitPlanes(),
+		sums:          cfg.Geometry.NewBitPlanes(),
 	}
 	total := cfg.Geometry.TotalPlanes()
 	s.planes = make([]*flash.Plane, total)
@@ -139,16 +155,7 @@ func (s *SSD) numGroups() int {
 	return (slots + s.lanesPerGroup - 1) / s.lanesPerGroup
 }
 
-// polyToU32 converts a mod-2^32 ring polynomial to its coefficient array.
-func polyToU32(p ring.Poly) []uint32 {
-	out := make([]uint32, len(p))
-	for i, c := range p {
-		out[i] = uint32(c)
-	}
-	return out
-}
-
-// u32ToPoly converts back.
+// u32ToPoly converts 32-bit coefficients to a mod-2^32 ring polynomial.
 func u32ToPoly(c []uint32) ring.Poly {
 	out := make(ring.Poly, len(c))
 	for i, v := range c {
@@ -163,19 +170,20 @@ func (s *SSD) transpose() {
 	s.ctrl.TransposeTime += s.cfg.TransposeLatency(s.transKind)
 }
 
-// composeGroup builds the page-width coefficient array of group g from a
-// per-slot fetch function (nil slices leave lanes zero).
-func (s *SSD) composeGroup(g int, fetch func(slot int) []uint32) []uint32 {
-	page := make([]uint32, s.cfg.Geometry.PageBits())
+// composeGroup fills the controller's page with group g's coefficients
+// and returns it: fill writes component c of chunk j into dst, its
+// lane, for every slot of g that holds a stored chunk; the other lanes
+// stay zero.
+func (s *SSD) composeGroup(g int, fill func(j, c int, dst []uint32)) []uint32 {
+	clear(s.page)
+	n := s.params.N
 	for lane := 0; lane < s.lanesPerGroup; lane++ {
 		slot := g*s.lanesPerGroup + lane
-		coeffs := fetch(slot)
-		if coeffs == nil {
-			continue
+		if j := slot / 2; j < s.numChunks {
+			fill(j, slot%2, s.page[lane*n:(lane+1)*n])
 		}
-		copy(page[lane*s.params.N:(lane+1)*s.params.N], coeffs)
 	}
-	return page
+	return s.page
 }
 
 // CMWriteDatabase stores an encrypted database into the CIPHERMATCH region
@@ -185,28 +193,21 @@ func (s *SSD) composeGroup(g int, fetch func(slot int) []uint32) []uint32 {
 func (s *SSD) CMWriteDatabase(db *core.EncryptedDB) error {
 	s.numChunks = len(db.Chunks)
 	s.dbBitLen = db.BitLen
-	fetch := func(slot int) []uint32 {
-		j, c := slot/2, slot%2
-		if j >= len(db.Chunks) {
-			return nil
-		}
-		s.ctrl.HostBytesIn += int64(s.params.N * s.params.QBytes())
-		return polyToU32(db.Chunks[j].C[c])
-	}
 	for g := 0; g < s.numGroups(); g++ {
 		plane, block, wlBase, err := s.groupAddr(g)
 		if err != nil {
 			return err
 		}
-		page := s.composeGroup(g, fetch)
-		planes := make([][]uint64, flash.OperandBits)
-		for i := range planes {
-			planes[i] = make([]uint64, s.cfg.Geometry.PageWords())
-		}
-		mathutil.TransposeToBitPlanes(page, planes)
+		page := s.composeGroup(g, func(j, c int, dst []uint32) {
+			s.ctrl.HostBytesIn += int64(s.params.N * s.params.QBytes())
+			for i, v := range db.Chunks[j].C[c] {
+				dst[i] = uint32(v)
+			}
+		})
+		mathutil.TransposeToBitPlanes(page, s.ops)
 		s.transpose()
-		for i := 0; i < flash.OperandBits; i++ {
-			if err := s.planes[plane].ProgramPage(block, wlBase+i, planes[i]); err != nil {
+		for i, row := range s.ops {
+			if err := s.planes[plane].ProgramPage(block, wlBase+i, row); err != nil {
 				return err
 			}
 		}

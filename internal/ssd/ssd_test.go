@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"errors"
+	"maps"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -198,6 +200,68 @@ func TestCMSearchValidatesDBShape(t *testing.T) {
 	qWrong, _ := client.PrepareQuery([]byte{0xAB, 0xCD}, 16, 2048)
 	if _, err := s.CMSearch(qWrong); err == nil {
 		t.Error("CMSearch accepted query for a different database size")
+	}
+}
+
+// TestBatchRefusesBeforeFlashWork: the engine checks every batch member
+// before it searches any, as the CPU engine does, so a malformed last
+// member costs the drive nothing: neither the engine's HomAdds nor the
+// controller's move, and no page is read.
+func TestBatchRefusesBeforeFlashWork(t *testing.T) {
+	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: core.ModeSeededMatch}
+	client, err := core.NewClient(cfg, rng.NewSourceFromString("batch-refusal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := client.EncryptDatabase(make([]byte, 128), 1024) // one toy chunk
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngineForDB(TestConfig(), cfg.Params, SoftwareTransposition, edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE}, 24, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := eng.SearchAndIndex(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir.Release()
+	badResidues := *q
+	badResidues.Residues = []int{0, 0, 8}
+	// As many RHS polynomials as residues, one of them moved to a phase
+	// no chunk compares against.
+	missingPhase := *q
+	missingPhase.RHS = maps.Clone(q.RHS)
+	for psi, p := range q.RHS {
+		delete(missingPhase.RHS, psi)
+		missingPhase.RHS[psi+q.YBits] = p
+		break
+	}
+	for name, c := range map[string]struct {
+		bad  *core.Query
+		want error
+	}{
+		"residues":      {&badResidues, core.ErrQueryResidues},
+		"missing phase": {&missingPhase, nil},
+	} {
+		adds, ctrlAdds, reads := eng.Stats().HomAdds, eng.drive.ControllerStats().HomAdds, eng.drive.FlashStats().Reads
+		irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(q, q, c.bad))
+		if err == nil || c.want != nil && !errors.Is(err, c.want) || irs != nil {
+			t.Fatalf("%s: batch = (%v, %v), want a refusal (%v) and no result", name, irs, err, c.want)
+		}
+		if got := eng.Stats().HomAdds; got != adds {
+			t.Errorf("%s: engine HomAdds %d -> %d across a refused batch", name, adds, got)
+		}
+		if got := eng.drive.ControllerStats().HomAdds; got != ctrlAdds {
+			t.Errorf("%s: controller HomAdds %d -> %d across a refused batch", name, ctrlAdds, got)
+		}
+		if got := eng.drive.FlashStats().Reads; got != reads {
+			t.Errorf("%s: %d flash reads for a refused batch", name, got-reads)
+		}
 	}
 }
 
