@@ -215,7 +215,7 @@ func (c *Client) dbSource() *rng.Source { return c.src.Fork("db") }
 // psi) and the token mask from querySource().Fork("token-mask").
 func (c *Client) querySource() *rng.Source { return c.src.Fork("query") }
 
-// fanOut is the state of one forEach call, kept in one allocation.
+// fanOut is the state of one ForEach call, kept in one allocation.
 type fanOut struct {
 	next atomic.Int64
 	wg   sync.WaitGroup
@@ -230,12 +230,17 @@ func (s *fanOut) run() {
 	}
 }
 
-// forEach runs f(0), …, f(n-1) on min(workers, n) runners that claim
+// ForEach runs f(0), …, f(n-1) on min(workers, n) runners that claim
 // indices from a shared counter; the caller is one of them, so with one
 // runner everything runs inline and no goroutine starts. It returns once
 // every f(i) has, so no goroutine outlives the call. Each f(i) must
 // write only item i's outputs.
-func forEach(workers, n int, f func(i int)) {
+//
+// It is the program's one parallel-for. Its callers: the CPU engine's
+// chunk ranges (cpu.go), the client's per-chunk and per-phase
+// encryption, and the segment checksums (internal/segment: reload
+// verify, segment save, the store's upload fingerprint and scrub).
+func ForEach(workers, n int, f func(i int)) {
 	s := &fanOut{n: n, f: f}
 	for w := 1; w < min(workers, n); w++ {
 		s.wg.Add(1)
@@ -277,7 +282,7 @@ func (c *Client) EncryptDatabase(data []byte, bitLen int) (*EncryptedDB, error) 
 		rows = c.newRows(len(pts) - have)
 	}
 	dbSrc := c.dbSource()
-	forEach(runtime.GOMAXPROCS(0), len(pts), func(j int) {
+	ForEach(runtime.GOMAXPROCS(0), len(pts), func(j int) {
 		c.encryptor.EncryptTo(pts[j], dbSrc.ForkIndexed("chunk", j), db.Chunks[j])
 		if j >= have {
 			m := pts[j].Coeffs // spent: becomes the row C0_j − M + Δ·(t−1−m_j) in place
@@ -479,7 +484,7 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	}
 	querySrc := c.querySource()
 	patterns := make([]*bfv.Ciphertext, len(phases))
-	forEach(runtime.GOMAXPROCS(0), len(phases), func(i int) {
+	ForEach(runtime.GOMAXPROCS(0), len(phases), func(i int) {
 		patterns[i] = c.encryptor.Encrypt(pts[i], querySrc.ForkIndexed("pattern", phases[i]))
 	})
 	q.Patterns = make(map[int]*bfv.Ciphertext, len(phases))
@@ -537,7 +542,7 @@ func (c *Client) tokenPlane(numChunks int) [][]byte {
 		}
 		dbSrc := c.dbSource()
 		rows := c.newRows(numChunks - have)
-		forEach(runtime.GOMAXPROCS(0), len(rows), func(i int) {
+		ForEach(runtime.GOMAXPROCS(0), len(rows), func(i int) {
 			encryptC0Calls.Add(1)
 			row := c.ring.NewPoly()
 			c.encryptor.EncryptC0To(onesPT, dbSrc.ForkIndexed("chunk", have+i), row)

@@ -19,7 +19,7 @@ var errEngineClosed = errors.New("core: engine is closed")
 // spec, the paper's CPU baseline — every search runs on the caller's
 // goroutine: no goroutine, channel or extra allocation is involved.
 // With more, each search fans its chunk ranges out over up to that many
-// runners (forEach), the caller among them: homomorphic additions are
+// runners (ForEach), the caller among them: homomorphic additions are
 // embarrassingly parallel — the coefficient-wise independence the paper
 // exploits with SIMD on CPUs and with array-level parallelism in flash —
 // so the search scales with cores until memory bandwidth saturates.
@@ -82,7 +82,7 @@ func (e *CPUEngine) batchSize(numChunks int) int {
 // groups over every chunk of the database, room records per chunk, and
 // leaves the records in dst in range order. With one worker the whole
 // range runs on the caller's goroutine, straight into dst; otherwise
-// forEach runs the ranges, each into a record list of its own, so
+// ForEach runs the ranges, each into a record list of its own, so
 // runners share no output, and the caller joins the lists in range
 // order.
 func (e *CPUEngine) schedule(groups []planeGroup, room int, dst *HitWords) error {
@@ -96,7 +96,7 @@ func (e *CPUEngine) schedule(groups []planeGroup, room int, dst *HitWords) error
 	}
 	batch := e.batchSize(numChunks)
 	outs := make([]*HitWords, (numChunks+batch-1)/batch)
-	forEach(e.workers, len(outs), func(k int) {
+	ForEach(e.workers, len(outs), func(k int) {
 		lo := k * batch
 		hw := NewHitWords(nil)
 		hw.Words = runRange(e.ring, e.db, groups, lo, min(lo+batch, numChunks), room, hw.Words)

@@ -23,6 +23,11 @@ type Plane struct {
 	blocks   map[int]*block
 	stats    Stats
 	errModel ErrorModel
+
+	// Blocks [0, regionBlocks) not yet materialised take regionMode
+	// (SetRegionMode); the rest start in ModeTLC.
+	regionBlocks int
+	regionMode   BlockMode
 }
 
 type block struct {
@@ -58,7 +63,7 @@ func (p *Plane) getBlock(b int) (*block, error) {
 	}
 	blk, ok := p.blocks[b]
 	if !ok {
-		blk = &block{mode: ModeTLC, pages: make(map[int][]uint64)}
+		blk = &block{mode: p.BlockMode(b), pages: make(map[int][]uint64)}
 		p.blocks[b] = blk
 	}
 	return blk, nil
@@ -82,6 +87,18 @@ func (p *Plane) SetBlockMode(b int, mode BlockMode) error {
 	return nil
 }
 
+// SetRegionMode gives the blocks [0, n) not used yet the cell mode
+// mode without materialising them: the CIPHERMATCH region of a drive
+// costs nothing until a block in it is used. Blocks already used keep
+// their mode, and SetBlockMode still sets one block's mode.
+func (p *Plane) SetRegionMode(n int, mode BlockMode) error {
+	if n < 0 || n > p.geom.BlocksPerPlane {
+		return fmt.Errorf("flash: region of %d blocks out of range [0, %d]", n, p.geom.BlocksPerPlane)
+	}
+	p.regionBlocks, p.regionMode = n, mode
+	return nil
+}
+
 // BlockWear returns the erase count of a block.
 func (p *Plane) BlockWear(b int) int {
 	if blk, ok := p.blocks[b]; ok {
@@ -90,11 +107,14 @@ func (p *Plane) BlockWear(b int) int {
 	return 0
 }
 
-// BlockMode returns the cell mode of a block (ModeTLC for untouched
-// blocks).
+// BlockMode returns the cell mode of a block (for untouched blocks,
+// the region mode inside the SetRegionMode region and ModeTLC outside).
 func (p *Plane) BlockMode(b int) BlockMode {
 	if blk, ok := p.blocks[b]; ok {
 		return blk.mode
+	}
+	if b >= 0 && b < p.regionBlocks {
+		return p.regionMode
 	}
 	return ModeTLC
 }

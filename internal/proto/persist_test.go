@@ -515,3 +515,89 @@ func TestStoreSegmentV1Compat(t *testing.T) {
 		t.Fatalf("scrub over a reloaded version 1 tenant: checked %d, corrupted %d; want 1, 0", checked, corrupted)
 	}
 }
+
+// TestUploadFingerprintIsFooter: a durable upload records as its scrub
+// fingerprint exactly the plane sums its segment footer seals, so one
+// hash serves both, and the scrub stays clean across evict and reload.
+// A memory-only store fingerprints the arena itself, and its scrub still
+// catches a flipped word. The tenant's 1 MiB planes hash in parallel.
+func TestUploadFingerprintIsFooter(t *testing.T) {
+	p := bfv.ParamsToy()
+	tn := newDurableTenant(t, p, "sealed", core.EngineSpec{}, 256<<10, 200)
+	fingerprint := func(st *Store) [2]uint64 {
+		t.Helper()
+		d, err := st.lookup(tn.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		return d.planeCRC
+	}
+	scrub := func(st *Store, label string, wantCorrupt int) {
+		t.Helper()
+		if checked, corrupted := st.ScrubOnce(); checked != 1 || corrupted != wantCorrupt {
+			t.Fatalf("%s: scrub checked=%d corrupted=%d, want 1/%d", label, checked, corrupted, wantCorrupt)
+		}
+	}
+
+	t.Run("durable", func(t *testing.T) {
+		st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.Upload(tn.name, tn.spec, tn.db); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := st.Dir().Load(tn.name, p.N, p.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footer := seg.PlaneCRCs()
+		seg.Close()
+		if got := fingerprint(st); got != footer {
+			t.Fatalf("upload fingerprint %016x, segment footer %016x", got, footer)
+		}
+		if arena := segment.ArenaPlaneCRCs(tn.db.Arena()); footer != arena {
+			t.Fatalf("segment footer %016x, arena sums %016x", footer, arena)
+		}
+		scrub(st, "after upload", 0)
+
+		d, err := st.lookup(tn.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.mu.Lock()
+		st.unloadLocked(d)
+		d.mu.Unlock()
+		ir, err := st.Search(tn.name, tn.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertCandidates(t, "reloaded", ir.Candidates, tn.clientWant)
+		ir.Release()
+		if got := fingerprint(st); got != footer {
+			t.Fatalf("reload fingerprint %016x, segment footer %016x", got, footer)
+		}
+		scrub(st, "after evict and reload", 0)
+	})
+
+	t.Run("memory", func(t *testing.T) {
+		st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.Upload(tn.name, tn.spec, tn.db); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(st), segment.ArenaPlaneCRCs(tn.db.Arena()); got != want {
+			t.Fatalf("upload fingerprint %016x, arena sums %016x", got, want)
+		}
+		scrub(st, "clean", 0)
+		arena := tn.db.Arena()
+		arena[len(arena)-1] ^= 1 << 40 // in-memory bit rot in the C1 plane
+		scrub(st, "flipped word", 1)
+	})
+}

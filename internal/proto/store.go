@@ -304,9 +304,13 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 		numSegments: edb.NumSegments,
 		db:          edb,
 		engine:      eng,
-		// Fingerprint the arena now, while it is known-good: the scrub
-		// and any later reload compare against exactly these CRCs.
-		planeCRC: segment.ArenaPlaneCRCs(edb.Arena()),
+	}
+	// Fingerprint the arena while it is known-good: the scrub compares
+	// against exactly these sums. A durable store takes them from the
+	// segment write below, which seals the same sums into the footer
+	// that every reload verifies; hashing the arena once serves both.
+	if st.dir == nil {
+		entry.planeCRC = segment.ArenaPlaneCRCs(edb.Arena())
 	}
 
 	// Serialised persist+register: with concurrent uploads of one name,
@@ -335,7 +339,8 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 			NumSegments: edb.NumSegments,
 			Spec:        spec,
 		}
-		if err := st.dir.Save(meta, edb); err != nil {
+		planeCRC, err := st.dir.SaveSealed(meta, edb)
+		if err != nil {
 			// Graceful degradation: the upload is refused cleanly — the
 			// new engine is torn down, the registry and the old segment
 			// (if any) are untouched, so resident state and disk never
@@ -345,7 +350,7 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 			_ = eng.Close()
 			return fmt.Errorf("proto: persisting %q: %w", name, err)
 		}
-		entry.persisted = true
+		entry.planeCRC, entry.persisted = planeCRC, true
 	}
 	// Resident accounting pairs with unloadLocked's decrement: add the
 	// arena bytes exactly when loaded flips true.

@@ -154,14 +154,23 @@ func (d *Dir) Damaged() []Damaged {
 // Save writes db as meta.Name's segment (crash-atomically, replacing
 // any previous version) and updates the manifest.
 func (d *Dir) Save(meta Meta, db *core.EncryptedDB) error {
+	_, err := d.SaveSealed(meta, db)
+	return err
+}
+
+// SaveSealed is Save returning the plane sums it sealed into the
+// segment footer — ArenaPlaneCRCs of db's arena, hashed once for both
+// the file and the caller.
+func (d *Dir) SaveSealed(meta Meta, db *core.EncryptedDB) ([2]uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	fn := FileName(meta.Name)
-	if err := WriteFS(d.fsys, filepath.Join(d.root, fn), meta, db); err != nil {
-		return err
+	planeCRC, err := writeFS(d.fsys, filepath.Join(d.root, fn), meta, db)
+	if err != nil {
+		return planeCRC, err
 	}
 	d.entries[meta.Name] = &Entry{Meta: meta, File: fn}
-	return d.writeManifest()
+	return planeCRC, d.writeManifest()
 }
 
 // Load opens the named segment, verifying checksums and geometry.

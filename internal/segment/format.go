@@ -51,6 +51,7 @@ import (
 	"hash/crc32"
 	"hash/crc64"
 	"io"
+	"runtime"
 
 	"ciphermatch/internal/core"
 )
@@ -106,7 +107,7 @@ var (
 // checksum is the 64-bit sum that seals each section of a version 2
 // segment: CRC-32C in the high word, CRC-32/IEEE in the low word. The
 // writer, both loaders and the store's upload fingerprint and scrub (via
-// ArenaPlaneCRCs) all use it.
+// planeSums) all use it.
 func checksum(b []byte) uint64 {
 	var d digest
 	d.Write(b) //nolint:errcheck // never fails
@@ -116,14 +117,26 @@ func checksum(b []byte) uint64 {
 // digest is the streaming form of checksum.
 type digest struct{ castagnoli, ieee uint32 }
 
-// Write folds b into both CRCs. It never fails. Two whole passes beat
-// interleaving the CRCs block by block over a freshly mapped plane
-// (BenchmarkOpen).
+// Write folds b into both CRCs. It never fails. It runs the two CRCs
+// block by block, so the second reads each block from L1 cache. Over a
+// mapped 32 MiB segment that beats two whole passes: BenchmarkOpen/v2
+// medians 7.9 against 10.0 ms at -cpu 1 (6 and 8 runs), 4.5 against
+// 5.4 ms at -cpu 2 with the planes hashing in parallel (14 and 24
+// runs), on a 2-vCPU Xeon.
 func (d *digest) Write(b []byte) (int, error) {
-	d.castagnoli = crc32.Update(d.castagnoli, castagnoliTable, b)
-	d.ieee = crc32.Update(d.ieee, crc32.IEEETable, b)
-	return len(b), nil
+	n := len(b)
+	for len(b) > 0 {
+		k := min(len(b), digestBlock)
+		d.castagnoli = crc32.Update(d.castagnoli, castagnoliTable, b[:k])
+		d.ieee = crc32.Update(d.ieee, crc32.IEEETable, b[:k])
+		b = b[k:]
+	}
+	return n, nil
 }
+
+// digestBlock is the span each CRC covers before the other takes it:
+// 16 KiB measured ahead of 64 and 256 KiB.
+const digestBlock = 16 << 10
 
 // Sum64 returns the checksum of everything written.
 func (d *digest) Sum64() uint64 { return uint64(d.castagnoli)<<32 | uint64(d.ieee) }
@@ -276,27 +289,54 @@ func decodeHeader(buf []byte) (Meta, layout, error) {
 
 // ArenaPlaneCRCs computes the checksum of each coefficient plane of a
 // compact plane-major arena, exactly as Write stores them in the segment
-// footer. The store checksums resident arenas with it at upload time, so
-// the background scrub can compare memory against the same fingerprint a
-// durable segment carries.
+// footer. A memory-only store fingerprints an uploaded arena with it (a
+// durable store adopts the sums its segment write sealed), and the
+// background scrub re-hashes every resident arena with it.
 func ArenaPlaneCRCs(arena []uint64) [2]uint64 {
-	var crcs [2]uint64
-	words := len(arena) / 2
-	for p := 0; p < 2; p++ {
-		crcs[p] = checksum(planeBytes(arena[p*words : (p+1)*words]))
-	}
-	return crcs
+	return planeSums(Version, arenaPlanes(arena))
 }
 
-// planeBytes returns a plane's file bytes: the words themselves on a
-// little-endian host, an encoded copy elsewhere.
-func planeBytes(plane []uint64) []byte {
-	if nativeLittleEndian {
-		return u64Bytes(plane)
+// planeSums returns the checksum format version seals each plane with.
+// Planes of parallelHashBytes or more hash concurrently on core.ForEach,
+// one task per plane; smaller ones on the caller's goroutine. Either
+// way the sums do not depend on which plane finishes first.
+func planeSums(version uint32, planes [2][]byte) [2]uint64 {
+	runners := 1
+	if len(planes[0]) >= parallelHashBytes {
+		runners = runtime.GOMAXPROCS(0)
 	}
-	buf := make([]byte, 0, 8*len(plane))
-	for _, c := range plane {
-		buf = binary.LittleEndian.AppendUint64(buf, c)
+	var sums [2]uint64
+	core.ForEach(runners, len(planes), func(p int) {
+		h := newHash(version)
+		h.Write(planes[p]) //nolint:errcheck // hashes never fail
+		sums[p] = h.Sum64()
+	})
+	return sums
+}
+
+// parallelHashBytes is the plane size from which planeSums hashes the
+// planes in parallel. Below it, waking a second runner costs more than
+// it saves: on a 2-vCPU Xeon, ArenaPlaneCRCs over a resident 1 MiB
+// arena took 122 µs on one runner and 139 µs on two, over 4 MiB 522 and
+// 380 µs.
+const parallelHashBytes = 1 << 20
+
+// arenaPlanes returns the file bytes of a plane-major arena's two
+// planes: the words themselves on a little-endian host, encoded copies
+// elsewhere.
+func arenaPlanes(arena []uint64) [2][]byte {
+	words := len(arena) / 2
+	var planes [2][]byte
+	for p, plane := range [2][]uint64{arena[:words], arena[words:]} {
+		if nativeLittleEndian {
+			planes[p] = u64Bytes(plane)
+			continue
+		}
+		buf := make([]byte, 0, 8*len(plane))
+		for _, c := range plane {
+			buf = binary.LittleEndian.AppendUint64(buf, c)
+		}
+		planes[p] = buf
 	}
-	return buf
+	return planes
 }

@@ -226,18 +226,19 @@ func decodeFooter(buf []byte) (footer, error) {
 }
 
 // verifyMapped checks both plane sums against the mapped bytes. This is
-// the cold-load cost: one sequential fault-in pass over the file.
+// the cold-load cost, and it is CRC work, not page faults: the planes
+// hash in parallel (planeSums), and the sums are compared C0 first, so a
+// segment with both planes damaged reports C0 whichever task ends first.
 func verifyMapped(m []byte, meta Meta, lay layout) (footer, error) {
 	foot, err := decodeFooter(m[len(m)-footerLen:])
 	if err != nil {
 		return footer{}, err
 	}
-	pb := meta.planeBytes()
-	for p := 0; p < 2; p++ {
-		lo := int64(lay.planeOff) + int64(p)*pb
-		h := newHash(lay.version)
-		h.Write(m[lo : lo+pb]) //nolint:errcheck // hashes never fail
-		if sum := h.Sum64(); sum != foot.planeCRC[p] {
+	c0 := int64(lay.planeOff)
+	c1 := c0 + meta.planeBytes()
+	sums := planeSums(lay.version, [2][]byte{m[c0:c1], m[c1 : c1+meta.planeBytes()]})
+	for p, sum := range sums {
+		if sum != foot.planeCRC[p] {
 			return footer{}, fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, sum, foot.planeCRC[p])
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -319,6 +320,55 @@ func TestSegmentCorruption(t *testing.T) {
 	}
 }
 
+// TestOpenReportsFirstCorruptPlane: with both planes damaged, every
+// loader and format version fails with ErrChecksum naming C0, as a
+// serial check would, however the parallel plane hashes finish. The
+// planes are large enough to hash in parallel, C0 is damaged at its
+// end and C1 at its start.
+func TestOpenReportsFirstCorruptPlane(t *testing.T) {
+	p := bfv.ParamsToy()
+	chunks := parallelHashBytes / (8 * p.N)
+	db := core.NewCompactDB(p.N, chunks)
+	rng.NewSourceFromString("first-corrupt").Bytes(u64Bytes(db.Arena()))
+	meta := Meta{Name: "both-planes", RingDegree: p.N, Modulus: p.Q, Chunks: chunks}
+	dir := t.TempDir()
+	path := filepath.Join(dir, FileName(meta.Name))
+	if err := Write(path, meta, db); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planeOff := headerLen + pad8(len(meta.Name))
+	pb := int(meta.planeBytes())
+	for _, version := range []int{1, Version} {
+		raw := append([]byte(nil), orig...)
+		if version == 1 {
+			sealV1(raw, planeOff)
+		}
+		raw[planeOff+pb-3] ^= 0x10
+		raw[planeOff+pb+2] ^= 0x01
+		bad := filepath.Join(dir, fmt.Sprintf("v%d.seg", version))
+		if err := os.WriteFile(bad, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, ld := range loaders {
+			t.Run(fmt.Sprintf("v%d/%s", version, ld.name), func(t *testing.T) {
+				for i := 0; i < 8; i++ {
+					s, err := OpenFS(ld.fsys, bad, p.N, p.Q)
+					if s != nil {
+						s.Close()
+					}
+					if !errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), "C0 plane CRC") {
+						t.Fatalf("open %d: got %v, want ErrChecksum naming C0", i, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // v1Fixture is a version 1 (CRC-64/ECMA) segment written by the last
 // release that wrote that version: ParamsToy, tenant "v1-tenant",
 // engine pool:2, two chunks.
@@ -436,6 +486,19 @@ func BenchmarkOpen(b *testing.B) {
 				s.Close()
 			}
 		})
+	}
+}
+
+// BenchmarkArenaPlaneCRCs times the plane checksums a durable upload
+// seals and the scrub re-hashes, over the same 32 MiB arena as
+// BenchmarkOpen but resident in memory: the CRC work alone.
+func BenchmarkArenaPlaneCRCs(b *testing.B) {
+	p := bfv.ParamsPaper()
+	arena := core.NewCompactDB(p.N, 2048).Arena()
+	rng.NewSourceFromString("bench-crcs").Bytes(u64Bytes(arena))
+	b.SetBytes(int64(8 * len(arena)))
+	for b.Loop() {
+		ArenaPlaneCRCs(arena)
 	}
 }
 

@@ -26,51 +26,59 @@ func Write(path string, meta Meta, db *core.EncryptedDB) error {
 // of them; the crash-point matrix test requires recovery to be correct
 // after every one.
 func WriteFS(fsys FS, path string, meta Meta, db *core.EncryptedDB) error {
+	_, err := writeFS(fsys, path, meta, db)
+	return err
+}
+
+// writeFS is WriteFS returning the plane sums it sealed into the footer.
+func writeFS(fsys FS, path string, meta Meta, db *core.EncryptedDB) ([2]uint64, error) {
+	var none [2]uint64
 	if err := checkWritable(meta, db); err != nil {
-		return err
+		return none, err
 	}
 	if err := fsys.Crash(CrashWriteTmpCreate); err != nil {
-		return err
+		return none, err
 	}
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return none, err
 	}
 	// Best-effort cleanup on any failure below; harmless after rename.
 	defer fsys.Remove(tmp) //nolint:errcheck // best-effort cleanup
-	if err := writeTo(fsys, f, meta, db); err != nil {
+	planeCRC, err := writeTo(fsys, f, meta, db)
+	if err != nil {
 		f.Close()
-		return err
+		return none, err
 	}
 	if err := fsys.Crash(CrashWriteSync); err != nil {
 		f.Close()
-		return err
+		return none, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return none, err
 	}
 	if err := fsys.Crash(CrashWriteClose); err != nil {
 		f.Close()
-		return err
+		return none, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return none, err
 	}
 	if err := fsys.Crash(CrashWriteRename); err != nil {
-		return err
+		return none, err
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
-		return err
+		return none, err
 	}
 	// A crash here loses only the directory sync: the rename is done, so
 	// recovery adopts the (unacknowledged but complete) segment.
 	if err := fsys.Crash(CrashWriteDirsync); err != nil {
-		return err
+		return none, err
 	}
 	fsys.SyncDir(filepath.Dir(path)) //nolint:errcheck // advisory durability barrier
-	return nil
+	return planeCRC, nil
 }
 
 // checkWritable validates that db matches meta chunk for chunk.
@@ -105,33 +113,32 @@ func crashFlush(fsys FS, w *bufio.Writer, point string) error {
 	return fsys.Crash(point)
 }
 
-// writeTo streams header, name, planes and footer.
-func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) error {
+// writeTo streams header, name, planes and footer, and returns the
+// plane sums it sealed.
+func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) ([2]uint64, error) {
+	var none [2]uint64
 	w := bufio.NewWriterSize(f, 1<<20)
 	head := encodeHeader(meta)
 	if _, err := w.Write(head); err != nil {
-		return err
+		return none, err
 	}
 	headCRC := checksum(head)
 	if err := crashFlush(fsys, w, CrashWriteHeader); err != nil {
-		return err
+		return none, err
 	}
 
 	// The arena's planes are the file's planes: on a little-endian host
 	// the words already are the bytes (two bulk writes), elsewhere each
 	// plane is encoded once.
-	var planeCRC [2]uint64
+	planes := arenaPlanes(db.Arena())
+	planeCRC := planeSums(Version, planes)
 	planePoints := [2]string{CrashWritePlane0, CrashWritePlane1}
-	arena := db.Arena()
-	words := len(arena) / 2
-	for p := 0; p < 2; p++ {
-		buf := planeBytes(arena[p*words : (p+1)*words])
-		planeCRC[p] = checksum(buf)
+	for p, buf := range planes {
 		if _, err := w.Write(buf); err != nil {
-			return err
+			return none, err
 		}
 		if err := crashFlush(fsys, w, planePoints[p]); err != nil {
-			return err
+			return none, err
 		}
 	}
 
@@ -141,7 +148,7 @@ func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) error {
 	binary.LittleEndian.PutUint64(foot[16:], headCRC)
 	copy(foot[24:], endMagic)
 	if _, err := w.Write(foot[:]); err != nil {
-		return err
+		return none, err
 	}
-	return crashFlush(fsys, w, CrashWriteFooter)
+	return planeCRC, crashFlush(fsys, w, CrashWriteFooter)
 }

@@ -87,10 +87,8 @@ func New(cfg Config, params bfv.Params, kind TranspositionKind) (*SSD, error) {
 	s.planes = make([]*flash.Plane, total)
 	for i := range s.planes {
 		s.planes[i] = flash.NewPlane(cfg.Geometry, cfg.Timing, cfg.Energy)
-		for b := 0; b < s.cmBlocks; b++ {
-			if err := s.planes[i].SetBlockMode(b, flash.ModeSLCESP); err != nil {
-				return nil, err
-			}
+		if err := s.planes[i].SetRegionMode(s.cmBlocks, flash.ModeSLCESP); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil

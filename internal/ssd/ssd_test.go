@@ -7,6 +7,7 @@ import (
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
+	"ciphermatch/internal/flash"
 	"ciphermatch/internal/mathutil"
 	"ciphermatch/internal/rng"
 )
@@ -395,5 +396,31 @@ func TestTransposeLatencyScaling(t *testing.T) {
 	// hardware unit must hide under a Z-NAND 3 µs read (§7.1).
 	if cfg.TransposeLatency(SoftwareTransposition) > cfg.Timing.ReadSLC {
 		t.Error("software transposition no longer hides under the flash read")
+	}
+}
+
+// TestNewAllocs pins drive construction to O(planes), not O(blocks):
+// the CIPHERMATCH region is a block-range rule on each plane, so
+// building the full Table 3 drive materialises no flash block.
+func TestNewAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := New(DefaultConfig(), bfv.ParamsPaper(), SoftwareTransposition); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("ssd.New allocates %v times, want <= 1000", allocs)
+	}
+	s, err := New(DefaultConfig(), bfv.ParamsPaper(), SoftwareTransposition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*flash.Plane{s.planes[0], s.planes[len(s.planes)-1]} {
+		if m := p.BlockMode(s.cmBlocks - 1); m != flash.ModeSLCESP {
+			t.Errorf("last CM-region block in mode %v, want %v", m, flash.ModeSLCESP)
+		}
+		if m := p.BlockMode(s.cmBlocks); m != flash.ModeTLC {
+			t.Errorf("first conventional block in mode %v, want %v", m, flash.ModeTLC)
+		}
 	}
 }
