@@ -160,9 +160,8 @@ func main() {
 	// Graceful shutdown: stop accepting, then drain — every request
 	// already read off a connection (including queries parked in
 	// coalescing windows) runs to completion and has its reply written
-	// before the store closes. Segment files and the manifest are
-	// fsynced at upload time, so shutdown has nothing left to make
-	// durable.
+	// before the store closes. Segment files are fsynced at upload
+	// time, so shutdown has nothing left to make durable.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	shuttingDown := make(chan struct{})

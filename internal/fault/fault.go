@@ -190,10 +190,10 @@ func New(cfg Config) *Injector {
 }
 
 // ArmCrash sets (or replaces) the armed crash point at runtime. The
-// crash-point matrix boots a store over an unarmed FS, arms the point
-// under test, and then drives the write that dies there — without this,
-// bootstrap writes (the manifest) would trip manifest crash points
-// before the scenario starts.
+// crash-point matrix's replace cases upload a first version over an
+// unarmed FS, arm the point under test, and then drive the replacement
+// that dies there — without this, the first upload would trip the
+// point before the scenario starts.
 func (inj *Injector) ArmCrash(point string) { inj.crashPoint.Store(&point) }
 
 // Config returns the injector's configuration.

@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,9 +74,7 @@ func newChaosFixture(t *testing.T, p bfv.Params) *chaosFixture {
 // write itself is already durable (renamed into place): recovery must
 // adopt the new version, even though the writer never acknowledged.
 var segDurableFrom = map[string]bool{
-	segment.CrashWriteDirsync:   true,
-	segment.CrashManifestWrite:  true,
-	segment.CrashManifestRename: true,
+	segment.CrashWriteDirsync: true,
 }
 
 // TestCrashPointMatrix simulates the process dying at every named crash
@@ -369,28 +369,36 @@ func TestFailedReloadLeavesDBCold(t *testing.T) {
 	ir.Release()
 }
 
-// gatedFS fails every file write with an injected disk-full while
-// armed; everything else (reads, renames, directory ops) works.
+// gatedFS injects disk-full: while fail is armed every file write
+// fails, and while allButSegTmp is armed every create and write fails
+// except those of a segment's .tmp file. Everything else (reads,
+// renames, directory ops) works.
 type gatedFS struct {
 	segment.FS
-	fail atomic.Bool
+	fail         atomic.Bool
+	allButSegTmp atomic.Bool
 }
 
 func (g *gatedFS) OpenFile(name string, flag int, perm fs.FileMode) (segment.File, error) {
+	segTmp := strings.HasSuffix(name, ".seg.tmp")
+	if flag&os.O_CREATE != 0 && !segTmp && g.allButSegTmp.Load() {
+		return nil, fault.ErrNoSpace
+	}
 	f, err := g.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &gatedFile{File: f, g: g}, nil
+	return &gatedFile{File: f, g: g, segTmp: segTmp}, nil
 }
 
 type gatedFile struct {
 	segment.File
-	g *gatedFS
+	g      *gatedFS
+	segTmp bool
 }
 
 func (f *gatedFile) Write(p []byte) (int, error) {
-	if f.g.fail.Load() {
+	if f.g.fail.Load() || (!f.segTmp && f.g.allButSegTmp.Load()) {
 		return 0, fault.ErrNoSpace
 	}
 	return f.File.Write(p)
@@ -445,6 +453,86 @@ func TestUploadFailureKeepsServing(t *testing.T) {
 	ir.Release()
 }
 
+// TestUploadFailureNeverSkews fails every file create and write except
+// a segment's .tmp, so the segment write itself goes through. An upload
+// must then be acknowledged exactly when its version is the one served —
+// after an eviction and reload, and after a restart — and a store
+// reopened while writes still fail must boot and serve from its
+// segments.
+func TestUploadFailureNeverSkews(t *testing.T) {
+	p := bfv.ParamsToy()
+	dir := t.TempDir()
+	gfs := &gatedFS{FS: segment.OSFS{}}
+	oldV := newDurableTenant(t, p, "skew", core.EngineSpec{}, 192, 200)
+	newV := newDurableTenant(t, p, "skew", core.EngineSpec{}, 192, 968)
+	fresh := newDurableTenant(t, p, "fresh", core.EngineSpec{}, 192, 400)
+	other := newDurableTenant(t, p, "bystander", core.EngineSpec{}, 192, 600)
+	// One arena of budget: every search of another tenant evicts skew.
+	opts := StoreOptions{DataDir: dir, FS: gfs, MemBudget: 2 * int64(len(oldV.db.Chunks)) * int64(p.N) * 8}
+	open := func() *Store {
+		t.Helper()
+		st, err := NewStoreWithOptions(p, core.EngineSpec{}, opts)
+		if err != nil {
+			t.Fatalf("opening the store: %v", err)
+		}
+		return st
+	}
+	search := func(st *Store, tn *durableTenant) ([]int, error) {
+		t.Helper()
+		ir, err := st.Search(tn.name, tn.q)
+		if err != nil {
+			return nil, err
+		}
+		defer ir.Release()
+		return append([]int(nil), ir.Candidates...), nil
+	}
+	// served searches the bystander first (evicting skew), then skew
+	// from its segment, and reports whether skew answers as newV.
+	served := func(st *Store, label string) bool {
+		t.Helper()
+		got, err := search(st, other)
+		if err != nil {
+			t.Fatalf("%s: bystander: %v", label, err)
+		}
+		assertCandidates(t, label+": bystander", got, other.clientWant)
+		if got, err = search(st, newV); err != nil {
+			t.Fatalf("%s: skew: %v", label, err)
+		}
+		if !slices.Equal(got, newV.clientWant) {
+			assertCandidates(t, label+": skew", got, oldV.clientWant)
+			return false
+		}
+		return true
+	}
+
+	st := open()
+	for _, tn := range []*durableTenant{oldV, other} {
+		if err := st.Upload(tn.name, tn.spec, tn.db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gfs.allButSegTmp.Store(true)
+	replaceErr := st.Upload(newV.name, newV.spec, newV.db)
+	freshErr := st.Upload(fresh.name, fresh.spec, fresh.db)
+	if got := served(st, "reload"); got != (replaceErr == nil) {
+		t.Fatalf("after eviction and reload: new version served = %v, upload error = %v", got, replaceErr)
+	}
+	st.Close()
+
+	st = open() // writes still fail: the boot must not need any
+	defer st.Close()
+	if got := served(st, "restart"); got != (replaceErr == nil) {
+		t.Fatalf("after restart: new version served = %v, upload error = %v", got, replaceErr)
+	}
+	got, err := search(st, fresh)
+	if (err == nil) != (freshErr == nil) {
+		t.Fatalf("after restart: fresh tenant search error %v, upload error %v", err, freshErr)
+	}
+	if err == nil {
+		assertCandidates(t, "restart: fresh", got, fresh.clientWant)
+	}
+}
+
 // panicEngine stands in for a hosted engine with a latent bug.
 type panicEngine struct{}
 
@@ -460,7 +548,7 @@ func (panicEngine) Close() error      { return nil }
 
 // plantPanicDB registers a database whose engine panics on every search.
 func plantPanicDB(st *Store, name string) {
-	d := &hostedDB{name: name, spec: core.EngineSpec{Kind: core.EngineSerial}, chunks: 1, bitLen: 8, numSegments: 1, engine: panicEngine{}}
+	d := &hostedDB{name: name, spec: core.EngineSpec{Kind: core.EngineSerial}, chunks: 1, bitLen: 8, engine: panicEngine{}}
 	d.loaded.Store(true)
 	st.mu.Lock()
 	st.dbs[name] = d

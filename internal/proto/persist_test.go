@@ -164,7 +164,7 @@ func TestStoreRestartRecovery(t *testing.T) {
 			t.Fatalf("%s missing from recovered listing", tn.name)
 		}
 		// List on a cold database must serve geometry from the
-		// manifest metadata, without loading the arena.
+		// segment header's metadata, without loading the arena.
 		if in.Chunks != len(tn.db.Chunks) || in.BitLen != tn.db.BitLen {
 			t.Errorf("%s: cold listing %d chunks / %d bits, want %d / %d",
 				tn.name, in.Chunks, in.BitLen, len(tn.db.Chunks), tn.db.BitLen)

@@ -155,16 +155,15 @@ type StoreOptions struct {
 
 // hostedDB is one tenant database. Searches hold mu.RLock; load,
 // eviction and removal take mu.Lock, so an engine is only torn down or
-// swapped in quiescent. The metadata fields (spec, chunks, bitLen,
-// numSegments) are immutable after registration and valid even while
-// the database is cold — List must never need the arena.
+// swapped in quiescent. The metadata fields (spec, chunks, bitLen) are
+// immutable after registration and valid even while the database is
+// cold — List must never need the arena.
 type hostedDB struct {
-	name        string
-	spec        core.EngineSpec
-	chunks      int
-	bitLen      int
-	numSegments int
-	persisted   bool
+	name      string
+	spec      core.EngineSpec
+	chunks    int
+	bitLen    int
+	persisted bool
 
 	searches atomic.Int64
 	lastUsed atomic.Int64 // store clock at last search; LRU key
@@ -230,12 +229,11 @@ func NewStoreWithOptions(params bfv.Params, defaultSpec core.EngineSpec, opts St
 			continue
 		}
 		st.dbs[e.Meta.Name] = &hostedDB{
-			name:        e.Meta.Name,
-			spec:        e.Meta.Spec,
-			chunks:      e.Meta.Chunks,
-			bitLen:      e.Meta.BitLen,
-			numSegments: e.Meta.NumSegments,
-			persisted:   true,
+			name:      e.Meta.Name,
+			spec:      e.Meta.Spec,
+			chunks:    e.Meta.Chunks,
+			bitLen:    e.Meta.BitLen,
+			persisted: true,
 		}
 	}
 	return st, nil
@@ -297,13 +295,12 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 		return fmt.Errorf("proto: building %q engine for %q: %w", spec, name, err)
 	}
 	entry := &hostedDB{
-		name:        name,
-		spec:        spec,
-		chunks:      len(edb.Chunks),
-		bitLen:      edb.BitLen,
-		numSegments: edb.NumSegments,
-		db:          edb,
-		engine:      eng,
+		name:   name,
+		spec:   spec,
+		chunks: len(edb.Chunks),
+		bitLen: edb.BitLen,
+		db:     edb,
+		engine: eng,
 	}
 	// Fingerprint the arena while it is known-good: the scrub compares
 	// against exactly these sums. A durable store takes them from the
@@ -503,8 +500,8 @@ func (st *Store) ScrubOnce() (checked, corrupted int) {
 
 // quarantine takes a corrupt database out of service: resident state is
 // released, the entry answers ErrCorruptDB from now on, and the segment
-// file (if any) is atomically renamed aside through the same manifest
-// path the recovery scan uses for damaged files.
+// file (if any) is atomically renamed aside, out of the recovery scan's
+// *.seg pattern, so a restart does not register it again.
 func (st *Store) quarantine(d *hostedDB, cause error) {
 	d.mu.Lock()
 	st.quarantineLocked(d, cause)
@@ -709,9 +706,8 @@ func (st *Store) Has(name string) bool {
 }
 
 // List describes every hosted database, sorted by name. It reads only
-// registration metadata (persisted in the segment header and manifest),
-// never the arena, so cold databases list correctly without touching
-// disk.
+// registration metadata (persisted in the segment header), never the
+// arena, so cold databases list correctly without touching disk.
 func (st *Store) List() []DBInfo {
 	st.mu.RLock()
 	entries := make([]*hostedDB, 0, len(st.dbs))
@@ -752,8 +748,8 @@ func (st *Store) List() []DBInfo {
 func (st *Store) ResidentBytes() int64 { return st.resident.Load() }
 
 // Close retires every database (server shutdown): engines drain,
-// mappings unmap. Segments and the manifest are already durable — the
-// store reopens from the same directory.
+// mappings unmap. Segments are already durable — the store reopens
+// from the same directory.
 func (st *Store) Close() error {
 	st.stopScrub()
 	st.mu.Lock()

@@ -725,9 +725,8 @@ const (
 )
 
 // DBInfo describes one hosted database (MsgDBList). Chunks and BitLen
-// come from registration metadata — persisted in the segment header and
-// manifest — so they are valid for cold (evicted or not-yet-loaded)
-// databases too.
+// come from registration metadata — persisted in the segment header —
+// so they are valid for cold (evicted or not-yet-loaded) databases too.
 type DBInfo struct {
 	Name     string
 	Engine   string // engine description ("pool(8 workers)") or, cold, the spec ("pool:8")

@@ -3,7 +3,6 @@ package segment
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,9 +12,6 @@ import (
 
 	"ciphermatch/internal/core"
 )
-
-// ManifestName is the JSON index written beside the segment files.
-const ManifestName = "MANIFEST.json"
 
 const segSuffix = ".seg"
 
@@ -28,7 +24,7 @@ const QuarantineSuffix = ".quarantined"
 // FileName maps a database name to its segment file name. Names are
 // arbitrary bytes up to MaxNameLen, so the file name is a digest, not
 // an escape of the name; the name itself is stored inside the segment
-// header and the manifest.
+// header.
 func FileName(name string) string {
 	sum := sha256.Sum256([]byte(name))
 	return hex.EncodeToString(sum[:16]) + segSuffix
@@ -46,11 +42,10 @@ type Damaged struct {
 	Err  error
 }
 
-// Dir manages a data directory of segment files plus its manifest. The
-// directory scan is authoritative — every well-formed *.seg file is a
-// tenant, whatever the manifest says — so a crash between a segment
-// rename and the manifest write loses nothing: the next OpenDir adopts
-// the orphan from its self-describing header and rewrites the manifest.
+// Dir manages a data directory of segment files. The directory is its
+// own index: every well-formed *.seg file is a tenant, named by its
+// self-describing header, so a segment's rename is the only commit
+// point of a save and nothing else on disk has to agree with it.
 type Dir struct {
 	root string
 	fsys FS
@@ -60,27 +55,9 @@ type Dir struct {
 	damaged []Damaged
 }
 
-// manifest is the on-disk JSON shape.
-type manifest struct {
-	Version  int             `json:"version"`
-	Segments []manifestEntry `json:"segments"`
-}
-
-type manifestEntry struct {
-	Name        string `json:"name"`
-	File        string `json:"file"`
-	RingDegree  int    `json:"ring_degree"`
-	Modulus     uint64 `json:"modulus"`
-	Chunks      int    `json:"chunks"`
-	BitLen      int    `json:"bit_len"`
-	NumSegments int    `json:"num_segments"`
-	EngineKind  string `json:"engine_kind,omitempty"`
-	Workers     int    `json:"engine_workers,omitempty"`
-}
-
 // OpenDir opens (creating if needed) a data directory: it scans every
-// segment file, validates headers, reconciles the manifest, and removes
-// stale temporary files from interrupted writes. Files that fail
+// segment file, validates headers, and removes stale temporary files
+// from interrupted writes; it writes no file of its own. Files that fail
 // validation are quarantined in Damaged(), not deleted — the store
 // boots without them and an operator can inspect or restore.
 func OpenDir(root string) (*Dir, error) {
@@ -120,9 +97,6 @@ func OpenDirFS(fsys FS, root string) (*Dir, error) {
 		}
 		d.entries[meta.Name] = &Entry{Meta: meta, File: fn}
 	}
-	if err := d.writeManifest(); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
@@ -152,7 +126,7 @@ func (d *Dir) Damaged() []Damaged {
 }
 
 // Save writes db as meta.Name's segment (crash-atomically, replacing
-// any previous version) and updates the manifest.
+// any previous version); the segment's rename is its commit point.
 func (d *Dir) Save(meta Meta, db *core.EncryptedDB) error {
 	_, err := d.SaveSealed(meta, db)
 	return err
@@ -170,7 +144,7 @@ func (d *Dir) SaveSealed(meta Meta, db *core.EncryptedDB) ([2]uint64, error) {
 		return planeCRC, err
 	}
 	d.entries[meta.Name] = &Entry{Meta: meta, File: fn}
-	return planeCRC, d.writeManifest()
+	return planeCRC, nil
 }
 
 // Load opens the named segment, verifying checksums and geometry.
@@ -184,7 +158,7 @@ func (d *Dir) Load(name string, ringDegree int, modulus uint64) (*Segment, error
 	return OpenFS(d.fsys, filepath.Join(d.root, e.File), ringDegree, modulus)
 }
 
-// Remove deletes the named segment file and its manifest entry.
+// Remove deletes the named segment file and its entry.
 func (d *Dir) Remove(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -197,12 +171,12 @@ func (d *Dir) Remove(name string) error {
 	}
 	delete(d.entries, name)
 	d.fsys.SyncDir(d.root) //nolint:errcheck // advisory durability barrier
-	return d.writeManifest()
+	return nil
 }
 
 // Quarantine sets the named segment's file aside (renamed with
 // QuarantineSuffix so the recovery scan skips it, bytes preserved for
-// inspection), drops its manifest entry and records it as damaged with
+// inspection), drops its entry and records it as damaged with
 // reason. Called by the runtime scrubber when a resident or reloaded
 // segment fails its checksums — the same end state startup recovery
 // gives a file that never validated.
@@ -220,70 +194,5 @@ func (d *Dir) Quarantine(name string, reason error) error {
 	delete(d.entries, name)
 	d.damaged = append(d.damaged, Damaged{File: e.File, Err: reason})
 	d.fsys.SyncDir(d.root) //nolint:errcheck // advisory durability barrier
-	return d.writeManifest()
-}
-
-// writeManifest rewrites the manifest atomically; d.mu held. The
-// manifest is a cache of the self-describing segment headers, so its
-// two crash points (before the tmp write, before the rename) lose
-// nothing: the next OpenDir scan rebuilds it.
-func (d *Dir) writeManifest() error {
-	m := manifest{Version: 1}
-	for _, name := range sortedNames(d.entries) {
-		e := d.entries[name]
-		m.Segments = append(m.Segments, manifestEntry{
-			Name:        e.Meta.Name,
-			File:        e.File,
-			RingDegree:  e.Meta.RingDegree,
-			Modulus:     e.Meta.Modulus,
-			Chunks:      e.Meta.Chunks,
-			BitLen:      e.Meta.BitLen,
-			NumSegments: e.Meta.NumSegments,
-			EngineKind:  e.Meta.Spec.Kind,
-			Workers:     e.Meta.Spec.Workers,
-		})
-	}
-	data, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := d.fsys.Crash(CrashManifestWrite); err != nil {
-		return err
-	}
-	path := filepath.Join(d.root, ManifestName)
-	tmp := path + ".tmp"
-	if err := writeFileFS(d.fsys, tmp, append(data, '\n')); err != nil {
-		return err
-	}
-	if err := d.fsys.Crash(CrashManifestRename); err != nil {
-		return err
-	}
-	if err := d.fsys.Rename(tmp, path); err != nil {
-		d.fsys.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return err
-	}
-	d.fsys.SyncDir(d.root) //nolint:errcheck // advisory durability barrier
 	return nil
-}
-
-// writeFileFS is os.WriteFile through an FS.
-func writeFileFS(fsys FS, name string, data []byte) error {
-	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func sortedNames(m map[string]*Entry) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

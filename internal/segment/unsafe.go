@@ -3,8 +3,9 @@ package segment
 import "unsafe"
 
 // u64Bytes reinterprets a coefficient slice as its in-memory bytes.
-// Only meaningful on little-endian hosts (the file's byte order); the
-// callers gate on nativeLittleEndian.
+// They are the file's byte order only on little-endian hosts:
+// arenaPlanes gates on nativeLittleEndian, and openCopy reads file
+// bytes through it and byte-swaps them in place elsewhere.
 func u64Bytes(words []uint64) []byte {
 	if len(words) == 0 {
 		return nil

@@ -61,8 +61,6 @@ const (
 	CrashWriteClose     = "segment.write.close"      // fsynced, before close
 	CrashWriteRename    = "segment.write.rename"     // before the rename: tmp only
 	CrashWriteDirsync   = "segment.write.dirsync"    // renamed, directory not fsynced
-	CrashManifestWrite  = "segment.manifest.write"   // before the manifest tmp write
-	CrashManifestRename = "segment.manifest.rename"  // manifest tmp written, not renamed
 )
 
 // CrashPoints lists every named crash point in execution order — what
@@ -78,8 +76,6 @@ func CrashPoints() []string {
 		CrashWriteClose,
 		CrashWriteRename,
 		CrashWriteDirsync,
-		CrashManifestWrite,
-		CrashManifestRename,
 	}
 }
 
