@@ -154,12 +154,12 @@ func (e Energy) BitAdd(pageBytes int) float64 {
 
 // BlockMode is the cell mode of a block: the CIPHERMATCH region runs in
 // SLC mode with enhanced SLC programming (ESP) for reliable computation;
-// the conventional region runs in TLC mode (§4.3.2).
+// the rest of the drive runs in TLC mode (§4.3.2).
 type BlockMode int
 
 const (
-	// ModeTLC is the conventional-region mode (3 bits/cell). In-flash
-	// computation is not permitted on TLC blocks.
+	// ModeTLC is the mode of blocks outside the CIPHERMATCH region
+	// (3 bits/cell). In-flash computation is not permitted on TLC blocks.
 	ModeTLC BlockMode = iota
 	// ModeSLCESP is the CIPHERMATCH-region mode: single-level cells
 	// programmed with the enhanced-SLC scheme of Flash-Cosmos [60].

@@ -107,35 +107,6 @@ func BucketUpper(i int) int64 {
 	return (int64(1) << uint(i)) - 1
 }
 
-// QuantileOf computes the same upper-bound quantile estimate as
-// Histogram.Quantile, but over an externally supplied bucket array —
-// the delta of two Buckets snapshots, so interval percentiles (a storm
-// run, a cmtop refresh window) come out of cumulative counters.
-func QuantileOf(buckets [histBuckets]int64, q float64) int64 {
-	var total int64
-	for _, c := range buckets {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += buckets[i]
-		if seen >= rank {
-			return BucketUpper(i)
-		}
-	}
-	return BucketUpper(histBuckets - 1)
-}
-
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 

@@ -1,9 +1,10 @@
-// Package ssd models the CIPHERMATCH-enabled SSD of §4.3.2: the controller
-// with its flash translation layer split into a conventional region and a
-// CIPHERMATCH region (vertical layout, SLC+ESP mode), the software- and
-// hardware-based data transposition units, the index generation unit, and
-// the host commands CM-write, CM-read and CM-search that dispatch the
-// bop_add µ-program across planes.
+// Package ssd models the CIPHERMATCH-enabled SSD of §4.3.2: the
+// CIPHERMATCH region (vertical layout, SLC+ESP mode) that holds half of
+// every plane's blocks, the software- and hardware-based data
+// transposition units, the index generation unit, and the host commands
+// CM-write, CM-read and CM-search that dispatch the bop_add µ-program
+// across planes. The other half of each plane stays TLC and is not
+// simulated beyond its block mode.
 //
 // The model is functional — CM-search executes real homomorphic additions
 // through the flash latch simulator and produces byte-identical results to

@@ -82,7 +82,7 @@ func (s *SSD) search(q *core.Query, rows [][]ring.Poly) (*core.IndexResult, erro
 	startAdds := s.ctrl.HomAdds
 	n, r := s.params.N, s.params.Ring()
 	wide := r.NewPoly()
-	for g := 0; g < s.numGroups(); g++ {
+	for g := 0; g < s.numGroups(s.numChunks); g++ {
 		plane, block, wlBase, err := s.groupAddr(g)
 		if err != nil {
 			ir.Release()
@@ -93,7 +93,7 @@ func (s *SSD) search(q *core.Query, rows [][]ring.Poly) (*core.IndexResult, erro
 		// in-flash addition computes the difference the factored
 		// comparison needs; c1 lanes stay zero (seeded-match index
 		// generation never reads second components).
-		operand := s.composeGroup(g, func(j, c int, dst []uint32) {
+		operand := s.composeGroup(g, s.numChunks, func(j, c int, dst []uint32) {
 			if c == 0 {
 				r.WidenLanes(wide, q.DBTok[j])
 				for i, v := range wide {

@@ -12,8 +12,8 @@ import (
 )
 
 // SSD is the CIPHERMATCH-enabled drive: an array of simulated planes plus
-// the controller state (FTL regions, transposition unit, index-generation
-// unit).
+// the controller state of the CIPHERMATCH region (its vertical layout,
+// the transposition unit, the index-generation unit).
 type SSD struct {
 	cfg       Config
 	params    bfv.Params
@@ -26,10 +26,6 @@ type SSD struct {
 	lanesPerGroup int // ciphertext components per vertical group
 	numChunks     int // chunks stored by CMWriteDatabase
 	dbBitLen      int
-
-	// Conventional-region flash translation layer (lazily created on the
-	// first conventional Read/Write).
-	ftl *ftl
 
 	ctrl ControllerStats
 
@@ -146,10 +142,10 @@ func (s *SSD) slotAddr(t int) (g, lane int) {
 	return t / s.lanesPerGroup, t % s.lanesPerGroup
 }
 
-// numGroups returns the number of vertical groups used by the stored
-// database.
-func (s *SSD) numGroups() int {
-	slots := 2 * s.numChunks
+// numGroups returns the number of vertical groups a database of the
+// given number of chunks occupies.
+func (s *SSD) numGroups(chunks int) int {
+	slots := 2 * chunks
 	return (slots + s.lanesPerGroup - 1) / s.lanesPerGroup
 }
 
@@ -170,14 +166,14 @@ func (s *SSD) transpose() {
 
 // composeGroup fills the controller's page with group g's coefficients
 // and returns it: fill writes component c of chunk j into dst, its
-// lane, for every slot of g that holds a stored chunk; the other lanes
-// stay zero.
-func (s *SSD) composeGroup(g int, fill func(j, c int, dst []uint32)) []uint32 {
+// lane, for every slot of g that holds one of the database's chunks;
+// the other lanes stay zero.
+func (s *SSD) composeGroup(g, chunks int, fill func(j, c int, dst []uint32)) []uint32 {
 	clear(s.page)
 	n := s.params.N
 	for lane := 0; lane < s.lanesPerGroup; lane++ {
 		slot := g*s.lanesPerGroup + lane
-		if j := slot / 2; j < s.numChunks {
+		if j := slot / 2; j < chunks {
 			fill(j, slot%2, s.page[lane*n:(lane+1)*n])
 		}
 	}
@@ -188,15 +184,24 @@ func (s *SSD) composeGroup(g int, fill func(j, c int, dst []uint32)) []uint32 {
 // in vertical layout (CM-write, §4.3.2): per group, the controller
 // composes the page-width coefficient stream, transposes it into 32
 // bit-planes, and programs 32 wordlines.
+//
+// A database that does not fit the region is refused before any page is
+// programmed, so the drive keeps the database it held. The drive adopts
+// the new database only once every group is written.
 func (s *SSD) CMWriteDatabase(db *core.EncryptedDB) error {
-	s.numChunks = len(db.Chunks)
-	s.dbBitLen = db.BitLen
-	for g := 0; g < s.numGroups(); g++ {
+	chunks := len(db.Chunks)
+	groups := s.numGroups(chunks)
+	if groups > 0 {
+		if _, _, _, err := s.groupAddr(groups - 1); err != nil {
+			return err
+		}
+	}
+	for g := 0; g < groups; g++ {
 		plane, block, wlBase, err := s.groupAddr(g)
 		if err != nil {
 			return err
 		}
-		page := s.composeGroup(g, func(j, c int, dst []uint32) {
+		page := s.composeGroup(g, chunks, func(j, c int, dst []uint32) {
 			s.ctrl.HostBytesIn += int64(s.params.N * s.params.QBytes())
 			for i, v := range db.Chunks[j].C[c] {
 				dst[i] = uint32(v)
@@ -206,10 +211,13 @@ func (s *SSD) CMWriteDatabase(db *core.EncryptedDB) error {
 		s.transpose()
 		for i, row := range s.ops {
 			if err := s.planes[plane].ProgramPage(block, wlBase+i, row); err != nil {
+				// The old database is partly overwritten: hold none.
+				s.numChunks, s.dbBitLen = 0, 0
 				return err
 			}
 		}
 	}
+	s.numChunks, s.dbBitLen = chunks, db.BitLen
 	return nil
 }
 

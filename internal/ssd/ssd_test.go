@@ -3,6 +3,7 @@ package ssd
 import (
 	"errors"
 	"maps"
+	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -143,6 +144,71 @@ func TestCMSearchMatchesSoftware(t *testing.T) {
 	// The hit records must agree record by record.
 	if !ifpResult.Hits.Equal(swResult.Hits) {
 		t.Fatalf("hit records: software %v, IFP %v", swResult.Hits.Words, ifpResult.Hits.Words)
+	}
+}
+
+// TestRefusedWriteKeepsDatabase: a database too large for the
+// CIPHERMATCH region is refused before any page is programmed, so the
+// drive still holds, and searches, the database it held.
+func TestRefusedWriteKeepsDatabase(t *testing.T) {
+	dcfg := TestConfig()
+	dcfg.Geometry.BlocksPerPlane = 2 // one CM block per plane
+	dcfg.Geometry.SubBlocks = 1
+	dcfg.Geometry.WLLayers = 32 // one group per block: 8 groups, 256 toy chunks
+	s, err := New(dcfg, bfv.ParamsToy(), SoftwareTransposition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: core.ModeSeededMatch}
+	client, err := core.NewClient(cfg, rng.NewSourceFromString("refused-write"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunkBits = 1024
+	data := make([]byte, 10*chunkBits/8)
+	rng.NewSourceFromString("refused-write-data").Bytes(data)
+	query := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	plant(data, query, 32, 96)
+	plant(data, query, 32, 5000)
+	edb, err := client.EncryptDatabase(data, 10*chunkBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CMWriteDatabase(edb); err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.PrepareQuery(query, 32, 10*chunkBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.CMSearch(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Candidates) == 0 {
+		t.Fatal("search found nothing; test is vacuous")
+	}
+	programs := s.FlashStats().Programs
+
+	big, err := client.EncryptDatabase(make([]byte, 257*chunkBits/8), 257*chunkBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CMWriteDatabase(big); err == nil {
+		t.Fatal("a 257-chunk database fit a 256-chunk region")
+	}
+	if got := s.StoredChunks(); got != 10 {
+		t.Fatalf("StoredChunks = %d after a refused write, want 10", got)
+	}
+	if got := s.FlashStats().Programs; got != programs {
+		t.Fatalf("a refused write programmed %d pages", got-programs)
+	}
+	after, err := s.CMSearch(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after.Candidates, before.Candidates) {
+		t.Fatalf("candidates %v after a refused write, want %v", after.Candidates, before.Candidates)
 	}
 }
 
