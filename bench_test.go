@@ -15,7 +15,6 @@ import (
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
-	"ciphermatch/internal/flash"
 	"ciphermatch/internal/harness"
 	"ciphermatch/internal/perfmodel"
 	"ciphermatch/internal/pum"
@@ -108,31 +107,6 @@ func BenchmarkHomAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkHomMul measures the operation the CIPHERMATCH algorithm
-// eliminates (Key Takeaway 1) at the arithmetic baseline's parameters.
-func BenchmarkHomMul(b *testing.B) {
-	p := bfv.ParamsArithBaseline()
-	src := rng.NewSourceFromString("mul-bench")
-	sk, pk := bfv.KeyGen(p, src.Fork("keys"))
-	rlk := bfv.NewRelinKey(p, sk, src.Fork("rlk"))
-	enc := bfv.NewEncoder(p)
-	encryptor := bfv.NewEncryptor(p, pk)
-	ev := bfv.NewEvaluator(p)
-	msg := make([]uint64, p.N)
-	for i := range msg {
-		msg[i] = src.Uniform(2)
-	}
-	pt, _ := enc.Encode(msg)
-	ca := encryptor.Encrypt(pt, src.Fork("a"))
-	cb := encryptor.Encrypt(pt, src.Fork("b"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.MulRelin(ca, cb, rlk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEncrypt(b *testing.B) {
 	enc, encryptor, _, _, _, _ := benchSetup(b)
 	src := rng.NewSourceFromString("enc-bench")
@@ -148,32 +122,6 @@ func BenchmarkDecrypt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dec.Decrypt(ca)
-	}
-}
-
-// BenchmarkBitSerialAddFlash measures one in-flash 32-bit bit-serial
-// addition over a full 4 KiB page (32768 parallel lanes), the µ-program of
-// Fig. 5 on the functional simulator.
-func BenchmarkBitSerialAddFlash(b *testing.B) {
-	plane := flash.NewPlane(flash.DefaultGeometry(), flash.DefaultTiming(), flash.DefaultEnergy())
-	if err := plane.SetBlockMode(0, flash.ModeSLCESP); err != nil {
-		b.Fatal(err)
-	}
-	src := rng.NewSourceFromString("flash-bench")
-	coeffs := make([]uint32, plane.Geometry().PageBits())
-	operand := make([]uint32, len(coeffs))
-	for i := range coeffs {
-		coeffs[i] = uint32(src.Uint64())
-		operand[i] = uint32(src.Uint64())
-	}
-	if err := plane.WriteVertical(0, 0, coeffs); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plane.BitSerialAdd(0, 0, operand); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -278,7 +226,7 @@ var clientGeometries = []struct {
 
 // BenchmarkPrepareQuery measures client-side query preparation. cold
 // prepares on a new Client each op (made outside the timer), so the
-// token plane is derived: one EncryptC0 per chunk, not one per
+// token plane is derived: one EncryptC0To per chunk, not one per
 // (residue, chunk), plus the closed-form RHS rows. warm prepares on a
 // client primed by one untimed query, so its memo already holds the
 // plane and only the phase encodings and RHS rows remain: a seeded

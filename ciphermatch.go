@@ -210,7 +210,7 @@ func FindOccurrences(db []byte, dbBits int, query []byte, queryBits, alignBits i
 
 // Simulator types.
 type (
-	// SSD is the CIPHERMATCH-enabled drive simulator: CM-write/CM-read/
+	// SSD is the CIPHERMATCH-enabled drive simulator: CM-write and
 	// CM-search with functional in-flash bit-serial addition.
 	SSD = ssd.SSD
 	// SSDConfig is the drive configuration (Table 3 defaults).

@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,89 @@ var testParams = []struct {
 	{"paper", ParamsPaper()},
 	{"toymul", ParamsToyMul()},
 	{"ntt-toy", ParamsNTTToy()},
+}
+
+// Degree returns the ciphertext degree (1 for fresh ciphertexts).
+func (ct *Ciphertext) Degree() int { return len(ct.C) - 1 }
+
+// Decode extracts the coefficient vector of a plaintext.
+func (e *Encoder) Decode(pt *Plaintext) []uint64 {
+	out := make([]uint64, e.params.N)
+	copy(out, pt.Coeffs)
+	return out
+}
+
+// Neg returns -a.
+func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
+	r := ev.ring
+	out := &Ciphertext{C: make([]ring.Poly, len(a.C))}
+	for i := range a.C {
+		out.C[i] = r.NewPoly()
+		r.Neg(a.C[i], out.C[i])
+	}
+	return out
+}
+
+// ParamsArithBaseline is the configuration used for the multiplication-based
+// arithmetic baseline (Yasuda et al. [27]): homomorphic multiplication
+// inflates noise by roughly n·t·|v|, so it needs a wider ciphertext modulus
+// than the addition-only CIPHERMATCH point. The paper's q=2^32/t=2^16
+// configuration has budget only for additions — which is precisely Key
+// Takeaway 1. Hamming distances fit in t = 2^10.
+func ParamsArithBaseline() Params {
+	return Params{N: 1024, Q: 1 << 44, T: 1 << 10, Eta: 3, RelinBaseBits: 8}
+}
+
+// ParamsNTTToy is the small NTT-enabled test configuration.
+func ParamsNTTToy() Params {
+	q, err := ring.FindNTTPrime(45, 64)
+	if err != nil {
+		panic(err)
+	}
+	return Params{N: 64, Q: q, T: 1 << 10, Eta: 3, RelinBaseBits: 8}
+}
+
+// NoiseInfNorm returns the infinity norm of the ciphertext noise: the
+// centered magnitude of phase - Δ·m, where m is the decrypted plaintext.
+func (dec *Decryptor) NoiseInfNorm(ct *Ciphertext) uint64 {
+	r := dec.ring
+	ph := dec.phase(ct)
+	m := dec.Decrypt(ct)
+	scaled := r.NewPoly()
+	r.MulScalar(m.Coeffs, dec.params.Delta(), scaled)
+	diff := r.NewPoly()
+	r.Sub(ph, scaled, diff)
+	lift := make([]int64, r.N())
+	r.CenterLift(diff, lift)
+	var norm uint64
+	for _, c := range lift {
+		norm = max(norm, uint64(max(c, -c)))
+	}
+	return norm
+}
+
+// NoiseBudgetBits returns the remaining noise budget in bits: decryption
+// stays correct while the budget is positive. Defined as
+// log2(Δ/2) - log2(noise+1).
+func (dec *Decryptor) NoiseBudgetBits(ct *Ciphertext) float64 {
+	noise := dec.NoiseInfNorm(ct)
+	budget := log2u(dec.params.Delta()/2) - log2u(noise+1)
+	return budget
+}
+
+func log2u(v uint64) float64 {
+	if v == 0 {
+		return 0
+	}
+	// log2 via bit length plus fractional correction.
+	n := 0
+	x := v
+	for x > 1 {
+		x >>= 1
+		n++
+	}
+	frac := float64(v)/float64(uint64(1)<<uint(n)) - 1 // in [0,1)
+	return float64(n) + frac                           // linear approximation, fine for diagnostics
 }
 
 func randomMessage(p Params, src *rng.Source) []uint64 {
@@ -71,10 +155,11 @@ func TestPaperFootprintNumbers(t *testing.T) {
 	if got := p.CiphertextBytes(); got != 8192 {
 		t.Errorf("CiphertextBytes = %d, want 8192", got)
 	}
-	if got := p.PlaintextBytes(); got != 2048 {
-		t.Errorf("PlaintextBytes = %d, want 2048", got)
+	plainBytes := p.N * p.PackedBitsPerCoeff() / 8 // one chunk of packed data
+	if plainBytes != 2048 {
+		t.Errorf("plaintext bytes per chunk = %d, want 2048", plainBytes)
 	}
-	if got := p.CiphertextBytes() / p.PlaintextBytes(); got != 4 {
+	if got := p.CiphertextBytes() / plainBytes; got != 4 {
 		t.Errorf("ciphertext/plaintext = %d, want 4", got)
 	}
 }
@@ -107,8 +192,7 @@ func TestEncryptionIsRandomized(t *testing.T) {
 	pt, _ := enc.Encode(randomMessage(p, src))
 	ct1 := encryptor.Encrypt(pt, src.Fork("a"))
 	ct2 := encryptor.Encrypt(pt, src.Fork("b"))
-	r := p.Ring()
-	if r.Equal(ct1.C[0], ct2.C[0]) {
+	if slices.Equal(ct1.C[0], ct2.C[0]) {
 		t.Fatal("two encryptions of the same plaintext are identical")
 	}
 }
@@ -119,23 +203,23 @@ func TestEncryptionIsDeterministicPerSeed(t *testing.T) {
 	pt, _ := enc.Encode(randomMessage(p, src))
 	ct1 := encryptor.Encrypt(pt, rng.NewSourceFromString("fixed"))
 	ct2 := encryptor.Encrypt(pt, rng.NewSourceFromString("fixed"))
-	r := p.Ring()
-	if !r.Equal(ct1.C[0], ct2.C[0]) || !r.Equal(ct1.C[1], ct2.C[1]) {
+	if !slices.Equal(ct1.C[0], ct2.C[0]) || !slices.Equal(ct1.C[1], ct2.C[1]) {
 		t.Fatal("same randomness source must give identical ciphertexts")
 	}
 }
 
 func TestEncryptC0MatchesEncrypt(t *testing.T) {
-	// The seeded match-token mode depends on EncryptC0 returning
+	// The seeded match-token mode depends on EncryptC0To writing
 	// Encrypt's first component for a source in the same state.
 	for _, tc := range testParams {
 		p := tc.p
 		enc, encryptor, _, _, src := setup(t, p, "c0-"+tc.name)
 		pt, _ := enc.Encode(randomMessage(p, src))
 		full := encryptor.Encrypt(pt, rng.NewSourceFromString("shared-seed"))
-		c0 := encryptor.EncryptC0(pt, rng.NewSourceFromString("shared-seed"))
-		if !p.Ring().Equal(full.C[0], c0) {
-			t.Fatalf("%s: EncryptC0 != Encrypt.C[0]", tc.name)
+		c0 := p.Ring().NewPoly()
+		encryptor.EncryptC0To(pt, rng.NewSourceFromString("shared-seed"), c0)
+		if !slices.Equal(full.C[0], c0) {
+			t.Fatalf("%s: EncryptC0To != Encrypt.C[0]", tc.name)
 		}
 	}
 }
@@ -448,11 +532,11 @@ func TestMulSmallMatchesSchoolbook(t *testing.T) {
 				if exact == pc.fallback {
 					t.Errorf("%s: exact arm taken = %v, want %v", c.name, exact, !pc.fallback)
 				}
-				if !r.Equal(got, want) {
+				if !slices.Equal(got, want) {
 					t.Errorf("%s: MulTransformed != MulSchoolbook", c.name)
 				}
 				r.Mul(c.a, c.b, got)
-				if !r.Equal(got, want) {
+				if !slices.Equal(got, want) {
 					t.Errorf("%s: Mul != MulSchoolbook", c.name)
 				}
 			}
@@ -461,9 +545,10 @@ func TestMulSmallMatchesSchoolbook(t *testing.T) {
 }
 
 // TestEncryptAllocs pins what an encryption allocates at ParamsPaper:
-// only its result (EncryptC0: the c0 polynomial; Encrypt: c0, c1, the
-// component slice and the Ciphertext). The randomness and the transform
-// of u live in the Encryptor's scratch pool.
+// only its result (EncryptC0To: nothing, it writes the caller's c0;
+// Encrypt: c0, c1, the component slice and the Ciphertext). The
+// randomness and the transform of u live in the Encryptor's scratch
+// pool.
 func TestEncryptAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, inflating allocation counts")
@@ -474,12 +559,13 @@ func TestEncryptAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c0 := p.Ring().NewPoly()
 	for _, c := range []struct {
 		name string
 		max  float64
 		f    func()
 	}{
-		{"EncryptC0", 1, func() { encryptor.EncryptC0(pt, src) }},
+		{"EncryptC0To", 0, func() { encryptor.EncryptC0To(pt, src, c0) }},
 		{"Encrypt", 4, func() { encryptor.Encrypt(pt, src) }},
 	} {
 		if avg := testing.AllocsPerRun(50, c.f); avg > c.max {
@@ -506,18 +592,43 @@ func TestEncryptorConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			gotC0[g] = make(ring.Poly, p.N)
 			for i := 0; i < 20; i++ {
 				got[g] = encryptor.Encrypt(pt, src.ForkIndexed("ct", g))
-				gotC0[g] = encryptor.EncryptC0(pt, src.ForkIndexed("ct", g))
+				encryptor.EncryptC0To(pt, src.ForkIndexed("ct", g), gotC0[g])
 			}
 		}(g)
 	}
 	wg.Wait()
-	r := p.Ring()
 	for g := 0; g < workers; g++ {
 		want := encryptor.Encrypt(pt, src.ForkIndexed("ct", g))
-		if !r.Equal(got[g].C[0], want.C[0]) || !r.Equal(got[g].C[1], want.C[1]) || !r.Equal(gotC0[g], want.C[0]) {
+		if !slices.Equal(got[g].C[0], want.C[0]) || !slices.Equal(got[g].C[1], want.C[1]) || !slices.Equal(gotC0[g], want.C[0]) {
 			t.Fatalf("goroutine %d: concurrent encryption differs from a lone one", g)
+		}
+	}
+}
+
+// BenchmarkHomMul measures the operation the CIPHERMATCH algorithm
+// eliminates (Key Takeaway 1) at the arithmetic baseline's parameters.
+func BenchmarkHomMul(b *testing.B) {
+	p := ParamsArithBaseline()
+	src := rng.NewSourceFromString("mul-bench")
+	sk, pk := KeyGen(p, src.Fork("keys"))
+	rlk := NewRelinKey(p, sk, src.Fork("rlk"))
+	enc := NewEncoder(p)
+	encryptor := NewEncryptor(p, pk)
+	ev := NewEvaluator(p)
+	msg := make([]uint64, p.N)
+	for i := range msg {
+		msg[i] = src.Uniform(2)
+	}
+	pt, _ := enc.Encode(msg)
+	ca := encryptor.Encrypt(pt, src.Fork("a"))
+	cb := encryptor.Encrypt(pt, src.Fork("b"))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.MulRelin(ca, cb, rlk); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

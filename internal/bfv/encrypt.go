@@ -20,9 +20,6 @@ type Ciphertext struct {
 	C []ring.Poly
 }
 
-// Degree returns the ciphertext degree (1 for fresh ciphertexts).
-func (ct *Ciphertext) Degree() int { return len(ct.C) - 1 }
-
 // SizeBytes returns the serialised size used by the paper's footprint
 // accounting: components × n × ceil(log2 q / 8).
 func (ct *Ciphertext) SizeBytes(p Params) int {
@@ -72,13 +69,6 @@ func (e *Encoder) EncodeUint16(values []uint16) (*Plaintext, error) {
 		u[i] = uint64(v)
 	}
 	return e.Encode(u)
-}
-
-// Decode extracts the coefficient vector of a plaintext.
-func (e *Encoder) Decode(pt *Plaintext) []uint64 {
-	out := make([]uint64, e.params.N)
-	copy(out, pt.Coeffs)
-	return out
 }
 
 // Encryptor encrypts plaintexts under a public key. It is safe for
@@ -133,7 +123,7 @@ func (enc *Encryptor) fillC0(pt *Plaintext, s *encScratch, u ring.Transformed, o
 // Encrypt encrypts pt, drawing randomness from src in the fixed order
 // (u ternary, e0 CBD, e1 CBD). The order is part of the package contract:
 // the seeded match-token mode re-derives a ciphertext's first component
-// from the same source through EncryptC0, and stored databases depend on
+// from the same source through EncryptC0To, and stored databases depend on
 // every coefficient staying put. Calls on distinct sources may run
 // concurrently; each ciphertext depends only on pt and its own src.
 func (enc *Encryptor) Encrypt(pt *Plaintext, src *rng.Source) *Ciphertext {
@@ -154,21 +144,14 @@ func (enc *Encryptor) EncryptTo(pt *Plaintext, src *rng.Source, out *Ciphertext)
 	r.Add(out.C[1], s.e1, out.C[1])
 }
 
-// EncryptC0 computes only the first ciphertext component for pt with the
-// randomness stream src: the value it returns equals Encrypt(pt, src).C[0]
-// for a source in the same state. It draws only u and e0, in Encrypt's
-// order, so what is left of src afterwards is unspecified; callers pass a
-// fresh fork and never draw from it again. The seeded match-token
-// construction (internal/core) uses this to build the expected hit value
-// of a homomorphic addition without the second component.
-func (enc *Encryptor) EncryptC0(pt *Plaintext, src *rng.Source) ring.Poly {
-	c0 := enc.ring.NewPoly()
-	enc.EncryptC0To(pt, src, c0)
-	return c0
-}
-
-// EncryptC0To is EncryptC0 writing into out, e.g. a row of a
-// caller-allocated block.
+// EncryptC0To computes only the first ciphertext component for pt with
+// the randomness stream src, writing into out (e.g. a row of a
+// caller-allocated block): out equals Encrypt(pt, src).C[0] for a source
+// in the same state. It draws only u and e0, in Encrypt's order, so what
+// is left of src afterwards is unspecified; callers pass a fresh fork
+// and never draw from it again. The seeded match-token construction
+// (internal/core) uses this to build the expected hit value of a
+// homomorphic addition without the second component.
 func (enc *Encryptor) EncryptC0To(pt *Plaintext, src *rng.Source, out ring.Poly) {
 	s := enc.scratch.Get().(*encScratch)
 	defer enc.scratch.Put(s)
@@ -223,41 +206,4 @@ func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	out := make(ring.Poly, r.N())
 	r.ScaleRoundMod(x, dec.params.T, dec.params.T, out)
 	return &Plaintext{Coeffs: out}
-}
-
-// NoiseInfNorm returns the infinity norm of the ciphertext noise: the
-// centered magnitude of phase - Δ·m, where m is the decrypted plaintext.
-func (dec *Decryptor) NoiseInfNorm(ct *Ciphertext) uint64 {
-	r := dec.ring
-	ph := dec.phase(ct)
-	m := dec.Decrypt(ct)
-	scaled := r.NewPoly()
-	r.MulScalar(m.Coeffs, dec.params.Delta(), scaled)
-	diff := r.NewPoly()
-	r.Sub(ph, scaled, diff)
-	return r.InfNormCentered(diff)
-}
-
-// NoiseBudgetBits returns the remaining noise budget in bits: decryption
-// stays correct while the budget is positive. Defined as
-// log2(Δ/2) - log2(noise+1).
-func (dec *Decryptor) NoiseBudgetBits(ct *Ciphertext) float64 {
-	noise := dec.NoiseInfNorm(ct)
-	budget := log2u(dec.params.Delta()/2) - log2u(noise+1)
-	return budget
-}
-
-func log2u(v uint64) float64 {
-	if v == 0 {
-		return 0
-	}
-	// log2 via bit length plus fractional correction.
-	n := 0
-	x := v
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	frac := float64(v)/float64(uint64(1)<<uint(n)) - 1 // in [0,1)
-	return float64(n) + frac                           // linear approximation, fine for diagnostics
 }

@@ -19,9 +19,6 @@ func NewEvaluator(p Params) *Evaluator {
 	return &Evaluator{params: p, ring: p.Ring()}
 }
 
-// Params returns the evaluator's parameter set.
-func (ev *Evaluator) Params() Params { return ev.params }
-
 // Add returns a + b (Hom-Add, Eq. 4 of the paper): component-wise
 // polynomial addition. Ciphertexts of different degrees are aligned by
 // treating missing components as zero.
@@ -72,17 +69,6 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 		default:
 			r.Neg(b.C[i], out.C[i])
 		}
-	}
-	return out
-}
-
-// Neg returns -a.
-func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
-	r := ev.ring
-	out := &Ciphertext{C: make([]ring.Poly, len(a.C))}
-	for i := range a.C {
-		out.C[i] = r.NewPoly()
-		r.Neg(a.C[i], out.C[i])
 	}
 	return out
 }

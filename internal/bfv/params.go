@@ -12,7 +12,7 @@
 // roughly 27-bit q, so production deployments should use ParamsN2048.
 //
 // Determinism contract: Encrypt consumes randomness from its rng.Source in
-// a fixed documented order (u, e0, e1), and EncryptC0 draws the same u and
+// a fixed documented order (u, e0, e1), and EncryptC0To draws the same u and
 // e0 first. The CIPHERMATCH seeded-match-token mode (internal/core) relies
 // on this to re-derive the first component of a ciphertext from a forked
 // seed.
@@ -66,16 +66,6 @@ func ParamsOddQ() Params {
 	return Params{N: 64, Q: (1 << 40) + 15, T: 1 << 16, Eta: 3, RelinBaseBits: 8}
 }
 
-// ParamsArithBaseline is the configuration used for the multiplication-based
-// arithmetic baseline (Yasuda et al. [27]): homomorphic multiplication
-// inflates noise by roughly n·t·|v|, so it needs a wider ciphertext modulus
-// than the addition-only CIPHERMATCH point. The paper's q=2^32/t=2^16
-// configuration has budget only for additions — which is precisely Key
-// Takeaway 1. Hamming distances fit in t = 2^10.
-func ParamsArithBaseline() Params {
-	return Params{N: 1024, Q: 1 << 44, T: 1 << 10, Eta: 3, RelinBaseBits: 8}
-}
-
 // ParamsToyMul is a small configuration with multiplication budget, for
 // fast unit tests of Mul/Relinearize.
 func ParamsToyMul() Params {
@@ -93,15 +83,6 @@ func ParamsNTTArith() Params {
 		panic(err) // static parameters; cannot fail at these sizes
 	}
 	return Params{N: 1024, Q: q, T: 1 << 10, Eta: 3, RelinBaseBits: 8}
-}
-
-// ParamsNTTToy is the small NTT-enabled test configuration.
-func ParamsNTTToy() Params {
-	q, err := ring.FindNTTPrime(45, 64)
-	if err != nil {
-		panic(err)
-	}
-	return Params{N: 64, Q: q, T: 1 << 10, Eta: 3, RelinBaseBits: 8}
 }
 
 // ParamsBoolean is the configuration for the functional Boolean baseline:
@@ -158,7 +139,3 @@ func (p Params) Ring() *ring.Ring { return ring.MustNew(p.N, p.Q) }
 // CiphertextBytes returns the serialised size of a fresh (2-component)
 // ciphertext, the unit of the paper's memory-footprint analysis.
 func (p Params) CiphertextBytes() int { return 2 * p.N * p.QBytes() }
-
-// PlaintextBytes returns the size of the data packed into one plaintext
-// polynomial under CIPHERMATCH packing (n coefficients × log2(t) bits).
-func (p Params) PlaintextBytes() int { return p.N * p.PackedBitsPerCoeff() / 8 }

@@ -124,9 +124,6 @@ func NewClient(cfg Config, src *rng.Source) (*Client, error) {
 	return c, nil
 }
 
-// Config returns the client's configuration.
-func (c *Client) Config() Config { return c.cfg }
-
 // EncryptedDB is the server-side artifact: the packed, encrypted database
 // (Algorithm 1, lines 1-3).
 type EncryptedDB struct {
@@ -494,7 +491,7 @@ func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, er
 	return q, nil
 }
 
-// encryptC0Calls counts EncryptC0 invocations of the token builder; the
+// encryptC0Calls counts EncryptC0To invocations of the token builder; the
 // client-prep tests use it to pin one derivation per chunk the memo
 // lacks (not one per chunk per residue, and none per phase).
 var encryptC0Calls atomic.Int64
@@ -531,7 +528,7 @@ func (c *Client) buildFactoredTokens(q *Query, phases []int, pts []*bfv.Plaintex
 
 // tokenPlane returns the memo's first numChunks rows in a slice of the
 // caller's own, first deriving the rows the memo lacks with one
-// EncryptC0 each, in one parallel fan-out into one allocation.
+// EncryptC0To each, in one parallel fan-out into one allocation.
 func (c *Client) tokenPlane(numChunks int) [][]byte {
 	c.tokMu.Lock()
 	defer c.tokMu.Unlock()
@@ -602,7 +599,3 @@ func VerifyCandidates(db []byte, dbBits int, query []byte, queryBits int, candid
 	}
 	return out
 }
-
-// Decryptor exposes the client's decryptor for diagnostics (noise budgets
-// in tests and examples).
-func (c *Client) Decryptor() *bfv.Decryptor { return c.decryptor }

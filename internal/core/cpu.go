@@ -32,8 +32,6 @@ type CPUEngine struct {
 	db      *EncryptedDB
 	workers int
 	closed  atomic.Bool
-
-	statCounter
 }
 
 var _ Engine = (*CPUEngine)(nil)
@@ -227,13 +225,9 @@ func (e *CPUEngine) search(queries []*Query, out []*IndexResult) error {
 	for _, d := range dups {
 		out[d[0]].Hits.Words = append(out[d[0]].Hits.Words, out[d[1]].Hits.Words...)
 	}
-	var total Stats
 	for mi, q := range queries {
-		ir := out[mi]
-		ir.Candidates = Candidates(ir.Hits, q.DBBitLen, q.YBits, q.AlignBits)
-		total.add(ir.Stats)
+		out[mi].Candidates = Candidates(out[mi].Hits, q.DBBitLen, q.YBits, q.AlignBits)
 	}
-	e.record(total)
 	return nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/ring"
@@ -38,9 +37,6 @@ type Engine interface {
 	//
 	//cm:pooled
 	SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error)
-	// Stats returns the cumulative operation counts of every search this
-	// engine has executed.
-	Stats() Stats
 	// Describe returns a short human-readable engine description, e.g.
 	// "serial" or "pool(8 workers)".
 	Describe() string
@@ -246,38 +242,4 @@ func searchChunkRange(r *ring.Ring, db *EncryptedDB, groups []planeGroup, lo, hi
 		}
 	}
 	return hi, out
-}
-
-// add folds another stats sample into s.
-func (s *Stats) add(o Stats) {
-	s.HomAdds += o.HomAdds
-	s.CoeffCompares += o.CoeffCompares
-	s.ResultBytes += o.ResultBytes
-	s.ChunkStreams += o.ChunkStreams
-}
-
-// statCounter is the embeddable cumulative-stats half of Engine. The
-// counters are atomics, not a mutex-guarded struct: concurrent searches
-// (a loaded server) record without serialising on a lock.
-type statCounter struct {
-	homAdds       atomic.Int64
-	coeffCompares atomic.Int64
-	resultBytes   atomic.Int64
-	chunkStreams  atomic.Int64
-}
-
-func (c *statCounter) record(st Stats) {
-	c.homAdds.Add(int64(st.HomAdds))
-	c.coeffCompares.Add(st.CoeffCompares)
-	c.resultBytes.Add(st.ResultBytes)
-	c.chunkStreams.Add(st.ChunkStreams)
-}
-
-func (c *statCounter) Stats() Stats {
-	return Stats{
-		HomAdds:       int(c.homAdds.Load()),
-		CoeffCompares: c.coeffCompares.Load(),
-		ResultBytes:   c.resultBytes.Load(),
-		ChunkStreams:  c.chunkStreams.Load(),
-	}
 }

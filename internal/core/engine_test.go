@@ -105,8 +105,12 @@ func TestPoolEngineConcurrentSearches(t *testing.T) {
 		}
 		assertSameResult(t, "concurrent", results[i], serial)
 	}
-	if got := pool.Stats().HomAdds; got != callers*serial.Stats.HomAdds {
-		t.Fatalf("cumulative HomAdds = %d, want %d", got, callers*serial.Stats.HomAdds)
+	var homAdds int
+	for _, ir := range results {
+		homAdds += ir.Stats.HomAdds
+	}
+	if homAdds != callers*serial.Stats.HomAdds {
+		t.Fatalf("summed HomAdds = %d, want %d", homAdds, callers*serial.Stats.HomAdds)
 	}
 }
 

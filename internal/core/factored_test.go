@@ -116,11 +116,11 @@ func TestBatchSharedPlaneSingleArenaPass(t *testing.T) {
 }
 
 // TestEncryptC0CallCounts pins the client-side token derivation cost:
-// a cold client's PrepareQuery runs EncryptC0 once per chunk — NOT once
+// a cold client's PrepareQuery runs EncryptC0To once per chunk — NOT once
 // per (residue, chunk), and not at all per phase (RHS is closed-form,
 // see TestRHSClosedForm) — and after that only for chunks the client's
 // token-plane memo does not hold yet. A client that encrypted the
-// database derives its rows there, with no EncryptC0 at all.
+// database derives its rows there, with no EncryptC0To at all.
 func TestEncryptC0CallCounts(t *testing.T) {
 	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
 	newClient := func() *Client {
@@ -145,16 +145,16 @@ func TestEncryptC0CallCounts(t *testing.T) {
 	q, got := prepare(client, []byte{0xDE, 0xAD, 0xBE}, 3)
 	chunks, phases, residues := int64(q.NumChunks), int64(len(q.RHS)), int64(len(q.Residues))
 	if got != chunks {
-		t.Fatalf("cold PrepareQuery ran EncryptC0 %d times, want one per chunk = %d", got, chunks)
+		t.Fatalf("cold PrepareQuery ran EncryptC0To %d times, want one per chunk = %d", got, chunks)
 	}
 	if perResidue := residues*chunks + phases; got >= perResidue {
 		t.Fatalf("token builder (%d calls) does not beat the per-residue derivation (%d)", got, perResidue)
 	}
 	if _, got := prepare(client, []byte{0x01, 0x02, 0x03, 0x04}, 3); got != 0 {
-		t.Fatalf("second PrepareQuery ran EncryptC0 %d times, want 0", got)
+		t.Fatalf("second PrepareQuery ran EncryptC0To %d times, want 0", got)
 	}
 	if _, got := prepare(client, []byte{0xDE, 0xAD, 0xBE}, 5); got != 2 {
-		t.Fatalf("PrepareQuery over 2 more chunks ran EncryptC0 %d times, want 2", got)
+		t.Fatalf("PrepareQuery over 2 more chunks ran EncryptC0To %d times, want 2", got)
 	}
 
 	owner := newClient()
@@ -162,7 +162,7 @@ func TestEncryptC0CallCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, got := prepare(owner, []byte{0xDE, 0xAD, 0xBE}, 3); got != 0 {
-		t.Fatalf("PrepareQuery after EncryptDatabase ran EncryptC0 %d times, want 0", got)
+		t.Fatalf("PrepareQuery after EncryptDatabase ran EncryptC0To %d times, want 0", got)
 	}
 }
 
@@ -201,7 +201,8 @@ func TestTokenPlaneDerivations(t *testing.T) {
 			check := func(what string, plane [][]byte) {
 				t.Helper()
 				for j, got := range plane {
-					want := ref.encryptor.EncryptC0(onesPT, ref.dbSource().ForkIndexed("chunk", j))
+					want := ref.ring.NewPoly()
+					ref.encryptor.EncryptC0To(onesPT, ref.dbSource().ForkIndexed("chunk", j), want)
 					ref.ring.Sub(want, mask, want)
 					wantRow := make([]byte, tc.p.N*ref.ring.LaneBytes())
 					ref.ring.PutLanes(wantRow, want)
@@ -338,7 +339,8 @@ func TestRHSClosedForm(t *testing.T) {
 					t.Fatal(err)
 				}
 				src := func() *rng.Source { return client.querySource().ForkIndexed("pattern", psi) }
-				def := client.encryptor.EncryptC0(zero, src())
+				def := r.NewPoly()
+				client.encryptor.EncryptC0To(zero, src(), def)
 				r.Sub(def, client.encryptor.Encrypt(pt, src()).C[0], def)
 				r.Add(def, mask, def)
 				closed := r.NewPoly()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,10 +243,9 @@ func TestDatabaseEncryptionDeterministicFromSeed(t *testing.T) {
 	c2, _ := NewClient(cfg, rng.NewSourceFromString("same-seed"))
 	e1, _ := c1.EncryptDatabase(db, 256)
 	e2, _ := c2.EncryptDatabase(db, 256)
-	r := cfg.Params.Ring()
 	for j := range e1.Chunks {
 		for k := range e1.Chunks[j].C {
-			if !r.Equal(e1.Chunks[j].C[k], e2.Chunks[j].C[k]) {
+			if !slices.Equal(e1.Chunks[j].C[k], e2.Chunks[j].C[k]) {
 				t.Fatal("seeded database encryption is not deterministic")
 			}
 		}

@@ -98,7 +98,11 @@ func TestFootprintRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := float64(ydb.SizeBytes(p)) / float64(len(data)); got != 64.0 {
+	var yBytes int64
+	for _, ct := range ydb.Chunks {
+		yBytes += int64(ct.SizeBytes(p))
+	}
+	if got := float64(yBytes) / float64(len(data)); got != 64.0 {
 		t.Errorf("Yasuda expansion = %v, want 64", got)
 	}
 

@@ -59,12 +59,6 @@ func NewServerWithEngine(params bfv.Params, db *EncryptedDB, e Engine) *Server {
 	return &Server{params: params, ev: bfv.NewEvaluator(params), ring: params.Ring(), db: db, engine: e}
 }
 
-// DB returns the stored encrypted database.
-func (s *Server) DB() *EncryptedDB { return s.db }
-
-// Engine returns the execution engine behind SearchAndIndex.
-func (s *Server) Engine() Engine { return s.engine }
-
 // SearchResult holds one result ciphertext per (variant, chunk), in the
 // order of Query.Residues (ModeClientDecrypt).
 type SearchResult struct {
@@ -77,7 +71,10 @@ type SearchResult struct {
 // (ModeClientDecrypt only). This path ships ciphertexts back to the
 // client, so it always runs on the CPU regardless of the engine.
 func (s *Server) Search(q *Query) (*SearchResult, error) {
-	if err := s.checkQuery(q); err != nil {
+	if q.Patterns == nil && q.HasTokens() {
+		return nil, errors.New("core: a seeded-match query carries no pattern ciphertexts; search it with SearchAndIndex")
+	}
+	if err := validateSearchQuery(q, len(s.db.Chunks), s.db.BitLen); err != nil {
 		return nil, err
 	}
 	n := s.params.N
@@ -129,19 +126,4 @@ func (ir *IndexResult) Release() {
 //cm:pooled
 func (s *Server) SearchAndIndex(q *Query) (*IndexResult, error) {
 	return s.engine.SearchAndIndex(q)
-}
-
-// SearchAndIndexBatch runs every member of bq through the server's
-// engine, returning one IndexResult per member in member order.
-//
-//cm:pooled
-func (s *Server) SearchAndIndexBatch(bq *BatchQuery) ([]*IndexResult, error) {
-	return s.engine.SearchAndIndexBatch(bq)
-}
-
-func (s *Server) checkQuery(q *Query) error {
-	if q.Patterns == nil && q.HasTokens() {
-		return errors.New("core: a seeded-match query carries no pattern ciphertexts; search it with SearchAndIndex")
-	}
-	return validateSearchQuery(q, len(s.db.Chunks), s.db.BitLen)
 }

@@ -77,16 +77,6 @@ type YasudaDB struct {
 	BitLen int
 }
 
-// SizeBytes returns the encrypted footprint (64× plaintext for the paper
-// parameters — the baseline's limitation).
-func (db *YasudaDB) SizeBytes(p bfv.Params) int64 {
-	var total int64
-	for _, ct := range db.Chunks {
-		total += int64(ct.SizeBytes(p))
-	}
-	return total
-}
-
 // EncryptDatabase packs data one bit per coefficient and encrypts
 // overlapping chunks.
 func (m *YasudaMatcher) EncryptDatabase(data []byte, bitLen int, src *rng.Source) (*YasudaDB, error) {

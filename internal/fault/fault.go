@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 
 	"ciphermatch/internal/metrics"
 	"ciphermatch/internal/rng"
+	"ciphermatch/internal/segment"
 )
 
 // Config selects which faults an Injector fires and how often. A zero
@@ -58,7 +60,8 @@ func (c Config) withDefaults() Config {
 }
 
 // ParseConfig parses a comma-separated k=v fault spec — the cmserver
-// -fault flag syntax. Keys: seed=<s>, crash=<point>, writeerr=<N>,
+// -fault flag syntax. Keys: seed=<s>, crash=<point> (one of
+// segment.CrashPoints(); any other name is an error), writeerr=<N>,
 // shortwrite=<N>, syncerr=<N>, mmapfail, bitflip=<N>, drop=<N>,
 // stall=<N>, stalldur=<duration>. Example:
 //
@@ -85,6 +88,9 @@ func ParseConfig(spec string) (Config, error) {
 		case "seed":
 			cfg.Seed = val
 		case "crash":
+			if points := segment.CrashPoints(); !slices.Contains(points, val) {
+				return Config{}, fmt.Errorf("fault: unknown crash point %q (valid: %s)", val, strings.Join(points, ", "))
+			}
 			cfg.CrashPoint = val
 		case "writeerr":
 			cfg.WriteErrEvery, err = intVal()
@@ -196,14 +202,6 @@ func New(cfg Config) *Injector {
 // point before the scenario starts.
 func (inj *Injector) ArmCrash(point string) { inj.crashPoint.Store(&point) }
 
-// Config returns the injector's configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
-// Crashed reports whether the simulated crash has fired: the "process"
-// is dead and every filesystem operation fails until a fresh FS (a new
-// process) is built over the surviving files.
-func (inj *Injector) Crashed() bool { return inj.crashed.Load() }
-
 // Bind mirrors injection counts into reg as fault_*_total counters, so
 // a fault-wrapped server exposes what was injected next to how the
 // serving stack absorbed it.
@@ -226,24 +224,4 @@ func (inj *Injector) stats() map[string]*stat {
 		"conn_stalls":  &inj.nStall,
 		"crashes":      &inj.nCrash,
 	}
-}
-
-// Counters snapshots how many faults of each class have been injected —
-// the report a chaos run prints so "nothing failed" is distinguishable
-// from "nothing was injected".
-func (inj *Injector) Counters() map[string]int64 {
-	out := make(map[string]int64, 8)
-	for name, s := range inj.stats() {
-		out[name] = s.local.Load()
-	}
-	return out
-}
-
-// Total returns the total number of injected faults across all classes.
-func (inj *Injector) Total() int64 {
-	var n int64
-	for _, s := range inj.stats() {
-		n += s.local.Load()
-	}
-	return n
 }

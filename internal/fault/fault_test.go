@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,22 @@ import (
 	"ciphermatch/internal/rng"
 	"ciphermatch/internal/segment"
 )
+
+// Crashed reports whether the simulated crash has fired: the "process"
+// is dead and every filesystem operation fails until a fresh FS (a new
+// process) is built over the surviving files.
+func (inj *Injector) Crashed() bool { return inj.crashed.Load() }
+
+// Counters snapshots how many faults of each class have been injected —
+// the report a chaos run prints so "nothing failed" is distinguishable
+// from "nothing was injected".
+func (inj *Injector) Counters() map[string]int64 {
+	out := make(map[string]int64, 8)
+	for name, s := range inj.stats() {
+		out[name] = s.local.Load()
+	}
+	return out
+}
 
 func TestParseConfig(t *testing.T) {
 	cfg, err := ParseConfig("seed=s1,crash=segment.write.plane0,writeerr=7,shortwrite=5,syncerr=3,mmapfail,bitflip=9,drop=11,stall=13,stalldur=20ms")
@@ -33,9 +50,19 @@ func TestParseConfig(t *testing.T) {
 	if c, err := ParseConfig("  "); err != nil || c != (Config{}) {
 		t.Fatalf("empty spec: %+v, %v", c, err)
 	}
-	for _, bad := range []string{"drop", "drop=x", "drop=-1", "frobnicate=1", "stalldur=0s", "mmapfail=no"} {
+	for _, bad := range []string{"drop", "drop=x", "drop=-1", "frobnicate=1", "stalldur=0s", "mmapfail=no", "crash=", "crash=segment.write.plane"} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Errorf("spec %q: expected error", bad)
+		}
+	}
+	// A mistyped crash point would arm a crash that never fires; the
+	// error names the valid points.
+	if _, err := ParseConfig("crash=segment.write.plane"); err == nil || !strings.Contains(err.Error(), segment.CrashWritePlane0) {
+		t.Errorf("unknown crash point: error %v does not list the valid points", err)
+	}
+	for _, point := range segment.CrashPoints() {
+		if cfg, err := ParseConfig("crash=" + point); err != nil || cfg.CrashPoint != point {
+			t.Errorf("crash=%s: %+v, %v", point, cfg, err)
 		}
 	}
 }
@@ -86,6 +113,17 @@ func testDB(t *testing.T) (segment.Meta, *core.EncryptedDB) {
 	return meta, db
 }
 
+// save writes db as meta.Name's segment in dir through fsys, as the
+// store does.
+func save(t *testing.T, fsys segment.FS, dir string, meta segment.Meta, db *core.EncryptedDB) error {
+	t.Helper()
+	d, err := segment.OpenDirFS(fsys, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Save(meta, db)
+}
+
 func TestFSCrashPointKillsFS(t *testing.T) {
 	meta, db := testDB(t)
 	dir := t.TempDir()
@@ -93,9 +131,8 @@ func TestFSCrashPointKillsFS(t *testing.T) {
 
 	inj := New(Config{Seed: "crash", CrashPoint: segment.CrashWritePlane0})
 	fsys := inj.FS(segment.OSFS{})
-	err := segment.WriteFS(fsys, path, meta, db)
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("WriteFS: %v, want ErrCrashed", err)
+	if err := save(t, fsys, dir, meta, db); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Save: %v, want ErrCrashed", err)
 	}
 	if !inj.Crashed() {
 		t.Fatal("injector not marked crashed")
@@ -131,9 +168,8 @@ func TestFSDiskFull(t *testing.T) {
 	path := filepath.Join(dir, segment.FileName(meta.Name))
 
 	inj := New(Config{Seed: "enospc", WriteErrEvery: 1})
-	err := segment.WriteFS(inj.FS(segment.OSFS{}), path, meta, db)
-	if !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("WriteFS: %v, want ErrNoSpace", err)
+	if err := save(t, inj.FS(segment.OSFS{}), dir, meta, db); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("Save: %v, want ErrNoSpace", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("failed write must not leave a segment: %v", err)
@@ -146,13 +182,11 @@ func TestFSDiskFull(t *testing.T) {
 func TestFSShortWriteLeavesTornPrefix(t *testing.T) {
 	meta, db := testDB(t)
 	dir := t.TempDir()
-	path := filepath.Join(dir, segment.FileName(meta.Name))
 
 	// Let the header through, then tear a plane write.
 	inj := New(Config{Seed: "short", ShortWriteEvery: 2})
-	err := segment.WriteFS(inj.FS(segment.OSFS{}), path, meta, db)
-	if !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("WriteFS: %v, want ErrNoSpace", err)
+	if err := save(t, inj.FS(segment.OSFS{}), dir, meta, db); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("Save: %v, want ErrNoSpace", err)
 	}
 	// Recovery on the real FS sees no segment (tmp was cleaned up by the
 	// still-alive writer) — the store stays consistent.
@@ -167,51 +201,45 @@ func TestFSShortWriteLeavesTornPrefix(t *testing.T) {
 
 func TestFSSyncError(t *testing.T) {
 	meta, db := testDB(t)
-	path := filepath.Join(t.TempDir(), segment.FileName(meta.Name))
 	inj := New(Config{Seed: "sync", SyncErrEvery: 1})
-	if err := segment.WriteFS(inj.FS(segment.OSFS{}), path, meta, db); !errors.Is(err, ErrSyncFailed) {
-		t.Fatalf("WriteFS: %v, want ErrSyncFailed", err)
+	if err := save(t, inj.FS(segment.OSFS{}), t.TempDir(), meta, db); !errors.Is(err, ErrSyncFailed) {
+		t.Fatalf("Save: %v, want ErrSyncFailed", err)
 	}
 }
 
 func TestFSMmapFailFallsBackToCopy(t *testing.T) {
 	meta, db := testDB(t)
-	path := filepath.Join(t.TempDir(), segment.FileName(meta.Name))
-	if err := segment.Write(path, meta, db); err != nil {
+	dir := t.TempDir()
+	if err := save(t, segment.OSFS{}, dir, meta, db); err != nil {
 		t.Fatal(err)
 	}
 	inj := New(Config{Seed: "mmap", MmapFail: true})
-	seg, err := segment.OpenFS(inj.FS(segment.OSFS{}), path, meta.RingDegree, meta.Modulus)
-	if err != nil {
-		t.Fatalf("OpenFS under mmap failure: %v", err)
-	}
-	defer seg.Close()
-	if seg.Mapped() {
-		t.Fatal("segment mapped despite injected mmap failure")
-	}
-	want, err := segment.Open(path, meta.RingDegree, meta.Modulus)
+	d, err := segment.OpenDirFS(inj.FS(segment.OSFS{}), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer want.Close()
-	wa, ga := want.Arena(), seg.Arena()
-	if len(wa) != len(ga) {
-		t.Fatalf("arena length %d vs %d", len(ga), len(wa))
+	seg, err := d.Load(meta.Name, meta.RingDegree, meta.Modulus)
+	if err != nil {
+		t.Fatalf("Load under mmap failure: %v", err)
 	}
-	for i := range wa {
-		if wa[i] != ga[i] {
-			t.Fatalf("arena word %d differs: copy-load not bit-identical", i)
-		}
-	}
+	defer seg.Close()
 	if inj.Counters()["mmap_fails"] == 0 {
 		t.Fatal("mmap_fails counter not incremented")
+	}
+	got, err := seg.DB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Arena(), db.Arena()) {
+		t.Fatal("copy-load not bit-identical to the saved arena")
 	}
 }
 
 func TestFSBitFlipCaughtByChecksum(t *testing.T) {
 	meta, db := testDB(t)
-	path := filepath.Join(t.TempDir(), segment.FileName(meta.Name))
-	if err := segment.Write(path, meta, db); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, segment.FileName(meta.Name))
+	if err := save(t, segment.OSFS{}, dir, meta, db); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a bit in every read: whichever read path touches the planes,

@@ -1,10 +1,6 @@
 package flash
 
-import (
-	"fmt"
-
-	"ciphermatch/internal/mathutil"
-)
+import "fmt"
 
 // This file implements the bit-serial addition µ-program of Fig. 5: adding
 // a streamed operand B (arriving page-by-page from the SSD controller) to
@@ -71,23 +67,4 @@ func (p *Plane) BitSerialAddPlanes(b, wlBase int, bPlanes, sums [][]uint64) erro
 		p.stats.BitSerialAdds++
 	}
 	return nil
-}
-
-// BitSerialAdd is the convenience form over horizontal coefficients: it
-// transposes the operand, runs the µ-program, and transposes the sums
-// back. In the full system the transpositions are performed by the SSD
-// controller's data transposition unit (internal/ssd); use this form for
-// tests and self-contained examples.
-func (p *Plane) BitSerialAdd(b, wlBase int, operand []uint32) ([]uint32, error) {
-	if len(operand) > p.geom.PageBits() {
-		return nil, fmt.Errorf("flash: %d operand coefficients exceed %d bitlines", len(operand), p.geom.PageBits())
-	}
-	bPlanes, sumPlanes := p.geom.NewBitPlanes(), p.geom.NewBitPlanes()
-	mathutil.TransposeToBitPlanes(operand, bPlanes)
-	if err := p.BitSerialAddPlanes(b, wlBase, bPlanes, sumPlanes); err != nil {
-		return nil, err
-	}
-	out := make([]uint32, len(operand))
-	mathutil.TransposeFromBitPlanes(sumPlanes, out)
-	return out, nil
 }

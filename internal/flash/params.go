@@ -2,8 +2,10 @@
 // flash with the CIPHERMATCH in-flash processing extensions (§4.3.1):
 // the bi-directional sensing-latch/data-latch transfer of [141], bulk
 // bitwise AND/OR/XOR on the latch circuitry (ParaBit [62] / Flash-Cosmos
-// [60] style), enhanced SLC programming for reliable computation, and the
-// 13-step bit-serial addition µ-program of Fig. 5.
+// [60] style), and the 13-step bit-serial addition µ-program of Fig. 5,
+// which runs only on blocks in enhanced SLC programming (ESP) mode, the
+// paper's rule for reliable computation. Raw read errors are not
+// modelled: the rule is enforced, not simulated.
 //
 // The simulator is bit-exact: latch operations manipulate real page
 // buffers, so a homomorphic addition executed in flash produces the same

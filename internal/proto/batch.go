@@ -115,7 +115,7 @@ func EncodeNamedBatchQuery(name string, bq *core.BatchQuery, p bfv.Params) []byt
 		for _, r := range q.Residues {
 			members.putInt(r)
 		}
-		members.putInt(0) // pattern references: none, as in EncodeQuery
+		members.putInt(0) // pattern references: none, as in putQuery
 		members.putInt(batchTokFactored)
 		members.putInt(planeRef(q.DBTok))
 		members.putInt(len(q.RHS))

@@ -104,8 +104,8 @@ func TestCrashPointMatrix(t *testing.T) {
 		if err := st.Upload("crashdb", spec, crashed); !errors.Is(err, fault.ErrCrashed) {
 			t.Fatalf("upload at %s: %v, want ErrCrashed", point, err)
 		}
-		if !inj.Crashed() {
-			t.Fatal("injector not marked crashed")
+		if _, err := inj.FS(segment.OSFS{}).ReadDir(dir); !errors.Is(err, fault.ErrCrashed) {
+			t.Fatalf("filesystem still alive after the crash: ReadDir = %v", err)
 		}
 	}
 	recover := func(t *testing.T, dir string) *Store {
@@ -292,6 +292,8 @@ func TestReloadCorruptSegmentQuarantined(t *testing.T) {
 func TestEvictReloadUnderMmapFailure(t *testing.T) {
 	p := bfv.ParamsToy()
 	inj := fault.New(fault.Config{Seed: "mmapfail", MmapFail: true})
+	reg := metrics.NewRegistry()
+	inj.Bind(reg)
 	a := newDurableTenant(t, p, "mm-a", core.EngineSpec{}, 192, 200)
 	b := newDurableTenant(t, p, "mm-b", core.EngineSpec{}, 192, 968)
 	budget := 2 * int64(len(a.db.Chunks)) * int64(p.N) * 8 // exactly one arena
@@ -317,7 +319,7 @@ func TestEvictReloadUnderMmapFailure(t *testing.T) {
 	}
 	assertCandidates(t, "copy-fallback reload", ir.Candidates, a.clientWant)
 	ir.Release()
-	if inj.Counters()["mmap_fails"] == 0 {
+	if n, _ := metrics.Lookup(reg.Snapshot(), "fault_mmap_fails_total"); n == 0 {
 		t.Fatal("reload never attempted (and failed) an mmap")
 	}
 }
@@ -683,6 +685,7 @@ func TestConnFaultsRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := fault.New(fault.Config{Seed: "connchaos", DropEvery: 23})
+	inj.Bind(srv.Metrics())
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -703,7 +706,7 @@ func TestConnFaultsRetried(t *testing.T) {
 		}
 		assertCandidates(t, "under faults", got, tn.clientWant)
 	}
-	if inj.Counters()["conn_drops"] == 0 {
+	if n, _ := metrics.Lookup(srv.Metrics().Snapshot(), "fault_conn_drops_total"); n == 0 {
 		t.Fatal("no connection faults were injected — the test proved nothing")
 	}
 	if rs := conn.RetryStats(); rs.Retries == 0 {

@@ -423,7 +423,11 @@ func TestStoreForeignGeometryQuarantine(t *testing.T) {
 	fdb.BitLen = 16
 	fdb.NumSegments = 1
 	meta := segment.Meta{Name: "foreign", RingDegree: foreignN, Modulus: p.Q, Chunks: 1, BitLen: 16, NumSegments: 1}
-	if err := segment.Write(filepath.Join(dir, segment.FileName("foreign")), meta, fdb); err != nil {
+	fd, err := segment.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.Save(meta, fdb); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -15,8 +16,18 @@ import (
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
 	"ciphermatch/internal/mathutil"
+	"ciphermatch/internal/ring"
 	"ciphermatch/internal/rng"
 )
+
+// EncodeQuery serialises a seeded-match query alone, without the
+// database name EncodeNamedQuery puts in front of it.
+func EncodeQuery(q *core.Query, p bfv.Params) []byte {
+	qb, lb := p.QBytes(), ring.LaneBytesFor(p.Q)
+	b := buffer{data: make([]byte, 0, queryWireSize(q, qb, lb))}
+	b.putQuery(q, qb, lb)
+	return b.data
+}
 
 // newMemServer builds a memory-only, non-coalescing server whose
 // uploads default to spec.
@@ -71,10 +82,9 @@ func TestDBRoundtrip(t *testing.T) {
 	if back.BitLen != db.BitLen || back.NumSegments != db.NumSegments || len(back.Chunks) != len(db.Chunks) {
 		t.Fatal("metadata lost")
 	}
-	r := p.Ring()
 	for i := range db.Chunks {
 		for c := range db.Chunks[i].C {
-			if !r.Equal(back.Chunks[i].C[c], db.Chunks[i].C[c]) {
+			if !slices.Equal(back.Chunks[i].C[c], db.Chunks[i].C[c]) {
 				t.Fatalf("chunk %d comp %d corrupted", i, c)
 			}
 		}
@@ -122,7 +132,7 @@ func TestEncodeExactSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 3*p.PlaintextBytes()+100) // 4 chunks, the last partial
+	data := make([]byte, 3*p.N*p.PackedBitsPerCoeff()/8+100) // 4 chunks, the last partial
 	rng.NewSourceFromString("payload").Bytes(data)
 	db, err := client.EncryptDatabase(data, 8*len(data))
 	if err != nil {
@@ -189,14 +199,13 @@ func TestQueryRoundtrip(t *testing.T) {
 	if len(back.Patterns) != 0 {
 		t.Fatal("factored encoding shipped pattern ciphertexts")
 	}
-	r := p.Ring()
 	for j := range q.DBTok {
 		if !bytes.Equal(back.DBTok[j], q.DBTok[j]) {
 			t.Fatalf("DBTok %d corrupted", j)
 		}
 	}
 	for psi, rhs := range q.RHS {
-		if !r.Equal(back.RHS[psi], rhs) {
+		if !slices.Equal(back.RHS[psi], rhs) {
 			t.Fatalf("RHS %d corrupted", psi)
 		}
 	}
@@ -322,7 +331,6 @@ func TestBatchQueryRoundtrip(t *testing.T) {
 	if name != "corpus" || len(back.Queries) != 3 {
 		t.Fatalf("name %q, %d members", name, len(back.Queries))
 	}
-	r := p.Ring()
 	for mi, q := range bq.Queries {
 		got := back.Queries[mi]
 		if got.YBits != q.YBits || got.AlignBits != q.AlignBits || got.DBBitLen != q.DBBitLen || got.NumChunks != q.NumChunks {
@@ -337,7 +345,7 @@ func TestBatchQueryRoundtrip(t *testing.T) {
 			}
 		}
 		for psi, rhs := range q.RHS {
-			if !r.Equal(got.RHS[psi], rhs) {
+			if !slices.Equal(got.RHS[psi], rhs) {
 				t.Fatalf("member %d RHS %d corrupted", mi, psi)
 			}
 		}

@@ -470,20 +470,6 @@ const factoredSentinel = ^uint32(0)
 // encodings; unknown versions are rejected, so the format can evolve.
 const factoredWireVersion = 1
 
-// EncodeQuery serialises a seeded-match query: metadata, the DBTok
-// plane and the per-phase RHS polynomials. A seeded-match query carries
-// no pattern ciphertexts: its index generation runs entirely on
-// DBTok/RHS.
-// Map-backed sections are emitted in sorted key order, so the same
-// query always encodes to the same bytes — the property batch-level
-// deduplication and any caching keyed on encodings rely on.
-func EncodeQuery(q *core.Query, p bfv.Params) []byte {
-	qb, lb := p.QBytes(), ring.LaneBytesFor(p.Q)
-	b := buffer{data: make([]byte, 0, queryWireSize(q, qb, lb))}
-	b.putQuery(q, qb, lb)
-	return b.data
-}
-
 // queryWireSize is the exact length putQuery appends for q: nine
 // header and count words, one word per residue, then the
 // length-prefixed polynomials, each RHS row behind its phase word. The
@@ -499,8 +485,12 @@ func queryWireSize(q *core.Query, qBytes, lb int) int {
 	return size
 }
 
-// putQuery appends the EncodeQuery encoding of q, whose DBTok rows hold
-// lb-byte lanes.
+// putQuery appends the wire encoding of a seeded-match query q, whose
+// DBTok rows hold lb-byte lanes: metadata, the DBTok plane and the
+// per-phase RHS polynomials (a seeded-match query carries no pattern
+// ciphertexts). Map-backed sections are emitted in sorted key order, so
+// the same query always encodes to the same bytes — the property
+// batch-level deduplication and any caching keyed on encodings rely on.
 func (b *buffer) putQuery(q *core.Query, qb, lb int) {
 	b.putUint32(factoredSentinel)
 	b.putInt(factoredWireVersion)
@@ -572,7 +562,7 @@ func decodeQueryHeader(b *buffer, q *core.Query) error {
 	return nil
 }
 
-// DecodeQuery is the inverse of EncodeQuery. The DBTok plane must cover
+// DecodeQuery is the inverse of putQuery. The DBTok plane must cover
 // exactly NumChunks chunks — the kernels index it per chunk — and every
 // polynomial is held to the ring degree, so a hostile peer cannot
 // smuggle mis-shaped comparands into the fused kernel. The plane count

@@ -142,26 +142,6 @@ func (r *Ring) Clone(a Poly) Poly {
 	return out
 }
 
-// Equal reports whether a and b are identical polynomials.
-func (r *Ring) Equal(a, b Poly) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsZero reports whether a is the zero polynomial.
-func (r *Ring) IsZero(a Poly) bool {
-	for _, c := range a {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // reduce maps an arbitrary 64-bit value into [0, q).
 func (r *Ring) reduce(x uint64) uint64 {
 	if r.qIsPow2 {
@@ -268,21 +248,4 @@ func (r *Ring) CenterLift(a Poly, out []int64) {
 			out[i] = int64(a[i])
 		}
 	}
-}
-
-// InfNormCentered returns the maximum absolute value of the centered
-// representatives of a's coefficients.
-func (r *Ring) InfNormCentered(a Poly) uint64 {
-	half := r.q / 2
-	var m uint64
-	for _, c := range a {
-		abs := c
-		if c > half {
-			abs = r.q - c
-		}
-		if abs > m {
-			m = abs
-		}
-	}
-	return m
 }

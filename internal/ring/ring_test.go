@@ -8,6 +8,43 @@ import (
 	"ciphermatch/internal/rng"
 )
 
+// Equal reports whether a and b are identical polynomials.
+func (r *Ring) Equal(a, b Poly) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// IsZero reports whether a is the zero polynomial.
+func (r *Ring) IsZero(a Poly) bool {
+	for _, c := range a {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// InfNormCentered returns the maximum absolute value of the centered
+// representatives of a's coefficients.
+func (r *Ring) InfNormCentered(a Poly) uint64 {
+	half := r.q / 2
+	var m uint64
+	for _, c := range a {
+		abs := c
+		if c > half {
+			abs = r.q - c
+		}
+		if abs > m {
+			m = abs
+		}
+	}
+	return m
+}
+
 // Test rings: the paper's modulus family (power of two) and a generic prime
 // to keep the implementation honest about modulus assumptions.
 var testRings = []struct {

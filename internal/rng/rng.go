@@ -49,10 +49,6 @@ func NewRandomSource() (*Source, error) {
 	return NewSource(seed), nil
 }
 
-// Seed returns the seed this source was created with. Forked children have
-// derived seeds.
-func (s *Source) Seed() [32]byte { return s.seed }
-
 // Fork derives an independent child source bound to the given domain. The
 // same (seed, domain) pair always yields the same child stream, and distinct
 // domains yield computationally independent streams.

@@ -103,9 +103,6 @@ func OpenDirFS(fsys FS, root string) (*Dir, error) {
 // Root returns the directory path.
 func (d *Dir) Root() string { return d.root }
 
-// FS returns the filesystem the directory operates through.
-func (d *Dir) FS() FS { return d.fsys }
-
 // Entries lists registered segments sorted by database name.
 func (d *Dir) Entries() []Entry {
 	d.mu.Lock()

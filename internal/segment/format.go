@@ -58,7 +58,7 @@ import (
 
 // Distinct load-failure classes, so callers (and tests) can tell a
 // foreign file from a damaged one from a mismatched one. Every error
-// returned by Open/ReadMeta wraps exactly one of these.
+// returned by OpenFS/ReadMetaFS wraps exactly one of these.
 var (
 	// ErrBadMagic: the file does not start with the segment magic — not
 	// a segment file at all.

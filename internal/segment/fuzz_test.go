@@ -60,12 +60,12 @@ func FuzzDecodeSegment(f *testing.F) {
 			return
 		}
 		defer s.Close()
-		m := s.Meta()
+		m := s.meta
 		if m.RingDegree != p.N || m.Modulus != p.Q {
 			t.Fatalf("loaded segment violates geometry: %+v", m)
 		}
-		if m.Chunks < 1 || len(s.Arena()) != 2*m.Chunks*m.RingDegree {
-			t.Fatalf("arena size %d inconsistent with %d chunks", len(s.Arena()), m.Chunks)
+		if m.Chunks < 1 || len(s.arena) != 2*m.Chunks*m.RingDegree {
+			t.Fatalf("arena size %d inconsistent with %d chunks", len(s.arena), m.Chunks)
 		}
 		if len(m.Name) > MaxNameLen {
 			t.Fatalf("loaded name of %d bytes", len(m.Name))

@@ -24,22 +24,12 @@ type Segment struct {
 	planeCRC [2]uint64
 }
 
-// Meta returns the segment's identity and geometry.
-func (s *Segment) Meta() Meta { return s.meta }
-
-// Arena returns the coefficient planes in the core.EncryptedDB arena
-// layout (C0 plane then C1 plane). Read-only.
-func (s *Segment) Arena() []uint64 { return s.arena }
-
 // PlaneCRCs returns the checksum of each coefficient plane, as
 // ArenaPlaneCRCs computes it — for a current-version file, the sums
 // stored in its footer (verified against the bytes at load time). The
 // store records them so the background scrubber can re-verify resident
 // arenas against the durable checksums.
 func (s *Segment) PlaneCRCs() [2]uint64 { return s.planeCRC }
-
-// Mapped reports whether the arena is a zero-copy file mapping.
-func (s *Segment) Mapped() bool { return s.mapping != nil }
 
 // DB adopts the arena into an EncryptedDB: chunk views over the mapped
 // (or copied) planes, ready for any engine. The database is read-only
@@ -67,18 +57,13 @@ func (s *Segment) Close() error {
 	return nil
 }
 
-// Open loads the segment at path, verifying structure and checksums,
-// and rejects files whose ring geometry differs from (ringDegree,
-// modulus). The error wraps one of ErrBadMagic, ErrBadVersion,
-// ErrTruncated, ErrChecksum, ErrGeometry or ErrCorrupt.
-func Open(path string, ringDegree int, modulus uint64) (*Segment, error) {
-	return OpenFS(OSFS{}, path, ringDegree, modulus)
-}
-
-// OpenFS is Open over an explicit filesystem. If fsys cannot map the
-// file (platform without mmap, or an injected mmap failure) the loader
-// falls back to the plain-read copying path — same verification, one
-// heap arena instead of a zero-copy view.
+// OpenFS loads the segment at path through fsys, verifying structure
+// and checksums, and rejects files whose ring geometry differs from
+// (ringDegree, modulus). The error wraps one of ErrBadMagic,
+// ErrBadVersion, ErrTruncated, ErrChecksum, ErrGeometry or ErrCorrupt.
+// If fsys cannot map the file (platform without mmap, or an injected
+// mmap failure) the loader falls back to the plain-read copying path —
+// same verification, one heap arena instead of a zero-copy view.
 func OpenFS(fsys FS, path string, ringDegree int, modulus uint64) (*Segment, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -130,14 +115,9 @@ func openVerified(fsys FS, f File, meta Meta, lay layout) (*Segment, error) {
 	return openCopy(f, meta, lay)
 }
 
-// ReadMeta reads and validates a segment's header, name and header
+// ReadMetaFS reads and validates a segment's header, name and header
 // checksum without touching the coefficient planes — the cheap probe
 // the recovery scan runs per file at startup.
-func ReadMeta(path string) (Meta, error) {
-	return ReadMetaFS(OSFS{}, path)
-}
-
-// ReadMetaFS is ReadMeta over an explicit filesystem.
 func ReadMetaFS(fsys FS, path string) (Meta, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {

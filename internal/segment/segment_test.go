@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +15,23 @@ import (
 	"ciphermatch/internal/core"
 	"ciphermatch/internal/rng"
 )
+
+// Write persists db as a segment file at path on the real filesystem.
+func Write(path string, meta Meta, db *core.EncryptedDB) error {
+	_, err := writeFS(OSFS{}, path, meta, db)
+	return err
+}
+
+// Open loads the segment at path from the real filesystem.
+func Open(path string, ringDegree int, modulus uint64) (*Segment, error) {
+	return OpenFS(OSFS{}, path, ringDegree, modulus)
+}
+
+// ReadMeta reads the segment header at path from the real filesystem.
+func ReadMeta(path string) (Meta, error) { return ReadMetaFS(OSFS{}, path) }
+
+// Mapped reports whether the arena is a zero-copy file mapping.
+func (s *Segment) Mapped() bool { return s.mapping != nil }
 
 // fixtureDB builds an arena-backed toy-parameter encrypted database of
 // dbBytes bytes.
@@ -65,7 +83,7 @@ func TestSegmentRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	m := s.Meta()
+	m := s.meta
 	if m.Name != "tenant/α" || m.RingDegree != p.N || m.Modulus != p.Q ||
 		m.Chunks != len(db.Chunks) || m.BitLen != db.BitLen || m.NumSegments != db.NumSegments || m.Spec != spec {
 		t.Fatalf("meta did not round-trip: %+v", m)
@@ -410,10 +428,10 @@ func TestSegmentV1Compat(t *testing.T) {
 			}
 			defer s.Close()
 			want := core.EngineSpec{Kind: core.EnginePool, Workers: 2}
-			if m := s.Meta(); m != meta || m.Name != "v1-tenant" || m.Chunks != 2 || m.Spec != want {
+			if m := s.meta; m != meta || m.Name != "v1-tenant" || m.Chunks != 2 || m.Spec != want {
 				t.Fatalf("meta %+v (ReadMeta %+v)", m, meta)
 			}
-			if got, want := s.PlaneCRCs(), ArenaPlaneCRCs(s.Arena()); got != want {
+			if got, want := s.PlaneCRCs(), ArenaPlaneCRCs(s.arena); got != want {
 				t.Fatalf("PlaneCRCs %016x, ArenaPlaneCRCs %016x", got, want)
 			}
 			if _, err := s.DB(); err != nil {
@@ -616,11 +634,43 @@ func TestWriteReplaceAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Meta().Chunks != len(db2.Chunks) {
-		t.Fatalf("replacement not visible: %d chunks, want %d", s.Meta().Chunks, len(db2.Chunks))
+	if s.meta.Chunks != len(db2.Chunks) {
+		t.Fatalf("replacement not visible: %d chunks, want %d", s.meta.Chunks, len(db2.Chunks))
 	}
 	files, err := filepath.Glob(filepath.Join(root, "*.tmp"))
 	if err != nil || len(files) != 0 {
 		t.Fatalf("temp residue after save: %v (%v)", files, err)
+	}
+}
+
+// recordingFS is the real filesystem, recording every crash point the
+// writer announces.
+type recordingFS struct {
+	OSFS
+	points []string
+}
+
+func (f *recordingFS) Crash(point string) error {
+	f.points = append(f.points, point)
+	return nil
+}
+
+// TestSaveAnnouncesEveryCrashPoint: one clean Dir.Save passes every
+// named crash point, in CrashPoints order. The crash-point matrix arms
+// each point of CrashPoints in turn; a point the writer stopped
+// announcing would never fire there, and its case would pass without
+// testing anything.
+func TestSaveAnnouncesEveryCrashPoint(t *testing.T) {
+	p, db := fixtureDB(t, "seg-crash-points", 300)
+	fsys := &recordingFS{}
+	d, err := OpenDirFS(fsys, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Save(fixtureMeta("crash-points", p, db, core.EngineSpec{}), db); err != nil {
+		t.Fatal(err)
+	}
+	if want := CrashPoints(); !slices.Equal(fsys.points, want) {
+		t.Fatalf("Save announced crash points\n%q\nwant\n%q", fsys.points, want)
 	}
 }

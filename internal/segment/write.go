@@ -10,27 +10,17 @@ import (
 	"ciphermatch/internal/core"
 )
 
-// Write persists db as a segment file at path, crash-atomically: the
-// bytes are streamed to a temporary file in the same directory, fsynced,
-// and renamed over path, then the directory is fsynced, so a crash at
-// any point leaves either the old file or the new one — never a torn
-// segment. The database must sit on an arena of the meta's geometry
-// (core.NewCompactDB, as the wire decoder and the client build it).
-func Write(path string, meta Meta, db *core.EncryptedDB) error {
-	return WriteFS(OSFS{}, path, meta, db)
-}
-
-// WriteFS is Write over an explicit filesystem. Every step of the
-// tmp+fsync+rename+dirsync sequence announces a named crash point
-// first, so a fault-injecting FS can simulate the process dying at any
-// of them; the crash-point matrix test requires recovery to be correct
-// after every one.
-func WriteFS(fsys FS, path string, meta Meta, db *core.EncryptedDB) error {
-	_, err := writeFS(fsys, path, meta, db)
-	return err
-}
-
-// writeFS is WriteFS returning the plane sums it sealed into the footer.
+// writeFS persists db as a segment file at path through fsys,
+// crash-atomically, and returns the plane sums it sealed into the
+// footer: the bytes are streamed to a temporary file in the same
+// directory, fsynced, and renamed over path, then the directory is
+// fsynced, so a crash at any point leaves either the old file or the
+// new one — never a torn segment. The database must sit on an arena of
+// the meta's geometry (core.NewCompactDB, as the wire decoder and the
+// client build it). Every step announces a named crash point first, so
+// a fault-injecting FS can simulate the process dying at any of them;
+// the crash-point matrix test requires recovery to be correct after
+// every one.
 func writeFS(fsys FS, path string, meta Meta, db *core.EncryptedDB) ([2]uint64, error) {
 	var none [2]uint64
 	if err := checkWritable(meta, db); err != nil {

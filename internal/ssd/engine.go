@@ -18,9 +18,7 @@ import (
 // (internal/perfmodel, cmbench -exp), not by composing engines.
 type Engine struct {
 	drive *SSD
-
-	mu  sync.Mutex
-	cum core.Stats
+	mu    sync.Mutex
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -56,7 +54,7 @@ func (e *Engine) SearchAndIndex(q *core.Query) (*core.IndexResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.searchLocked(q, rows)
+	return e.drive.search(q, rows)
 }
 
 // SearchAndIndexBatch implements core.Engine: one drive executes one
@@ -77,7 +75,7 @@ func (e *Engine) SearchAndIndexBatch(bq *core.BatchQuery) ([]*core.IndexResult, 
 	}
 	out := make([]*core.IndexResult, len(bq.Queries))
 	for i, q := range bq.Queries {
-		ir, err := e.searchLocked(q, rows[i])
+		ir, err := e.drive.search(q, rows[i])
 		if err != nil {
 			for _, done := range out[:i] {
 				done.Release()
@@ -87,30 +85,6 @@ func (e *Engine) SearchAndIndexBatch(bq *core.BatchQuery) ([]*core.IndexResult, 
 		out[i] = ir
 	}
 	return out, nil
-}
-
-// searchLocked runs one CM-search with the comparand rows the drive
-// looked up for q and folds its counts into the cumulative stats; e.mu
-// held.
-//
-//cm:pooled
-func (e *Engine) searchLocked(q *core.Query, rows [][]ring.Poly) (*core.IndexResult, error) {
-	ir, err := e.drive.search(q, rows)
-	if err != nil {
-		return nil, err
-	}
-	e.cum.HomAdds += ir.Stats.HomAdds
-	e.cum.CoeffCompares += ir.Stats.CoeffCompares
-	e.cum.ResultBytes += ir.Stats.ResultBytes
-	e.cum.ChunkStreams += ir.Stats.ChunkStreams
-	return ir, nil
-}
-
-// Stats implements core.Engine.
-func (e *Engine) Stats() core.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cum
 }
 
 // Describe implements core.Engine.

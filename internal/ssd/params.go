@@ -2,9 +2,10 @@
 // CIPHERMATCH region (vertical layout, SLC+ESP mode) that holds half of
 // every plane's blocks, the software- and hardware-based data
 // transposition units, the index generation unit, and the host commands
-// CM-write, CM-read and CM-search that dispatch the bop_add µ-program
-// across planes. The other half of each plane stays TLC and is not
-// simulated beyond its block mode.
+// CM-write and CM-search that dispatch the bop_add µ-program across
+// planes. The paper's CM-read (reading a chunk back out of the vertical
+// layout) is not simulated: nothing reads it. The other half of each
+// plane stays TLC and is not simulated beyond its block mode.
 //
 // The model is functional — CM-search executes real homomorphic additions
 // through the flash latch simulator and produces byte-identical results to

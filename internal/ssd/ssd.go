@@ -8,7 +8,6 @@ import (
 	"ciphermatch/internal/core"
 	"ciphermatch/internal/flash"
 	"ciphermatch/internal/mathutil"
-	"ciphermatch/internal/ring"
 )
 
 // SSD is the CIPHERMATCH-enabled drive: an array of simulated planes plus
@@ -90,9 +89,6 @@ func New(cfg Config, params bfv.Params, kind TranspositionKind) (*SSD, error) {
 	return s, nil
 }
 
-// Config returns the SSD configuration.
-func (s *SSD) Config() Config { return s.cfg }
-
 // ControllerStats returns the controller-side statistics.
 func (s *SSD) ControllerStats() ControllerStats { return s.ctrl }
 
@@ -136,26 +132,11 @@ func (s *SSD) groupAddr(g int) (plane, block, wlBase int, err error) {
 	return plane, block, wlBase, nil
 }
 
-// slotAddr locates ciphertext component slot t: lane l of group g.
-// Chunk j's components occupy slots 2j (c0) and 2j+1 (c1).
-func (s *SSD) slotAddr(t int) (g, lane int) {
-	return t / s.lanesPerGroup, t % s.lanesPerGroup
-}
-
 // numGroups returns the number of vertical groups a database of the
 // given number of chunks occupies.
 func (s *SSD) numGroups(chunks int) int {
 	slots := 2 * chunks
 	return (slots + s.lanesPerGroup - 1) / s.lanesPerGroup
-}
-
-// u32ToPoly converts 32-bit coefficients to a mod-2^32 ring polynomial.
-func u32ToPoly(c []uint32) ring.Poly {
-	out := make(ring.Poly, len(c))
-	for i, v := range c {
-		out[i] = uint64(v)
-	}
-	return out
 }
 
 // transpose charges one page transposition to the controller.
@@ -219,32 +200,6 @@ func (s *SSD) CMWriteDatabase(db *core.EncryptedDB) error {
 	}
 	s.numChunks, s.dbBitLen = chunks, db.BitLen
 	return nil
-}
-
-// CMReadChunk reconstructs chunk j's ciphertext from the vertical layout
-// (CM-read / page-fault path, §4.3.2): 32 flash reads per component plus a
-// reverse transposition in the controller. This is the long-latency read
-// the paper handles with OS huge-page support.
-func (s *SSD) CMReadChunk(j int) (*bfv.Ciphertext, error) {
-	if j < 0 || j >= s.numChunks {
-		return nil, fmt.Errorf("ssd: chunk %d out of range [0, %d)", j, s.numChunks)
-	}
-	ct := &bfv.Ciphertext{C: make([]ring.Poly, 2)}
-	for c := 0; c < 2; c++ {
-		g, lane := s.slotAddr(2*j + c)
-		plane, block, wlBase, err := s.groupAddr(g)
-		if err != nil {
-			return nil, err
-		}
-		full, err := s.planes[plane].ReadVertical(block, wlBase, s.cfg.Geometry.PageBits())
-		if err != nil {
-			return nil, err
-		}
-		s.transpose()
-		ct.C[c] = u32ToPoly(full[lane*s.params.N : (lane+1)*s.params.N])
-		s.ctrl.HostBytesOut += int64(s.params.N * s.params.QBytes())
-	}
-	return ct, nil
 }
 
 // StoredChunks returns the number of chunks in the CIPHERMATCH region.

@@ -22,6 +22,36 @@ func newTestSSD(t *testing.T) *SSD {
 	return s
 }
 
+// storedChunk reads chunk j's two components back out of the vertical
+// layout: component c is slot 2j+c, lane slot%lanesPerGroup of group
+// slot/lanesPerGroup, 32 page reads and one transposition.
+func storedChunk(t *testing.T, s *SSD, j int) [2][]uint64 {
+	t.Helper()
+	var out [2][]uint64
+	n := s.params.N
+	for c := range out {
+		slot := 2*j + c
+		plane, block, wlBase, err := s.groupAddr(slot / s.lanesPerGroup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes := s.cfg.Geometry.NewBitPlanes()
+		for i, row := range planes {
+			if err := s.planes[plane].ReadPage(block, wlBase+i); err != nil {
+				t.Fatal(err)
+			}
+			copy(row, s.planes[plane].S)
+		}
+		full := make([]uint32, s.cfg.Geometry.PageBits())
+		mathutil.TransposeFromBitPlanes(planes, full)
+		lane := slot % s.lanesPerGroup
+		for _, v := range full[lane*n : (lane+1)*n] {
+			out[c] = append(out[c], uint64(v))
+		}
+	}
+	return out
+}
+
 func plant(db []byte, query []byte, queryBits, o int) {
 	for j := 0; j < queryBits; j++ {
 		mathutil.SetBit(db, o+j, mathutil.GetBit(query, j))
@@ -58,20 +88,12 @@ func TestCMWriteReadRoundtrip(t *testing.T) {
 	if s.StoredChunks() != len(edb.Chunks) {
 		t.Fatalf("stored %d chunks, want %d", s.StoredChunks(), len(edb.Chunks))
 	}
-	r := cfg.Params.Ring()
 	for j := range edb.Chunks {
-		ct, err := s.CMReadChunk(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < 2; c++ {
-			if !r.Equal(ct.C[c], edb.Chunks[j].C[c]) {
+		for c, got := range storedChunk(t, s, j) {
+			if !slices.Equal(got, edb.Chunks[j].C[c]) {
 				t.Fatalf("chunk %d component %d corrupted by vertical roundtrip", j, c)
 			}
 		}
-	}
-	if _, err := s.CMReadChunk(len(edb.Chunks)); err == nil {
-		t.Error("CMReadChunk accepted out-of-range chunk")
 	}
 }
 
@@ -315,13 +337,10 @@ func TestBatchRefusesBeforeFlashWork(t *testing.T) {
 		"residues":      {&badResidues, core.ErrQueryResidues},
 		"missing phase": {&missingPhase, nil},
 	} {
-		adds, ctrlAdds, reads := eng.Stats().HomAdds, eng.drive.ControllerStats().HomAdds, eng.drive.FlashStats().Reads
+		ctrlAdds, reads := eng.drive.ControllerStats().HomAdds, eng.drive.FlashStats().Reads
 		irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(q, q, c.bad))
 		if err == nil || c.want != nil && !errors.Is(err, c.want) || irs != nil {
 			t.Fatalf("%s: batch = (%v, %v), want a refusal (%v) and no result", name, irs, err, c.want)
-		}
-		if got := eng.Stats().HomAdds; got != adds {
-			t.Errorf("%s: engine HomAdds %d -> %d across a refused batch", name, adds, got)
 		}
 		if got := eng.drive.ControllerStats().HomAdds; got != ctrlAdds {
 			t.Errorf("%s: controller HomAdds %d -> %d across a refused batch", name, ctrlAdds, got)
@@ -387,14 +406,9 @@ func TestSearchPreservesStoredDatabase(t *testing.T) {
 	if _, err := s.CMSearch(q); err != nil {
 		t.Fatal(err)
 	}
-	r := cfg.Params.Ring()
 	for j := range edb.Chunks {
-		ct, err := s.CMReadChunk(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < 2; c++ {
-			if !r.Equal(ct.C[c], edb.Chunks[j].C[c]) {
+		for c, got := range storedChunk(t, s, j) {
+			if !slices.Equal(got, edb.Chunks[j].C[c]) {
 				t.Fatalf("chunk %d component %d mutated by CM-search", j, c)
 			}
 		}

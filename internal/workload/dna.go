@@ -50,17 +50,6 @@ func EncodeBases(bases []byte) ([]byte, int, error) {
 	return out, bits, nil
 }
 
-// DecodeBases unpacks a 2-bit stream back to ASCII bases.
-func DecodeBases(packed []byte, numBases int) []byte {
-	out := make([]byte, numBases)
-	for i := range out {
-		shift := uint(6 - 2*(i%4))
-		code := (packed[i/4] >> shift) & 3
-		out[i] = Bases[code]
-	}
-	return out
-}
-
 // ExtractRead copies length bases starting at base position pos — a
 // sequencing read drawn from the genome, the query of the DNA case study.
 func ExtractRead(genome []byte, pos, length int) ([]byte, error) {

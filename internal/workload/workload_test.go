@@ -8,6 +8,17 @@ import (
 	"ciphermatch/internal/rng"
 )
 
+// DecodeBases unpacks a 2-bit stream back to ASCII bases.
+func DecodeBases(packed []byte, numBases int) []byte {
+	out := make([]byte, numBases)
+	for i := range out {
+		shift := uint(6 - 2*(i%4))
+		code := (packed[i/4] >> shift) & 3
+		out[i] = Bases[code]
+	}
+	return out
+}
+
 func TestEncodeDecodeBases(t *testing.T) {
 	bases := []byte("ACGTACGTTGCA")
 	packed, bits, err := EncodeBases(bases)
