@@ -36,7 +36,7 @@ allow=(
 	"internal/ring.CmpEqScalarBits"        # ExtractHits' compare
 	"internal/ring.cmpEqScalarEdge"        # CmpEqScalarBits' sub-word edge
 	"internal/core.ExpectedCandidates"     # plaintext oracle of core's match tests and the conformance matrix
-	"internal/core.(*HitWords).Equal"      # record compare of core's, ssd's and engine's conformance tests
+	"internal/core.(*HitWords).Equal"      # record compare of core's tests and the conformance matrix
 	"internal/bfv.ParamsToy"               # the n = 64 ring the tests of core, engine, proto, ssd and fault run at
 	"internal/bfv.ParamsOddQ"              # non-power-of-two q for core's, proto's and bfv's tests
 	"internal/bfv.ParamsN2048"             # the root facade exports it (ciphermatch.ParamsN2048); ROADMAP item 14

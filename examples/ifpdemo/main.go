@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"ciphermatch"
 	"ciphermatch/internal/rng"
@@ -55,6 +56,7 @@ func main() {
 	if err := drive.CMWriteDatabase(db); err != nil {
 		log.Fatal(err)
 	}
+	programsBefore := drive.FlashStats().Programs
 	ifpResult, err := drive.CMSearch(q)
 	if err != nil {
 		log.Fatal(err)
@@ -62,11 +64,7 @@ func main() {
 
 	fmt.Printf("software candidates: %v\n", swResult.Candidates)
 	fmt.Printf("in-flash candidates: %v\n", ifpResult.Candidates)
-	same := len(swResult.Candidates) == len(ifpResult.Candidates)
-	for i := 0; same && i < len(swResult.Candidates); i++ {
-		same = swResult.Candidates[i] == ifpResult.Candidates[i]
-	}
-	fmt.Printf("identical: %v\n\n", same)
+	fmt.Printf("identical: %v\n\n", slices.Equal(swResult.Candidates, ifpResult.Candidates))
 	swResult.Release()
 	ifpResult.Release()
 
@@ -83,5 +81,5 @@ func main() {
 	fmt.Printf("  index generation:    %d pages (%v)\n", cs.IndexGenPages, cs.IndexGenTime)
 	fmt.Printf("  flash busy time:     %v (sum) / %v (parallel makespan)\n", fs.Time, drive.MaxPlaneTime())
 	fmt.Printf("  flash energy:        %.2f mJ\n", fs.Energy*1e3)
-	fmt.Printf("  P/E cycles consumed: %d erases (search wears nothing)\n", fs.Erases)
+	fmt.Printf("  pages programmed by search: %d (search wears nothing)\n", fs.Programs-programsBefore)
 }

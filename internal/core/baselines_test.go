@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -78,7 +79,7 @@ func TestYasudaSearchFindsPlantedOccurrences(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FindOccurrences(db, 192, query, 16, 1)
-	if !intsEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Yasuda search %v != ground truth %v", got, want)
 	}
 }
@@ -162,7 +163,7 @@ func TestBooleanSearchMatchesGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FindOccurrences(db, 40, query, 8, 8)
-	if !intsEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Boolean search %v != ground truth %v", got, want)
 	}
 }

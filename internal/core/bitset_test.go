@@ -178,14 +178,7 @@ func TestCandidatesEmptyFastPath(t *testing.T) {
 	// Windows 2,3 set for residue 0: offset 32 has full windows [2,4).
 	hits[0].set(2)
 	hits[0].set(3)
-	got := Candidates(hits.records(), 1024, 32, 8)
-	found := false
-	for _, o := range got {
-		if o == 32 {
-			found = true
-		}
-	}
-	if !found {
+	if got := Candidates(hits.records(), 1024, 32, 8); !slices.Contains(got, 32) {
 		t.Fatalf("planted candidate 32 missing from %v", got)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -51,7 +50,7 @@ func engineFixture(t *testing.T) (Config, *EncryptedDB, *Query, *IndexResult) {
 // assertSameResult checks that two index results agree bit for bit.
 func assertSameResult(t *testing.T, label string, got, want *IndexResult) {
 	t.Helper()
-	if !intsEqual(got.Candidates, want.Candidates) {
+	if !slices.Equal(got.Candidates, want.Candidates) {
 		t.Fatalf("%s: candidates %v != %v", label, got.Candidates, want.Candidates)
 	}
 	if got.Stats.HomAdds != want.Stats.HomAdds {
@@ -62,21 +61,6 @@ func assertSameResult(t *testing.T, label string, got, want *IndexResult) {
 	}
 	if !got.Hits.Equal(want.Hits) {
 		t.Fatalf("%s: hit records differ:\n got %v\nwant %v", label, got.Hits.Words, want.Hits.Words)
-	}
-}
-
-func TestPoolEngineMatchesSerial(t *testing.T) {
-	cfg, edb, q, serial := engineFixture(t)
-	for _, workers := range []int{1, 2, 3, 4, 0} { // 0 = GOMAXPROCS
-		pool := NewCPUEngine(cfg.Params, edb, workers)
-		ir, err := pool.SearchAndIndex(q)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertSameResult(t, pool.Describe(), ir, serial)
-		if err := pool.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -319,7 +303,7 @@ func TestCPUEngineCloseDuringSearches(t *testing.T) {
 						return
 					}
 					for _, ir := range irs {
-						if !intsEqual(ir.Candidates, serial.Candidates) {
+						if !slices.Equal(ir.Candidates, serial.Candidates) {
 							t.Errorf("workers=%d: candidates %v, serial %v", workers, ir.Candidates, serial.Candidates)
 						}
 						ir.Release()
@@ -421,7 +405,7 @@ func TestEngineSubWordChunks(t *testing.T) {
 		}
 		got := Candidates(twin.ExtractHits(tq, sr), dbBits, 32, cfg.AlignBits)
 		wantCands := ExpectedCandidates(db, dbBits, query, 32, cfg.AlignBits)
-		if !intsEqual(got, wantCands) {
+		if !slices.Equal(got, wantCands) {
 			t.Fatalf("n=%d client decrypt: candidates %v, plain reference %v", n, got, wantCands)
 		}
 		for _, o := range planted {
@@ -471,178 +455,14 @@ func TestBatchRejectsRHSLowBitMismatch(t *testing.T) {
 	}
 }
 
-// TestPoolRangeBoundaries plants an occurrence across every chunk
-// boundary of a 24-chunk database, so on pool:2, pool:3 and pool:4
-// every chunk range the scheduler cuts (batchSize) has a match whose
-// full windows straddle its edge, and so do chunk boundaries inside a
-// range. Each job emits its own records and the caller joins them in
-// range order: the joined records must equal serial's, and the
-// candidates too, ascending. A batch with a duplicate member exercises
-// the copy of the records.
-func TestPoolRangeBoundaries(t *testing.T) {
-	const chunks, yBits = 24, 48
-	cfg := Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: ModeSeededMatch}
-	client, err := NewClient(cfg, rng.NewSourceFromString("range-bounds"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkBits := SegmentBits * cfg.Params.N
-	db := make([]byte, chunks*chunkBits/8)
-	rng.NewSourceFromString("range-bounds-data").Bytes(db)
-	query := []byte{0x5A, 0xC3, 0x0F, 0xF0, 0x96, 0x69}
-	var plants []int
-	for k := 1; k < chunks; k++ {
-		o := k*chunkBits - SegmentBits // full windows 64k-1 .. 64k+1
-		plantQuery(db, query, yBits, o)
-		plants = append(plants, o)
-	}
-	edb, err := client.EncryptDatabase(db, len(db)*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := client.PrepareQuery(query, yBits, len(db)*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := client.PrepareQuery(query[:4], 32, len(db)*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := NewCPUEngine(cfg.Params, edb, 1).SearchAndIndex(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Release()
-	if want := ExpectedCandidates(db, len(db)*8, query, yBits, cfg.AlignBits); !intsEqual(serial.Candidates, want) {
-		t.Fatalf("serial candidates %v, plain reference %v", serial.Candidates, want)
-	}
-	for _, o := range plants {
-		if !slices.Contains(serial.Candidates, o) {
-			t.Fatalf("planted occurrence %d missing from serial %v", o, serial.Candidates)
-		}
-	}
+// TestPoolCutsSeveralRanges: on the conformance matrix's 24-chunk
+// pool-range row (internal/engine), pool:2, pool:3 and pool:4 each cut
+// more than one chunk range, so the row's occurrences straddle range
+// edges and the engine joins more than one range's records.
+func TestPoolCutsSeveralRanges(t *testing.T) {
 	for _, workers := range []int{2, 3, 4} {
-		eng := NewCPUEngine(cfg.Params, edb, workers)
-		if batch := eng.batchSize(chunks); batch >= chunks {
-			t.Fatalf("pool:%d runs one range; the test crosses no range boundary", workers)
+		if batch := (&CPUEngine{workers: workers}).batchSize(24); batch >= 24 {
+			t.Errorf("pool:%d runs 24 chunks as one range", workers)
 		}
-		label := eng.Describe()
-		ir, err := eng.SearchAndIndex(q)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if !slices.IsSorted(ir.Candidates) {
-			t.Fatalf("%s: candidates not ascending: %v", label, ir.Candidates)
-		}
-		assertSameResult(t, label, ir, serial)
-		ir.Release()
-		irs, err := eng.SearchAndIndexBatch(NewBatchQuery(q, other, q))
-		if err != nil {
-			t.Fatalf("%s: batch: %v", label, err)
-		}
-		for _, mi := range []int{0, 2} {
-			got := *irs[mi]
-			got.Stats = serial.Stats // a batch charges plane work to its first member only
-			assertSameResult(t, label+" batch member", &got, serial)
-		}
-		for _, ir := range irs {
-			ir.Release()
-		}
-		eng.Close()
-	}
-}
-
-// TestEngineTileBoundaries holds the CPU engine's records to the
-// client-decrypt twin's across the kernel's tiles (ring.TileChunks):
-// chunk counts one past a tile and several tiles plus a partial one at
-// the toy ring (tiles of 16 chunks of 64 coefficients), and one past a
-// tile at ParamsN2048 (tiles of 4 chunks, 8-byte token lanes), with an
-// occurrence planted across every tile boundary. Pattern lengths 32 and
-// 48 run alone and as one batch, where they make two plane groups; 48
-// does not divide a chunk's 16n bits, so neighbouring chunks of a tile
-// compare against different comparand rows. Serial and pool engines
-// run it, and the pool's ranges cut tiles short.
-func TestEngineTileBoundaries(t *testing.T) {
-	query := []byte{0x5A, 0xC3, 0x0F, 0xF0, 0x96, 0x69}
-	for _, tc := range []struct {
-		params bfv.Params
-		chunks int
-	}{
-		{bfv.ParamsToy(), ring.TileChunks(64) + 1},
-		{bfv.ParamsToy(), 3*ring.TileChunks(64) + 5},
-		{bfv.ParamsN2048(), ring.TileChunks(2048) + 1},
-	} {
-		n := tc.params.N
-		t.Run(fmt.Sprintf("n%d-chunks%d", n, tc.chunks), func(t *testing.T) {
-			cfg := Config{Params: tc.params, AlignBits: 8, Mode: ModeSeededMatch}
-			client, err := NewClient(cfg, rng.NewSourceFromString("tiles"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			twinCfg := cfg
-			twinCfg.Mode = ModeClientDecrypt
-			twin, err := NewClient(twinCfg, rng.NewSourceFromString("tiles"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			chunkBits := SegmentBits * n
-			db := make([]byte, tc.chunks*chunkBits/8)
-			rng.NewSourceFromString("tiles-data").Bytes(db)
-			dbBits := len(db) * 8
-			per := ring.TileChunks(n)
-			plantQuery(db, query, 48, 8)
-			for j := per; j < tc.chunks; j += per {
-				plantQuery(db, query, 48, j*chunkBits-24)
-			}
-			plantQuery(db, query, 48, dbBits-48)
-			edb, err := client.EncryptDatabase(db, dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var qs []*Query
-			var want []*HitWords
-			for _, y := range []int{32, 48} {
-				q, err := client.PrepareQuery(query[:y/8], y, dbBits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tq, err := twin.PrepareQuery(query[:y/8], y, dbBits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sr, err := NewServer(tc.params, edb).Search(tq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				qs, want = append(qs, q), append(want, twin.ExtractHits(tq, sr))
-			}
-			if len(want[1].Words) < tc.chunks/per+1 {
-				t.Fatalf("the twin found %d records for the planted occurrences; the fixture is vacuous", len(want[1].Words))
-			}
-			for _, workers := range []int{1, 2, 3} {
-				eng := NewCPUEngine(tc.params, edb, workers)
-				for i, q := range qs {
-					ir, err := eng.SearchAndIndex(q)
-					if err != nil {
-						t.Fatalf("%s: %v", eng.Describe(), err)
-					}
-					if !ir.Hits.Equal(want[i]) {
-						t.Fatalf("%s y=%d: records %v, client decrypt %v", eng.Describe(), q.YBits, ir.Hits.Words, want[i].Words)
-					}
-					ir.Release()
-				}
-				irs, err := eng.SearchAndIndexBatch(NewBatchQuery(qs...))
-				if err != nil {
-					t.Fatalf("%s: batch: %v", eng.Describe(), err)
-				}
-				for i, ir := range irs {
-					if !ir.Hits.Equal(want[i]) {
-						t.Fatalf("%s batch member %d: records %v, client decrypt %v", eng.Describe(), i, ir.Hits.Words, want[i].Words)
-					}
-					ir.Release()
-				}
-				eng.Close()
-			}
-		})
 	}
 }

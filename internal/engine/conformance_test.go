@@ -1,448 +1,551 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"maps"
-	"math/bits"
-	"runtime"
 	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
+	"ciphermatch/internal/fault"
 	"ciphermatch/internal/mathutil"
+	"ciphermatch/internal/metrics"
 	"ciphermatch/internal/ring"
 	"ciphermatch/internal/rng"
+	"ciphermatch/internal/segment"
 	"ciphermatch/internal/ssd"
 )
 
-// conformanceVector is one end-to-end scenario shared by every engine;
-// the set mirrors internal/core/match_test.go (single chunk, chunk
-// boundary spans, bit alignment, segment alignment).
-type conformanceVector struct {
-	name      string
-	dbBytes   int
-	dbBits    int
-	query     []byte
-	queryBits int
-	align     int
-	plants    []int
+// TestConformance is the conformance matrix: CIPHERMATCH's claim that
+// one addition-only search returns the same matches on every substrate,
+// checked cell by cell. Each row is a fixture (parameters, a database
+// with planted occurrences, patterns, alignment); its oracle is the
+// client-decrypt twin's hits — Server.Search's homomorphic sums,
+// decrypted and compared against t−1 by ExtractHits — computed once and
+// held to the plaintext reference (ExpectedCandidates) and the plants.
+// Every cell then runs one column against it:
+//
+//	<row>/<engine>/<kernel>/<shape>/<residency>
+//
+// engine is serial, pool:1–4 or pool (GOMAXPROCS), and ssd where
+// q = 2^32; kernel is every ring.AvailableKernels path, forced for the
+// CPU engines (the drive runs its own bit-serial sweep); shape is solo
+// or batch; residency is the arena as encrypted, or reloaded from a
+// sealed segment through mmap or through the copy loader. Two more
+// columns per row run first: <row>/oracle holds the oracle to the
+// plaintext, and the cells run only if it holds; <row>/reference
+// replays core.FactorQuery through the 64-bit ring.SubCmpMultiBits,
+// the plane form bench/ times.
+func TestConformance(t *testing.T) {
+	for _, r := range conformanceRows() {
+		t.Run(r.name, func(t *testing.T) {
+			if r.long && testing.Short() {
+				t.Skip("random case in short mode")
+			}
+			f := newFixture(t, r)
+			if !t.Run("oracle", f.checkOracle) {
+				return
+			}
+			t.Run("reference", f.reference)
+			for _, res := range f.residencies(t) {
+				for _, spec := range conformanceSpecs {
+					if spec.Kind == core.EngineSSD && r.params.Q != 1<<32 {
+						continue // the drive stores 32 wordlines per coefficient
+					}
+					f.runEngine(t, spec, res)
+				}
+			}
+		})
+	}
 }
 
-var conformanceVectors = []conformanceVector{
-	{"single-chunk", 64, 512, []byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 8, []int{0, 128, 264}},
-	{"chunk-boundary", 288, 2304, []byte{0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC}, 48, 8, []int{1000, 2048}},
-	{"bit-aligned", 40, 320, []byte{0xF0, 0x0D, 0xFA, 0xCE}, 32, 1, []int{13}},
-	{"segment-aligned", 128, 1024, []byte{0xCA, 0xFE, 0xBA, 0xBE}, 32, 16, []int{64, 512}},
-}
-
-// conformanceSpecs lists every engine configuration under test: the
-// CPU engine inline (serial, pool:1) and over pools of several sizes
-// (pool = GOMAXPROCS), and the in-flash simulator. On the 3-chunk
-// chunk-boundary vector pool:4 runs one chunk per job, so occurrences
-// spanning a job boundary are exercised.
+// conformanceSpecs lists every engine configuration in the matrix:
+// the CPU engine inline (serial, pool:1) and fanned out over chunk
+// ranges, and the in-flash simulator.
 var conformanceSpecs = []core.EngineSpec{
 	{Kind: core.EngineSerial},
 	{Kind: core.EnginePool, Workers: 1},
 	{Kind: core.EnginePool, Workers: 2},
+	{Kind: core.EnginePool, Workers: 3},
 	{Kind: core.EnginePool, Workers: 4},
 	{Kind: core.EnginePool},
 	{Kind: core.EngineSSD},
 }
 
-// TestEngineConformance proves the tentpole property: every engine
-// returns byte-identical hit bitmaps and candidates (and the same
-// homomorphic-addition count) on the shared vectors, with the plain
-// reference as ground truth, at ParamsToy's q = 2^32 (4-byte token
-// lanes) and, under "q=2^54/", ParamsN2048's q = 2^54 (8-byte lanes;
-// the in-flash engine stores 32-bit coefficients and runs at 2^32
-// only).
-func TestEngineConformance(t *testing.T) {
-	for _, params := range []bfv.Params{bfv.ParamsToy(), bfv.ParamsN2048()} {
-		for _, v := range conformanceVectors {
-			name := v.name
-			if params.Q != 1<<32 {
-				name = fmt.Sprintf("q=2^%d/%s", bits.TrailingZeros64(params.Q), v.name)
-			}
-			t.Run(name, func(t *testing.T) { conformVector(t, params, v) })
+// conformanceRow is one fixture: a database of dbBits with query
+// planted at every offset of plants, searched for the query's prefixes
+// of each length in lengths, candidates aligned to align bits.
+type conformanceRow struct {
+	name    string
+	params  bfv.Params
+	data    []byte
+	dbBits  int
+	query   []byte
+	lengths []int
+	align   int
+	plants  []int
+	// saturated rows search an all-zero database for zeros: every
+	// window of every residue is a hit.
+	saturated bool
+	// long rows are skipped under -short.
+	long bool
+}
+
+// conformanceRows builds every row of the matrix.
+func conformanceRows() []conformanceRow {
+	toy, n2048, paper := bfv.ParamsToy(), bfv.ParamsN2048(), bfv.ParamsPaper()
+	var rows []conformanceRow
+	// The four end-to-end vectors: one chunk, occurrences spanning chunk
+	// boundaries, bit alignment, and segment alignment, where every
+	// window is whole and candidates are the true occurrences.
+	for _, p := range []struct {
+		label  string
+		params bfv.Params
+	}{{"toy", toy}, {"n2048", n2048}} {
+		rows = append(rows,
+			plantedRow(p.label+"/single-chunk", p.params, 512, []byte{0xDE, 0xAD, 0xBE, 0xEF}, []int{32}, 8, 0, 128, 264),
+			plantedRow(p.label+"/chunk-boundary", p.params, 2304, []byte{0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC}, []int{48}, 8, 1000, 2048),
+			plantedRow(p.label+"/bit-aligned", p.params, 320, []byte{0xF0, 0x0D, 0xFA, 0xCE}, []int{32}, 1, 13),
+			plantedRow(p.label+"/segment-aligned", p.params, 1024, []byte{0xCA, 0xFE, 0xBA, 0xBE}, []int{32}, 16, 64, 512),
+		)
+	}
+	// Saturation: the worst case of the record form, one record per
+	// residue per 64-window word.
+	for _, s := range []struct {
+		label  string
+		params bfv.Params
+		chunks int
+	}{{"toy", toy, 5}, {"paper", paper, 3}} {
+		dbBits := s.chunks * s.params.N * core.SegmentBits
+		rows = append(rows, conformanceRow{
+			name: s.label + "/saturated", params: s.params, data: make([]byte, dbBits/8), dbBits: dbBits,
+			query: make([]byte, 4), lengths: []int{32}, align: 8, saturated: true,
+		})
+	}
+	// The kernel's tiles (ring.TileChunks): one chunk past a tile and
+	// several tiles plus a part at the toy ring, one past a tile at
+	// n = 2048, with an occurrence across every tile edge. 48 does not
+	// divide a chunk's 16n bits, so neighbouring chunks of a tile
+	// compare against different comparand rows, and with 32 the batch
+	// holds two plane groups.
+	tileQuery := []byte{0x5A, 0xC3, 0x0F, 0xF0, 0x96, 0x69}
+	for _, s := range []struct {
+		label  string
+		params bfv.Params
+		chunks int
+	}{
+		{"toy", toy, ring.TileChunks(64) + 1},
+		{"toy", toy, 3*ring.TileChunks(64) + 5},
+		{"n2048", n2048, ring.TileChunks(2048) + 1},
+	} {
+		chunkBits := core.SegmentBits * s.params.N
+		dbBits := s.chunks * chunkBits
+		plants := []int{8}
+		for j := ring.TileChunks(s.params.N); j < s.chunks; j += ring.TileChunks(s.params.N) {
+			plants = append(plants, j*chunkBits-24)
 		}
+		plants = append(plants, dbBits-48)
+		rows = append(rows, plantedRow(fmt.Sprintf("%s/tile-%d", s.label, s.chunks), s.params, dbBits, tileQuery, []int{32, 48}, 8, plants...))
+	}
+	// The pool's chunk ranges: 24 chunks with an occurrence whose full
+	// windows straddle every chunk edge, so every range pool:2–4 cuts
+	// has one across its edge.
+	const rangeChunks = 24
+	chunkBits := core.SegmentBits * toy.N
+	var plants []int
+	for k := 1; k < rangeChunks; k++ {
+		plants = append(plants, k*chunkBits-core.SegmentBits)
+	}
+	rows = append(rows, plantedRow(fmt.Sprintf("toy/pool-ranges-%d", rangeChunks), toy, rangeChunks*chunkBits, tileQuery, []int{48, 32}, 8, plants...))
+	// Seeded random cases: database and pattern sizes, lengths that are
+	// not whole bytes, alignments from one bit to one segment, and one
+	// occurrence at a random aligned offset.
+	for _, seed := range []string{"p1", "p2", "p3", "p4"} {
+		src := rng.NewSourceFromString("gen-" + seed)
+		dbBytes := 32 + src.Intn(64)
+		data := make([]byte, dbBytes)
+		src.Bytes(data)
+		query := make([]byte, 2+src.Intn(4))
+		src.Bytes(query)
+		y := len(query)*8 - src.Intn(8)
+		align := []int{1, 2, 8, 16}[src.Intn(4)]
+		r := conformanceRow{
+			name: "toy/random-" + seed, params: toy, data: data, dbBits: dbBytes * 8,
+			query: query, lengths: []int{y}, align: align, long: true,
+		}
+		if maxO := r.dbBits - y; maxO > 0 {
+			o := src.Intn(maxO) / align * align
+			plant(r.data, query, y, o)
+			if core.Detectable(o, y) {
+				r.plants = []int{o}
+			}
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// plantedRow is a row over a random database of dbBits with query's
+// longest prefix planted at each offset of plants.
+func plantedRow(name string, params bfv.Params, dbBits int, query []byte, lengths []int, align int, plants ...int) conformanceRow {
+	data := make([]byte, dbBits/8)
+	rng.NewSourceFromString("conformance-data-" + name).Bytes(data)
+	for _, o := range plants {
+		plant(data, query, slices.Max(lengths), o)
+	}
+	return conformanceRow{name: name, params: params, data: data, dbBits: dbBits,
+		query: query, lengths: lengths, align: align, plants: plants}
+}
+
+// plant copies the first bits of query into data at bit offset o.
+func plant(data, query []byte, bits, o int) {
+	for j := 0; j < bits; j++ {
+		mathutil.SetBit(data, o+j, mathutil.GetBit(query, j))
 	}
 }
 
-// conformVector runs one TestEngineConformance vector at params.
-func conformVector(t *testing.T, params bfv.Params, v conformanceVector) {
-	cfg := core.Config{Params: params, AlignBits: v.align, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("conf-"+v.name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, v.dbBytes)
-	rng.NewSourceFromString("conf-data-" + v.name).Bytes(data)
-	for _, o := range v.plants {
-		for j := 0; j < v.queryBits; j++ {
-			mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
-		}
-	}
-	edb, err := client.EncryptDatabase(data, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.ExpectedCandidates(data, v.dbBits, v.query, v.queryBits, v.align)
-
-	var ref *core.IndexResult
-	for _, spec := range conformanceSpecs {
-		if spec.Kind == core.EngineSSD && params.Q != 1<<32 {
-			continue
-		}
-		eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		label := fmt.Sprintf("%s (%s)", spec, eng.Describe())
-		ir, err := eng.SearchAndIndex(q)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if ref == nil {
-			ref = ir // serial is first: the reference result
-			if !intsEqual(ir.Candidates, want) {
-				t.Fatalf("%s: candidates %v != plain reference %v", label, ir.Candidates, want)
-			}
-			for _, o := range v.plants {
-				if !containsInt(ir.Candidates, o) {
-					t.Fatalf("%s: planted occurrence %d missing from %v", label, o, ir.Candidates)
-				}
-			}
-			continue
-		}
-		if !intsEqual(ir.Candidates, ref.Candidates) {
-			t.Fatalf("%s: candidates %v != serial %v", label, ir.Candidates, ref.Candidates)
-		}
-		if ir.Stats.HomAdds != ref.Stats.HomAdds {
-			t.Fatalf("%s: HomAdds %d != serial %d", label, ir.Stats.HomAdds, ref.Stats.HomAdds)
-		}
-		if ir.Stats.CoeffCompares <= 0 {
-			t.Fatalf("%s: no coefficient comparisons recorded", label)
-		}
-		if !ir.Hits.Equal(ref.Hits) {
-			t.Fatalf("%s: hit records %v differ from serial %v", label, ir.Hits.Words, ref.Hits.Words)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatalf("%s: close: %v", label, err)
-		}
-	}
+// conformanceFixture is a row built once: its encrypted database, one
+// seeded query per length with its oracle, and the batch members.
+type conformanceFixture struct {
+	conformanceRow
+	edb     *core.EncryptedDB
+	queries []*core.Query
+	// oracle[i] and cands[i] are queries[i]'s client-decrypt hits and
+	// their candidates.
+	oracle []*core.HitWords
+	cands  [][]int
+	// members is the batch: the queries, a separately prepared
+	// duplicate, the first query twice, a second client's query and
+	// queries moved onto DBTok planes of their own. solos[mi] is the
+	// serial engine's search of members[mi] alone, and soloAdds the sum
+	// of their HomAdds. bq batches the members.
+	members  []*core.Query
+	solos    []*core.IndexResult
+	soloAdds int
+	bq       *core.BatchQuery
 }
 
-// TestEngineBatchConformance proves the batch pipeline's correctness
-// contract on every engine configuration: SearchAndIndexBatch returns
-// bitmaps and candidates identical to per-member SearchAndIndex calls
-// on the same engine. The batch mixes member lengths over four DBTok
-// planes and includes a duplicate of member 0 prepared separately, so
-// token dedup across members is exercised, and the CPU engine must
-// demonstrably save homomorphic additions from it. The planes cover a
-// second client and planes holding two lengths each (one group per
-// length), among them lengths whose chunk phases never repeat within
-// the database. Results are released in reverse member order, so each
-// duplicate returns to the pool before its original is compared.
-func TestEngineBatchConformance(t *testing.T) {
-	v := conformanceVectors[1] // chunk-boundary: multi-chunk database
-	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: v.align, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("batch-conf"))
+// newFixture builds row r once: it encrypts the database, computes
+// each query's oracle, and runs each batch member alone on the serial
+// engine.
+func newFixture(t *testing.T, r conformanceRow) *conformanceFixture {
+	t.Helper()
+	cfg := core.Config{Params: r.params, AlignBits: r.align, Mode: core.ModeSeededMatch}
+	seed := "conformance-" + r.name
+	client, err := core.NewClient(cfg, rng.NewSourceFromString(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, v.dbBytes)
-	rng.NewSourceFromString("batch-conf-data").Bytes(data)
-	for _, o := range v.plants {
-		for j := 0; j < v.queryBits; j++ {
-			mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
-		}
-	}
-	edb, err := client.EncryptDatabase(data, v.dbBits)
+	// The twin shares the seed, so it holds the same keys and encrypts a
+	// byte-identical database; it never builds tokens.
+	twinCfg := cfg
+	twinCfg.Mode = core.ModeClientDecrypt
+	twin, err := core.NewClient(twinCfg, rng.NewSourceFromString(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := core.NewClient(cfg, rng.NewSourceFromString("batch-conf-other"))
-	if err != nil {
+	f := &conformanceFixture{conformanceRow: r}
+	if f.edb, err = client.EncryptDatabase(r.data, r.dbBits); err != nil {
 		t.Fatal(err)
 	}
-	prepareWith := func(c *core.Client, pat []byte, bits int) *core.Query {
-		q, err := c.PrepareQuery(pat, bits, v.dbBits)
+	prepare := func(c *core.Client, pat []byte, bits int) *core.Query {
+		q, err := c.PrepareQuery(pat, bits, r.dbBits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return q
 	}
-	prepare := func(pat []byte, bits int) *core.Query { return prepareWith(client, pat, bits) }
+	for _, y := range r.lengths {
+		q := prepare(client, r.query, y)
+		tq := prepare(twin, r.query, y)
+		sr, err := core.NewServer(r.params, f.edb).Search(tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := twin.ExtractHits(tq, sr)
+		t.Cleanup(hits.Release)
+		cands := core.Candidates(hits, r.dbBits, y, r.align)
+		f.queries, f.oracle, f.cands = append(f.queries, q), append(f.oracle, hits), append(f.cands, cands)
+	}
+
+	other, err := core.NewClient(cfg, rng.NewSourceFromString(seed+"-other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, y0 := 0, r.lengths[0]
+	if len(r.plants) > 0 && r.plants[0]+59 <= r.dbBits {
+		at = r.plants[0]
+	}
 	// window returns bits [at, at+bits) of the database: a pattern that
 	// occurs at offset at.
-	window := func(at, bits int) []byte {
+	window := func(bits int) []byte {
 		pat := make([]byte, (bits+7)/8)
 		for j := 0; j < bits; j++ {
-			mathutil.SetBit(pat, j, mathutil.GetBit(data, at+j))
+			mathutil.SetBit(pat, j, mathutil.GetBit(r.data, at+j))
 		}
 		return pat
 	}
-	// remask moves q onto a DBTok plane of its own, as a user holding
-	// the owner's keys with a different mask M' would: c0 − DBTok and
-	// RHS both shift by M', so the hits are unchanged.
-	remask := func(q *core.Query, seed string) *core.Query {
-		r := cfg.Params.Ring()
-		m := r.NewPoly()
-		r.UniformPoly(rng.NewSourceFromString(seed), m)
-		out := *q
-		out.DBTok = make([][]byte, len(q.DBTok))
-		tok := r.NewPoly()
-		for j, row := range q.DBTok {
-			r.WidenLanes(tok, row)
-			r.Sub(tok, m, tok)
-			out.DBTok[j] = make([]byte, len(row))
-			r.PutLanes(out.DBTok[j], tok)
+	f.members = append(slices.Clone(f.queries),
+		prepare(client, r.query, y0), // duplicate content, separately prepared
+		f.queries[0],                 // the same query twice
+		// A second client: its own DBTok plane and no hits here, so a
+		// member evaluated on the wrong plane shows.
+		prepare(other, r.query, y0),
+		remask(r.params, f.queries[0], "plane-b"),
+	)
+	// Two lengths on each remasked plane, among them 57 and 59, whose
+	// chunk phases never repeat within a database. mustHit names the
+	// offset such a member must find.
+	mustHit := make(map[int]int)
+	for _, w := range []struct {
+		bits  int
+		plane string
+	}{{25, "plane-b"}, {57, "plane-c"}, {59, "plane-c"}} {
+		if at%r.align == 0 && core.Detectable(at, w.bits) {
+			mustHit[len(f.members)] = at
 		}
-		out.RHS = make(map[int]ring.Poly, len(q.RHS))
-		for psi, rhs := range q.RHS {
-			out.RHS[psi] = r.NewPoly()
-			r.Add(rhs, m, out.RHS[psi])
+		f.members = append(f.members, remask(r.params, prepare(client, window(w.bits), w.bits), w.plane))
+	}
+	serial, err := BuildWith(r.params, f.edb, core.EngineSpec{Kind: core.EngineSerial}, ssd.TestConfig(), ssd.SoftwareTransposition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close() //nolint:errcheck
+	for mi, q := range f.members {
+		ir, err := serial.SearchAndIndex(q)
+		if err != nil {
+			t.Fatalf("member %d: %v", mi, err)
 		}
-		return &out
+		t.Cleanup(ir.Release)
+		if at, ok := mustHit[mi]; ok && !slices.Contains(ir.Candidates, at) {
+			t.Fatalf("member %d: occurrence %d missing from %v; the batch is vacuous", mi, at, ir.Candidates)
+		}
+		f.solos, f.soloAdds = append(f.solos, ir), f.soloAdds+ir.Stats.HomAdds
 	}
-	members := []*core.Query{
-		prepare(v.query, v.queryBits),
-		prepare([]byte{0x0F, 0xF0, 0x55, 0xAA}, 32),
-		prepare(v.query, v.queryBits), // duplicate content, separately prepared
-		// A second client: its own DBTok plane, and no hits on this
-		// database, so a member evaluated on the wrong plane shows.
-		prepareWith(other, v.query, v.queryBits),
-		// Coprime lengths 48 and 25 on one plane.
-		remask(prepare(v.query, v.queryBits), "plane-b"),
-		remask(prepare(window(2048, 25), 25), "plane-b"),
-		// Lengths 57 and 59 on one plane: every chunk has its own phase.
-		remask(prepare(window(1000, 57), 57), "plane-c"),
-		remask(prepare(window(1000, 59), 59), "plane-c"),
-	}
-	members = append(members, members[1]) // the same query twice
-	mustHit := map[int]int{4: 1000, 5: 2048, 6: 1000, 7: 1000}
-	bq := core.NewBatchQuery(members...)
+	f.bq = core.NewBatchQuery(f.members...)
+	return f
+}
 
-	for _, spec := range conformanceSpecs {
-		eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
+// checkOracle holds each query's client-decrypt hits to the plaintext:
+// the candidates equal ExpectedCandidates, every plant is one of them,
+// with whole windows they are the true occurrences, and on a saturated
+// row every residue hits every word.
+func (f *conformanceFixture) checkOracle(t *testing.T) {
+	for i, q := range f.queries {
+		hits, cands := f.oracle[i], f.cands[i]
+		if len(hits.Residues) != len(q.Residues) {
+			t.Fatalf("y=%d: client decrypt has %d residues, the seeded query %d", q.YBits, len(hits.Residues), len(q.Residues))
 		}
-		label := fmt.Sprintf("%s (%s)", spec, eng.Describe())
-		irs, err := eng.SearchAndIndexBatch(bq)
-		if err != nil {
-			t.Fatalf("%s: batch: %v", label, err)
+		if want := core.ExpectedCandidates(f.data, f.dbBits, f.query, q.YBits, f.align); !slices.Equal(cands, want) {
+			t.Fatalf("y=%d: client-decrypt candidates %v, plain reference %v", q.YBits, cands, want)
 		}
-		if len(irs) != len(members) {
-			t.Fatalf("%s: %d results for %d members", label, len(irs), len(members))
-		}
-		var batchAdds, seqAdds int
-		for mi := len(members) - 1; mi >= 0; mi-- {
-			q := members[mi]
-			want, err := eng.SearchAndIndex(q)
-			if err != nil {
-				t.Fatalf("%s: member %d: %v", label, mi, err)
+		for _, o := range f.plants {
+			if !slices.Contains(cands, o) {
+				t.Fatalf("y=%d: planted occurrence %d missing from %v; the row is vacuous", q.YBits, o, cands)
 			}
-			if at, ok := mustHit[mi]; ok && !containsInt(want.Candidates, at) {
-				t.Fatalf("%s: member %d: occurrence %d missing from %v; fixture is vacuous", label, mi, at, want.Candidates)
-			}
-			got := irs[mi]
-			if !intsEqual(got.Candidates, want.Candidates) {
-				t.Fatalf("%s: member %d: batch candidates %v != sequential %v", label, mi, got.Candidates, want.Candidates)
-			}
-			if !got.Hits.Equal(want.Hits) {
-				t.Fatalf("%s: member %d: batch records %v differ from sequential %v", label, mi, got.Hits.Words, want.Hits.Words)
-			}
-			batchAdds += got.Stats.HomAdds
-			seqAdds += want.Stats.HomAdds
-			got.Release()
-			want.Release()
-			scribblePool(2)
 		}
-		// Member 2 duplicates member 0, so the CPU engine's batch pass
-		// must do strictly less homomorphic work than the sequential runs.
-		if spec.Kind != core.EngineSSD && batchAdds >= seqAdds {
-			t.Fatalf("%s: batch did %d HomAdds, sequential %d — token dedup saved nothing", label, batchAdds, seqAdds)
+		if f.align%core.SegmentBits == 0 && q.YBits%core.SegmentBits == 0 {
+			if truth := core.FindOccurrences(f.data, f.dbBits, f.query, q.YBits, f.align); !slices.Equal(cands, truth) {
+				t.Fatalf("y=%d: segment-aligned candidates %v, true occurrences %v", q.YBits, cands, truth)
+			}
 		}
-		if err := eng.Close(); err != nil {
-			t.Fatalf("%s: close: %v", label, err)
+		if records := len(q.Residues) * f.dbBits / core.SegmentBits / 64; f.saturated && len(hits.Words) != records {
+			t.Fatalf("y=%d: client decrypt hits %d words, want R·windows/64 = %d", q.YBits, len(hits.Words), records)
 		}
 	}
 }
 
-// TestEngineHitsMatchClientDecrypt proves the two index-generation
-// modes agree bit for bit with the fused kernels in place: every
-// engine's seeded-match bitmaps (the CPU engines' 16-bit
-// ring.SubCmpNarrowBits, the in-flash engine's bit-serial sweep) must
-// equal the client-decrypt bitmaps (Server.Search result ciphertexts
-// decrypted and compared against t-1 by ExtractHits). The ground truth
-// comes from a ModeClientDecrypt twin of the seeded client: one seed
-// gives both the same keys and a byte-identical database, and the twin
-// never builds tokens. This pins the
-// kernels to the cryptographic ground truth, not just to each other,
-// on every available kernel path and at two moduli: ParamsToy's 2^32
-// (16 bits below Δ) and ParamsN2048's 2^54 (38).
-func TestEngineHitsMatchClientDecrypt(t *testing.T) {
-	v := conformanceVectors[1] // chunk-boundary: multi-chunk database
-	for _, params := range []bfv.Params{bfv.ParamsToy(), bfv.ParamsN2048()} {
-		t.Run(fmt.Sprintf("q=2^%d", bits.TrailingZeros64(params.Q)), func(t *testing.T) {
-			cfg := core.Config{Params: params, AlignBits: v.align, Mode: core.ModeSeededMatch}
-			client, err := core.NewClient(cfg, rng.NewSourceFromString("decrypt-conf"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			twinCfg := cfg
-			twinCfg.Mode = core.ModeClientDecrypt
-			twin, err := core.NewClient(twinCfg, rng.NewSourceFromString("decrypt-conf"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := make([]byte, v.dbBytes)
-			rng.NewSourceFromString("decrypt-conf-data").Bytes(data)
-			for _, o := range v.plants {
-				for j := 0; j < v.queryBits; j++ {
-					mathutil.SetBit(data, o+j, mathutil.GetBit(v.query, j))
+// remask moves q onto a DBTok plane of its own, as a user holding the
+// owner's keys with a different mask M' would: c0 − DBTok and RHS both
+// shift by M', so the hits are unchanged.
+func remask(params bfv.Params, q *core.Query, seed string) *core.Query {
+	r := params.Ring()
+	m := r.NewPoly()
+	r.UniformPoly(rng.NewSourceFromString(seed), m)
+	out := *q
+	out.DBTok = make([][]byte, len(q.DBTok))
+	tok := r.NewPoly()
+	for j, row := range q.DBTok {
+		r.WidenLanes(tok, row)
+		r.Sub(tok, m, tok)
+		out.DBTok[j] = make([]byte, len(row))
+		r.PutLanes(out.DBTok[j], tok)
+	}
+	out.RHS = make(map[int]ring.Poly, len(q.RHS))
+	for psi, rhs := range q.RHS {
+		out.RHS[psi] = r.NewPoly()
+		r.Add(rhs, m, out.RHS[psi])
+	}
+	return &out
+}
+
+// reference replays each query through core.FactorQuery and the 64-bit
+// ring.SubCmpMultiBits, one chunk at a time into dense bitsets, and
+// requires their nonzero words to be the oracle's records.
+func (f *conformanceFixture) reference(t *testing.T) {
+	r, n := f.params.Ring(), f.params.N
+	for i, q := range f.queries {
+		fq, err := core.FactorQuery(r, q, len(f.edb.Chunks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := make([][]uint64, len(q.Residues))
+		for v := range words {
+			words[v] = make([]uint64, len(f.edb.Chunks)*n/64)
+		}
+		for j, chunk := range f.edb.Chunks {
+			r.SubCmpMultiBits(chunk.C[0], fq.DBTok[j], fq.Row(core.ChunkPhi(n, j, q.YBits)), words, j*n)
+		}
+		got := &core.HitWords{Residues: q.Residues}
+		for w := range words[0] {
+			for v := range words {
+				if m := words[v][w]; m != 0 {
+					got.Words = append(got.Words, ring.HitWord{Word: uint32(w), Row: uint32(v), Mask: m})
 				}
 			}
-			edb, err := client.EncryptDatabase(data, v.dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Client-decrypt ground truth: the twin's homomorphic sums shipped
-			// back and decrypted, windows compared against the match value t-1.
-			tq, err := twin.PrepareQuery(v.query, v.queryBits, v.dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr, err := core.NewServer(cfg.Params, edb).Search(tq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := twin.ExtractHits(tq, sr)
-			for _, kp := range ring.AvailableKernels() {
-				withKernel(t, kp, func() {
-					for _, spec := range conformanceSpecs {
-						if spec.Kind == core.EngineSSD && params.Q != 1<<32 {
-							continue // CM-IFP stores 32 wordlines per coefficient
-						}
-						eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-						if err != nil {
-							t.Fatalf("%s: %v", spec, err)
-						}
-						label := fmt.Sprintf("%s (%s) on the %s kernel", spec, eng.Describe(), kp)
-						ir, err := eng.SearchAndIndex(q)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if len(ir.Hits.Residues) != len(want.Residues) {
-							t.Fatalf("%s: %d residues, client decrypt has %d", label, len(ir.Hits.Residues), len(want.Residues))
-						}
-						if !ir.Hits.Equal(want) {
-							t.Fatalf("%s: hit records %v differ from client-decrypt ExtractHits %v", label, ir.Hits.Words, want.Words)
-						}
-						if err := eng.Close(); err != nil {
-							t.Fatalf("%s: close: %v", label, err)
-						}
-					}
-				})
-			}
-		})
+		}
+		if !got.Equal(f.oracle[i]) {
+			t.Fatalf("y=%d: reference records %v, client decrypt %v", q.YBits, got.Words, f.oracle[i].Words)
+		}
 	}
 }
 
-// TestEngineSaturatedHits is the worst case of the record form: an
-// all-zero database searched for an all-zero pattern hits every window
-// for every residue. On ParamsToy and a small ParamsPaper database,
-// serial, pool:2, pool:3 and the in-flash engine must return the
-// client-decrypt twin's hits and candidates, and the CPU engine must
-// emit exactly one record per residue per 64-window word — 16 B per
-// word where the dense bitmaps held 8 B.
-func TestEngineSaturatedHits(t *testing.T) {
-	const queryBits, align = 32, 8
-	for _, c := range []struct {
-		params bfv.Params
-		chunks int
-	}{{bfv.ParamsToy(), 5}, {bfv.ParamsPaper(), 3}} {
-		n := c.params.N
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			cfg := core.Config{Params: c.params, AlignBits: align, Mode: core.ModeSeededMatch}
-			client, err := core.NewClient(cfg, rng.NewSourceFromString("saturated"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			twinCfg := cfg
-			twinCfg.Mode = core.ModeClientDecrypt
-			twin, err := core.NewClient(twinCfg, rng.NewSourceFromString("saturated"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dbBits := c.chunks * n * core.SegmentBits
-			data := make([]byte, dbBits/8)
-			pattern := make([]byte, queryBits/8)
-			edb, err := client.EncryptDatabase(data, dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := client.PrepareQuery(pattern, queryBits, dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tq, err := twin.PrepareQuery(pattern, queryBits, dbBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr, err := core.NewServer(cfg.Params, edb).Search(tq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := twin.ExtractHits(tq, sr)
-			wantCands := core.Candidates(want, dbBits, queryBits, align)
-			if all := core.ExpectedCandidates(data, dbBits, pattern, queryBits, align); !intsEqual(wantCands, all) {
-				t.Fatalf("client decrypt found %d candidates, every one of the %d aligned offsets expected", len(wantCands), len(all))
-			}
-			records := len(q.Residues) * c.chunks * n / 64
-			if len(want.Words) != records {
-				t.Fatalf("client decrypt hits %d words, want every window of %d residues: %d", len(want.Words), len(q.Residues), records)
-			}
-			for _, spec := range []core.EngineSpec{
-				{Kind: core.EngineSerial},
-				{Kind: core.EnginePool, Workers: 2},
-				{Kind: core.EnginePool, Workers: 3},
-				{Kind: core.EngineSSD},
-			} {
-				eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-				if err != nil {
-					t.Fatalf("%s: %v", spec, err)
-				}
-				ir, err := eng.SearchAndIndex(q)
-				if err != nil {
-					t.Fatalf("%s: %v", spec, err)
-				}
-				if len(ir.Hits.Words) != records {
-					t.Fatalf("%s: %d records, want R·⌈windows/64⌉ = %d", spec, len(ir.Hits.Words), records)
-				}
-				if !ir.Hits.Equal(want) {
-					t.Fatalf("%s: hit records differ from client-decrypt ExtractHits", spec)
-				}
-				if !intsEqual(ir.Candidates, wantCands) {
-					t.Fatalf("%s: %d candidates, client decrypt %d", spec, len(ir.Candidates), len(wantCands))
-				}
-				ir.Release()
-				if err := eng.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+// residency is one state of the arena an engine is built over.
+type residency struct {
+	name string
+	db   *core.EncryptedDB
+}
+
+// residencies returns the arena as encrypted, and as reloaded from a
+// sealed segment through mmap and through the copy loader (a fault FS
+// on which every mmap fails).
+func (f *conformanceFixture) residencies(t *testing.T) []residency {
+	t.Helper()
+	root := t.TempDir()
+	dir, err := segment.OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "conformance"
+	meta := segment.Meta{Name: name, RingDegree: f.params.N, Modulus: f.params.Q, Chunks: len(f.edb.Chunks),
+		BitLen: f.edb.BitLen, NumSegments: f.edb.NumSegments}
+	if _, err := dir.SaveSealed(meta, f.edb); err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New(fault.Config{Seed: "conformance", MmapFail: true})
+	reg := metrics.NewRegistry()
+	inj.Bind(reg)
+	copyDir, err := segment.OpenDirFS(inj.FS(segment.OSFS{}), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []residency{{"encrypted", f.edb}}
+	for _, d := range []struct {
+		name string
+		dir  *segment.Dir
+	}{{"reloaded-mmap", dir}, {"reloaded-copy", copyDir}} {
+		seg, err := d.dir.Load(name, f.params.N, f.params.Q)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		t.Cleanup(func() { seg.Close() }) //nolint:errcheck
+		db, err := seg.DB()
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		out = append(out, residency{d.name, db})
+	}
+	if fails, _ := metrics.Lookup(reg.Snapshot(), "fault_mmap_fails_total"); fails != 1 {
+		t.Fatalf("the copy loader's fault FS refused %d mmaps, want 1", fails)
+	}
+	return out
+}
+
+// runEngine builds spec over res and runs its cells: every kernel path
+// (the drive has one), each shape.
+func (f *conformanceFixture) runEngine(t *testing.T, spec core.EngineSpec, res residency) {
+	eng, err := BuildWith(f.params, res.db, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", spec, res.name, err)
+	}
+	cpu := spec.Kind != core.EngineSSD
+	kernels := ring.AvailableKernels()
+	if !cpu {
+		kernels = []ring.KernelPath{ring.ActiveKernel()}
+	}
+	for _, kp := range kernels {
+		kernel := kp.String()
+		if !cpu {
+			kernel = "bit-serial" // the drive's own sweep; the ring kernel is unused
+		}
+		for _, shape := range []struct {
+			name string
+			run  func(*testing.T)
+		}{
+			{"solo", func(t *testing.T) { f.solo(t, eng) }},
+			{"batch", func(t *testing.T) { f.batch(t, eng, cpu) }},
+		} {
+			t.Run(fmt.Sprintf("%s/%s/%s/%s", spec, kernel, shape.name, res.name), func(t *testing.T) {
+				withKernel(t, kp, func() { shape.run(t) })
+			})
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("%s/%s: close: %v", spec, res.name, err)
+	}
+}
+
+// solo searches each query alone and holds the result to the oracle.
+func (f *conformanceFixture) solo(t *testing.T, eng core.Engine) {
+	for i, q := range f.queries {
+		ir, err := eng.SearchAndIndex(q)
+		if err != nil {
+			t.Fatalf("y=%d: %v", q.YBits, err)
+		}
+		if len(ir.Hits.Residues) != len(f.oracle[i].Residues) || !ir.Hits.Equal(f.oracle[i]) {
+			t.Fatalf("y=%d: records %v, client decrypt %v", q.YBits, ir.Hits.Words, f.oracle[i].Words)
+		}
+		if !slices.Equal(ir.Candidates, f.cands[i]) || !slices.IsSorted(ir.Candidates) {
+			t.Fatalf("y=%d: candidates %v, client decrypt %v", q.YBits, ir.Candidates, f.cands[i])
+		}
+		if want := f.solos[i].Stats.HomAdds; ir.Stats.HomAdds != want {
+			t.Fatalf("y=%d: HomAdds %d, serial %d", q.YBits, ir.Stats.HomAdds, want)
+		}
+		if ir.Stats.CoeffCompares <= 0 {
+			t.Fatalf("y=%d: no coefficient comparisons recorded", q.YBits)
+		}
+		ir.Release()
+	}
+}
+
+// batch searches the members as one batch and holds each to serial's
+// search of it alone. Results are released in reverse member order, so
+// each duplicate returns to the pool before its original is compared.
+// A CPU batch shares the duplicates' plane work, so it must do strictly
+// fewer HomAdds than the solo searches.
+func (f *conformanceFixture) batch(t *testing.T, eng core.Engine, cpu bool) {
+	irs, err := eng.SearchAndIndexBatch(f.bq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(irs) != len(f.members) {
+		t.Fatalf("%d results for %d members", len(irs), len(f.members))
+	}
+	batchAdds := 0
+	for mi := len(f.members) - 1; mi >= 0; mi-- {
+		got, want := irs[mi], f.solos[mi]
+		if !slices.Equal(got.Candidates, want.Candidates) {
+			t.Fatalf("member %d: batch candidates %v, solo %v", mi, got.Candidates, want.Candidates)
+		}
+		if !got.Hits.Equal(want.Hits) {
+			t.Fatalf("member %d: batch records %v, solo %v", mi, got.Hits.Words, want.Hits.Words)
+		}
+		batchAdds += got.Stats.HomAdds
+		got.Release()
+		scribblePool(2)
+	}
+	if cpu && batchAdds >= f.soloAdds {
+		t.Fatalf("batch did %d HomAdds, solo %d: sharing the duplicates' planes saved nothing", batchAdds, f.soloAdds)
 	}
 }
 
@@ -456,263 +559,6 @@ func withKernel(t *testing.T, p ring.KernelPath, f func()) {
 	}
 	defer ring.SetKernel(prev) //nolint:errcheck // prev was active, so it is available
 	f()
-}
-
-// TestEngineRejectsWrongDegree: a query prepared under other parameters
-// (ParamsToy tokens, n = 64) against a 1-chunk ParamsPaper database
-// (n = 1024) agrees with it on every shape field, so only the
-// polynomial degree tells them apart. Every engine must reject it with
-// core.ErrQueryDegree, alone and as a batch member, before its kernel
-// indexes past the short polynomials — on a pool that panic would kill
-// the process from a worker goroutine.
-func TestEngineRejectsWrongDegree(t *testing.T) {
-	const dbBits = 512 // one chunk at either degree
-	paper := core.Config{Params: bfv.ParamsPaper(), AlignBits: 8, Mode: core.ModeSeededMatch}
-	owner, err := core.NewClient(paper, rng.NewSourceFromString("degree-owner"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	edb, err := owner.EncryptDatabase(make([]byte, dbBits/8), dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := owner.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	toy := core.Config{Params: bfv.ParamsToy(), AlignBits: 8, Mode: core.ModeSeededMatch}
-	stranger, err := core.NewClient(toy, rng.NewSourceFromString("degree-stranger"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := stranger.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad.NumChunks != len(edb.Chunks) || bad.DBBitLen != edb.BitLen {
-		t.Fatalf("fixture: toy query has %d chunks/%d bits, database %d/%d; only the degree may differ",
-			bad.NumChunks, bad.DBBitLen, len(edb.Chunks), edb.BitLen)
-	}
-	assertEnginesRefuse(t, paper.Params, edb, good, map[string]*core.Query{"toy degree": bad}, core.ErrQueryDegree)
-}
-
-// assertEnginesRefuse builds every engine kind on edb and requires each
-// query of bad to fail with want, alone (allocating under 64 KiB, so
-// nothing was sized from it) and as a batch member after good; the
-// engine must then serve good.
-func assertEnginesRefuse(t *testing.T, params bfv.Params, edb *core.EncryptedDB, good *core.Query, bad map[string]*core.Query, want error) {
-	t.Helper()
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	for _, spec := range []core.EngineSpec{
-		{Kind: core.EngineSerial},
-		{Kind: core.EnginePool, Workers: 2},
-		{Kind: core.EngineSSD},
-	} {
-		eng, err := BuildWith(params, edb, spec, ssd.DefaultConfig(), ssd.SoftwareTransposition)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		for _, name := range slices.Sorted(maps.Keys(bad)) {
-			var err error
-			if b := allocated(func() {
-				var ir *core.IndexResult
-				if ir, err = eng.SearchAndIndex(bad[name]); err == nil {
-					ir.Release()
-				}
-			}); b >= 64<<10 {
-				t.Errorf("%s %s: refused search allocated %d bytes", spec, name, b)
-			}
-			if !errors.Is(err, want) {
-				t.Errorf("%s %s: single search err = %v, want %v", spec, name, err, want)
-			}
-			if irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(good, bad[name])); !errors.Is(err, want) {
-				for _, ir := range irs {
-					ir.Release()
-				}
-				t.Errorf("%s %s: batch err = %v, want %v", spec, name, err, want)
-			}
-		}
-		ir, err := eng.SearchAndIndex(good)
-		if err != nil {
-			t.Fatalf("%s: well-formed query after the rejections: %v", spec, err)
-		}
-		ir.Release()
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestEngineRejectsHostileResidues: the residue list of a query comes
-// off the wire and sizes the kernel's comparand rows and record room
-// (the SSD controller's bitmaps), so every engine must refuse one no
-// client prepares — duplicates, a residue outside [0, YBits), a
-// descending list, more residues than RHS polynomials — with
-// core.ErrQueryResidues, alone and as a batch member, before anything
-// is sized from it: 4096 copies of residue 0 once cost megabytes.
-func TestEngineRejectsHostileResidues(t *testing.T) {
-	const dbBits = 512 // one chunk
-	cfg := core.Config{Params: bfv.ParamsPaper(), AlignBits: 8, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("residues"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	edb, err := client.EncryptDatabase(make([]byte, dbBits/8), dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(good.Residues) != 4 || len(good.RHS) != 4 {
-		t.Fatalf("fixture: %d residues, %d RHS polynomials; want 4 and 4", len(good.Residues), len(good.RHS))
-	}
-	bad := make(map[string]*core.Query)
-	for name, residues := range map[string][]int{
-		"duplicates":      make([]int, 4096),
-		"negative":        {-8, 0, 8, 16},
-		"at length":       {0, 8, 16, 32},
-		"descending":      {0, 16, 8, 24},
-		"more than RHS":   {0, 1, 2, 3, 4},
-		"repeated at end": {0, 8, 16, 16},
-	} {
-		q := *good
-		q.Residues = residues
-		bad[name] = &q
-	}
-	assertEnginesRefuse(t, cfg.Params, edb, good, bad, core.ErrQueryResidues)
-}
-
-// TestEngineRejectsNarrowRing: on rings of degree 16 and 32 a chunk is
-// narrower than one 64-window hit word. The CPU engine refuses a seeded
-// search there with core.ErrNarrowRing, alone and in a batch, and the
-// in-flash engine refuses the database itself with the same error.
-func TestEngineRejectsNarrowRing(t *testing.T) {
-	for _, n := range []int{16, 32} {
-		params := bfv.Params{N: n, Q: 1 << 32, T: 1 << 16, Eta: 3, RelinBaseBits: 8}
-		cfg := core.Config{Params: params, AlignBits: 8, Mode: core.ModeSeededMatch}
-		client, err := core.NewClient(cfg, rng.NewSourceFromString("narrow-ring"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		edb, err := client.EncryptDatabase(make([]byte, 256), 2048)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := client.PrepareQuery([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 32, 2048)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, spec := range []core.EngineSpec{{Kind: core.EngineSerial}, {Kind: core.EnginePool, Workers: 2}} {
-			eng, err := BuildWith(params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, spec, err)
-			}
-			if ir, err := eng.SearchAndIndex(q); !errors.Is(err, core.ErrNarrowRing) || ir != nil {
-				t.Errorf("n=%d %s: search = (%v, %v), want ErrNarrowRing and no result", n, spec, ir, err)
-			}
-			if irs, err := eng.SearchAndIndexBatch(core.NewBatchQuery(q)); !errors.Is(err, core.ErrNarrowRing) || irs != nil {
-				t.Errorf("n=%d %s: batch = (%v, %v), want ErrNarrowRing and no result", n, spec, irs, err)
-			}
-			eng.Close()
-		}
-		if eng, err := BuildWith(params, edb, core.EngineSpec{Kind: core.EngineSSD}, ssd.TestConfig(), ssd.SoftwareTransposition); !errors.Is(err, core.ErrNarrowRing) {
-			t.Errorf("n=%d ssd: build = (%v, %v), want ErrNarrowRing", n, eng, err)
-		}
-	}
-}
-
-// TestEngineStatsAccumulate checks, for each substrate, that the
-// per-search Stats of repeated searches sum to one search's count per
-// search: each result reports its own work, none carries another's.
-func TestEngineStatsAccumulate(t *testing.T) {
-	v := conformanceVectors[1]
-	cfg := core.Config{Params: bfv.ParamsToy(), AlignBits: v.align, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString("stats"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, v.dbBytes)
-	edb, err := client.EncryptDatabase(data, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := client.PrepareQuery(v.query, v.queryBits, v.dbBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []core.EngineSpec{
-		{Kind: core.EngineSerial},
-		{Kind: core.EnginePool, Workers: 2},
-		{Kind: core.EngineSSD},
-	} {
-		eng, err := BuildWith(cfg.Params, edb, spec, ssd.TestConfig(), ssd.SoftwareTransposition)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ir, err := eng.SearchAndIndex(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ir2, err := eng.SearchAndIndex(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := ir.Stats.HomAdds+ir2.Stats.HomAdds, 2*ir.Stats.HomAdds; got != want || got == 0 {
-			t.Errorf("%s: summed HomAdds = %d, want %d", eng.Describe(), got, want)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want core.EngineSpec
-		ok   bool
-	}{
-		{"", core.EngineSpec{}, true},
-		{"serial", core.EngineSpec{Kind: "serial"}, true},
-		{"pool", core.EngineSpec{Kind: "pool"}, true},
-		{"pool:8", core.EngineSpec{Kind: "pool", Workers: 8}, true},
-		{"ssd", core.EngineSpec{Kind: "ssd"}, true},
-		{"warp", core.EngineSpec{}, false},
-		{"serial:4", core.EngineSpec{}, false},
-		{"pool:x", core.EngineSpec{}, false},
-		{"pool:0", core.EngineSpec{}, false},
-		{"ssd:2", core.EngineSpec{}, false},
-		{"ssd/shards=4", core.EngineSpec{}, false},
-		{"pool:2/shards=3", core.EngineSpec{}, false},
-	}
-	for _, c := range cases {
-		got, err := Parse(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("Parse(%q): err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && got != c.want {
-			t.Errorf("Parse(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-	// Round trip through the spec's String form.
-	for _, s := range []string{"serial", "pool", "pool:8", "ssd"} {
-		spec, err := Parse(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spec.String() != s {
-			t.Errorf("round trip %q -> %q", s, spec.String())
-		}
-	}
 }
 
 // scribblePool draws k record lists from the hit-record pool, fills
@@ -730,25 +576,4 @@ func scribblePool(k int) {
 	for _, hw := range hws {
 		hw.Release()
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

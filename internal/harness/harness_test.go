@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,13 +67,7 @@ func TestFig7TableContainsPaperColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, row := range tbl.Rows {
-		if row[0] == "16" && row[3] == "20.7x" {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.ContainsFunc(tbl.Rows, func(row []string) bool { return row[0] == "16" && row[3] == "20.7x" }) {
 		t.Fatal("fig7 table must carry the paper's 20.7x anchor for comparison")
 	}
 	// The 16-shift-semantics column must reproduce the paper's increasing

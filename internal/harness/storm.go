@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,7 +253,7 @@ func RunStorm(cfg StormConfig) (*StormReport, error) {
 					faults.Add(1)
 				case err != nil:
 					errs.Add(1)
-				case tgt.Expect != nil && !equalCandidates(got, tgt.Expect[qi]):
+				case tgt.Expect != nil && !slices.Equal(got, tgt.Expect[qi]):
 					wrong.Add(1)
 				}
 			}
@@ -366,18 +367,6 @@ func (rep *StormReport) addTraceBreakdown(cfg StormConfig, before, after []metri
 		}
 		rep.Tenants = append(rep.Tenants, ts)
 	}
-}
-
-func equalCandidates(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // NewStormTenant builds one storm tenant from a seed: an encrypted

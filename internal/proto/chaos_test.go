@@ -644,7 +644,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got, err := conn.Search(tn.name, tn.q)
-			if err == nil && !equalInts(got, tn.clientWant) {
+			if err == nil && !slices.Equal(got, tn.clientWant) {
 				err = errors.New("drained reply not bit-identical")
 			}
 			errs <- err

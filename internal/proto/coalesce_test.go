@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -73,18 +74,6 @@ func newCoalesceFixture(t *testing.T, p bfv.Params, name string) *coalesceFixtur
 	return fx
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func statValue(t *testing.T, kvs []metrics.KV, name string) int64 {
 	t.Helper()
 	v, ok := metrics.Lookup(kvs, name)
@@ -151,7 +140,7 @@ func TestCoalesceBitIdentical(t *testing.T) {
 						errCh <- fmt.Errorf("%s/%s: %v", fx.name, fx.labels[qi], err)
 						return
 					}
-					if !equalInts(got, fx.expect[qi]) {
+					if !slices.Equal(got, fx.expect[qi]) {
 						errCh <- fmt.Errorf("%s/%s: coalesced candidates %v != direct %v",
 							fx.name, fx.labels[qi], got, fx.expect[qi])
 					}
@@ -251,7 +240,7 @@ func TestCoalesceWindowTimeoutRaces(t *testing.T) {
 					errCh <- fmt.Errorf("client %d iter %d: %v", c, k, err)
 					return
 				}
-				if !equalInts(got, fx.expect[qi]) {
+				if !slices.Equal(got, fx.expect[qi]) {
 					errCh <- fmt.Errorf("client %d iter %d (%s): wrong candidates", c, k, fx.labels[qi])
 					return
 				}
@@ -318,7 +307,7 @@ func TestCoalesceAdmissionControl(t *testing.T) {
 			got, err := conn.Search(fx.name, fx.queries[0])
 			switch {
 			case err == nil:
-				if !equalInts(got, fx.expect[0]) {
+				if !slices.Equal(got, fx.expect[0]) {
 					errCh <- fmt.Errorf("admitted query returned wrong candidates")
 					return
 				}
@@ -470,7 +459,7 @@ func TestCoalesceAdmissionWhileExecutorsBusy(t *testing.T) {
 		if o.err != nil {
 			t.Fatalf("%s failed: %v", what, o.err)
 		}
-		if !equalInts(o.got, fx.expect[0]) {
+		if !slices.Equal(o.got, fx.expect[0]) {
 			t.Fatalf("%s returned wrong candidates", what)
 		}
 	}
@@ -528,7 +517,7 @@ func TestCoalescerStartsNoGoroutines(t *testing.T) {
 	for i, conn := range conns {
 		go func(conn *Conn, qi int) {
 			got, err := conn.Search(fx.name, fx.queries[qi])
-			if err == nil && !equalInts(got, fx.expect[qi]) {
+			if err == nil && !slices.Equal(got, fx.expect[qi]) {
 				err = fmt.Errorf("query %s: wrong candidates", fx.labels[qi])
 			}
 			out <- searchOutcome{err: err}
@@ -607,10 +596,10 @@ func TestCoalesceBatchErrorIsolation(t *testing.T) {
 	if results[1] == nil {
 		t.Error("mis-shaped query succeeded")
 	}
-	if results[0] != nil || !equalInts(candidates[0], fx.expect[0]) {
+	if results[0] != nil || !slices.Equal(candidates[0], fx.expect[0]) {
 		t.Errorf("healthy member 0 poisoned: err=%v", results[0])
 	}
-	if results[2] != nil || !equalInts(candidates[2], fx.expect[1]) {
+	if results[2] != nil || !slices.Equal(candidates[2], fx.expect[1]) {
 		t.Errorf("healthy member 2 poisoned: err=%v", results[2])
 	}
 }

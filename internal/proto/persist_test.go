@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ciphermatch/internal/bfv"
@@ -60,8 +61,8 @@ func newDurableTenant(t *testing.T, p bfv.Params, name string, spec core.EngineS
 	return &durableTenant{tenant: tn, clientWant: want, batch: []*core.Query{tn.q, second, dup}}
 }
 
-// decryptTruth is the cryptographic ground truth, as in
-// TestEngineHitsMatchClientDecrypt: the candidates of query over db on
+// decryptTruth is the cryptographic ground truth, the oracle of
+// internal/engine's conformance matrix: the candidates of query over db on
 // the client-decrypt path. The ModeClientDecrypt client of the seed
 // label that encrypted db is its owner's twin (same keys, byte-identical
 // database); its pattern ciphertexts are added homomorphically by
@@ -86,13 +87,8 @@ func decryptTruth(t *testing.T, p bfv.Params, seed string, db *core.EncryptedDB,
 
 func assertCandidates(t *testing.T, label string, got, want []int) {
 	t.Helper()
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("%s: candidates %v, want %v", label, got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: candidates %v, want %v", label, got, want)
-		}
 	}
 }
 

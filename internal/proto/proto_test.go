@@ -603,21 +603,10 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(ir.Candidates) {
+	if !slices.Equal(got, ir.Candidates) {
 		t.Fatalf("remote %v != local %v", got, ir.Candidates)
 	}
-	for i := range got {
-		if got[i] != ir.Candidates[i] {
-			t.Fatalf("remote %v != local %v", got, ir.Candidates)
-		}
-	}
-	found := false
-	for _, c := range got {
-		if c == 200 {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(got, 200) {
 		t.Fatalf("planted occurrence at 200 missing from %v", got)
 	}
 
@@ -636,7 +625,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 			t.Fatalf("malformed type-%d payload: reply %d, err %v; want MsgError", bad.msgType, reply, err)
 		}
 	}
-	if again, err := conn.Search("corpus", q); err != nil || !equalInts(again, got) {
+	if again, err := conn.Search("corpus", q); err != nil || !slices.Equal(again, got) {
 		t.Fatalf("search after rejected payloads: %v, err %v; want %v", again, err, got)
 	}
 

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -72,7 +73,7 @@ func TestTracingEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s traced: %v", fx.labels[qi], err)
 				}
-				if !equalInts(got, fx.expect[qi]) {
+				if !slices.Equal(got, fx.expect[qi]) {
 					t.Fatalf("%s traced candidates %v != direct %v", fx.labels[qi], got, fx.expect[qi])
 				}
 				// The trace extension must be invisible to results: an
@@ -82,7 +83,7 @@ func TestTracingEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s untraced: %v", fx.labels[qi], err)
 				}
-				if !equalInts(got2, fx.expect[qi]) {
+				if !slices.Equal(got2, fx.expect[qi]) {
 					t.Fatalf("%s untraced candidates %v != direct %v", fx.labels[qi], got2, fx.expect[qi])
 				}
 			}
