@@ -165,10 +165,9 @@ func (t *trigger) hit() bool {
 // Injector owns the deterministic fault state shared by every FS and
 // connection wrapper derived from it. Safe for concurrent use.
 type Injector struct {
-	cfg        Config
-	crashed    atomic.Bool
-	crashPoint atomic.Pointer[string]
-	flipMix    uint64 // seed-derived multiplier selecting bit-flip positions
+	cfg     Config
+	crashed atomic.Bool
+	flipMix uint64 // seed-derived multiplier selecting bit-flip positions
 
 	writeErr, shortWrite, syncErr, bitFlip, drop, stall trigger
 
@@ -189,18 +188,8 @@ func New(cfg Config) *Injector {
 	inj.bitFlip.init(src, "bitflip", cfg.BitFlipEvery)
 	inj.drop.init(src, "drop", cfg.DropEvery)
 	inj.stall.init(src, "stall", cfg.StallEvery)
-	if cfg.CrashPoint != "" {
-		inj.ArmCrash(cfg.CrashPoint)
-	}
 	return inj
 }
-
-// ArmCrash sets (or replaces) the armed crash point at runtime. The
-// crash-point matrix's replace cases upload a first version over an
-// unarmed FS, arm the point under test, and then drive the replacement
-// that dies there — without this, the first upload would trip the
-// point before the scenario starts.
-func (inj *Injector) ArmCrash(point string) { inj.crashPoint.Store(&point) }
 
 // Bind mirrors injection counts into reg as fault_*_total counters, so
 // a fault-wrapped server exposes what was injected next to how the

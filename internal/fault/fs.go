@@ -127,7 +127,7 @@ func (f *FS) Crash(point string) error {
 	if err := f.inj.dead(); err != nil {
 		return err
 	}
-	if armed := f.inj.crashPoint.Load(); armed != nil && point != "" && point == *armed {
+	if point != "" && point == f.inj.cfg.CrashPoint {
 		f.inj.crashed.Store(true)
 		f.inj.nCrash.inc()
 		return fmt.Errorf("%w at %s", ErrCrashed, point)

@@ -121,7 +121,6 @@ type Energy struct {
 	XorPerKB          float64 // EXOR, J per KiB
 	DMAPerChannel     float64 // EDMA, J per page DMA per channel
 	IndexGenPerPage   float64 // Eindex_gen, J per page in the controller
-	PaperEBitAdd      float64 // Ebit_add as reported (J per channel)
 }
 
 // DefaultEnergy returns the Table 3 energies.
@@ -137,7 +136,6 @@ func DefaultEnergy() Energy {
 		XorPerKB:          20 * nJ,
 		DMAPerChannel:     7.656 * uJ,
 		IndexGenPerPage:   0.18 * uJ,
-		PaperEBitAdd:      32.22 * uJ,
 	}
 }
 

@@ -24,7 +24,7 @@ type tenant struct {
 	query  []byte
 	db     *core.EncryptedDB
 	q      *core.Query
-	expect []int // local serial-engine result
+	expect []int // client-decrypt ground truth (decryptTruth)
 }
 
 func newTenant(t *testing.T, p bfv.Params, name string, spec core.EngineSpec, dbBytes, plantAt int) *tenant {
@@ -47,14 +47,9 @@ func newTenant(t *testing.T, p bfv.Params, name string, spec core.EngineSpec, db
 	if tn.q, err = client.PrepareQuery(tn.query, 32, dbBytes*8); err != nil {
 		t.Fatal(err)
 	}
-	ir, err := core.NewCPUEngine(p, tn.db, 1).SearchAndIndex(tn.q)
-	if err != nil {
-		t.Fatal(err)
+	if tn.expect = decryptTruth(t, p, "tenant-"+name, tn.db, tn.query, 32); len(tn.expect) == 0 {
+		t.Fatalf("tenant %s: vacuous ground truth", name)
 	}
-	if len(ir.Candidates) == 0 {
-		t.Fatalf("tenant %s: vacuous fixture", name)
-	}
-	tn.expect = ir.Candidates
 	return tn
 }
 
@@ -96,7 +91,6 @@ func TestMultiTenantConcurrentSearches(t *testing.T) {
 	const clientsPerTenant = 4
 	const searchesPerClient = 3
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(tenants)*clientsPerTenant)
 	for _, tn := range tenants {
 		for i := 0; i < clientsPerTenant; i++ {
 			wg.Add(1)
@@ -104,35 +98,25 @@ func TestMultiTenantConcurrentSearches(t *testing.T) {
 				defer wg.Done()
 				conn, err := Dial(addr, p)
 				if err != nil {
-					errCh <- err
+					t.Error(err)
 					return
 				}
 				defer conn.Close()
 				for k := 0; k < searchesPerClient; k++ {
 					got, err := conn.Search(tn.name, tn.q)
 					if err != nil {
-						errCh <- err
+						t.Error(err)
 						return
 					}
-					if len(got) != len(tn.expect) {
-						errCh <- errMismatch(tn.name, got, tn.expect)
+					if !slices.Equal(got, tn.expect) {
+						t.Error(errMismatch(tn.name, got, tn.expect))
 						return
-					}
-					for j := range got {
-						if got[j] != tn.expect[j] {
-							errCh <- errMismatch(tn.name, got, tn.expect)
-							return
-						}
 					}
 				}
 			}(tn)
 		}
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
 
 	infos, err := up.ListDBs()
 	if err != nil {
@@ -155,17 +139,8 @@ func TestMultiTenantConcurrentSearches(t *testing.T) {
 	}
 }
 
-type mismatchError struct {
-	name      string
-	got, want []int
-}
-
 func errMismatch(name string, got, want []int) error {
-	return &mismatchError{name: name, got: got, want: want}
-}
-
-func (e *mismatchError) Error() string {
-	return "tenant " + e.name + ": remote result differs from local"
+	return fmt.Errorf("tenant %s: candidates %v, want %v", name, got, want)
 }
 
 // TestStoreLifecycle exercises upload/replace/list/drop and the error
@@ -362,7 +337,7 @@ func TestOldClientShardWordIgnored(t *testing.T) {
 				t.Fatalf("%s: search: %v", name, err)
 			}
 			if !slices.Equal(got, tn.expect) {
-				t.Fatalf("%s: candidates %v, serial engine %v", name, got, tn.expect)
+				t.Fatalf("%s: candidates %v, ground truth %v", name, got, tn.expect)
 			}
 		}
 	}
@@ -505,7 +480,7 @@ func TestQueryBufferReuse(t *testing.T) {
 					t.Fatalf("%s: %v", step, err)
 				}
 				if want := fresh(tn); !slices.Equal(got, want) || !slices.Equal(got, tn.expect) {
-					t.Fatalf("%s: reused connection answered %v, fresh connection %v, local engine %v", step, got, want, tn.expect)
+					t.Fatalf("%s: reused connection answered %v, fresh connection %v, ground truth %v", step, got, want, tn.expect)
 				}
 			}
 			search("query A", a)

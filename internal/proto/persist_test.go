@@ -5,61 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
-	"ciphermatch/internal/mathutil"
-	"ciphermatch/internal/metrics"
 	"ciphermatch/internal/rng"
 	"ciphermatch/internal/segment"
 )
-
-// durableTenant is a tenant fixture whose ground truth comes from the
-// client-decrypt path (the cryptographic reference the engine
-// conformance tests pin to), not just from another engine.
-type durableTenant struct {
-	*tenant
-	clientWant []int // candidates derived by decryptTruth
-	batch      []*core.Query
-}
-
-func newDurableTenant(t *testing.T, p bfv.Params, name string, spec core.EngineSpec, dbBytes, plantAt int) *durableTenant {
-	t.Helper()
-	seed := "tenant-" + name
-	cfg := core.Config{Params: p, AlignBits: 8, Mode: core.ModeSeededMatch}
-	client, err := core.NewClient(cfg, rng.NewSourceFromString(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn := &tenant{name: name, spec: spec}
-	tn.data = make([]byte, dbBytes)
-	rng.NewSourceFromString("data-" + name).Bytes(tn.data)
-	tn.query = []byte{0xFE, 0xED, 0xFA, 0xCE}
-	for j := 0; j < 32; j++ {
-		mathutil.SetBit(tn.data, plantAt+j, mathutil.GetBit(tn.query, j))
-	}
-	if tn.db, err = client.EncryptDatabase(tn.data, dbBytes*8); err != nil {
-		t.Fatal(err)
-	}
-	if tn.q, err = client.PrepareQuery(tn.query, 32, dbBytes*8); err != nil {
-		t.Fatal(err)
-	}
-	want := decryptTruth(t, p, seed, tn.db, tn.query, 32)
-	if len(want) == 0 {
-		t.Fatalf("tenant %s: vacuous fixture", name)
-	}
-	second, err := client.PrepareQuery([]byte{0x0F, 0xF0, 0x55, 0xAA}, 32, dbBytes*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup, err := client.PrepareQuery(tn.query, 32, dbBytes*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn.expect = want
-	return &durableTenant{tenant: tn, clientWant: want, batch: []*core.Query{tn.q, second, dup}}
-}
 
 // decryptTruth is the cryptographic ground truth, the oracle of
 // internal/engine's conformance matrix: the candidates of query over db on
@@ -92,207 +45,6 @@ func assertCandidates(t *testing.T, label string, got, want []int) {
 	}
 }
 
-// TestStoreRestartRecovery is the durability conformance test: upload
-// databases with distinct engine specs, search them, reopen a fresh
-// store over the same data directory, and require bit-identical search
-// and batch-search results on every engine kind — with the
-// client-decrypt candidates as the cryptographic ground truth.
-func TestStoreRestartRecovery(t *testing.T) {
-	p := bfv.ParamsToy()
-	dir := t.TempDir()
-	tenants := []*durableTenant{
-		newDurableTenant(t, p, "serial-db", core.EngineSpec{Kind: core.EngineSerial}, 192, 200),
-		newDurableTenant(t, p, "pool-db", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 256, 968),
-		newDurableTenant(t, p, "pool2-db", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 320, 1504),
-		newDurableTenant(t, p, "ssd-db", core.EngineSpec{Kind: core.EngineSSD}, 192, 640),
-	}
-
-	st1, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	preBatch := make(map[string][][]int)
-	for _, tn := range tenants {
-		if err := st1.Upload(tn.name, tn.spec, tn.db); err != nil {
-			t.Fatalf("upload %s: %v", tn.name, err)
-		}
-		ir, err := st1.Search(tn.name, tn.q)
-		if err != nil {
-			t.Fatalf("pre-restart search %s: %v", tn.name, err)
-		}
-		assertCandidates(t, "pre-restart "+tn.name, ir.Candidates, tn.clientWant)
-		irs, err := st1.SearchBatch(tn.name, core.NewBatchQuery(tn.batch...))
-		if err != nil {
-			t.Fatalf("pre-restart batch %s: %v", tn.name, err)
-		}
-		for _, bir := range irs {
-			preBatch[tn.name] = append(preBatch[tn.name], bir.Candidates)
-		}
-	}
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: a fresh store over the same directory must re-register
-	// every tenant from its segment, metadata-only.
-	st2, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	infos := st2.List()
-	if len(infos) != len(tenants) {
-		t.Fatalf("recovered %d databases, want %d: %+v", len(infos), len(tenants), infos)
-	}
-	for _, in := range infos {
-		if in.State != StateCold {
-			t.Errorf("%s: state %q before first search, want %q", in.Name, in.State, StateCold)
-		}
-	}
-	for _, tn := range tenants {
-		var in *DBInfo
-		for i := range infos {
-			if infos[i].Name == tn.name {
-				in = &infos[i]
-			}
-		}
-		if in == nil {
-			t.Fatalf("%s missing from recovered listing", tn.name)
-		}
-		// List on a cold database must serve geometry from the
-		// segment header's metadata, without loading the arena.
-		if in.Chunks != len(tn.db.Chunks) || in.BitLen != tn.db.BitLen {
-			t.Errorf("%s: cold listing %d chunks / %d bits, want %d / %d",
-				tn.name, in.Chunks, in.BitLen, len(tn.db.Chunks), tn.db.BitLen)
-		}
-		if in.Engine != tn.spec.String() {
-			t.Errorf("%s: cold listing engine %q, want persisted spec %q", tn.name, in.Engine, tn.spec.String())
-		}
-	}
-
-	for _, tn := range tenants {
-		ir, err := st2.Search(tn.name, tn.q)
-		if err != nil {
-			t.Fatalf("post-restart search %s: %v", tn.name, err)
-		}
-		assertCandidates(t, "post-restart "+tn.name, ir.Candidates, tn.clientWant)
-		irs, err := st2.SearchBatch(tn.name, core.NewBatchQuery(tn.batch...))
-		if err != nil {
-			t.Fatalf("post-restart batch %s: %v", tn.name, err)
-		}
-		if len(irs) != len(preBatch[tn.name]) {
-			t.Fatalf("post-restart batch %s: %d results, want %d", tn.name, len(irs), len(preBatch[tn.name]))
-		}
-		for mi, bir := range irs {
-			assertCandidates(t, "post-restart batch "+tn.name, bir.Candidates, preBatch[tn.name][mi])
-		}
-	}
-	// After searching, tenants are resident and the listing says so.
-	for _, in := range st2.List() {
-		if in.State != StateResident {
-			t.Errorf("%s: state %q after search, want %q", in.Name, in.State, StateResident)
-		}
-	}
-}
-
-// TestStoreEviction pins the cold-DB eviction policy: under a budget
-// that fits only one tenant arena, uploads and searches evict the
-// least-recently-used database, evicted tenants transparently reload
-// from their segment on the next search with bit-identical results,
-// every reload shows in the reload histogram and verified-bytes counter,
-// and Drop removes the segment file.
-func TestStoreEviction(t *testing.T) {
-	p := bfv.ParamsToy()
-	dir := t.TempDir()
-	a := newDurableTenant(t, p, "alpha", core.EngineSpec{}, 192, 200)
-	b := newDurableTenant(t, p, "beta", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 968)
-	arena := 2 * int64(len(a.db.Chunks)) * int64(p.N) * 8
-
-	reg := metrics.NewRegistry()
-	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir, MemBudget: arena + arena/2, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Upload(a.name, a.spec, a.db); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Upload(b.name, b.spec, b.db); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.ResidentBytes(); got > arena+arena/2 {
-		t.Fatalf("resident %d bytes exceeds budget after uploads", got)
-	}
-	states := map[string]string{}
-	for _, in := range st.List() {
-		states[in.Name] = in.State
-	}
-	if states["alpha"] != StateCold || states["beta"] != StateResident {
-		t.Fatalf("after uploads: alpha=%s beta=%s, want alpha cold (LRU-evicted), beta resident", states["alpha"], states["beta"])
-	}
-
-	// Searching the evicted tenant transparently reloads it — and
-	// pushes beta out in turn. Results stay pinned to the
-	// client-decrypt ground truth through evict/reload cycles.
-	for i := 0; i < 3; i++ {
-		ir, err := st.Search(a.name, a.q)
-		if err != nil {
-			t.Fatalf("round %d alpha: %v", i, err)
-		}
-		assertCandidates(t, "evicted-then-reloaded alpha", ir.Candidates, a.clientWant)
-		ir, err = st.Search(b.name, b.q)
-		if err != nil {
-			t.Fatalf("round %d beta: %v", i, err)
-		}
-		assertCandidates(t, "evicted-then-reloaded beta", ir.Candidates, b.clientWant)
-		if got := st.ResidentBytes(); got > arena+arena/2 {
-			t.Fatalf("round %d: resident %d bytes exceeds budget", i, got)
-		}
-	}
-	// Each round reloaded both tenants; both arenas are the same size.
-	const reloads = 6
-	if got := reg.Counter("store_reloads_total").Load(); got != reloads {
-		t.Fatalf("store_reloads_total = %d, want %d", got, reloads)
-	}
-	if got := reg.Histogram("store_reload_ns").Count(); got != reloads {
-		t.Fatalf("store_reload_ns count = %d, want %d", got, reloads)
-	}
-	if got := reg.Counter("store_reload_bytes_total").Load(); got != reloads*arena {
-		t.Fatalf("store_reload_bytes_total = %d, want %d", got, reloads*arena)
-	}
-
-	// Batch search also reloads cold tenants.
-	irs, err := st.SearchBatch(a.name, core.NewBatchQuery(a.batch...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCandidates(t, "batch after eviction", irs[0].Candidates, a.clientWant)
-
-	// Drop deletes the segment: the file is gone and a fresh store
-	// over the directory no longer knows the tenant.
-	segPath := filepath.Join(dir, segment.FileName(a.name))
-	if _, err := os.Stat(segPath); err != nil {
-		t.Fatalf("segment missing before drop: %v", err)
-	}
-	if err := st.Drop(a.name); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
-		t.Fatalf("segment survived drop: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if infos := st2.List(); len(infos) != 1 || infos[0].Name != "beta" {
-		t.Fatalf("after drop+restart: %+v", infos)
-	}
-}
-
 // TestStoreConcurrentEvictReload hammers the evict/reload seam: under
 // a budget that keeps only one of two tenants resident, concurrent
 // searches force constant eviction (munmap) and zero-copy reload, and
@@ -301,9 +53,9 @@ func TestStoreEviction(t *testing.T) {
 func TestStoreConcurrentEvictReload(t *testing.T) {
 	p := bfv.ParamsToy()
 	dir := t.TempDir()
-	a := newDurableTenant(t, p, "thrash-a", core.EngineSpec{}, 192, 200)
-	b := newDurableTenant(t, p, "thrash-b", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 968)
-	arena := 2 * int64(len(a.db.Chunks)) * int64(p.N) * 8
+	a := newTenant(t, p, "thrash-a", core.EngineSpec{}, 192, 200)
+	b := newTenant(t, p, "thrash-b", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 968)
+	arena := (&Store{params: p}).arenaBytes(len(a.db.Chunks))
 	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir, MemBudget: arena + arena/2})
 	if err != nil {
 		t.Fatal(err)
@@ -316,43 +68,26 @@ func TestStoreConcurrentEvictReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const goroutines = 8
-	const rounds = 10
-	errCh := make(chan error, goroutines)
-	done := make(chan struct{})
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			tn := a
-			if g%2 == 1 {
-				tn = b
-			}
-			for i := 0; i < rounds; i++ {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		tn := []*tenant{a, b}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
 				ir, err := st.Search(tn.name, tn.q)
 				if err != nil {
-					errCh <- err
+					t.Error(err)
 					return
 				}
-				if len(ir.Candidates) != len(tn.clientWant) {
-					errCh <- errMismatch(tn.name, ir.Candidates, tn.clientWant)
+				if !slices.Equal(ir.Candidates, tn.expect) {
+					t.Error(errMismatch(tn.name, ir.Candidates, tn.expect))
 					return
-				}
-				for j := range ir.Candidates {
-					if ir.Candidates[j] != tn.clientWant[j] {
-						errCh <- errMismatch(tn.name, ir.Candidates, tn.clientWant)
-						return
-					}
 				}
 			}
-		}(g)
+		}()
 	}
-	for g := 0; g < goroutines; g++ {
-		<-done
-	}
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
+	wg.Wait()
 }
 
 // TestStoreDurableCapacityRefusal pins the refused-upload invariants on
@@ -362,7 +97,7 @@ func TestStoreConcurrentEvictReload(t *testing.T) {
 func TestStoreDurableCapacityRefusal(t *testing.T) {
 	p := bfv.ParamsToy()
 	dir := t.TempDir()
-	tn := newDurableTenant(t, p, "cap", core.EngineSpec{}, 64, 40)
+	tn := newTenant(t, p, "cap", core.EngineSpec{}, 64, 40)
 	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +137,7 @@ func TestStoreDurableCapacityRefusal(t *testing.T) {
 func TestStoreForeignGeometryQuarantine(t *testing.T) {
 	p := bfv.ParamsToy()
 	dir := t.TempDir()
-	tn := newDurableTenant(t, p, "healthy", core.EngineSpec{}, 192, 200)
+	tn := newTenant(t, p, "healthy", core.EngineSpec{}, 192, 200)
 	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -443,41 +178,10 @@ func TestStoreForeignGeometryQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertCandidates(t, "healthy tenant beside foreign segment", ir.Candidates, tn.clientWant)
+	assertCandidates(t, "healthy tenant beside foreign segment", ir.Candidates, tn.expect)
 	// The foreign file is quarantined, not deleted.
 	if _, err := os.Stat(filepath.Join(dir, segment.FileName("foreign"))); err != nil {
 		t.Fatalf("foreign segment was deleted: %v", err)
-	}
-}
-
-// TestStoreListCold guards the List regression the eviction work makes
-// possible: listing must never dereference an absent arena, and a
-// dropped-then-listed store stays consistent.
-func TestStoreListCold(t *testing.T) {
-	p := bfv.ParamsToy()
-	dir := t.TempDir()
-	tn := newDurableTenant(t, p, "coldlist", core.EngineSpec{}, 192, 200)
-	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Upload(tn.name, tn.spec, tn.db); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	// Reopened: metadata-only entry. List must work without loading.
-	st2, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	infos := st2.List()
-	if len(infos) != 1 || infos[0].Chunks != len(tn.db.Chunks) || infos[0].BitLen != tn.db.BitLen || infos[0].State != StateCold {
-		t.Fatalf("cold listing: %+v", infos)
-	}
-	if infos[0].Searches != 0 {
-		t.Fatalf("search count %d survived restart; want in-memory stat reset", infos[0].Searches)
 	}
 }
 
@@ -489,7 +193,7 @@ func TestStoreListCold(t *testing.T) {
 // tenant if the loader handed it the file's CRC-64 sums.
 func TestStoreSegmentV1Compat(t *testing.T) {
 	p := bfv.ParamsToy()
-	tn := newDurableTenant(t, p, "v1-tenant", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 200)
+	tn := newTenant(t, p, "v1-tenant", core.EngineSpec{Kind: core.EnginePool, Workers: 2}, 192, 200)
 	raw, err := os.ReadFile(filepath.Join("..", "segment", "testdata", "v1-toy.seg"))
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +214,7 @@ func TestStoreSegmentV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertCandidates(t, "version 1 segment", ir.Candidates, tn.clientWant)
+	assertCandidates(t, "version 1 segment", ir.Candidates, tn.expect)
 	if checked, corrupted := st.ScrubOnce(); checked != 1 || corrupted != 0 {
 		t.Fatalf("scrub over a reloaded version 1 tenant: checked %d, corrupted %d; want 1, 0", checked, corrupted)
 	}
@@ -523,7 +227,7 @@ func TestStoreSegmentV1Compat(t *testing.T) {
 // catches a flipped word. The tenant's 1 MiB planes hash in parallel.
 func TestUploadFingerprintIsFooter(t *testing.T) {
 	p := bfv.ParamsToy()
-	tn := newDurableTenant(t, p, "sealed", core.EngineSpec{}, 256<<10, 200)
+	tn := newTenant(t, p, "sealed", core.EngineSpec{}, 256<<10, 200)
 	fingerprint := func(st *Store) [2]uint64 {
 		t.Helper()
 		d, err := st.lookup(tn.name)
@@ -575,7 +279,7 @@ func TestUploadFingerprintIsFooter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertCandidates(t, "reloaded", ir.Candidates, tn.clientWant)
+		assertCandidates(t, "reloaded", ir.Candidates, tn.expect)
 		ir.Release()
 		if got := fingerprint(st); got != footer {
 			t.Fatalf("reload fingerprint %016x, segment footer %016x", got, footer)

@@ -451,11 +451,12 @@ func (st *Store) ensureLoaded(d *hostedDB) error {
 }
 
 // isCorruptionErr reports whether a reload failure means the segment
-// bytes are bad (checksum, truncation, framing) rather than a transient
-// I/O condition worth retrying.
+// bytes are bad (checksum, truncation, framing, a malformed header or
+// footer) rather than a transient I/O condition worth retrying.
 func isCorruptionErr(err error) bool {
 	return errors.Is(err, segment.ErrChecksum) || errors.Is(err, segment.ErrTruncated) ||
-		errors.Is(err, segment.ErrBadMagic) || errors.Is(err, segment.ErrBadVersion)
+		errors.Is(err, segment.ErrBadMagic) || errors.Is(err, segment.ErrBadVersion) ||
+		errors.Is(err, segment.ErrCorrupt)
 }
 
 // ScrubOnce re-hashes every resident arena against the plane CRCs

@@ -26,9 +26,6 @@ type Config struct {
 	Tbbop time.Duration
 	// Ebbop is the energy of one bulk bitwise operation.
 	Ebbop float64
-	// PeakBandwidth is the conventional access bandwidth (bytes/s), used
-	// by the data-movement model.
-	PeakBandwidth float64
 }
 
 // ExternalDDR4 returns the CM-PuM configuration of Table 3: 32 GB
@@ -43,7 +40,6 @@ func ExternalDDR4() Config {
 		RowBytes:      8192,
 		Tbbop:         49 * time.Nanosecond,
 		Ebbop:         0.864e-9,
-		PeakBandwidth: 19.2e9,
 	}
 }
 
@@ -61,7 +57,6 @@ func InternalLPDDR4() Config {
 		RowBytes:      8192,
 		Tbbop:         63 * time.Nanosecond,
 		Ebbop:         0.864e-9,
-		PeakBandwidth: 7.46e9,
 	}
 }
 

@@ -656,10 +656,10 @@ func (f *recordingFS) Crash(point string) error {
 }
 
 // TestSaveAnnouncesEveryCrashPoint: one clean Dir.Save passes every
-// named crash point, in CrashPoints order. The crash-point matrix arms
+// named crash point, in CrashPoints order. proto's store model arms
 // each point of CrashPoints in turn; a point the writer stopped
-// announcing would never fire there, and its case would pass without
-// testing anything.
+// announcing would never fire there, and its crash op would fail
+// without testing the point.
 func TestSaveAnnouncesEveryCrashPoint(t *testing.T) {
 	p, db := fixtureDB(t, "seg-crash-points", 300)
 	fsys := &recordingFS{}

@@ -49,8 +49,8 @@ type File interface {
 
 // Named crash points of the segment write path, in execution order.
 // Each marks "the process dies here": everything before the point is on
-// disk, nothing after it is. The crash-point matrix test simulates every
-// one and requires recovery to serve bit-identical search results.
+// disk, nothing after it is. proto's store model test crashes an upload
+// at every one and requires recovery to serve bit-identical results.
 const (
 	CrashWriteTmpCreate = "segment.write.tmp-create" // before the tmp file exists
 	CrashWriteHeader    = "segment.write.header"     // header+name written, no planes
@@ -64,7 +64,7 @@ const (
 )
 
 // CrashPoints lists every named crash point in execution order — what
-// the crash-point matrix test iterates.
+// proto's store model test must cover, fresh and replacing.
 func CrashPoints() []string {
 	return []string{
 		CrashWriteTmpCreate,

@@ -19,8 +19,8 @@ import (
 // the meta's geometry (core.NewCompactDB, as the wire decoder and the
 // client build it). Every step announces a named crash point first, so
 // a fault-injecting FS can simulate the process dying at any of them;
-// the crash-point matrix test requires recovery to be correct after
-// every one.
+// proto's store model test requires recovery to be correct after every
+// one.
 func writeFS(fsys FS, path string, meta Meta, db *core.EncryptedDB) ([2]uint64, error) {
 	var none [2]uint64
 	if err := checkWritable(meta, db); err != nil {

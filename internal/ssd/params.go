@@ -25,16 +25,8 @@ type Config struct {
 	Timing   flash.Timing
 	Energy   flash.Energy
 
-	// InternalDRAMBytes is the SSD-internal LPDDR4 capacity (2 GB for the
-	// 2 TB drive of Table 3).
-	InternalDRAMBytes int64
 	// ChannelBandwidth is the per-channel NAND IO rate (1.2 GB/s).
 	ChannelBandwidth float64
-	// ExternalBandwidth is the host-interface bandwidth (PCIe Gen4 x4,
-	// 7 GB/s).
-	ExternalBandwidth float64
-	// ControllerCores is the number of embedded cores (5x Cortex-R5).
-	ControllerCores int
 
 	// SoftTransposeLatency is the software transposition-unit latency per
 	// 4 KiB page on the controller cores (13.6 µs, §4.3.2); it is hidden
@@ -54,10 +46,7 @@ func DefaultConfig() Config {
 		Geometry:             flash.DefaultGeometry(),
 		Timing:               flash.DefaultTiming(),
 		Energy:               flash.DefaultEnergy(),
-		InternalDRAMBytes:    2 << 30,
 		ChannelBandwidth:     1.2e9,
-		ExternalBandwidth:    7e9,
-		ControllerCores:      5,
 		SoftTransposeLatency: 13600 * time.Nanosecond,
 		HardTransposeLatency: 158 * time.Nanosecond,
 		IndexGenLatency:      3420 * time.Nanosecond,
