@@ -139,11 +139,8 @@ func main() {
 	if dir := srv.Store().Dir(); dir != nil {
 		n := len(srv.Store().List())
 		fmt.Printf("cmserver: recovered %d database(s) from %s\n", n, dir.Root())
-		for _, dmg := range dir.Damaged() {
-			fmt.Fprintf(os.Stderr, "cmserver: quarantined segment %s: %v\n", dmg.File, dmg.Err)
-		}
-		for _, sk := range srv.Store().SkippedSegments() {
-			fmt.Fprintf(os.Stderr, "cmserver: not serving segment %s (%q): %v\n", sk.File, sk.Name, sk.Err)
+		for _, dmg := range srv.Store().Damaged() {
+			fmt.Fprintf(os.Stderr, "cmserver: not serving segment %s: %v\n", dmg.File, dmg.Err)
 		}
 	}
 

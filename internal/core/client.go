@@ -143,12 +143,18 @@ type EncryptedDB struct {
 	arena []uint64
 }
 
+// ArenaWords is the coefficient count of the arena of numChunks chunks
+// of degree n: both components of every chunk. Every arena size — the
+// allocation, the segment planes, the store's resident accounting — is
+// derived from it.
+func ArenaWords(n, numChunks int) int { return 2 * numChunks * n }
+
 // NewCompactDB allocates an EncryptedDB of numChunks two-component
 // chunks whose polynomials are zeroed views into a fresh arena.
 // Producers fill the coefficients in place, so a database never holds
 // loose per-chunk allocations and the arena at the same time.
 func NewCompactDB(n, numChunks int) *EncryptedDB {
-	db, err := AdoptArena(n, numChunks, make([]uint64, 2*numChunks*n))
+	db, err := AdoptArena(n, numChunks, make([]uint64, ArenaWords(n, numChunks)))
 	if err != nil {
 		panic(err) // arena freshly sized above; cannot mismatch
 	}
@@ -171,9 +177,9 @@ func AdoptArena(n, numChunks int, arena []uint64) (*EncryptedDB, error) {
 	if n < 1 || numChunks < 1 {
 		return nil, fmt.Errorf("core: cannot adopt an arena of %d chunks of degree %d", numChunks, n)
 	}
-	if len(arena) != 2*numChunks*n {
+	if want := ArenaWords(n, numChunks); len(arena) != want {
 		return nil, fmt.Errorf("core: arena holds %d coefficients, %d chunks of degree %d need %d",
-			len(arena), numChunks, n, 2*numChunks*n)
+			len(arena), numChunks, n, want)
 	}
 	db := &EncryptedDB{Chunks: make([]*bfv.Ciphertext, numChunks), arena: arena}
 	cts := make([]bfv.Ciphertext, numChunks)

@@ -124,6 +124,21 @@ func save(t *testing.T, fsys segment.FS, dir string, meta segment.Meta, db *core
 	return d.Save(meta, db)
 }
 
+// recoverDir runs the recovery scan a restarted store runs over dir on
+// the real filesystem, at meta's geometry.
+func recoverDir(t *testing.T, dir string, meta segment.Meta) ([]segment.Meta, []segment.Damaged) {
+	t.Helper()
+	d, err := segment.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, damaged, err := d.Recover(meta.RingDegree, meta.Modulus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return valid, damaged
+}
+
 func TestFSCrashPointKillsFS(t *testing.T) {
 	meta, db := testDB(t)
 	dir := t.TempDir()
@@ -150,12 +165,8 @@ func TestFSCrashPointKillsFS(t *testing.T) {
 		t.Fatalf("post-crash ReadDir: %v", err)
 	}
 	// A fresh FS (the restarted process) prunes the tmp and boots clean.
-	d, err := segment.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(d.Entries()); n != 0 {
-		t.Fatalf("recovered %d entries from torn write, want 0", n)
+	if valid, damaged := recoverDir(t, dir, meta); len(valid)+len(damaged) != 0 {
+		t.Fatalf("recovered %+v, damaged %+v from torn write, want neither", valid, damaged)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("stale tmp not pruned: %v", err)
@@ -190,12 +201,8 @@ func TestFSShortWriteLeavesTornPrefix(t *testing.T) {
 	}
 	// Recovery on the real FS sees no segment (tmp was cleaned up by the
 	// still-alive writer) — the store stays consistent.
-	d, err := segment.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(d.Entries()); n != 0 {
-		t.Fatalf("recovered %d entries, want 0", n)
+	if valid, damaged := recoverDir(t, dir, meta); len(valid)+len(damaged) != 0 {
+		t.Fatalf("recovered %+v, damaged %+v, want neither", valid, damaged)
 	}
 }
 

@@ -188,6 +188,13 @@ func (o modelOp) coverage(m *storeModel) []string {
 		if e != nil && !e.quarantined {
 			keys = append(keys, "fault-upload over a live version")
 		}
+	case opDrop, opDoubleDrop:
+		if e != nil && e.quarantined {
+			keys = append(keys, "drop of a quarantined tenant")
+		}
+		if e == nil && m.disk[o.name] != nil {
+			keys = append(keys, "drop of a segment damaged at boot")
+		}
 	case opFlipDisk:
 		keys = append(keys, "region "+o.region)
 	case opCrash:
@@ -195,12 +202,27 @@ func (o modelOp) coverage(m *storeModel) []string {
 	case opRestart:
 		keys = append(keys, "boot "+o.boot)
 	}
+	if o.kind == opRestart || o.kind == opCrash {
+		// The crashed upload may replace its own name's file, so only the
+		// other names' quarantines count as surviving its restart.
+		for _, e := range m.reg {
+			switch {
+			case !e.quarantined || o.kind == opCrash && e.name == o.name:
+			case m.disk[e.name].rot == "":
+				keys = append(keys, "restart after a scrub quarantine")
+			default:
+				keys = append(keys, "restart after a disk-rot quarantine")
+			}
+		}
+	}
 	return keys
 }
 
 // modelCoverage is everything the default seed set must exercise.
 func modelCoverage() []string {
-	keys := []string{"upload over a quarantined tenant", "fault-upload over a live version"}
+	keys := []string{"upload over a quarantined tenant", "fault-upload over a live version",
+		"drop of a quarantined tenant", "drop of a segment damaged at boot",
+		"restart after a scrub quarantine", "restart after a disk-rot quarantine"}
 	for _, n := range opNames {
 		keys = append(keys, "op "+n)
 	}
@@ -327,7 +349,6 @@ type modelCounters struct {
 type storeModel struct {
 	perBudget int                   // resident arenas the budget holds; 0 = unlimited
 	disk      map[string]*modelFile // *.seg files by tenant name
-	quarFiles map[string]bool       // *.quarantined files by tenant name
 	reg       map[string]*modelEntry
 	tick      int64
 	ctr       modelCounters
@@ -338,8 +359,7 @@ type storeModel struct {
 }
 
 func newStoreModel(perBudget int) *storeModel {
-	return &storeModel{perBudget: perBudget, disk: map[string]*modelFile{}, quarFiles: map[string]bool{},
-		reg: map[string]*modelEntry{}}
+	return &storeModel{perBudget: perBudget, disk: map[string]*modelFile{}, reg: map[string]*modelEntry{}}
 }
 
 // names lists, sorted, the registered tenants keep accepts.
@@ -376,16 +396,16 @@ func (m *storeModel) evict(keep string) {
 	}
 }
 
+// quarantine fences a tenant off; its segment file stays as it is.
 func (m *storeModel) quarantine(e *modelEntry) {
 	e.quarantined, e.resident, e.fromUpload, e.arenaRot = true, false, false, false
 	m.ctr.quarantines++
-	delete(m.disk, e.name)
-	m.quarFiles[e.name] = true
 }
 
 // restart models a fresh store over the directory: every segment whose
-// header validates registers cold, quarantined tenants and segments
-// that fail validation are gone from the registry, counters restart.
+// header validates registers cold (a quarantined tenant's too: its
+// first reload re-verifies the planes), segments that fail validation
+// stay on disk unregistered, counters restart.
 func (m *storeModel) restart(boot string) {
 	m.reg = map[string]*modelEntry{}
 	for n, f := range m.disk {
@@ -411,12 +431,14 @@ func (m *storeModel) apply(op modelOp) {
 	case opFaultUpload:
 		m.ctr.uploadsFailed++
 	case opDrop, opDoubleDrop:
-		if e == nil {
+		// A drop removes the tenant and every file its name owns: a
+		// quarantined tenant's segment, or one the boot found damaged.
+		if e == nil && m.disk[op.name] == nil {
 			m.wantErr = "missing"
 			return
 		}
 		delete(m.reg, op.name)
-		delete(m.disk, op.name) // a quarantined tenant has no segment left to delete
+		delete(m.disk, op.name)
 	case opSearch, opBatch:
 		switch {
 		case e == nil:
@@ -807,9 +829,6 @@ func (r *modelRun) check(m *storeModel) error {
 	}
 	for n := range m.disk {
 		wantFiles = append(wantFiles, segment.FileName(n))
-	}
-	for n := range m.quarFiles {
-		wantFiles = append(wantFiles, segment.FileName(n)+segment.QuarantineSuffix)
 	}
 	sort.Strings(wantFiles) // ReadDir sorts by name
 	if !slices.Equal(files, wantFiles) {

@@ -1,12 +1,15 @@
 package proto
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
@@ -90,6 +93,215 @@ func TestStoreConcurrentEvictReload(t *testing.T) {
 	wg.Wait()
 }
 
+// syncGateFS is the real filesystem, except that a save reaching the
+// fsync crash point announces it on reached and waits for release.
+type syncGateFS struct {
+	segment.OSFS
+	reached, release chan struct{}
+}
+
+func (f *syncGateFS) Crash(point string) error {
+	if point == segment.CrashWriteSync {
+		close(f.reached)
+		<-f.release
+	}
+	return nil
+}
+
+// TestStoreColdReloadDuringBlockedSave: one tenant's upload, stalled in
+// its segment save before the fsync, must not hold up another tenant's
+// reload — the data directory keeps no lock a save holds.
+func TestStoreColdReloadDuringBlockedSave(t *testing.T) {
+	p := bfv.ParamsToy()
+	dir := t.TempDir()
+	cold := newTenant(t, p, "cold", core.EngineSpec{}, 192, 200)
+	saving := newTenant(t, p, "saving", core.EngineSpec{}, 192, 968)
+	st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Upload(cold.name, cold.spec, cold.db); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	fsys := &syncGateFS{reached: make(chan struct{}), release: make(chan struct{})}
+	st, err = NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	uploaded := make(chan error, 1)
+	go func() { uploaded <- st.Upload(saving.name, saving.spec, saving.db) }()
+	<-fsys.reached
+	searched := make(chan error, 1)
+	go func() {
+		ir, err := st.Search(cold.name, cold.q)
+		if err == nil {
+			if !slices.Equal(ir.Candidates, cold.expect) {
+				err = errMismatch(cold.name, ir.Candidates, cold.expect)
+			}
+			ir.Release()
+		}
+		searched <- err
+	}()
+	var searchErr error
+	timedOut := false
+	select {
+	case searchErr = <-searched:
+	case <-time.After(2 * time.Second):
+		timedOut = true
+	}
+	close(fsys.release)
+	if timedOut {
+		t.Error("a cold tenant's reload waited 2 s behind another tenant's blocked save")
+		searchErr = <-searched
+	}
+	if searchErr != nil {
+		t.Error(searchErr)
+	}
+	if err := <-uploaded; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreQuarantineKeepsFile pins, one scenario each, the rules the
+// store model checks op by op: a quarantine writes nothing, a restart
+// re-verifies a quarantined tenant's segment, and a drop or an upload
+// of a name reclaims the one file the name owns.
+func TestStoreQuarantineKeepsFile(t *testing.T) {
+	p := bfv.ParamsToy()
+	const name = "kept"
+	files := func(t *testing.T, dir string) []string {
+		t.Helper()
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, de := range des {
+			out = append(out, de.Name())
+		}
+		return out
+	}
+	search := func(st *Store, tn *tenant) error {
+		ir, err := st.Search(tn.name, tn.q)
+		if err != nil {
+			return err
+		}
+		defer ir.Release()
+		if !slices.Equal(ir.Candidates, tn.expect) {
+			return errMismatch(tn.name, ir.Candidates, tn.expect)
+		}
+		return nil
+	}
+	boot := func(t *testing.T, dir string, old *Store) *Store {
+		t.Helper()
+		if old != nil {
+			old.Close()
+		}
+		st, err := NewStoreWithOptions(p, core.EngineSpec{}, StoreOptions{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	// Each cause uploads tn, quarantines it and returns the store.
+	type quarantineFunc func(t *testing.T, dir string, tn *tenant) *Store
+	causes := []struct {
+		name       string
+		quarantine quarantineFunc
+	}{
+		{"scrub", func(t *testing.T, dir string, tn *tenant) *Store {
+			st := boot(t, dir, nil)
+			if err := st.Upload(name, tn.spec, tn.db); err != nil {
+				t.Fatal(err)
+			}
+			tn.db.Arena()[0] ^= 1 // the file keeps the intact bytes
+			if _, corrupted := st.ScrubOnce(); corrupted != 1 {
+				t.Fatalf("scrub found %d corrupt arenas, want 1", corrupted)
+			}
+			return st
+		}},
+		{"disk-rot", func(t *testing.T, dir string, tn *tenant) *Store {
+			st := boot(t, dir, nil)
+			if err := st.Upload(name, tn.spec, tn.db); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, segment.FileName(name))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[128+(len(name)+7)&^7] ^= 1 // first C0 plane byte
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st = boot(t, dir, st)
+			if err := search(st, tn); !errors.Is(err, ErrCorruptDB) {
+				t.Fatalf("search of a rotten segment: %v, want ErrCorruptDB", err)
+			}
+			return st
+		}},
+	}
+	for _, c := range causes {
+		cause, quarantine := c.name, c.quarantine
+		t.Run(cause+"/drop", func(t *testing.T) {
+			dir := t.TempDir()
+			st := quarantine(t, dir, newTenant(t, p, name, core.EngineSpec{}, 192, 200))
+			if err := st.Drop(name); err != nil {
+				t.Fatal(err)
+			}
+			if got := files(t, dir); len(got) != 0 {
+				t.Fatalf("drop of a quarantined tenant left %v", got)
+			}
+		})
+		t.Run(cause+"/re-upload", func(t *testing.T) {
+			dir := t.TempDir()
+			st := quarantine(t, dir, newTenant(t, p, name, core.EngineSpec{}, 192, 200))
+			tn := newTenant(t, p, name, core.EngineSpec{}, 192, 200)
+			if err := st.Upload(name, tn.spec, tn.db); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := files(t, dir), []string{segment.FileName(name)}; !slices.Equal(got, want) {
+				t.Fatalf("re-upload over a quarantined tenant left %v, want %v", got, want)
+			}
+			if err := search(st, tn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Run(cause+"/restart", func(t *testing.T) {
+			dir := t.TempDir()
+			tn := newTenant(t, p, name, core.EngineSpec{}, 192, 200)
+			st := boot(t, dir, quarantine(t, dir, tn))
+			err := search(st, tn)
+			if cause == "scrub" && err != nil {
+				t.Fatalf("after a restart, the intact segment of a scrub-quarantined tenant: %v, want truth", err)
+			}
+			if cause == "disk-rot" && !errors.Is(err, ErrCorruptDB) {
+				t.Fatalf("after a restart, a rotten segment: %v, want ErrCorruptDB", err)
+			}
+		})
+	}
+	t.Run("damaged-at-boot/drop", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segment.FileName(name)), []byte("not a segment"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := boot(t, dir, nil)
+		if err := st.Drop(name); err != nil {
+			t.Fatalf("drop of a segment damaged at boot: %v", err)
+		}
+		if got := files(t, dir); len(got) != 0 {
+			t.Fatalf("drop of a segment damaged at boot left %v", got)
+		}
+		if err := st.Drop(name); err == nil || !strings.Contains(err.Error(), "no database named") {
+			t.Fatalf("second drop: %v, want no database named", err)
+		}
+	})
+}
+
 // TestStoreDurableCapacityRefusal pins the refused-upload invariants on
 // a durable store: a refusal at MaxStoredDBs must not write a segment
 // a restart could resurrect, and must not skew the resident-bytes
@@ -132,8 +344,9 @@ func TestStoreDurableCapacityRefusal(t *testing.T) {
 }
 
 // TestStoreForeignGeometryQuarantine: a segment written under different
-// BFV parameters must not brick the store — it is skipped (and
-// reported), while healthy tenants recover and serve.
+// BFV parameters must not brick the store — it is not served and is
+// reported on the boot's one list of damaged segments, while healthy
+// tenants recover and serve; a drop of its name deletes the file.
 func TestStoreForeignGeometryQuarantine(t *testing.T) {
 	p := bfv.ParamsToy()
 	dir := t.TempDir()
@@ -170,18 +383,29 @@ func TestStoreForeignGeometryQuarantine(t *testing.T) {
 	if infos := st2.List(); len(infos) != 1 || infos[0].Name != "healthy" {
 		t.Fatalf("listing with foreign segment present: %+v", infos)
 	}
-	skipped := st2.SkippedSegments()
-	if len(skipped) != 1 || skipped[0].Name != "foreign" {
-		t.Fatalf("skipped segments: %+v", skipped)
+	damaged := st2.Damaged()
+	if len(damaged) != 1 || damaged[0].File != segment.FileName("foreign") || !errors.Is(damaged[0].Err, segment.ErrGeometry) {
+		t.Fatalf("damaged segments: %+v", damaged)
 	}
 	ir, err := st2.Search(tn.name, tn.q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertCandidates(t, "healthy tenant beside foreign segment", ir.Candidates, tn.expect)
-	// The foreign file is quarantined, not deleted.
-	if _, err := os.Stat(filepath.Join(dir, segment.FileName("foreign"))); err != nil {
-		t.Fatalf("foreign segment was deleted: %v", err)
+	// The boot left the foreign file in place; a drop of its name
+	// deletes it, and only then is the name unknown.
+	foreign := filepath.Join(dir, segment.FileName("foreign"))
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("boot deleted the foreign segment: %v", err)
+	}
+	if err := st2.Drop("foreign"); err != nil {
+		t.Fatalf("drop of the foreign segment: %v", err)
+	}
+	if _, err := os.Stat(foreign); !os.IsNotExist(err) {
+		t.Fatalf("foreign segment survived its drop: %v", err)
+	}
+	if err := st2.Drop("foreign"); err == nil || !strings.Contains(err.Error(), "no database named") {
+		t.Fatalf("second drop of the foreign segment: %v, want no database named", err)
 	}
 }
 

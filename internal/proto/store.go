@@ -3,6 +3,7 @@ package proto
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"runtime"
 	"sort"
 	"sync"
@@ -42,11 +43,11 @@ type Store struct {
 	params      bfv.Params
 	defaultSpec core.EngineSpec
 
-	dir      *segment.Dir // nil = memory-only store
-	budget   int64        // resident-arena byte budget; 0 = unlimited
-	resident atomic.Int64 // bytes of arena currently resident
-	clock    atomic.Int64 // LRU tick, bumped per search
-	skipped  []SkippedSegment
+	dir      *segment.Dir      // nil = memory-only store
+	budget   int64             // resident-arena byte budget; 0 = unlimited
+	resident atomic.Int64      // bytes of arena currently resident
+	clock    atomic.Int64      // LRU tick, bumped per search
+	damaged  []segment.Damaged // what the boot's recovery scan will not serve
 
 	// uploadMu serialises Upload's persist+register critical section:
 	// the segment written to disk and the entry installed in the
@@ -119,15 +120,6 @@ func (m *storeMetrics) reloadFailed(name string) {
 	m.tenantReloadFailures.With(name).Inc()
 }
 
-// SkippedSegment reports a recovered-but-unusable segment: well-formed
-// on disk, but written under different BFV parameters than the store
-// runs. It is left in place (never deleted) and not served.
-type SkippedSegment struct {
-	File string
-	Name string
-	Err  error
-}
-
 // StoreOptions configures durability.
 type StoreOptions struct {
 	// DataDir is the segment directory. Empty means a memory-only
@@ -159,11 +151,10 @@ type StoreOptions struct {
 // immutable after registration and valid even while the database is
 // cold — List must never need the arena.
 type hostedDB struct {
-	name      string
-	spec      core.EngineSpec
-	chunks    int
-	bitLen    int
-	persisted bool
+	name   string
+	spec   core.EngineSpec
+	chunks int
+	bitLen int
 
 	searches atomic.Int64
 	lastUsed atomic.Int64 // store clock at last search; LRU key
@@ -183,10 +174,11 @@ type hostedDB struct {
 }
 
 // NewStoreWithOptions creates a store, optionally durable. With a data
-// directory it runs the recovery scan: every well-formed segment file
+// directory it runs the recovery scan: every valid segment file
 // re-registers its database (cold — the arena loads on first search)
-// under the engine spec persisted in the segment header. Segments
-// written under different BFV parameters are rejected.
+// under the engine spec persisted in the segment header. Damaged
+// segments, and those written under different BFV parameters, are not
+// served; Damaged lists them.
 func NewStoreWithOptions(params bfv.Params, defaultSpec core.EngineSpec, opts StoreOptions) (*Store, error) {
 	reg := opts.Metrics
 	if reg == nil {
@@ -219,49 +211,47 @@ func NewStoreWithOptions(params bfv.Params, defaultSpec core.EngineSpec, opts St
 		st.stopScrub()
 		return nil, fmt.Errorf("proto: opening data directory: %w", err)
 	}
-	st.dir = dir
-	for _, e := range dir.Entries() {
-		// A segment from a different parameter point is quarantined like
-		// a damaged file — one foreign segment must not take every
-		// healthy tenant offline.
-		if err := e.Meta.CheckGeometry(params.N, params.Q); err != nil {
-			st.skipped = append(st.skipped, SkippedSegment{File: e.File, Name: e.Meta.Name, Err: err})
-			continue
-		}
-		st.dbs[e.Meta.Name] = &hostedDB{
-			name:      e.Meta.Name,
-			spec:      e.Meta.Spec,
-			chunks:    e.Meta.Chunks,
-			bitLen:    e.Meta.BitLen,
-			persisted: true,
-		}
+	// One damaged or foreign segment must not take every healthy
+	// tenant offline: it stays on disk, unserved, until a drop or an
+	// upload of its name replaces it.
+	metas, damaged, err := dir.Recover(params.N, params.Q)
+	if err != nil {
+		st.stopScrub()
+		return nil, fmt.Errorf("proto: scanning data directory: %w", err)
+	}
+	st.dir, st.damaged = dir, damaged
+	for _, m := range metas {
+		st.dbs[m.Name] = &hostedDB{name: m.Name, spec: m.Spec, chunks: m.Chunks, bitLen: m.BitLen}
 	}
 	return st, nil
 }
 
-// Dir exposes the segment directory (nil for memory-only stores), for
-// diagnostics such as the recovery scan's quarantine list.
+// Dir exposes the segment directory (nil for memory-only stores).
 func (st *Store) Dir() *segment.Dir { return st.dir }
 
-// SkippedSegments lists recovered segments the store refused to serve
-// because their BFV parameters differ from the store's.
-func (st *Store) SkippedSegments() []SkippedSegment {
-	return append([]SkippedSegment(nil), st.skipped...)
+// Damaged lists the segment files the boot's recovery scan found
+// unservable: failing validation, written under other BFV parameters,
+// or not at their name's file. It is what the boot saw; a later drop or
+// upload of the name deletes or replaces the file.
+func (st *Store) Damaged() []segment.Damaged {
+	return append([]segment.Damaged(nil), st.damaged...)
 }
 
 // arenaBytes is the resident cost of one database's ciphertext arena.
 func (st *Store) arenaBytes(chunks int) int64 {
-	return 2 * int64(chunks) * int64(st.params.N) * 8
+	return int64(core.ArenaWords(st.params.N, chunks)) * 8
 }
 
 // Upload installs (or replaces) the named database, building its engine
 // from spec; an empty spec kind selects the store default. On a durable
 // store the segment is written through — and fsynced — before the
-// upload is acknowledged, so an acked database survives a crash.
-// Replacement waits for in-flight searches on the old engine before
-// closing it. The database must sit on an arena (core.NewCompactDB,
-// as every producer builds it): that is what the kernels stream, the
-// scrub fingerprints and the segment writer copies.
+// upload is acknowledged, so an acked database survives a crash; it
+// renames over whatever file the name holds, so a re-upload heals a
+// quarantined or damaged segment in place. Replacement waits for
+// in-flight searches on the old engine before closing it. The database
+// must sit on an arena (core.NewCompactDB, as every producer builds
+// it): that is what the kernels stream, the scrub fingerprints and the
+// segment writer copies.
 func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB) error {
 	if edb.Arena() == nil {
 		return fmt.Errorf("proto: database %q has no arena", name)
@@ -347,7 +337,7 @@ func (st *Store) Upload(name string, spec core.EngineSpec, edb *core.EncryptedDB
 			_ = eng.Close()
 			return fmt.Errorf("proto: persisting %q: %w", name, err)
 		}
-		entry.planeCRC, entry.persisted = planeCRC, true
+		entry.planeCRC = planeCRC
 	}
 	// Resident accounting pairs with unloadLocked's decrement: add the
 	// arena bytes exactly when loaded flips true.
@@ -408,7 +398,7 @@ func (st *Store) ensureLoaded(d *hostedDB) error {
 	if d.engine != nil {
 		return nil // raced with another reloader: already resident
 	}
-	if !d.persisted || st.dir == nil {
+	if st.dir == nil {
 		return fmt.Errorf("proto: database %q has no engine and no segment to reload from", d.name)
 	}
 	start := time.Now()
@@ -417,9 +407,9 @@ func (st *Store) ensureLoaded(d *hostedDB) error {
 		st.met.reloadFailed(d.name)
 		if isCorruptionErr(err) {
 			// The segment itself is damaged: retrying cannot help, so
-			// quarantine the file (same path the recovery scan takes)
-			// and surface the typed fault. Transient errors fall through
-			// below and leave the database cold but retryable.
+			// quarantine the tenant and surface the typed fault.
+			// Transient errors fall through below and leave the database
+			// cold but retryable.
 			st.quarantineLocked(d, err)
 			return fmt.Errorf("proto: reloading %q: %w (%v)", d.name, ErrCorruptDB, err)
 		}
@@ -500,9 +490,11 @@ func (st *Store) ScrubOnce() (checked, corrupted int) {
 }
 
 // quarantine takes a corrupt database out of service: resident state is
-// released, the entry answers ErrCorruptDB from now on, and the segment
-// file (if any) is atomically renamed aside, out of the recovery scan's
-// *.seg pattern, so a restart does not register it again.
+// released and the entry answers ErrCorruptDB until a drop or an upload
+// replaces it. It writes nothing: the segment file stays where it is,
+// and a restart registers it again, cold, so its first reload
+// re-verifies the planes — rotten ones quarantine it again, intact ones
+// (the scrub found rot only in memory) serve.
 func (st *Store) quarantine(d *hostedDB, cause error) {
 	d.mu.Lock()
 	st.quarantineLocked(d, cause)
@@ -519,11 +511,6 @@ func (st *Store) quarantineLocked(d *hostedDB, cause error) {
 	st.unloadLocked(d)
 	st.met.quarantines.Inc()
 	st.met.tenantQuarantines.With(d.name).Inc()
-	if st.dir != nil && d.persisted {
-		// Best-effort: a failed rename leaves the file in place, but the
-		// corrupt flag alone already stops it from being served.
-		st.dir.Quarantine(d.name, cause) //nolint:errcheck // entry is already fenced off
-	}
 }
 
 // scrubLoop is the background scrub tick.
@@ -566,7 +553,7 @@ func (st *Store) enforceBudget(keep *hostedDB) {
 		}
 		v.mu.Lock()
 		// Recheck under the lock: the scan ran lock-free.
-		if !v.dropped && v.engine != nil && v.persisted {
+		if !v.dropped && v.engine != nil {
 			st.unloadLocked(v)
 			st.met.evictions.Inc()
 			st.met.tenantEvictions.With(v.name).Inc()
@@ -575,15 +562,15 @@ func (st *Store) enforceBudget(keep *hostedDB) {
 	}
 }
 
-// pickVictim returns the least-recently-searched resident, persisted
-// database other than keep, or nil.
+// pickVictim returns the least-recently-searched resident database
+// other than keep, or nil.
 func (st *Store) pickVictim(keep *hostedDB) *hostedDB {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	var victim *hostedDB
 	var oldest int64
 	for _, d := range st.dbs {
-		if d == keep || !d.persisted || !d.loaded.Load() {
+		if d == keep || !d.loaded.Load() {
 			continue
 		}
 		if used := d.lastUsed.Load(); victim == nil || used < oldest {
@@ -673,9 +660,13 @@ func (st *Store) SearchBatch(name string, bq *core.BatchQuery) ([]*core.IndexRes
 	return irs, err
 }
 
-// Drop removes the named database, tears its engine down, and deletes
-// its segment file. It serialises with Upload so a drop racing a
-// replacement cannot delete the segment the replacement just wrote.
+// Drop removes the named database: it tears the engine down if the
+// name is registered, then deletes the name's segment file if there is
+// one — so a quarantined tenant, and a segment the boot found damaged
+// or foreign, are dropped by name too. It fails with "no database
+// named" only when neither existed. It serialises with Upload so a drop
+// racing a replacement cannot delete the segment the replacement just
+// wrote.
 func (st *Store) Drop(name string) error {
 	st.uploadMu.Lock()
 	defer st.uploadMu.Unlock()
@@ -683,14 +674,19 @@ func (st *Store) Drop(name string) error {
 	d := st.dbs[name]
 	delete(st.dbs, name)
 	st.mu.Unlock()
-	if d == nil {
-		return fmt.Errorf("proto: no database named %q", name)
+	if d != nil {
+		st.retire(d)
 	}
-	st.retire(d)
+	removed := false
 	if st.dir != nil {
-		if err := st.dir.Remove(name); err != nil {
+		err := st.dir.Remove(name)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("proto: dropping %q segment: %w", name, err)
 		}
+		removed = err == nil
+	}
+	if d == nil && !removed {
+		return fmt.Errorf("proto: no database named %q", name)
 	}
 	return nil
 }

@@ -180,9 +180,6 @@ type Meta struct {
 	Spec core.EngineSpec
 }
 
-// arenaWords returns the coefficient count of both planes together.
-func (m Meta) arenaWords() int { return 2 * m.Chunks * m.RingDegree }
-
 // planeBytes returns the byte size of one plane.
 func (m Meta) planeBytes() int64 { return int64(m.Chunks) * int64(m.RingDegree) * 8 }
 

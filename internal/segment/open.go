@@ -241,7 +241,7 @@ func openCopy(f File, meta Meta, lay layout) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	arena := make([]uint64, meta.arenaWords())
+	arena := make([]uint64, core.ArenaWords(meta.RingDegree, meta.Chunks))
 	planes := u64Bytes(arena)
 	if _, err := f.ReadAt(planes, int64(lay.planeOff)); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -550,6 +551,10 @@ func TestOpenAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestDirRecovery: the recovery scan returns the valid segments at
+// their name's file and lists every other *.seg with its reason, prunes
+// stale temp files, and writes nothing else; Remove deletes a name's
+// file and reports fs.ErrNotExist when there is none.
 func TestDirRecovery(t *testing.T) {
 	root := t.TempDir()
 	d, err := OpenDir(root)
@@ -565,51 +570,88 @@ func TestDirRecovery(t *testing.T) {
 	if err := d.Save(fixtureMeta("beta", p, db2, specB), db2); err != nil {
 		t.Fatal(err)
 	}
-	// Leftover temp file and one damaged segment must not block reopen.
+	// Leftover temp file, one damaged segment and a hand-copied one
+	// (valid, but not at the file of the name it carries) must not block
+	// the scan.
 	if err := os.WriteFile(filepath.Join(root, "stale.seg.tmp"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(root, "junk.seg"), []byte("not a segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenDir(root)
+	raw, err := os.ReadFile(filepath.Join(root, FileName("alpha")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := d2.Entries()
-	if len(entries) != 2 || entries[0].Meta.Name != "alpha" || entries[1].Meta.Name != "beta" {
-		t.Fatalf("recovered entries: %+v", entries)
+	if err := os.WriteFile(filepath.Join(root, "copy.seg"), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if entries[1].Meta.Spec != specB {
-		t.Fatalf("beta engine spec not recovered: %+v", entries[1].Meta.Spec)
+	scan := func(n int, q uint64) (map[string]Meta, map[string]error) {
+		t.Helper()
+		valid, damaged, err := d.Recover(n, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas, reasons := map[string]Meta{}, map[string]error{}
+		for _, m := range valid {
+			metas[m.Name] = m
+		}
+		for _, dmg := range damaged {
+			reasons[dmg.File] = dmg.Err
+		}
+		return metas, reasons
 	}
-	if entries[1].Meta.Chunks != len(db2.Chunks) || entries[1].Meta.BitLen != db2.BitLen {
-		t.Fatalf("beta geometry not recovered: %+v", entries[1].Meta)
+	metas, reasons := scan(p.N, p.Q)
+	if len(metas) != 2 || metas["alpha"].Name != "alpha" || metas["beta"].Name != "beta" {
+		t.Fatalf("recovered metas: %+v", metas)
 	}
-	if dmg := d2.Damaged(); len(dmg) != 1 || dmg[0].File != "junk.seg" {
-		t.Fatalf("damaged list: %+v", dmg)
+	if metas["beta"].Spec != specB {
+		t.Fatalf("beta engine spec not recovered: %+v", metas["beta"].Spec)
+	}
+	if metas["beta"].Chunks != len(db2.Chunks) || metas["beta"].BitLen != db2.BitLen {
+		t.Fatalf("beta geometry not recovered: %+v", metas["beta"])
+	}
+	if len(reasons) != 2 || !errors.Is(reasons["junk.seg"], ErrTruncated) || !errors.Is(reasons["copy.seg"], ErrCorrupt) {
+		t.Fatalf("damaged list: %v", reasons)
 	}
 	if _, err := os.Stat(filepath.Join(root, "stale.seg.tmp")); !os.IsNotExist(err) {
 		t.Fatal("stale temp file survived recovery")
 	}
+	// A store of another ring geometry serves none of them.
+	if metas, reasons := scan(p.N, p.Q+2); len(metas) != 0 || len(reasons) != 4 ||
+		!errors.Is(reasons[FileName("alpha")], ErrGeometry) || !errors.Is(reasons[FileName("beta")], ErrGeometry) {
+		t.Fatalf("foreign-geometry scan: metas %+v, damaged %v", metas, reasons)
+	}
 
-	s, err := d2.Load("beta", p.N, p.Q)
+	s, err := d.Load("beta", p.N, p.Q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if err := d2.Remove("beta"); err != nil {
+	if err := d.Remove("beta"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.Load("beta", p.N, p.Q); err == nil {
-		t.Fatal("load after remove succeeded")
+	if _, err := d.Load("beta", p.N, p.Q); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("load after remove: %v, want fs.ErrNotExist", err)
 	}
-	d3, err := OpenDir(root)
+	if err := d.Remove("beta"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("second remove: %v, want fs.ErrNotExist", err)
+	}
+	if metas, _ := scan(p.N, p.Q); len(metas) != 1 || metas["alpha"].Name != "alpha" {
+		t.Fatalf("metas after remove: %+v", metas)
+	}
+	files, err := os.ReadDir(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries := d3.Entries(); len(entries) != 1 || entries[0].Meta.Name != "alpha" {
-		t.Fatalf("entries after remove+reopen: %+v", entries)
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	want := []string{FileName("alpha"), "copy.seg", "junk.seg"}
+	slices.Sort(want) // ReadDir sorts by name
+	if !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
 	}
 }
 

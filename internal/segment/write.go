@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -85,35 +84,25 @@ func checkWritable(meta Meta, db *core.EncryptedDB) error {
 	if meta.Chunks < 1 || meta.Chunks > maxChunks || meta.RingDegree < 1 || meta.RingDegree > maxRingDegree {
 		return fmt.Errorf("segment: geometry %d chunks x degree %d out of range", meta.Chunks, meta.RingDegree)
 	}
-	if len(db.Arena()) != meta.arenaWords() {
+	if want := core.ArenaWords(meta.RingDegree, meta.Chunks); len(db.Arena()) != want {
 		return fmt.Errorf("segment: database arena holds %d coefficients, %d chunks x degree %d need %d",
-			len(db.Arena()), meta.Chunks, meta.RingDegree, meta.arenaWords())
+			len(db.Arena()), meta.Chunks, meta.RingDegree, want)
 	}
 	return nil
 }
 
-// crashFlush flushes the buffered writer, then announces a crash point:
-// a simulated crash must leave exactly the bytes written so far on disk
-// (the torn state the recovery scan will face), so the buffer cannot be
-// allowed to hide them.
-func crashFlush(fsys FS, w *bufio.Writer, point string) error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return fsys.Crash(point)
-}
-
-// writeTo streams header, name, planes and footer, and returns the
-// plane sums it sealed.
+// writeTo writes header, name, planes and footer straight to f, each
+// section one Write followed by its crash point, so a simulated crash
+// leaves exactly the bytes written so far on disk (the torn state the
+// recovery scan will face). It returns the plane sums it sealed.
 func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) ([2]uint64, error) {
 	var none [2]uint64
-	w := bufio.NewWriterSize(f, 1<<20)
 	head := encodeHeader(meta)
-	if _, err := w.Write(head); err != nil {
+	if _, err := f.Write(head); err != nil {
 		return none, err
 	}
 	headCRC := checksum(head)
-	if err := crashFlush(fsys, w, CrashWriteHeader); err != nil {
+	if err := fsys.Crash(CrashWriteHeader); err != nil {
 		return none, err
 	}
 
@@ -124,10 +113,10 @@ func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) ([2]uint64, error
 	planeCRC := planeSums(Version, planes)
 	planePoints := [2]string{CrashWritePlane0, CrashWritePlane1}
 	for p, buf := range planes {
-		if _, err := w.Write(buf); err != nil {
+		if _, err := f.Write(buf); err != nil {
 			return none, err
 		}
-		if err := crashFlush(fsys, w, planePoints[p]); err != nil {
+		if err := fsys.Crash(planePoints[p]); err != nil {
 			return none, err
 		}
 	}
@@ -137,8 +126,8 @@ func writeTo(fsys FS, f File, meta Meta, db *core.EncryptedDB) ([2]uint64, error
 	binary.LittleEndian.PutUint64(foot[8:], planeCRC[1])
 	binary.LittleEndian.PutUint64(foot[16:], headCRC)
 	copy(foot[24:], endMagic)
-	if _, err := w.Write(foot[:]); err != nil {
+	if _, err := f.Write(foot[:]); err != nil {
 		return none, err
 	}
-	return planeCRC, crashFlush(fsys, w, CrashWriteFooter)
+	return planeCRC, fsys.Crash(CrashWriteFooter)
 }
